@@ -31,7 +31,6 @@ from .games import (
     pool_payoff_selfish,
     pool_payoff_simple,
     simple_payoff_matrix,
-    strong_simple_expected_matrix,
 )
 from .overhead import OverheadParams, aggregator_comm_overhead_bytes, overhead_grid
 from .rewards import (
@@ -56,8 +55,7 @@ _TOP_KEYS = {"scenario", "game", "profile", "checks", "seed", "output"}
 _GAME_KEYS = {
     "kind", "committee_size", "boost", "horizon", "r", "R", "epoch_length",
     "honest_per_slot", "n_adversarial_slots", "n_non_adversarial_slots", "pool",
-    "credibility_assumed", "tie_break", "adversary_on_tip", "n_slots", "adv_slot",
-    "allow_condition_violation",
+    "credibility_assumed", "tie_break", "adversary_on_tip", "allow_condition_violation",
     # tendermint
     "variant", "f", "m",
     # quantify
@@ -68,6 +66,13 @@ _GAME_KEYS = {
 _CHECK_KEYS = {
     "type", "profile", "coalition_bound", "player", "action", "candidates",
     "conditions", "ethereum_flip",
+}
+# checks that tabulate one game's own construction, and the kinds that have it
+_CHECK_KINDS = {
+    "matrix": {GameKind.SIMPLE, GameKind.STRONG_SIMPLE},
+    "dominance": {GameKind.SIMPLE, GameKind.STRONG_SIMPLE},
+    "pool-matrix": {GameKind.SIMPLE, GameKind.SELFISH_MINING},
+    "dag-scenario": {GameKind.DAG_VOTES},
 }
 
 
@@ -171,6 +176,8 @@ def _game_config(game: dict) -> GameConfig:
             members_per_slot=int(game["pool"]["members_per_slot"]),
             name=game["pool"].get("name", "P"),
         )
+        if pool.members_per_slot < 1:
+            raise ValidationError("a pool needs at least one member per slot")
     return GameConfig(
         kind=kind,
         committee_size=int(game["committee_size"]),
@@ -357,11 +364,10 @@ def run_scenario(
             else profile_spec.get("base", "compliant-all") + "+overrides"
         )
         entry: dict = {"check": ctype}
+        if config.kind not in _CHECK_KINDS.get(ctype, {config.kind}):
+            raise ValidationError(f"check {ctype!r} does not apply to a {config.kind.value} game")
         if ctype == "matrix":
-            if config.kind is GameKind.STRONG_SIMPLE:
-                entry["matrix"] = _matrix_json(strong_simple_expected_matrix(config))
-            else:
-                entry["matrix"] = _matrix_json(simple_payoff_matrix(config))
+            entry["matrix"] = _matrix_json(simple_payoff_matrix(config))
         elif ctype == "pool-matrix":
             if config.kind is GameKind.SELFISH_MINING:
                 cells = {}

@@ -102,8 +102,8 @@ class ComplianceTracker:
     """Iteratively judged compliance marks for blocks and votes.
 
     Seeded with B_{-p} compliant and the original chain B_{-p+1}..B_0
-    non-compliant; the extended-game driver feeds it the tree state at each
-    classification tick.
+    non-compliant; the extended-game script shows it the tree at each tick it
+    acts on (`observe`).
     """
 
     p: int
@@ -114,11 +114,25 @@ class ComplianceTracker:
     vote_marks: dict[tuple[int, int, BlockId], bool] = field(default_factory=dict)
     leader_tips: dict[int, BlockId] = field(default_factory=dict)
     vote_tips: dict[int, BlockId] = field(default_factory=dict)
+    # how many of the tree's blocks and votes `observe` has already seen
+    seen_blocks: int = field(default=0, init=False)
+    seen_votes: int = field(default=0, init=False)
 
     def seed(self, genesis: BlockId, originals: list[BlockId]) -> None:
         self.block_marks[genesis] = True
         for bid in originals:
             self.block_marks[bid] = False
+
+    def observe(self, tree: BlockTree) -> None:
+        """Classify the slot-1..p blocks and votes delivered since the last call."""
+        blocks = list(tree.blocks.values())
+        for block in blocks[self.seen_blocks:]:
+            if 1 <= block.slot <= self.p:
+                self.classify_block(block)
+        for vote in tree.votes[self.seen_votes:]:
+            if 1 <= vote.slot <= self.p:
+                self.classify_vote(vote)
+        self.seen_blocks, self.seen_votes = len(blocks), len(tree.votes)
 
     def tip_at_leader_time(self, tree: BlockTree, slot_i: int) -> BlockId:
         tip = compliant_tip(

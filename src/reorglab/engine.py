@@ -7,8 +7,10 @@ A message released at tick tau is in every agent's view at tau+1 and
 thereafter; all agents share one view at lock-step times.
 
 Agents act through a StrategyProfile that supplies one action per decision
-point.  Scripted adversaries (attack-games) additionally hook into the loop
-to count votes, withhold blocks and release them later.
+point.  A game is a straight-line script over one Simulation: it advances
+the clock to the tick of its next action (`Simulation.advance`), then acts.
+Its scripted adversary counts votes, withholds blocks and releases them
+later the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import enum
 import json
 from dataclasses import dataclass, field, replace
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .chain import (
     Block,
@@ -41,9 +43,6 @@ class InsufficientValidators(EngineError):
 
 class InvalidAction(EngineError):
     """An agent attempted a slashable or out-of-range action."""
-
-
-PROPOSE, VOTE, AGGREGATE = 0, 1, 2
 
 
 def slot_of(tick: int) -> int:
@@ -288,12 +287,8 @@ class Simulation:
     """
 
     def __init__(
-        self,
-        schedule: Optional[CommitteeSchedule],
-        boost: int,
-        tie_break: TieBreakPolicy = TieBreakPolicy.ADVERSARY_FAVORING,
+        self, boost: int, tie_break: TieBreakPolicy = TieBreakPolicy.ADVERSARY_FAVORING
     ):
-        self.schedule = schedule
         self.boost = boost
         self.tie_break = tie_break
         self.tree = BlockTree()  # the delivered view, shared by all agents
@@ -301,6 +296,7 @@ class Simulation:
         self.delivered_evidences: list[EvidenceRecord] = []
         self.trace = RunTrace(boost=boost)
         self.tick = 0
+        self._ticking = False  # whether self.tick is in progress
         self._seq = 0
         self._voted: dict[tuple[int, int], BlockId] = {}
         self._proposed: dict[tuple[int, int], BlockId] = {}
@@ -399,7 +395,7 @@ class Simulation:
             return compliant_tip
         raise InvalidAction(f"unknown selector {selector!r}")
 
-    # -- run loop ----------------------------------------------------------
+    # -- clock -------------------------------------------------------------
 
     def deliver(self) -> None:
         """Make every message released strictly before the current tick visible."""
@@ -414,20 +410,35 @@ class Simulation:
             else:
                 self.delivered_evidences.append(msg.payload)  # type: ignore[arg-type]
 
-    def run_ticks(self, start: int, end: int, on_tick: Callable[[int], None]) -> None:
-        for tick in range(start, end + 1):
-            self.tick = tick
+    def advance(self, tick: int) -> None:
+        """Run the clock to `tick` and leave it in progress for the caller's actions.
+
+        The first call starts the clock at `tick`.  After that, the tick in
+        progress and each later tick before `tick` record their tips as they
+        end, and each tick that starts delivers what is due.  Advancing to the
+        tick already in progress does nothing.
+        """
+        if self._ticking and tick < self.tick:
+            raise EngineError(f"the clock is past tick {tick}")
+        for t in range(self.tick + 1 if self._ticking else tick, tick + 1):
+            self._end_tick()
+            self.tick, self._ticking = t, True
             self.deliver()
-            on_tick(tick)
-            self.trace.tips.append((tick, self.tip()))
+
+    def _end_tick(self) -> None:
+        if self._ticking:
+            self.trace.tips.append((self.tick, self.tip()))
+            self._ticking = False
 
     def finalize(self, final_slot: int) -> RunTrace:
         """Deliver everything outstanding and fix the final canonical chain.
 
         The final chain is evaluated from the perspective of `final_slot`, so
         that slot's proposal still enjoys the proposer boost; behavior after
-        the game ends is assumed not to disturb it.
+        the game ends is assumed not to disturb it.  The tick in progress
+        ends first.
         """
+        self._end_tick()
         if self.pending:
             self.tick = max(m.release_tick for m in self.pending) + 1
             self.deliver()

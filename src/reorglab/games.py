@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .chain import (
@@ -174,51 +175,139 @@ PlayerId = object  # int for solo validators, str for pools
 
 
 class GameModel:
-    """Interface consumed by the equilibrium lab."""
+    """Roster and named profiles of a game driven by the equilibrium lab.
 
-    config: GameConfig
+    A game lists its decision points (`decision_points`), the labelled
+    candidate actions of each (`dp_candidates`), and plays a profile (`run`,
+    `payoffs`).  The roster follows from those: a decision point belongs to
+    its actor, unless the actor is a member of one of `pools`, whose members
+    move together.  Named profiles follow from `PROFILES`.
+    """
 
-    def players(self) -> list[PlayerId]:
-        raise NotImplementedError
-
-    def decision_points(self) -> list[DecisionPoint]:
-        raise NotImplementedError
+    # profile name -> candidate labels; each decision point takes the first
+    # of them that it offers
+    PROFILES: dict[str, tuple[str, ...]] = {}
+    # a pool's joint actions: all its members take the label, and a pool
+    # never abstains
+    POOL_LABELS = ("C", "NC")
+    # pool name -> indices of the member validators whose payoffs it sums
+    pools: dict[PlayerId, frozenset[int]] = {}
 
     def owner(self, dp: DecisionPoint) -> PlayerId:
-        raise NotImplementedError
+        for name, members in self.pools.items():
+            if dp.actor in members:
+                return name
+        return dp.actor
 
-    def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
-        raise NotImplementedError
+    @cached_property
+    def _roster(self) -> tuple[PlayerId, ...]:
+        owners = dict.fromkeys(self.owner(dp) for dp in self.decision_points())
+        return tuple(p for p in owners if p not in self.pools) + tuple(self.pools)
+
+    def players(self) -> list[PlayerId]:
+        """Solo players in decision-point order, then the pools."""
+        return list(self._roster)
 
     def assignments(self, player: PlayerId) -> list[tuple[str, dict[DecisionPoint, object]]]:
         """Joint candidate assignments over all decision points of `player`."""
         dps = [dp for dp in self.decision_points() if self.owner(dp) == player]
-        if len(dps) == 1:
-            return [(label, {dps[0]: act}) for label, act in self.dp_candidates(dps[0])]
-        raise NotImplementedError
+        if player in self.pools:
+            return [
+                (label, {dp: dict(self.dp_candidates(dp))[label] for dp in dps})
+                for label in self.POOL_LABELS
+            ]
+        return [(label, {dp: act}) for dp in dps for label, act in self.dp_candidates(dp)]
 
     def profile(self, name: str) -> StrategyProfile:
-        raise NotImplementedError
+        """Named profile: each decision point takes its candidate `PROFILES[name]` picks."""
+        if name not in self.PROFILES:
+            raise GameError(f"unknown profile {name!r}")
+        actions = {}
+        for dp in self.decision_points():
+            candidates = dict(self.dp_candidates(dp))
+            actions[dp] = candidates[next(x for x in self.PROFILES[name] if x in candidates)]
+        return StrategyProfile(actions)
 
-    def run(self, profile: StrategyProfile) -> GameOutcome:
-        raise NotImplementedError
-
-    def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        raise NotImplementedError
-
-
-def _committee(start: int, size: int, kind=ValidatorKind.RATIONAL, pool=None, pool_size=0):
-    members = []
-    for i in range(size):
-        members.append(Validator(start + i, kind, pool if i < pool_size else None))
-    return members
+    def _ledger_payoffs(self, ledger: PayoffLedger) -> dict[PlayerId, Fraction]:
+        """Each solo player's ledger amount, and each pool's total over its members."""
+        out = {p: ledger.get(p) for p in self._roster if p not in self.pools}
+        for name, members in self.pools.items():
+            out[name] = sum((ledger.get(v) for v in members), Fraction(0))
+        return out
 
 
-def _settle_onto_trace(trace: RunTrace, params: RewardParams) -> PayoffLedger:
-    """Settle the trace and record the per-validator ledger on it."""
-    ledger = settle_payoffs(trace, params)
+def _committee(start: int, size: int, pool: Optional[PoolSpec] = None) -> list[Validator]:
+    """Rational validators start..start+size-1; the first members of `pool` lead."""
+    in_pool = pool.members_per_slot if pool else 0
+    return [
+        Validator(start + i, ValidatorKind.RATIONAL, pool.name if i < in_pool else None)
+        for i in range(size)
+    ]
+
+
+def _pools(config: GameConfig, validators) -> dict[PlayerId, frozenset[int]]:
+    if not config.pool:
+        return {}
+    name = config.pool.name
+    return {name: frozenset(v.index for v in validators if v.pool == name)}
+
+
+# -- the phases every game script shares ----------------------------------------
+
+
+def _open_genesis(config: GameConfig, proposer: Validator, voters):
+    """Start a run on an empty slot-0 genesis that `voters` already voted for.
+
+    Returns the simulation, with its clock at tick 0, the genesis block and
+    the seeded votes.
+    """
+    sim = Simulation(config.boost, config.tie_break)
+    genesis = Block(sim.tree.new_id(), 0, None, proposer, is_empty=True)
+    sim.tree.insert_block(genesis)
+    votes = [VoteRecord(0, v.index, genesis.id, broadcast_time=1) for v in voters]
+    for vote in votes:
+        sim.tree.add_vote(vote)
+    sim.advance(0)
+    return sim, genesis, votes
+
+
+def _attest(sim: Simulation, profile, slot: int, voters, compliant_tip=None, deferred=None):
+    """Attestor phase of `slot` at the tick in progress.
+
+    Each voter plays its profile action; honest voters, and every voter when
+    `profile` is None, vote the tip.  Actions other than votes cast nothing,
+    except that a FollowRule voter is appended to `deferred`.
+    """
+    vote_tip = VoteFor(Tip())
+    for v in voters:
+        if profile is None or v.kind is ValidatorKind.HONEST:
+            act = vote_tip
+        else:
+            act = profile.get(DecisionPoint(slot, Role.ATTESTOR, v.index))
+        if not isinstance(act, VoteFor):
+            if isinstance(act, FollowRule):
+                deferred.append(v)
+            continue
+        target = sim.resolve(act.target, compliant_tip)
+        release = act.release_tick if act.release_tick is not None else sim.tick
+        sim.emit_vote(VoteRecord(slot, v.index, target), sim.tick, release)
+
+
+def _close(sim: Simulation, config: GameConfig, final_slot: int, labels: dict, reorgs=True):
+    """Finish a run: finalize, settle payoffs onto the trace, label its blocks.
+
+    Returns the trace, the settled ledger, and the blocks of the canonical
+    chain in view at the last tick that the final chain dropped (none when
+    `reorgs` is false).
+    """
+    before = (
+        sim.tree.canonical_chain(final_slot, None, sim.boost, sim.tie_break) if reorgs else []
+    )
+    trace = sim.finalize(final_slot)
+    ledger = settle_payoffs(trace, config.reward_params())
     trace.payoffs = {v: str(amount) for v, amount in sorted(ledger.payoffs.items())}
-    return ledger
+    trace.labels = labels
+    return trace, ledger, detect_reorg(before, trace.final_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -236,38 +325,32 @@ class SimpleGame(GameModel):
     """
 
     SLOT_PREV, SLOT_T, SLOT_ADV = 0, 1, 2
+    PROFILES = {
+        "compliant-all": ("C",),
+        "vote-bt-all": ("NC",),
+        "abstain-all": ("abstain",),
+    }
 
     def __init__(self, config: GameConfig):
         self.config = config
         W = config.committee_size
-        pool_size = config.pool.members_per_slot if config.pool else 0
-        pool_name = config.pool.name if config.pool else None
-        if pool_size >= W:
+        if config.pool and config.pool.members_per_slot >= W:
             raise GameError("pool cannot fill the whole committee")
-        self.prev_committee = _committee(0, W, pool=pool_name, pool_size=pool_size)
-        self.committee = _committee(W, W, pool=pool_name, pool_size=pool_size)
+        self.prev_committee = _committee(0, W, config.pool)
+        self.committee = _committee(W, W, config.pool)
         self.leader_t = Validator(2 * W, ValidatorKind.RATIONAL)
         self.adversary = Validator(2 * W + 1, ValidatorKind.ADVERSARIAL)
         self.genesis_proposer = Validator(2 * W + 2, ValidatorKind.RATIONAL)
         self.genesis_id: BlockId = 0
+        self.pools = _pools(config, self.prev_committee + self.committee)
 
     # -- players and actions ------------------------------------------------
 
     def solo_players(self) -> list[Validator]:
         return [v for v in self.committee if v.pool is None]
 
-    def players(self) -> list[PlayerId]:
-        ids: list[PlayerId] = [v.index for v in self.solo_players()]
-        if self.config.pool:
-            ids.append(self.config.pool.name)
-        return ids
-
     def decision_points(self) -> list[DecisionPoint]:
         return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index) for v in self.committee]
-
-    def owner(self, dp: DecisionPoint) -> PlayerId:
-        v = next(v for v in self.committee if v.index == dp.actor)
-        return v.pool if v.pool else v.index
 
     def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
         return [
@@ -276,104 +359,32 @@ class SimpleGame(GameModel):
             ("abstain", Abstain()),
         ]
 
-    def assignments(self, player: PlayerId):
-        if self.config.pool and player == self.config.pool.name:
-            dps = [
-                DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index)
-                for v in self.committee
-                if v.pool == player
-            ]
-            return [
-                ("C", {dp: VoteFor(FixedBlock(self.genesis_id)) for dp in dps}),
-                ("NC", {dp: VoteFor(Tip()) for dp in dps}),
-            ]
-        return super().assignments(player)
-
-    def profile(self, name: str) -> StrategyProfile:
-        """Named profiles: compliant-all, vote-bt-all, or per-cell variants."""
-        actions: dict[DecisionPoint, object] = {}
-        for dp in self.decision_points():
-            if name == "compliant-all":
-                actions[dp] = VoteFor(FixedBlock(self.genesis_id))
-            elif name == "vote-bt-all":
-                actions[dp] = VoteFor(Tip())
-            elif name == "abstain-all":
-                actions[dp] = Abstain()
-            else:
-                raise GameError(f"unknown profile {name!r}")
-        return StrategyProfile(actions)
-
     # -- simulation -----------------------------------------------------------
 
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
-        sim = Simulation(None, cfg.boost, cfg.tie_break)
-        genesis = Block(
-            sim.tree.new_id(), self.SLOT_PREV, None, self.genesis_proposer, is_empty=True
+        sim, genesis, prev_votes = _open_genesis(cfg, self.genesis_proposer, self.prev_committee)
+        sim.advance(propose_tick(self.SLOT_T))
+        b_t = Block(
+            sim.tree.new_id(), self.SLOT_T, genesis.id, self.leader_t,
+            included_votes=tuple(prev_votes),
         )
-        sim.tree.insert_block(genesis)
-        prev_votes = []
-        for v in self.prev_committee:
-            vote = VoteRecord(self.SLOT_PREV, v.index, genesis.id, broadcast_time=1)
-            sim.tree.add_vote(vote)
-            prev_votes.append(vote)
-        state: dict = {}
-
-        def on_tick(tick: int) -> None:
-            if tick == propose_tick(self.SLOT_T):
-                b_t = Block(
-                    sim.tree.new_id(),
-                    self.SLOT_T,
-                    genesis.id,
-                    self.leader_t,
-                    included_votes=tuple(prev_votes),
-                )
-                sim.emit_block(b_t, tick)
-                state["b_t"] = b_t
-            elif tick == vote_tick(self.SLOT_T):
-                for v in self.committee:
-                    dp = DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index)
-                    act = profile.get(dp)
-                    if act is None or isinstance(act, Abstain):
-                        continue
-                    target = sim.resolve(act.target)
-                    release = act.release_tick if act.release_tick is not None else tick
-                    sim.emit_vote(
-                        VoteRecord(self.SLOT_T, v.index, target), tick, release
-                    )
-            elif tick == propose_tick(self.SLOT_ADV):
-                b_t = state["b_t"]
-                state["chain_before"] = sim.tree.canonical_chain(
-                    self.SLOT_ADV, None, cfg.boost, cfg.tie_break
-                )
-                votes_for_bt = sim.visible_votes_for(b_t.id, slot=self.SLOT_T)
-                reorg = votes_for_bt < cfg.boost
-                parent = genesis.id if reorg else b_t.id
-                if cfg.credibility_assumed:
-                    included = [
-                        v
-                        for v in sim.tree.votes
-                        if v.slot == self.SLOT_T and v.target == genesis.id
-                    ]
-                else:
-                    included = [v for v in sim.tree.votes if v.slot == self.SLOT_T]
-                b_a = Block(
-                    sim.tree.new_id(),
-                    self.SLOT_ADV,
-                    parent,
-                    self.adversary,
-                    included_votes=tuple(included),
-                )
-                sim.emit_block(b_a, tick)
-                state["b_a"] = b_a
-
-        sim.run_ticks(0, propose_tick(self.SLOT_ADV), on_tick)
-        trace = sim.finalize(self.SLOT_ADV)
-        ledger = _settle_onto_trace(trace, cfg.reward_params())
-        b_a = state["b_a"]
+        sim.emit_block(b_t, sim.tick)
+        sim.advance(vote_tick(self.SLOT_T))
+        _attest(sim, profile, self.SLOT_T, self.committee)
+        sim.advance(propose_tick(self.SLOT_ADV))
+        reorg = sim.visible_votes_for(b_t.id, slot=self.SLOT_T) < cfg.boost
+        included = [v for v in sim.tree.votes if v.slot == self.SLOT_T]
+        if cfg.credibility_assumed:
+            included = [v for v in included if v.target == genesis.id]
+        b_a = Block(
+            sim.tree.new_id(), self.SLOT_ADV, genesis.id if reorg else b_t.id,
+            self.adversary, included_votes=tuple(included),
+        )
+        sim.emit_block(b_a, sim.tick)
+        labels = {"B_prev": genesis.id, "B_t": b_t.id, "B_A": b_a.id}
+        trace, ledger, reorged = _close(sim, cfg, self.SLOT_ADV, labels)
         success = trace.final_chain == [genesis.id, b_a.id]
-        reorged = detect_reorg(state["chain_before"], trace.final_chain)
-        trace.labels = {"B_prev": genesis.id, "B_t": state["b_t"].id, "B_A": b_a.id}
         return GameOutcome(success, trace.final_chain, reorged, ledger, trace)
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
@@ -381,17 +392,7 @@ class SimpleGame(GameModel):
         return self._payoffs_from(outcome)
 
     def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
-        out: dict[PlayerId, Fraction] = {}
-        for v in self.solo_players():
-            out[v.index] = outcome.ledger.get(v.index)
-        if self.config.pool:
-            name = self.config.pool.name
-            total = Fraction(0)
-            for v in self.prev_committee + self.committee:
-                if v.pool == name:
-                    total += outcome.ledger.get(v.index)
-            out[name] = total
-        return out
+        return self._ledger_payoffs(outcome.ledger)
 
     # -- conditioning ---------------------------------------------------------
 
@@ -437,31 +438,26 @@ class SimpleGame(GameModel):
 
     def conditioned_payoff(self, player: PlayerId, label: str, condition: str) -> Fraction:
         action = self._action_for(player, label)
-        if self.config.pool and player == self.config.pool.name:
-            probes = {
-                v.index: action for v in self.committee if v.pool == player
-            }
-        else:
-            probes = {player: action}
+        members = self.pools.get(player, {player})
+        probes = {v.index: action for v in self.committee if v.index in members}
         outcome = self.conditioned_run(probes, condition)
         return self._payoffs_from(outcome)[player]
 
     def _action_for(self, player: PlayerId, label: str) -> object:
-        if label == "C":
-            return VoteFor(FixedBlock(self.genesis_id))
-        if label == "NC":
-            return VoteFor(Tip())
-        if label == "abstain":
-            return Abstain()
-        raise GameError(f"unknown action label {label!r}")
+        candidates = dict(self.dp_candidates(None))
+        if label not in candidates:
+            raise GameError(f"unknown action label {label!r}")
+        return candidates[label]
 
 
 def simple_payoff_matrix(config: GameConfig) -> PayoffMatrix:
     """Table of a solo slot-t attestor's payoff by attack outcome and action.
 
-    Every cell comes from a conditioned simulation of the full game.
+    Every cell comes from a conditioned simulation of the full game; under a
+    strong-simple config the payoffs are the expected ones of that game.
     """
-    game = SimpleGame(config)
+    strong = config.kind is GameKind.STRONG_SIMPLE
+    game = StrongSimpleGame(config) if strong else SimpleGame(config)
     probe = game.solo_players()[-1].index
     values = {}
     for row in ("succeed", "fail"):
@@ -543,14 +539,8 @@ class StrongSimpleGame(SimpleGame):
         return out
 
 
-def strong_simple_expected_matrix(config: GameConfig) -> PayoffMatrix:
-    game = StrongSimpleGame(config)
-    probe = game.solo_players()[-1].index
-    values = {}
-    for row in ("succeed", "fail"):
-        for col in ("C", "NC"):
-            values[(row, col)] = game.conditioned_payoff(probe, col, row)
-    return PayoffMatrix(("succeed", "fail"), ("C", "NC"), values)
+# the expected-payoff table is the simple game's table under a strong-simple config
+strong_simple_expected_matrix = simple_payoff_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +558,7 @@ class NoBoostGame(GameModel):
     """
 
     SLOT_GENESIS, SLOT_WITHHELD, SLOT_T, SLOT_NEXT = 0, 1, 2, 3
+    PROFILES = {"compliant-all": ("C",), "vote-bt-all": ("NC",)}
 
     def __init__(self, config: GameConfig):
         if config.boost != 0:
@@ -583,14 +574,8 @@ class NoBoostGame(GameModel):
         self.b_adv_id: BlockId = 1
         self.b_t_id: BlockId = 2
 
-    def players(self) -> list[PlayerId]:
-        return [v.index for v in self.committee]
-
     def decision_points(self) -> list[DecisionPoint]:
         return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index) for v in self.committee]
-
-    def owner(self, dp: DecisionPoint) -> PlayerId:
-        return dp.actor
 
     def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
         return [
@@ -599,85 +584,39 @@ class NoBoostGame(GameModel):
             ("abstain", Abstain()),
         ]
 
-    def profile(self, name: str) -> StrategyProfile:
-        actions = {}
-        for dp in self.decision_points():
-            if name == "compliant-all":
-                actions[dp] = VoteFor(FixedBlock(self.b_adv_id))
-            elif name == "vote-bt-all":
-                actions[dp] = VoteFor(FixedBlock(self.b_t_id))
-            else:
-                raise GameError(f"unknown profile {name!r}")
-        return StrategyProfile(actions)
-
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
-        sim = Simulation(None, 0, cfg.tie_break)
-        genesis = Block(sim.tree.new_id(), self.SLOT_GENESIS, None, self.genesis_proposer, True)
-        sim.tree.insert_block(genesis)
-        for v in self.prev_committee:
-            sim.tree.add_vote(VoteRecord(self.SLOT_GENESIS, v.index, genesis.id, 1))
-        state: dict = {}
-
-        def on_tick(tick: int) -> None:
-            if tick == propose_tick(self.SLOT_WITHHELD):
-                b_adv = Block(
-                    sim.tree.new_id(), self.SLOT_WITHHELD, genesis.id, self.adversary
-                )
-                # dual release together with the honest slot-2 proposal
-                sim.emit_block(b_adv, tick, release=propose_tick(self.SLOT_T))
-                state["b_adv"] = b_adv
-            elif tick == propose_tick(self.SLOT_T):
-                b_t = Block(sim.tree.new_id(), self.SLOT_T, sim.tip(), self.leader_t)
-                sim.emit_block(b_t, tick)
-                state["b_t"] = b_t
-            elif tick == vote_tick(self.SLOT_T):
-                for v in self.committee:
-                    act = profile.get(DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index))
-                    if act is None or isinstance(act, Abstain):
-                        continue
-                    target = sim.resolve(act.target)
-                    release = act.release_tick if act.release_tick is not None else tick
-                    sim.emit_vote(VoteRecord(self.SLOT_T, v.index, target), tick, release)
-            elif tick == propose_tick(self.SLOT_NEXT):
-                b_adv, b_t = state["b_adv"], state["b_t"]
-                state["chain_before"] = sim.tree.canonical_chain(
-                    self.SLOT_NEXT, None, 0, cfg.tie_break
-                )
-                k_adv = sim.visible_votes_for(b_adv.id, slot=self.SLOT_T)
-                k_t = sim.visible_votes_for(b_t.id, slot=self.SLOT_T)
-                takes_fork = k_adv > k_t or (
-                    k_adv == k_t and cfg.tie_break is TieBreakPolicy.ADVERSARY_FAVORING
-                )
-                parent = b_adv.id if takes_fork else b_t.id
-                included = tuple(
-                    v
-                    for v in sim.tree.votes
-                    if v.slot == self.SLOT_T and v.target == b_adv.id
-                )
-                b_next = Block(
-                    sim.tree.new_id(), self.SLOT_NEXT, parent, self.adversary,
-                    included_votes=included,
-                )
-                sim.emit_block(b_next, tick)
-                state["b_next"] = b_next
-
-        sim.run_ticks(0, propose_tick(self.SLOT_NEXT), on_tick)
-        trace = sim.finalize(self.SLOT_NEXT)
-        ledger = _settle_onto_trace(trace, cfg.reward_params())
-        success = trace.final_chain == [genesis.id, state["b_adv"].id, state["b_next"].id]
-        reorged = detect_reorg(state["chain_before"], trace.final_chain)
-        trace.labels = {
-            "B_0": genesis.id,
-            "B_adv": state["b_adv"].id,
-            "B_t": state["b_t"].id,
-            "B_next": state["b_next"].id,
-        }
+        sim, genesis, _ = _open_genesis(cfg, self.genesis_proposer, self.prev_committee)
+        sim.advance(propose_tick(self.SLOT_WITHHELD))
+        b_adv = Block(sim.tree.new_id(), self.SLOT_WITHHELD, genesis.id, self.adversary)
+        # dual release together with the honest slot-2 proposal
+        sim.emit_block(b_adv, sim.tick, release=propose_tick(self.SLOT_T))
+        sim.advance(propose_tick(self.SLOT_T))
+        b_t = Block(sim.tree.new_id(), self.SLOT_T, sim.tip(), self.leader_t)
+        sim.emit_block(b_t, sim.tick)
+        sim.advance(vote_tick(self.SLOT_T))
+        _attest(sim, profile, self.SLOT_T, self.committee)
+        sim.advance(propose_tick(self.SLOT_NEXT))
+        k_adv = sim.visible_votes_for(b_adv.id, slot=self.SLOT_T)
+        k_t = sim.visible_votes_for(b_t.id, slot=self.SLOT_T)
+        takes_fork = k_adv > k_t or (
+            k_adv == k_t and cfg.tie_break is TieBreakPolicy.ADVERSARY_FAVORING
+        )
+        included = tuple(
+            v for v in sim.tree.votes if v.slot == self.SLOT_T and v.target == b_adv.id
+        )
+        b_next = Block(
+            sim.tree.new_id(), self.SLOT_NEXT, b_adv.id if takes_fork else b_t.id,
+            self.adversary, included_votes=included,
+        )
+        sim.emit_block(b_next, sim.tick)
+        labels = {"B_0": genesis.id, "B_adv": b_adv.id, "B_t": b_t.id, "B_next": b_next.id}
+        trace, ledger, reorged = _close(sim, cfg, self.SLOT_NEXT, labels)
+        success = trace.final_chain == [genesis.id, b_adv.id, b_next.id]
         return GameOutcome(success, trace.final_chain, reorged, ledger, trace)
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        outcome = self.run(profile)
-        return {v.index: outcome.ledger.get(v.index) for v in self.committee}
+        return self._ledger_payoffs(self.run(profile).ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +642,8 @@ class ExtendedGame(GameModel):
     outcome ledger.
     """
 
+    PROFILES = {"compliant-all": ("C",), "extend-original-all": ("NC",)}
+
     def __init__(self, config: GameConfig):
         self.config = config
         W = config.committee_size
@@ -722,27 +663,11 @@ class ExtendedGame(GameModel):
         self.pre_committees = {slot: take(W) for slot in range(-p, 1)}
         self.committees: dict[int, list[Validator]] = {}
         for slot in range(1, p + 1):
-            honest = [
-                Validator(next_id + i, ValidatorKind.HONEST)
-                for i in range(config.honest_per_slot)
-            ]
-            next_id += config.honest_per_slot
-            rest = take(W - config.honest_per_slot)
-            self.committees[slot] = honest + rest
+            honest = take(config.honest_per_slot, ValidatorKind.HONEST)
+            self.committees[slot] = honest + take(W - config.honest_per_slot)
         self.leaders = {slot: take(1)[0] for slot in range(1, p + 1)}
         self.pre_leaders = {slot: take(1)[0] for slot in range(-p, 1)}
         self.adversary = Validator(next_id, ValidatorKind.ADVERSARIAL)
-
-    def players(self) -> list[PlayerId]:
-        out: list[PlayerId] = []
-        for slot in range(1, self.p + 1):
-            out.append(self.leaders[slot].index)
-            out.extend(
-                v.index
-                for v in self.committees[slot]
-                if v.kind is ValidatorKind.RATIONAL
-            )
-        return out
 
     def decision_points(self) -> list[DecisionPoint]:
         dps = []
@@ -752,9 +677,6 @@ class ExtendedGame(GameModel):
                 if v.kind is ValidatorKind.RATIONAL:
                     dps.append(DecisionPoint(slot, Role.ATTESTOR, v.index))
         return dps
-
-    def owner(self, dp: DecisionPoint) -> PlayerId:
-        return dp.actor
 
     def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
         if dp.role is Role.LEADER:
@@ -768,22 +690,10 @@ class ExtendedGame(GameModel):
             ("abstain", Abstain()),
         ]
 
-    def profile(self, name: str) -> StrategyProfile:
-        actions: dict[DecisionPoint, object] = {}
-        for dp in self.decision_points():
-            if name == "compliant-all":
-                label = "C"
-            elif name == "extend-original-all":
-                label = "NC"
-            else:
-                raise GameError(f"unknown profile {name!r}")
-            actions[dp] = dict(self.dp_candidates(dp))[label]
-        return StrategyProfile(actions)
-
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
         W, p = cfg.committee_size, self.p
-        sim = Simulation(None, cfg.boost, cfg.tie_break)
+        sim = Simulation(cfg.boost, cfg.tie_break)
         tracker = ComplianceTracker(p, W, cfg.boost, cfg.tie_break)
 
         # original chain B_{-p}..B_0, W votes per block
@@ -802,91 +712,39 @@ class ExtendedGame(GameModel):
         genesis = originals[0]
         tracker.seed(genesis.id, [b.id for b in originals[1:]])
 
-        seen_blocks = {b.id for b in originals}
-        seen_votes = len(sim.tree.votes)
-        state: dict = {"b_a": None}
-
-        def classify_new() -> None:
-            nonlocal seen_votes
-            for bid in list(sim.tree.blocks):
-                if bid in seen_blocks:
-                    continue
-                seen_blocks.add(bid)
-                block = sim.tree.blocks[bid]
-                if 1 <= block.slot <= p:
-                    tracker.classify_block(block)
-            for vote in sim.tree.votes[seen_votes:]:
-                if 1 <= vote.slot <= p:
-                    tracker.classify_vote(vote)
-            seen_votes = len(sim.tree.votes)
-
-        def inclusion(policy: str, slot: int, block_parent: BlockId) -> tuple[VoteRecord, ...]:
-            prev = [v for v in sim.tree.votes if v.slot == slot - 1]
-            if policy == "compliant-prev":
-                return tuple(
-                    v
-                    for v in prev
-                    if v.target == block_parent and tracker.is_vote_compliant(v)
-                )
-            if policy == "all-prev":
-                return tuple(prev)
-            raise GameError(f"unknown inclusion policy {policy!r}")
-
-        def on_tick(tick: int) -> None:
-            classify_new()
-            slot, phase = divmod(tick, 3)
-            if phase == 0 and 1 <= slot <= p:
-                ct = tracker.tip_at_leader_time(sim.tree, slot)
-                act = profile.get(DecisionPoint(slot, Role.LEADER, self.leaders[slot].index))
-                if act is None:
-                    return
+        for slot in range(1, p + 1):
+            sim.advance(propose_tick(slot))
+            tracker.observe(sim.tree)
+            ct = tracker.tip_at_leader_time(sim.tree, slot)
+            act = profile.get(DecisionPoint(slot, Role.LEADER, self.leaders[slot].index))
+            if act is not None:
                 parent = sim.resolve(act.parent, ct)
                 block = Block(
                     sim.tree.new_id(), slot, parent, self.leaders[slot],
                     is_empty=act.empty,
-                    included_votes=inclusion(act.include, slot, parent),
+                    included_votes=self._inclusion(sim, tracker, act.include, slot, parent),
                 )
-                sim.emit_block(block, tick)
-            elif phase == 1 and 1 <= slot <= p:
-                ct = tracker.tip_at_vote_time(sim.tree, slot)
-                for v in self.committees[slot]:
-                    if v.kind is ValidatorKind.HONEST:
-                        act: object = VoteFor(Tip())
-                    else:
-                        act = profile.get(DecisionPoint(slot, Role.ATTESTOR, v.index))
-                    if act is None or isinstance(act, Abstain):
-                        continue
-                    target = sim.resolve(act.target, ct)
-                    release = act.release_tick if act.release_tick is not None else tick
-                    sim.emit_vote(VoteRecord(slot, v.index, target), tick, release)
-            elif tick == propose_tick(p + 1):
-                state["chain_before"] = sim.tree.canonical_chain(
-                    p + 1, None, cfg.boost, cfg.tie_break
-                )
-                ct = tracker.tip_at_leader_time(sim.tree, p + 1)
-                included = tuple(
-                    v
-                    for v in sim.tree.votes
-                    if v.slot == p and tracker.is_vote_compliant(v)
-                )
-                b_a = Block(
-                    sim.tree.new_id(), p + 1, ct, self.adversary, included_votes=included
-                )
-                sim.emit_block(b_a, tick)
-                state["b_a"] = b_a
-
-        sim.run_ticks(propose_tick(1), propose_tick(p + 1), on_tick)
-        trace = sim.finalize(p + 1)
-        ledger = _settle_onto_trace(trace, cfg.reward_params())
+                sim.emit_block(block, sim.tick)
+            sim.advance(vote_tick(slot))
+            tracker.observe(sim.tree)
+            ct = tracker.tip_at_vote_time(sim.tree, slot)
+            _attest(sim, profile, slot, self.committees[slot], ct)
+        sim.advance(propose_tick(p + 1))
+        tracker.observe(sim.tree)
+        ct = tracker.tip_at_leader_time(sim.tree, p + 1)
+        included = tuple(
+            v for v in sim.tree.votes if v.slot == p and tracker.is_vote_compliant(v)
+        )
+        b_a = Block(sim.tree.new_id(), p + 1, ct, self.adversary, included_votes=included)
+        sim.emit_block(b_a, sim.tick)
+        trace, ledger, reorged = _close(sim, cfg, p + 1, {"B_-p": genesis.id, "B_A": b_a.id})
         compliant_chain = [genesis.id]
         for slot in range(1, p + 1):
             bid = tracker.compliant_block_of_slot(sim.tree, slot)
             if bid is not None:
                 compliant_chain.append(bid)
-        expected = compliant_chain + [state["b_a"].id]
+        expected = compliant_chain + [b_a.id]
         success = len(compliant_chain) == p + 1 and trace.final_chain == expected
-        reorged = detect_reorg(state["chain_before"], trace.final_chain)
-        trace.labels = {"B_-p": genesis.id, "B_A": state["b_a"].id}
         return GameOutcome(
             success,
             trace.final_chain,
@@ -895,6 +753,17 @@ class ExtendedGame(GameModel):
             trace,
             extras={"tracker": tracker, "compliant_chain": compliant_chain},
         )
+
+    @staticmethod
+    def _inclusion(sim, tracker, policy: str, slot: int, parent: BlockId) -> tuple:
+        prev = [v for v in sim.tree.votes if v.slot == slot - 1]
+        if policy == "compliant-prev":
+            return tuple(
+                v for v in prev if v.target == parent and tracker.is_vote_compliant(v)
+            )
+        if policy == "all-prev":
+            return tuple(prev)
+        raise GameError(f"unknown inclusion policy {policy!r}")
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
         outcome = self.run(profile)
@@ -941,6 +810,8 @@ class SelfishMiningGame(GameModel):
     decides the actual outcome.
     """
 
+    PROFILES = {"compliant-all": ("C",), "honest-all": ("NC",)}
+
     def __init__(self, config: GameConfig):
         n_a, n_na = config.n_adversarial_slots, config.n_non_adversarial_slots
         if n_a < n_na and not config.allow_condition_violation:
@@ -959,14 +830,10 @@ class SelfishMiningGame(GameModel):
         if len(self.adv_slots) != n_a:
             raise GameError("cannot place adversarial slots with this split")
         self.player_slots = [s - 1 for s in self.adv_slots]  # all >= 1
-        pool_size = config.pool.members_per_slot if config.pool else 0
-        pool_name = config.pool.name if config.pool else None
         next_id = 0
         self.committees = {}
         for slot in range(0, self.horizon):
-            self.committees[slot] = _committee(
-                next_id, W, pool=pool_name, pool_size=pool_size
-            )
+            self.committees[slot] = _committee(next_id, W, config.pool)
             next_id += W
         self.leaders = {}
         for slot in range(1, self.horizon + 1):
@@ -976,14 +843,9 @@ class SelfishMiningGame(GameModel):
             next_id += 1
         self.adversary = Validator(next_id, ValidatorKind.ADVERSARIAL)
         self.genesis_proposer = Validator(next_id + 1, ValidatorKind.RATIONAL)
-
-    def players(self) -> list[PlayerId]:
-        out: list[PlayerId] = []
-        for slot in self.player_slots:
-            out.extend(v.index for v in self.committees[slot] if v.pool is None)
-        if self.config.pool:
-            out.append(self.config.pool.name)
-        return out
+        # the pool's stake in the window: its members of slots 1..horizon-1
+        window = [v for slot in range(1, self.horizon) for v in self.committees[slot]]
+        self.pools = _pools(config, window)
 
     def decision_points(self) -> list[DecisionPoint]:
         return [
@@ -992,94 +854,26 @@ class SelfishMiningGame(GameModel):
             for v in self.committees[slot]
         ]
 
-    def owner(self, dp: DecisionPoint) -> PlayerId:
-        slot = dp.slot
-        v = next(v for v in self.committees[slot] if v.index == dp.actor)
-        return v.pool if v.pool else v.index
-
     def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
         return [("C", FollowRule()), ("NC", VoteFor(Tip())), ("abstain", Abstain())]
-
-    def assignments(self, player: PlayerId):
-        if self.config.pool and player == self.config.pool.name:
-            dps = [
-                DecisionPoint(slot, Role.ATTESTOR, v.index)
-                for slot in self.player_slots
-                for v in self.committees[slot]
-                if v.pool == player
-            ]
-            return [
-                ("C", {dp: FollowRule() for dp in dps}),
-                ("NC", {dp: VoteFor(Tip()) for dp in dps}),
-            ]
-        return super().assignments(player)
-
-    def profile(self, name: str) -> StrategyProfile:
-        actions = {}
-        for dp in self.decision_points():
-            if name == "compliant-all":
-                actions[dp] = FollowRule()
-            elif name == "honest-all":
-                actions[dp] = VoteFor(Tip())
-            else:
-                raise GameError(f"unknown profile {name!r}")
-        return StrategyProfile(actions)
 
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
         W = cfg.committee_size
-        sim = Simulation(None, cfg.boost, cfg.tie_break)
-        genesis = Block(sim.tree.new_id(), 0, None, self.genesis_proposer, True)
-        sim.tree.insert_block(genesis)
-        for v in self.committees[0]:
-            sim.tree.add_vote(VoteRecord(0, v.index, genesis.id, 1))
-        publish = propose_tick(self.horizon)  # fork surfaces before 3(p+1)+1
+        sim, genesis, _ = _open_genesis(cfg, self.genesis_proposer, self.committees[0])
+        deferred: dict[int, list[Validator]] = {s: [] for s in self.player_slots}
+        for slot in range(1, self.horizon):
+            self._lead(sim, slot)
+            sim.advance(vote_tick(slot))
+            slot_profile = profile if slot in deferred else None
+            _attest(sim, slot_profile, slot, self.committees[slot], deferred=deferred.get(slot))
         # private exchange runs over slot p, after the last recruited
         # committee's nominal voting tick
-        stage = vote_tick(self.horizon - 1)
-        deferred: dict[int, list[Validator]] = {s: [] for s in self.player_slots}
-        state: dict = {}
-
-        def on_tick(tick: int) -> None:
-            slot, phase = divmod(tick, 3)
-            if phase == 0 and 1 <= slot <= self.horizon and slot not in self.adv_slots:
-                tip = sim.tip()
-                included = tuple(v for v in sim.tree.votes if v.slot == slot - 1)
-                block = Block(
-                    sim.tree.new_id(), slot, tip, self.leaders[slot],
-                    included_votes=included,
-                )
-                sim.emit_block(block, tick)
-            elif phase == 1 and 1 <= slot < self.horizon:
-                is_player_slot = slot in self.player_slots
-                for v in self.committees[slot]:
-                    if is_player_slot:
-                        act = profile.get(DecisionPoint(slot, Role.ATTESTOR, v.index))
-                        if act is None:
-                            continue
-                        if isinstance(act, FollowRule):
-                            deferred[slot].append(v)
-                            continue
-                        if isinstance(act, Abstain):
-                            continue
-                        target = sim.resolve(act.target)
-                    else:
-                        target = sim.tip()
-                    sim.emit_vote(VoteRecord(slot, v.index, target), tick, tick)
-            if tick == stage:
-                self._stage_fork(sim, genesis, deferred, publish, state)
-
-        sim.run_ticks(0, propose_tick(self.horizon), on_tick)
-        state["chain_before"] = sim.tree.canonical_chain(
-            self.horizon, None, cfg.boost, cfg.tie_break
-        )
-        trace = sim.finalize(self.horizon)
-        ledger = _settle_onto_trace(trace, cfg.reward_params())
-        fork_ids = state["fork_ids"]
+        sim.advance(vote_tick(self.horizon - 1))
+        fork_ids, compliant_votes = self._stage_fork(sim, genesis, deferred)
+        self._lead(sim, self.horizon)
+        trace, ledger, reorged = _close(sim, cfg, self.horizon, {"B_0": genesis.id})
         success = trace.final_chain == [genesis.id] + fork_ids
-        reorged = detect_reorg(state["chain_before"], trace.final_chain)
-        compliant_votes = state["compliant_votes"]
-        trace.labels = {"B_0": genesis.id}
         extras = {
             "fork_weight_adversarial": compliant_votes + cfg.boost,
             "fork_weight_non_adversarial": self.horizon * W - compliant_votes,
@@ -1087,9 +881,24 @@ class SelfishMiningGame(GameModel):
         }
         return GameOutcome(success, trace.final_chain, reorged, ledger, trace, extras)
 
-    def _stage_fork(self, sim, genesis, deferred, publish, state) -> None:
-        """Slot-p exchange: show each staged block, collect votes, pack the next."""
-        stage = sim.tick
+    def _lead(self, sim: Simulation, slot: int) -> None:
+        """Slot `slot`'s proposal time: a rational leader builds on the tip."""
+        sim.advance(propose_tick(slot))
+        if slot in self.adv_slots:
+            return
+        included = tuple(v for v in sim.tree.votes if v.slot == slot - 1)
+        block = Block(
+            sim.tree.new_id(), slot, sim.tip(), self.leaders[slot], included_votes=included
+        )
+        sim.emit_block(block, sim.tick)
+
+    def _stage_fork(self, sim, genesis, deferred) -> tuple[list[BlockId], int]:
+        """Slot-p exchange: show each staged block, collect votes, pack the next.
+
+        Everything surfaces together before 3(p+1)+1.  Returns the fork's
+        block ids and the number of compliant votes it carries.
+        """
+        stage, publish = sim.tick, propose_tick(self.horizon)
         fork_ids: list[BlockId] = []
         parent = genesis.id
         compliant_votes = 0
@@ -1107,25 +916,10 @@ class SelfishMiningGame(GameModel):
             sim.emit_block(block, stage, publish)
             fork_ids.append(block.id)
             parent = block.id
-        state["fork_ids"] = fork_ids
-        state["compliant_votes"] = compliant_votes
+        return fork_ids, compliant_votes
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        outcome = self.run(profile)
-        out: dict[PlayerId, Fraction] = {}
-        for slot in self.player_slots:
-            for v in self.committees[slot]:
-                if v.pool is None:
-                    out[v.index] = outcome.ledger.get(v.index)
-        if self.config.pool:
-            name = self.config.pool.name
-            total = Fraction(0)
-            for slot in range(1, self.horizon):
-                for v in self.committees[slot]:
-                    if v.pool == name:
-                        total += outcome.ledger.get(v.index)
-            out[name] = total
-        return out
+        return self._ledger_payoffs(self.run(profile).ledger)
 
     # -- pool payoff table ----------------------------------------------------
 
@@ -1143,8 +937,7 @@ class SelfishMiningGame(GameModel):
         )
         pool_act = FollowRule() if pool_action == "C" else VoteFor(Tip())
         for dp in self.decision_points():
-            v = next(v for v in self.committees[dp.slot] if v.index == dp.actor)
-            actions[dp] = pool_act if v.pool else solo_action
+            actions[dp] = pool_act if self.owner(dp) in self.pools else solo_action
         return StrategyProfile(actions)
 
 
@@ -1185,6 +978,8 @@ class DagVotesGame(GameModel):
     attestors, with the evidence threshold left at W/2).
     """
 
+    PROFILES = {"prescribed": ("on-tip", "tip")}
+
     def __init__(self, config: GameConfig, n_slots: int = 4, adv_slot: int = 3):
         self.config = replace(config, mechanism=Mechanism.DAG_VOTES)
         self.n_slots = n_slots
@@ -1204,27 +999,16 @@ class DagVotesGame(GameModel):
             next_id += 1
         self.genesis_proposer = Validator(next_id, ValidatorKind.RATIONAL)
 
-    def players(self) -> list[PlayerId]:
-        out: list[PlayerId] = []
-        for slot in range(1, self.n_slots + 1):
-            if slot != self.adv_slot:
-                out.append(self.leaders[slot].index)
-        for slot in range(1, self.n_slots):
-            out.extend(v.index for v in self.committees[slot])
-        return out
-
     def decision_points(self) -> list[DecisionPoint]:
-        dps = []
-        for slot in range(1, self.n_slots + 1):
-            if slot != self.adv_slot:
-                dps.append(DecisionPoint(slot, Role.LEADER, self.leaders[slot].index))
-            if slot < self.n_slots:
-                for v in self.committees[slot]:
-                    dps.append(DecisionPoint(slot, Role.ATTESTOR, v.index))
-        return sorted(dps, key=lambda d: (d.tick, d.actor))
-
-    def owner(self, dp: DecisionPoint) -> PlayerId:
-        return dp.actor
+        """Rational leaders first, then the attestors of slots 1..n_slots-1."""
+        dps = [
+            DecisionPoint(slot, Role.LEADER, self.leaders[slot].index)
+            for slot in range(1, self.n_slots + 1)
+            if slot != self.adv_slot
+        ]
+        for slot in range(1, self.n_slots):
+            dps.extend(DecisionPoint(slot, Role.ATTESTOR, v.index) for v in self.committees[slot])
+        return dps
 
     def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
         if dp.role is Role.LEADER:
@@ -1238,105 +1022,40 @@ class DagVotesGame(GameModel):
             ("abstain", Abstain()),
         ]
 
-    def profile(self, name: str) -> StrategyProfile:
-        actions = {}
-        for dp in self.decision_points():
-            if name == "prescribed":
-                actions[dp] = dict(self.dp_candidates(dp))[
-                    "on-tip" if dp.role is Role.LEADER else "tip"
-                ]
-            else:
-                raise GameError(f"unknown profile {name!r}")
-        return StrategyProfile(actions)
-
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
-        sim = Simulation(None, cfg.boost, cfg.tie_break)
-        genesis = Block(sim.tree.new_id(), 0, None, self.genesis_proposer, True)
-        sim.tree.insert_block(genesis)
-        for v in self.committees[0]:
-            sim.tree.add_vote(VoteRecord(0, v.index, genesis.id, 1))
-        evidences_emitted: set = set()
-        state: dict = {"adv_block": None}
-
-        def pending_content(parent: BlockId) -> tuple[tuple, tuple]:
-            included_votes: set = set()
-            included_ev: set = set()
-            cur: Optional[BlockId] = parent
-            while cur is not None:
-                b = sim.tree.blocks[cur]
-                included_votes.update(v.key() for v in b.included_votes)
-                included_ev.update(e.key() for e in b.included_evidences)
-                cur = b.parent
-            votes = tuple(
-                v for v in sim.tree.votes if v.key() not in included_votes
-            )
-            evs = tuple(
-                e for e in sim.delivered_evidences if e.key() not in included_ev
-            )
-            return votes, evs
-
-        def on_tick(tick: int) -> None:
-            slot, phase = divmod(tick, 3)
-            if phase == 0 and 1 <= slot <= self.n_slots:
+        sim, genesis, _ = _open_genesis(cfg, self.genesis_proposer, self.committees[0])
+        adv_block = None
+        for slot in range(self.n_slots + 1):
+            if slot >= 1:
+                sim.advance(propose_tick(slot))
                 leader = self.leaders[slot]
                 if slot == self.adv_slot:
-                    parent = (
-                        sim.tip()
-                        if cfg.adversary_on_tip
-                        else sim.resolve(ParentOfTip())
-                    )
-                    votes, evs = pending_content(parent)
-                    block = Block(
-                        sim.tree.new_id(), slot, parent, leader,
-                        included_votes=votes, included_evidences=evs,
-                    )
-                    sim.emit_block(block, tick)
-                    state["adv_block"] = block
-                    return
-                act = profile.get(DecisionPoint(slot, Role.LEADER, leader.index))
-                if act is None:
-                    return
-                parent = sim.resolve(act.parent)
-                votes, evs = pending_content(parent)
-                block = Block(
-                    sim.tree.new_id(), slot, parent, leader,
-                    included_votes=votes, included_evidences=evs,
-                )
-                sim.emit_block(block, tick)
-            elif phase == 1 and 1 <= slot <= self.n_slots:
-                for v in self.committees[slot]:
-                    if slot == self.n_slots:
-                        act: object = VoteFor(Tip())  # horizon committee, scripted
-                    else:
-                        act = profile.get(DecisionPoint(slot, Role.ATTESTOR, v.index))
-                    if act is None or isinstance(act, Abstain):
-                        continue
-                    target = sim.resolve(act.target)
-                    sim.emit_vote(VoteRecord(slot, v.index, target), tick, tick)
-            elif phase == 2 and 0 <= slot < self.n_slots:
+                    parent = sim.tip() if cfg.adversary_on_tip else sim.resolve(ParentOfTip())
+                    adv_block = self._propose(sim, slot, leader, parent)
+                else:
+                    act = profile.get(DecisionPoint(slot, Role.LEADER, leader.index))
+                    if act is not None:
+                        self._propose(sim, slot, leader, sim.resolve(act.parent))
+                sim.advance(vote_tick(slot))
+                # the horizon committee is scripted to vote the tip
+                slot_profile = profile if slot < self.n_slots else None
+                _attest(sim, slot_profile, slot, self.committees[slot])
+            sim.advance(aggregate_tick(slot))
+            if slot < self.n_slots:
                 # slot s+1 attestors sign the slot-s votes they saw on time
+                tick = sim.tick
                 for signer in self.committees[slot + 1]:
                     for vote in sim.tree.votes:
-                        if vote.slot != slot:
-                            continue
-                        ev = EvidenceRecord(signer.index, vote, tick)
-                        if ev.key() in evidences_emitted:
-                            continue
-                        evidences_emitted.add(ev.key())
-                        sim.emit_evidence(ev, tick)
-
-        sim.run_ticks(0, aggregate_tick(self.n_slots), on_tick)
-        state["chain_before"] = None
-        trace = sim.finalize(self.n_slots)
-        ledger = _settle_onto_trace(trace, cfg.reward_params())
+                        if vote.slot == slot:
+                            sim.emit_evidence(EvidenceRecord(signer.index, vote, tick), tick)
+        trace, ledger, _ = _close(sim, cfg, self.n_slots, {}, reorgs=False)
         chain = set(trace.final_chain)
         rational_blocks = [
             b.id
             for b in trace.tree.blocks.values()
             if b.proposer.kind is not ValidatorKind.ADVERSARIAL
         ]
-        adv_block = state["adv_block"]
         extras = {
             "adversary_block": adv_block.id if adv_block else None,
             "adversary_votes": (
@@ -1350,31 +1069,47 @@ class DagVotesGame(GameModel):
             success, trace.final_chain, [], ledger, trace, extras
         )
 
+    @staticmethod
+    def _propose(sim: Simulation, slot: int, leader: Validator, parent: BlockId) -> Block:
+        """Propose on `parent`, carrying every delivered vote and evidence its chain lacks."""
+        included_votes: set = set()
+        included_ev: set = set()
+        cur: Optional[BlockId] = parent
+        while cur is not None:
+            b = sim.tree.blocks[cur]
+            included_votes.update(v.key() for v in b.included_votes)
+            included_ev.update(e.key() for e in b.included_evidences)
+            cur = b.parent
+        block = Block(
+            sim.tree.new_id(), slot, parent, leader,
+            included_votes=tuple(v for v in sim.tree.votes if v.key() not in included_votes),
+            included_evidences=tuple(
+                e for e in sim.delivered_evidences if e.key() not in included_ev
+            ),
+        )
+        sim.emit_block(block, sim.tick)
+        return block
+
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        outcome = self.run(profile)
-        out: dict[PlayerId, Fraction] = {}
-        for pid in self.players():
-            out[pid] = outcome.ledger.get(pid)
-        return out
+        return self._ledger_payoffs(self.run(profile).ledger)
 
 
 # ---------------------------------------------------------------------------
 
+_GAMES = {
+    GameKind.SIMPLE: SimpleGame,
+    GameKind.STRONG_SIMPLE: StrongSimpleGame,
+    GameKind.SIMPLE_NO_BOOST: NoBoostGame,
+    GameKind.EXTENDED: ExtendedGame,
+    GameKind.SELFISH_MINING: SelfishMiningGame,
+    GameKind.DAG_VOTES: DagVotesGame,
+}
+
 
 def build_game(config: GameConfig) -> GameModel:
-    if config.kind is GameKind.SIMPLE:
-        return SimpleGame(config)
-    if config.kind is GameKind.STRONG_SIMPLE:
-        return StrongSimpleGame(config)
-    if config.kind is GameKind.SIMPLE_NO_BOOST:
-        return NoBoostGame(config)
-    if config.kind is GameKind.EXTENDED:
-        return ExtendedGame(config)
-    if config.kind is GameKind.SELFISH_MINING:
-        return SelfishMiningGame(config)
-    if config.kind is GameKind.DAG_VOTES:
-        return DagVotesGame(config)
-    raise GameError(f"unknown game kind {config.kind}")
+    if config.kind not in _GAMES:
+        raise GameError(f"unknown game kind {config.kind}")
+    return _GAMES[config.kind](config)
 
 
 def run_game(config: GameConfig, agents: StrategyProfile) -> RunTrace:

@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .engine import DecisionPoint, Role, StrategyProfile
-from .equilibrium import EquilibriumReport, Verdict, verify_nash
+from .equilibrium import EquilibriumReport, verify_nash
+from .games import GameModel
 
 
 class TendermintError(Exception):
@@ -261,10 +262,10 @@ class WithholdingResult:
     finalized_round: int
     payoff_per_nonhonest: Fraction
     payoffs: dict[int, Fraction]
-    report: EquilibriumReport
+    report: Optional[EquilibriumReport] = None  # set once verify_nash has run
 
 
-class WithholdingGame:
+class WithholdingGame(GameModel):
     """Nash-game adapter: each rational validator follows or breaks the pack.
 
     n = 3f+1 validators; the first m rounds are led (with reuse) by fewer
@@ -272,6 +273,8 @@ class WithholdingGame:
     of evidence signers.  Candidates per rational player: follow the script,
     or prevote the round-1 honest proposal openly.
     """
+
+    PROFILES = {"script": ("script",), "honest-r1": ("honest-r1",)}
 
     def __init__(self, f: int, m: int, r_unit: Fraction):
         self.f = f
@@ -286,26 +289,11 @@ class WithholdingGame:
         if m > 0 and len(self.pack) < 2 * f + 1:
             raise AssumptionViolated("the pack must keep a 2f+1 evidence quorum")
 
-    def players(self):
-        return list(self.rational)
-
     def decision_points(self):
         return [DecisionPoint(1, Role.ATTESTOR, v) for v in self.rational]
 
-    def owner(self, dp):
-        return dp.actor
-
     def dp_candidates(self, dp):
         return [("script", "script"), ("honest-r1", "honest-r1")]
-
-    def assignments(self, player):
-        dp = DecisionPoint(1, Role.ATTESTOR, player)
-        return [(label, {dp: act}) for label, act in self.dp_candidates(dp)]
-
-    def profile(self, name: str = "script") -> StrategyProfile:
-        return StrategyProfile(
-            {dp: name for dp in self.decision_points()}
-        )
 
     def simulate(self, profile: StrategyProfile) -> WithholdingResult:
         f, m, r = self.f, self.m, self.r_unit
@@ -404,7 +392,6 @@ class WithholdingGame:
             finalized_round=finalized_round,
             payoff_per_nonhonest=per_nonhonest,
             payoffs=payoffs,
-            report=EquilibriumReport(Verdict.NASH),
         )
 
     def n_range(self):
@@ -433,12 +420,15 @@ class AnchorResult:
     first_finalized_round: int
     reorg_resilient: bool
     payoffs: dict[int, Fraction]
-    deviation_forfeits: bool
-    report: EquilibriumReport
+    # set by honest_anchor_scenario once the deviations have been played
+    deviation_forfeits: Optional[bool] = None
+    report: Optional[EquilibriumReport] = None
 
 
-class AnchorGame:
+class AnchorGame(GameModel):
     """Round led by an honest leader with f+1 honest validators present."""
+
+    PROFILES = {"prevote-b": ("prevote-b",), "prevote-nil": ("prevote-nil",)}
 
     def __init__(self, f: int, r_unit: Fraction = Fraction(1)):
         self.f = f
@@ -448,24 +438,11 @@ class AnchorGame:
         self.rational = list(range(f + 1, 2 * f + 1))
         self.adversarial = list(range(2 * f + 1, self.n))  # silent, worst case
 
-    def players(self):
-        return list(self.rational)
-
     def decision_points(self):
         return [DecisionPoint(1, Role.ATTESTOR, v) for v in self.rational]
 
-    def owner(self, dp):
-        return dp.actor
-
     def dp_candidates(self, dp):
         return [("prevote-b", "prevote-b"), ("prevote-nil", "prevote-nil")]
-
-    def assignments(self, player):
-        dp = DecisionPoint(1, Role.ATTESTOR, player)
-        return [(label, {dp: act}) for label, act in self.dp_candidates(dp)]
-
-    def profile(self, name: str = "prevote-b") -> StrategyProfile:
-        return StrategyProfile({dp: name for dp in self.decision_points()})
 
     def simulate(self, profile: StrategyProfile) -> AnchorResult:
         f, r = self.f, self.r_unit
@@ -521,12 +498,11 @@ class AnchorGame:
             first_finalized_round=1 if finalized else -1,
             reorg_resilient=finalized,
             payoffs=payoffs,
-            deviation_forfeits=False,
-            report=EquilibriumReport(Verdict.NASH),
         )
 
     def payoffs(self, profile: StrategyProfile) -> dict[int, Fraction]:
-        return {v: self.simulate(profile).payoffs[v] for v in self.rational}
+        result = self.simulate(profile)
+        return {v: result.payoffs[v] for v in self.rational}
 
 
 def honest_anchor_scenario(f: int, r_unit: Fraction = Fraction(1)) -> AnchorResult:
@@ -540,7 +516,7 @@ def honest_anchor_scenario(f: int, r_unit: Fraction = Fraction(1)) -> AnchorResu
     forfeits = True
     for v in game.rational:
         dev = profile.with_action(DecisionPoint(1, Role.ATTESTOR, v), "prevote-nil")
-        if game.payoffs(dev)[v] >= game.payoffs(profile)[v]:
+        if game.payoffs(dev)[v] >= result.payoffs[v]:
             forfeits = False
     result.deviation_forfeits = forfeits
     result.report = verify_nash(game, profile)

@@ -252,3 +252,45 @@ def test_quantify_scenario_via_cli():
     report = run_scenario(bundled("quantify-appendixB"))
     gain = report["results"][0]["attack_gain"]
     assert gain["delta_eth"] == pytest.approx(0.0711, rel=0.02)
+
+
+def _run_doc(tmp_path, game: dict, checks: list) -> int:
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"scenario": "x", "game": game, "checks": checks}))
+    return main(["run", str(path)])
+
+
+EXTENDED = {"kind": "extended", "committee_size": 4, "boost": 2, "horizon": 2}
+
+
+@pytest.mark.parametrize(
+    "game,check",
+    [
+        # the simple game's payoff table, printed for another game
+        (EXTENDED, {"type": "matrix"}),
+        # a traceback: the extended game has no conditioned payoffs
+        (EXTENDED, {"type": "dominance", "action": "C", "candidates": ["C", "NC"]}),
+        # the DAG-votes game, run for a simple-game document
+        ({"kind": "simple", "committee_size": 5, "boost": 0}, {"type": "dag-scenario"}),
+    ],
+)
+def test_check_for_another_game_kind_exit_3(tmp_path, capsys, game, check):
+    assert _run_doc(tmp_path, game, [check]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("key", ["n_slots", "adv_slot"])
+def test_unread_dag_keys_exit_3(tmp_path, key):
+    # the DAG-votes game always runs 4 slots with slot 3 adversarial
+    game = {"kind": "dag-votes", "committee_size": 5, "boost": 0, key: 2}
+    checks = [{"type": "outcome", "profile": "prescribed"}]
+    assert _run_doc(tmp_path, game, checks) == EXIT_VALIDATION
+
+
+def test_empty_pool_exit_3(tmp_path):
+    # a pool with no members would enter the Nash check as a player with
+    # two empty deviations
+    game = {"kind": "simple", "committee_size": 4, "boost": 2, "pool": {"members_per_slot": 0}}
+    assert _run_doc(tmp_path, game, [{"type": "nash"}]) == EXIT_VALIDATION
+    with pytest.raises(ValidationError):
+        run_scenario(io.StringIO(json.dumps({"scenario": "x", "game": game})))

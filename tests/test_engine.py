@@ -2,6 +2,7 @@ import pytest
 
 from reorglab.chain import Block, Validator, ValidatorKind, VoteRecord
 from reorglab.engine import (
+    EngineError,
     InsufficientValidators,
     InvalidAction,
     Simulation,
@@ -64,7 +65,7 @@ class TestAssignCommittees:
 
 class TestDelivery:
     def _sim(self):
-        sim = Simulation(None, boost=0)
+        sim = Simulation(boost=0)
         genesis = Block(sim.tree.new_id(), 0, None, Validator(0, RATIONAL), True)
         sim.tree.insert_block(genesis)
         return sim
@@ -110,7 +111,7 @@ class TestDelivery:
 def honest_run(n_slots: int = 3, committee: int = 4) -> Simulation:
     """All-honest baseline: every leader proposes on the tip and includes the
     previous slot's votes; every attestor votes the tip."""
-    sim = Simulation(None, boost=max(1, committee // 2))
+    sim = Simulation(boost=max(1, committee // 2))
     genesis = Block(sim.tree.new_id(), 0, None, Validator(900, RATIONAL), True)
     sim.tree.insert_block(genesis)
     committees = {
@@ -121,18 +122,18 @@ def honest_run(n_slots: int = 3, committee: int = 4) -> Simulation:
     for v in committees[0]:
         sim.tree.add_vote(VoteRecord(0, v.index, genesis.id, 1))
 
-    def on_tick(tick):
-        slot, phase = divmod(tick, 3)
-        if phase == 0 and 1 <= slot <= n_slots:
-            prev_votes = tuple(v for v in sim.tree.votes if v.slot == slot - 1)
-            block = Block(sim.tree.new_id(), slot, sim.tip(), leaders[slot],
-                          included_votes=prev_votes)
-            sim.emit_block(block, tick)
-        elif phase == 1 and 1 <= slot <= n_slots:
-            for v in committees[slot]:
-                sim.emit_vote(VoteRecord(slot, v.index, sim.tip()), tick)
-
-    sim.run_ticks(0, propose_tick(n_slots), on_tick)
+    sim.advance(0)
+    for slot in range(1, n_slots + 1):
+        sim.advance(propose_tick(slot))
+        prev_votes = tuple(v for v in sim.tree.votes if v.slot == slot - 1)
+        block = Block(sim.tree.new_id(), slot, sim.tip(), leaders[slot],
+                      included_votes=prev_votes)
+        sim.emit_block(block, sim.tick)
+        if slot == n_slots:
+            break  # the run ends at the last proposal
+        sim.advance(vote_tick(slot))
+        for v in committees[slot]:
+            sim.emit_vote(VoteRecord(slot, v.index, sim.tip()), sim.tick)
     sim.finalize(n_slots)
     return sim
 
@@ -168,8 +169,25 @@ def test_trace_determinism():
     assert lines_a == lines_b
 
 
+def test_advance_records_each_tick_once():
+    sim = Simulation(boost=0)
+    genesis = Block(sim.tree.new_id(), 0, None, Validator(0, RATIONAL), True)
+    sim.tree.insert_block(genesis)
+    sim.advance(3)  # the first call starts the clock
+    sim.emit_block(Block(sim.tree.new_id(), 1, 0, Validator(1, RATIONAL)), sim.tick)
+    sim.advance(3)  # the tick in progress: nothing happens
+    assert sim.trace.tips == []
+    sim.advance(5)
+    assert sim.trace.tips == [(3, 0), (4, 1)]
+    assert sim.tick == 5 and sim.visible_votes_for(1) == 0
+    with pytest.raises(EngineError):
+        sim.advance(4)
+    sim.finalize(1)
+    assert sim.trace.tips == [(3, 0), (4, 1), (5, 1)]
+
+
 def test_withheld_release_recorded():
-    sim = Simulation(None, boost=0)
+    sim = Simulation(boost=0)
     genesis = Block(sim.tree.new_id(), 0, None, Validator(0, RATIONAL), True)
     sim.tree.insert_block(genesis)
     sim.emit_vote(VoteRecord(0, 5, 0), created=1, release=9)

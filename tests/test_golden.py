@@ -1,0 +1,249 @@
+"""Golden gate: reports and traces that must stay byte-identical.
+
+Each document below runs through `run_scenario` with a trace path; the
+sha256 of its `render_report(..., "json")` text (without the run-specific
+`trace_path` key) and of its trace file must match the recorded digests.
+The documents are the bundled scenarios plus one per game kind and option
+that no bundled scenario reaches.  A digest may change only together with a
+deliberate change to what a run produces; print fresh ones with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import io
+import json
+import sys
+
+import pytest
+
+from reorglab.cli import bundled_scenarios, render_report, run_scenario
+
+EXTRA = {
+    "golden-nb-compliant": {
+        "game": {"kind": "simple-no-boost", "committee_size": 4, "boost": 0},
+        "checks": [{"type": "outcome", "profile": "compliant-all"},
+                   {"type": "nash", "profile": "compliant-all"}],
+    },
+    "golden-nb-vote-bt-lexicographic": {
+        "game": {"kind": "simple-no-boost", "committee_size": 4, "boost": 0,
+                 "tie_break": "lexicographic"},
+        "checks": [{"type": "outcome", "profile": "vote-bt-all"},
+                   {"type": "nash", "profile": "vote-bt-all"}],
+    },
+    "golden-simple-no-credibility-abstain": {
+        "game": {"kind": "simple", "committee_size": 4, "boost": 2,
+                 "credibility_assumed": False},
+        "checks": [{"type": "outcome", "profile": "abstain-all"},
+                   {"type": "nash", "profile": "abstain-all"},
+                   {"type": "outcome", "profile": "vote-bt-all"}],
+    },
+    "golden-simple-pool2-coalition": {
+        "game": {"kind": "simple", "committee_size": 5, "boost": 3,
+                 "pool": {"members_per_slot": 2}},
+        "checks": [{"type": "nash", "profile": "compliant-all", "coalition_bound": 2},
+                   {"type": "pool-matrix"},
+                   {"type": "dominance", "action": "C", "candidates": ["C", "NC"]},
+                   {"type": "outcome", "profile": "vote-bt-all"}],
+    },
+    "golden-strong-simple-epoch4": {
+        "game": {"kind": "strong-simple", "committee_size": 4, "boost": 2,
+                 "epoch_length": 4, "r": "3/2"},
+        "checks": [{"type": "matrix"},
+                   {"type": "outcome", "profile": "compliant-all"}],
+    },
+    "golden-extended-honest-leader-override": {
+        "game": {"kind": "extended", "committee_size": 4, "boost": 2, "horizon": 2,
+                 "honest_per_slot": 1, "R": "2"},
+        "profile": {"base": "compliant-all",
+                    "overrides": [{"slot": 1, "role": "leader", "action": "NC"}]},
+        "checks": [{"type": "outcome"}, {"type": "spne"},
+                   {"type": "outcome", "profile": "compliant-all"},
+                   {"type": "spne", "profile": "compliant-all"}],
+    },
+    "golden-selfish-three-adversarial": {
+        "game": {"kind": "selfish-mining", "committee_size": 6, "boost": 2,
+                 "n_adversarial_slots": 3, "n_non_adversarial_slots": 2},
+        "checks": [{"type": "outcome", "profile": "compliant-all"},
+                   {"type": "nash", "profile": "compliant-all"}],
+    },
+    "golden-selfish-violation-pool": {
+        "game": {"kind": "selfish-mining", "committee_size": 5, "boost": 2,
+                 "n_adversarial_slots": 1, "n_non_adversarial_slots": 2,
+                 "allow_condition_violation": True, "pool": {"members_per_slot": 1}},
+        "checks": [{"type": "outcome", "profile": "compliant-all"},
+                   {"type": "nash", "profile": "honest-all"},
+                   {"type": "pool-matrix"}],
+    },
+    "golden-selfish-no-adversarial": {
+        "game": {"kind": "selfish-mining", "committee_size": 4, "boost": 2,
+                 "n_adversarial_slots": 0, "n_non_adversarial_slots": 1,
+                 "allow_condition_violation": True},
+        "checks": [{"type": "outcome", "profile": "compliant-all"},
+                   {"type": "nash", "profile": "compliant-all"}],
+    },
+    "golden-dag-on-tip-boost": {
+        "game": {"kind": "dag-votes", "committee_size": 5, "boost": 1,
+                 "adversary_on_tip": True, "r": "2"},
+        "checks": [{"type": "dag-scenario"},
+                   {"type": "outcome", "profile": "prescribed"}],
+    },
+    "golden-dag-checks-overrides": {
+        "game": {"kind": "dag-votes", "committee_size": 5, "boost": 0},
+        "profile": {"base": "prescribed",
+                    "overrides": [{"slot": 2, "role": "leader", "action": "off-tip"},
+                                  {"slot": 1, "role": "attestor", "actor": 7,
+                                   "action": "parent-of-tip"},
+                                  {"slot": 3, "role": "attestor", "actor": 16,
+                                   "action": "abstain"}]},
+        "checks": [{"type": "spne"}, {"type": "nash"}, {"type": "outcome"}],
+    },
+    "golden-tendermint-withholding-m0": {
+        "game": {"kind": "tendermint", "variant": "withholding", "f": 2, "m": 0, "r": "1"},
+    },
+    "golden-tendermint-withholding-m4": {
+        "game": {"kind": "tendermint", "variant": "withholding", "f": 2, "m": 4, "r": "3"},
+    },
+    "golden-tendermint-anchor-f4": {
+        "game": {"kind": "tendermint", "variant": "anchor", "f": 4, "r": "2"},
+    },
+}
+for _name, _doc in EXTRA.items():
+    _doc["scenario"] = _name
+
+# name -> (sha256 of the JSON report, sha256 of the trace or None if the
+# document writes no trace)
+GOLDEN = {
+    "dag-thm81": (
+        "4e42a9a5fb7d47f7c065781006a92df45eaf4f687ed89dea48e95882593f58f2",
+        "d62fe3889d0b4471c0870a748bcb4870022877ac94fd62dfe72265450bc3dbc9",
+    ),
+    "extended-spne": (
+        "2322be603d13a5d54390c609c9de0f594530eb94f7a4bfe15ff10d231621654e",
+        "fd07c8bab14cdbb86712b0b56c0630ab4a61245eac50a46c0c6f8c1eb461cec3",
+    ),
+    "golden-dag-checks-overrides": (
+        "63c66abfe8841d7eab894f026056da1b0037a5619d7c3b5bbb981d4a5ee5eeac",
+        "fab91d80dbf152c810b8ec8754e639fd26145f35c1362c8bb7337cf7ddf79dea",
+    ),
+    "golden-dag-on-tip-boost": (
+        "50fad3e835c8a265fe7a9bb32285518744ee65e64b84c0cfd29836d19721d9db",
+        "75ad6a2b099eb465984f738bd1f7ba90e5baf4475df66c133cb524935e70b5bb",
+    ),
+    "golden-extended-honest-leader-override": (
+        "509432b71f24461231d0754cc788ea9f6fa79bf3c7f2b9310fe5d1596121eabe",
+        "7a173124bb5313dff27da4176d359af83d2180428396a3187762ea3769c8111f",
+    ),
+    "golden-nb-compliant": (
+        "8fffd851e2fb4108ecdfa6629a0e75db061465f724a9c590cee7a6aed6b56d89",
+        "be9f078ee04a7f5eb3184caee07330f9f0a37ad95f367bbe6baa82c8ae0ff634",
+    ),
+    "golden-nb-vote-bt-lexicographic": (
+        "3e38b5c16cafc62ed0c0ec89e0b1d05103295c2eae6bdd9362701851244c07fd",
+        "4d8fb135558c07d223eeceec46644679f9b8ff5f2fa31890957990e80e9a2f20",
+    ),
+    "golden-selfish-no-adversarial": (
+        "362e0c0ab3d132a27d5478ef91c609ec3ca8c076e6185a169cbf61d180eb3c48",
+        "2fe757e32ce30eda7c33bad33c261a9b5b26a3f7e5e101a82c507fedfe73ea2a",
+    ),
+    "golden-selfish-three-adversarial": (
+        "a670843112d89d1832ab16b0fa34ce8cf6bc928e332b4428f7696296aff921d6",
+        "78a06078ed63d21927e2e8b446decaefd5648513b62d0666f9a60c620a5c8b74",
+    ),
+    "golden-selfish-violation-pool": (
+        "a901ddafcd3d5932bd6234dadff13f6de6e4bf6ba669ddc5a417d6da8f58b28d",
+        "7e9783409d1b4b502a5492b377d8454b4f90a48cbe4eaa858008e9dd674469a5",
+    ),
+    "golden-simple-no-credibility-abstain": (
+        "9c6a6a1ad8a086235b8a2f1d80ce4e0fbce10e3cf89f515ce3888f307dec3e23",
+        "71701fa1d3fe7268e9e9bdbbd33ba8796d1ef2fa5fdc64e14fb12db793086651",
+    ),
+    "golden-simple-pool2-coalition": (
+        "5267962510c826878dc9eb3d22b339681c1117e2be8a0765cd04b02df05702cf",
+        "0a4235e65125d420a45684e7e33a3ecd1530e38f3d3e23dd06a270319530a069",
+    ),
+    "golden-strong-simple-epoch4": (
+        "1c3f7f3a886a1e9bdb6f4dd5731729698a8f10aa12a8554207cb81508b3fbc62",
+        "ed3533265fa85006375a7f323187249c89f91922c7fa61827f0c1ec07975553f",
+    ),
+    "golden-tendermint-anchor-f4": (
+        "f74edffccc239dce4fd4fb914b89574f9bfa0859b9f75e837119bcab14c65207",
+        None,
+    ),
+    "golden-tendermint-withholding-m0": (
+        "8dea863b18f3d3d296107e4992a9bf198cf028afb3f4b51f8c9ae5f4080eb913",
+        None,
+    ),
+    "golden-tendermint-withholding-m4": (
+        "833ba7748268821a084f4fcbe234d8a5ae02ef0fec76d0c887315eb2e826e929",
+        None,
+    ),
+    "overhead-grid": (
+        "2e7d82809296cc6a049e7682eb7bd6807f95bca8dd31d3549e08d5668e927c32",
+        None,
+    ),
+    "pool-simple-table7": (
+        "0b019abe3c9087936d9d7cd5efdaaaddeb983bc0e2e1269b7818aa658a10b751",
+        None,
+    ),
+    "quantify-appendixB": (
+        "6410f238a79a26c3687250057a58132b37b4a04e4e98f9bcfabaec8a3517ac68",
+        None,
+    ),
+    "selfish-table8": (
+        "a08a6e20bd352a0319db53a3dd02d20fc53f1a0029f561c619ae2feb05e32381",
+        "3c71a4f425aecc294f88fa478ec61f44b89879a08b6315a940b95f9a5a39f5e4",
+    ),
+    "simple-table1": (
+        "05e1789451fdf8fbf4e30efa9e54f3f8df30f1894d9cf3221d77285ef4b50604",
+        "bcdcd7e0ca165c19180c18f22f19c58fc27a723b779707238744fc293d088a2a",
+    ),
+    "strong-simple-table2": (
+        "0064943f074f369b808e8853a43bdfbbf8def3e91d1870c250c488ee190d56f3",
+        None,
+    ),
+    "tendermint-anchor": (
+        "4036aee70a2694b5983cca50031d89e606b6f7d981e1720acd3371be0d684e73",
+        None,
+    ),
+    "tendermint-withholding": (
+        "20ca489469a502c7364c2d746c53dcfc1e31069145e9437c6950c8568ae0e77e",
+        None,
+    ),
+}
+
+
+def documents() -> dict[str, dict]:
+    docs = {name: json.loads(text) for name, text in bundled_scenarios().items()}
+    docs.update(EXTRA)
+    return docs
+
+
+def digests(doc: dict, trace_path) -> tuple[str, object]:
+    report = run_scenario(io.StringIO(json.dumps(doc)), trace_path=str(trace_path))
+    report.pop("trace_path", None)
+    text = render_report(report, "json")
+    trace = trace_path.read_bytes() if trace_path.exists() else None
+    return (
+        hashlib.sha256(text.encode()).hexdigest(),
+        hashlib.sha256(trace).hexdigest() if trace is not None else None,
+    )
+
+
+def test_every_document_has_a_digest():
+    assert sorted(documents()) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report_and_trace(name, tmp_path):
+    assert digests(documents()[name], tmp_path / "trace.jsonl") == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    for name, doc in sorted(documents().items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            report, trace = digests(doc, Path(tmp) / "trace.jsonl")
+        sys.stdout.write(f"{name} {report} {trace}\n")

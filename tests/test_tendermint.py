@@ -195,6 +195,14 @@ class TestAnchor:
         for v in game.rational:
             assert res.payoffs[v] == 1
 
+    def test_simulation_claims_no_verdict(self):
+        # a bare simulation has verified nothing; only the scenario fills these
+        game = AnchorGame(2)
+        res = game.simulate(game.profile("prevote-b"))
+        assert res.report is None and res.deviation_forfeits is None
+        game = WithholdingGame(1, 2, Fraction(1))
+        assert game.simulate(game.profile("script")).report is None
+
     def test_state_invariant_held(self):
         state = RoundState()
         view = [proposal()] + [prevote(sender=s) for s in range(3)]
