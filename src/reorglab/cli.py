@@ -1,9 +1,13 @@
 """Scenario-file parsing, batch execution and report emission.
 
-A scenario is a JSON document naming a game configuration, a strategy
-profile, and a list of checks (matrix, nash, spne, dominance, outcome,
-quantify, overhead).  Reports are deterministic given (scenario, seed) and
-can be emitted as aligned text or JSON.
+A scenario is a JSON document naming a game, a strategy profile and a list
+of checks (matrix, pool-matrix, outcome, nash, spne, dominance,
+dag-scenario).  The format is defined once, by the tables under "the
+scenario format" below: each game kind lists the keys its game object reads
+and the checks it supports, and each check type the keys it reads.  A key
+that no table lists is rejected, and so is a value of the wrong type or out
+of range.  Reports are deterministic given (scenario, seed) and can be
+emitted as aligned text or JSON.
 
 Exit codes: 0 success (including an attack that fails as expected),
 2 parse error, 3 validation error, 4 explosion guard.
@@ -12,15 +16,18 @@ Exit codes: 0 success (including an attack that fails as expected),
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .chain import TieBreakPolicy
+from .engine import Role
 from .equilibrium import ExplosionGuard, dag_security_scenario, verify_nash, verify_spne
 from .games import (
     GameConfig,
@@ -51,150 +58,221 @@ class ValidationError(Exception):
 
 EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_GUARD = 0, 2, 3, 4
 
-_TOP_KEYS = {"scenario", "game", "profile", "checks", "seed", "output"}
-_GAME_KEYS = {
-    "kind", "committee_size", "boost", "horizon", "r", "R", "epoch_length",
-    "honest_per_slot", "n_adversarial_slots", "n_non_adversarial_slots", "pool",
-    "credibility_assumed", "tie_break", "adversary_on_tip", "allow_condition_violation",
-    # tendermint
-    "variant", "f", "m",
-    # quantify
-    "n_validators", "stake_gwei", "mev_fail_eth", "mev_success_eth", "pool_share",
-    # overhead
-    "grids",
-}
-_CHECK_KEYS = {
-    "type", "profile", "coalition_bound", "player", "action", "candidates",
-    "conditions", "ethereum_flip",
-}
-# checks that tabulate one game's own construction, and the kinds that have it
-_CHECK_KINDS = {
-    "matrix": {GameKind.SIMPLE, GameKind.STRONG_SIMPLE},
-    "dominance": {GameKind.SIMPLE, GameKind.STRONG_SIMPLE},
-    "pool-matrix": {GameKind.SIMPLE, GameKind.SELFISH_MINING},
-    "dag-scenario": {GameKind.DAG_VOTES},
-}
+# errors that reject a scenario; anything else is a fault of the program
+_REJECTED = (ParseError, ValidationError, GameError, ExplosionGuard)
+
+FORMATS = ("text", "json")
+DEFAULT_PROFILE = "compliant-all"
 
 
-def _fraction(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValidationError(f"expected a number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ValidationError(f"cannot read rational from {value!r}")
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and stderr label of an error that rejects a scenario."""
+    if isinstance(exc, ParseError):
+        return EXIT_PARSE, "parse error"
+    if isinstance(exc, ExplosionGuard):
+        return EXIT_GUARD, "guard error"
+    return EXIT_VALIDATION, "validation error"
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
+# -- readers ------------------------------------------------------------------
+#
+# A reader takes one JSON value and the path it sits at, and returns the
+# value the program takes, or raises ValidationError naming that path.
+
+Reader = Callable[[object, str], object]
+
+REQUIRED = object()  # the key must be present
+_OMIT = object()  # an absent key is not passed on: the callee's default applies
 
 
-def load_scenario(source) -> dict:
-    if isinstance(source, (str, Path)):
+class Key(NamedTuple):
+    """One key of a JSON object: its reader and what its absence means."""
+
+    read: Reader
+    default: object = _OMIT  # REQUIRED, _OMIT, or the value an absent key takes
+    arg: Optional[str] = None  # the parameter the value is passed as, if not the key
+    requires: tuple[str, ...] = ()  # keys that must be present along with this one
+
+
+def _int(low: Optional[int] = None) -> Reader:
+    def read(value, where):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{where} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise ValidationError(f"{where} must be at least {low}, got {value}")
+        return value
+
+    return read
+
+
+_RATIONAL = re.compile(r"\d+(/\d+|\.\d+)?")
+
+
+def _rational(high: Optional[int] = None) -> Reader:
+    """A non-negative rational: an integer, or a "p/q" or decimal string."""
+
+    def read(value, where):
+        if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, str) and _RATIONAL.fullmatch(value)
+        ):
+            raise ValidationError(
+                f"{where} must be a non-negative integer or a 'p/q' string, got {value!r}"
+            )
         try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read scenario file: {exc}") from exc
-    else:
-        text = source.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("scenario must be a JSON object")
-    return doc
+            out = Fraction(value)
+        except ZeroDivisionError:
+            raise ValidationError(f"{where} has a zero denominator: {value!r}") from None
+        except ValueError as exc:  # more digits than int() converts
+            raise ValidationError(f"{where}: {exc}") from None
+        if out < 0:
+            raise ValidationError(f"{where} must not be negative, got {value!r}")
+        if high is not None and out > high:
+            raise ValidationError(f"{where} must be at most {high}, got {value!r}")
+        return out
+
+    return read
 
 
-def validate_scenario(doc: dict) -> None:
-    _reject_unknown(doc, _TOP_KEYS, "scenario")
-    if "scenario" not in doc or "game" not in doc:
-        raise ValidationError("scenario requires 'scenario' and 'game' keys")
-    if not isinstance(doc["game"], dict):
-        raise ValidationError("'game' must be an object")
-    _reject_unknown(doc["game"], _GAME_KEYS, "game")
-    for check in doc.get("checks", []):
-        if not isinstance(check, dict):
-            raise ValidationError("each check must be an object")
-        _reject_unknown(check, _CHECK_KEYS, "check")
+def _bool(value, where) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where} must be true or false, got {value!r}")
+    return value
 
 
-def _resolve_profile(game, spec):
-    """Build a StrategyProfile from a name or a {base, overrides} object.
+def _str(value, where) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _player(value, where):
+    """A player of a game: a validator index or a pool name."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValidationError(f"{where} must be a validator index or a pool name, got {value!r}")
+    return value
+
+
+def _enum(choices, parse: Callable[[str], object] = str) -> Reader:
+    def read(value, where):
+        if not isinstance(value, str) or value not in choices:
+            raise ValidationError(f"{where} must be one of {sorted(choices)}, got {value!r}")
+        return parse(value)
+
+    return read
+
+
+def _list(item: Reader, nonempty: bool = False) -> Reader:
+    def read(value, where):
+        if not isinstance(value, list):
+            raise ValidationError(f"{where} must be a list, got {value!r}")
+        if nonempty and not value:
+            raise ValidationError(f"{where} must not be empty")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+    return read
+
+
+def _read_record(value, keys: dict[str, Key], where: str, what: Optional[str] = None) -> dict:
+    """Read a JSON object whose keys are `keys`; returns the values by parameter name."""
+    what = what or where
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where or what} must be an object, got {value!r}")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ValidationError(f"unknown keys in {what}: {sorted(unknown)}")
+    out = {}
+    for key, spec in keys.items():
+        if key in value:
+            for other in spec.requires:
+                if other not in value:
+                    raise ValidationError(f"{what}: {key!r} requires {other!r}")
+            out[spec.arg or key] = spec.read(value[key], f"{where}.{key}" if where else key)
+        elif spec.default is REQUIRED:
+            raise ValidationError(f"{what} requires {key!r}")
+        elif spec.default is not _OMIT:
+            out[spec.arg or key] = spec.default
+    return out
+
+
+def _record(keys: dict[str, Key], build: Callable[..., object] = dict) -> Reader:
+    return lambda value, where: build(**_read_record(value, keys, where))
+
+
+def _select(value, key: str, table: dict, where: str, what: str) -> tuple[str, dict]:
+    """Split off the key of `value` that names a row of `table`."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be an object, got {value!r}")
+    if key not in value:
+        raise ValidationError(f"{what} requires {key!r}")
+    name = _enum(table)(value[key], f"{where}.{key}")
+    return name, {k: v for k, v in value.items() if k != key}
+
+
+# -- profiles -----------------------------------------------------------------
+
+
+class ProfileSpec(NamedTuple):
+    """A named base profile, the overrides on top of it, and its report label."""
+
+    base: str = DEFAULT_PROFILE
+    overrides: tuple[dict, ...] = ()
+    label: str = DEFAULT_PROFILE
+
+
+_OVERRIDE = {
+    "slot": Key(_int(), REQUIRED),
+    "role": Key(_enum([r.value for r in Role], Role), default=Role.ATTESTOR),
+    "actor": Key(_int()),
+    "action": Key(_str, REQUIRED),
+}
+_PROFILE = {
+    "base": Key(_str, default=DEFAULT_PROFILE),
+    "overrides": Key(_list(_record(_OVERRIDE)), default=()),
+}
+
+
+def _profile(value, where) -> ProfileSpec:
+    if isinstance(value, str):
+        return ProfileSpec(value, (), value)
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a profile name or an object, got {value!r}")
+    spec = _read_record(value, _PROFILE, where)
+    return ProfileSpec(spec["base"], tuple(spec["overrides"]), spec["base"] + "+overrides")
+
+
+def _resolve_profile(game, spec: ProfileSpec):
+    """Build a StrategyProfile from a base profile and its overrides.
 
     Overrides address decision points by slot and role (and optionally a
     specific actor index) and replace the base action with another candidate
     label, e.g. {"slot": 2, "role": "leader", "action": "NC"}.
     """
-    if spec is None:
-        spec = "compliant-all"
-    if isinstance(spec, str):
-        return game.profile(spec)
-    if not isinstance(spec, dict):
-        raise ValidationError(f"profile must be a name or object, got {spec!r}")
-    _reject_unknown(spec, {"base", "overrides"}, "profile")
-    profile = game.profile(spec.get("base", "compliant-all"))
-    for override in spec.get("overrides", []):
-        _reject_unknown(override, {"slot", "role", "actor", "action"}, "override")
-        slot = int(override["slot"])
-        role = override.get("role", "attestor")
+    profile = game.profile(spec.base)
+    for override in spec.overrides:
+        slot, role, label = override["slot"], override["role"], override["action"]
         actor = override.get("actor")
-        label = override["action"]
         matched = False
         for dp in game.decision_points():
-            if dp.slot != slot or dp.role.value != role:
+            if dp.slot != slot or dp.role is not role:
                 continue
-            if actor is not None and dp.actor != int(actor):
+            if actor is not None and dp.actor != actor:
                 continue
             candidates = dict(game.dp_candidates(dp))
             if label not in candidates:
                 raise ValidationError(
-                    f"unknown action {label!r} for slot {slot} {role}"
+                    f"unknown action {label!r} for slot {slot} {role.value}"
                 )
             profile = profile.with_action(dp, candidates[label])
             matched = True
         if not matched:
-            raise ValidationError(f"override matches no decision point: {override}")
+            raise ValidationError(
+                f"override matches no decision point: slot {slot} {role.value}"
+                + (f" actor {actor}" if actor is not None else "")
+            )
     return profile
 
 
-def _game_config(game: dict) -> GameConfig:
-    try:
-        kind = GameKind(game["kind"])
-        tie_break = TieBreakPolicy(game.get("tie_break", "adversary-favoring"))
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"bad game kind or tie-break: {exc}") from exc
-    if "committee_size" not in game:
-        raise ValidationError("game requires committee_size")
-    pool = None
-    if game.get("pool"):
-        _reject_unknown(game["pool"], {"members_per_slot", "name"}, "pool")
-        pool = PoolSpec(
-            members_per_slot=int(game["pool"]["members_per_slot"]),
-            name=game["pool"].get("name", "P"),
-        )
-        if pool.members_per_slot < 1:
-            raise ValidationError("a pool needs at least one member per slot")
-    return GameConfig(
-        kind=kind,
-        committee_size=int(game["committee_size"]),
-        boost=int(game.get("boost", 0)),
-        horizon=int(game.get("horizon", 1)),
-        r=_fraction(game.get("r", 1)),
-        R=_fraction(game.get("R", 1)),
-        epoch_length=int(game.get("epoch_length", 32)),
-        honest_per_slot=int(game.get("honest_per_slot", 0)),
-        n_adversarial_slots=int(game.get("n_adversarial_slots", 0)),
-        n_non_adversarial_slots=int(game.get("n_non_adversarial_slots", 0)),
-        pool=pool,
-        credibility_assumed=bool(game.get("credibility_assumed", True)),
-        tie_break=tie_break,
-        adversary_on_tip=bool(game.get("adversary_on_tip", False)),
-        allow_condition_violation=bool(game.get("allow_condition_violation", False)),
-    )
+# -- report fragments ---------------------------------------------------------
 
 
 def _matrix_json(matrix) -> dict:
@@ -250,10 +328,37 @@ def _outcome_json(outcome) -> dict:
     return out
 
 
-def _run_quantify(game: dict) -> dict:
-    n = int(game["n_validators"])
-    stake = int(game.get("stake_gwei", 32 * 10**9))
-    inclusion = altair_block_inclusion_reward(n, stake)
+# -- the games that yield one fixed result ---------------------------------------
+
+
+def _run_withholding(**params) -> dict:
+    result = withholding_attack_scenario(**params)
+    return {
+        "variant": "withholding",
+        "stalled_rounds": result.stalled_rounds,
+        "finalized_round": result.finalized_round,
+        "payoff_per_nonhonest": str(result.payoff_per_nonhonest),
+        "equilibrium": _report_equilibrium(result.report),
+    }
+
+
+def _run_anchor(**params) -> dict:
+    result = honest_anchor_scenario(**params)
+    return {
+        "variant": "anchor",
+        "first_finalized_round": result.first_finalized_round,
+        "reorg_resilient": result.reorg_resilient,
+        "deviation_forfeits": result.deviation_forfeits,
+        "equilibrium": _report_equilibrium(result.report),
+    }
+
+
+_ATTACK_GAIN = ("mev_fail_eth", "mev_success_eth", "pool_share")
+
+
+def _run_quantify(**params) -> dict:
+    gain = {k: params.pop(k) for k in _ATTACK_GAIN if k in params}
+    inclusion = altair_block_inclusion_reward(**params)
     rows = [
         ("no-attack inclusion (all three votes)", inclusion.all_three_votes),
         ("successful-attack inclusion", inclusion.success_case),
@@ -270,13 +375,8 @@ def _run_quantify(game: dict) -> dict:
             for label, gwei in rows
         ]
     }
-    if "mev_fail_eth" in game:
-        summary = attack_gain_summary(
-            inclusion,
-            _fraction(game["mev_fail_eth"]),
-            _fraction(game["mev_success_eth"]),
-            _fraction(game.get("pool_share", 0)),
-        )
+    if gain:
+        summary = attack_gain_summary(inclusion, **gain)
         result["attack_gain"] = {
             "delta_eth": round(summary.delta_eth, 6),
             "delta_pct": round(float(summary.delta_pct) * 100, 2),
@@ -286,47 +386,268 @@ def _run_quantify(game: dict) -> dict:
     return result
 
 
-def _run_overhead(game: dict) -> dict:
-    grids = game.get("grids", [{}])
-    params = []
-    for grid in grids:
-        _reject_unknown(grid, {"n_att", "n_agg", "n_limit"}, "overhead grid")
-        params.append(
-            OverheadParams(
-                n_att=int(grid.get("n_att", 524)),
-                n_agg=int(grid.get("n_agg", 16)),
-                n_limit=int(grid.get("n_limit", min(8, int(grid.get("n_agg", 16)) - 1))),
-            )
-        )
+def _run_overhead(grids: list[OverheadParams]) -> dict:
     return {
-        "rows": overhead_grid(params),
-        "comm_overhead_bytes": aggregator_comm_overhead_bytes(params[0]),
+        "rows": overhead_grid(grids),
+        "comm_overhead_bytes": aggregator_comm_overhead_bytes(grids[0]),
     }
 
 
-def _run_tendermint(game: dict) -> dict:
-    variant = game.get("variant")
-    if variant == "withholding":
-        result = withholding_attack_scenario(
-            int(game["f"]), int(game["m"]), _fraction(game.get("r", 1))
-        )
-        return {
-            "variant": "withholding",
-            "stalled_rounds": result.stalled_rounds,
-            "finalized_round": result.finalized_round,
-            "payoff_per_nonhonest": str(result.payoff_per_nonhonest),
-            "equilibrium": _report_equilibrium(result.report),
-        }
-    if variant == "anchor":
-        result = honest_anchor_scenario(int(game["f"]), _fraction(game.get("r", 1)))
-        return {
-            "variant": "anchor",
-            "first_finalized_round": result.first_finalized_round,
-            "reorg_resilient": result.reorg_resilient,
-            "deviation_forfeits": result.deviation_forfeits,
-            "equilibrium": _report_equilibrium(result.report),
-        }
-    raise ValidationError(f"unknown tendermint variant {variant!r}")
+_GRID = {"n_att": Key(_int(0)), "n_agg": Key(_int(0)), "n_limit": Key(_int(0))}
+
+
+def _grid(value, where) -> OverheadParams:
+    try:
+        return OverheadParams(**_read_record(value, _GRID, where))
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+# -- checks ---------------------------------------------------------------------
+#
+# Each check takes the game, its config and the explosion-guard bound, plus
+# the keys it reads, and returns its report fields and the trace lines it
+# produced (None if it plays no single run).  The checks call the search
+# functions through this module's globals, so a wrapper installed on them
+# later sees every call.
+
+
+def _check_matrix(game, config, guard):
+    return {"matrix": _matrix_json(simple_payoff_matrix(config))}, None
+
+
+def _check_pool_matrix(game, config, guard):
+    cells = {}
+    for row in ("succeed", "fail"):
+        for col in ("C", "NC"):
+            if config.kind is GameKind.SELFISH_MINING:
+                cells[f"{row}/{col}"] = str(pool_payoff_selfish(config, col, row))
+            else:
+                prev, cur = pool_payoff_simple(config, col, row)
+                cells[f"{row}/{col}"] = f"{prev}+{cur}"
+    return {"matrix": {"rows": ["succeed", "fail"], "cols": ["C", "NC"], "cells": cells}}, None
+
+
+def _check_outcome(game, config, guard, profile: ProfileSpec):
+    outcome = game.run(_resolve_profile(game, profile))
+    return (
+        {"profile": profile.label, "outcome": _outcome_json(outcome)},
+        outcome.trace.export_lines(),
+    )
+
+
+def _check_nash(game, config, guard, profile: ProfileSpec, **options):
+    result = verify_nash(
+        game, _resolve_profile(game, profile), max_joint_actions=guard, **options
+    )
+    return {"profile": profile.label, "equilibrium": _report_equilibrium(result)}, None
+
+
+def _check_spne(game, config, guard, profile: ProfileSpec):
+    result = verify_spne(game, _resolve_profile(game, profile), guard)
+    return {"profile": profile.label, "equilibrium": _report_equilibrium(result)}, None
+
+
+def _check_dominance(game, config, guard, action, candidates, player=None, **options):
+    from .equilibrium import dominance_check
+
+    players = game.players()
+    if player is None:
+        player = players[-1]
+    elif player not in players:
+        raise ValidationError(f"dominance player {player!r} is not a player of this game")
+    verdict = dominance_check(game, player, action, candidates, **options)
+    return {"dominance": verdict.value}, None
+
+
+def _check_dag(game, config, guard, **options):
+    result = dag_security_scenario(config, max_joint_actions=guard, **options)
+    fields = {
+        "equilibrium": _report_equilibrium(result.report),
+        "outcome": _outcome_json(result.outcome),
+    }
+    if result.ethereum_report is not None:
+        fields["ethereum_equilibrium"] = _report_equilibrium(result.ethereum_report)
+    return fields, result.outcome.trace.export_lines()
+
+
+# -- the scenario format --------------------------------------------------------
+
+
+class Check(NamedTuple):
+    """A check type: the keys a check object reads besides its "type"."""
+
+    keys: dict[str, Key]
+    run: Callable[..., tuple[dict, Optional[list[str]]]]
+
+
+CHECKS: dict[str, Check] = {
+    "matrix": Check({}, _check_matrix),
+    "pool-matrix": Check({}, _check_pool_matrix),
+    "outcome": Check({"profile": Key(_profile)}, _check_outcome),
+    "nash": Check({"profile": Key(_profile), "coalition_bound": Key(_int(1))}, _check_nash),
+    "spne": Check({"profile": Key(_profile)}, _check_spne),
+    "dominance": Check(
+        {
+            "player": Key(_player),
+            "action": Key(_str, default="C"),
+            "candidates": Key(_list(_str), default=("C", "NC")),
+            "conditions": Key(_list(_enum(("succeed", "fail")))),
+        },
+        _check_dominance,
+    ),
+    "dag-scenario": Check({"ethereum_flip": Key(_bool, arg="check_ethereum_flip")}, _check_dag),
+}
+
+
+class Kind(NamedTuple):
+    """A game kind: the keys its game object reads and what a scenario runs.
+
+    An engine game fills a GameConfig of `game` from its keys and runs the
+    `checks` it supports; any other kind yields the one result `run` makes
+    from its keys, and takes no checks.
+    """
+
+    keys: dict[str, Key]
+    game: Optional[GameKind] = None
+    checks: tuple[str, ...] = ()
+    run: Optional[Callable[..., dict]] = None
+
+
+# the keys every engine game reads
+_ENGINE = {
+    "committee_size": Key(_int(1), REQUIRED),
+    "boost": Key(_int(0)),
+    "r": Key(_rational()),
+    "R": Key(_rational()),
+    "tie_break": Key(_enum([t.value for t in TieBreakPolicy], TieBreakPolicy)),
+}
+_POOL = Key(_record({"members_per_slot": Key(_int(1), REQUIRED), "name": Key(_str)}, PoolSpec))
+_SIMPLE = {**_ENGINE, "pool": _POOL, "credibility_assumed": Key(_bool)}
+_PLAY = ("outcome", "nash", "spne")  # checks that play profiles of any engine game
+_TM_F = Key(_int(1), REQUIRED)
+_TM_R = Key(_rational(), arg="r_unit")
+
+# kind -> Kind, or -> {variant -> Kind} for a kind whose variants read different keys
+KINDS: dict[str, Kind | dict[str, Kind]] = {
+    "simple": Kind(_SIMPLE, GameKind.SIMPLE, ("matrix", "pool-matrix", *_PLAY, "dominance")),
+    "strong-simple": Kind(
+        {**_SIMPLE, "epoch_length": Key(_int(1))},
+        GameKind.STRONG_SIMPLE, ("matrix", *_PLAY, "dominance"),
+    ),
+    "simple-no-boost": Kind(_ENGINE, GameKind.SIMPLE_NO_BOOST, _PLAY),
+    "extended": Kind(
+        {**_ENGINE, "horizon": Key(_int(1)), "honest_per_slot": Key(_int(0))},
+        GameKind.EXTENDED, _PLAY,
+    ),
+    "selfish-mining": Kind(
+        {**_ENGINE, "pool": _POOL, "n_adversarial_slots": Key(_int(0)),
+         "n_non_adversarial_slots": Key(_int(1), REQUIRED),
+         "allow_condition_violation": Key(_bool)},
+        GameKind.SELFISH_MINING, ("pool-matrix", *_PLAY),
+    ),
+    "dag-votes": Kind(
+        {**_ENGINE, "adversary_on_tip": Key(_bool)},
+        GameKind.DAG_VOTES, ("dag-scenario", *_PLAY),
+    ),
+    "tendermint": {
+        "withholding": Kind(
+            {"f": _TM_F, "m": Key(_int(0), REQUIRED), "r": _TM_R}, run=_run_withholding
+        ),
+        "anchor": Kind({"f": _TM_F, "r": _TM_R}, run=_run_anchor),
+    },
+    "quantify": Kind(
+        {
+            "n_validators": Key(_int(1), REQUIRED),
+            "stake_gwei": Key(_int(1), arg="stake_per_validator_gwei"),
+            "mev_fail_eth": Key(_rational(), requires=("mev_success_eth",)),
+            "mev_success_eth": Key(_rational(), requires=("mev_fail_eth",)),
+            "pool_share": Key(_rational(high=1), requires=("mev_fail_eth",)),
+        },
+        run=_run_quantify,
+    ),
+    "overhead": Kind(
+        {"grids": Key(_list(_grid, nonempty=True), default=(OverheadParams(),))},
+        run=_run_overhead,
+    ),
+}
+
+
+def _game(value, where) -> tuple[str, Kind, dict]:
+    """The game object: its name for messages, its Kind and its read keys."""
+    name, rest = _select(value, "kind", KINDS, where, where)
+    kind = KINDS[name]
+    if isinstance(kind, dict):
+        variant, rest = _select(rest, "variant", kind, where, f"{name} game")
+        name, kind = f"{name} {variant}", kind[variant]
+    return name, kind, _read_record(rest, kind.keys, where, f"{name} game")
+
+
+def _check(value, where) -> tuple[str, dict]:
+    ctype, rest = _select(value, "type", CHECKS, where, where)
+    return ctype, _read_record(rest, CHECKS[ctype].keys, where, f"{ctype} check")
+
+
+_SCENARIO = {
+    "scenario": Key(_str, REQUIRED),
+    "game": Key(_game, REQUIRED),
+    "profile": Key(_profile),
+    "checks": Key(_list(_check, nonempty=True)),
+    "seed": Key(_int(), default=0),
+    "output": Key(_record({"path": Key(_str, REQUIRED), "format": Key(_enum(FORMATS), arg="fmt")})),
+}
+
+
+class Scenario(NamedTuple):
+    """A scenario document as read through the format tables."""
+
+    name: str
+    kind: Kind
+    params: dict  # the game keys, by the parameter each is passed as
+    checks: list[tuple[str, dict]]  # (check type, its keys), in document order
+    seed: int
+    output: Optional[dict]
+
+
+def validate_scenario(doc: dict) -> Scenario:
+    """Read `doc` through the format tables, or raise ValidationError."""
+    fields = _read_record(doc, _SCENARIO, "", "scenario")
+    title, kind, params = fields["game"]
+    if kind.run is not None:
+        for key in ("profile", "checks"):
+            if key in fields:
+                raise ValidationError(f"a {title} game takes no {key!r}")
+        checks = []
+    else:
+        profile = fields.get("profile", ProfileSpec())
+        profile_read = False
+        checks = fields.get("checks", [("outcome", {})])
+        for ctype, options in checks:
+            if ctype not in kind.checks:
+                raise ValidationError(f"check {ctype!r} does not apply to a {title} game")
+            if "profile" in CHECKS[ctype].keys and "profile" not in options:
+                options["profile"] = profile
+                profile_read = True
+        if "profile" in fields and not profile_read:
+            raise ValidationError("the scenario 'profile' is read by no check")
+    return Scenario(fields["scenario"], kind, params, checks, fields["seed"], fields.get("output"))
+
+
+def load_scenario(source) -> dict:
+    if isinstance(source, (str, Path)):
+        try:
+            text = Path(source).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read scenario file: {exc}") from exc
+    else:
+        text = source.read()
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or an integer too long
+        raise ParseError(f"scenario is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("scenario must be a JSON object")
+    return doc
 
 
 def run_scenario(
@@ -336,112 +657,35 @@ def run_scenario(
     trace_path: Optional[str] = None,
 ) -> dict:
     """Execute one scenario document and return its report dict."""
-    doc = load_scenario(source)
-    validate_scenario(doc)
-    seed = int(doc.get("seed", 0)) if seed_override is None else seed_override
-    game_doc = doc["game"]
-    kind = game_doc.get("kind")
-    report: dict = {"scenario": doc["scenario"], "seed": seed, "results": []}
+    scenario = validate_scenario(load_scenario(source))
+    seed = scenario.seed if seed_override is None else seed_override
+    report: dict = {"scenario": scenario.name, "seed": seed, "results": []}
     trace_lines: list[str] = []
-
-    if kind == "tendermint":
-        report["results"].append(_run_tendermint(game_doc))
-        return _emit(doc, report, trace_lines, trace_path)
-    if kind == "quantify":
-        report["results"].append(_run_quantify(game_doc))
-        return _emit(doc, report, trace_lines, trace_path)
-    if kind == "overhead":
-        report["results"].append(_run_overhead(game_doc))
-        return _emit(doc, report, trace_lines, trace_path)
-
-    config = _game_config(game_doc)
-    game = build_game(config)
-    for check in doc.get("checks", [{"type": "outcome"}]):
-        ctype = check.get("type")
-        profile_spec = check.get("profile", doc.get("profile"))
-        profile_label = profile_spec if isinstance(profile_spec, str) else (
-            "compliant-all" if profile_spec is None
-            else profile_spec.get("base", "compliant-all") + "+overrides"
-        )
-        entry: dict = {"check": ctype}
-        if config.kind not in _CHECK_KINDS.get(ctype, {config.kind}):
-            raise ValidationError(f"check {ctype!r} does not apply to a {config.kind.value} game")
-        if ctype == "matrix":
-            entry["matrix"] = _matrix_json(simple_payoff_matrix(config))
-        elif ctype == "pool-matrix":
-            if config.kind is GameKind.SELFISH_MINING:
-                cells = {}
-                for row in ("succeed", "fail"):
-                    for col in ("C", "NC"):
-                        cells[f"{row}/{col}"] = str(pool_payoff_selfish(config, col, row))
-                entry["matrix"] = {"rows": ["succeed", "fail"], "cols": ["C", "NC"], "cells": cells}
-            else:
-                cells = {}
-                for row in ("succeed", "fail"):
-                    for col in ("C", "NC"):
-                        prev, cur = pool_payoff_simple(config, col, row)
-                        cells[f"{row}/{col}"] = f"{prev}+{cur}"
-                entry["matrix"] = {"rows": ["succeed", "fail"], "cols": ["C", "NC"], "cells": cells}
-        elif ctype == "outcome":
-            outcome = game.run(_resolve_profile(game, profile_spec))
-            entry["profile"] = profile_label
-            entry["outcome"] = _outcome_json(outcome)
-            trace_lines = outcome.trace.export_lines()
-        elif ctype == "nash":
-            result = verify_nash(
-                game,
-                _resolve_profile(game, profile_spec),
-                coalition_bound=int(check.get("coalition_bound", 1)),
-                max_joint_actions=max_joint_actions,
-            )
-            entry["profile"] = profile_label
-            entry["equilibrium"] = _report_equilibrium(result)
-        elif ctype == "spne":
-            result = verify_spne(game, _resolve_profile(game, profile_spec), max_joint_actions)
-            entry["profile"] = profile_label
-            entry["equilibrium"] = _report_equilibrium(result)
-        elif ctype == "dominance":
-            from .equilibrium import dominance_check
-
-            player = check.get("player")
-            if player is None:
-                player = game.players()[-1]
-            verdict = dominance_check(
-                game,
-                player,
-                check.get("action", "C"),
-                check.get("candidates", ["C", "NC"]),
-                check.get("conditions", ["succeed", "fail"]),
-            )
-            entry["dominance"] = verdict.value
-        elif ctype == "dag-scenario":
-            result = dag_security_scenario(
-                config,
-                check_ethereum_flip=bool(check.get("ethereum_flip", False)),
-                max_joint_actions=max_joint_actions,
-            )
-            entry["equilibrium"] = _report_equilibrium(result.report)
-            entry["outcome"] = _outcome_json(result.outcome)
-            if result.ethereum_report is not None:
-                entry["ethereum_equilibrium"] = _report_equilibrium(result.ethereum_report)
-            trace_lines = result.outcome.trace.export_lines()
-        else:
-            raise ValidationError(f"unknown check type {ctype!r}")
-        report["results"].append(entry)
-    return _emit(doc, report, trace_lines, trace_path)
+    kind = scenario.kind
+    if kind.run is not None:
+        report["results"].append(kind.run(**scenario.params))
+    else:
+        config = GameConfig(kind=kind.game, **scenario.params)
+        game = build_game(config)
+        for ctype, options in scenario.checks:
+            fields, lines = CHECKS[ctype].run(game, config, max_joint_actions, **options)
+            report["results"].append({"check": ctype, **fields})
+            if lines is not None:
+                trace_lines = lines
+    return _emit(scenario, report, trace_lines, trace_path)
 
 
-def _emit(doc: dict, report: dict, trace_lines: list[str], trace_path: Optional[str]) -> dict:
+def _emit(scenario: Scenario, report: dict, trace_lines: list[str], trace_path: Optional[str]) -> dict:
     if trace_path and trace_lines:
         Path(trace_path).write_text("\n".join(trace_lines) + "\n")
         report["trace_path"] = trace_path
-    output = doc.get("output")
-    if output:
-        _reject_unknown(output, {"path", "format"}, "output")
-        if output.get("path"):
-            Path(output["path"]).write_text(
-                render_report(report, output.get("format", "text"))
-            )
+    if scenario.output is not None:
+        options = dict(scenario.output)
+        path = options.pop("path")
+        try:
+            Path(path).write_text(render_report(report, **options))
+        except OSError as exc:
+            raise ValidationError(f"cannot write the output file: {exc}") from None
     return report
 
 
@@ -457,21 +701,33 @@ def bundled_scenarios() -> dict[str, str]:
     return out
 
 
+def _describe(doc: dict) -> str:
+    """One line naming a document's game kind and checks, read leniently."""
+    game = doc.get("game")
+    kind = game.get("kind", "?") if isinstance(game, dict) else "?"
+    checks = doc.get("checks")
+    types = [
+        str(c.get("type", "?")) if isinstance(c, dict) else "?"
+        for c in (checks if isinstance(checks, list) else [])
+    ]
+    return f"{kind} game; checks: {','.join(types) or 'outcome'}"
+
+
 def list_scenarios(user_dir: Optional[str] = None) -> list[tuple[str, str]]:
-    """(id, one-line description) pairs, bundled plus user files, sorted."""
+    """(id, one-line description) pairs, bundled plus user files, sorted.
+
+    A user file that is not a JSON object is skipped and named on stderr.
+    """
     docs: dict[str, dict] = {}
     for name, text in bundled_scenarios().items():
         docs[name] = json.loads(text)
     if user_dir:
         for path in sorted(Path(user_dir).glob("*.json")):
-            docs[path.stem] = json.loads(path.read_text())
-    out = []
-    for name in sorted(docs):
-        doc = docs[name]
-        kind = doc.get("game", {}).get("kind", "?")
-        checks = ",".join(c.get("type", "?") for c in doc.get("checks", []))
-        out.append((name, f"{kind} game; checks: {checks or 'outcome'}"))
-    return out
+            try:
+                docs[path.stem] = load_scenario(path)
+            except ParseError as exc:
+                sys.stderr.write(f"{path}: skipped: {exc}\n")
+    return [(name, _describe(docs[name])) for name in sorted(docs)]
 
 
 def _render_text(report: dict) -> str:
@@ -519,9 +775,14 @@ def render_report(report: dict, fmt: str = "text") -> str:
     return _render_text(report)
 
 
-def _run_one(args: tuple) -> tuple[str, dict]:
-    path, seed, guard = args
-    return path, run_scenario(path, seed, guard)
+def _run_one(args: tuple) -> tuple[int, str]:
+    """One batch file: (0, its rendered report) or (exit code, a line for stderr)."""
+    path, seed, guard, fmt = args
+    try:
+        return EXIT_OK, render_report(run_scenario(path, seed, guard), fmt)
+    except _REJECTED as exc:
+        code, label = _failure(exc)
+        return code, f"{path}: {label}: {exc}\n"
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -532,7 +793,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run.add_argument("scenario")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--trace", default=None)
-    p_run.add_argument("--format", choices=("text", "json"), default="text")
+    p_run.add_argument("--format", choices=FORMATS, default="text")
     p_run.add_argument("--max-joint-actions", type=int, default=10**6)
     p_run.add_argument("--out", default=None)
 
@@ -542,12 +803,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_batch = sub.add_parser("batch", help="run every scenario in a directory")
     p_batch.add_argument("directory")
     p_batch.add_argument("--jobs", type=int, default=2)
-    p_batch.add_argument("--format", choices=("text", "json"), default="text")
+    p_batch.add_argument("--format", choices=FORMATS, default="text")
     p_batch.add_argument("--seed", type=int, default=None)
     p_batch.add_argument("--max-joint-actions", type=int, default=10**6)
 
     p_ovh = sub.add_parser("overhead", help="print the overhead table")
-    p_ovh.add_argument("--n-att", type=int, default=524)
+    p_ovh.add_argument("--n-att", type=int, default=None)
     p_ovh.add_argument("--n-agg", type=int, nargs="+", default=[16, 128])
 
     args = parser.parse_args(argv)
@@ -556,8 +817,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             source = args.scenario
             bundled = bundled_scenarios()
             if source in bundled:
-                import io
-
                 source = io.StringIO(bundled[args.scenario])
             report = run_scenario(source, args.seed, args.max_joint_actions, args.trace)
             text = render_report(report, args.format)
@@ -571,29 +830,23 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_OK
         if args.command == "batch":
             paths = sorted(str(p) for p in Path(args.directory).glob("*.json"))
-            jobs = [(p, args.seed, args.max_joint_actions) for p in paths]
+            jobs = [(p, args.seed, args.max_joint_actions, args.format) for p in paths]
+            worst = EXIT_OK
             with ProcessPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-                for path, report in pool.map(_run_one, jobs):
-                    sys.stdout.write(render_report(report, args.format))
-            return EXIT_OK
+                for code, text in pool.map(_run_one, jobs):
+                    (sys.stderr if code else sys.stdout).write(text)
+                    worst = max(worst, code)
+            return worst
         if args.command == "overhead":
-            grids = [{"n_att": args.n_att, "n_agg": a} for a in args.n_agg]
-            report = {
-                "scenario": "overhead",
-                "seed": 0,
-                "results": [_run_overhead({"grids": grids})],
-            }
+            given = {} if args.n_att is None else {"n_att": args.n_att}
+            grids = _list(_grid)([{**given, "n_agg": a} for a in args.n_agg], "overhead grid")
+            report = {"scenario": "overhead", "seed": 0, "results": [_run_overhead(grids)]}
             sys.stdout.write(render_report(report, "text"))
             return EXIT_OK
-    except ParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except (ValidationError, GameError, KeyError) as exc:
-        sys.stderr.write(f"validation error: {exc}\n")
-        return EXIT_VALIDATION
-    except ExplosionGuard as exc:
-        sys.stderr.write(f"explosion guard: {exc}\n")
-        return EXIT_GUARD
+    except _REJECTED as exc:
+        code, label = _failure(exc)
+        sys.stderr.write(f"{label}: {exc}\n")
+        return code
     return EXIT_OK
 
 

@@ -16,8 +16,10 @@ from typing import Optional, Sequence
 
 from .engine import DecisionPoint, StrategyProfile
 from .games import (
+    AssumptionViolated,
     DagVotesGame,
     GameConfig,
+    GameError,
     GameKind,
     GameModel,
     GameOutcome,
@@ -29,10 +31,6 @@ from .rewards import Mechanism
 
 class ExplosionGuard(Exception):
     """The deviation search would exceed the configured simulation budget."""
-
-
-class AssumptionViolated(Exception):
-    pass
 
 
 class Verdict(enum.Enum):
@@ -123,6 +121,8 @@ def verify_nash(
     that size can strictly improve the payoff of every member at once.
     """
     players = game.players()
+    if not players:
+        raise GameError("the game has no decision points, so a Nash check would check nothing")
     base = game.payoffs(profile)
     assignments = {p: game.assignments(p) for p in players}
     count = sum(len(a) for a in assignments.values())
@@ -181,6 +181,8 @@ def verify_spne(
     emitted subgame table records each owner's payoff per action label.
     """
     dps = sorted(game.decision_points(), key=lambda d: (d.tick, d.actor))
+    if not dps:
+        raise GameError("the game has no decision points, so an SPNE check would check nothing")
     count = sum(len(game.dp_candidates(dp)) for dp in dps)
     _estimate(count, max_joint_actions)
     base = game.payoffs(profile)

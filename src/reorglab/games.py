@@ -69,6 +69,7 @@ __all__ = [
     "GameOutcome",
     "PayoffMatrix",
     "GameError",
+    "AssumptionViolated",
     "ConditionViolated",
     "ConditioningUnrealizable",
     "SimpleGame",
@@ -89,6 +90,10 @@ __all__ = [
 
 class GameError(Exception):
     pass
+
+
+class AssumptionViolated(GameError):
+    """The parameters break an assumption the analysis of a scenario rests on."""
 
 
 class ConditionViolated(GameError):
@@ -120,8 +125,8 @@ class PoolSpec:
 class GameConfig:
     kind: GameKind
     committee_size: int  # W
-    boost: int  # W_p
-    horizon: int = 1  # p for the extended game, p+1 slots for selfish mining
+    boost: int = 0  # W_p
+    horizon: int = 1  # p, the number of blocks the extended game reorgs
     r: Fraction = Fraction(1)
     R: Fraction = Fraction(1)
     epoch_length: int = 32

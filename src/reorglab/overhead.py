@@ -10,19 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 
 @dataclass(frozen=True)
 class OverheadParams:
     n_att: int = 524  # attestors per sub-committee (aggregation-list bits)
     n_agg: int = 16  # aggregators per sub-committee
-    n_limit: int = 8  # evidences needed for timeliness
+    n_limit: Optional[int] = None  # evidences needed for timeliness; min(8, n_agg - 1) if None
     sig_bytes: int = 96
     subcommittees_per_slot: int = 64
     aggregates_per_block: int = 128
     avg_block_bytes: int = 101_500
 
     def __post_init__(self):
+        if self.n_limit is None:
+            object.__setattr__(self, "n_limit", min(8, max(0, self.n_agg - 1)))
         if self.n_agg > 0 and self.n_limit >= self.n_agg:
             raise ValueError("evidence threshold must stay below the aggregator count")
         for name in ("n_att", "n_agg", "sig_bytes", "aggregates_per_block"):

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .engine import DecisionPoint, Role, StrategyProfile
 from .equilibrium import EquilibriumReport, verify_nash
-from .games import GameModel
+from .games import AssumptionViolated, GameModel
 
 
 class TendermintError(Exception):
@@ -38,10 +38,6 @@ class TendermintError(Exception):
 
 class SlashableAttempt(TendermintError):
     """Second prevote/precommit for the same (sender, height, round)."""
-
-
-class AssumptionViolated(TendermintError):
-    pass
 
 
 class MsgKind(enum.Enum):
@@ -402,7 +398,7 @@ class WithholdingGame(GameModel):
         return {v: result.payoffs[v] for v in self.rational}
 
 
-def withholding_attack_scenario(f: int, m: int, r_unit: Fraction) -> WithholdingResult:
+def withholding_attack_scenario(f: int, m: int, r_unit: Fraction = Fraction(1)) -> WithholdingResult:
     """Stall m honest-led rounds, finalize at m+1, pay the pack r*m each."""
     game = WithholdingGame(f, m, Fraction(r_unit))
     result = game.simulate(game.profile("script"))

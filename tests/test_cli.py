@@ -1,7 +1,11 @@
+import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reorglab.cli import (
     EXIT_GUARD,
@@ -294,3 +298,158 @@ def test_empty_pool_exit_3(tmp_path):
     assert _run_doc(tmp_path, game, [{"type": "nash"}]) == EXIT_VALIDATION
     with pytest.raises(ValidationError):
         run_scenario(io.StringIO(json.dumps({"scenario": "x", "game": game})))
+
+
+# -- the scenario boundary ------------------------------------------------------
+
+
+def _bundled_doc(name: str, **game) -> dict:
+    doc = json.loads(bundled_scenarios()[name])
+    doc["game"].update(game)
+    return doc
+
+
+def _simple_outcome(**game) -> dict:
+    doc = _bundled_doc("simple-table1", **game)
+    doc["checks"] = [{"type": "outcome"}]
+    return doc
+
+
+def _with(name: str, **top) -> dict:
+    return {**json.loads(bundled_scenarios()[name]), **top}
+
+
+# inputs that must be rejected with one line on stderr; each of them once
+# crashed with a traceback, or ran while ignoring or misreading a key
+BOUNDARY = {
+    "rational-zero-denominator": _simple_outcome(r="1/0"),
+    "committee-size-not-int": _simple_outcome(committee_size="abc"),
+    "pool-members-not-int": _bundled_doc("pool-simple-table7", pool={"members_per_slot": "q"}),
+    "coalition-bound-not-int": _with(
+        "simple-table1", checks=[{"type": "nash", "coalition_bound": "z"}]
+    ),
+    "override-slot-not-int": _with(
+        "extended-spne",
+        checks=[{"type": "outcome",
+                 "profile": {"overrides": [{"slot": "x", "role": "leader", "action": "NC"}]}}],
+    ),
+    "seed-not-int": _with("simple-table1", seed="abc"),
+    "overhead-limit-above-aggregators": _bundled_doc(
+        "overhead-grid", grids=[{"n_agg": 4, "n_limit": 8}]
+    ),
+    "quantify-no-validators": _bundled_doc("quantify-appendixB", n_validators=0),
+    "committee-size-zero": _simple_outcome(committee_size=0),
+    "boost-negative": _simple_outcome(boost=-2),
+    "bool-as-string": _simple_outcome(credibility_assumed="false"),
+    "f-on-simple": _simple_outcome(f=1),
+    "grids-on-simple": _simple_outcome(grids=[]),
+    "horizon-on-simple": _simple_outcome(horizon=2),
+    "pool-on-no-boost": {
+        "scenario": "x",
+        "game": {"kind": "simple-no-boost", "committee_size": 4, "boost": 0,
+                 "pool": {"members_per_slot": 1}},
+    },
+    "checks-on-tendermint": _with(
+        "tendermint-anchor", checks=[{"type": "nash"}, {"type": "matrix"}]
+    ),
+    "spne-on-quantify": _with("quantify-appendixB", checks=[{"type": "spne"}]),
+    "withholding-without-m": {
+        "scenario": "x", "game": {"kind": "tendermint", "variant": "withholding", "f": 1},
+    },
+    # a dag-scenario whose committee cannot outvote the boost
+    "dag-scenario-assumption": _bundled_doc("dag-thm81", committee_size=2),
+    # searches that would check nothing
+    "extended-horizon-zero": _with(
+        "extended-spne", game={**EXTENDED, "horizon": 0}, checks=[{"type": "spne"}]
+    ),
+    "tendermint-anchor-f-zero": _bundled_doc("tendermint-anchor", f=0),
+    "no-checks": _with("simple-table1", checks=[]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY))
+def test_boundary_input_exit_3(tmp_path, capsys, name):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(BOUNDARY[name]))
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    if name == "withholding-without-m":
+        assert "requires 'm'" in err
+
+
+def test_batch_reports_every_file(tmp_path, capsys):
+    (tmp_path / "a-good.json").write_text(bundled_scenarios()["overhead-grid"])
+    (tmp_path / "b-broken.json").write_text("{not json")
+    (tmp_path / "c-invalid.json").write_text(json.dumps(BOUNDARY["committee-size-zero"]))
+    (tmp_path / "d-good.json").write_text(bundled_scenarios()["tendermint-anchor"])
+    assert main(["batch", str(tmp_path), "--jobs", "1"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert "overhead-grid" in out and "tendermint-anchor" in out
+    broken, invalid = err.splitlines()
+    assert broken.startswith(f"{tmp_path / 'b-broken.json'}: parse error: ")
+    assert invalid == (
+        f"{tmp_path / 'c-invalid.json'}: validation error: "
+        "game.committee_size must be at least 1, got 0"
+    )
+
+
+def test_list_skips_a_file_that_is_no_object(tmp_path, capsys):
+    (tmp_path / "array.json").write_text("[1]")
+    (tmp_path / "mine.json").write_text(json.dumps({"scenario": "mine", "game": []}))
+    names = [name for name, _ in list_scenarios(str(tmp_path))]
+    assert "array" not in names and "mine" in names
+    assert "array.json" in capsys.readouterr().err
+
+
+# -- every mutation of a bundled document is a report or exit 2/3/4 -------------
+
+_ODD_VALUES = [None, True, False, -1, 0, 1, 2, 3, 1.5, "", "x", "1/0", "3/2", "-1",
+               [], {}, [1], {"a": 1}, [{"type": "nash"}]]
+_SOME_KEYS = [
+    "scenario", "game", "profile", "checks", "seed", "output", "kind", "variant",
+    "committee_size", "boost", "horizon", "r", "R", "epoch_length", "honest_per_slot",
+    "n_adversarial_slots", "n_non_adversarial_slots", "pool", "credibility_assumed",
+    "tie_break", "adversary_on_tip", "allow_condition_violation", "f", "m",
+    "n_validators", "stake_gwei", "mev_fail_eth", "mev_success_eth", "pool_share",
+    "grids", "type", "coalition_bound", "player", "action", "candidates", "conditions",
+    "ethereum_flip", "bogus",
+]
+_CHECK_TYPES = ["matrix", "pool-matrix", "outcome", "nash", "spne", "dominance",
+                "dag-scenario", "quantify"]
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(bundled_scenarios()[draw(st.sampled_from(BUNDLED))])
+    for _ in range(draw(st.integers(1, 3))):
+        objects = [doc]
+        if isinstance(doc.get("game"), dict):
+            objects.append(doc["game"])
+        if isinstance(doc.get("checks"), list):
+            objects += [c for c in doc["checks"] if isinstance(c, dict)]
+        target = draw(st.sampled_from(objects))
+        op = draw(st.sampled_from(["drop", "retype", "add", "check"]))
+        if op in ("drop", "retype") and target:
+            key = draw(st.sampled_from(sorted(target)))
+            if op == "drop":
+                del target[key]
+            else:
+                target[key] = draw(st.sampled_from(_ODD_VALUES))
+        elif op == "add":
+            target[draw(st.sampled_from(_SOME_KEYS))] = draw(st.sampled_from(_ODD_VALUES))
+        elif isinstance(doc.get("checks", []), list):
+            doc.setdefault("checks", []).append({"type": draw(st.sampled_from(_CHECK_TYPES))})
+    return doc
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(doc=mutated_documents())
+def test_mutated_documents_never_crash(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", str(path), "--max-joint-actions", "60"])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_GUARD)

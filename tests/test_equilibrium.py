@@ -7,7 +7,9 @@ from reorglab.games import (
     DagVotesGame,
     ExtendedGame,
     GameConfig,
+    GameError,
     GameKind,
+    SelfishMiningGame,
     SimpleGame,
     StrongSimpleGame,
 )
@@ -21,6 +23,7 @@ from reorglab.equilibrium import (
     verify_nash,
     verify_spne,
 )
+from reorglab.tendermint import AnchorGame
 
 
 def simple_config(**kw):
@@ -231,3 +234,33 @@ class TestDagScenario:
 
         with pytest.raises(AssumptionViolated):
             dag_security_scenario(self.config(boost=3))
+
+
+class TestNothingToCheck:
+    """A search over a game without decision points is an error, not a verdict."""
+
+    def test_selfish_without_adversarial_slots_nash(self):
+        game = SelfishMiningGame(GameConfig(
+            GameKind.SELFISH_MINING, committee_size=4, boost=2, n_adversarial_slots=0,
+            n_non_adversarial_slots=1, allow_condition_violation=True,
+        ))
+        with pytest.raises(GameError):
+            verify_nash(game, game.profile("compliant-all"))
+
+    def test_extended_horizon_zero_spne(self):
+        game = ExtendedGame(GameConfig(GameKind.EXTENDED, committee_size=4, boost=2, horizon=0))
+        with pytest.raises(GameError):
+            verify_spne(game, game.profile("compliant-all"))
+
+    def test_tendermint_anchor_without_rational_players(self):
+        game = AnchorGame(0)
+        with pytest.raises(GameError):
+            verify_nash(game, game.profile("prevote-b"))
+
+
+def test_one_assumption_violated():
+    from reorglab.equilibrium import AssumptionViolated
+    from reorglab.tendermint import AssumptionViolated as TendermintAssumption
+
+    assert AssumptionViolated is TendermintAssumption
+    assert issubclass(AssumptionViolated, GameError)

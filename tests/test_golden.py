@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from reorglab.cli import bundled_scenarios, render_report, run_scenario
+from reorglab.cli import EXIT_VALIDATION, bundled_scenarios, main, render_report, run_scenario
 
 EXTRA = {
     "golden-nb-compliant": {
@@ -75,12 +75,13 @@ EXTRA = {
                    {"type": "nash", "profile": "honest-all"},
                    {"type": "pool-matrix"}],
     },
+    # with no adversarial slot there is no player: a run is fine, a Nash
+    # check is rejected (see test_selfish_no_adversarial_nash_rejected)
     "golden-selfish-no-adversarial": {
         "game": {"kind": "selfish-mining", "committee_size": 4, "boost": 2,
                  "n_adversarial_slots": 0, "n_non_adversarial_slots": 1,
                  "allow_condition_violation": True},
-        "checks": [{"type": "outcome", "profile": "compliant-all"},
-                   {"type": "nash", "profile": "compliant-all"}],
+        "checks": [{"type": "outcome", "profile": "compliant-all"}],
     },
     "golden-dag-on-tip-boost": {
         "game": {"kind": "dag-votes", "committee_size": 5, "boost": 1,
@@ -143,7 +144,7 @@ GOLDEN = {
         "4d8fb135558c07d223eeceec46644679f9b8ff5f2fa31890957990e80e9a2f20",
     ),
     "golden-selfish-no-adversarial": (
-        "362e0c0ab3d132a27d5478ef91c609ec3ca8c076e6185a169cbf61d180eb3c48",
+        "04e503636dcb922987f30f4376642c8c1e81e7496877d393ebcfaf3ee8514b7b",
         "2fe757e32ce30eda7c33bad33c261a9b5b26a3f7e5e101a82c507fedfe73ea2a",
     ),
     "golden-selfish-three-adversarial": (
@@ -237,6 +238,15 @@ def test_every_document_has_a_digest():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_report_and_trace(name, tmp_path):
     assert digests(documents()[name], tmp_path / "trace.jsonl") == GOLDEN[name]
+
+
+def test_selfish_no_adversarial_nash_rejected(tmp_path, capsys):
+    doc = dict(EXTRA["golden-selfish-no-adversarial"])
+    doc["checks"] = [{"type": "nash", "profile": "compliant-all"}]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
 
 
 if __name__ == "__main__":
