@@ -257,12 +257,7 @@ def _resolve_profile(game, spec: ProfileSpec):
                 continue
             if actor is not None and dp.actor != actor:
                 continue
-            candidates = dict(game.dp_candidates(dp))
-            if label not in candidates:
-                raise ValidationError(
-                    f"unknown action {label!r} for slot {slot} {role.value}"
-                )
-            profile = profile.with_action(dp, candidates[label])
+            profile = profile.with_action(dp, game.action(dp, label))
             matched = True
         if not matched:
             raise ValidationError(
@@ -329,10 +324,13 @@ def _outcome_json(outcome) -> dict:
 
 
 # -- the games that yield one fixed result ---------------------------------------
+#
+# Each takes the explosion-guard bound, plus the keys its kind reads, and
+# returns its report fields.
 
 
-def _run_withholding(**params) -> dict:
-    result = withholding_attack_scenario(**params)
+def _run_withholding(guard, **params) -> dict:
+    result = withholding_attack_scenario(**params, max_joint_actions=guard)
     return {
         "variant": "withholding",
         "stalled_rounds": result.stalled_rounds,
@@ -342,8 +340,8 @@ def _run_withholding(**params) -> dict:
     }
 
 
-def _run_anchor(**params) -> dict:
-    result = honest_anchor_scenario(**params)
+def _run_anchor(guard, **params) -> dict:
+    result = honest_anchor_scenario(**params, max_joint_actions=guard)
     return {
         "variant": "anchor",
         "first_finalized_round": result.first_finalized_round,
@@ -356,7 +354,7 @@ def _run_anchor(**params) -> dict:
 _ATTACK_GAIN = ("mev_fail_eth", "mev_success_eth", "pool_share")
 
 
-def _run_quantify(**params) -> dict:
+def _run_quantify(guard, **params) -> dict:
     gain = {k: params.pop(k) for k in _ATTACK_GAIN if k in params}
     inclusion = altair_block_inclusion_reward(**params)
     rows = [
@@ -386,7 +384,7 @@ def _run_quantify(**params) -> dict:
     return result
 
 
-def _run_overhead(grids: list[OverheadParams]) -> dict:
+def _run_overhead(guard, grids: list[OverheadParams]) -> dict:
     return {
         "rows": overhead_grid(grids),
         "comm_overhead_bytes": aggregator_comm_overhead_bytes(grids[0]),
@@ -505,7 +503,7 @@ class Kind(NamedTuple):
 
     An engine game fills a GameConfig of `game` from its keys and runs the
     `checks` it supports; any other kind yields the one result `run` makes
-    from its keys, and takes no checks.
+    from the explosion-guard bound and its keys, and takes no checks.
     """
 
     keys: dict[str, Key]
@@ -663,7 +661,7 @@ def run_scenario(
     trace_lines: list[str] = []
     kind = scenario.kind
     if kind.run is not None:
-        report["results"].append(kind.run(**scenario.params))
+        report["results"].append(kind.run(max_joint_actions, **scenario.params))
     else:
         config = GameConfig(kind=kind.game, **scenario.params)
         game = build_game(config)
@@ -705,6 +703,9 @@ def _describe(doc: dict) -> str:
     """One line naming a document's game kind and checks, read leniently."""
     game = doc.get("game")
     kind = game.get("kind", "?") if isinstance(game, dict) else "?"
+    spec = KINDS.get(kind) if isinstance(kind, str) else None
+    if isinstance(spec, dict) or (spec is not None and spec.run is not None):
+        return f"{kind} game"  # a kind that takes no checks
     checks = doc.get("checks")
     types = [
         str(c.get("type", "?")) if isinstance(c, dict) else "?"
@@ -829,7 +830,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 sys.stdout.write(f"{name:<28} {desc}\n")
             return EXIT_OK
         if args.command == "batch":
-            paths = sorted(str(p) for p in Path(args.directory).glob("*.json"))
+            directory = Path(args.directory)
+            paths = sorted(str(p) for p in directory.glob("*.json"))
+            if not paths:
+                what = "holds no *.json scenario file" if directory.is_dir() else "is not a directory"
+                raise ParseError(f"{directory} {what}")
             jobs = [(p, args.seed, args.max_joint_actions, args.format) for p in paths]
             worst = EXIT_OK
             with ProcessPoolExecutor(max_workers=max(1, args.jobs)) as pool:
@@ -840,7 +845,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "overhead":
             given = {} if args.n_att is None else {"n_att": args.n_att}
             grids = _list(_grid)([{**given, "n_agg": a} for a in args.n_agg], "overhead grid")
-            report = {"scenario": "overhead", "seed": 0, "results": [_run_overhead(grids)]}
+            report = {"scenario": "overhead", "seed": 0, "results": [_run_overhead(None, grids)]}
             sys.stdout.write(render_report(report, "text"))
             return EXIT_OK
     except _REJECTED as exc:

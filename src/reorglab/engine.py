@@ -182,13 +182,11 @@ class Propose:
     parent: Selector
     empty: bool = False
     include: str = "all"  # inclusion-policy name resolved by the game
-    release_tick: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class VoteFor:
     target: Selector
-    release_tick: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -234,8 +232,6 @@ class RunTrace:
     tree: BlockTree = field(default_factory=BlockTree)
     final_chain: list[BlockId] = field(default_factory=list)
     final_slot: int = 0
-    boosted: Optional[BlockId] = None
-    boost: int = 0
     labels: dict[str, BlockId] = field(default_factory=dict)
     payoffs: dict[int, str] = field(default_factory=dict)  # settled, as p/q strings
 
@@ -294,7 +290,7 @@ class Simulation:
         self.tree = BlockTree()  # the delivered view, shared by all agents
         self.pending: list[PendingMessage] = []
         self.delivered_evidences: list[EvidenceRecord] = []
-        self.trace = RunTrace(boost=boost)
+        self.trace = RunTrace()
         self.tick = 0
         self._ticking = False  # whether self.tick is in progress
         self._seq = 0
@@ -445,7 +441,6 @@ class Simulation:
         boosted = self.boosted_block(final_slot)
         self.trace.tree = self.tree
         self.trace.final_slot = final_slot
-        self.trace.boosted = boosted
         self.trace.final_chain = self.tree.canonical_chain(
             final_slot, boosted, self.boost, self.tie_break
         )

@@ -75,14 +75,15 @@ class EquilibriumReport:
     subgame_table: list[SubgameEntry] = field(default_factory=list)
     checked: int = 0
 
-    @property
-    def is_equilibrium(self) -> bool:
-        return self.verdict is not Verdict.NOT_EQUILIBRIUM
-
 
 def _estimate(count: int, bound: int) -> None:
     if count > bound:
         raise ExplosionGuard(f"{count} deviation simulations exceed bound {bound}")
+
+
+def _apply(profile: StrategyProfile, assignment: dict) -> StrategyProfile:
+    """`profile` with each decision point of `assignment` playing its action there."""
+    return StrategyProfile({**profile.actions, **assignment})
 
 
 def best_response(
@@ -96,10 +97,7 @@ def best_response(
     best: Optional[Fraction] = None
     winners: set[str] = set()
     for label, assignment in candidates:
-        trial = profile
-        for dp, act in assignment.items():
-            trial = trial.with_action(dp, act)
-        value = game.payoffs(trial)[player]
+        value = game.payoffs(_apply(profile, assignment))[player]
         if best is None or value > best:
             best = value
             winners = {label}
@@ -132,11 +130,8 @@ def verify_nash(
     checked = 0
     for player in players:
         for label, assignment in assignments[player]:
-            trial = profile
-            for dp, act in assignment.items():
-                trial = trial.with_action(dp, act)
             checked += 1
-            value = game.payoffs(trial)[player]
+            value = game.payoffs(_apply(profile, assignment))[player]
             if value > base[player]:
                 deviations.append(Deviation(player, label, base[player], value))
     if deviations:
@@ -154,9 +149,8 @@ def verify_nash(
             _estimate(checked + total, max_joint_actions)
             for combo in itertools.product(*joint):
                 trial = profile
-                for (_, assignment) in combo:
-                    for dp, act in assignment.items():
-                        trial = trial.with_action(dp, act)
+                for _, assignment in combo:
+                    trial = _apply(trial, assignment)
                 checked += 1
                 payoffs = game.payoffs(trial)
                 if all(payoffs[p] > base[p] for p in coalition):
@@ -183,7 +177,7 @@ def verify_spne(
     dps = sorted(game.decision_points(), key=lambda d: (d.tick, d.actor))
     if not dps:
         raise GameError("the game has no decision points, so an SPNE check would check nothing")
-    count = sum(len(game.dp_candidates(dp)) for dp in dps)
+    count = sum(len(game.candidates(dp)) for dp in dps)
     _estimate(count, max_joint_actions)
     base = game.payoffs(profile)
 
@@ -195,7 +189,7 @@ def verify_spne(
         prescribed = profile.get(dp)
         payoffs: dict[str, Fraction] = {}
         on_path_label = ""
-        for label, action in game.dp_candidates(dp):
+        for label, action in game.candidates(dp).items():
             if action == prescribed:
                 payoffs[label] = base[owner]
                 on_path_label = label
@@ -318,12 +312,7 @@ def dag_security_scenario(
         eth_game = SimpleGame(eth_config)
         # the commitment is credible, so the other attestors best-respond by
         # complying; the honest hold-out is the profile under test
-        players = [v.index for v in eth_game.solo_players()]
-        probe = players[-1]
-        actions = {}
-        for dp in eth_game.decision_points():
-            label = "NC" if dp.actor == probe else "C"
-            actions[dp] = dict(eth_game.dp_candidates(dp))[label]
-        eth_profile = StrategyProfile(actions)
+        probe = eth_game.solo_players()[-1].index
+        eth_profile = eth_game.labelled(lambda dp: "NC" if dp.actor == probe else "C")
         ethereum_report = verify_nash(eth_game, eth_profile, max_joint_actions=max_joint_actions)
     return DagScenarioResult(report, outcome, ethereum_report)

@@ -168,13 +168,6 @@ class PayoffMatrix:
     def cell(self, row: str, col: str) -> Fraction:
         return self.values[(row, col)]
 
-    def as_table(self) -> list[list[str]]:
-        head = [""] + list(self.cols)
-        out = [head]
-        for row in self.rows:
-            out.append([row] + [str(self.values[(row, c)]) for c in self.cols])
-        return out
-
 
 PlayerId = object  # int for solo validators, str for pools
 
@@ -184,9 +177,11 @@ class GameModel:
 
     A game lists its decision points (`decision_points`), the labelled
     candidate actions of each (`dp_candidates`), and plays a profile (`run`,
-    `payoffs`).  The roster follows from those: a decision point belongs to
-    its actor, unless the actor is a member of one of `pools`, whose members
-    move together.  Named profiles follow from `PROFILES`.
+    `payoffs`).  `dp_candidates` is the only place a game builds actions;
+    everything else names them by label (`action`, `labelled`).  The roster
+    follows from those: a decision point belongs to its actor, unless the
+    actor is a member of one of `pools`, whose members move together.  Named
+    profiles follow from `PROFILES`.
     """
 
     # profile name -> candidate labels; each decision point takes the first
@@ -213,13 +208,27 @@ class GameModel:
         """Solo players in decision-point order, then the pools."""
         return list(self._roster)
 
+    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
+        """The candidate actions of `dp`, by label."""
+        return dict(self.dp_candidates(dp))
+
+    def action(self, dp: DecisionPoint, label: str) -> object:
+        """The candidate of `dp` labelled `label`."""
+        candidates = self.candidates(dp)
+        if label not in candidates:
+            raise GameError(f"unknown action {label!r} for slot {dp.slot} {dp.role.value}")
+        return candidates[label]
+
+    def labelled(self, label_of) -> StrategyProfile:
+        """Profile in which each decision point plays its candidate `label_of(dp)`."""
+        return StrategyProfile({dp: self.action(dp, label_of(dp)) for dp in self.decision_points()})
+
     def assignments(self, player: PlayerId) -> list[tuple[str, dict[DecisionPoint, object]]]:
         """Joint candidate assignments over all decision points of `player`."""
         dps = [dp for dp in self.decision_points() if self.owner(dp) == player]
         if player in self.pools:
             return [
-                (label, {dp: dict(self.dp_candidates(dp))[label] for dp in dps})
-                for label in self.POOL_LABELS
+                (label, {dp: self.action(dp, label) for dp in dps}) for label in self.POOL_LABELS
             ]
         return [(label, {dp: act}) for dp in dps for label, act in self.dp_candidates(dp)]
 
@@ -227,14 +236,12 @@ class GameModel:
         """Named profile: each decision point takes its candidate `PROFILES[name]` picks."""
         if name not in self.PROFILES:
             raise GameError(f"unknown profile {name!r}")
-        actions = {}
-        for dp in self.decision_points():
-            candidates = dict(self.dp_candidates(dp))
-            actions[dp] = candidates[next(x for x in self.PROFILES[name] if x in candidates)]
-        return StrategyProfile(actions)
+        picks = self.PROFILES[name]
+        return self.labelled(lambda dp: next(x for x in picks if x in self.candidates(dp)))
 
-    def _ledger_payoffs(self, ledger: PayoffLedger) -> dict[PlayerId, Fraction]:
-        """Each solo player's ledger amount, and each pool's total over its members."""
+    def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
+        """Each solo player's settled amount, and each pool's total over its members."""
+        ledger = outcome.ledger
         out = {p: ledger.get(p) for p in self._roster if p not in self.pools}
         for name, members in self.pools.items():
             out[name] = sum((ledger.get(v) for v in members), Fraction(0))
@@ -294,8 +301,7 @@ def _attest(sim: Simulation, profile, slot: int, voters, compliant_tip=None, def
                 deferred.append(v)
             continue
         target = sim.resolve(act.target, compliant_tip)
-        release = act.release_tick if act.release_tick is not None else sim.tick
-        sim.emit_vote(VoteRecord(slot, v.index, target), sim.tick, release)
+        sim.emit_vote(VoteRecord(slot, v.index, target), sim.tick)
 
 
 def _close(sim: Simulation, config: GameConfig, final_slot: int, labels: dict, reorgs=True):
@@ -393,11 +399,7 @@ class SimpleGame(GameModel):
         return GameOutcome(success, trace.final_chain, reorged, ledger, trace)
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        outcome = self.run(profile)
-        return self._payoffs_from(outcome)
-
-    def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
-        return self._ledger_payoffs(outcome.ledger)
+        return self._payoffs_from(self.run(profile))
 
     # -- conditioning ---------------------------------------------------------
 
@@ -410,26 +412,19 @@ class SimpleGame(GameModel):
         vote for B_t so the threshold is met regardless of the probes.
         """
         cfg = self.config
-        scripted = [v for v in self.committee if v.index not in probe_actions]
-        actions: dict[DecisionPoint, object] = {}
+        scripted = [v.index for v in self.committee if v.index not in probe_actions]
         if condition == "succeed":
-            for v in scripted:
-                actions[DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index)] = VoteFor(
-                    FixedBlock(self.genesis_id)
-                )
+            for_b_t = set()
         elif condition == "fail":
             if len(scripted) < cfg.boost:
                 raise ConditioningUnrealizable(
                     f"cannot script {cfg.boost} votes for B_t with "
                     f"{len(scripted)} free attestors"
                 )
-            for n, v in enumerate(scripted):
-                dp = DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index)
-                actions[dp] = (
-                    VoteFor(Tip()) if n < cfg.boost else VoteFor(FixedBlock(self.genesis_id))
-                )
+            for_b_t = set(scripted[: cfg.boost])
         else:
             raise GameError(f"unknown condition {condition!r}")
+        actions = self.labelled(lambda dp: "NC" if dp.actor in for_b_t else "C").actions
         for idx, act in probe_actions.items():
             actions[DecisionPoint(self.SLOT_T, Role.ATTESTOR, idx)] = act
         outcome = self.run(StrategyProfile(actions))
@@ -442,17 +437,18 @@ class SimpleGame(GameModel):
         return outcome
 
     def conditioned_payoff(self, player: PlayerId, label: str, condition: str) -> Fraction:
-        action = self._action_for(player, label)
-        members = self.pools.get(player, {player})
-        probes = {v.index: action for v in self.committee if v.index in members}
-        outcome = self.conditioned_run(probes, condition)
+        outcome = self.conditioned_run(self._probes(player, label), condition)
         return self._payoffs_from(outcome)[player]
 
+    def _probes(self, player: PlayerId, label: str) -> dict[int, object]:
+        """The slot-t attestors of `player`, each playing the candidate `label`."""
+        action = self._action_for(player, label)
+        members = self.pools.get(player, {player})
+        return {v.index: action for v in self.committee if v.index in members}
+
     def _action_for(self, player: PlayerId, label: str) -> object:
-        candidates = dict(self.dp_candidates(None))
-        if label not in candidates:
-            raise GameError(f"unknown action label {label!r}")
-        return candidates[label]
+        # every slot-t attestor has the same candidates
+        return self.action(self.decision_points()[0], label)
 
 
 def simple_payoff_matrix(config: GameConfig) -> PayoffMatrix:
@@ -485,19 +481,12 @@ def pool_payoff_simple(
     if config.pool.members_per_slot >= config.boost:
         raise GameError("pool payoff table assumes fewer pool members than the boost")
     game = SimpleGame(config)
-    action = game._action_for(config.pool.name, pool_action)
-    probes = {v.index: action for v in game.committee if v.pool == config.pool.name}
-    condition = {"succeed": "succeed", "fail": "fail"}[others_condition]
-    outcome = game.conditioned_run(probes, condition)
-    part_prev = Fraction(0)
-    part_t = Fraction(0)
-    for v in game.prev_committee:
-        if v.pool == config.pool.name:
-            part_prev += outcome.ledger.slot_part(v.index, game.SLOT_PREV)
-    for v in game.committee:
-        if v.pool == config.pool.name:
-            part_t += outcome.ledger.slot_part(v.index, game.SLOT_T)
-    return (part_prev, part_t)
+    outcome = game.conditioned_run(game._probes(config.pool.name, pool_action), others_condition)
+    members = game.pools[config.pool.name]
+    return tuple(
+        sum((outcome.ledger.slot_part(v, slot) for v in members), Fraction(0))
+        for slot in (game.SLOT_PREV, game.SLOT_T)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -515,32 +504,17 @@ class StrongSimpleGame(SimpleGame):
     only as a cross-check in the tests.
     """
 
-    def _bonus(self, outcome: GameOutcome) -> dict[int, Fraction]:
-        cfg = self.config
-        per_member = cfg.r / cfg.epoch_length
-        bonuses = {}
+    def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
+        """Settled payoffs plus r/epoch_length for each slot-t attestor that complied."""
+        out = super()._payoffs_from(outcome)
+        bonus = Fraction(self.config.r, self.config.epoch_length)
         compliant = {
             v.voter
             for v in outcome.trace.tree.votes
             if v.slot == self.SLOT_T and v.target == self.genesis_id
         }
-        for v in self.committee:
-            bonuses[v.index] = per_member if v.index in compliant else Fraction(0)
-        return bonuses
-
-    def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
-        base = super()._payoffs_from(outcome)
-        bonus = self._bonus(outcome)
-        out: dict[PlayerId, Fraction] = {}
-        for player, value in base.items():
-            if isinstance(player, int):
-                out[player] = value + bonus.get(player, Fraction(0))
-            else:
-                pool_bonus = sum(
-                    (bonus[v.index] for v in self.committee if v.pool == player),
-                    Fraction(0),
-                )
-                out[player] = value + pool_bonus
+        for player in out:
+            out[player] += bonus * len(compliant.intersection(self.pools.get(player, (player,))))
         return out
 
 
@@ -621,7 +595,7 @@ class NoBoostGame(GameModel):
         return GameOutcome(success, trace.final_chain, reorged, ledger, trace)
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        return self._ledger_payoffs(self.run(profile).ledger)
+        return self._payoffs_from(self.run(profile))
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +898,7 @@ class SelfishMiningGame(GameModel):
         return fork_ids, compliant_votes
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        return self._ledger_payoffs(self.run(profile).ledger)
+        return self._payoffs_from(self.run(profile))
 
     # -- pool payoff table ----------------------------------------------------
 
@@ -936,14 +910,8 @@ class SelfishMiningGame(GameModel):
 
     def conditioned_profile(self, pool_action: str, fork_result: str) -> StrategyProfile:
         """Solo attestors comply exactly when the fork should win."""
-        actions = {}
-        solo_action = (
-            FollowRule() if fork_result == "succeed" else VoteFor(Tip())
-        )
-        pool_act = FollowRule() if pool_action == "C" else VoteFor(Tip())
-        for dp in self.decision_points():
-            actions[dp] = pool_act if self.owner(dp) in self.pools else solo_action
-        return StrategyProfile(actions)
+        solo = "C" if fork_result == "succeed" else "NC"
+        return self.labelled(lambda dp: pool_action if self.owner(dp) in self.pools else solo)
 
 
 def pool_payoff_selfish(
@@ -1018,8 +986,8 @@ class DagVotesGame(GameModel):
     def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
         if dp.role is Role.LEADER:
             return [
-                ("on-tip", Propose(Tip(), include="pending")),
-                ("off-tip", Propose(ParentOfTip(), include="pending")),
+                ("on-tip", Propose(Tip())),
+                ("off-tip", Propose(ParentOfTip())),
             ]
         return [
             ("tip", VoteFor(Tip())),
@@ -1096,7 +1064,7 @@ class DagVotesGame(GameModel):
         return block
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        return self._ledger_payoffs(self.run(profile).ledger)
+        return self._payoffs_from(self.run(profile))
 
 
 # ---------------------------------------------------------------------------
@@ -1112,8 +1080,6 @@ _GAMES = {
 
 
 def build_game(config: GameConfig) -> GameModel:
-    if config.kind not in _GAMES:
-        raise GameError(f"unknown game kind {config.kind}")
     return _GAMES[config.kind](config)
 
 

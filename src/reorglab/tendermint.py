@@ -36,10 +36,6 @@ class TendermintError(Exception):
     pass
 
 
-class SlashableAttempt(TendermintError):
-    """Second prevote/precommit for the same (sender, height, round)."""
-
-
 class MsgKind(enum.Enum):
     PROPOSAL = "proposal"
     PREVOTE = "prevote"
@@ -398,11 +394,13 @@ class WithholdingGame(GameModel):
         return {v: result.payoffs[v] for v in self.rational}
 
 
-def withholding_attack_scenario(f: int, m: int, r_unit: Fraction = Fraction(1)) -> WithholdingResult:
+def withholding_attack_scenario(
+    f: int, m: int, r_unit: Fraction = Fraction(1), max_joint_actions: int = 10**6
+) -> WithholdingResult:
     """Stall m honest-led rounds, finalize at m+1, pay the pack r*m each."""
     game = WithholdingGame(f, m, Fraction(r_unit))
     result = game.simulate(game.profile("script"))
-    result.report = verify_nash(game, game.profile("script"))
+    result.report = verify_nash(game, game.profile("script"), max_joint_actions=max_joint_actions)
     return result
 
 
@@ -501,19 +499,21 @@ class AnchorGame(GameModel):
         return {v: result.payoffs[v] for v in self.rational}
 
 
-def honest_anchor_scenario(f: int, r_unit: Fraction = Fraction(1)) -> AnchorResult:
+def honest_anchor_scenario(
+    f: int, r_unit: Fraction = Fraction(1), max_joint_actions: int = 10**6
+) -> AnchorResult:
     """First honest-led round finalizes; nil-prevoting forfeits the round."""
     game = AnchorGame(f, r_unit)
     profile = game.profile("prevote-b")
     result = game.simulate(profile)
     if result.first_finalized_round != 1:
         raise AssumptionViolated("honest-led round failed to finalize")
+    result.report = verify_nash(game, profile, max_joint_actions=max_joint_actions)
     # a nil-prevote deviation earns no honest evidence and forfeits the round
     forfeits = True
-    for v in game.rational:
-        dev = profile.with_action(DecisionPoint(1, Role.ATTESTOR, v), "prevote-nil")
-        if game.payoffs(dev)[v] >= result.payoffs[v]:
+    for dp in game.decision_points():
+        dev = profile.with_action(dp, game.action(dp, "prevote-nil"))
+        if game.payoffs(dev)[dp.actor] >= result.payoffs[dp.actor]:
             forfeits = False
     result.deviation_forfeits = forfeits
-    result.report = verify_nash(game, profile)
     return result

@@ -44,8 +44,15 @@ def test_bundled_set_complete():
 
 
 def test_list_scenarios_sorted():
-    names = [name for name, _ in list_scenarios()]
+    listed = list_scenarios()
+    names = [name for name, _ in listed]
     assert names == sorted(names) == BUNDLED
+    described = dict(listed)
+    assert described["simple-table1"] == "simple game; checks: matrix,outcome,nash,nash,dominance"
+    # these kinds take no checks, so none is listed for them
+    assert described["tendermint-anchor"] == "tendermint game"
+    assert described["quantify-appendixB"] == "quantify game"
+    assert described["overhead-grid"] == "overhead game"
 
 
 def test_list_includes_user_dir(tmp_path):
@@ -140,6 +147,14 @@ def test_explosion_guard_exit_4(tmp_path):
     doc = json.loads(bundled_scenarios()["simple-table1"])
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--max-joint-actions", "2"]) == EXIT_GUARD
+
+
+@pytest.mark.parametrize("name", ["tendermint-withholding", "tendermint-anchor"])
+def test_explosion_guard_bounds_tendermint(capsys, name):
+    assert main(["run", name, "--max-joint-actions", "1"]) == EXIT_GUARD
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("guard error: ") and err.count("\n") == 1
 
 
 def test_report_round_trip_identical():
@@ -328,6 +343,11 @@ BOUNDARY = {
     "coalition-bound-not-int": _with(
         "simple-table1", checks=[{"type": "nash", "coalition_bound": "z"}]
     ),
+    "override-action-not-a-candidate": _with(
+        "simple-table1",
+        checks=[{"type": "outcome",
+                 "profile": {"overrides": [{"slot": 1, "role": "attestor", "action": "Z"}]}}],
+    ),
     "override-slot-not-int": _with(
         "extended-spne",
         checks=[{"type": "outcome",
@@ -377,6 +397,21 @@ def test_boundary_input_exit_3(tmp_path, capsys, name):
     assert err.startswith("validation error: ") and err.count("\n") == 1
     if name == "withholding-without-m":
         assert "requires 'm'" in err
+    if name == "override-action-not-a-candidate":
+        assert "'Z'" in err
+
+
+@pytest.mark.parametrize("make", [False, True], ids=["missing", "empty"])
+def test_batch_without_scenario_files_exit_2(tmp_path, capsys, make):
+    directory = tmp_path / "scenarios"
+    if make:
+        directory.mkdir()
+        (directory / "notes.txt").write_text("not a scenario")
+    assert main(["batch", str(directory)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert str(directory) in err
 
 
 def test_batch_reports_every_file(tmp_path, capsys):

@@ -17,18 +17,22 @@ from reorglab.engine import (
 from reorglab.games import (
     ConditionViolated,
     ConditioningUnrealizable,
+    DagVotesGame,
     ExtendedGame,
     GameConfig,
+    GameError,
     GameKind,
     NoBoostGame,
     PoolSpec,
     SelfishMiningGame,
     SimpleGame,
+    StrongSimpleGame,
     pool_payoff_selfish,
     pool_payoff_simple,
     simple_payoff_matrix,
     strong_simple_expected_matrix,
 )
+from reorglab.tendermint import AnchorGame, WithholdingGame
 
 
 def simple_config(**kw):
@@ -182,6 +186,12 @@ class TestStrongSimple:
         m = strong_simple_expected_matrix(self.config(epoch_length=1))
         assert m.cell("succeed", "C") == 2
         assert m.cell("fail", "C") == 1
+
+    def test_integer_reward_keeps_payoffs_exact(self):
+        game = StrongSimpleGame(self.config(r=1))
+        payoffs = game.payoffs(game.profile("compliant-all"))
+        assert all(type(v) is Fraction for v in payoffs.values())
+        assert set(payoffs.values()) == {Fraction(33, 32)}
 
     def test_membership_probability_monte_carlo(self):
         # sampled schedules: a fixed validator lands in a fixed slot's
@@ -434,3 +444,37 @@ def test_run_game_wrapper_returns_settled_trace():
     trace = run_game(config, game.profile("compliant-all"))
     assert trace.final_chain == [0, 2]
     assert trace.export_lines()
+
+
+# -- every action is named by one label lookup -----------------------------------
+
+LABELLED_GAMES = {
+    "simple": lambda: SimpleGame(simple_config()),
+    "simple-pool": lambda: SimpleGame(simple_config(pool=PoolSpec(1))),
+    "strong-simple": lambda: StrongSimpleGame(simple_config(kind=GameKind.STRONG_SIMPLE)),
+    "simple-no-boost": lambda: NoBoostGame(simple_config(kind=GameKind.SIMPLE_NO_BOOST, boost=0)),
+    "extended": lambda: ExtendedGame(extended_config(2)),
+    "selfish-mining": lambda: SelfishMiningGame(
+        simple_config(kind=GameKind.SELFISH_MINING, n_adversarial_slots=2,
+                      n_non_adversarial_slots=1, pool=PoolSpec(1))
+    ),
+    "dag-votes": lambda: DagVotesGame(simple_config(kind=GameKind.DAG_VOTES, committee_size=5, boost=0)),
+    "tendermint-withholding": lambda: WithholdingGame(2, 1, Fraction(1)),
+    "tendermint-anchor": lambda: AnchorGame(2),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,name",
+    [(kind, name) for kind, make in LABELLED_GAMES.items() for name in make().PROFILES],
+)
+def test_labelled_agrees_with_named_profile(kind, name):
+    game = LABELLED_GAMES[kind]()
+    profile = game.profile(name)
+    labels = {}
+    for dp in game.decision_points():
+        labels[dp] = next(label for label, act in game.dp_candidates(dp) if act == profile.get(dp))
+        assert labels[dp] in game.PROFILES[name]
+    assert game.labelled(labels.__getitem__) == profile
+    with pytest.raises(GameError, match="unknown action 'Z' for slot"):
+        game.action(game.decision_points()[0], "Z")
