@@ -199,7 +199,7 @@ PlayerAction = object  # Propose | VoteFor | Abstain
 
 @dataclass
 class StrategyProfile:
-    """One action per decision point, ordered by tick."""
+    """One action per decision point."""
 
     actions: dict[DecisionPoint, PlayerAction] = field(default_factory=dict)
 
@@ -210,9 +210,6 @@ class StrategyProfile:
         actions = dict(self.actions)
         actions[dp] = action
         return StrategyProfile(actions)
-
-    def decision_points(self) -> list[DecisionPoint]:
-        return sorted(self.actions, key=lambda d: (d.tick, d.actor))
 
 
 @dataclass

@@ -26,7 +26,6 @@ from .games import (
     PlayerId,
     SimpleGame,
 )
-from .rewards import Mechanism
 
 
 class ExplosionGuard(Exception):
@@ -262,8 +261,6 @@ class DagScenarioResult:
 
 def dag_security_scenario(
     config: GameConfig,
-    n_slots: int = 4,
-    adv_slot: int = 3,
     check_ethereum_flip: bool = False,
     max_joint_actions: int = 10**6,
 ) -> DagScenarioResult:
@@ -286,7 +283,7 @@ def dag_security_scenario(
         raise AssumptionViolated(
             "need more than 1 + (W + boost)/2 solo attestors per slot"
         )
-    game = DagVotesGame(config, n_slots=n_slots, adv_slot=adv_slot)
+    game = DagVotesGame(config)
     profile = game.profile("prescribed")
     outcome = game.run(profile)
     if not config.adversary_on_tip:
@@ -303,13 +300,7 @@ def dag_security_scenario(
     ethereum_report = None
     if check_ethereum_flip:
         boost = max(1, round(0.4 * config.committee_size))
-        eth_config = replace(
-            config,
-            kind=GameKind.SIMPLE,
-            boost=boost,
-            mechanism=Mechanism.ETHEREUM,
-        )
-        eth_game = SimpleGame(eth_config)
+        eth_game = SimpleGame(replace(config, kind=GameKind.SIMPLE, boost=boost))
         # the commitment is credible, so the other attestors best-respond by
         # complying; the honest hold-out is the profile under test
         probe = eth_game.solo_players()[-1].index

@@ -28,7 +28,7 @@ Games implemented:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -136,15 +136,16 @@ class GameConfig:
     pool: Optional[PoolSpec] = None
     credibility_assumed: bool = True
     tie_break: TieBreakPolicy = TieBreakPolicy.ADVERSARY_FAVORING
-    mechanism: Mechanism = Mechanism.ETHEREUM
     adversary_on_tip: bool = False  # dag-votes variant
     allow_condition_violation: bool = False
 
     def reward_params(self) -> RewardParams:
+        """DAG-votes timeliness for the dag-votes game, Ethereum's for every other kind."""
+        dag = self.kind is GameKind.DAG_VOTES
         return RewardParams(
             r=self.r,
             R=self.R,
-            mechanism=self.mechanism,
+            mechanism=Mechanism.DAG_VOTES if dag else Mechanism.ETHEREUM,
             committee_size=self.committee_size,
         )
 
@@ -952,21 +953,21 @@ class DagVotesGame(GameModel):
     """
 
     PROFILES = {"prescribed": ("on-tip", "tip")}
+    n_slots = 4
+    adv_slot = 3
 
-    def __init__(self, config: GameConfig, n_slots: int = 4, adv_slot: int = 3):
-        self.config = replace(config, mechanism=Mechanism.DAG_VOTES)
-        self.n_slots = n_slots
-        self.adv_slot = adv_slot
+    def __init__(self, config: GameConfig):
+        self.config = config
         W = config.committee_size
         next_id = 0
         self.committees = {}
-        for slot in range(0, n_slots + 1):
+        for slot in range(0, self.n_slots + 1):
             self.committees[slot] = _committee(next_id, W)
             next_id += W
         self.leaders = {}
-        for slot in range(1, n_slots + 1):
+        for slot in range(1, self.n_slots + 1):
             kind = (
-                ValidatorKind.ADVERSARIAL if slot == adv_slot else ValidatorKind.RATIONAL
+                ValidatorKind.ADVERSARIAL if slot == self.adv_slot else ValidatorKind.RATIONAL
             )
             self.leaders[slot] = Validator(next_id, kind)
             next_id += 1

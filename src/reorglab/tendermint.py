@@ -4,9 +4,13 @@ Heights split into rounds of three lock-step phases (proposal, prevote,
 precommit).  A prevote or precommit earns its reward only when it is
 included in a finalized block of later coordinates and carries 2f+1 unique
 evidences: signatures by validators that either sent the matching message
-themselves or verified the forwarded justification.
+themselves or verified the forwarded justification.  The round state machine
+follows Buchman, Kwon and Milosevic, "The latest gossip on BFT consensus"
+(arXiv:1807.04938).
 
-Two scenarios from the analysis are executable:
+Two scenarios from the analysis are executable.  Both pay through clause (i)
+of the evidence rule alone (`evidence_counts`); they differ only in who sees
+which message:
 
 * withholding: a 2f+1 pack of non-honest validators nil-votes privately for
   m honest-led rounds while signing each other's messages, then surfaces
@@ -25,7 +29,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 from .engine import DecisionPoint, Role, StrategyProfile
 from .equilibrium import EquilibriumReport, verify_nash
@@ -61,10 +66,6 @@ class TmEvidence:
     signer: int
     attested: TendermintMsg
     justification: tuple[TendermintMsg, ...] = ()
-
-    def key(self):
-        a = self.attested
-        return (self.kind, self.signer, a.sender, a.height, a.rho, a.value)
 
 
 @dataclass
@@ -243,22 +244,98 @@ def tm_vote_reward(
     return correct and evidence_count >= 2 * f + 1
 
 
+def evidence_counts(
+    values: Mapping[int, Optional[int]], sees: Callable[[int, int], bool]
+) -> dict[int, int]:
+    """Clause (i) signatures on each sender's message of one round and kind.
+
+    `values` maps each sender to the value of its message.  A signer signs a
+    sender's message, its own included, when it sees it (`sees(signer,
+    sender)`) and its own message carries the same value.
+    """
+    return {
+        sender: sum(1 for signer, mine in values.items() if mine == value and sees(signer, sender))
+        for sender, value in values.items()
+    }
+
+
+def _honest_votes(states: dict[int, RoundState], view: list[TendermintMsg], phase: MsgKind,
+                  leader: int, f: int) -> dict[int, Optional[int]]:
+    """Each honest validator's `phase` vote value; the votes join `view`."""
+    values = {}
+    for v, state in states.items():
+        msg = tm_step(state, view, phase, v, v == leader, f)
+        values[v] = msg.value
+        view.append(msg)
+    return values
+
+
+@dataclass(frozen=True)
+class RoundRun:
+    """What one play of a Tendermint game determines."""
+
+    finalized_round: int  # -1 when no round finalized
+    payoffs: Mapping[int, Fraction]  # per validator that sent votes
+
+
+class _TendermintGame(GameModel):
+    """Nash-game adapter: one round-1 choice per rational validator.
+
+    Each label in `PROFILES` is a candidate action and names the profile in
+    which every rational validator plays it.  Each distinct profile is played
+    once per game object (`simulate` keeps the run).
+    """
+
+    def __init__(self, f: int, r_unit: Fraction):
+        self.f = f
+        self.r_unit = Fraction(r_unit)
+        self.n = 3 * f + 1
+        self._runs: dict[frozenset, RoundRun] = {}
+
+    def decision_points(self):
+        return [DecisionPoint(1, Role.ATTESTOR, v) for v in self.rational]
+
+    def dp_candidates(self, dp):
+        return [(label, label) for label in self.PROFILES]
+
+    def simulate(self, profile: StrategyProfile) -> RoundRun:
+        key = frozenset(profile.actions.items())
+        if key not in self._runs:
+            self._runs[key] = self._play(profile)
+        return self._runs[key]
+
+    def payoffs(self, profile: StrategyProfile) -> dict[int, Fraction]:
+        run = self.simulate(profile)
+        return {v: run.payoffs[v] for v in self.rational}
+
+    def _playing(self, label: str, profile: StrategyProfile) -> set[int]:
+        return {dp.actor for dp in self.decision_points() if profile.get(dp) == label}
+
+    def _pays(self, prevote_counts: dict[int, int], precommit_counts: dict[int, int],
+              vote: tuple[int, int], inclusion: tuple[int, int]) -> dict[int, Fraction]:
+        """r to each sender whose (rho, height) votes both pay when included, else 0."""
+        paid = lambda count: tm_vote_reward(*vote, *inclusion, count, self.f)
+        r, zero = self.r_unit, Fraction(0)
+        return {v: r if paid(prevote_counts[v]) and paid(precommit_counts[v]) else zero
+                for v in prevote_counts}
+
+
 # ---------------------------------------------------------------------------
 # scenario: withholding liveness attack
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class WithholdingResult:
     stalled_rounds: int
     finalized_round: int
     payoff_per_nonhonest: Fraction
-    payoffs: dict[int, Fraction]
-    report: Optional[EquilibriumReport] = None  # set once verify_nash has run
+    payoffs: Mapping[int, Fraction]
+    report: EquilibriumReport
 
 
-class WithholdingGame(GameModel):
-    """Nash-game adapter: each rational validator follows or breaks the pack.
+class WithholdingGame(_TendermintGame):
+    """Each rational validator follows or breaks the pack.
 
     n = 3f+1 validators; the first m rounds are led (with reuse) by fewer
     than f+1 honest validators, so the non-honest pack keeps a 2f+1 quorum
@@ -269,129 +346,55 @@ class WithholdingGame(GameModel):
     PROFILES = {"script": ("script",), "honest-r1": ("honest-r1",)}
 
     def __init__(self, f: int, m: int, r_unit: Fraction):
-        self.f = f
+        super().__init__(f, r_unit)
         self.m = m
-        self.r_unit = Fraction(r_unit)
-        self.n = 3 * f + 1
-        n_honest = min(m, f) if m > 0 else min(1, f)
+        n_honest = min(max(m, 1), f)
+        if m > 0 and n_honest == 0:
+            raise AssumptionViolated("no honest validator to lead the withheld rounds")
         self.honest = list(range(n_honest))
         self.adversarial = list(range(n_honest, n_honest + f))
         self.rational = list(range(n_honest + f, self.n))
         self.pack = self.adversarial + self.rational
-        if m > 0 and len(self.pack) < 2 * f + 1:
-            raise AssumptionViolated("the pack must keep a 2f+1 evidence quorum")
 
-    def decision_points(self):
-        return [DecisionPoint(1, Role.ATTESTOR, v) for v in self.rational]
-
-    def dp_candidates(self, dp):
-        return [("script", "script"), ("honest-r1", "honest-r1")]
-
-    def simulate(self, profile: StrategyProfile) -> WithholdingResult:
-        f, m, r = self.f, self.m, self.r_unit
-        height = 1
-        deviators = {
-            dp.actor
-            for dp in self.decision_points()
-            if profile.get(dp) == "honest-r1"
-        }
-        # evidence signers per (kind, rho, sender)
-        signers: dict[tuple, set[int]] = {}
-
-        def sign(kind: MsgKind, rho: int, sender: int, signer: int) -> None:
-            signers.setdefault((kind, rho, sender), set()).add(signer)
-
-        honest_states = {v: RoundState(height=height) for v in self.honest}
-        prevote_value: dict[tuple[int, int], Optional[int]] = {}
-        view_public: list[TendermintMsg] = []
-
+    def _play(self, profile: StrategyProfile) -> RoundRun:
+        f, m, height = self.f, self.m, 1
+        deviators = self._playing("honest-r1", profile)
+        pack = set(self.pack)
+        states = {v: RoundState(height=height) for v in self.honest}
+        view: list[TendermintMsg] = []  # the public messages
+        payoffs = {v: Fraction(0) for v in range(self.n)}
         for rho in range(1, m + 1):
             leader = self.honest[(rho - 1) % len(self.honest)]
-            for v in self.honest:
-                honest_states[v].rho = rho
+            for state in states.values():
+                state.rho = rho
             proposal = tm_step(
-                honest_states[leader], view_public, MsgKind.PROPOSAL,
-                leader, True, f, fresh_value=100 + rho,
+                states[leader], view, MsgKind.PROPOSAL, leader, True, f, fresh_value=100 + rho
             )
-            view_public.append(proposal)
+            view.append(proposal)
             block = proposal.value
-            # prevotes: honest follow the state machine, round-1 deviators
+            # honest validators follow the state machine, round-1 deviators
             # back the proposal openly, the rest of the pack nil-votes in
             # private
-            for v in self.honest:
-                msg = tm_step(
-                    honest_states[v], view_public, MsgKind.PREVOTE, v, v == leader, f
-                )
-                prevote_value[(rho, v)] = msg.value
-                view_public.append(msg)
+            prevotes = _honest_votes(states, view, MsgKind.PREVOTE, leader, f)
+            backers = deviators if rho == 1 else set()
             for v in self.pack:
-                if rho == 1 and v in deviators:
-                    prevote_value[(rho, v)] = block
-                    view_public.append(
-                        TendermintMsg(MsgKind.PREVOTE, height, rho, block, v)
-                    )
-                else:
-                    prevote_value[(rho, v)] = NIL
-            backers = [v for v in self.n_range() if prevote_value[(rho, v)] == block]
-            if len(backers) >= 2 * f + 1:
+                prevotes[v] = block if v in backers else NIL
+            view += [TendermintMsg(MsgKind.PREVOTE, height, rho, block, v) for v in sorted(backers)]
+            public = set(self.honest) | backers
+            if sum(value == block for value in prevotes.values()) >= 2 * f + 1:
                 raise AssumptionViolated("withheld round unexpectedly reached quorum")
-            for v in self.honest:
-                msg = tm_step(
-                    honest_states[v], view_public, MsgKind.PRECOMMIT, v, v == leader, f
-                )
-                if msg.value is not NIL:
-                    raise AssumptionViolated("honest precommit without a quorum")
-                view_public.append(msg)
-            # precommits are nil everywhere (no quorum); evidence creation:
-            # honest sign matching public prevotes, the pack signs the pack
-            for signer in self.honest:
-                for v in self.n_range():
-                    public = v in self.honest or (rho == 1 and v in deviators)
-                    if public and prevote_value[(rho, v)] == block:
-                        sign(MsgKind.PREVOTE, rho, v, signer)
-            for signer in self.pack:
-                mine = prevote_value[(rho, signer)]
-                for v in self.pack:
-                    if prevote_value[(rho, v)] == mine:
-                        sign(MsgKind.PREVOTE, rho, v, signer)
-                if rho == 1 and signer in deviators:
-                    for v in self.n_range():
-                        if prevote_value[(rho, v)] == block:
-                            sign(MsgKind.PREVOTE, rho, v, signer)
-            # precommit evidences for the pack's nil precommits (created with
-            # the next round's prevotes, self-signing included)
-            for signer in self.pack:
-                for v in self.pack:
-                    sign(MsgKind.PRECOMMIT, rho, v, signer)
-            for signer in self.honest:
-                for v in self.honest:
-                    sign(MsgKind.PRECOMMIT, rho, v, signer)
-
-        # round m+1: everything surfaces, a non-honest leader finalizes
-        finalized_round = m + 1
-        payoffs: dict[int, Fraction] = {v: Fraction(0) for v in self.n_range()}
-        for v in self.n_range():
-            for rho in range(1, m + 1):
-                pv = len(signers.get((MsgKind.PREVOTE, rho, v), ()))
-                pc = len(signers.get((MsgKind.PRECOMMIT, rho, v), ()))
-                prevote_ok = tm_vote_reward(rho, height, finalized_round, height, pv, f)
-                precommit_ok = tm_vote_reward(rho, height, finalized_round, height, pc, f)
-                if prevote_ok and precommit_ok:
-                    payoffs[v] += r
-        per_nonhonest = payoffs[self.pack[0]] if self.pack else Fraction(0)
-        return WithholdingResult(
-            stalled_rounds=m,
-            finalized_round=finalized_round,
-            payoff_per_nonhonest=per_nonhonest,
-            payoffs=payoffs,
-        )
-
-    def n_range(self):
-        return range(self.n)
-
-    def payoffs(self, profile: StrategyProfile) -> dict[int, Fraction]:
-        result = self.simulate(profile)
-        return {v: result.payoffs[v] for v in self.rational}
+            honest_precommits = _honest_votes(states, view, MsgKind.PRECOMMIT, leader, f)
+            if any(value is not NIL for value in honest_precommits.values()):
+                raise AssumptionViolated("honest precommit without a quorum")
+            # the pack also sees its private prevotes; precommits are all nil (no
+            # quorum), and each side signs its own side's with the next prevotes
+            precommits = dict.fromkeys(prevotes, NIL)
+            pv = evidence_counts(prevotes, lambda s, v: v in public or (s in pack and v in pack))
+            pc = evidence_counts(precommits, lambda s, v: (s in pack) == (v in pack))
+            # included in round m+1, where everything surfaces and finalizes
+            for v, paid in self._pays(pv, pc, (rho, height), (m + 1, height)).items():
+                payoffs[v] += paid
+        return RoundRun(m + 1, MappingProxyType(payoffs))
 
 
 def withholding_attack_scenario(
@@ -399,9 +402,10 @@ def withholding_attack_scenario(
 ) -> WithholdingResult:
     """Stall m honest-led rounds, finalize at m+1, pay the pack r*m each."""
     game = WithholdingGame(f, m, Fraction(r_unit))
-    result = game.simulate(game.profile("script"))
-    result.report = verify_nash(game, game.profile("script"), max_joint_actions=max_joint_actions)
-    return result
+    script = game.profile("script")
+    report = verify_nash(game, script, max_joint_actions=max_joint_actions)
+    run = game.simulate(script)
+    return WithholdingResult(m, run.finalized_round, run.payoffs[game.pack[0]], run.payoffs, report)
 
 
 # ---------------------------------------------------------------------------
@@ -409,94 +413,47 @@ def withholding_attack_scenario(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnchorResult:
     first_finalized_round: int
     reorg_resilient: bool
-    payoffs: dict[int, Fraction]
-    # set by honest_anchor_scenario once the deviations have been played
-    deviation_forfeits: Optional[bool] = None
-    report: Optional[EquilibriumReport] = None
+    payoffs: Mapping[int, Fraction]
+    deviation_forfeits: bool
+    report: EquilibriumReport
 
 
-class AnchorGame(GameModel):
+class AnchorGame(_TendermintGame):
     """Round led by an honest leader with f+1 honest validators present."""
 
     PROFILES = {"prevote-b": ("prevote-b",), "prevote-nil": ("prevote-nil",)}
 
     def __init__(self, f: int, r_unit: Fraction = Fraction(1)):
-        self.f = f
-        self.r_unit = Fraction(r_unit)
-        self.n = 3 * f + 1
+        super().__init__(f, r_unit)
         self.honest = list(range(f + 1))
         self.rational = list(range(f + 1, 2 * f + 1))
         self.adversarial = list(range(2 * f + 1, self.n))  # silent, worst case
 
-    def decision_points(self):
-        return [DecisionPoint(1, Role.ATTESTOR, v) for v in self.rational]
-
-    def dp_candidates(self, dp):
-        return [("prevote-b", "prevote-b"), ("prevote-nil", "prevote-nil")]
-
-    def simulate(self, profile: StrategyProfile) -> AnchorResult:
-        f, r = self.f, self.r_unit
-        height, rho = 1, 1
-        block = 100
+    def _play(self, profile: StrategyProfile) -> RoundRun:
+        f, height, rho, block = self.f, 1, 1, 100
         leader = self.honest[0]
+        backers = self._playing("prevote-b", profile)
         states = {v: RoundState(height=height) for v in self.honest}
-        view: list[TendermintMsg] = []
-        proposal = tm_step(
-            states[leader], view, MsgKind.PROPOSAL, leader, True, f, fresh_value=block
-        )
-        view.append(proposal)
-        prevotes: dict[int, Optional[int]] = {}
-        for v in self.honest:
-            msg = tm_step(states[v], view, MsgKind.PREVOTE, v, v == leader, f)
-            prevotes[v] = msg.value
-            view.append(msg)
+        view: list[TendermintMsg] = []  # every message is public
+        view.append(tm_step(states[leader], view, MsgKind.PROPOSAL, leader, True, f, block))
+        prevotes = _honest_votes(states, view, MsgKind.PREVOTE, leader, f)
         for v in self.rational:
-            choice = profile.get(DecisionPoint(1, Role.ATTESTOR, v))
-            value = block if choice == "prevote-b" else NIL
-            prevotes[v] = value
-            view.append(TendermintMsg(MsgKind.PREVOTE, height, rho, value, v))
-
-        precommits: dict[int, Optional[int]] = {}
-        for v in self.honest:
-            msg = tm_step(states[v], view, MsgKind.PRECOMMIT, v, v == leader, f)
-            precommits[v] = msg.value
-            view.append(msg)
+            prevotes[v] = block if v in backers else NIL
+            view.append(TendermintMsg(MsgKind.PREVOTE, height, rho, prevotes[v], v))
+        precommits = _honest_votes(states, view, MsgKind.PRECOMMIT, leader, f)
         quorum_b = _quorum(view, MsgKind.PREVOTE, height, rho, block, f)
         for v in self.rational:
             precommits[v] = block if quorum_b else NIL
             view.append(TendermintMsg(MsgKind.PRECOMMIT, height, rho, precommits[v], v))
         finalized = _quorum(view, MsgKind.PRECOMMIT, height, rho, block, f)
-
-        # evidence: clause (i) signatures among matching public messages
-        signers: dict[tuple, set[int]] = {}
-        participants = self.honest + self.rational
-        for signer in participants:
-            for v in participants:
-                if prevotes[v] == prevotes[signer]:
-                    signers.setdefault((MsgKind.PREVOTE, v), set()).add(signer)
-                if precommits[v] == precommits[signer]:
-                    signers.setdefault((MsgKind.PRECOMMIT, v), set()).add(signer)
-
-        payoffs: dict[int, Fraction] = {}
-        for v in participants:
-            pv = len(signers.get((MsgKind.PREVOTE, v), ()))
-            pc = len(signers.get((MsgKind.PRECOMMIT, v), ()))
-            prevote_ok = tm_vote_reward(rho, height, 1, height + 1, pv, f)
-            precommit_ok = tm_vote_reward(rho, height, 1, height + 1, pc, f)
-            payoffs[v] = r if (prevote_ok and precommit_ok) else Fraction(0)
-        return AnchorResult(
-            first_finalized_round=1 if finalized else -1,
-            reorg_resilient=finalized,
-            payoffs=payoffs,
-        )
-
-    def payoffs(self, profile: StrategyProfile) -> dict[int, Fraction]:
-        result = self.simulate(profile)
-        return {v: result.payoffs[v] for v in self.rational}
+        everyone = lambda signer, sender: True
+        pv, pc = evidence_counts(prevotes, everyone), evidence_counts(precommits, everyone)
+        payoffs = self._pays(pv, pc, (rho, height), (1, height + 1))
+        return RoundRun(rho if finalized else -1, MappingProxyType(payoffs))
 
 
 def honest_anchor_scenario(
@@ -505,15 +462,14 @@ def honest_anchor_scenario(
     """First honest-led round finalizes; nil-prevoting forfeits the round."""
     game = AnchorGame(f, r_unit)
     profile = game.profile("prevote-b")
-    result = game.simulate(profile)
-    if result.first_finalized_round != 1:
+    report = verify_nash(game, profile, max_joint_actions=max_joint_actions)
+    run = game.simulate(profile)
+    if run.finalized_round != 1:
         raise AssumptionViolated("honest-led round failed to finalize")
-    result.report = verify_nash(game, profile, max_joint_actions=max_joint_actions)
     # a nil-prevote deviation earns no honest evidence and forfeits the round
-    forfeits = True
-    for dp in game.decision_points():
-        dev = profile.with_action(dp, game.action(dp, "prevote-nil"))
-        if game.payoffs(dev)[dp.actor] >= result.payoffs[dp.actor]:
-            forfeits = False
-    result.deviation_forfeits = forfeits
-    return result
+    nil = lambda dp: profile.with_action(dp, game.action(dp, "prevote-nil"))
+    forfeits = all(
+        game.payoffs(nil(dp))[dp.actor] < run.payoffs[dp.actor] for dp in game.decision_points()
+    )
+    return AnchorResult(run.finalized_round, reorg_resilient=True, payoffs=run.payoffs,
+                        deviation_forfeits=forfeits, report=report)

@@ -1,9 +1,24 @@
+"""Tendermint round machine, evidence rules and the two scenarios.
+
+The payoff table below pins every validator's payoff in both games under the
+prescribed profile and its deviations; print its fresh digest with
+
+    PYTHONPATH=src python tests/test_tendermint.py
+"""
+
+import hashlib
+import itertools
+import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reorglab import tendermint
 from reorglab.engine import DecisionPoint, Role
 from reorglab.equilibrium import Verdict
+from reorglab.games import AssumptionViolated
 from reorglab.tendermint import (
     AnchorGame,
     MsgKind,
@@ -12,6 +27,7 @@ from reorglab.tendermint import (
     TendermintMsg,
     TmEvidence,
     WithholdingGame,
+    evidence_counts,
     honest_anchor_scenario,
     prevote_evidence_valid,
     precommit_evidence_valid,
@@ -130,6 +146,40 @@ class TestPrecommitEvidence:
         )
 
 
+VALUES = st.sampled_from([NIL, 100, 200])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.dictionaries(st.integers(0, 6), VALUES, min_size=1), proposed=VALUES)
+def test_evidence_counts_match_clause_i(values, proposed):
+    # with every message visible, the scenarios' signature count is the number
+    # of signers whose unjustified evidence the spec predicates accept
+    counts = evidence_counts(values, lambda signer, sender: True)
+    for sender, value in values.items():
+        pv, pc = prevote(value=value, sender=sender), precommit(value=value, sender=sender)
+        prevote_signers = sum(
+            prevote_evidence_valid(TmEvidence(MsgKind.PREVOTE, s, pv), prevote(value=mine, sender=s),
+                                   proposed, -1, f=1)
+            for s, mine in values.items()
+        )
+        precommit_signers = sum(
+            precommit_evidence_valid(TmEvidence(MsgKind.PRECOMMIT, s, pc),
+                                     precommit(value=mine, sender=s), 1, 1, f=1)
+            for s, mine in values.items()
+        )
+        assert counts[sender] == prevote_signers == precommit_signers
+
+
+def test_evidence_counts_sign_only_what_the_signer_sees():
+    # no payoff in either scenario turns on visibility (the withheld
+    # prevotes are nil, and only the pack votes nil), so pin it here
+    values = {0: 100, 1: 100, 2: NIL, 3: NIL}
+    alone = evidence_counts(values, lambda signer, sender: signer == sender)
+    assert alone == {0: 1, 1: 1, 2: 1, 3: 1}
+    hidden_3 = evidence_counts(values, lambda signer, sender: sender != 3 or signer == 3)
+    assert hidden_3 == {0: 2, 1: 2, 2: 2, 3: 1}
+
+
 class TestVoteReward:
     def test_earlier_round_same_height(self):
         assert tm_vote_reward(1, 5, 3, 5, evidence_count=3, f=1)
@@ -196,15 +246,101 @@ class TestAnchor:
             assert res.payoffs[v] == 1
 
     def test_simulation_claims_no_verdict(self):
-        # a bare simulation has verified nothing; only the scenario fills these
+        # a bare simulation has verified nothing; only the scenarios carry these
         game = AnchorGame(2)
         res = game.simulate(game.profile("prevote-b"))
-        assert res.report is None and res.deviation_forfeits is None
+        assert not hasattr(res, "report") and not hasattr(res, "deviation_forfeits")
         game = WithholdingGame(1, 2, Fraction(1))
-        assert game.simulate(game.profile("script")).report is None
+        assert not hasattr(game.simulate(game.profile("script")), "report")
 
     def test_state_invariant_held(self):
         state = RoundState()
         view = [proposal()] + [prevote(sender=s) for s in range(3)]
         tm_step(state, view, MsgKind.PRECOMMIT, me=9, is_leader=False, f=1)
         state.check_invariant()
+
+
+def _played(game, profile):
+    """Every validator's payoff in one play, or the exception it raised."""
+    try:
+        run = game.simulate(profile)
+    except AssumptionViolated as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return {str(v): str(p) for v, p in sorted(run.payoffs.items())}
+
+
+def payoff_table() -> dict[str, object]:
+    """Both games over small f: prescribed profiles and their deviations."""
+    table = {}
+    for f, m in itertools.product(range(1, 5), range(5)):
+        game = WithholdingGame(f, m, Fraction(1))
+        script = game.profile("script")
+        profiles = {"script": script, "honest-r1": game.profile("honest-r1")}
+        dps = game.decision_points()
+        for dp in dps:
+            profiles[f"dev-{dp.actor}"] = script.with_action(dp, game.action(dp, "honest-r1"))
+        a, b = dps[:2]
+        profiles[f"dev-{a.actor}-{b.actor}"] = script.with_action(
+            a, game.action(a, "honest-r1")
+        ).with_action(b, game.action(b, "honest-r1"))
+        for name, profile in profiles.items():
+            table[f"withholding f={f} m={m} {name}"] = _played(game, profile)
+    for f in range(1, 5):
+        game = AnchorGame(f)
+        dps = game.decision_points()
+        for labels in itertools.product(("prevote-b", "prevote-nil"), repeat=len(dps)):
+            chosen = dict(zip(dps, labels))
+            profile = game.labelled(chosen.__getitem__)
+            table[f"anchor f={f} {' '.join(labels)}"] = _played(game, profile)
+    return table
+
+
+def table_digest() -> str:
+    text = json.dumps(payoff_table(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+PAYOFF_TABLE_SHA256 = "43f54d6d614c5759d4608a9cd1a497cdf3a6790080b4bd2ec22025c2dbc45e57"
+
+
+def test_payoff_table_unchanged():
+    assert table_digest() == PAYOFF_TABLE_SHA256
+
+
+def _count_round_simulations(monkeypatch) -> list[int]:
+    """Counts the proposals played: one per round simulated."""
+    proposals = [0]
+    step = tendermint.tm_step
+
+    def counting(state, view, phase, *args, **kwargs):
+        if phase is MsgKind.PROPOSAL:
+            proposals[0] += 1
+        return step(state, view, phase, *args, **kwargs)
+
+    monkeypatch.setattr(tendermint, "tm_step", counting)
+    return proposals
+
+
+def test_anchor_plays_each_profile_once(monkeypatch):
+    # the base profile and 3 nil-prevote deviations; one round each
+    proposals = _count_round_simulations(monkeypatch)
+    honest_anchor_scenario(3)
+    assert proposals[0] == 4
+
+
+def test_withholding_plays_each_profile_once(monkeypatch):
+    # the script and 2 single deviations; m = 2 rounds each
+    proposals = _count_round_simulations(monkeypatch)
+    withholding_attack_scenario(1, 2)
+    assert proposals[0] == 3 * 2
+
+
+def test_withholding_without_honest_leader_rejected():
+    with pytest.raises(AssumptionViolated, match="honest"):
+        withholding_attack_scenario(0, 1)
+
+
+if __name__ == "__main__":
+    for key, value in payoff_table().items():
+        print(key, value)
+    print(table_digest(), file=sys.stderr)
