@@ -17,13 +17,11 @@ from .compliance import (
     required_attack_length,
 )
 from .engine import (
-    CommitteeSchedule,
     DecisionPoint,
     Role,
     RunTrace,
     Simulation,
     StrategyProfile,
-    assign_committees,
 )
 from .equilibrium import (
     Dominance,

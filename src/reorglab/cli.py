@@ -6,8 +6,9 @@ dag-scenario).  The format is defined once, by the tables under "the
 scenario format" below: each game kind lists the keys its game object reads
 and the checks it supports, and each check type the keys it reads.  A key
 that no table lists is rejected, and so is a value of the wrong type or out
-of range.  Reports are deterministic given (scenario, seed) and can be
-emitted as aligned text or JSON.
+of range.  Reports are deterministic given the scenario and can be emitted
+as aligned text or JSON.  The scenario `seed` is recorded in the report but
+is inert: nothing is drawn at random.
 
 Exit codes: 0 success (including an attack that fails as expected),
 2 parse error, 3 validation error, 4 explosion guard.
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .chain import TieBreakPolicy
-from .engine import Role
+from .engine import Role, RunTrace
 from .equilibrium import ExplosionGuard, dag_security_scenario, verify_nash, verify_spne
 from .games import (
     GameConfig,
@@ -404,8 +405,8 @@ def _grid(value, where) -> OverheadParams:
 # -- checks ---------------------------------------------------------------------
 #
 # Each check takes the game, its config and the explosion-guard bound, plus
-# the keys it reads, and returns its report fields and the trace lines it
-# produced (None if it plays no single run).  The checks call the search
+# the keys it reads, and returns its report fields and the trace of the run
+# it reports (None if it plays no single run).  The checks call the search
 # functions through this module's globals, so a wrapper installed on them
 # later sees every call.
 
@@ -428,10 +429,7 @@ def _check_pool_matrix(game, config, guard):
 
 def _check_outcome(game, config, guard, profile: ProfileSpec):
     outcome = game.run(_resolve_profile(game, profile))
-    return (
-        {"profile": profile.label, "outcome": _outcome_json(outcome)},
-        outcome.trace.export_lines(),
-    )
+    return {"profile": profile.label, "outcome": _outcome_json(outcome)}, outcome.trace
 
 
 def _check_nash(game, config, guard, profile: ProfileSpec, **options):
@@ -466,7 +464,7 @@ def _check_dag(game, config, guard, **options):
     }
     if result.ethereum_report is not None:
         fields["ethereum_equilibrium"] = _report_equilibrium(result.ethereum_report)
-    return fields, result.outcome.trace.export_lines()
+    return fields, result.outcome.trace
 
 
 # -- the scenario format --------------------------------------------------------
@@ -476,7 +474,7 @@ class Check(NamedTuple):
     """A check type: the keys a check object reads besides its "type"."""
 
     keys: dict[str, Key]
-    run: Callable[..., tuple[dict, Optional[list[str]]]]
+    run: Callable[..., tuple[dict, Optional[RunTrace]]]
 
 
 CHECKS: dict[str, Check] = {
@@ -658,7 +656,7 @@ def run_scenario(
     scenario = validate_scenario(load_scenario(source))
     seed = scenario.seed if seed_override is None else seed_override
     report: dict = {"scenario": scenario.name, "seed": seed, "results": []}
-    trace_lines: list[str] = []
+    trace: Optional[RunTrace] = None
     kind = scenario.kind
     if kind.run is not None:
         report["results"].append(kind.run(max_joint_actions, **scenario.params))
@@ -666,16 +664,16 @@ def run_scenario(
         config = GameConfig(kind=kind.game, **scenario.params)
         game = build_game(config)
         for ctype, options in scenario.checks:
-            fields, lines = CHECKS[ctype].run(game, config, max_joint_actions, **options)
+            fields, run_trace = CHECKS[ctype].run(game, config, max_joint_actions, **options)
             report["results"].append({"check": ctype, **fields})
-            if lines is not None:
-                trace_lines = lines
-    return _emit(scenario, report, trace_lines, trace_path)
+            if run_trace is not None:
+                trace = run_trace
+    return _emit(scenario, report, trace, trace_path)
 
 
-def _emit(scenario: Scenario, report: dict, trace_lines: list[str], trace_path: Optional[str]) -> dict:
-    if trace_path and trace_lines:
-        Path(trace_path).write_text("\n".join(trace_lines) + "\n")
+def _emit(scenario: Scenario, report: dict, trace: Optional[RunTrace], trace_path: Optional[str]) -> dict:
+    if trace_path and trace is not None:
+        Path(trace_path).write_text("\n".join(trace.export_lines()) + "\n")
         report["trace_path"] = trace_path
     if scenario.output is not None:
         options = dict(scenario.output)

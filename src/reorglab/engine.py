@@ -1,10 +1,12 @@
-"""Lock-step clock, committee scheduling, message delivery and the run loop.
+"""Lock-step clock, the run's message log and its delivery.
 
 Time is measured in ticks with the network delay normalized to one tick.
 Slot t spans ticks 3t..3t+2: proposal at 3t, attestation at 3t+1 and
 aggregation (evidence emission under the DAG-votes mechanism) at 3t+2.
 A message released at tick tau is in every agent's view at tau+1 and
-thereafter; all agents share one view at lock-step times.
+thereafter; all agents share one view at lock-step times.  Each message
+sent is one event of the run's append-only log (`RunTrace.events`); the
+events not yet delivered are the pending queue.
 
 Agents act through a StrategyProfile that supplies one action per decision
 point.  A game is a straight-line script over one Simulation: it advances
@@ -18,8 +20,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field, replace
-from random import Random
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import Optional
 
 from .chain import (
     Block,
@@ -27,17 +29,12 @@ from .chain import (
     BlockTree,
     EvidenceRecord,
     TieBreakPolicy,
-    Validator,
     ValidatorKind,
     VoteRecord,
 )
 
 
 class EngineError(Exception):
-    pass
-
-
-class InsufficientValidators(EngineError):
     pass
 
 
@@ -63,73 +60,6 @@ def vote_tick(slot: int) -> int:
 
 def aggregate_tick(slot: int) -> int:
     return 3 * slot + 2
-
-
-@dataclass
-class CommitteeSchedule:
-    """Per-slot leader and attestor set."""
-
-    epoch_length: int
-    committees: dict[int, list[Validator]]
-    leaders: dict[int, Validator]
-    seed: int = 0
-
-    def committee(self, slot: int) -> list[Validator]:
-        return self.committees[slot]
-
-    def leader(self, slot: int) -> Validator:
-        return self.leaders[slot]
-
-
-def assign_committees(
-    seed: int,
-    n_validators: int,
-    committee_size: int,
-    epoch_length: int = 32,
-    adversarial_slots: Sequence[int] = (),
-    fixed_attestor_set: bool = False,
-) -> CommitteeSchedule:
-    """Deterministic stand-in for the RANDAO shuffle.
-
-    Slots 0..epoch_length-1 get disjoint committees of `committee_size`
-    drawn from a seeded shuffle, so each validator attests exactly once per
-    epoch; the leader is the first committee member.  Slots listed in
-    `adversarial_slots` get an adversarial leader, everyone else is rational.
-    In fixed-attestor mode the same committee serves every slot.
-    """
-    adversarial = set(adversarial_slots)
-    if fixed_attestor_set:
-        if n_validators < committee_size:
-            raise InsufficientValidators(
-                f"{n_validators} validators < committee size {committee_size}"
-            )
-    elif n_validators < committee_size * epoch_length:
-        raise InsufficientValidators(
-            f"{n_validators} validators cannot fill {epoch_length} disjoint "
-            f"committees of {committee_size}"
-        )
-    order = list(range(n_validators))
-    Random(seed).shuffle(order)
-
-    committees: dict[int, list[Validator]] = {}
-    leaders: dict[int, Validator] = {}
-    for slot in range(epoch_length):
-        if fixed_attestor_set:
-            members = order[:committee_size]
-        else:
-            members = order[slot * committee_size : (slot + 1) * committee_size]
-        leader_index = members[0]
-        validators = []
-        for idx in members:
-            kind = (
-                ValidatorKind.ADVERSARIAL
-                if slot in adversarial and idx == leader_index
-                else ValidatorKind.RATIONAL
-            )
-            validators.append(Validator(idx, kind))
-        committees[slot] = validators
-        leaders[slot] = validators[0]
-    return CommitteeSchedule(epoch_length, committees, leaders, seed)
 
 
 class Role(enum.Enum):
@@ -181,7 +111,6 @@ Selector = object  # Tip | ParentOfTip | CompliantTip | FixedBlock
 class Propose:
     parent: Selector
     empty: bool = False
-    include: str = "all"  # inclusion-policy name resolved by the game
 
 
 @dataclass(frozen=True)
@@ -212,12 +141,32 @@ class StrategyProfile:
         return StrategyProfile(actions)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceEvent:
+    """One message sent: its creation tick, kind, release tick and the message itself."""
+
     tick: int
     kind: str  # "block" | "vote" | "evidence"
     release_tick: int
-    payload: dict
+    message: object  # the Block, VoteRecord or EvidenceRecord sent
+
+    @property
+    def payload(self) -> dict:
+        """The message as an exported trace line renders it."""
+        m = self.message
+        if self.kind == "block":
+            return {
+                "id": m.id,
+                "slot": m.slot,
+                "parent": m.parent,
+                "proposer": m.proposer.index,
+                "empty": m.is_empty,
+                "votes": sorted(v.key() for v in m.included_votes),
+                "evidences": sorted(e.key() for e in m.included_evidences),
+            }
+        if self.kind == "vote":
+            return {"slot": m.slot, "voter": m.voter, "target": m.target}
+        return {"key": m.key()}
 
 
 @dataclass
@@ -230,9 +179,10 @@ class RunTrace:
     final_chain: list[BlockId] = field(default_factory=list)
     final_slot: int = 0
     labels: dict[str, BlockId] = field(default_factory=dict)
-    payoffs: dict[int, str] = field(default_factory=dict)  # settled, as p/q strings
+    payoffs: dict[int, Fraction] = field(default_factory=dict)  # settled, by validator
 
     def export_lines(self) -> list[str]:
+        """The trace as a file holds it: one JSON line per sent message, then a summary line."""
         lines = []
         for ev in self.events:
             lines.append(
@@ -253,7 +203,7 @@ class RunTrace:
                     "final_chain": list(self.final_chain),
                     "final_slot": self.final_slot,
                     "tips": self.tips,
-                    "payoffs": self.payoffs,
+                    "payoffs": {v: str(amount) for v, amount in sorted(self.payoffs.items())},
                 },
                 sort_keys=True,
             )
@@ -262,14 +212,6 @@ class RunTrace:
 
 
 _KIND_ORDER = {"block": 0, "vote": 1, "evidence": 2}
-
-
-@dataclass
-class PendingMessage:
-    release_tick: int
-    kind: str
-    payload: object
-    seq: int
 
 
 class Simulation:
@@ -285,22 +227,22 @@ class Simulation:
         self.boost = boost
         self.tie_break = tie_break
         self.tree = BlockTree()  # the delivered view, shared by all agents
-        self.pending: list[PendingMessage] = []
+        self.pending: list[TraceEvent] = []  # the undelivered events, in sending order
         self.delivered_evidences: list[EvidenceRecord] = []
-        self.trace = RunTrace()
+        self.trace = RunTrace(tree=self.tree)
         self.tick = 0
         self._ticking = False  # whether self.tick is in progress
-        self._seq = 0
         self._voted: dict[tuple[int, int], BlockId] = {}
         self._proposed: dict[tuple[int, int], BlockId] = {}
 
     # -- message emission ------------------------------------------------
 
-    def _push(self, kind: str, payload: object, created: int, release: int) -> None:
+    def _send(self, kind: str, message: object, created: int, release: int) -> None:
         if release < created:
             raise InvalidAction("cannot release a message before creating it")
-        self.pending.append(PendingMessage(release, kind, payload, self._seq))
-        self._seq += 1
+        event = TraceEvent(created, kind, release, message)
+        self.trace.events.append(event)
+        self.pending.append(event)
 
     def emit_block(self, block: Block, created: int, release: Optional[int] = None) -> None:
         key = (block.proposer.index, block.slot)
@@ -309,24 +251,7 @@ class Simulation:
                 f"validator {block.proposer.index} already proposed for slot {block.slot}"
             )
         self._proposed[key] = block.id
-        release = created if release is None else release
-        self._push("block", block, created, release)
-        self.trace.events.append(
-            TraceEvent(
-                created,
-                "block",
-                release,
-                {
-                    "id": block.id,
-                    "slot": block.slot,
-                    "parent": block.parent,
-                    "proposer": block.proposer.index,
-                    "empty": block.is_empty,
-                    "votes": sorted(v.key() for v in block.included_votes),
-                    "evidences": sorted(e.key() for e in block.included_evidences),
-                },
-            )
-        )
+        self._send("block", block, created, created if release is None else release)
 
     def emit_vote(self, vote: VoteRecord, created: int, release: Optional[int] = None) -> None:
         key = (vote.voter, vote.slot)
@@ -335,23 +260,12 @@ class Simulation:
             raise InvalidAction(f"validator {vote.voter} already voted at slot {vote.slot}")
         self._voted[key] = vote.target
         release = created if release is None else release
-        vote = replace(vote, broadcast_time=release)
-        self._push("vote", vote, created, release)
-        self.trace.events.append(
-            TraceEvent(
-                created,
-                "vote",
-                release,
-                {"slot": vote.slot, "voter": vote.voter, "target": vote.target},
-            )
-        )
+        self._send("vote", replace(vote, broadcast_time=release), created, release)
 
     def emit_evidence(
         self, ev: EvidenceRecord, created: int, release: Optional[int] = None
     ) -> None:
-        release = created if release is None else release
-        self._push("evidence", ev, created, release)
-        self.trace.events.append(TraceEvent(created, "evidence", release, {"key": ev.key()}))
+        self._send("evidence", ev, created, created if release is None else release)
 
     # -- view helpers ------------------------------------------------------
 
@@ -392,16 +306,17 @@ class Simulation:
 
     def deliver(self) -> None:
         """Make every message released strictly before the current tick visible."""
-        due = [m for m in self.pending if m.release_tick < self.tick]
-        due.sort(key=lambda m: (m.release_tick, _KIND_ORDER[m.kind], m.seq))
-        self.pending = [m for m in self.pending if m.release_tick >= self.tick]
-        for msg in due:
-            if msg.kind == "block":
-                self.tree.insert_block(msg.payload)  # type: ignore[arg-type]
-            elif msg.kind == "vote":
-                self.tree.add_vote(msg.payload)  # type: ignore[arg-type]
+        due = [ev for ev in self.pending if ev.release_tick < self.tick]
+        # a stable sort: sending order breaks ties within a kind
+        due.sort(key=lambda ev: (ev.release_tick, _KIND_ORDER[ev.kind]))
+        self.pending = [ev for ev in self.pending if ev.release_tick >= self.tick]
+        for ev in due:
+            if ev.kind == "block":
+                self.tree.insert_block(ev.message)  # type: ignore[arg-type]
+            elif ev.kind == "vote":
+                self.tree.add_vote(ev.message)  # type: ignore[arg-type]
             else:
-                self.delivered_evidences.append(msg.payload)  # type: ignore[arg-type]
+                self.delivered_evidences.append(ev.message)  # type: ignore[arg-type]
 
     def advance(self, tick: int) -> None:
         """Run the clock to `tick` and leave it in progress for the caller's actions.
@@ -433,10 +348,9 @@ class Simulation:
         """
         self._end_tick()
         if self.pending:
-            self.tick = max(m.release_tick for m in self.pending) + 1
+            self.tick = max(ev.release_tick for ev in self.pending) + 1
             self.deliver()
         boosted = self.boosted_block(final_slot)
-        self.trace.tree = self.tree
         self.trace.final_slot = final_slot
         self.trace.final_chain = self.tree.canonical_chain(
             final_slot, boosted, self.boost, self.tie_break

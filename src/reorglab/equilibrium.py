@@ -3,7 +3,9 @@
 The lab verifies *given* profiles, mirroring proof-by-exhibit: it never
 solves for equilibria.  Each candidate deviation is evaluated by a complete
 fresh simulation of the game with everyone else held fixed, so a reported
-deviation always reproduces its claimed gain when replayed.
+deviation always reproduces its claimed gain when replayed.  A candidate
+the profile already plays is not simulated again: it reads the profile's
+own payoffs, though the Nash checks still count it as checked.
 """
 
 from __future__ import annotations
@@ -85,6 +87,19 @@ def _apply(profile: StrategyProfile, assignment: dict) -> StrategyProfile:
     return StrategyProfile({**profile.actions, **assignment})
 
 
+def _deviate(
+    game: GameModel, profile: StrategyProfile, base: dict, assignment: dict
+) -> tuple[dict[PlayerId, Fraction], bool]:
+    """Payoffs once `assignment` is played against `profile`, and whether that deviates.
+
+    An assignment the profile already plays is not simulated again: its
+    payoffs are `base`, the profile's own.
+    """
+    if all(profile.get(dp) == action for dp, action in assignment.items()):
+        return base, False
+    return game.payoffs(_apply(profile, assignment)), True
+
+
 def best_response(
     game: GameModel,
     profile: StrategyProfile,
@@ -130,7 +145,7 @@ def verify_nash(
     for player in players:
         for label, assignment in assignments[player]:
             checked += 1
-            value = game.payoffs(_apply(profile, assignment))[player]
+            value = _deviate(game, profile, base, assignment)[0][player]
             if value > base[player]:
                 deviations.append(Deviation(player, label, base[player], value))
     if deviations:
@@ -147,11 +162,9 @@ def verify_nash(
                 total *= len(a)
             _estimate(checked + total, max_joint_actions)
             for combo in itertools.product(*joint):
-                trial = profile
-                for _, assignment in combo:
-                    trial = _apply(trial, assignment)
+                assignment = {dp: act for _, a in combo for dp, act in a.items()}
                 checked += 1
-                payoffs = game.payoffs(trial)
+                payoffs = _deviate(game, profile, base, assignment)[0]
                 if all(payoffs[p] > base[p] for p in coalition):
                     for p, (label, _) in zip(coalition, combo):
                         deviations.append(Deviation(p, f"coalition:{label}", base[p], payoffs[p]))
@@ -185,18 +198,15 @@ def verify_spne(
     checked = 0
     for dp in reversed(dps):
         owner = game.owner(dp)
-        prescribed = profile.get(dp)
         payoffs: dict[str, Fraction] = {}
         on_path_label = ""
         for label, action in game.candidates(dp).items():
-            if action == prescribed:
-                payoffs[label] = base[owner]
+            played, deviates = _deviate(game, profile, base, {dp: action})
+            value = payoffs[label] = played[owner]
+            if not deviates:
                 on_path_label = label
                 continue
-            trial = profile.with_action(dp, action)
             checked += 1
-            value = game.payoffs(trial)[owner]
-            payoffs[label] = value
             if value > base[owner]:
                 deviations.append(Deviation(owner, f"{dp.slot}/{dp.role.value}:{label}",
                                             base[owner], value))

@@ -153,11 +153,14 @@ class GameConfig:
 @dataclass
 class GameOutcome:
     success: bool
-    final_chain: list[BlockId]
     reorged: list[BlockId]
     ledger: PayoffLedger
     trace: RunTrace
     extras: dict = field(default_factory=dict)
+
+    @property
+    def final_chain(self) -> list[BlockId]:
+        return self.trace.final_chain
 
 
 @dataclass
@@ -317,7 +320,7 @@ def _close(sim: Simulation, config: GameConfig, final_slot: int, labels: dict, r
     )
     trace = sim.finalize(final_slot)
     ledger = settle_payoffs(trace, config.reward_params())
-    trace.payoffs = {v: str(amount) for v, amount in sorted(ledger.payoffs.items())}
+    trace.payoffs = ledger.payoffs
     trace.labels = labels
     return trace, ledger, detect_reorg(before, trace.final_chain)
 
@@ -397,7 +400,7 @@ class SimpleGame(GameModel):
         labels = {"B_prev": genesis.id, "B_t": b_t.id, "B_A": b_a.id}
         trace, ledger, reorged = _close(sim, cfg, self.SLOT_ADV, labels)
         success = trace.final_chain == [genesis.id, b_a.id]
-        return GameOutcome(success, trace.final_chain, reorged, ledger, trace)
+        return GameOutcome(success, reorged, ledger, trace)
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile))
@@ -593,7 +596,7 @@ class NoBoostGame(GameModel):
         labels = {"B_0": genesis.id, "B_adv": b_adv.id, "B_t": b_t.id, "B_next": b_next.id}
         trace, ledger, reorged = _close(sim, cfg, self.SLOT_NEXT, labels)
         success = trace.final_chain == [genesis.id, b_adv.id, b_next.id]
-        return GameOutcome(success, trace.final_chain, reorged, ledger, trace)
+        return GameOutcome(success, reorged, ledger, trace)
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile))
@@ -661,8 +664,8 @@ class ExtendedGame(GameModel):
     def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
         if dp.role is Role.LEADER:
             return [
-                ("C", Propose(CompliantTip(), empty=True, include="compliant-prev")),
-                ("NC", Propose(Tip(), empty=False, include="all-prev")),
+                ("C", Propose(CompliantTip(), empty=True)),
+                ("NC", Propose(Tip(), empty=False)),
             ]
         return [
             ("C", VoteFor(CompliantTip())),
@@ -699,10 +702,14 @@ class ExtendedGame(GameModel):
             act = profile.get(DecisionPoint(slot, Role.LEADER, self.leaders[slot].index))
             if act is not None:
                 parent = sim.resolve(act.parent, ct)
+                included = [v for v in sim.tree.votes if v.slot == slot - 1]
+                if act.empty:  # the compliant leader's block: compliant votes for its parent
+                    included = [
+                        v for v in included if v.target == parent and tracker.is_vote_compliant(v)
+                    ]
                 block = Block(
                     sim.tree.new_id(), slot, parent, self.leaders[slot],
-                    is_empty=act.empty,
-                    included_votes=self._inclusion(sim, tracker, act.include, slot, parent),
+                    is_empty=act.empty, included_votes=tuple(included),
                 )
                 sim.emit_block(block, sim.tick)
             sim.advance(vote_tick(slot))
@@ -727,23 +734,11 @@ class ExtendedGame(GameModel):
         success = len(compliant_chain) == p + 1 and trace.final_chain == expected
         return GameOutcome(
             success,
-            trace.final_chain,
             reorged,
             ledger,
             trace,
             extras={"tracker": tracker, "compliant_chain": compliant_chain},
         )
-
-    @staticmethod
-    def _inclusion(sim, tracker, policy: str, slot: int, parent: BlockId) -> tuple:
-        prev = [v for v in sim.tree.votes if v.slot == slot - 1]
-        if policy == "compliant-prev":
-            return tuple(
-                v for v in prev if v.target == parent and tracker.is_vote_compliant(v)
-            )
-        if policy == "all-prev":
-            return tuple(prev)
-        raise GameError(f"unknown inclusion policy {policy!r}")
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
         outcome = self.run(profile)
@@ -859,7 +854,7 @@ class SelfishMiningGame(GameModel):
             "fork_weight_non_adversarial": self.horizon * W - compliant_votes,
             "compliant_votes": compliant_votes,
         }
-        return GameOutcome(success, trace.final_chain, reorged, ledger, trace, extras)
+        return GameOutcome(success, reorged, ledger, trace, extras)
 
     def _lead(self, sim: Simulation, slot: int) -> None:
         """Slot `slot`'s proposal time: a rational leader builds on the tip."""
@@ -1039,9 +1034,7 @@ class DagVotesGame(GameModel):
             "rational_blocks_reorged": [b for b in rational_blocks if b not in chain],
         }
         success = not extras["adversary_reorged"]
-        return GameOutcome(
-            success, trace.final_chain, [], ledger, trace, extras
-        )
+        return GameOutcome(success, [], ledger, trace, extras)
 
     @staticmethod
     def _propose(sim: Simulation, slot: int, leader: Validator, parent: BlockId) -> Block:

@@ -67,7 +67,6 @@ class RewardParams:
     R: Fraction = Fraction(1)
     mechanism: Mechanism = Mechanism.ETHEREUM
     committee_size: int = 0  # W, needed for the DAG evidence threshold
-    vote_weights: VoteWeights = VoteWeights()
 
 
 @dataclass

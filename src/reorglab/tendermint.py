@@ -281,10 +281,13 @@ class RoundRun:
 class _TendermintGame(GameModel):
     """Nash-game adapter: one round-1 choice per rational validator.
 
-    Each label in `PROFILES` is a candidate action and names the profile in
-    which every rational validator plays it.  Each distinct profile is played
-    once per game object (`simulate` keeps the run).
+    Each label in `LABELS` is a candidate action of every rational validator;
+    `PROFILES` names the playable profiles in which all of them take the same
+    one.  Each distinct profile is played once per game object (`simulate`
+    keeps the run).
     """
+
+    LABELS: tuple[str, ...] = ()
 
     def __init__(self, f: int, r_unit: Fraction):
         self.f = f
@@ -296,7 +299,7 @@ class _TendermintGame(GameModel):
         return [DecisionPoint(1, Role.ATTESTOR, v) for v in self.rational]
 
     def dp_candidates(self, dp):
-        return [(label, label) for label in self.PROFILES]
+        return [(label, label) for label in self.LABELS]
 
     def simulate(self, profile: StrategyProfile) -> RoundRun:
         key = frozenset(profile.actions.items())
@@ -340,10 +343,12 @@ class WithholdingGame(_TendermintGame):
     n = 3f+1 validators; the first m rounds are led (with reuse) by fewer
     than f+1 honest validators, so the non-honest pack keeps a 2f+1 quorum
     of evidence signers.  Candidates per rational player: follow the script,
-    or prevote the round-1 honest proposal openly.
+    or prevote the round-1 honest proposal openly; not all of them at once,
+    as with the honest ones they would reach a quorum.
     """
 
-    PROFILES = {"script": ("script",), "honest-r1": ("honest-r1",)}
+    LABELS = ("script", "honest-r1")
+    PROFILES = {"script": ("script",)}
 
     def __init__(self, f: int, m: int, r_unit: Fraction):
         super().__init__(f, r_unit)
@@ -425,6 +430,7 @@ class AnchorResult:
 class AnchorGame(_TendermintGame):
     """Round led by an honest leader with f+1 honest validators present."""
 
+    LABELS = ("prevote-b", "prevote-nil")
     PROFILES = {"prevote-b": ("prevote-b",), "prevote-nil": ("prevote-nil",)}
 
     def __init__(self, f: int, r_unit: Fraction = Fraction(1)):

@@ -20,6 +20,7 @@ from reorglab.cli import (
     render_report,
     run_scenario,
 )
+from reorglab.engine import RunTrace
 
 BUNDLED = [
     "dag-thm81",
@@ -170,6 +171,18 @@ def test_trace_export(tmp_path):
     lines = trace_path.read_text().strip().splitlines()
     assert all(json.loads(line) for line in lines)
     assert json.loads(lines[-1])["kind"] == "summary"
+
+
+@pytest.mark.parametrize("name", ["simple-table1", "dag-thm81"])
+def test_trace_rendered_only_when_written(monkeypatch, tmp_path, name):
+    # an outcome check and a dag-scenario check each play one reported run
+    rendered = []
+    export = RunTrace.export_lines
+    monkeypatch.setattr(RunTrace, "export_lines", lambda self: rendered.append(self) or export(self))
+    run_scenario(bundled(name))
+    assert rendered == []
+    run_scenario(bundled(name), trace_path=str(tmp_path / "trace.jsonl"))
+    assert len(rendered) == 1
 
 
 def test_seed_recorded():

@@ -1,18 +1,20 @@
+from dataclasses import replace
+
 import pytest
 
-from reorglab.chain import Block, Validator, ValidatorKind, VoteRecord
+from reorglab.chain import Block, EvidenceRecord, Validator, ValidatorKind, VoteRecord
 from reorglab.engine import (
     EngineError,
-    InsufficientValidators,
     InvalidAction,
     Simulation,
     aggregate_tick,
-    assign_committees,
     phase_of,
     propose_tick,
     slot_of,
     vote_tick,
 )
+
+from committees import InsufficientValidators, assign_committees
 
 RATIONAL = ValidatorKind.RATIONAL
 ADVERSARIAL = ValidatorKind.ADVERSARIAL
@@ -194,3 +196,55 @@ def test_withheld_release_recorded():
     event = sim.trace.events[-1]
     assert event.tick == 1
     assert event.release_tick == 9
+
+
+def test_sent_message_is_its_event():
+    sim = Simulation(boost=0)
+    genesis = Block(sim.tree.new_id(), 0, None, Validator(0, RATIONAL), True)
+    sim.tree.insert_block(genesis)
+    block = Block(sim.tree.new_id(), 1, 0, Validator(1, RATIONAL))
+    vote = VoteRecord(1, 2, 0)
+    evidence = EvidenceRecord(3, vote, 5)
+    sim.emit_block(block, created=3)
+    sim.emit_vote(vote, created=4, release=6)
+    sim.emit_evidence(evidence, created=5)
+    sent_block, sent_vote, sent_evidence = sim.trace.events
+    assert sent_block.message is block
+    assert sent_vote.message == replace(vote, broadcast_time=6)
+    assert sent_evidence.message is evidence
+    assert [ev.kind for ev in sim.trace.events] == ["block", "vote", "evidence"]
+
+
+def test_same_release_delivery_order():
+    # released together at tick 6: blocks, then votes, then evidences, each
+    # kind in sending order, withheld messages included
+    sim = Simulation(boost=0)
+    genesis = Block(sim.tree.new_id(), 0, None, Validator(0, RATIONAL), True)
+    sim.tree.insert_block(genesis)
+    delivered = []
+    sim.tree.insert_block = delivered.append
+    sim.tree.add_vote = delivered.append
+    sim.delivered_evidences = delivered
+    withheld_block = Block(sim.tree.new_id(), 1, 0, Validator(1, ADVERSARIAL))
+    withheld_vote = VoteRecord(1, 5, withheld_block.id)
+    first_evidence = EvidenceRecord(9, withheld_vote, 5)
+    sim.emit_block(withheld_block, created=3, release=6)
+    sim.emit_vote(withheld_vote, created=4, release=6)
+    sim.emit_evidence(first_evidence, created=5, release=6)
+    vote = VoteRecord(2, 2, 0)
+    evidence = EvidenceRecord(1, withheld_vote, 6)
+    block = Block(sim.tree.new_id(), 2, withheld_block.id, Validator(3, RATIONAL))
+    sim.emit_evidence(evidence, created=6)
+    sim.emit_vote(vote, created=6)
+    sim.emit_block(block, created=6)
+    sim.tick = 7
+    sim.deliver()
+    assert delivered == [
+        withheld_block,
+        block,
+        replace(withheld_vote, broadcast_time=6),
+        replace(vote, broadcast_time=6),
+        first_evidence,
+        evidence,
+    ]
+    assert sim.pending == []

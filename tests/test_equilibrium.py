@@ -98,6 +98,18 @@ class TestVerifyNash:
         with pytest.raises(ExplosionGuard):
             verify_nash(game, game.profile("compliant-all"), max_joint_actions=3)
 
+    @pytest.mark.parametrize("coalition_bound,runs", [(1, 1 + 4 * 2), (2, 1 + 4 * 2 + 6 * 8)])
+    def test_profile_played_once(self, monkeypatch, coalition_bound, runs):
+        # the base run, then every candidate the profile does not already
+        # play: 2 of 3 per player, 8 of 9 per pair
+        game = SimpleGame(simple_config())
+        played = []
+        run = game.run
+        monkeypatch.setattr(game, "run", lambda profile: played.append(profile) or run(profile))
+        report = verify_nash(game, game.profile("compliant-all"), coalition_bound=coalition_bound)
+        assert len(played) == runs
+        assert report.checked == 4 * 3 + (6 * 9 if coalition_bound == 2 else 0)
+
 
 class TestStrongNash:
     def test_strong_simple_all_compliant(self):

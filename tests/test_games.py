@@ -12,7 +12,6 @@ from reorglab.engine import (
     StrategyProfile,
     Tip,
     VoteFor,
-    assign_committees,
 )
 from reorglab.games import (
     ConditionViolated,
@@ -33,6 +32,8 @@ from reorglab.games import (
     strong_simple_expected_matrix,
 )
 from reorglab.tendermint import AnchorGame, WithholdingGame
+
+from committees import assign_committees
 
 
 def simple_config(**kw):
