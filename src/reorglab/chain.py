@@ -85,7 +85,6 @@ class EvidenceRecord:
 
     signer: int
     vote: VoteRecord
-    created_tick: int = 0
 
     def key(self) -> tuple[int, int, int, BlockId]:
         return (self.signer, self.vote.voter, self.vote.slot, self.vote.target)

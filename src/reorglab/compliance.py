@@ -102,8 +102,9 @@ class ComplianceTracker:
     """Iteratively judged compliance marks for blocks and votes.
 
     Seeded with B_{-p} compliant and the original chain B_{-p+1}..B_0
-    non-compliant; the extended-game script shows it the tree at each tick it
-    acts on (`observe`).
+    non-compliant.  Each compliant-tip query (`tip_at_leader_time`,
+    `tip_at_vote_time`) first classifies what the tree gained since the last
+    one (`observe`), so the extended-game script only asks for tips.
     """
 
     p: int
@@ -135,19 +136,18 @@ class ComplianceTracker:
         self.seen_blocks, self.seen_votes = len(blocks), len(tree.votes)
 
     def tip_at_leader_time(self, tree: BlockTree, slot_i: int) -> BlockId:
-        tip = compliant_tip(
-            tree, slot_i, self.p, self.committee_size, self.boost,
-            self.block_marks, self.tie_break,
-        )
-        self.leader_tips[slot_i] = tip
-        return tip
+        return self._tip(tree, slot_i, self.leader_tips)
 
     def tip_at_vote_time(self, tree: BlockTree, slot_i: int) -> BlockId:
-        tip = compliant_tip(
+        return self._tip(tree, slot_i, self.vote_tips)
+
+    def _tip(self, tree: BlockTree, slot_i: int, tips: dict[int, BlockId]) -> BlockId:
+        """Observe `tree`, then record in `tips` the compliant tip of `slot_i`."""
+        self.observe(tree)
+        tips[slot_i] = tip = compliant_tip(
             tree, slot_i, self.p, self.committee_size, self.boost,
             self.block_marks, self.tie_break,
         )
-        self.vote_tips[slot_i] = tip
         return tip
 
     def classify_block(self, block: Block) -> bool:

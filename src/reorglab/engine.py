@@ -3,16 +3,17 @@
 Time is measured in ticks with the network delay normalized to one tick.
 Slot t spans ticks 3t..3t+2: proposal at 3t, attestation at 3t+1 and
 aggregation (evidence emission under the DAG-votes mechanism) at 3t+2.
-A message released at tick tau is in every agent's view at tau+1 and
-thereafter; all agents share one view at lock-step times.  Each message
+A message is created at the tick in progress and released then or, when
+withheld, later; released at tick tau, it is in every agent's view at tau+1
+and thereafter: all agents share one view at lock-step times.  Each message
 sent is one event of the run's append-only log (`RunTrace.events`); the
 events not yet delivered are the pending queue.
 
 Agents act through a StrategyProfile that supplies one action per decision
 point.  A game is a straight-line script over one Simulation: it advances
-the clock to the tick of its next action (`Simulation.advance`), then acts.
-Its scripted adversary counts votes, withholds blocks and releases them
-later the same way.
+the clock to the tick of its next action (`Simulation.advance`), then acts
+(`propose`, `emit_vote`, `emit_evidence`).  Its scripted adversary counts
+votes, withholds blocks and releases them later the same way.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .chain import (
     BlockTree,
     EvidenceRecord,
     TieBreakPolicy,
+    Validator,
     ValidatorKind,
     VoteRecord,
 )
@@ -237,35 +239,46 @@ class Simulation:
 
     # -- message emission ------------------------------------------------
 
-    def _send(self, kind: str, message: object, created: int, release: int) -> None:
-        if release < created:
+    def _send(self, kind: str, message: object, release: Optional[int]) -> None:
+        release = self.tick if release is None else release
+        if release < self.tick:
             raise InvalidAction("cannot release a message before creating it")
-        event = TraceEvent(created, kind, release, message)
+        event = TraceEvent(self.tick, kind, release, message)
         self.trace.events.append(event)
         self.pending.append(event)
 
-    def emit_block(self, block: Block, created: int, release: Optional[int] = None) -> None:
+    def emit_block(self, block: Block, release: Optional[int] = None) -> None:
         key = (block.proposer.index, block.slot)
         if key in self._proposed and block.proposer.kind is not ValidatorKind.ADVERSARIAL:
             raise InvalidAction(
                 f"validator {block.proposer.index} already proposed for slot {block.slot}"
             )
         self._proposed[key] = block.id
-        self._send("block", block, created, created if release is None else release)
+        self._send("block", block, release)
 
-    def emit_vote(self, vote: VoteRecord, created: int, release: Optional[int] = None) -> None:
+    def emit_vote(self, vote: VoteRecord, release: Optional[int] = None) -> VoteRecord:
+        """Send `vote`; returns it as sent, stamped with its release tick."""
         key = (vote.voter, vote.slot)
         prior = self._voted.get(key)
         if prior is not None and prior != vote.target:
             raise InvalidAction(f"validator {vote.voter} already voted at slot {vote.slot}")
         self._voted[key] = vote.target
-        release = created if release is None else release
-        self._send("vote", replace(vote, broadcast_time=release), created, release)
+        sent = replace(vote, broadcast_time=self.tick if release is None else release)
+        self._send("vote", sent, sent.broadcast_time)
+        return sent
 
-    def emit_evidence(
-        self, ev: EvidenceRecord, created: int, release: Optional[int] = None
-    ) -> None:
-        self._send("evidence", ev, created, created if release is None else release)
+    def emit_evidence(self, ev: EvidenceRecord, release: Optional[int] = None) -> None:
+        self._send("evidence", ev, release)
+
+    def propose(self, slot: int, parent: Optional[BlockId], proposer: Validator, votes=(),
+                evidences=(), empty: bool = False, release: Optional[int] = None) -> Block:
+        """Build the tree's next block, carrying `votes` and `evidences`, and send it."""
+        block = Block(
+            self.tree.new_id(), slot, parent, proposer, is_empty=empty,
+            included_votes=tuple(votes), included_evidences=tuple(evidences),
+        )
+        self.emit_block(block, release)
+        return block
 
     # -- view helpers ------------------------------------------------------
 

@@ -28,6 +28,7 @@ Games implemented:
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -252,13 +253,12 @@ class GameModel:
         return out
 
 
-def _committee(start: int, size: int, pool: Optional[PoolSpec] = None) -> list[Validator]:
-    """Rational validators start..start+size-1; the first members of `pool` lead."""
+def _committee(
+    ids, size: int, pool: Optional[PoolSpec] = None, kind=ValidatorKind.RATIONAL
+) -> list[Validator]:
+    """`size` validators of `kind`, numbered by `ids`; the first members of `pool` lead."""
     in_pool = pool.members_per_slot if pool else 0
-    return [
-        Validator(start + i, ValidatorKind.RATIONAL, pool.name if i < in_pool else None)
-        for i in range(size)
-    ]
+    return [Validator(next(ids), kind, pool.name if i < in_pool else None) for i in range(size)]
 
 
 def _pools(config: GameConfig, validators) -> dict[PlayerId, frozenset[int]]:
@@ -271,28 +271,31 @@ def _pools(config: GameConfig, validators) -> dict[PlayerId, frozenset[int]]:
 # -- the phases every game script shares ----------------------------------------
 
 
-def _open_genesis(config: GameConfig, proposer: Validator, voters):
-    """Start a run on an empty slot-0 genesis that `voters` already voted for.
+def _open_chain(config: GameConfig, seeded: dict, start: int = 0):
+    """Start a run on a chain voted for before the game.
 
-    Returns the simulation, with its clock at tick 0, the genesis block and
-    the seeded votes.
+    `seeded` maps each slot, ascending, to its proposer and the voters of
+    its block; the first block is an empty genesis.  Returns the simulation,
+    with its clock started at tick `start`, and the chain's blocks.
     """
     sim = Simulation(config.boost, config.tie_break)
-    genesis = Block(sim.tree.new_id(), 0, None, proposer, is_empty=True)
-    sim.tree.insert_block(genesis)
-    votes = [VoteRecord(0, v.index, genesis.id, broadcast_time=1) for v in voters]
-    for vote in votes:
-        sim.tree.add_vote(vote)
-    sim.advance(0)
-    return sim, genesis, votes
+    blocks: list[Block] = []
+    for slot, (proposer, voters) in seeded.items():
+        parent = blocks[-1].id if blocks else None
+        block = Block(sim.tree.new_id(), slot, parent, proposer, is_empty=parent is None)
+        sim.tree.insert_block(block)
+        for v in voters:
+            sim.tree.add_vote(VoteRecord(slot, v.index, block.id, vote_tick(slot)))
+        blocks.append(block)
+    sim.advance(start)
+    return sim, blocks
 
 
-def _attest(sim: Simulation, profile, slot: int, voters, compliant_tip=None, deferred=None):
+def _attest(sim: Simulation, profile, slot: int, voters, compliant_tip=None):
     """Attestor phase of `slot` at the tick in progress.
 
     Each voter plays its profile action; honest voters, and every voter when
-    `profile` is None, vote the tip.  Actions other than votes cast nothing,
-    except that a FollowRule voter is appended to `deferred`.
+    `profile` is None, vote the tip.  Actions other than votes cast nothing.
     """
     vote_tip = VoteFor(Tip())
     for v in voters:
@@ -300,12 +303,8 @@ def _attest(sim: Simulation, profile, slot: int, voters, compliant_tip=None, def
             act = vote_tip
         else:
             act = profile.get(DecisionPoint(slot, Role.ATTESTOR, v.index))
-        if not isinstance(act, VoteFor):
-            if isinstance(act, FollowRule):
-                deferred.append(v)
-            continue
-        target = sim.resolve(act.target, compliant_tip)
-        sim.emit_vote(VoteRecord(slot, v.index, target), sim.tick)
+        if isinstance(act, VoteFor):
+            sim.emit_vote(VoteRecord(slot, v.index, sim.resolve(act.target, compliant_tip)))
 
 
 def _close(sim: Simulation, config: GameConfig, final_slot: int, labels: dict, reorgs=True):
@@ -351,11 +350,12 @@ class SimpleGame(GameModel):
         W = config.committee_size
         if config.pool and config.pool.members_per_slot >= W:
             raise GameError("pool cannot fill the whole committee")
-        self.prev_committee = _committee(0, W, config.pool)
-        self.committee = _committee(W, W, config.pool)
-        self.leader_t = Validator(2 * W, ValidatorKind.RATIONAL)
-        self.adversary = Validator(2 * W + 1, ValidatorKind.ADVERSARIAL)
-        self.genesis_proposer = Validator(2 * W + 2, ValidatorKind.RATIONAL)
+        ids = itertools.count()
+        self.prev_committee = _committee(ids, W, config.pool)
+        self.committee = _committee(ids, W, config.pool)
+        self.leader_t = Validator(next(ids), ValidatorKind.RATIONAL)
+        self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
+        self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
         self.genesis_id: BlockId = 0
         self.pools = _pools(config, self.prev_committee + self.committee)
 
@@ -378,13 +378,10 @@ class SimpleGame(GameModel):
 
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
-        sim, genesis, prev_votes = _open_genesis(cfg, self.genesis_proposer, self.prev_committee)
+        sim, (genesis,) = _open_chain(cfg, {0: (self.genesis_proposer, self.prev_committee)})
         sim.advance(propose_tick(self.SLOT_T))
-        b_t = Block(
-            sim.tree.new_id(), self.SLOT_T, genesis.id, self.leader_t,
-            included_votes=tuple(prev_votes),
-        )
-        sim.emit_block(b_t, sim.tick)
+        # the seeded slot-0 votes are all the tree holds yet
+        b_t = sim.propose(self.SLOT_T, genesis.id, self.leader_t, votes=sim.tree.votes)
         sim.advance(vote_tick(self.SLOT_T))
         _attest(sim, profile, self.SLOT_T, self.committee)
         sim.advance(propose_tick(self.SLOT_ADV))
@@ -392,11 +389,9 @@ class SimpleGame(GameModel):
         included = [v for v in sim.tree.votes if v.slot == self.SLOT_T]
         if cfg.credibility_assumed:
             included = [v for v in included if v.target == genesis.id]
-        b_a = Block(
-            sim.tree.new_id(), self.SLOT_ADV, genesis.id if reorg else b_t.id,
-            self.adversary, included_votes=tuple(included),
+        b_a = sim.propose(
+            self.SLOT_ADV, genesis.id if reorg else b_t.id, self.adversary, votes=included
         )
-        sim.emit_block(b_a, sim.tick)
         labels = {"B_prev": genesis.id, "B_t": b_t.id, "B_A": b_a.id}
         trace, ledger, reorged = _close(sim, cfg, self.SLOT_ADV, labels)
         success = trace.final_chain == [genesis.id, b_a.id]
@@ -486,10 +481,11 @@ def pool_payoff_simple(
         raise GameError("pool payoff table assumes fewer pool members than the boost")
     game = SimpleGame(config)
     outcome = game.conditioned_run(game._probes(config.pool.name, pool_action), others_condition)
+    # a member votes in one slot and never proposes, so its whole payoff is that slot's
     members = game.pools[config.pool.name]
     return tuple(
-        sum((outcome.ledger.slot_part(v, slot) for v in members), Fraction(0))
-        for slot in (game.SLOT_PREV, game.SLOT_T)
+        sum((outcome.ledger.get(v.index) for v in committee if v.index in members), Fraction(0))
+        for committee in (game.prev_committee, game.committee)
     )
 
 
@@ -548,11 +544,12 @@ class NoBoostGame(GameModel):
             raise GameError("the no-boost game requires boost = 0")
         self.config = config
         W = config.committee_size
-        self.prev_committee = _committee(0, W)
-        self.committee = _committee(W, W)
-        self.leader_t = Validator(2 * W, ValidatorKind.RATIONAL)
-        self.adversary = Validator(2 * W + 1, ValidatorKind.ADVERSARIAL)
-        self.genesis_proposer = Validator(2 * W + 2, ValidatorKind.RATIONAL)
+        ids = itertools.count()
+        self.prev_committee = _committee(ids, W)
+        self.committee = _committee(ids, W)
+        self.leader_t = Validator(next(ids), ValidatorKind.RATIONAL)
+        self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
+        self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
         self.genesis_id: BlockId = 0
         self.b_adv_id: BlockId = 1
         self.b_t_id: BlockId = 2
@@ -569,14 +566,14 @@ class NoBoostGame(GameModel):
 
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
-        sim, genesis, _ = _open_genesis(cfg, self.genesis_proposer, self.prev_committee)
+        sim, (genesis,) = _open_chain(cfg, {0: (self.genesis_proposer, self.prev_committee)})
         sim.advance(propose_tick(self.SLOT_WITHHELD))
-        b_adv = Block(sim.tree.new_id(), self.SLOT_WITHHELD, genesis.id, self.adversary)
         # dual release together with the honest slot-2 proposal
-        sim.emit_block(b_adv, sim.tick, release=propose_tick(self.SLOT_T))
+        b_adv = sim.propose(
+            self.SLOT_WITHHELD, genesis.id, self.adversary, release=propose_tick(self.SLOT_T)
+        )
         sim.advance(propose_tick(self.SLOT_T))
-        b_t = Block(sim.tree.new_id(), self.SLOT_T, sim.tip(), self.leader_t)
-        sim.emit_block(b_t, sim.tick)
+        b_t = sim.propose(self.SLOT_T, sim.tip(), self.leader_t)
         sim.advance(vote_tick(self.SLOT_T))
         _attest(sim, profile, self.SLOT_T, self.committee)
         sim.advance(propose_tick(self.SLOT_NEXT))
@@ -588,11 +585,9 @@ class NoBoostGame(GameModel):
         included = tuple(
             v for v in sim.tree.votes if v.slot == self.SLOT_T and v.target == b_adv.id
         )
-        b_next = Block(
-            sim.tree.new_id(), self.SLOT_NEXT, b_adv.id if takes_fork else b_t.id,
-            self.adversary, included_votes=included,
+        b_next = sim.propose(
+            self.SLOT_NEXT, b_adv.id if takes_fork else b_t.id, self.adversary, votes=included
         )
-        sim.emit_block(b_next, sim.tick)
         labels = {"B_0": genesis.id, "B_adv": b_adv.id, "B_t": b_t.id, "B_next": b_next.id}
         trace, ledger, reorged = _close(sim, cfg, self.SLOT_NEXT, labels)
         success = trace.final_chain == [genesis.id, b_adv.id, b_next.id]
@@ -634,23 +629,17 @@ class ExtendedGame(GameModel):
         if config.honest_per_slot >= W:
             raise GameError("honest attestors cannot fill the whole committee")
         self.p = p
-        next_id = 0
-
-        def take(n: int, kind=ValidatorKind.RATIONAL) -> list[Validator]:
-            nonlocal next_id
-            out = [Validator(next_id + i, kind) for i in range(n)]
-            next_id += n
-            return out
-
+        h = config.honest_per_slot
+        ids = itertools.count()
         # committees for slots -p..0 are pre-game voters
-        self.pre_committees = {slot: take(W) for slot in range(-p, 1)}
-        self.committees: dict[int, list[Validator]] = {}
-        for slot in range(1, p + 1):
-            honest = take(config.honest_per_slot, ValidatorKind.HONEST)
-            self.committees[slot] = honest + take(W - config.honest_per_slot)
-        self.leaders = {slot: take(1)[0] for slot in range(1, p + 1)}
-        self.pre_leaders = {slot: take(1)[0] for slot in range(-p, 1)}
-        self.adversary = Validator(next_id, ValidatorKind.ADVERSARIAL)
+        self.pre_committees = {slot: _committee(ids, W) for slot in range(-p, 1)}
+        self.committees = {
+            slot: _committee(ids, h, kind=ValidatorKind.HONEST) + _committee(ids, W - h)
+            for slot in range(1, p + 1)
+        }
+        self.leaders = dict(zip(range(1, p + 1), _committee(ids, p)))
+        self.pre_leaders = dict(zip(range(-p, 1), _committee(ids, p + 1)))
+        self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
 
     def decision_points(self) -> list[DecisionPoint]:
         dps = []
@@ -676,28 +665,15 @@ class ExtendedGame(GameModel):
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
         W, p = cfg.committee_size, self.p
-        sim = Simulation(cfg.boost, cfg.tie_break)
-        tracker = ComplianceTracker(p, W, cfg.boost, cfg.tie_break)
-
         # original chain B_{-p}..B_0, W votes per block
-        originals: list[Block] = []
-        parent: Optional[BlockId] = None
-        for slot in range(-p, 1):
-            block = Block(
-                sim.tree.new_id(), slot, parent, self.pre_leaders[slot],
-                is_empty=(slot == -p),
-            )
-            sim.tree.insert_block(block)
-            originals.append(block)
-            parent = block.id
-            for v in self.pre_committees[slot]:
-                sim.tree.add_vote(VoteRecord(slot, v.index, block.id, 3 * slot + 1))
+        seeded = {s: (self.pre_leaders[s], self.pre_committees[s]) for s in range(-p, 1)}
+        sim, originals = _open_chain(cfg, seeded, start=propose_tick(1))
         genesis = originals[0]
+        tracker = ComplianceTracker(p, W, cfg.boost, cfg.tie_break)
         tracker.seed(genesis.id, [b.id for b in originals[1:]])
 
         for slot in range(1, p + 1):
             sim.advance(propose_tick(slot))
-            tracker.observe(sim.tree)
             ct = tracker.tip_at_leader_time(sim.tree, slot)
             act = profile.get(DecisionPoint(slot, Role.LEADER, self.leaders[slot].index))
             if act is not None:
@@ -707,29 +683,17 @@ class ExtendedGame(GameModel):
                     included = [
                         v for v in included if v.target == parent and tracker.is_vote_compliant(v)
                     ]
-                block = Block(
-                    sim.tree.new_id(), slot, parent, self.leaders[slot],
-                    is_empty=act.empty, included_votes=tuple(included),
-                )
-                sim.emit_block(block, sim.tick)
+                sim.propose(slot, parent, self.leaders[slot], votes=included, empty=act.empty)
             sim.advance(vote_tick(slot))
-            tracker.observe(sim.tree)
             ct = tracker.tip_at_vote_time(sim.tree, slot)
             _attest(sim, profile, slot, self.committees[slot], ct)
         sim.advance(propose_tick(p + 1))
-        tracker.observe(sim.tree)
         ct = tracker.tip_at_leader_time(sim.tree, p + 1)
-        included = tuple(
-            v for v in sim.tree.votes if v.slot == p and tracker.is_vote_compliant(v)
-        )
-        b_a = Block(sim.tree.new_id(), p + 1, ct, self.adversary, included_votes=included)
-        sim.emit_block(b_a, sim.tick)
+        included = (v for v in sim.tree.votes if v.slot == p and tracker.is_vote_compliant(v))
+        b_a = sim.propose(p + 1, ct, self.adversary, votes=included)
         trace, ledger, reorged = _close(sim, cfg, p + 1, {"B_-p": genesis.id, "B_A": b_a.id})
-        compliant_chain = [genesis.id]
-        for slot in range(1, p + 1):
-            bid = tracker.compliant_block_of_slot(sim.tree, slot)
-            if bid is not None:
-                compliant_chain.append(bid)
+        marked = (tracker.compliant_block_of_slot(sim.tree, slot) for slot in range(1, p + 1))
+        compliant_chain = [genesis.id] + [bid for bid in marked if bid is not None]
         expected = compliant_chain + [b_a.id]
         success = len(compliant_chain) == p + 1 and trace.final_chain == expected
         return GameOutcome(
@@ -805,19 +769,15 @@ class SelfishMiningGame(GameModel):
         if len(self.adv_slots) != n_a:
             raise GameError("cannot place adversarial slots with this split")
         self.player_slots = [s - 1 for s in self.adv_slots]  # all >= 1
-        next_id = 0
-        self.committees = {}
-        for slot in range(0, self.horizon):
-            self.committees[slot] = _committee(next_id, W, config.pool)
-            next_id += W
-        self.leaders = {}
-        for slot in range(1, self.horizon + 1):
-            if slot in self.adv_slots:
-                continue
-            self.leaders[slot] = Validator(next_id, ValidatorKind.RATIONAL)
-            next_id += 1
-        self.adversary = Validator(next_id, ValidatorKind.ADVERSARIAL)
-        self.genesis_proposer = Validator(next_id + 1, ValidatorKind.RATIONAL)
+        ids = itertools.count()
+        self.committees = {slot: _committee(ids, W, config.pool) for slot in range(self.horizon)}
+        self.leaders = {
+            slot: Validator(next(ids), ValidatorKind.RATIONAL)
+            for slot in range(1, self.horizon + 1)
+            if slot not in self.adv_slots
+        }
+        self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
+        self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
         # the pool's stake in the window: its members of slots 1..horizon-1
         window = [v for slot in range(1, self.horizon) for v in self.committees[slot]]
         self.pools = _pools(config, window)
@@ -835,17 +795,16 @@ class SelfishMiningGame(GameModel):
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
         W = cfg.committee_size
-        sim, genesis, _ = _open_genesis(cfg, self.genesis_proposer, self.committees[0])
-        deferred: dict[int, list[Validator]] = {s: [] for s in self.player_slots}
+        sim, (genesis,) = _open_chain(cfg, {0: (self.genesis_proposer, self.committees[0])})
         for slot in range(1, self.horizon):
             self._lead(sim, slot)
             sim.advance(vote_tick(slot))
-            slot_profile = profile if slot in deferred else None
-            _attest(sim, slot_profile, slot, self.committees[slot], deferred=deferred.get(slot))
+            slot_profile = profile if slot in self.player_slots else None
+            _attest(sim, slot_profile, slot, self.committees[slot])
         # private exchange runs over slot p, after the last recruited
         # committee's nominal voting tick
         sim.advance(vote_tick(self.horizon - 1))
-        fork_ids, compliant_votes = self._stage_fork(sim, genesis, deferred)
+        fork_ids, compliant_votes = self._stage_fork(sim, genesis, profile)
         self._lead(sim, self.horizon)
         trace, ledger, reorged = _close(sim, cfg, self.horizon, {"B_0": genesis.id})
         success = trace.final_chain == [genesis.id] + fork_ids
@@ -861,36 +820,30 @@ class SelfishMiningGame(GameModel):
         sim.advance(propose_tick(slot))
         if slot in self.adv_slots:
             return
-        included = tuple(v for v in sim.tree.votes if v.slot == slot - 1)
-        block = Block(
-            sim.tree.new_id(), slot, sim.tip(), self.leaders[slot], included_votes=included
-        )
-        sim.emit_block(block, sim.tick)
+        included = (v for v in sim.tree.votes if v.slot == slot - 1)
+        sim.propose(slot, sim.tip(), self.leaders[slot], votes=included)
 
-    def _stage_fork(self, sim, genesis, deferred) -> tuple[list[BlockId], int]:
+    def _stage_fork(self, sim, genesis, profile) -> tuple[list[BlockId], int]:
         """Slot-p exchange: show each staged block, collect votes, pack the next.
 
+        The attestors whose profile action is FollowRule withheld their
+        votes; each now votes the staged block before its adversarial slot.
         Everything surfaces together before 3(p+1)+1.  Returns the fork's
         block ids and the number of compliant votes it carries.
         """
-        stage, publish = sim.tick, propose_tick(self.horizon)
+        publish = propose_tick(self.horizon)
         fork_ids: list[BlockId] = []
         parent = genesis.id
         compliant_votes = 0
         for s_i in self.adv_slots:
-            votes = []
-            for v in deferred[s_i - 1]:
-                vote = VoteRecord(s_i - 1, v.index, parent, broadcast_time=publish)
-                sim.emit_vote(vote, stage, publish)
-                votes.append(vote)
-                compliant_votes += 1
-            block = Block(
-                sim.tree.new_id(), s_i, parent, self.adversary,
-                included_votes=tuple(votes),
-            )
-            sim.emit_block(block, stage, publish)
-            fork_ids.append(block.id)
-            parent = block.id
+            votes = [
+                sim.emit_vote(VoteRecord(s_i - 1, v.index, parent), publish)
+                for v in self.committees[s_i - 1]
+                if profile.get(DecisionPoint(s_i - 1, Role.ATTESTOR, v.index)) == FollowRule()
+            ]
+            compliant_votes += len(votes)
+            parent = sim.propose(s_i, parent, self.adversary, votes=votes, release=publish).id
+            fork_ids.append(parent)
         return fork_ids, compliant_votes
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
@@ -953,20 +906,16 @@ class DagVotesGame(GameModel):
 
     def __init__(self, config: GameConfig):
         self.config = config
-        W = config.committee_size
-        next_id = 0
-        self.committees = {}
-        for slot in range(0, self.n_slots + 1):
-            self.committees[slot] = _committee(next_id, W)
-            next_id += W
-        self.leaders = {}
-        for slot in range(1, self.n_slots + 1):
-            kind = (
-                ValidatorKind.ADVERSARIAL if slot == self.adv_slot else ValidatorKind.RATIONAL
-            )
-            self.leaders[slot] = Validator(next_id, kind)
-            next_id += 1
-        self.genesis_proposer = Validator(next_id, ValidatorKind.RATIONAL)
+        ids = itertools.count()
+        self.committees = {
+            slot: _committee(ids, config.committee_size) for slot in range(self.n_slots + 1)
+        }
+        kind = {self.adv_slot: ValidatorKind.ADVERSARIAL}
+        self.leaders = {
+            slot: Validator(next(ids), kind.get(slot, ValidatorKind.RATIONAL))
+            for slot in range(1, self.n_slots + 1)
+        }
+        self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
 
     def decision_points(self) -> list[DecisionPoint]:
         """Rational leaders first, then the attestors of slots 1..n_slots-1."""
@@ -993,7 +942,7 @@ class DagVotesGame(GameModel):
 
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
-        sim, genesis, _ = _open_genesis(cfg, self.genesis_proposer, self.committees[0])
+        sim, _ = _open_chain(cfg, {0: (self.genesis_proposer, self.committees[0])})
         adv_block = None
         for slot in range(self.n_slots + 1):
             if slot >= 1:
@@ -1013,11 +962,10 @@ class DagVotesGame(GameModel):
             sim.advance(aggregate_tick(slot))
             if slot < self.n_slots:
                 # slot s+1 attestors sign the slot-s votes they saw on time
-                tick = sim.tick
                 for signer in self.committees[slot + 1]:
                     for vote in sim.tree.votes:
                         if vote.slot == slot:
-                            sim.emit_evidence(EvidenceRecord(signer.index, vote, tick), tick)
+                            sim.emit_evidence(EvidenceRecord(signer.index, vote))
         trace, ledger, _ = _close(sim, cfg, self.n_slots, {}, reorgs=False)
         chain = set(trace.final_chain)
         rational_blocks = [
@@ -1047,15 +995,11 @@ class DagVotesGame(GameModel):
             included_votes.update(v.key() for v in b.included_votes)
             included_ev.update(e.key() for e in b.included_evidences)
             cur = b.parent
-        block = Block(
-            sim.tree.new_id(), slot, parent, leader,
-            included_votes=tuple(v for v in sim.tree.votes if v.key() not in included_votes),
-            included_evidences=tuple(
-                e for e in sim.delivered_evidences if e.key() not in included_ev
-            ),
+        return sim.propose(
+            slot, parent, leader,
+            votes=(v for v in sim.tree.votes if v.key() not in included_votes),
+            evidences=(e for e in sim.delivered_evidences if e.key() not in included_ev),
         )
-        sim.emit_block(block, sim.tick)
-        return block
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile))

@@ -72,18 +72,12 @@ class RewardParams:
 @dataclass
 class PayoffLedger:
     payoffs: dict[int, Fraction] = field(default_factory=dict)
-    per_slot: dict[tuple[int, int], Fraction] = field(default_factory=dict)
 
-    def credit(self, validator: int, slot: int, amount: Fraction) -> None:
+    def credit(self, validator: int, amount: Fraction) -> None:
         self.payoffs[validator] = self.payoffs.get(validator, Fraction(0)) + amount
-        key = (validator, slot)
-        self.per_slot[key] = self.per_slot.get(key, Fraction(0)) + amount
 
     def get(self, validator: int) -> Fraction:
         return self.payoffs.get(validator, Fraction(0))
-
-    def slot_part(self, validator: int, slot: int) -> Fraction:
-        return self.per_slot.get((validator, slot), Fraction(0))
 
 
 def correctness_target(chain: list[BlockId], tree: BlockTree, slot: int) -> Optional[BlockId]:
@@ -165,8 +159,8 @@ def settle_payoffs(trace: RunTrace, params: RewardParams) -> PayoffLedger:
             if not timely:
                 continue
             credited.add(vote.key())
-            ledger.credit(vote.voter, vote.slot, params.r)
-            ledger.credit(block.proposer.index, block.slot, params.R)
+            ledger.credit(vote.voter, params.r)
+            ledger.credit(block.proposer.index, params.R)
     return ledger
 
 

@@ -74,40 +74,64 @@ class TestDelivery:
 
     def test_release_visible_next_tick(self):
         sim = self._sim()
-        sim.emit_vote(VoteRecord(0, 1, 0), created=2, release=5)
-        sim.tick = 5
-        sim.deliver()
+        sim.advance(2)
+        sim.emit_vote(VoteRecord(0, 1, 0), release=5)
+        sim.advance(5)
         assert sim.visible_votes_for(0) == 0  # released at 5, not yet in view
-        sim.tick = 6
-        sim.deliver()
+        sim.advance(6)
         assert sim.visible_votes_for(0) == 1
 
     def test_cannot_release_before_creation(self):
         sim = self._sim()
+        sim.advance(5)
         with pytest.raises(InvalidAction):
-            sim.emit_vote(VoteRecord(0, 1, 0), created=5, release=4)
+            sim.emit_vote(VoteRecord(0, 1, 0), release=4)
+        with pytest.raises(InvalidAction):
+            sim.emit_evidence(EvidenceRecord(2, VoteRecord(0, 1, 0)), release=4)
+        with pytest.raises(InvalidAction):
+            sim.propose(1, 0, Validator(3, RATIONAL), release=4)
 
     def test_double_vote_rejected(self):
         sim = self._sim()
         sim.tree.insert_block(Block(sim.tree.new_id(), 1, 0, Validator(3, RATIONAL)))
-        sim.tick = 5
-        sim.deliver()
-        sim.emit_vote(VoteRecord(1, 1, 0), created=4)
+        sim.advance(4)
+        sim.emit_vote(VoteRecord(1, 1, 0))
         with pytest.raises(InvalidAction):
-            sim.emit_vote(VoteRecord(1, 1, 1), created=4)
+            sim.emit_vote(VoteRecord(1, 1, 1))
 
     def test_double_propose_rejected_for_rational(self):
         sim = self._sim()
+        sim.advance(3)
         v = Validator(3, RATIONAL)
-        sim.emit_block(Block(sim.tree.new_id(), 1, 0, v), created=3)
+        sim.propose(1, 0, v)
         with pytest.raises(InvalidAction):
-            sim.emit_block(Block(sim.tree.new_id(), 1, 0, v), created=3)
+            sim.propose(1, 0, v)
 
     def test_adversarial_double_propose_tolerated(self):
         sim = self._sim()
+        sim.advance(3)
         v = Validator(3, ADVERSARIAL)
-        sim.emit_block(Block(sim.tree.new_id(), 1, 0, v), created=3)
-        sim.emit_block(Block(sim.tree.new_id(), 1, 0, v), created=3)
+        sim.propose(1, 0, v)
+        sim.propose(1, 0, v)
+        assert [ev.kind for ev in sim.trace.events] == ["block", "block"]
+
+    @pytest.mark.parametrize("release", [None, 6])
+    def test_messages_stamped_at_the_tick_in_progress(self, release):
+        sim = self._sim()
+        sim.advance(4)
+        sent_vote = sim.emit_vote(VoteRecord(1, 1, 0), release=release)
+        evidence = EvidenceRecord(2, sent_vote)
+        sim.emit_evidence(evidence, release=release)
+        block = sim.propose(2, 0, Validator(3, RATIONAL), votes=[sent_vote], release=release)
+        released = 4 if release is None else release
+        assert sent_vote == VoteRecord(1, 1, 0, broadcast_time=released)
+        # the tree's next id: the genesis took 0
+        assert block == Block(1, 2, 0, Validator(3, RATIONAL), included_votes=(sent_vote,))
+        assert [(ev.tick, ev.kind, ev.release_tick, ev.message) for ev in sim.trace.events] == [
+            (4, "vote", released, sent_vote),
+            (4, "evidence", released, evidence),
+            (4, "block", released, block),
+        ]
 
 
 def honest_run(n_slots: int = 3, committee: int = 4) -> Simulation:
@@ -128,14 +152,12 @@ def honest_run(n_slots: int = 3, committee: int = 4) -> Simulation:
     for slot in range(1, n_slots + 1):
         sim.advance(propose_tick(slot))
         prev_votes = tuple(v for v in sim.tree.votes if v.slot == slot - 1)
-        block = Block(sim.tree.new_id(), slot, sim.tip(), leaders[slot],
-                      included_votes=prev_votes)
-        sim.emit_block(block, sim.tick)
+        sim.propose(slot, sim.tip(), leaders[slot], votes=prev_votes)
         if slot == n_slots:
             break  # the run ends at the last proposal
         sim.advance(vote_tick(slot))
         for v in committees[slot]:
-            sim.emit_vote(VoteRecord(slot, v.index, sim.tip()), sim.tick)
+            sim.emit_vote(VoteRecord(slot, v.index, sim.tip()))
     sim.finalize(n_slots)
     return sim
 
@@ -176,7 +198,7 @@ def test_advance_records_each_tick_once():
     genesis = Block(sim.tree.new_id(), 0, None, Validator(0, RATIONAL), True)
     sim.tree.insert_block(genesis)
     sim.advance(3)  # the first call starts the clock
-    sim.emit_block(Block(sim.tree.new_id(), 1, 0, Validator(1, RATIONAL)), sim.tick)
+    sim.propose(1, 0, Validator(1, RATIONAL))
     sim.advance(3)  # the tick in progress: nothing happens
     assert sim.trace.tips == []
     sim.advance(5)
@@ -192,7 +214,8 @@ def test_withheld_release_recorded():
     sim = Simulation(boost=0)
     genesis = Block(sim.tree.new_id(), 0, None, Validator(0, RATIONAL), True)
     sim.tree.insert_block(genesis)
-    sim.emit_vote(VoteRecord(0, 5, 0), created=1, release=9)
+    sim.advance(1)
+    sim.emit_vote(VoteRecord(0, 5, 0), release=9)
     event = sim.trace.events[-1]
     assert event.tick == 1
     assert event.release_tick == 9
@@ -204,11 +227,15 @@ def test_sent_message_is_its_event():
     sim.tree.insert_block(genesis)
     block = Block(sim.tree.new_id(), 1, 0, Validator(1, RATIONAL))
     vote = VoteRecord(1, 2, 0)
-    evidence = EvidenceRecord(3, vote, 5)
-    sim.emit_block(block, created=3)
-    sim.emit_vote(vote, created=4, release=6)
-    sim.emit_evidence(evidence, created=5)
+    evidence = EvidenceRecord(3, vote)
+    sim.advance(3)
+    sim.emit_block(block)
+    sim.advance(4)
+    sim.emit_vote(vote, release=6)
+    sim.advance(5)
+    sim.emit_evidence(evidence)
     sent_block, sent_vote, sent_evidence = sim.trace.events
+    assert [ev.tick for ev in sim.trace.events] == [3, 4, 5]
     assert sent_block.message is block
     assert sent_vote.message == replace(vote, broadcast_time=6)
     assert sent_evidence.message is evidence
@@ -227,18 +254,21 @@ def test_same_release_delivery_order():
     sim.delivered_evidences = delivered
     withheld_block = Block(sim.tree.new_id(), 1, 0, Validator(1, ADVERSARIAL))
     withheld_vote = VoteRecord(1, 5, withheld_block.id)
-    first_evidence = EvidenceRecord(9, withheld_vote, 5)
-    sim.emit_block(withheld_block, created=3, release=6)
-    sim.emit_vote(withheld_vote, created=4, release=6)
-    sim.emit_evidence(first_evidence, created=5, release=6)
+    first_evidence = EvidenceRecord(9, withheld_vote)
+    sim.advance(3)
+    sim.emit_block(withheld_block, release=6)
+    sim.advance(4)
+    sim.emit_vote(withheld_vote, release=6)
+    sim.advance(5)
+    sim.emit_evidence(first_evidence, release=6)
     vote = VoteRecord(2, 2, 0)
-    evidence = EvidenceRecord(1, withheld_vote, 6)
+    evidence = EvidenceRecord(1, withheld_vote)
     block = Block(sim.tree.new_id(), 2, withheld_block.id, Validator(3, RATIONAL))
-    sim.emit_evidence(evidence, created=6)
-    sim.emit_vote(vote, created=6)
-    sim.emit_block(block, created=6)
-    sim.tick = 7
-    sim.deliver()
+    sim.advance(6)
+    sim.emit_evidence(evidence)
+    sim.emit_vote(vote)
+    sim.emit_block(block)
+    sim.advance(7)
     assert delivered == [
         withheld_block,
         block,

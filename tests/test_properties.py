@@ -45,6 +45,15 @@ def kind_pattern(parents):
             for i in range(len(parents))]
 
 
+def set_votes(tree, assignment):
+    """Replace the tree's votes: voter i votes for block assignment[i], or abstains on None."""
+    tree.votes = [
+        VoteRecord(tree.blocks[target].slot, voter, target)
+        for voter, target in enumerate(assignment)
+        if target is not None
+    ]
+
+
 def assert_matches_oracle(tree, current_slot, boosted, boost, policy):
     got = tree.fork_choice(current_slot, boosted, boost, policy)
     want = oracle_fork_choice(tree, current_slot, boosted, boost, policy)
@@ -58,11 +67,9 @@ def test_fork_choice_oracle_exhaustive_small_trees():
     for parents in tree_shapes(4):
         n = len(parents)
         targets = list(range(n)) + [None]
+        tree = make_tree(list(parents), kind_pattern(parents))
         for assignment in itertools.product(targets, repeat=6):
-            tree = make_tree(list(parents), kind_pattern(parents))
-            for voter, target in enumerate(assignment):
-                if target is not None:
-                    tree.add_vote(VoteRecord(tree.blocks[target].slot, voter, target))
+            set_votes(tree, assignment)
             policy = POLICIES[checked % 2]
             assert_matches_oracle(tree, n - 1, None, 0, policy)
             checked += 1
@@ -78,11 +85,9 @@ def test_fork_choice_oracle_exhaustive_shapes_to_six_blocks():
     for parents in shapes:
         n = len(parents)
         targets = list(range(n)) + [None]
+        tree = make_tree(list(parents), kind_pattern(parents))
         for assignment in itertools.product(targets, repeat=3):
-            tree = make_tree(list(parents), kind_pattern(parents))
-            for voter, target in enumerate(assignment):
-                if target is not None:
-                    tree.add_vote(VoteRecord(tree.blocks[target].slot, voter, target))
+            set_votes(tree, assignment)
             policy = POLICIES[checked % 2]
             boosted = checked % n if checked % 3 == 0 else None
             assert_matches_oracle(tree, n - 1, boosted, 2, policy)
@@ -216,7 +221,7 @@ def test_dag_timeliness_monotone_randomized():
         tree = make_tree([None, 0])
         vote = VoteRecord(1, 99, 1)
         n_before = rng.randint(0, 8)
-        evs = [EvidenceRecord(200 + i, vote, 8) for i in range(n_before)]
+        evs = [EvidenceRecord(200 + i, vote) for i in range(n_before)]
         block = Block(tree.new_id(), 3, 1, Validator(50, RATIONAL),
                       included_votes=(vote,), included_evidences=tuple(evs))
         tree.insert_block(block)
@@ -224,7 +229,7 @@ def test_dag_timeliness_monotone_randomized():
         before = head_vote_timely_dag(vote, chain, tree, committee)
 
         extra = rng.randint(1, 4)
-        evs2 = evs + [EvidenceRecord(300 + i, vote, 9) for i in range(extra)]
+        evs2 = evs + [EvidenceRecord(300 + i, vote) for i in range(extra)]
         tree2 = make_tree([None, 0])
         block2 = Block(tree2.new_id(), 3, 1, Validator(50, RATIONAL),
                        included_votes=(vote,), included_evidences=tuple(evs2))

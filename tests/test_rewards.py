@@ -63,7 +63,7 @@ def _dag_tree(n_evidences: int, unique_signers: int = None):
     evs = []
     for i in range(n_evidences):
         signer = 100 + min(i, unique - 1)
-        evs.append(EvidenceRecord(signer, v, 8))
+        evs.append(EvidenceRecord(signer, v))
     block = Block(tree.new_id(), 3, 1, Validator(50, RATIONAL),
                   included_votes=(v,), included_evidences=tuple(evs))
     tree.insert_block(block)
