@@ -673,16 +673,21 @@ def run_scenario(
 
 def _emit(scenario: Scenario, report: dict, trace: Optional[RunTrace], trace_path: Optional[str]) -> dict:
     if trace_path and trace is not None:
-        Path(trace_path).write_text("\n".join(trace.export_lines()) + "\n")
+        _write(trace_path, "\n".join(trace.export_lines()) + "\n", "trace")
         report["trace_path"] = trace_path
     if scenario.output is not None:
         options = dict(scenario.output)
         path = options.pop("path")
-        try:
-            Path(path).write_text(render_report(report, **options))
-        except OSError as exc:
-            raise ValidationError(f"cannot write the output file: {exc}") from None
+        _write(path, render_report(report, **options), "output")
     return report
+
+
+def _write(path, text: str, what: str) -> None:
+    """Write `text` to the file at `path`; a path that cannot be written rejects the run."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write the {what} file: {exc}") from None
 
 
 # -- bundled scenarios -------------------------------------------------------
@@ -820,7 +825,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             report = run_scenario(source, args.seed, args.max_joint_actions, args.trace)
             text = render_report(report, args.format)
             if args.out:
-                Path(args.out).write_text(text)
+                _write(args.out, text, "output")
             sys.stdout.write(text)
             return EXIT_OK
         if args.command == "list":
@@ -835,7 +840,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise ParseError(f"{directory} {what}")
             jobs = [(p, args.seed, args.max_joint_actions, args.format) for p in paths]
             worst = EXIT_OK
-            with ProcessPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+            # the fork start method launches every worker at the first submit
+            with ProcessPoolExecutor(max_workers=min(max(1, args.jobs), len(paths))) as pool:
                 for code, text in pool.map(_run_one, jobs):
                     (sys.stderr if code else sys.stdout).write(text)
                     worst = max(worst, code)

@@ -5,9 +5,13 @@ Slot t spans ticks 3t..3t+2: proposal at 3t, attestation at 3t+1 and
 aggregation (evidence emission under the DAG-votes mechanism) at 3t+2.
 A message is created at the tick in progress and released then or, when
 withheld, later; released at tick tau, it is in every agent's view at tau+1
-and thereafter: all agents share one view at lock-step times.  Each message
-sent is one event of the run's append-only log (`RunTrace.events`); the
-events not yet delivered are the pending queue.
+and thereafter: all agents share one view at lock-step times.  A tick's view
+and fork-choice head are fixed when the tick starts: delivery is the only
+write to a running simulation's tree (`games._open_chain` writes the opening
+chain before the clock starts), so the clock weighs the head once, right after
+delivering, and every reader of the tick uses it.  Each message sent is one
+event of the run's append-only log (`RunTrace.events`); the events not yet
+delivered are the pending queue.
 
 Agents act through a StrategyProfile that supplies one action per decision
 point.  A game is a straight-line script over one Simulation: it advances
@@ -233,7 +237,7 @@ class Simulation:
         self.delivered_evidences: list[EvidenceRecord] = []
         self.trace = RunTrace(tree=self.tree)
         self.tick = 0
-        self._ticking = False  # whether self.tick is in progress
+        self._head: Optional[BlockId] = None  # the tick's head; None when no tick is in progress
         self._voted: dict[tuple[int, int], BlockId] = {}
         self._proposed: dict[tuple[int, int], BlockId] = {}
 
@@ -294,11 +298,11 @@ class Simulation:
         candidates = [b.id for b in self.tree.blocks.values() if b.slot == query_slot]
         return max(candidates) if candidates else None
 
-    def tip(self, query_slot: Optional[int] = None) -> BlockId:
-        query_slot = slot_of(self.tick) if query_slot is None else query_slot
-        return self.tree.fork_choice(
-            query_slot, self.boosted_block(query_slot), self.boost, self.tie_break
-        )
+    def tip(self) -> BlockId:
+        """The fork-choice head of the tick in progress, weighed when that tick started."""
+        if self._head is None:
+            raise EngineError("no tick is in progress")
+        return self._head
 
     def resolve(self, selector: Selector, compliant_tip: Optional[BlockId] = None) -> BlockId:
         if isinstance(selector, FixedBlock):
@@ -336,20 +340,25 @@ class Simulation:
 
         The first call starts the clock at `tick`.  After that, the tick in
         progress and each later tick before `tick` record their tips as they
-        end, and each tick that starts delivers what is due.  Advancing to the
-        tick already in progress does nothing.
+        end.  Each tick that starts delivers what is due and then weighs its
+        head, which stays fixed until the tick ends.  Advancing to the tick
+        already in progress does nothing.
         """
-        if self._ticking and tick < self.tick:
+        if self._head is not None and tick < self.tick:
             raise EngineError(f"the clock is past tick {tick}")
-        for t in range(self.tick + 1 if self._ticking else tick, tick + 1):
+        for t in range(self.tick + 1 if self._head is not None else tick, tick + 1):
             self._end_tick()
-            self.tick, self._ticking = t, True
+            self.tick = t
             self.deliver()
+            slot = slot_of(t)
+            self._head = self.tree.fork_choice(
+                slot, self.boosted_block(slot), self.boost, self.tie_break
+            )
 
     def _end_tick(self) -> None:
-        if self._ticking:
+        if self._head is not None:
             self.trace.tips.append((self.tick, self.tip()))
-            self._ticking = False
+            self._head = None
 
     def finalize(self, final_slot: int) -> RunTrace:
         """Deliver everything outstanding and fix the final canonical chain.

@@ -307,16 +307,14 @@ def _attest(sim: Simulation, profile, slot: int, voters, compliant_tip=None):
             sim.emit_vote(VoteRecord(slot, v.index, sim.resolve(act.target, compliant_tip)))
 
 
-def _close(sim: Simulation, config: GameConfig, final_slot: int, labels: dict, reorgs=True):
+def _close(sim: Simulation, config: GameConfig, final_slot: int, labels: dict):
     """Finish a run: finalize, settle payoffs onto the trace, label its blocks.
 
     Returns the trace, the settled ledger, and the blocks of the canonical
-    chain in view at the last tick that the final chain dropped (none when
-    `reorgs` is false).
+    chain in view at the last tick (the chain to that tick's head) that the
+    final chain dropped.
     """
-    before = (
-        sim.tree.canonical_chain(final_slot, None, sim.boost, sim.tie_break) if reorgs else []
-    )
+    before = sim.tree.ancestors(sim.tip())
     trace = sim.finalize(final_slot)
     ledger = settle_payoffs(trace, config.reward_params())
     trace.payoffs = ledger.payoffs
@@ -966,7 +964,7 @@ class DagVotesGame(GameModel):
                     for vote in sim.tree.votes:
                         if vote.slot == slot:
                             sim.emit_evidence(EvidenceRecord(signer.index, vote))
-        trace, ledger, _ = _close(sim, cfg, self.n_slots, {}, reorgs=False)
+        trace, ledger, _ = _close(sim, cfg, self.n_slots, {})
         chain = set(trace.final_chain)
         rational_blocks = [
             b.id

@@ -12,6 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+# Ethereum mainnet's deployment
+SUBCOMMITTEES_PER_SLOT = 64
+AGGREGATES_PER_BLOCK = 128
+AVG_BLOCK_BYTES = 101_500
+
 
 @dataclass(frozen=True)
 class OverheadParams:
@@ -19,16 +24,13 @@ class OverheadParams:
     n_agg: int = 16  # aggregators per sub-committee
     n_limit: Optional[int] = None  # evidences needed for timeliness; min(8, n_agg - 1) if None
     sig_bytes: int = 96
-    subcommittees_per_slot: int = 64
-    aggregates_per_block: int = 128
-    avg_block_bytes: int = 101_500
 
     def __post_init__(self):
         if self.n_limit is None:
             object.__setattr__(self, "n_limit", min(8, max(0, self.n_agg - 1)))
         if self.n_agg > 0 and self.n_limit >= self.n_agg:
             raise ValueError("evidence threshold must stay below the aggregator count")
-        for name in ("n_att", "n_agg", "sig_bytes", "aggregates_per_block"):
+        for name in ("n_att", "n_agg", "sig_bytes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -57,7 +59,7 @@ def _bits_to_bytes(bits: int) -> int:
 
 def current_block_aggregate_bytes(p: OverheadParams) -> int:
     """Aggregated signature plus aggregation list, per aggregate, per block."""
-    bits = p.aggregates_per_block * (8 * p.sig_bytes + p.n_att)
+    bits = AGGREGATES_PER_BLOCK * (8 * p.sig_bytes + p.n_att)
     return _bits_to_bytes(bits)
 
 
@@ -67,13 +69,13 @@ def optimistic_evidence_bytes(p: OverheadParams) -> int:
     Each carries two signatures plus both aggregation lists (evidence list
     of n_agg bits, attestation list of n_att bits).
     """
-    bits = p.aggregates_per_block * (2 * 8 * p.sig_bytes + p.n_agg + p.n_att)
+    bits = AGGREGATES_PER_BLOCK * (2 * 8 * p.sig_bytes + p.n_agg + p.n_att)
     return _bits_to_bytes(bits)
 
 
 def worst_case_evidence_bytes(p: OverheadParams) -> int:
     """Every aggregator's evidence is distinct: n_agg per sub-committee."""
-    bits = p.aggregates_per_block * p.n_agg * (2 * 8 * p.sig_bytes + p.n_att)
+    bits = AGGREGATES_PER_BLOCK * p.n_agg * (2 * 8 * p.sig_bytes + p.n_att)
     return _bits_to_bytes(bits)
 
 
@@ -88,13 +90,13 @@ class BlockSpaceDelta:
 def optimistic_block_space(p: OverheadParams) -> BlockSpaceDelta:
     base = current_block_aggregate_bytes(p)
     ev = optimistic_evidence_bytes(p)
-    return BlockSpaceDelta(base, ev, ev - base, Fraction(ev - base, p.avg_block_bytes))
+    return BlockSpaceDelta(base, ev, ev - base, Fraction(ev - base, AVG_BLOCK_BYTES))
 
 
 def worst_case_block_space(p: OverheadParams) -> BlockSpaceDelta:
     base = current_block_aggregate_bytes(p)
     ev = worst_case_evidence_bytes(p)
-    return BlockSpaceDelta(base, ev, ev - base, Fraction(ev - base, p.avg_block_bytes))
+    return BlockSpaceDelta(base, ev, ev - base, Fraction(ev - base, AVG_BLOCK_BYTES))
 
 
 def aggregator_cost(p: OverheadParams, mode: str) -> CostVector:
@@ -114,17 +116,17 @@ def proposer_extra_cost(p: OverheadParams, mode: str) -> CostVector:
     """Extra proposer work to verify and aggregate evidences, all sub-committees."""
     if mode == "optimistic":
         return CostVector(
-            add=p.subcommittees_per_slot * (p.n_agg - 1),
-            pair=2 * p.subcommittees_per_slot * p.n_agg,
+            add=SUBCOMMITTEES_PER_SLOT * (p.n_agg - 1),
+            pair=2 * SUBCOMMITTEES_PER_SLOT * p.n_agg,
         )
     if mode == "worst":
-        return CostVector(pair=2 * p.subcommittees_per_slot * p.n_agg)
+        return CostVector(pair=2 * SUBCOMMITTEES_PER_SLOT * p.n_agg)
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def verifier_cost(p: OverheadParams, mode: str) -> CostVector:
     """Consensus-data verification cost of one block."""
-    n, a, s = p.n_att, p.n_agg, p.subcommittees_per_slot
+    n, a, s = p.n_att, p.n_agg, SUBCOMMITTEES_PER_SLOT
     if mode == "current":
         return CostVector(add=s * (n - 1), pair=2 * s)
     if mode == "optimistic":

@@ -47,18 +47,9 @@ class Mechanism(enum.Enum):
     DAG_VOTES = "dag-votes"
 
 
-@dataclass(frozen=True)
-class VoteWeights:
-    source: int = 14
-    target: int = 26
-    head: int = 14
-    denominator: int = 64
-    proposer_num: int = 8
-    proposer_den: int = 56
-
-    @property
-    def head_source_target(self) -> int:
-        return self.source + self.target + self.head
+# Altair's flag weights of a 64-part split, and the proposer's share of them
+SOURCE_WEIGHT, TARGET_WEIGHT, HEAD_WEIGHT, WEIGHT_DENOMINATOR = 14, 26, 14, 64
+PROPOSER_SHARE = Fraction(8, 56)
 
 
 @dataclass(frozen=True)
@@ -190,7 +181,6 @@ class InclusionRewardBreakdown:
 def altair_block_inclusion_reward(
     n_validators: int,
     stake_per_validator_gwei: int = 32 * 10**9,
-    weights: VoteWeights = VoteWeights(),
 ) -> InclusionRewardBreakdown:
     """Per-block proposer inclusion rewards split by vote weights.
 
@@ -206,17 +196,16 @@ def altair_block_inclusion_reward(
     increments = stake_per_validator_gwei // 10**9
     base_reward = increments * base_per_increment
     committee = Fraction(n_validators, 32)
-    proposer_share = Fraction(weights.proposer_num, weights.proposer_den)
 
     def inclusion_total(weight_sum: int) -> Fraction:
-        per_attester = base_reward * Fraction(weight_sum, weights.denominator) * proposer_share
+        per_attester = base_reward * Fraction(weight_sum, WEIGHT_DENOMINATOR) * PROPOSER_SHARE
         return per_attester * committee
 
-    head_attester_total = base_reward * Fraction(weights.head, weights.denominator) * committee
+    head_attester_total = base_reward * Fraction(HEAD_WEIGHT, WEIGHT_DENOMINATOR) * committee
     return InclusionRewardBreakdown(
-        all_three_votes=inclusion_total(weights.head_source_target),
-        source_target_only=inclusion_total(weights.source + weights.target),
-        head_only=inclusion_total(weights.head),
+        all_three_votes=inclusion_total(SOURCE_WEIGHT + TARGET_WEIGHT + HEAD_WEIGHT),
+        source_target_only=inclusion_total(SOURCE_WEIGHT + TARGET_WEIGHT),
+        head_only=inclusion_total(HEAD_WEIGHT),
         attestor_head_committee_total=head_attester_total,
     )
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reorglab import cli
 from reorglab.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -269,6 +270,43 @@ def test_batch_runs_directory(tmp_path, capsys):
     assert main(["batch", str(tmp_path), "--jobs", "2"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "simple-table1" in out and "overhead-grid" in out
+
+
+def test_batch_starts_at_most_one_worker_per_file(tmp_path, capsys, monkeypatch):
+    asked = []
+
+    class InProcess:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcess)
+    for name in ("overhead-grid", "tendermint-anchor"):
+        (tmp_path / f"{name}.json").write_text(bundled_scenarios()[name])
+    assert main(["batch", str(tmp_path), "--jobs", "64"]) == EXIT_OK
+    assert asked == [2]
+    out = capsys.readouterr().out
+    assert "overhead-grid" in out and "tendermint-anchor" in out
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_unwritable_path_exit_3(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "out"
+    assert main(["run", "simple-table1", flag, str(path)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_tendermint_scenarios_via_cli():

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from reorglab.chain import Block, EvidenceRecord, Validator, ValidatorKind, VoteRecord
+from reorglab.chain import Block, BlockTree, EvidenceRecord, Validator, ValidatorKind, VoteRecord
 from reorglab.engine import (
     EngineError,
     InvalidAction,
@@ -13,6 +13,7 @@ from reorglab.engine import (
     slot_of,
     vote_tick,
 )
+from reorglab.games import GameConfig, GameKind, build_game
 
 from committees import InsufficientValidators, assign_committees
 
@@ -208,6 +209,38 @@ def test_advance_records_each_tick_once():
         sim.advance(4)
     sim.finalize(1)
     assert sim.trace.tips == [(3, 0), (4, 1), (5, 1)]
+
+
+def test_tip_is_the_head_of_the_tick_in_progress():
+    sim = Simulation(boost=0)
+    sim.tree.insert_block(Block(sim.tree.new_id(), 0, None, Validator(0, RATIONAL), True))
+    with pytest.raises(EngineError):
+        sim.tip()  # the clock has not started
+    sim.advance(3)
+    block = sim.propose(1, sim.tip(), Validator(1, RATIONAL))
+    assert sim.tip() == 0  # the block sent at tick 3 is in view from tick 4
+    sim.advance(4)
+    assert sim.tip() == block.id
+    sim.finalize(1)
+    with pytest.raises(EngineError):
+        sim.tip()  # the clock has stopped
+
+
+@pytest.mark.parametrize(
+    "kind, size, boost, profile, fork_choices",
+    [(GameKind.SIMPLE, 8, 4, "vote-bt-all", 8), (GameKind.DAG_VOTES, 5, 0, "prescribed", 16)],
+    ids=["simple", "dag-votes"],
+)
+def test_one_fork_choice_per_tick(monkeypatch, kind, size, boost, profile, fork_choices):
+    calls = []
+    fork_choice = BlockTree.fork_choice
+    monkeypatch.setattr(
+        BlockTree, "fork_choice", lambda tree, *a, **k: calls.append(a) or fork_choice(tree, *a, **k)
+    )
+    game = build_game(GameConfig(kind, size, boost=boost))
+    trace = game.run(game.profile(profile)).trace
+    # one head per tick, plus the final chain
+    assert len(calls) == len(trace.tips) + 1 == fork_choices
 
 
 def test_withheld_release_recorded():
