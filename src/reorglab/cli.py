@@ -823,6 +823,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             if source in bundled:
                 source = io.StringIO(bundled[args.scenario])
             report = run_scenario(source, args.seed, args.max_joint_actions, args.trace)
+            if args.trace and "trace_path" not in report:
+                raise ValidationError(
+                    f"no trace written to {args.trace}: no check of this scenario plays a single run"
+                )
             text = render_report(report, args.format)
             if args.out:
                 _write(args.out, text, "output")

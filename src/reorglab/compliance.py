@@ -2,19 +2,19 @@
 
 The extended attack coordinates leaders and attestors of slots 1..p onto a
 fork of empty blocks built from B_{-p}.  Everyone locates the block to build
-on (the *compliant tip*) with the same procedure: for every block B in the
-tree, add the hypothetical weight (p - i + 1) * W + W_p that B's subtree
-would gain if all remaining committees voted below B and the adversary's
-boosted block extended that chain, run the fork choice, and keep B if it
-lands on the resulting chain.  Among survivors, the winner is the block
-whose prefix contains the fewest-recent non-compliant block; a fully
-compliant prefix beats any non-compliant one.
+on (the *compliant tip*) with the same procedure: rank the tree's blocks,
+then take the first one that lies on its own hypothetical chain.  A block's
+hypothetical chain is the fork choice once the block's subtree gains the
+weight (p - i + 1) * W + W_p it would get if all remaining committees voted
+below it and the adversary's boosted block extended that chain.
 
-Ties on that index are resolved toward the largest slot (the deepest block
-of the compliant chain), then the lowest id.  The depth preference is what
-makes the procedure return the previous slot's compliant block once all
-earlier slots have complied, which the whole backward-induction argument
-rests on.
+The rank prefers the block whose prefix contains the fewest-recent
+non-compliant block (a fully compliant prefix beats any non-compliant one),
+then the largest slot (the deepest block of the compliant chain), then the
+lowest id.  The depth preference is what makes the procedure return the
+previous slot's compliant block once all earlier slots have complied, which
+the whole backward-induction argument rests on.  Ranks end in the id, so
+they are unique and the first survivor is the best-ranked one.
 
 The hypothetical weights are applied as virtual votes, so the scan never
 mutates the tree: subtree weights after the scan trivially equal those
@@ -66,13 +66,18 @@ def compliant_tip(
 ) -> BlockId:
     """The block a compliant slot-`slot_i` proposal or vote must build on.
 
-    `slot_i` may be p+1 (the adversary's own run: no committees remain, the
-    hypothetical weight degenerates to the proposer boost alone).
+    Rank, then the first block on its own hypothetical chain.  `slot_i` may
+    be p+1 (the adversary's own run: no committees remain, the hypothetical
+    weight degenerates to the proposer boost alone).
     """
     hypothetical = (p - slot_i + 1) * committee_size + boost
-    best: Optional[tuple] = None
-    best_block: Optional[BlockId] = None
-    for bid in sorted(tree.blocks):
+
+    def rank(bid: BlockId) -> tuple:
+        worst = prefix_noncompliance_index(tree, bid, compliance_marks)
+        # None (fully compliant prefix) sorts before every slot number
+        return ((0, 0) if worst is None else (1, worst), -tree.blocks[bid].slot, bid)
+
+    for bid in sorted(tree.blocks, key=rank):
         chain = tree.canonical_chain(
             current_slot=slot_i,
             boosted=None,
@@ -80,21 +85,9 @@ def compliant_tip(
             tie_break=tie_break,
             virtual_votes={bid: hypothetical},
         )
-        if bid not in chain:
-            continue
-        worst = prefix_noncompliance_index(tree, bid, compliance_marks)
-        # None (fully compliant prefix) sorts before every slot number
-        rank = (
-            (0, 0) if worst is None else (1, worst),
-            -tree.blocks[bid].slot,
-            bid,
-        )
-        if best is None or rank < best:
-            best = rank
-            best_block = bid
-    if best_block is None:
-        raise EmptyCandidateSet("no candidate lies on its own hypothetical chain")
-    return best_block
+        if bid in chain:
+            return bid
+    raise EmptyCandidateSet("no candidate lies on its own hypothetical chain")
 
 
 @dataclass

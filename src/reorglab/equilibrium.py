@@ -186,12 +186,18 @@ def verify_spne(
     owner's prescribed action must be a best response in that subgame.  The
     emitted subgame table records each owner's payoff per action label.
     """
+    return _spne(game, profile, max_joint_actions)
+
+
+def _spne(game: GameModel, profile: StrategyProfile, max_joint_actions: int, base=None):
+    """`verify_spne`, with `base` the profile's payoffs if the caller has already played it."""
     dps = sorted(game.decision_points(), key=lambda d: (d.tick, d.actor))
     if not dps:
         raise GameError("the game has no decision points, so an SPNE check would check nothing")
     count = sum(len(game.candidates(dp)) for dp in dps)
     _estimate(count, max_joint_actions)
-    base = game.payoffs(profile)
+    if base is None:
+        base = game.payoffs(profile)
 
     deviations: list[Deviation] = []
     table: list[SubgameEntry] = []
@@ -305,7 +311,7 @@ def dag_security_scenario(
         raise AssumptionViolated(
             f"rational blocks reorged: {outcome.extras['rational_blocks_reorged']}"
         )
-    report = verify_spne(game, profile, max_joint_actions)
+    report = _spne(game, profile, max_joint_actions, game._payoffs_from(outcome))
 
     ethereum_report = None
     if check_ethereum_flip:

@@ -309,6 +309,17 @@ def test_unwritable_path_exit_3(tmp_path, capsys, flag):
     assert str(path) in err
 
 
+@pytest.mark.parametrize("name", ["overhead-grid", "strong-simple-table2"])
+def test_trace_without_a_single_run_exit_3(tmp_path, capsys, name):
+    path = tmp_path / "trace.jsonl"
+    assert main(["run", name, "--trace", str(path)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not path.exists()
+
+
 def test_tendermint_scenarios_via_cli():
     report = run_scenario(bundled("tendermint-withholding"))
     result = report["results"][0]

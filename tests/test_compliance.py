@@ -1,14 +1,18 @@
 """Compliant-tip procedure against an independent hand-executed oracle.
 
-The oracle rebuilds the candidate scan from scratch: brute-force vote
-counting, greedy chain descent, explicit prefix walks.  The scripted trees
-cover attack lengths up to 3, defections, membership pruning and ties.
+The oracle rebuilds the full candidate scan from scratch: a fork choice for
+every block by brute-force vote counting and greedy chain descent, explicit
+prefix walks, and the best rank among the survivors.  The scripted trees
+cover attack lengths up to 3, defections, membership pruning and ties; a
+property test compares random trees under both tie-break policies.
 """
 
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reorglab import compliance
 from reorglab.chain import Block, BlockTree, TieBreakPolicy, Validator, VoteRecord
 from reorglab.compliance import (
     ComplianceTracker,
@@ -17,10 +21,12 @@ from reorglab.compliance import (
     prefix_noncompliance_index,
     required_attack_length,
 )
+from reorglab.games import GameConfig, GameKind, build_game
 
-from conftest import RATIONAL, oracle_fork_choice
+from conftest import ADVERSARIAL, RATIONAL, make_tree, oracle_fork_choice, vote
 
 LEX = TieBreakPolicy.LEXICOGRAPHIC
+POLICIES = (TieBreakPolicy.ADVERSARY_FAVORING, LEX)
 
 
 def build(blocks, votes=()):
@@ -39,12 +45,12 @@ def build(blocks, votes=()):
     return tree, ids
 
 
-def oracle_tip(tree, slot_i, p, W, Wp, marks):
-    """From-scratch candidate scan."""
+def oracle_tip(tree, slot_i, p, W, Wp, marks, tie_break=LEX):
+    """From-scratch candidate scan: every block's fork choice, then the best survivor."""
     hypothetical = (p - slot_i + 1) * W + Wp
     best_rank, best = None, None
     for bid in sorted(tree.blocks):
-        tip = oracle_fork_choice(tree, slot_i, None, 0, LEX, extra={bid: hypothetical})
+        tip = oracle_fork_choice(tree, slot_i, None, 0, tie_break, extra={bid: hypothetical})
         chain = []
         cur: Optional[int] = tip
         while cur is not None:
@@ -241,6 +247,59 @@ def test_compliant_tip_matches_oracle(name, p, i, builder, expected):
     want = oracle_tip(tree, i, p, W, WP, marks)
     assert got == want
     assert got == ids[expected]
+
+
+@st.composite
+def tip_queries(draw):
+    """A random tree (some proposers adversarial), votes, marks and query slot."""
+    n = draw(st.integers(1, 8))
+    parents = [None] + [draw(st.integers(0, k - 1)) for k in range(1, n)]
+    kinds = draw(st.lists(st.sampled_from((RATIONAL, ADVERSARIAL)), min_size=n, max_size=n))
+    tree = make_tree(parents, kinds)
+    # voters may vote several times: only the latest counts
+    for voter, target in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, n - 1)),
+                                       max_size=10)):
+        vote(tree, voter, target)
+    # an unmarked block counts as non-compliant
+    marks = draw(st.dictionaries(st.integers(0, n - 1), st.booleans()))
+    p = draw(st.integers(1, 4))
+    return tree, draw(st.integers(1, p + 1)), p, marks
+
+
+@settings(max_examples=300, deadline=None)
+@given(tip_queries(), st.integers(1, 4), st.integers(0, 3), st.sampled_from(POLICIES))
+def test_compliant_tip_matches_full_scan(query, committee_size, boost, tie_break):
+    tree, slot_i, p, marks = query
+    got = compliant_tip(tree, slot_i, p, committee_size, boost, marks, tie_break)
+    assert got == oracle_tip(tree, slot_i, p, committee_size, boost, marks, tie_break)
+
+
+@pytest.mark.parametrize("tie_break, expected", [(LEX, 1), (POLICIES[0], 2)], ids=["lex", "adv"])
+def test_tie_break_decides_survival(tie_break, expected):
+    # the deepest block 2 (adversarial) ties its rival 1 once given its
+    # hypothetical weight W_p = 1: only the adversary-favoring policy keeps
+    # it on its own chain, so the lexicographic tip is the next-ranked 1
+    tree = make_tree([None, 0, 0], [RATIONAL, RATIONAL, ADVERSARIAL])
+    vote(tree, 0, 1)
+    marks = dict.fromkeys(tree.blocks, True)
+    got = compliant_tip(tree, 2, 1, 1, 1, marks, tie_break)
+    assert got == oracle_tip(tree, 2, 1, 1, 1, marks, tie_break) == expected
+
+
+@pytest.mark.parametrize("profile", ["compliant-all", "extend-original-all"])
+def test_one_fork_choice_per_tip_query(monkeypatch, profile):
+    fork_choices, tips = [], []
+    fork_choice, tip = BlockTree.fork_choice, compliance.compliant_tip
+    monkeypatch.setattr(
+        BlockTree, "fork_choice", lambda tree, *a, **k: fork_choices.append(a) or fork_choice(tree, *a, **k)
+    )
+    monkeypatch.setattr(compliance, "compliant_tip", lambda *a: tips.append(a) or tip(*a))
+    game = build_game(GameConfig(GameKind.EXTENDED, 4, boost=2, horizon=7))
+    trace = game.run(game.profile(profile)).trace
+    # one head per tick, the final chain, and one hypothetical chain per
+    # query: the best-ranked block survives on every path of both profiles
+    assert (len(trace.tips), len(tips)) == (22, 15)
+    assert len(fork_choices) == len(trace.tips) + 1 + len(tips) == 38
 
 
 def test_scan_restores_subtree_weights():

@@ -241,6 +241,15 @@ class TestDagScenario:
         assert result.report.verdict is Verdict.SPNE
         assert result.outcome.extras["adversary_reorged"]
 
+    def test_prescribed_profile_played_once(self, monkeypatch):
+        # the outcome's run is the SPNE base: 33 deviations plus that one run
+        runs = []
+        run = DagVotesGame.run
+        monkeypatch.setattr(DagVotesGame, "run", lambda game, prof: runs.append(prof) or run(game, prof))
+        result = dag_security_scenario(self.config())
+        assert result.report.checked == 33
+        assert len(runs) == 34
+
     def test_boost_too_large_rejected(self):
         from reorglab.equilibrium import AssumptionViolated
 
