@@ -120,6 +120,7 @@ class BlockTree:
 
     blocks: dict[BlockId, Block] = field(default_factory=dict)
     children: dict[BlockId, list[BlockId]] = field(default_factory=dict)
+    by_slot: dict[int, list[BlockId]] = field(default_factory=dict)  # ids in insertion order
     votes: list[VoteRecord] = field(default_factory=list)
     genesis: Optional[BlockId] = None
     _next_id: int = 0
@@ -144,18 +145,17 @@ class BlockTree:
                 raise ChainError(
                     f"slot {block.slot} not greater than parent slot {parent.slot}"
                 )
-            if block.proposer.kind is not ValidatorKind.ADVERSARIAL:
-                for other in self.blocks.values():
-                    if (
-                        other.slot == block.slot
-                        and other.proposer.index == block.proposer.index
-                    ):
-                        raise EquivocationRejected(
-                            f"proposer {block.proposer.index} already has a "
-                            f"block at slot {block.slot}"
-                        )
+            if block.proposer.kind is not ValidatorKind.ADVERSARIAL and any(
+                self.blocks[other].proposer.index == block.proposer.index
+                for other in self.by_slot.get(block.slot, ())
+            ):
+                raise EquivocationRejected(
+                    f"proposer {block.proposer.index} already has a "
+                    f"block at slot {block.slot}"
+                )
         self.blocks[block.id] = block
         self.children.setdefault(block.id, [])
+        self.by_slot.setdefault(block.slot, []).append(block.id)
         if block.parent is not None:
             self.children.setdefault(block.parent, []).append(block.id)
 
@@ -209,41 +209,34 @@ class BlockTree:
         boost: int,
         virtual_votes: Optional[Mapping[BlockId, int]],
     ) -> dict[BlockId, int]:
-        """Subtree weight of every block under the LMD rule plus boost."""
-        weight = {bid: 0 for bid in self.blocks}
+        """Subtree weight of every block under the LMD rule plus boost.
 
-        def credit(bid: BlockId, amount: int) -> None:
-            cur: Optional[BlockId] = bid
-            while cur is not None:
-                weight[cur] += amount
-                cur = self.blocks[cur].parent
-
+        Each latest vote, each virtual vote and the boost is added once, at
+        its own block.  One sweep over the blocks in reverse insertion order
+        then adds every block's total to its parent's.  `insert_block` accepts
+        a block only once its parent is in the tree, so every child comes
+        before its parent in that sweep: a block's total is complete when it
+        is passed up.  The cost is O(blocks + votes).
+        """
+        weight = dict.fromkeys(self.blocks, 0)
         for vote in self.latest_votes():
-            credit(vote.target, 1)
+            weight[vote.target] += 1
         if virtual_votes:
             for bid, amount in virtual_votes.items():
-                if bid not in self.blocks:
+                if bid not in weight:
                     raise UnknownBlock(f"virtual weight target {bid} not in tree")
-                credit(bid, amount)
+                weight[bid] += amount
         if (
             boosted is not None
             and boost > 0
             and boosted in self.blocks
             and self.blocks[boosted].slot == current_slot
         ):
-            credit(boosted, boost)
+            weight[boosted] += boost
+        for block in reversed(self.blocks.values()):
+            if block.parent is not None:
+                weight[block.parent] += weight[block.id]
         return weight
-
-    def _latest_adversarial_slot(self, cache: dict[BlockId, int], bid: BlockId) -> int:
-        """Largest slot of an adversarial block in the subtree of `bid`."""
-        if bid in cache:
-            return cache[bid]
-        block = self.blocks[bid]
-        best = block.slot if block.proposer.kind is ValidatorKind.ADVERSARIAL else -(10**9)
-        for child in self.children.get(bid, []):
-            best = max(best, self._latest_adversarial_slot(cache, child))
-        cache[bid] = best
-        return best
 
     def subtree_weight(
         self,
@@ -273,27 +266,30 @@ class BlockTree:
         callers add hypothetical weight at a block (used by the compliant-tip
         procedure); it participates in every subtree containing that block,
         exactly as real votes would.
+
+        Under ADVERSARY_FAVORING the tie-break key of a subtree, the latest
+        slot of an adversarial block in it, comes from the same kind of
+        reverse-insertion-order sweep as the weights, so the whole call is
+        O(blocks + votes) and needs no recursion, however deep the tree.
         """
         if self.genesis is None:
             raise ChainError("empty tree")
         weight = self._weights(current_slot, boosted, boost, virtual_votes)
-        adv_cache: dict[BlockId, int] = {}
+        if tie_break is TieBreakPolicy.ADVERSARY_FAVORING:
+            adv = {
+                bid: b.slot if b.proposer.kind is ValidatorKind.ADVERSARIAL else -(10**9)
+                for bid, b in self.blocks.items()
+            }
+            for block in reversed(self.blocks.values()):
+                if block.parent is not None and adv[block.id] > adv[block.parent]:
+                    adv[block.parent] = adv[block.id]
+            key = lambda c: (weight[c], adv[c], -c)
+        else:
+            key = lambda c: (weight[c], -c)
         cur = self.genesis
-        while True:
-            kids = self.children.get(cur, [])
-            if not kids:
-                return cur
-            if tie_break is TieBreakPolicy.ADVERSARY_FAVORING:
-                cur = max(
-                    kids,
-                    key=lambda c: (
-                        weight[c],
-                        self._latest_adversarial_slot(adv_cache, c),
-                        -c,
-                    ),
-                )
-            else:
-                cur = max(kids, key=lambda c: (weight[c], -c))
+        while kids := self.children[cur]:
+            cur = max(kids, key=key)
+        return cur
 
     def canonical_chain(
         self,

@@ -295,8 +295,7 @@ class Simulation:
 
     def boosted_block(self, query_slot: int) -> Optional[BlockId]:
         """The proposal of `query_slot` currently in view, if any."""
-        candidates = [b.id for b in self.tree.blocks.values() if b.slot == query_slot]
-        return max(candidates) if candidates else None
+        return max(self.tree.by_slot.get(query_slot, ()), default=None)
 
     def tip(self) -> BlockId:
         """The fork-choice head of the tick in progress, weighed when that tick started."""

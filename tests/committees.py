@@ -8,6 +8,7 @@ against these sampled schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Sequence
 
@@ -63,23 +64,22 @@ def assign_committees(
         )
     order = list(range(n_validators))
     Random(seed).shuffle(order)
+    rational = _rational_validators(n_validators)
+    shuffled = [rational[idx] for idx in order]
 
     committees: dict[int, list[Validator]] = {}
-    leaders: dict[int, Validator] = {}
     for slot in range(epoch_length):
-        if fixed_attestor_set:
-            members = order[:committee_size]
-        else:
-            members = order[slot * committee_size : (slot + 1) * committee_size]
-        leader_index = members[0]
-        validators = []
-        for idx in members:
-            kind = (
-                ValidatorKind.ADVERSARIAL
-                if slot in adversarial and idx == leader_index
-                else ValidatorKind.RATIONAL
-            )
-            validators.append(Validator(idx, kind))
-        committees[slot] = validators
-        leaders[slot] = validators[0]
+        start = 0 if fixed_attestor_set else slot * committee_size
+        members = shuffled[start : start + committee_size]
+        if slot in adversarial:
+            members[0] = Validator(members[0].index, ValidatorKind.ADVERSARIAL)
+        committees[slot] = members
+    leaders = {slot: members[0] for slot, members in committees.items()}
     return CommitteeSchedule(epoch_length, committees, leaders, seed)
+
+
+@lru_cache(maxsize=8)
+def _rational_validators(n_validators: int) -> tuple[Validator, ...]:
+    """Rational validators 0..n-1, built once per size: Validator is frozen,
+    so schedules can share them, and building them dominated a draw."""
+    return tuple(Validator(idx, ValidatorKind.RATIONAL) for idx in range(n_validators))

@@ -148,6 +148,15 @@ class TestForkChoice:
         after = {b: tree.subtree_weight(b, 2) for b in tree.blocks}
         assert before == after
 
+    def test_deep_chain_returns_tip(self):
+        # far deeper than the interpreter's recursion limit; the adversarial
+        # tip gives the adversary-favoring key something to carry up
+        n = 5000
+        tree = make_tree([None] + list(range(n - 1)), [RATIONAL] * (n - 1) + [ADVERSARIAL])
+        vote(tree, 0, n // 2)
+        for policy in (ADV, LEX):
+            assert tree.fork_choice(current_slot=n - 1, tie_break=policy) == n - 1
+
 
 class TestCanonicalChain:
     def test_genesis_only(self):

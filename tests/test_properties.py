@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from reorglab.chain import (
     Block,
+    BlockTree,
     EvidenceRecord,
     TieBreakPolicy,
     Validator,
@@ -26,7 +27,7 @@ from reorglab.chain import (
 from reorglab.cli import bundled_scenarios, render_report, run_scenario
 from reorglab.rewards import head_vote_timely_dag
 
-from conftest import ADVERSARIAL, RATIONAL, make_tree, oracle_fork_choice
+from conftest import ADVERSARIAL, RATIONAL, make_tree, oracle_fork_choice, oracle_weight
 
 POLICIES = (TieBreakPolicy.ADVERSARY_FAVORING, TieBreakPolicy.LEXICOGRAPHIC)
 
@@ -128,6 +129,47 @@ def test_fork_choice_oracle_hypothesis(parents, votes, boost):
         tree.add_vote(VoteRecord(tree.blocks[target].slot, voter, target))
     for policy in POLICIES:
         assert_matches_oracle(tree, n - 1, n - 1, boost, policy)
+
+
+@st.composite
+def shuffled_trees(draw):
+    """A tree whose block ids are a random permutation of its insertion order.
+
+    Parents are still inserted first, slots rise by 1-3 along each parent
+    link, and votes may be stale or share a slot with the same voter's
+    other votes.  Returns the tree, the slot queried, and the boosted
+    block, boost and virtual votes to query it with.
+    """
+    n = draw(st.integers(1, 9))
+    ids = draw(st.permutations(range(n)))
+    kinds = draw(st.lists(st.sampled_from([RATIONAL, ADVERSARIAL]), min_size=n, max_size=n))
+    tree = BlockTree()
+    for i in range(n):
+        parent = draw(st.integers(0, i - 1)) if i else None
+        slot = 0 if parent is None else tree.blocks[ids[parent]].slot + draw(st.integers(1, 3))
+        tree.insert_block(Block(ids[i], slot, None if parent is None else ids[parent],
+                                Validator(1000 + i, kinds[i])))
+    for voter, target, late, time in draw(st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, n - 1), st.integers(0, 2),
+                      st.integers(0, 2)), max_size=14)):
+        tree.add_vote(VoteRecord(tree.blocks[target].slot + late, voter, target, time))
+    virtual = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 3), max_size=3))
+    boosted = draw(st.none() | st.integers(0, n - 1))
+    current_slot = draw(st.sampled_from(sorted({b.slot for b in tree.blocks.values()})))
+    return tree, current_slot, boosted, draw(st.integers(0, 4)), virtual
+
+
+@given(case=shuffled_trees())
+@settings(max_examples=300, deadline=None)
+def test_fork_choice_oracle_with_shuffled_ids(case):
+    # the weight sweep follows insertion order, never id order
+    tree, current_slot, boosted, boost, virtual = case
+    for bid in tree.blocks:
+        assert tree.subtree_weight(bid, current_slot, boosted, boost, virtual) == oracle_weight(
+            tree, bid, current_slot, boosted, boost, virtual)
+    for policy in POLICIES:
+        assert tree.fork_choice(current_slot, boosted, boost, policy, virtual) == oracle_fork_choice(
+            tree, current_slot, boosted, boost, policy, virtual)
 
 
 @given(
