@@ -181,14 +181,6 @@ class BlockTree:
         path.reverse()
         return path
 
-    def is_ancestor(self, anc: BlockId, bid: BlockId) -> bool:
-        cur: Optional[BlockId] = bid
-        while cur is not None:
-            if cur == anc:
-                return True
-            cur = self.blocks[cur].parent
-        return False
-
     def latest_votes(self) -> list[VoteRecord]:
         """One vote per voter, keeping only the latest-slot message (LMD)."""
         best: dict[int, VoteRecord] = {}

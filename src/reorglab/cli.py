@@ -21,7 +21,6 @@ import io
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -844,6 +843,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise ParseError(f"{directory} {what}")
             jobs = [(p, args.seed, args.max_joint_actions, args.format) for p in paths]
             worst = EXIT_OK
+            # imported here, so that no other command loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             # the fork start method launches every worker at the first submit
             with ProcessPoolExecutor(max_workers=min(max(1, args.jobs), len(paths))) as pool:
                 for code, text in pool.map(_run_one, jobs):

@@ -52,10 +52,6 @@ def slot_of(tick: int) -> int:
     return tick // 3
 
 
-def phase_of(tick: int) -> int:
-    return tick % 3
-
-
 def propose_tick(slot: int) -> int:
     return 3 * slot
 

@@ -896,6 +896,12 @@ class DagVotesGame(GameModel):
     positive boost is admissible when the committee is large enough to
     outvote it (the security argument then needs W > 2 + boost solo
     attestors, with the evidence threshold left at W/2).
+
+    Each proposal carries every delivered vote and evidence its chain lacks.
+    Every key is sent once, so by induction a chain's inclusions are exactly
+    a prefix of each delivered log: a block's mark is the two log lengths
+    when it was proposed (genesis marks (0, 0)), and a child carries both
+    logs past its parent's mark.
     """
 
     PROFILES = {"prescribed": ("on-tip", "tip")}
@@ -940,7 +946,9 @@ class DagVotesGame(GameModel):
 
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
-        sim, _ = _open_chain(cfg, {0: (self.genesis_proposer, self.committees[0])})
+        sim, (genesis,) = _open_chain(cfg, {0: (self.genesis_proposer, self.committees[0])})
+        votes, evidences = sim.tree.votes, sim.delivered_evidences
+        marks = {genesis.id: (0, 0)}  # each block's (len(votes), len(evidences)) when proposed
         adv_block = None
         for slot in range(self.n_slots + 1):
             if slot >= 1:
@@ -948,11 +956,17 @@ class DagVotesGame(GameModel):
                 leader = self.leaders[slot]
                 if slot == self.adv_slot:
                     parent = sim.tip() if cfg.adversary_on_tip else sim.resolve(ParentOfTip())
-                    adv_block = self._propose(sim, slot, leader, parent)
                 else:
                     act = profile.get(DecisionPoint(slot, Role.LEADER, leader.index))
-                    if act is not None:
-                        self._propose(sim, slot, leader, sim.resolve(act.parent))
+                    parent = None if act is None else sim.resolve(act.parent)
+                if parent is not None:
+                    n, k = marks[parent]
+                    block = sim.propose(
+                        slot, parent, leader, votes=votes[n:], evidences=evidences[k:]
+                    )
+                    marks[block.id] = (len(votes), len(evidences))
+                    if slot == self.adv_slot:
+                        adv_block = block
                 sim.advance(vote_tick(slot))
                 # the horizon committee is scripted to vote the tip
                 slot_profile = profile if slot < self.n_slots else None
@@ -960,10 +974,10 @@ class DagVotesGame(GameModel):
             sim.advance(aggregate_tick(slot))
             if slot < self.n_slots:
                 # slot s+1 attestors sign the slot-s votes they saw on time
+                seen = [vote for vote in votes if vote.slot == slot]
                 for signer in self.committees[slot + 1]:
-                    for vote in sim.tree.votes:
-                        if vote.slot == slot:
-                            sim.emit_evidence(EvidenceRecord(signer.index, vote))
+                    for vote in seen:
+                        sim.emit_evidence(EvidenceRecord(signer.index, vote))
         trace, ledger, _ = _close(sim, cfg, self.n_slots, {})
         chain = set(trace.final_chain)
         rational_blocks = [
@@ -981,23 +995,6 @@ class DagVotesGame(GameModel):
         }
         success = not extras["adversary_reorged"]
         return GameOutcome(success, [], ledger, trace, extras)
-
-    @staticmethod
-    def _propose(sim: Simulation, slot: int, leader: Validator, parent: BlockId) -> Block:
-        """Propose on `parent`, carrying every delivered vote and evidence its chain lacks."""
-        included_votes: set = set()
-        included_ev: set = set()
-        cur: Optional[BlockId] = parent
-        while cur is not None:
-            b = sim.tree.blocks[cur]
-            included_votes.update(v.key() for v in b.included_votes)
-            included_ev.update(e.key() for e in b.included_evidences)
-            cur = b.parent
-        return sim.propose(
-            slot, parent, leader,
-            votes=(v for v in sim.tree.votes if v.key() not in included_votes),
-            evidences=(e for e in sim.delivered_evidences if e.key() not in included_ev),
-        )
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile))

@@ -196,5 +196,5 @@ def test_boost_monotonicity():
     vote(tree, 3, 2)
     for boost in range(0, 8):
         tip = tree.fork_choice(current_slot=3, boosted=3, boost=boost)
-        assert tree.is_ancestor(3, tip) or tree.is_ancestor(tip, 3)
+        assert 3 in tree.ancestors(tip) or tip in tree.ancestors(3)
         assert tip == 3

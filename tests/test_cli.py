@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -290,13 +293,28 @@ def test_batch_starts_at_most_one_worker_per_file(tmp_path, capsys, monkeypatch)
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcess)
     for name in ("overhead-grid", "tendermint-anchor"):
         (tmp_path / f"{name}.json").write_text(bundled_scenarios()[name])
     assert main(["batch", str(tmp_path), "--jobs", "64"]) == EXIT_OK
     assert asked == [2]
     out = capsys.readouterr().out
     assert "overhead-grid" in out and "tendermint-anchor" in out
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only `batch` starts workers, so no other command pays for loading them
+    probe = (
+        "import sys, reorglab.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--trace"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from reorglab.engine import (
     DecisionPoint,
     FixedBlock,
     Role,
+    Simulation,
     StrategyProfile,
     Tip,
     VoteFor,
@@ -479,3 +481,50 @@ def test_labelled_agrees_with_named_profile(kind, name):
     assert game.labelled(labels.__getitem__) == profile
     with pytest.raises(GameError, match="unknown action 'Z' for slot"):
         game.action(game.decision_points()[0], "Z")
+
+
+# -- a DAG-votes proposal carries what its parent's chain lacks ------------------
+
+
+def lacked_by_chain(sim, parent):
+    """The delivered votes and evidences that no block from genesis to `parent` includes."""
+    votes, evidences = set(), set()
+    cur = parent
+    while cur is not None:
+        block = sim.tree.blocks[cur]
+        votes.update(v.key() for v in block.included_votes)
+        evidences.update(e.key() for e in block.included_evidences)
+        cur = block.parent
+    return (
+        tuple(v for v in sim.tree.votes if v.key() not in votes),
+        tuple(e for e in sim.delivered_evidences if e.key() not in evidences),
+    )
+
+
+@pytest.mark.parametrize("committee_size", [3, 4, 5, 8])
+def test_dag_proposals_carry_what_the_parent_chain_lacks(committee_size, monkeypatch):
+    # every proposal of random labelled profiles (off-tip leaders, attestors
+    # voting parent-of-tip or abstaining) against a walk of its parent's chain
+    propose = Simulation.propose
+    proposals = []
+
+    def checked(sim, slot, parent, proposer, votes=(), evidences=(), **kw):
+        carried = (tuple(votes), tuple(evidences))
+        assert carried == lacked_by_chain(sim, parent)
+        proposals.append((parent != max(sim.tree.blocks), bool(carried[1])))
+        return propose(sim, slot, parent, proposer, *carried, **kw)
+
+    monkeypatch.setattr(Simulation, "propose", checked)
+    rng = random.Random(committee_size)
+    configs = list(itertools.product([0, 1], TieBreakPolicy, [False, True]))
+    for boost, tie_break, adversary_on_tip in configs:
+        game = DagVotesGame(simple_config(
+            kind=GameKind.DAG_VOTES, committee_size=committee_size, boost=boost,
+            tie_break=tie_break, adversary_on_tip=adversary_on_tip,
+        ))
+        for _ in range(12):
+            game.run(game.labelled(lambda dp: rng.choice(list(game.candidates(dp)))))
+    assert len(proposals) == len(configs) * 12 * DagVotesGame.n_slots
+    # some proposals fork off the latest block, and some carry evidence
+    assert any(off_latest for off_latest, _ in proposals)
+    assert any(evidence for _, evidence in proposals)

@@ -8,6 +8,7 @@ shapes, where the full six-voter product would be millions of cases; ties,
 boosts and both tie-break policies are exercised throughout.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -61,9 +62,14 @@ def assert_matches_oracle(tree, current_slot, boosted, boost, policy):
     assert got == want
 
 
-def test_fork_choice_oracle_exhaustive_small_trees():
-    # trees with <= 4 blocks: every assignment of 6 voters over
-    # {each block, abstain}
+@functools.cache
+def exhaustive_small_trees() -> int:
+    """Trees with <= 4 blocks: every assignment of 6 voters over {each block, abstain}.
+
+    Each case must match the oracle; returns how many were checked.  Cached,
+    like the six-block enumeration below, so that it runs once per test run
+    however many tests ask for it.
+    """
     checked = 0
     for parents in tree_shapes(4):
         n = len(parents)
@@ -74,14 +80,17 @@ def test_fork_choice_oracle_exhaustive_small_trees():
             policy = POLICIES[checked % 2]
             assert_matches_oracle(tree, n - 1, None, 0, policy)
             checked += 1
-    assert checked > 100_000
+    return checked
 
 
-def test_fork_choice_oracle_exhaustive_shapes_to_six_blocks():
-    # every 5- and 6-block shape: every assignment of 3 voters, plus a
-    # boosted variant
-    shapes = [p for p in tree_shapes(6) if len(p) >= 5]
-    assert len(shapes) == 24 + 120
+@functools.cache
+def exhaustive_shapes_to_six_blocks() -> tuple[tuple, int]:
+    """Every 5- and 6-block shape: every assignment of 3 voters, plus a boosted variant.
+
+    Each case must match the oracle; returns the shapes and how many cases
+    were checked.
+    """
+    shapes = tuple(p for p in tree_shapes(6) if len(p) >= 5)
     checked = 0
     for parents in shapes:
         n = len(parents)
@@ -93,6 +102,16 @@ def test_fork_choice_oracle_exhaustive_shapes_to_six_blocks():
             boosted = checked % n if checked % 3 == 0 else None
             assert_matches_oracle(tree, n - 1, boosted, 2, policy)
             checked += 1
+    return shapes, checked
+
+
+def test_fork_choice_oracle_exhaustive_small_trees():
+    assert exhaustive_small_trees() > 100_000
+
+
+def test_fork_choice_oracle_exhaustive_shapes_to_six_blocks():
+    shapes, checked = exhaustive_shapes_to_six_blocks()
+    assert len(shapes) == 24 + 120
     assert checked == sum((len(p) + 1) ** 3 for p in shapes)
 
 
@@ -193,8 +212,8 @@ def test_boost_monotonicity_property(shape_pick, votes, boost_lo, boost_hi):
     boosted = n - 1
     tip_lo = tree.fork_choice(n - 1, boosted, lo, TieBreakPolicy.LEXICOGRAPHIC)
     tip_hi = tree.fork_choice(n - 1, boosted, hi, TieBreakPolicy.LEXICOGRAPHIC)
-    if tree.is_ancestor(boosted, tip_lo) or tree.is_ancestor(tip_lo, boosted):
-        assert tree.is_ancestor(boosted, tip_hi) or tree.is_ancestor(tip_hi, boosted)
+    if boosted in tree.ancestors(tip_lo) or tip_lo in tree.ancestors(boosted):
+        assert boosted in tree.ancestors(tip_hi) or tip_hi in tree.ancestors(boosted)
 
 
 @given(

@@ -25,16 +25,15 @@ from reorglab.tendermint import (
     NIL,
     RoundState,
     TendermintMsg,
-    TmEvidence,
     WithholdingGame,
     evidence_counts,
     honest_anchor_scenario,
-    prevote_evidence_valid,
-    precommit_evidence_valid,
     tm_step,
     tm_vote_reward,
     withholding_attack_scenario,
 )
+
+from tendermint_evidence import TmEvidence, precommit_evidence_valid, prevote_evidence_valid
 
 
 def proposal(h=1, rho=1, value=100, sender=0, vr=-1):
