@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .chain import Block, BlockId, BlockTree, TieBreakPolicy, VoteRecord
+from .chain import Block, BlockId, BlockTree, TieBreakPolicy, UnknownBlock, VoteRecord
 
 
 class HonestMajority(Exception):
@@ -42,17 +42,31 @@ class EmptyCandidateSet(Exception):
     """
 
 
+def prefix_noncompliance_indices(
+    tree: BlockTree, marks: Mapping[BlockId, bool]
+) -> dict[BlockId, Optional[int]]:
+    """`prefix_noncompliance_index` of every block, in one pass over the tree.
+
+    A parent is inserted before its children, so its index is known when a
+    child is reached; slots grow along a chain, so a non-compliant block is
+    the latest non-compliant block of its own prefix.
+    """
+    worst: dict[BlockId, Optional[int]] = {}
+    for bid, block in tree.blocks.items():
+        if not marks.get(bid, False):
+            worst[bid] = block.slot
+        else:
+            worst[bid] = None if block.parent is None else worst[block.parent]
+    return worst
+
+
 def prefix_noncompliance_index(
     tree: BlockTree, bid: BlockId, marks: Mapping[BlockId, bool]
 ) -> Optional[int]:
     """Largest slot of a non-compliant block on the path root..bid, else None."""
-    worst: Optional[int] = None
-    for anc in tree.ancestors(bid):
-        if not marks.get(anc, False):
-            slot = tree.blocks[anc].slot
-            if worst is None or slot > worst:
-                worst = slot
-    return worst
+    if bid not in tree.blocks:
+        raise UnknownBlock(f"block {bid} not in tree")
+    return prefix_noncompliance_indices(tree, marks)[bid]
 
 
 def compliant_tip(
@@ -71,9 +85,10 @@ def compliant_tip(
     weight degenerates to the proposer boost alone).
     """
     hypothetical = (p - slot_i + 1) * committee_size + boost
+    prefix_worst = prefix_noncompliance_indices(tree, compliance_marks)
 
     def rank(bid: BlockId) -> tuple:
-        worst = prefix_noncompliance_index(tree, bid, compliance_marks)
+        worst = prefix_worst[bid]
         # None (fully compliant prefix) sorts before every slot number
         return ((0, 0) if worst is None else (1, worst), -tree.blocks[bid].slot, bid)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -256,16 +256,21 @@ class Simulation:
         self._proposed[key] = block.id
         self._send("block", block, release)
 
-    def emit_vote(self, vote: VoteRecord, release: Optional[int] = None) -> VoteRecord:
-        """Send `vote`; returns it as sent, stamped with its release tick."""
-        key = (vote.voter, vote.slot)
+    def emit_vote(self, slot: int, voter: int, target: BlockId,
+                  release: Optional[int] = None) -> VoteRecord:
+        """Build `voter`'s slot-`slot` vote for `target` and send it.
+
+        The vote is built once, stamped with its release tick; it is returned
+        as sent.
+        """
+        key = (voter, slot)
         prior = self._voted.get(key)
-        if prior is not None and prior != vote.target:
-            raise InvalidAction(f"validator {vote.voter} already voted at slot {vote.slot}")
-        self._voted[key] = vote.target
-        sent = replace(vote, broadcast_time=self.tick if release is None else release)
-        self._send("vote", sent, sent.broadcast_time)
-        return sent
+        if prior is not None and prior != target:
+            raise InvalidAction(f"validator {voter} already voted at slot {slot}")
+        self._voted[key] = target
+        vote = VoteRecord(slot, voter, target, self.tick if release is None else release)
+        self._send("vote", vote, vote.broadcast_time)
+        return vote
 
     def emit_evidence(self, ev: EvidenceRecord, release: Optional[int] = None) -> None:
         self._send("evidence", ev, release)

@@ -246,10 +246,10 @@ class GameModel:
 
     def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
         """Each solo player's settled amount, and each pool's total over its members."""
-        ledger = outcome.ledger
-        out = {p: ledger.get(p) for p in self._roster if p not in self.pools}
+        settled, zero = outcome.trace.payoffs, Fraction(0)
+        out = {p: settled.get(p, zero) for p in self._roster if p not in self.pools}
         for name, members in self.pools.items():
-            out[name] = sum((ledger.get(v) for v in members), Fraction(0))
+            out[name] = sum((settled.get(v, zero) for v in members), zero)
         return out
 
 
@@ -304,7 +304,7 @@ def _attest(sim: Simulation, profile, slot: int, voters, compliant_tip=None):
         else:
             act = profile.get(DecisionPoint(slot, Role.ATTESTOR, v.index))
         if isinstance(act, VoteFor):
-            sim.emit_vote(VoteRecord(slot, v.index, sim.resolve(act.target, compliant_tip)))
+            sim.emit_vote(slot, v.index, sim.resolve(act.target, compliant_tip))
 
 
 def _close(sim: Simulation, config: GameConfig, final_slot: int, labels: dict):
@@ -835,7 +835,7 @@ class SelfishMiningGame(GameModel):
         compliant_votes = 0
         for s_i in self.adv_slots:
             votes = [
-                sim.emit_vote(VoteRecord(s_i - 1, v.index, parent), publish)
+                sim.emit_vote(s_i - 1, v.index, parent, publish)
                 for v in self.committees[s_i - 1]
                 if profile.get(DecisionPoint(s_i - 1, Role.ATTESTOR, v.index)) == FollowRule()
             ]

@@ -60,15 +60,45 @@ class RewardParams:
     committee_size: int = 0  # W, needed for the DAG evidence threshold
 
 
+_ZERO = Fraction(0)
+# the two units a credit counts: r for a correct, timely vote, R for its inclusion
+ATTESTATION, INCLUSION = 0, 1
+
+
 @dataclass
 class PayoffLedger:
-    payoffs: dict[int, Fraction] = field(default_factory=dict)
+    """Settled head-vote rewards: integer counts per unit, amounts made once when read.
 
-    def credit(self, validator: int, amount: Fraction) -> None:
-        self.payoffs[validator] = self.payoffs.get(validator, Fraction(0)) + amount
+    Every credit is exactly one r (a correct, timely vote) or one R (its
+    inclusion), so the ledger counts them per validator and multiplies by
+    the units only when read.  A validator counted only in units of 0 keeps
+    its key, with amount 0.
+    """
+
+    r: Fraction
+    R: Fraction
+    # validator -> [r count, R count], in order of first credit
+    counts: dict[int, list[int]] = field(default_factory=dict)
+
+    def credit(self, validator: int, unit: int) -> None:
+        """Count one `unit` (ATTESTATION: r, INCLUSION: R) for `validator`."""
+        count = self.counts.get(validator)
+        if count is None:
+            self.counts[validator] = count = [0, 0]
+        count[unit] += 1
+
+    @property
+    def payoffs(self) -> dict[int, Fraction]:
+        """Every credited validator's amount; each distinct count pair is multiplied out once."""
+        pairs = {v: tuple(count) for v, count in self.counts.items()}
+        amounts = {pair: self.r * pair[0] + self.R * pair[1] for pair in set(pairs.values())}
+        return {v: amounts[pair] for v, pair in pairs.items()}
 
     def get(self, validator: int) -> Fraction:
-        return self.payoffs.get(validator, Fraction(0))
+        count = self.counts.get(validator)
+        if count is None:
+            return _ZERO
+        return self.r * count[0] + self.R * count[1]
 
 
 def correctness_target(chain: list[BlockId], tree: BlockTree, slot: int) -> Optional[BlockId]:
@@ -132,7 +162,7 @@ def settle_payoffs(trace: RunTrace, params: RewardParams) -> PayoffLedger:
 
     A vote included in several chain blocks is credited at most once.
     """
-    ledger = PayoffLedger()
+    ledger = PayoffLedger(params.r, params.R)
     tree = trace.tree
     chain = trace.final_chain
     credited: set[tuple[int, int]] = set()
@@ -150,8 +180,8 @@ def settle_payoffs(trace: RunTrace, params: RewardParams) -> PayoffLedger:
             if not timely:
                 continue
             credited.add(vote.key())
-            ledger.credit(vote.voter, params.r)
-            ledger.credit(block.proposer.index, params.R)
+            ledger.credit(vote.voter, ATTESTATION)
+            ledger.credit(block.proposer.index, INCLUSION)
     return ledger
 
 

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reorglab import compliance
-from reorglab.chain import Block, BlockTree, TieBreakPolicy, Validator, VoteRecord
+from reorglab.chain import Block, BlockTree, TieBreakPolicy, UnknownBlock, Validator, VoteRecord
 from reorglab.compliance import (
     ComplianceTracker,
     HonestMajority,
     compliant_tip,
     prefix_noncompliance_index,
+    prefix_noncompliance_indices,
     required_attack_length,
 )
 from reorglab.games import GameConfig, GameKind, build_game
@@ -45,6 +46,18 @@ def build(blocks, votes=()):
     return tree, ids
 
 
+def oracle_prefix_index(tree, bid, marks):
+    """Largest slot of an unmarked or non-compliant block, walking bid to the root."""
+    worst = None
+    cur = bid
+    while cur is not None:
+        if not marks.get(cur, False):
+            slot = tree.blocks[cur].slot
+            worst = slot if worst is None else max(worst, slot)
+        cur = tree.blocks[cur].parent
+    return worst
+
+
 def oracle_tip(tree, slot_i, p, W, Wp, marks, tie_break=LEX):
     """From-scratch candidate scan: every block's fork choice, then the best survivor."""
     hypothetical = (p - slot_i + 1) * W + Wp
@@ -58,13 +71,7 @@ def oracle_tip(tree, slot_i, p, W, Wp, marks, tie_break=LEX):
             cur = tree.blocks[cur].parent
         if bid not in chain:
             continue
-        worst = None
-        cur = bid
-        while cur is not None:
-            if not marks.get(cur, False):
-                slot = tree.blocks[cur].slot
-                worst = slot if worst is None else max(worst, slot)
-            cur = tree.blocks[cur].parent
+        worst = oracle_prefix_index(tree, bid, marks)
         rank = ((0, 0) if worst is None else (1, worst), -tree.blocks[bid].slot, bid)
         if best_rank is None or rank < best_rank:
             best_rank, best = rank, bid
@@ -272,6 +279,18 @@ def test_compliant_tip_matches_full_scan(query, committee_size, boost, tie_break
     tree, slot_i, p, marks = query
     got = compliant_tip(tree, slot_i, p, committee_size, boost, marks, tie_break)
     assert got == oracle_tip(tree, slot_i, p, committee_size, boost, marks, tie_break)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tip_queries())
+def test_prefix_indices_match_walks(query):
+    tree, _, _, marks = query
+    swept = prefix_noncompliance_indices(tree, marks)
+    assert list(swept) == list(tree.blocks)
+    for bid in tree.blocks:
+        assert swept[bid] == oracle_prefix_index(tree, bid, marks)
+    with pytest.raises(UnknownBlock):
+        prefix_noncompliance_index(tree, len(tree.blocks), marks)
 
 
 @pytest.mark.parametrize("tie_break, expected", [(LEX, 1), (POLICIES[0], 2)], ids=["lex", "adv"])

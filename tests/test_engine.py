@@ -75,7 +75,7 @@ class TestDelivery:
     def test_release_visible_next_tick(self):
         sim = self._sim()
         sim.advance(2)
-        sim.emit_vote(VoteRecord(0, 1, 0), release=5)
+        sim.emit_vote(0, 1, 0, release=5)
         sim.advance(5)
         assert sim.visible_votes_for(0) == 0  # released at 5, not yet in view
         sim.advance(6)
@@ -85,7 +85,7 @@ class TestDelivery:
         sim = self._sim()
         sim.advance(5)
         with pytest.raises(InvalidAction):
-            sim.emit_vote(VoteRecord(0, 1, 0), release=4)
+            sim.emit_vote(0, 1, 0, release=4)
         with pytest.raises(InvalidAction):
             sim.emit_evidence(EvidenceRecord(2, VoteRecord(0, 1, 0)), release=4)
         with pytest.raises(InvalidAction):
@@ -95,9 +95,9 @@ class TestDelivery:
         sim = self._sim()
         sim.tree.insert_block(Block(sim.tree.new_id(), 1, 0, Validator(3, RATIONAL)))
         sim.advance(4)
-        sim.emit_vote(VoteRecord(1, 1, 0))
+        sim.emit_vote(1, 1, 0)
         with pytest.raises(InvalidAction):
-            sim.emit_vote(VoteRecord(1, 1, 1))
+            sim.emit_vote(1, 1, 1)
 
     def test_double_propose_rejected_for_rational(self):
         sim = self._sim()
@@ -119,7 +119,7 @@ class TestDelivery:
     def test_messages_stamped_at_the_tick_in_progress(self, release):
         sim = self._sim()
         sim.advance(4)
-        sent_vote = sim.emit_vote(VoteRecord(1, 1, 0), release=release)
+        sent_vote = sim.emit_vote(1, 1, 0, release=release)
         evidence = EvidenceRecord(2, sent_vote)
         sim.emit_evidence(evidence, release=release)
         block = sim.propose(2, 0, Validator(3, RATIONAL), votes=[sent_vote], release=release)
@@ -132,6 +132,15 @@ class TestDelivery:
             (4, "evidence", released, evidence),
             (4, "block", released, block),
         ]
+
+    @pytest.mark.parametrize("release", [None, 6])
+    def test_vote_built_once_with_its_release(self, release):
+        # the record returned is the one sent: no unstamped copy precedes it
+        sim = self._sim()
+        sim.advance(4)
+        sent_vote = sim.emit_vote(1, 1, 0, release=release)
+        assert sent_vote is sim.trace.events[-1].message
+        assert sent_vote.broadcast_time == (4 if release is None else release)
 
 
 def honest_run(n_slots: int = 3, committee: int = 4) -> Simulation:
@@ -157,7 +166,7 @@ def honest_run(n_slots: int = 3, committee: int = 4) -> Simulation:
             break  # the run ends at the last proposal
         sim.advance(vote_tick(slot))
         for v in committees[slot]:
-            sim.emit_vote(VoteRecord(slot, v.index, sim.tip()))
+            sim.emit_vote(slot, v.index, sim.tip())
     sim.finalize(n_slots)
     return sim
 
@@ -247,7 +256,7 @@ def test_withheld_release_recorded():
     genesis = Block(sim.tree.new_id(), 0, None, Validator(0, RATIONAL), True)
     sim.tree.insert_block(genesis)
     sim.advance(1)
-    sim.emit_vote(VoteRecord(0, 5, 0), release=9)
+    sim.emit_vote(0, 5, 0, release=9)
     event = sim.trace.events[-1]
     assert event.tick == 1
     assert event.release_tick == 9
@@ -263,7 +272,7 @@ def test_sent_message_is_its_event():
     sim.advance(3)
     sim.emit_block(block)
     sim.advance(4)
-    sim.emit_vote(vote, release=6)
+    sim.emit_vote(vote.slot, vote.voter, vote.target, release=6)
     sim.advance(5)
     sim.emit_evidence(evidence)
     sent_block, sent_vote, sent_evidence = sim.trace.events
@@ -290,7 +299,7 @@ def test_same_release_delivery_order():
     sim.advance(3)
     sim.emit_block(withheld_block, release=6)
     sim.advance(4)
-    sim.emit_vote(withheld_vote, release=6)
+    sim.emit_vote(withheld_vote.slot, withheld_vote.voter, withheld_vote.target, release=6)
     sim.advance(5)
     sim.emit_evidence(first_evidence, release=6)
     vote = VoteRecord(2, 2, 0)
@@ -298,7 +307,7 @@ def test_same_release_delivery_order():
     block = Block(sim.tree.new_id(), 2, withheld_block.id, Validator(3, RATIONAL))
     sim.advance(6)
     sim.emit_evidence(evidence)
-    sim.emit_vote(vote)
+    sim.emit_vote(vote.slot, vote.voter, vote.target)
     sim.emit_block(block)
     sim.advance(7)
     assert delivered == [

@@ -1,9 +1,14 @@
+import io
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reorglab.chain import Block, EvidenceRecord, Validator, VoteRecord
+from reorglab.chain import Block, EvidenceRecord, TieBreakPolicy, Validator, VoteRecord
+from reorglab.cli import run_scenario
 from reorglab.engine import RunTrace
+from reorglab.games import GameConfig, GameKind, build_game
 from reorglab.rewards import (
     InclusionRewardBreakdown,
     RewardParams,
@@ -137,6 +142,99 @@ class TestSettle:
         tree.insert_block(b2)
         ledger = settle_payoffs(_trace_for(tree, [0, b1.id, b2.id]), RewardParams())
         assert ledger.get(9) == 1
+
+
+# -- settled ledgers against a per-vote Fraction oracle ---------------------------
+
+LEDGER_GAMES = {
+    "simple": dict(kind=GameKind.SIMPLE, committee_size=4, boost=2),
+    "selfish-mining": dict(kind=GameKind.SELFISH_MINING, committee_size=4, boost=2,
+                           n_adversarial_slots=2, n_non_adversarial_slots=1),
+    "extended": dict(kind=GameKind.EXTENDED, committee_size=4, boost=2, horizon=2),
+    "dag-votes": dict(kind=GameKind.DAG_VOTES, committee_size=5, boost=0),
+}
+UNITS = (Fraction(0), Fraction(1), Fraction(3, 7), Fraction(5, 11), Fraction(7, 2))
+
+
+def oracle_payoffs(trace, r, R, dag: bool, committee_size: int) -> dict:
+    """Walk the final chain and add r (voter) and R (includer) per credited vote.
+
+    A vote is credited once, at its first chain inclusion, when it names the
+    last chain block at or before its slot and is timely: included in the
+    next slot's block, or (DAG votes) included in a next-slot chain block
+    anywhere, or signed by more than W/2 distinct signers in chain blocks
+    after its target.
+    """
+    blocks = [trace.tree.blocks[bid] for bid in trace.final_chain]
+    paid: dict = {}
+    seen = set()
+    for block in blocks:
+        for vote in block.included_votes:
+            if (vote.voter, vote.slot) in seen:
+                continue
+            at_or_before = [b for b in blocks if b.slot <= vote.slot]
+            if not at_or_before or at_or_before[-1].id != vote.target:
+                continue
+            if dag:
+                target_slot = at_or_before[-1].slot
+                signers = {
+                    e.signer
+                    for b in blocks if b.slot > target_slot
+                    for e in b.included_evidences
+                    if (e.vote.voter, e.vote.slot, e.vote.target)
+                    == (vote.voter, vote.slot, vote.target)
+                }
+                timely = 2 * len(signers) > committee_size or any(
+                    b.slot == vote.slot + 1 and vote in b.included_votes for b in blocks
+                )
+            else:
+                timely = block.slot == vote.slot + 1
+            if not timely:
+                continue
+            seen.add((vote.voter, vote.slot))
+            paid[vote.voter] = paid.get(vote.voter, Fraction(0)) + r
+            includer = block.proposer.index
+            paid[includer] = paid.get(includer, Fraction(0)) + R
+    return paid
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(LEDGER_GAMES)),
+    st.sampled_from(UNITS),
+    st.sampled_from(UNITS),
+    st.sampled_from(list(TieBreakPolicy)),
+    st.data(),
+)
+def test_settled_ledger_matches_oracle(kind, r, R, tie_break, data):
+    config = GameConfig(r=r, R=R, tie_break=tie_break, **LEDGER_GAMES[kind])
+    game = build_game(config)
+    labels = {
+        dp: data.draw(st.sampled_from(sorted(game.candidates(dp))))
+        for dp in game.decision_points()
+    }
+    trace = game.run(game.labelled(labels.__getitem__)).trace
+    dag = config.kind is GameKind.DAG_VOTES
+    want = oracle_payoffs(trace, r, R, dag, config.committee_size)
+    assert trace.payoffs == want
+    assert {v: str(a) for v, a in trace.payoffs.items()} == {v: str(a) for v, a in want.items()}
+
+
+def test_zero_unit_keeps_credited_voters(tmp_path):
+    # with r = 0 every credited voter still appears, with amount "0"
+    doc = {"scenario": "zero-r",
+           "game": {"kind": "simple", "committee_size": 4, "boost": 2, "r": "0"},
+           "checks": [{"type": "outcome", "profile": "compliant-all"}]}
+    path = tmp_path / "trace.jsonl"
+    report = run_scenario(io.StringIO(json.dumps(doc)), trace_path=str(path))
+    assert path.read_text().splitlines()[-1] == (
+        '{"final_chain": [0, 2], "final_slot": 2, "kind": "summary", '
+        '"payoffs": {"4": "0", "5": "0", "6": "0", "7": "0", "9": "4"}, '
+        '"tips": [[0, 0], [1, 0], [2, 0], [3, 0], [4, 1], [5, 1], [6, 1]]}'
+    )
+    assert report["results"][0]["outcome"]["payoffs"] == {
+        "4": "0", "5": "0", "6": "0", "7": "0", "9": "4"
+    }
 
 
 class TestAltairQuantification:
