@@ -1,7 +1,8 @@
 """Block tree and the LMD GHOST fork-choice rule with proposer boost.
 
 Blocks form a tree rooted at a genesis block; each block carries the votes
-and evidences it includes on-chain.  Fork-choice weight, however, is computed
+and evidences it includes on-chain, and indexes the signers of its evidences
+per vote when first asked.  Fork-choice weight, however, is computed
 from the *delivered* votes known to the tree, independent of inclusion: a
 vote influences the fork choice as soon as it is in view, and earns rewards
 only once included (see rewards.py).
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 BlockId = int
@@ -75,19 +77,22 @@ class VoteRecord:
 
 @dataclass(frozen=True)
 class EvidenceRecord:
-    """A next-slot attestor's signature over an earlier vote.
+    """One next-slot attestor's signature over the earlier votes it saw on time.
 
-    `signer` is expected to belong to the committee of slot
-    ``vote.slot + 1``; the game drivers only emit evidences from that
-    committee.  Uniqueness is keyed by (signer, vote) so duplicates
-    collapse when counted.
+    `signer` is expected to belong to the committee of slot s + 1, and
+    `votes` holds the slot-s votes delivered on time; the game drivers only
+    emit evidences from that committee, and every signer of one slot shares
+    one `votes` tuple.  A record signs each of its votes once: the key of a
+    signed vote is (signer, voter, slot, target), and duplicates collapse
+    when counted.
     """
 
     signer: int
-    vote: VoteRecord
+    votes: tuple[VoteRecord, ...]
 
-    def key(self) -> tuple[int, int, int, BlockId]:
-        return (self.signer, self.vote.voter, self.vote.slot, self.vote.target)
+    def keys(self) -> list[tuple[int, int, int, BlockId]]:
+        """The key of each vote signed, in tuple order."""
+        return [(self.signer, v.voter, v.slot, v.target) for v in self.votes]
 
 
 @dataclass
@@ -99,6 +104,29 @@ class Block:
     is_empty: bool = False
     included_votes: tuple[VoteRecord, ...] = ()
     included_evidences: tuple[EvidenceRecord, ...] = ()
+
+    @cached_property
+    def evidence_signers(self) -> dict[tuple[int, int, BlockId], frozenset[int]]:
+        """The distinct signers of each vote the block's evidences sign, keyed (voter, slot, target).
+
+        Built on first read.  The records are grouped by their `votes`
+        tuple, which the signers of one slot share, so each vote is visited
+        once per group rather than once per signer.
+        """
+        groups: dict[int, tuple[tuple[VoteRecord, ...], set[int]]] = {}
+        for e in self.included_evidences:
+            group = groups.get(id(e.votes))
+            if group is None:
+                groups[id(e.votes)] = group = (e.votes, set())
+            group[1].add(e.signer)
+        index: dict[tuple[int, int, BlockId], frozenset[int]] = {}
+        for votes, signers in groups.values():
+            signed = frozenset(signers)
+            for v in votes:
+                key = (v.voter, v.slot, v.target)
+                have = index.get(key)
+                index[key] = signed if have is None else have | signed
+        return index
 
 
 class TieBreakPolicy(enum.Enum):

@@ -11,7 +11,9 @@ write to a running simulation's tree (`games._open_chain` writes the opening
 chain before the clock starts), so the clock weighs the head once, right after
 delivering, and every reader of the tick uses it.  Each message sent is one
 event of the run's append-only log (`RunTrace.events`); the events not yet
-delivered are the pending queue.
+delivered are the pending queue.  A block or a vote is one message; an
+evidence is one signer's message over many votes, and the exported trace
+renders it as one line per vote it signs.
 
 Agents act through a StrategyProfile that supplies one action per decision
 point.  A game is a straight-line script over one Simulation: it advances
@@ -153,22 +155,28 @@ class TraceEvent:
     message: object  # the Block, VoteRecord or EvidenceRecord sent
 
     @property
-    def payload(self) -> dict:
-        """The message as an exported trace line renders it."""
+    def payloads(self) -> list[dict]:
+        """The message as the exported trace renders it, one payload per line.
+
+        A block or a vote is one line.  An evidence, one signer's message over
+        many votes, is one line per vote it signs, in the order of its
+        `votes`, each keyed (signer, voter, slot, target); a block lists the
+        sorted keys of every vote its evidences sign.
+        """
         m = self.message
         if self.kind == "block":
-            return {
+            return [{
                 "id": m.id,
                 "slot": m.slot,
                 "parent": m.parent,
                 "proposer": m.proposer.index,
                 "empty": m.is_empty,
                 "votes": sorted(v.key() for v in m.included_votes),
-                "evidences": sorted(e.key() for e in m.included_evidences),
-            }
+                "evidences": sorted(key for e in m.included_evidences for key in e.keys()),
+            }]
         if self.kind == "vote":
-            return {"slot": m.slot, "voter": m.voter, "target": m.target}
-        return {"key": m.key()}
+            return [{"slot": m.slot, "voter": m.voter, "target": m.target}]
+        return [{"key": key} for key in m.keys()]
 
 
 @dataclass
@@ -184,20 +192,21 @@ class RunTrace:
     payoffs: dict[int, Fraction] = field(default_factory=dict)  # settled, by validator
 
     def export_lines(self) -> list[str]:
-        """The trace as a file holds it: one JSON line per sent message, then a summary line."""
+        """The trace as a file holds it: the lines of each sent message, then a summary line."""
         lines = []
         for ev in self.events:
-            lines.append(
-                json.dumps(
-                    {
-                        "tick": ev.tick,
-                        "kind": ev.kind,
-                        "release_tick": ev.release_tick,
-                        "payload": ev.payload,
-                    },
-                    sort_keys=True,
+            for payload in ev.payloads:
+                lines.append(
+                    json.dumps(
+                        {
+                            "tick": ev.tick,
+                            "kind": ev.kind,
+                            "release_tick": ev.release_tick,
+                            "payload": payload,
+                        },
+                        sort_keys=True,
+                    )
                 )
-            )
         lines.append(
             json.dumps(
                 {

@@ -897,11 +897,15 @@ class DagVotesGame(GameModel):
     outvote it (the security argument then needs W > 2 + boost solo
     attestors, with the evidence threshold left at W/2).
 
+    At slot s's aggregation tick, each slot s+1 attestor sends one evidence:
+    its signature over the slot-s votes delivered on time, one tuple shared
+    by every signer (no evidence when the slot has no votes).
+
     Each proposal carries every delivered vote and evidence its chain lacks.
-    Every key is sent once, so by induction a chain's inclusions are exactly
-    a prefix of each delivered log: a block's mark is the two log lengths
-    when it was proposed (genesis marks (0, 0)), and a child carries both
-    logs past its parent's mark.
+    Every vote and every evidence is sent once, so by induction a chain's
+    inclusions are exactly a prefix of each delivered log: a block's mark is
+    the two log lengths when it was proposed (genesis marks (0, 0)), and a
+    child carries both logs past its parent's mark.
     """
 
     PROFILES = {"prescribed": ("on-tip", "tip")}
@@ -973,11 +977,11 @@ class DagVotesGame(GameModel):
                 _attest(sim, slot_profile, slot, self.committees[slot])
             sim.advance(aggregate_tick(slot))
             if slot < self.n_slots:
-                # slot s+1 attestors sign the slot-s votes they saw on time
-                seen = [vote for vote in votes if vote.slot == slot]
-                for signer in self.committees[slot + 1]:
-                    for vote in seen:
-                        sim.emit_evidence(EvidenceRecord(signer.index, vote))
+                # each slot s+1 attestor signs the slot-s votes it saw on time, in one message
+                seen = tuple(vote for vote in votes if vote.slot == slot)
+                if seen:
+                    for signer in self.committees[slot + 1]:
+                        sim.emit_evidence(EvidenceRecord(signer.index, seen))
         trace, ledger, _ = _close(sim, cfg, self.n_slots, {})
         chain = set(trace.final_chain)
         rational_blocks = [

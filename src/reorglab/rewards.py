@@ -10,7 +10,9 @@ mechanisms differ on timeliness:
   following slot - the lever every commitment attack pulls on;
 * DAG votes: inclusion in the following slot's block still qualifies, but
   so does a strict majority (> W/2) of unique next-slot attestor signatures
-  over the vote appearing anywhere later on the chain.
+  over the vote appearing anywhere later on the chain.  Each such attestor
+  signs all the votes it saw in one evidence record, and a block indexes
+  its evidences' signers per vote.
 
 The module also carries the gwei-level quantification of what a one-block
 reorg is worth to the attacking proposer, using the standard Altair reward
@@ -24,9 +26,9 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Optional
 
-from .chain import Block, BlockId, BlockTree, EvidenceRecord, VoteRecord
+from .chain import Block, BlockId, BlockTree, VoteRecord
 from .engine import RunTrace
 
 
@@ -122,56 +124,63 @@ def head_vote_timely_ethereum(vote: VoteRecord, including_block: Block) -> bool:
     return including_block.slot == vote.slot + 1
 
 
-def _unique_evidence_signers(
-    evidences: Iterable[EvidenceRecord], vote: VoteRecord
-) -> set[int]:
-    return {
-        e.signer
-        for e in evidences
-        if e.vote.voter == vote.voter
-        and e.vote.slot == vote.slot
-        and e.vote.target == vote.target
-    }
-
-
 def head_vote_timely_dag(
     vote: VoteRecord, chain: list[BlockId], tree: BlockTree, committee_size: int
 ) -> bool:
     """Timely if next-slot-included on chain, or evidenced by > W/2 signers.
 
     Only evidences sitting in chain blocks strictly after the correctness
-    target count; the threshold is strict, so W even with exactly W/2
-    evidences is untimely.
+    target count, and each signer counts once however many blocks carry its
+    signature; the threshold is strict, so W even with exactly W/2 signers is
+    untimely.  Each block's signers come from its per-vote index
+    (`Block.evidence_signers`).
     """
     target = correctness_target(chain, tree, vote.slot)
     after_target = target is None
+    key = (vote.voter, vote.slot, vote.target)
     signers: set[int] = set()
     for bid in chain:
         block = tree.blocks[bid]
-        if vote in block.included_votes and block.slot == vote.slot + 1:
+        if block.slot == vote.slot + 1 and vote in block.included_votes:
             return True
-        if after_target:
-            signers |= _unique_evidence_signers(block.included_evidences, vote)
+        if after_target and block.included_evidences:
+            signers.update(block.evidence_signers.get(key, ()))
         if bid == target:
             after_target = True
     return 2 * len(signers) > committee_size
 
 
+def _slot_targets(chain: list[BlockId], tree: BlockTree) -> Callable[[int], Optional[BlockId]]:
+    """`correctness_target(chain, tree, slot)` for every slot, from one forward pass over `chain`."""
+    if not chain:
+        return lambda slot: None
+    targets: dict[int, BlockId] = {}
+    for bid, child in zip(chain, chain[1:]):
+        targets.update(dict.fromkeys(range(tree.blocks[bid].slot, tree.blocks[child].slot), bid))
+    last, last_slot = chain[-1], tree.blocks[chain[-1]].slot
+    return lambda slot: last if slot >= last_slot else targets.get(slot)
+
+
 def settle_payoffs(trace: RunTrace, params: RewardParams) -> PayoffLedger:
     """Credit r per correct+timely included head vote, R to its includer.
 
-    A vote included in several chain blocks is credited at most once.
+    A vote included in several chain blocks is credited at most once.  All
+    votes of one slot share one correctness target, so the targets come from
+    one pass over the chain rather than one walk per vote.
     """
     ledger = PayoffLedger(params.r, params.R)
     tree = trace.tree
     chain = trace.final_chain
+    target_of = _slot_targets(chain, tree)
     credited: set[tuple[int, int]] = set()
     for bid in chain:
         block = tree.blocks[bid]
         for vote in block.included_votes:
             if vote.key() in credited:
                 continue
-            if not head_vote_correct(vote, chain, tree):
+            if vote.target not in tree.blocks:
+                raise TargetNotOnChainQueryable(f"vote target {vote.target} unknown")
+            if target_of(vote.slot) != vote.target:
                 continue
             if params.mechanism is Mechanism.ETHEREUM:
                 timely = head_vote_timely_ethereum(vote, block)

@@ -87,7 +87,7 @@ class TestDelivery:
         with pytest.raises(InvalidAction):
             sim.emit_vote(0, 1, 0, release=4)
         with pytest.raises(InvalidAction):
-            sim.emit_evidence(EvidenceRecord(2, VoteRecord(0, 1, 0)), release=4)
+            sim.emit_evidence(EvidenceRecord(2, (VoteRecord(0, 1, 0),)), release=4)
         with pytest.raises(InvalidAction):
             sim.propose(1, 0, Validator(3, RATIONAL), release=4)
 
@@ -120,7 +120,7 @@ class TestDelivery:
         sim = self._sim()
         sim.advance(4)
         sent_vote = sim.emit_vote(1, 1, 0, release=release)
-        evidence = EvidenceRecord(2, sent_vote)
+        evidence = EvidenceRecord(2, (sent_vote,))
         sim.emit_evidence(evidence, release=release)
         block = sim.propose(2, 0, Validator(3, RATIONAL), votes=[sent_vote], release=release)
         released = 4 if release is None else release
@@ -268,7 +268,7 @@ def test_sent_message_is_its_event():
     sim.tree.insert_block(genesis)
     block = Block(sim.tree.new_id(), 1, 0, Validator(1, RATIONAL))
     vote = VoteRecord(1, 2, 0)
-    evidence = EvidenceRecord(3, vote)
+    evidence = EvidenceRecord(3, (vote,))
     sim.advance(3)
     sim.emit_block(block)
     sim.advance(4)
@@ -295,7 +295,7 @@ def test_same_release_delivery_order():
     sim.delivered_evidences = delivered
     withheld_block = Block(sim.tree.new_id(), 1, 0, Validator(1, ADVERSARIAL))
     withheld_vote = VoteRecord(1, 5, withheld_block.id)
-    first_evidence = EvidenceRecord(9, withheld_vote)
+    first_evidence = EvidenceRecord(9, (withheld_vote,))
     sim.advance(3)
     sim.emit_block(withheld_block, release=6)
     sim.advance(4)
@@ -303,7 +303,7 @@ def test_same_release_delivery_order():
     sim.advance(5)
     sim.emit_evidence(first_evidence, release=6)
     vote = VoteRecord(2, 2, 0)
-    evidence = EvidenceRecord(1, withheld_vote)
+    evidence = EvidenceRecord(1, (withheld_vote,))
     block = Block(sim.tree.new_id(), 2, withheld_block.id, Validator(3, RATIONAL))
     sim.advance(6)
     sim.emit_evidence(evidence)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from reorglab.engine import (
     StrategyProfile,
     Tip,
     VoteFor,
+    aggregate_tick,
 )
 from reorglab.games import (
     ConditionViolated,
@@ -434,9 +436,10 @@ class TestSelfishMining:
         for ev in out.trace.events:
             if ev.kind != "vote":
                 continue
-            key = (ev.payload["voter"], ev.payload["slot"])
+            (payload,) = ev.payloads
+            key = (payload["voter"], payload["slot"])
             assert key not in seen
-            seen[key] = ev.payload["target"]
+            seen[key] = payload["target"]
 
 
 def test_run_game_wrapper_returns_settled_trace():
@@ -493,11 +496,11 @@ def lacked_by_chain(sim, parent):
     while cur is not None:
         block = sim.tree.blocks[cur]
         votes.update(v.key() for v in block.included_votes)
-        evidences.update(e.key() for e in block.included_evidences)
+        evidences.update(key for e in block.included_evidences for key in e.keys())
         cur = block.parent
     return (
         tuple(v for v in sim.tree.votes if v.key() not in votes),
-        tuple(e for e in sim.delivered_evidences if e.key() not in evidences),
+        tuple(e for e in sim.delivered_evidences if not evidences.issuperset(e.keys())),
     )
 
 
@@ -528,3 +531,56 @@ def test_dag_proposals_carry_what_the_parent_chain_lacks(committee_size, monkeyp
     # some proposals fork off the latest block, and some carry evidence
     assert any(off_latest for off_latest, _ in proposals)
     assert any(evidence for _, evidence in proposals)
+
+
+# -- a DAG-votes attestor signs its slot's votes in one evidence -----------------
+
+
+@pytest.mark.parametrize("committee_size", [3, 5, 8])
+def test_dag_one_evidence_per_attestor(committee_size, monkeypatch):
+    # random labelled profiles, plus one where every attestor abstains, so
+    # some slots have several votes and some have none
+    emit = Simulation.emit_evidence
+    sent = []
+
+    def recorded(sim, ev, release=None):
+        sent.append((sim.tick, ev))
+        return emit(sim, ev, release)
+
+    monkeypatch.setattr(Simulation, "emit_evidence", recorded)
+    rng = random.Random(committee_size)
+    sizes = set()
+    for boost, tie_break, adversary_on_tip in itertools.product([0, 1], TieBreakPolicy, [False, True]):
+        game = DagVotesGame(simple_config(
+            kind=GameKind.DAG_VOTES, committee_size=committee_size, boost=boost,
+            tie_break=tie_break, adversary_on_tip=adversary_on_tip,
+        ))
+        pickers = [lambda dp: rng.choice(list(game.candidates(dp)))] * 6
+        pickers.append(lambda dp: "abstain" if dp.role is Role.ATTESTOR else "on-tip")
+        for pick in pickers:
+            sent.clear()
+            trace = game.run(game.labelled(pick)).trace
+            want_calls, want_lines = [], []
+            for slot in range(DagVotesGame.n_slots):
+                tick = aggregate_tick(slot)
+                # the slot's votes in view at its aggregation tick, in delivery order
+                seen = [v for v in trace.tree.votes if v.slot == slot and v.broadcast_time < tick]
+                sizes.add(len(seen))
+                calls = [(t, ev) for t, ev in sent if t == tick]
+                assert [ev.signer for _, ev in calls] == (
+                    [v.index for v in game.committees[slot + 1]] if seen else []
+                )
+                for _, ev in calls:
+                    assert list(ev.votes) == seen
+                    assert ev.votes is calls[0][1].votes
+                want_calls += calls
+                want_lines += [
+                    {"tick": tick, "kind": "evidence", "release_tick": tick,
+                     "payload": {"key": [v.index, vote.voter, vote.slot, vote.target]}}
+                    for v in (game.committees[slot + 1] if seen else ())
+                    for vote in seen
+                ]
+            assert want_calls == sent
+            lines = [json.loads(line) for line in trace.export_lines()]
+            assert [line for line in lines if line["kind"] == "evidence"] == want_lines
+    assert 0 in sizes and max(sizes) > 1

@@ -99,6 +99,13 @@ EXTRA = {
                                    "action": "abstain"}]},
         "checks": [{"type": "spne"}, {"type": "nash"}, {"type": "outcome"}],
     },
+    # beyond the golden sizes: W^2 evidence keys per slot at W=33, the
+    # largest committee the DAG-votes rule is certified at in tier-1
+    "golden-dag-w33-flip": {
+        "game": {"kind": "dag-votes", "committee_size": 33, "boost": 0},
+        "checks": [{"type": "dag-scenario", "ethereum_flip": True},
+                   {"type": "outcome", "profile": "prescribed"}],
+    },
     "golden-tendermint-withholding-m0": {
         "game": {"kind": "tendermint", "variant": "withholding", "f": 2, "m": 0, "r": "1"},
     },
@@ -130,6 +137,10 @@ GOLDEN = {
     "golden-dag-on-tip-boost": (
         "50fad3e835c8a265fe7a9bb32285518744ee65e64b84c0cfd29836d19721d9db",
         "75ad6a2b099eb465984f738bd1f7ba90e5baf4475df66c133cb524935e70b5bb",
+    ),
+    "golden-dag-w33-flip": (
+        "f5ad91c1193756b13b434c562ebe7c5e670c8d96144095f960ea1d361422f117",
+        "ad04026f1da2125b88d2ec118d6c7ba616c8b0b5f8e154faf7df5747c7be8209",
     ),
     "golden-extended-honest-leader-override": (
         "509432b71f24461231d0754cc788ea9f6fa79bf3c7f2b9310fe5d1596121eabe",

@@ -282,7 +282,7 @@ def test_dag_timeliness_monotone_randomized():
         tree = make_tree([None, 0])
         vote = VoteRecord(1, 99, 1)
         n_before = rng.randint(0, 8)
-        evs = [EvidenceRecord(200 + i, vote) for i in range(n_before)]
+        evs = [EvidenceRecord(200 + i, (vote,)) for i in range(n_before)]
         block = Block(tree.new_id(), 3, 1, Validator(50, RATIONAL),
                       included_votes=(vote,), included_evidences=tuple(evs))
         tree.insert_block(block)
@@ -290,7 +290,7 @@ def test_dag_timeliness_monotone_randomized():
         before = head_vote_timely_dag(vote, chain, tree, committee)
 
         extra = rng.randint(1, 4)
-        evs2 = evs + [EvidenceRecord(300 + i, vote) for i in range(extra)]
+        evs2 = evs + [EvidenceRecord(300 + i, (vote,)) for i in range(extra)]
         tree2 = make_tree([None, 0])
         block2 = Block(tree2.new_id(), 3, 1, Validator(50, RATIONAL),
                        included_votes=(vote,), included_evidences=tuple(evs2))

@@ -1,11 +1,13 @@
 import io
+import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reorglab.chain import Block, EvidenceRecord, TieBreakPolicy, Validator, VoteRecord
+from reorglab.chain import Block, BlockTree, EvidenceRecord, TieBreakPolicy, Validator, VoteRecord
 from reorglab.cli import run_scenario
 from reorglab.engine import RunTrace
 from reorglab.games import GameConfig, GameKind, build_game
@@ -14,8 +16,10 @@ from reorglab.rewards import (
     RewardParams,
     TargetNotOnChainQueryable,
     ZeroStake,
+    _slot_targets,
     altair_block_inclusion_reward,
     attack_gain_summary,
+    correctness_target,
     head_vote_correct,
     head_vote_timely_dag,
     head_vote_timely_ethereum,
@@ -60,6 +64,22 @@ class TestTimelyEthereum:
         assert not head_vote_timely_ethereum(VoteRecord(5, 1, 0), block)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=5), st.integers(0, 2))
+def test_slot_targets_match_correctness_target(gaps, first):
+    # one pass over the chain gives every slot's target, before, inside and past it
+    tree = BlockTree()
+    chain = []
+    for slot in itertools.accumulate([first, *gaps]):
+        block = Block(tree.new_id(), slot, chain[-1] if chain else None, Validator(1000 + slot, RATIONAL))
+        tree.insert_block(block)
+        chain.append(block.id)
+    target_of = _slot_targets(chain, tree)
+    for slot in range(tree.blocks[chain[-1]].slot + 3):
+        assert target_of(slot) == correctness_target(chain, tree, slot)
+    assert _slot_targets([], tree)(0) is None
+
+
 def _dag_tree(n_evidences: int, unique_signers: int = None):
     """Chain genesis - B1 - B2; a slot-1 vote included in B2 with evidences."""
     unique = n_evidences if unique_signers is None else unique_signers
@@ -68,7 +88,7 @@ def _dag_tree(n_evidences: int, unique_signers: int = None):
     evs = []
     for i in range(n_evidences):
         signer = 100 + min(i, unique - 1)
-        evs.append(EvidenceRecord(signer, v))
+        evs.append(EvidenceRecord(signer, (v,)))
     block = Block(tree.new_id(), 3, 1, Validator(50, RATIONAL),
                   included_votes=(v,), included_evidences=tuple(evs))
     tree.insert_block(block)
@@ -103,6 +123,72 @@ class TestTimelyDag:
             tree, v, block = _dag_tree(n)
             timely = head_vote_timely_dag(v, [0, 1, block.id], tree, committee_size=10)
             assert timely == (n > 5)
+
+
+def signers_after_target(vote, blocks) -> set:
+    """Distinct signers of the vote's key in chain blocks after the last one at or before its slot."""
+    key = (vote.voter, vote.slot, vote.target)
+    return {
+        e.signer
+        for b in blocks if b.slot > vote.slot
+        for e in b.included_evidences
+        for signed in e.votes
+        if (signed.voter, signed.slot, signed.target) == key
+    }
+
+
+def brute_timely_dag(vote, blocks, committee_size) -> bool:
+    next_slot = any(b.slot == vote.slot + 1 and vote in b.included_votes for b in blocks)
+    return next_slot or 2 * len(signers_after_target(vote, blocks)) > committee_size
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_timely_dag_counts_distinct_signers_after_the_target(data):
+    # a chain whose blocks carry per-signer evidences over overlapping vote
+    # tuples: signers repeat within and across blocks, blocks at or before
+    # the vote's correctness target (and an off-chain block) carry evidence
+    # too, and W is drawn around twice the distinct-signer count so that the
+    # exactly-W/2 case comes up
+    slots = [0, *itertools.accumulate(data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=5)))]
+    vote = VoteRecord(data.draw(st.integers(0, slots[-1])), 7,
+                      data.draw(st.integers(0, len(slots) - 1)), data.draw(st.integers(0, 3)))
+    pool = [
+        vote,
+        replace(vote, broadcast_time=vote.broadcast_time + 1),  # the same key
+        replace(vote, target=vote.target + 1),
+        replace(vote, slot=vote.slot + 1),
+        replace(vote, voter=8),
+    ]
+    tuples = [tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+              for _ in range(data.draw(st.integers(1, 3)))]
+
+    def evidences():
+        drawn = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, len(tuples) - 1),
+                                             st.booleans()), max_size=6))
+        # a copied tuple is equal to, but not the same object as, the shared one
+        return tuple(EvidenceRecord(100 + signer, tuple(list(tuples[i])) if copy else tuples[i])
+                     for signer, i, copy in drawn)
+
+    tree = BlockTree()
+    chain = []
+    for slot in slots:
+        included = (vote,) if data.draw(st.booleans()) else ()
+        block = Block(tree.new_id(), slot, chain[-1] if chain else None,
+                      Validator(1000 + slot, RATIONAL), included_votes=included,
+                      included_evidences=evidences() if chain else ())
+        tree.insert_block(block)
+        chain.append(block.id)
+    tree.insert_block(Block(tree.new_id(), 1, chain[0], Validator(999, RATIONAL),
+                            included_votes=(vote,), included_evidences=evidences()))
+    blocks = [tree.blocks[bid] for bid in chain]
+    count = len(signers_after_target(vote, blocks))
+    committee_size = data.draw(st.one_of(
+        st.integers(1, 12), st.sampled_from(sorted({2 * count, 2 * count + 1, max(2 * count - 1, 1)}))
+    ))
+    assert head_vote_timely_dag(vote, chain, tree, committee_size) == brute_timely_dag(
+        vote, blocks, committee_size
+    )
 
 
 def _trace_for(tree, chain):
@@ -181,7 +267,8 @@ def oracle_payoffs(trace, r, R, dag: bool, committee_size: int) -> dict:
                     e.signer
                     for b in blocks if b.slot > target_slot
                     for e in b.included_evidences
-                    if (e.vote.voter, e.vote.slot, e.vote.target)
+                    for signed in e.votes
+                    if (signed.voter, signed.slot, signed.target)
                     == (vote.voter, vote.slot, vote.target)
                 }
                 timely = 2 * len(signers) > committee_size or any(
