@@ -49,7 +49,6 @@ from .games import (
     build_game,
     pool_payoff_selfish,
     pool_payoff_simple,
-    run_game,
     simple_payoff_matrix,
     strong_simple_expected_matrix,
 )

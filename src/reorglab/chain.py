@@ -210,7 +210,10 @@ class BlockTree:
         return path
 
     def latest_votes(self) -> list[VoteRecord]:
-        """One vote per voter, keeping only the latest-slot message (LMD)."""
+        """One vote per voter, keeping only the latest-slot message (LMD).
+
+        Voters come in the order of their first vote; `_weights` only sums them.
+        """
         best: dict[int, VoteRecord] = {}
         for v in self.votes:
             cur = best.get(v.voter)
@@ -220,7 +223,7 @@ class BlockTree:
                 -cur.target,
             ):
                 best[v.voter] = v
-        return [best[k] for k in sorted(best)]
+        return list(best.values())
 
     def _weights(
         self,

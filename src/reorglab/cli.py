@@ -310,9 +310,7 @@ def _outcome_json(outcome) -> dict:
         "final_chain": list(outcome.final_chain),
         "reorged": list(outcome.reorged),
         "labels": dict(outcome.trace.labels),
-        "payoffs": {
-            str(k): str(v) for k, v in sorted(outcome.ledger.payoffs.items())
-        },
+        "payoffs": {str(k): str(v) for k, v in sorted(outcome.trace.payoffs.items())},
     }
     extras = {
         k: v for k, v in outcome.extras.items()

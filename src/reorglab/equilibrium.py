@@ -235,8 +235,11 @@ def dominance_check(
     partition stands in for full opponent enumeration, the way the payoff
     tables condition on the attack outcome.  Strictly dominant: better in
     every condition against every alternative.  Weakly dominant: never
-    worse, strictly better somewhere against each alternative.
+    worse, strictly better somewhere against each alternative.  An empty
+    partition compares nothing, so it is rejected rather than certified.
     """
+    if not conditions:
+        raise GameError("a dominance check needs at least one condition")
     others = [c for c in candidate_labels if c != action_label]
     strict_all = True
     weak_all = True

@@ -62,7 +62,7 @@ from .engine import (
     propose_tick,
     vote_tick,
 )
-from .rewards import Mechanism, PayoffLedger, RewardParams, settle_payoffs
+from .rewards import Mechanism, RewardParams, settle_payoffs
 
 __all__ = [
     "GameKind",
@@ -85,7 +85,6 @@ __all__ = [
     "pool_payoff_selfish",
     "required_attack_length",
     "build_game",
-    "run_game",
 ]
 
 
@@ -155,8 +154,7 @@ class GameConfig:
 class GameOutcome:
     success: bool
     reorged: list[BlockId]
-    ledger: PayoffLedger
-    trace: RunTrace
+    trace: RunTrace  # its `payoffs` are the run's settlement
     extras: dict = field(default_factory=dict)
 
     @property
@@ -181,8 +179,8 @@ class GameModel:
     """Roster and named profiles of a game driven by the equilibrium lab.
 
     A game lists its decision points (`decision_points`), the labelled
-    candidate actions of each (`dp_candidates`), and plays a profile (`run`,
-    `payoffs`).  `dp_candidates` is the only place a game builds actions;
+    candidate actions of each (`candidates`), and plays a profile (`run`,
+    `payoffs`).  `candidates` is the only place a game builds actions;
     everything else names them by label (`action`, `labelled`).  The roster
     follows from those: a decision point belongs to its actor, unless the
     actor is a member of one of `pools`, whose members move together.  Named
@@ -213,10 +211,6 @@ class GameModel:
         """Solo players in decision-point order, then the pools."""
         return list(self._roster)
 
-    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
-        """The candidate actions of `dp`, by label."""
-        return dict(self.dp_candidates(dp))
-
     def action(self, dp: DecisionPoint, label: str) -> object:
         """The candidate of `dp` labelled `label`."""
         candidates = self.candidates(dp)
@@ -235,7 +229,7 @@ class GameModel:
             return [
                 (label, {dp: self.action(dp, label) for dp in dps}) for label in self.POOL_LABELS
             ]
-        return [(label, {dp: act}) for dp in dps for label, act in self.dp_candidates(dp)]
+        return [(label, {dp: act}) for dp in dps for label, act in self.candidates(dp).items()]
 
     def profile(self, name: str) -> StrategyProfile:
         """Named profile: each decision point takes its candidate `PROFILES[name]` picks."""
@@ -310,16 +304,14 @@ def _attest(sim: Simulation, profile, slot: int, voters, compliant_tip=None):
 def _close(sim: Simulation, config: GameConfig, final_slot: int, labels: dict):
     """Finish a run: finalize, settle payoffs onto the trace, label its blocks.
 
-    Returns the trace, the settled ledger, and the blocks of the canonical
-    chain in view at the last tick (the chain to that tick's head) that the
-    final chain dropped.
+    Returns the trace and the blocks of the canonical chain in view at the
+    last tick (the chain to that tick's head) that the final chain dropped.
     """
     before = sim.tree.ancestors(sim.tip())
     trace = sim.finalize(final_slot)
-    ledger = settle_payoffs(trace, config.reward_params())
-    trace.payoffs = ledger.payoffs
+    trace.payoffs = settle_payoffs(trace, config.reward_params())
     trace.labels = labels
-    return trace, ledger, detect_reorg(before, trace.final_chain)
+    return trace, detect_reorg(before, trace.final_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +357,12 @@ class SimpleGame(GameModel):
     def decision_points(self) -> list[DecisionPoint]:
         return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index) for v in self.committee]
 
-    def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
-        return [
-            ("C", VoteFor(FixedBlock(self.genesis_id))),
-            ("NC", VoteFor(Tip())),
-            ("abstain", Abstain()),
-        ]
+    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
+        return {
+            "C": VoteFor(FixedBlock(self.genesis_id)),
+            "NC": VoteFor(Tip()),
+            "abstain": Abstain(),
+        }
 
     # -- simulation -----------------------------------------------------------
 
@@ -391,9 +383,9 @@ class SimpleGame(GameModel):
             self.SLOT_ADV, genesis.id if reorg else b_t.id, self.adversary, votes=included
         )
         labels = {"B_prev": genesis.id, "B_t": b_t.id, "B_A": b_a.id}
-        trace, ledger, reorged = _close(sim, cfg, self.SLOT_ADV, labels)
+        trace, reorged = _close(sim, cfg, self.SLOT_ADV, labels)
         success = trace.final_chain == [genesis.id, b_a.id]
-        return GameOutcome(success, reorged, ledger, trace)
+        return GameOutcome(success, reorged, trace)
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile))
@@ -480,9 +472,9 @@ def pool_payoff_simple(
     game = SimpleGame(config)
     outcome = game.conditioned_run(game._probes(config.pool.name, pool_action), others_condition)
     # a member votes in one slot and never proposes, so its whole payoff is that slot's
-    members = game.pools[config.pool.name]
+    members, settled = game.pools[config.pool.name], outcome.trace.payoffs
     return tuple(
-        sum((outcome.ledger.get(v.index) for v in committee if v.index in members), Fraction(0))
+        sum((settled.get(v.index, 0) for v in committee if v.index in members), Fraction(0))
         for committee in (game.prev_committee, game.committee)
     )
 
@@ -555,12 +547,12 @@ class NoBoostGame(GameModel):
     def decision_points(self) -> list[DecisionPoint]:
         return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index) for v in self.committee]
 
-    def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
-        return [
-            ("C", VoteFor(FixedBlock(self.b_adv_id))),
-            ("NC", VoteFor(FixedBlock(self.b_t_id))),
-            ("abstain", Abstain()),
-        ]
+    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
+        return {
+            "C": VoteFor(FixedBlock(self.b_adv_id)),
+            "NC": VoteFor(FixedBlock(self.b_t_id)),
+            "abstain": Abstain(),
+        }
 
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
@@ -587,9 +579,9 @@ class NoBoostGame(GameModel):
             self.SLOT_NEXT, b_adv.id if takes_fork else b_t.id, self.adversary, votes=included
         )
         labels = {"B_0": genesis.id, "B_adv": b_adv.id, "B_t": b_t.id, "B_next": b_next.id}
-        trace, ledger, reorged = _close(sim, cfg, self.SLOT_NEXT, labels)
+        trace, reorged = _close(sim, cfg, self.SLOT_NEXT, labels)
         success = trace.final_chain == [genesis.id, b_adv.id, b_next.id]
-        return GameOutcome(success, reorged, ledger, trace)
+        return GameOutcome(success, reorged, trace)
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile))
@@ -615,7 +607,7 @@ class ExtendedGame(GameModel):
     otherwise let a lone defecting leader strand the fork, a slack the
     analysis waves off since reorged blocks rarely hold maximal votes).  The
     per-included-vote accounting of the reward engine stays available on the
-    outcome ledger.
+    trace's settled payoffs.
     """
 
     PROFILES = {"compliant-all": ("C",), "extend-original-all": ("NC",)}
@@ -648,17 +640,10 @@ class ExtendedGame(GameModel):
                     dps.append(DecisionPoint(slot, Role.ATTESTOR, v.index))
         return dps
 
-    def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
+    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
         if dp.role is Role.LEADER:
-            return [
-                ("C", Propose(CompliantTip(), empty=True)),
-                ("NC", Propose(Tip(), empty=False)),
-            ]
-        return [
-            ("C", VoteFor(CompliantTip())),
-            ("NC", VoteFor(Tip())),
-            ("abstain", Abstain()),
-        ]
+            return {"C": Propose(CompliantTip(), empty=True), "NC": Propose(Tip(), empty=False)}
+        return {"C": VoteFor(CompliantTip()), "NC": VoteFor(Tip()), "abstain": Abstain()}
 
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
@@ -689,7 +674,7 @@ class ExtendedGame(GameModel):
         ct = tracker.tip_at_leader_time(sim.tree, p + 1)
         included = (v for v in sim.tree.votes if v.slot == p and tracker.is_vote_compliant(v))
         b_a = sim.propose(p + 1, ct, self.adversary, votes=included)
-        trace, ledger, reorged = _close(sim, cfg, p + 1, {"B_-p": genesis.id, "B_A": b_a.id})
+        trace, reorged = _close(sim, cfg, p + 1, {"B_-p": genesis.id, "B_A": b_a.id})
         marked = (tracker.compliant_block_of_slot(sim.tree, slot) for slot in range(1, p + 1))
         compliant_chain = [genesis.id] + [bid for bid in marked if bid is not None]
         expected = compliant_chain + [b_a.id]
@@ -697,27 +682,23 @@ class ExtendedGame(GameModel):
         return GameOutcome(
             success,
             reorged,
-            ledger,
             trace,
             extras={"tracker": tracker, "compliant_chain": compliant_chain},
         )
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
+        """Settled attestor payoffs; each leader earns R exactly when its block is on the fork."""
         outcome = self.run(profile)
-        out: dict[PlayerId, Fraction] = {}
+        out = self._payoffs_from(outcome)
         tree = outcome.trace.tree
         adv_prefix = set(tree.ancestors(outcome.trace.labels["B_A"]))
-        for slot in range(1, self.p + 1):
-            leader = self.leaders[slot]
+        for slot, leader in self.leaders.items():
             on_fork = any(
                 b.id in adv_prefix
                 for b in tree.blocks.values()
                 if b.proposer.index == leader.index and b.slot == slot
             )
             out[leader.index] = self.config.R if on_fork else Fraction(0)
-            for v in self.committees[slot]:
-                if v.kind is ValidatorKind.RATIONAL:
-                    out[v.index] = outcome.ledger.get(v.index)
         return out
 
 
@@ -787,8 +768,8 @@ class SelfishMiningGame(GameModel):
             for v in self.committees[slot]
         ]
 
-    def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
-        return [("C", FollowRule()), ("NC", VoteFor(Tip())), ("abstain", Abstain())]
+    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
+        return {"C": FollowRule(), "NC": VoteFor(Tip()), "abstain": Abstain()}
 
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
@@ -804,14 +785,14 @@ class SelfishMiningGame(GameModel):
         sim.advance(vote_tick(self.horizon - 1))
         fork_ids, compliant_votes = self._stage_fork(sim, genesis, profile)
         self._lead(sim, self.horizon)
-        trace, ledger, reorged = _close(sim, cfg, self.horizon, {"B_0": genesis.id})
+        trace, reorged = _close(sim, cfg, self.horizon, {"B_0": genesis.id})
         success = trace.final_chain == [genesis.id] + fork_ids
         extras = {
             "fork_weight_adversarial": compliant_votes + cfg.boost,
             "fork_weight_non_adversarial": self.horizon * W - compliant_votes,
             "compliant_votes": compliant_votes,
         }
-        return GameOutcome(success, reorged, ledger, trace, extras)
+        return GameOutcome(success, reorged, trace, extras)
 
     def _lead(self, sim: Simulation, slot: int) -> None:
         """Slot `slot`'s proposal time: a rational leader builds on the tip."""
@@ -936,17 +917,14 @@ class DagVotesGame(GameModel):
             dps.extend(DecisionPoint(slot, Role.ATTESTOR, v.index) for v in self.committees[slot])
         return dps
 
-    def dp_candidates(self, dp: DecisionPoint) -> list[tuple[str, object]]:
+    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
         if dp.role is Role.LEADER:
-            return [
-                ("on-tip", Propose(Tip())),
-                ("off-tip", Propose(ParentOfTip())),
-            ]
-        return [
-            ("tip", VoteFor(Tip())),
-            ("parent-of-tip", VoteFor(ParentOfTip())),
-            ("abstain", Abstain()),
-        ]
+            return {"on-tip": Propose(Tip()), "off-tip": Propose(ParentOfTip())}
+        return {
+            "tip": VoteFor(Tip()),
+            "parent-of-tip": VoteFor(ParentOfTip()),
+            "abstain": Abstain(),
+        }
 
     def run(self, profile: StrategyProfile) -> GameOutcome:
         cfg = self.config
@@ -982,7 +960,7 @@ class DagVotesGame(GameModel):
                 if seen:
                     for signer in self.committees[slot + 1]:
                         sim.emit_evidence(EvidenceRecord(signer.index, seen))
-        trace, ledger, _ = _close(sim, cfg, self.n_slots, {})
+        trace, _ = _close(sim, cfg, self.n_slots, {})
         chain = set(trace.final_chain)
         rational_blocks = [
             b.id
@@ -998,7 +976,7 @@ class DagVotesGame(GameModel):
             "rational_blocks_reorged": [b for b in rational_blocks if b not in chain],
         }
         success = not extras["adversary_reorged"]
-        return GameOutcome(success, [], ledger, trace, extras)
+        return GameOutcome(success, [], trace, extras)
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile))
@@ -1018,13 +996,3 @@ _GAMES = {
 
 def build_game(config: GameConfig) -> GameModel:
     return _GAMES[config.kind](config)
-
-
-def run_game(config: GameConfig, agents: StrategyProfile) -> RunTrace:
-    """One full lock-step run of the configured game under `agents`.
-
-    Drives the per-game schedule (proposal, vote and aggregation phases with
-    one-tick delivery) and settles payoffs onto the returned trace's ledger
-    at the game's payoff-realization point.
-    """
-    return build_game(config).run(agents).trace

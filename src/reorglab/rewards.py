@@ -62,19 +62,18 @@ class RewardParams:
     committee_size: int = 0  # W, needed for the DAG evidence threshold
 
 
-_ZERO = Fraction(0)
 # the two units a credit counts: r for a correct, timely vote, R for its inclusion
 ATTESTATION, INCLUSION = 0, 1
 
 
 @dataclass
 class PayoffLedger:
-    """Settled head-vote rewards: integer counts per unit, amounts made once when read.
+    """Head-vote credits being settled: integer counts per unit, amounts made once.
 
     Every credit is exactly one r (a correct, timely vote) or one R (its
     inclusion), so the ledger counts them per validator and multiplies by
-    the units only when read.  A validator counted only in units of 0 keeps
-    its key, with amount 0.
+    the units once, in `payoffs`.  A validator counted only in units of 0
+    keeps its key, with amount 0.
     """
 
     r: Fraction
@@ -95,12 +94,6 @@ class PayoffLedger:
         pairs = {v: tuple(count) for v, count in self.counts.items()}
         amounts = {pair: self.r * pair[0] + self.R * pair[1] for pair in set(pairs.values())}
         return {v: amounts[pair] for v, pair in pairs.items()}
-
-    def get(self, validator: int) -> Fraction:
-        count = self.counts.get(validator)
-        if count is None:
-            return _ZERO
-        return self.r * count[0] + self.R * count[1]
 
 
 def correctness_target(chain: list[BlockId], tree: BlockTree, slot: int) -> Optional[BlockId]:
@@ -161,9 +154,10 @@ def _slot_targets(chain: list[BlockId], tree: BlockTree) -> Callable[[int], Opti
     return lambda slot: last if slot >= last_slot else targets.get(slot)
 
 
-def settle_payoffs(trace: RunTrace, params: RewardParams) -> PayoffLedger:
+def settle_payoffs(trace: RunTrace, params: RewardParams) -> dict[int, Fraction]:
     """Credit r per correct+timely included head vote, R to its includer.
 
+    Returns every credited validator's amount, in order of first credit.
     A vote included in several chain blocks is credited at most once.  All
     votes of one slot share one correctness target, so the targets come from
     one pass over the chain rather than one walk per vote.
@@ -191,7 +185,7 @@ def settle_payoffs(trace: RunTrace, params: RewardParams) -> PayoffLedger:
             credited.add(vote.key())
             ledger.credit(vote.voter, ATTESTATION)
             ledger.credit(block.proposer.index, INCLUSION)
-    return ledger
+    return ledger.payoffs
 
 
 # -- Altair-weight quantification -------------------------------------------

@@ -210,8 +210,8 @@ class _TendermintGame(GameModel):
     def decision_points(self):
         return [DecisionPoint(1, Role.ATTESTOR, v) for v in self.rational]
 
-    def dp_candidates(self, dp):
-        return [(label, label) for label in self.LABELS]
+    def candidates(self, dp):
+        return {label: label for label in self.LABELS}
 
     def simulate(self, profile: StrategyProfile) -> RoundRun:
         key = frozenset(profile.actions.items())

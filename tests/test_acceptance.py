@@ -77,7 +77,7 @@ def test_criterion_01_table1():
             outcome = game.conditioned_run(
                 {probe: game._action_for(probe, col)}, row
             )
-            assert outcome.ledger.get(probe) == matrix.cell(row, col)
+            assert outcome.trace.payoffs.get(probe, 0) == matrix.cell(row, col)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(1, f"Table 1 exact, cells equal settled payoffs ({elapsed:.2f}s)")
@@ -171,7 +171,7 @@ def test_criterion_06_selfish_mining():
             out = game.run(game.conditioned_profile(col, row))
             settled = sum(
                 (
-                    out.ledger.get(v.index)
+                    out.trace.payoffs.get(v.index, 0)
                     for slot in range(1, game.horizon)
                     for v in game.committees[slot]
                     if v.pool == "P"

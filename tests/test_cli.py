@@ -378,6 +378,15 @@ def test_check_for_another_game_kind_exit_3(tmp_path, capsys, game, check):
     assert capsys.readouterr().out == ""
 
 
+def test_dominance_without_conditions_exit_3(tmp_path, capsys):
+    # a dominance check over no condition compares nothing and must not certify
+    game = {"kind": "simple", "committee_size": 4, "boost": 2}
+    assert _run_doc(tmp_path, game, [{"type": "dominance", "conditions": []}]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("key", ["n_slots", "adv_slot"])
 def test_unread_dag_keys_exit_3(tmp_path, key):
     # the DAG-votes game always runs 4 slots with slot 3 adversarial

@@ -186,14 +186,14 @@ def test_honest_run_every_vote_rewarded():
     from reorglab.rewards import RewardParams, settle_payoffs
 
     sim = honest_run(3, committee=4)
-    ledger = settle_payoffs(sim.trace, RewardParams(r=Fraction(1), R=Fraction(1)))
+    payoffs = settle_payoffs(sim.trace, RewardParams(r=Fraction(1), R=Fraction(1)))
     # committees of slots 0..2 are rewarded (slot-3 votes have no next block)
     for s in range(0, 3):
         for i in range(4):
-            assert ledger.get(s * 4 + i) == 1
+            assert payoffs.get(s * 4 + i, 0) == 1
     # each leader includes 4 correct timely votes
     for s in range(1, 4):
-        assert ledger.get(800 + s) == 4
+        assert payoffs.get(800 + s, 0) == 4
 
 
 def test_trace_determinism():

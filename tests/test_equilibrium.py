@@ -164,7 +164,7 @@ class TestVerifySpne:
         game = ExtendedGame(config)
         profile = game.profile("compliant-all")
         dp = DecisionPoint(2, Role.LEADER, game.leaders[2].index)
-        profile = profile.with_action(dp, dict(game.dp_candidates(dp))["NC"])
+        profile = profile.with_action(dp, game.candidates(dp)["NC"])
         report = verify_spne(game, profile)
         assert report.verdict is Verdict.NOT_EQUILIBRIUM
         dev = next(d for d in report.deviations if d.player == game.leaders[2].index)
@@ -200,6 +200,12 @@ class TestDominance:
         verdict = dominance_check(game, player, "C", ["C", "C"])
         assert verdict is Dominance.NEITHER
 
+    def test_no_condition_rejected(self):
+        # an empty partition compares nothing, so it cannot certify dominance
+        game = SimpleGame(simple_config())
+        with pytest.raises(GameError, match="at least one condition"):
+            dominance_check(game, game.players()[-1], "C", ["C", "NC"], conditions=[])
+
 
 class TestDagScenario:
     def config(self, **kw):
@@ -221,7 +227,7 @@ class TestDagScenario:
         game = DagVotesGame(self.config())
         pre_committee = game.committees[game.adv_slot - 1]
         for v in pre_committee:
-            assert result.outcome.ledger.get(v.index) == 1
+            assert result.outcome.trace.payoffs.get(v.index, 0) == 1
 
     def test_on_tip_adversary_block_survives(self):
         result = dag_security_scenario(self.config(adversary_on_tip=True))

@@ -54,7 +54,7 @@ class TestSimpleGame:
         assert out.final_chain == [out.trace.labels["B_prev"], out.trace.labels["B_A"]]
         assert out.reorged == [out.trace.labels["B_t"]]
         for v in game.committee:
-            assert out.ledger.get(v.index) == 1
+            assert out.trace.payoffs.get(v.index, 0) == 1
 
     def test_boost_threshold_blocks_reorg(self):
         # exactly W_p defectors: the adversary backs down and extends B_t
@@ -70,7 +70,7 @@ class TestSimpleGame:
         assert out.trace.tree.blocks[out.trace.labels["B_A"]].parent == b_t
         # zero compliant head rewards in the failure branch
         for v in game.committee:
-            assert out.ledger.get(v.index) == 0
+            assert out.trace.payoffs.get(v.index, 0) == 0
 
     def test_zero_boost_never_succeeds(self):
         game = SimpleGame(simple_config(boost=0))
@@ -109,7 +109,7 @@ class TestSimpleGame:
             assert out.success == (votes_for_bt < config.boost)
             for dp, choice in zip(dps, joint):
                 col = "C" if choice == "C" else "NC"
-                assert out.ledger.get(dp.actor) == matrix.cell(row, col)
+                assert out.trace.payoffs.get(dp.actor, 0) == matrix.cell(row, col)
 
     @pytest.mark.parametrize("W", [1, 2, 3, 4, 5, 6])
     def test_success_threshold_exhaustive(self, W):
@@ -234,7 +234,7 @@ class TestNoBoost:
         assert out.success
         # compliant voters get paid on the adversarial chain
         for n, dp in enumerate(game.decision_points()):
-            assert out.ledger.get(dp.actor) == (1 if n < 3 else 0)
+            assert out.trace.payoffs.get(dp.actor, 0) == (1 if n < 3 else 0)
 
     def test_tie_goes_to_adversary(self):
         game = NoBoostGame(self.config(4))
@@ -253,7 +253,7 @@ class TestNoBoost:
         out = game.run(game.profile("vote-bt-all"))
         assert not out.success
         for dp in game.decision_points():
-            assert out.ledger.get(dp.actor) == 0  # non-compliant votes excluded
+            assert out.trace.payoffs.get(dp.actor, 0) == 0  # non-compliant votes excluded
 
 
 def extended_config(p, **kw):
@@ -314,9 +314,7 @@ class TestExtendedGame:
         game = ExtendedGame(extended_config(3))
         profile = game.profile("compliant-all")
         leader_dp = DecisionPoint(2, Role.LEADER, game.leaders[2].index)
-        deviated = profile.with_action(
-            leader_dp, dict(game.dp_candidates(leader_dp))["NC"]
-        )
+        deviated = profile.with_action(leader_dp, game.candidates(leader_dp)["NC"])
         out = game.run(deviated)
         payoffs = game.payoffs(deviated)
         assert payoffs[game.leaders[2].index] == 0
@@ -406,7 +404,7 @@ class TestSelfishMining:
                 assert out.success == (row == "succeed")
                 sim_total = sum(
                     (
-                        out.ledger.get(v.index)
+                        out.trace.payoffs.get(v.index, 0)
                         for slot in range(1, game.horizon)
                         for v in game.committees[slot]
                         if v.pool == "P"
@@ -442,16 +440,6 @@ class TestSelfishMining:
             seen[key] = payload["target"]
 
 
-def test_run_game_wrapper_returns_settled_trace():
-    from reorglab.games import build_game, run_game
-
-    config = simple_config()
-    game = build_game(config)
-    trace = run_game(config, game.profile("compliant-all"))
-    assert trace.final_chain == [0, 2]
-    assert trace.export_lines()
-
-
 # -- every action is named by one label lookup -----------------------------------
 
 LABELLED_GAMES = {
@@ -479,7 +467,8 @@ def test_labelled_agrees_with_named_profile(kind, name):
     profile = game.profile(name)
     labels = {}
     for dp in game.decision_points():
-        labels[dp] = next(label for label, act in game.dp_candidates(dp) if act == profile.get(dp))
+        candidates = game.candidates(dp)
+        labels[dp] = next(label for label in candidates if candidates[label] == profile.get(dp))
         assert labels[dp] in game.PROFILES[name]
     assert game.labelled(labels.__getitem__) == profile
     with pytest.raises(GameError, match="unknown action 'Z' for slot"):

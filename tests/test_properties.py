@@ -242,10 +242,10 @@ def test_ledger_conservation_property(n_attestors, included, r, R):
     trace = RunTrace()
     trace.tree = tree
     trace.final_chain = [0, block.id]
-    ledger = settle_payoffs(trace, RewardParams(r=Fraction(r), R=Fraction(R)))
+    payoffs = settle_payoffs(trace, RewardParams(r=Fraction(r), R=Fraction(R)))
     k = len(votes)
-    assert sum(ledger.get(i) for i in range(n_attestors)) == k * r
-    assert ledger.get(50) == k * R
+    assert sum(payoffs.get(i, 0) for i in range(n_attestors)) == k * r
+    assert payoffs.get(50, 0) == k * R
 
 
 def test_lmd_uniqueness_bounds_child_weights():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -10,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from reorglab.chain import Block, BlockTree, EvidenceRecord, TieBreakPolicy, Validator, VoteRecord
 from reorglab.cli import run_scenario
 from reorglab.engine import RunTrace
-from reorglab.games import GameConfig, GameKind, build_game
+from reorglab.games import GameConfig, GameKind, GameOutcome, build_game
 from reorglab.rewards import (
     InclusionRewardBreakdown,
+    PayoffLedger,
     RewardParams,
     TargetNotOnChainQueryable,
     ZeroStake,
@@ -205,10 +207,10 @@ class TestSettle:
         block = Block(tree.new_id(), 1, 0, Validator(50, RATIONAL), included_votes=votes)
         tree.insert_block(block)
         params = RewardParams(r=Fraction(3), R=Fraction(5))
-        ledger = settle_payoffs(_trace_for(tree, [0, 1]), params)
-        attestor_total = sum(ledger.get(i) for i in range(4))
+        payoffs = settle_payoffs(_trace_for(tree, [0, 1]), params)
+        attestor_total = sum(payoffs.get(i, 0) for i in range(4))
         assert attestor_total == 4 * params.r
-        assert ledger.get(50) == 4 * params.R
+        assert payoffs.get(50, 0) == 4 * params.R
 
     def test_exclusion_means_zero(self):
         # a correct vote not included in the next-slot block earns nothing
@@ -216,8 +218,8 @@ class TestSettle:
         v = VoteRecord(0, 9, 0)
         block = Block(tree.new_id(), 3, 1, Validator(50, RATIONAL), included_votes=(v,))
         tree.insert_block(block)
-        ledger = settle_payoffs(_trace_for(tree, [0, 1, block.id]), RewardParams())
-        assert ledger.get(9) == 0
+        payoffs = settle_payoffs(_trace_for(tree, [0, 1, block.id]), RewardParams())
+        assert payoffs.get(9, 0) == 0
 
     def test_no_double_credit(self):
         tree = make_tree([None])
@@ -226,8 +228,8 @@ class TestSettle:
         tree.insert_block(b1)
         b2 = Block(tree.new_id(), 2, b1.id, Validator(51, RATIONAL), included_votes=(v,))
         tree.insert_block(b2)
-        ledger = settle_payoffs(_trace_for(tree, [0, b1.id, b2.id]), RewardParams())
-        assert ledger.get(9) == 1
+        payoffs = settle_payoffs(_trace_for(tree, [0, b1.id, b2.id]), RewardParams())
+        assert payoffs.get(9, 0) == 1
 
 
 # -- settled ledgers against a per-vote Fraction oracle ---------------------------
@@ -322,6 +324,28 @@ def test_zero_unit_keeps_credited_voters(tmp_path):
     assert report["results"][0]["outcome"]["payoffs"] == {
         "4": "0", "5": "0", "6": "0", "7": "0", "9": "4"
     }
+
+
+def test_settlement_has_one_home(monkeypatch):
+    # the settled amounts live on the trace alone: settlement makes them once
+    # per run, and an outcome report reads them off the trace
+    assert "ledger" not in {f.name for f in dataclasses.fields(GameOutcome)}
+    assert not hasattr(PayoffLedger, "get")
+    reads = []
+    amounts = PayoffLedger.payoffs.fget
+    counted = property(lambda self: reads.append(1) or amounts(self))
+    monkeypatch.setattr(PayoffLedger, "payoffs", counted)
+    doc = {"scenario": "one-outcome",
+           "game": {"kind": "simple", "committee_size": 4, "boost": 2, "r": "1", "R": "1"},
+           "checks": [{"type": "outcome", "profile": "compliant-all"}]}
+    report = run_scenario(io.StringIO(json.dumps(doc)))
+    assert len(reads) == 1
+    assert report["results"][0]["outcome"]["payoffs"] == {
+        "4": "1", "5": "1", "6": "1", "7": "1", "9": "4"
+    }
+    game = build_game(GameConfig(GameKind.SIMPLE, committee_size=4, boost=2))
+    trace = game.run(game.profile("compliant-all")).trace
+    assert type(settle_payoffs(trace, RewardParams())) is dict
 
 
 class TestAltairQuantification:
