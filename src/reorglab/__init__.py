@@ -50,7 +50,6 @@ from .games import (
     pool_payoff_selfish,
     pool_payoff_simple,
     simple_payoff_matrix,
-    strong_simple_expected_matrix,
 )
 from .overhead import (
     CostVector,

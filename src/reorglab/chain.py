@@ -56,7 +56,6 @@ class ValidatorKind(enum.Enum):
 class Validator:
     index: int
     kind: ValidatorKind
-    pool: Optional[str] = None
 
     def __repr__(self) -> str:
         return f"V{self.index}({self.kind.value[0]})"

@@ -644,15 +644,11 @@ def load_scenario(source) -> dict:
 
 
 def run_scenario(
-    source,
-    seed_override: Optional[int] = None,
-    max_joint_actions: int = 10**6,
-    trace_path: Optional[str] = None,
+    source, max_joint_actions: int = 10**6, trace_path: Optional[str] = None
 ) -> dict:
     """Execute one scenario document and return its report dict."""
     scenario = validate_scenario(load_scenario(source))
-    seed = scenario.seed if seed_override is None else seed_override
-    report: dict = {"scenario": scenario.name, "seed": seed, "results": []}
+    report: dict = {"scenario": scenario.name, "seed": scenario.seed, "results": []}
     trace: Optional[RunTrace] = None
     kind = scenario.kind
     if kind.run is not None:
@@ -778,9 +774,9 @@ def render_report(report: dict, fmt: str = "text") -> str:
 
 def _run_one(args: tuple) -> tuple[int, str]:
     """One batch file: (0, its rendered report) or (exit code, a line for stderr)."""
-    path, seed, guard, fmt = args
+    path, guard, fmt = args
     try:
-        return EXIT_OK, render_report(run_scenario(path, seed, guard), fmt)
+        return EXIT_OK, render_report(run_scenario(path, guard), fmt)
     except _REJECTED as exc:
         code, label = _failure(exc)
         return code, f"{path}: {label}: {exc}\n"
@@ -792,7 +788,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_run = sub.add_parser("run", help="run one scenario file or bundled id")
     p_run.add_argument("scenario")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--trace", default=None)
     p_run.add_argument("--format", choices=FORMATS, default="text")
     p_run.add_argument("--max-joint-actions", type=int, default=10**6)
@@ -805,12 +800,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_batch.add_argument("directory")
     p_batch.add_argument("--jobs", type=int, default=2)
     p_batch.add_argument("--format", choices=FORMATS, default="text")
-    p_batch.add_argument("--seed", type=int, default=None)
     p_batch.add_argument("--max-joint-actions", type=int, default=10**6)
-
-    p_ovh = sub.add_parser("overhead", help="print the overhead table")
-    p_ovh.add_argument("--n-att", type=int, default=None)
-    p_ovh.add_argument("--n-agg", type=int, nargs="+", default=[16, 128])
 
     args = parser.parse_args(argv)
     try:
@@ -819,7 +809,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             bundled = bundled_scenarios()
             if source in bundled:
                 source = io.StringIO(bundled[args.scenario])
-            report = run_scenario(source, args.seed, args.max_joint_actions, args.trace)
+            report = run_scenario(source, args.max_joint_actions, args.trace)
             if args.trace and "trace_path" not in report:
                 raise ValidationError(
                     f"no trace written to {args.trace}: no check of this scenario plays a single run"
@@ -839,7 +829,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             if not paths:
                 what = "holds no *.json scenario file" if directory.is_dir() else "is not a directory"
                 raise ParseError(f"{directory} {what}")
-            jobs = [(p, args.seed, args.max_joint_actions, args.format) for p in paths]
+            jobs = [(p, args.max_joint_actions, args.format) for p in paths]
             worst = EXIT_OK
             # imported here, so that no other command loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -850,12 +840,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                     (sys.stderr if code else sys.stdout).write(text)
                     worst = max(worst, code)
             return worst
-        if args.command == "overhead":
-            given = {} if args.n_att is None else {"n_att": args.n_att}
-            grids = _list(_grid)([{**given, "n_agg": a} for a in args.n_agg], "overhead grid")
-            report = {"scenario": "overhead", "seed": 0, "results": [_run_overhead(None, grids)]}
-            sys.stdout.write(render_report(report, "text"))
-            return EXIT_OK
     except _REJECTED as exc:
         code, label = _failure(exc)
         sys.stderr.write(f"{label}: {exc}\n")

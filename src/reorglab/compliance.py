@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .chain import Block, BlockId, BlockTree, TieBreakPolicy, UnknownBlock, VoteRecord
+from .chain import Block, BlockId, BlockTree, TieBreakPolicy, VoteRecord
 
 
 class HonestMajority(Exception):
@@ -45,11 +45,11 @@ class EmptyCandidateSet(Exception):
 def prefix_noncompliance_indices(
     tree: BlockTree, marks: Mapping[BlockId, bool]
 ) -> dict[BlockId, Optional[int]]:
-    """`prefix_noncompliance_index` of every block, in one pass over the tree.
+    """Each block's largest non-compliant slot on its path from the root, else None.
 
-    A parent is inserted before its children, so its index is known when a
-    child is reached; slots grow along a chain, so a non-compliant block is
-    the latest non-compliant block of its own prefix.
+    One pass over the tree: a parent is inserted before its children, so its
+    index is known when a child is reached; slots grow along a chain, so a
+    non-compliant block is the latest non-compliant block of its own prefix.
     """
     worst: dict[BlockId, Optional[int]] = {}
     for bid, block in tree.blocks.items():
@@ -58,15 +58,6 @@ def prefix_noncompliance_indices(
         else:
             worst[bid] = None if block.parent is None else worst[block.parent]
     return worst
-
-
-def prefix_noncompliance_index(
-    tree: BlockTree, bid: BlockId, marks: Mapping[BlockId, bool]
-) -> Optional[int]:
-    """Largest slot of a non-compliant block on the path root..bid, else None."""
-    if bid not in tree.blocks:
-        raise UnknownBlock(f"block {bid} not in tree")
-    return prefix_noncompliance_indices(tree, marks)[bid]
 
 
 def compliant_tip(

@@ -64,9 +64,7 @@ class SubgameEntry:
     """Per-decision-point payoff table emitted by the SPNE check."""
 
     dp: DecisionPoint
-    player: PlayerId
     payoffs: dict[str, Fraction]
-    on_path_label: str
 
 
 @dataclass
@@ -205,18 +203,16 @@ def _spne(game: GameModel, profile: StrategyProfile, max_joint_actions: int, bas
     for dp in reversed(dps):
         owner = game.owner(dp)
         payoffs: dict[str, Fraction] = {}
-        on_path_label = ""
         for label, action in game.candidates(dp).items():
             played, deviates = _deviate(game, profile, base, {dp: action})
             value = payoffs[label] = played[owner]
             if not deviates:
-                on_path_label = label
                 continue
             checked += 1
             if value > base[owner]:
                 deviations.append(Deviation(owner, f"{dp.slot}/{dp.role.value}:{label}",
                                             base[owner], value))
-        table.append(SubgameEntry(dp, owner, payoffs, on_path_label))
+        table.append(SubgameEntry(dp, payoffs))
     table.reverse()
     verdict = Verdict.NOT_EQUILIBRIUM if deviations else Verdict.SPNE
     return EquilibriumReport(verdict, deviations, table, checked)

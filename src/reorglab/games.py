@@ -80,7 +80,6 @@ __all__ = [
     "SelfishMiningGame",
     "DagVotesGame",
     "simple_payoff_matrix",
-    "strong_simple_expected_matrix",
     "pool_payoff_simple",
     "pool_payoff_selfish",
     "required_attack_length",
@@ -247,19 +246,19 @@ class GameModel:
         return out
 
 
-def _committee(
-    ids, size: int, pool: Optional[PoolSpec] = None, kind=ValidatorKind.RATIONAL
-) -> list[Validator]:
-    """`size` validators of `kind`, numbered by `ids`; the first members of `pool` lead."""
-    in_pool = pool.members_per_slot if pool else 0
-    return [Validator(next(ids), kind, pool.name if i < in_pool else None) for i in range(size)]
+def _committee(ids, size: int, kind=ValidatorKind.RATIONAL) -> list[Validator]:
+    """`size` validators of `kind`, numbered by `ids`."""
+    return [Validator(next(ids), kind) for _ in range(size)]
 
 
-def _pools(config: GameConfig, validators) -> dict[PlayerId, frozenset[int]]:
+def _pools(config: GameConfig, committees) -> dict[PlayerId, frozenset[int]]:
+    """The config's pool: the first `members_per_slot` validators of each of `committees`."""
     if not config.pool:
         return {}
-    name = config.pool.name
-    return {name: frozenset(v.index for v in validators if v.pool == name)}
+    m = config.pool.members_per_slot
+    if not 0 <= m <= config.committee_size:
+        raise GameError(f"pool members per slot {m} outside 0..{config.committee_size}")
+    return {config.pool.name: frozenset(v.index for c in committees for v in c[:m])}
 
 
 # -- the phases every game script shares ----------------------------------------
@@ -341,18 +340,19 @@ class SimpleGame(GameModel):
         if config.pool and config.pool.members_per_slot >= W:
             raise GameError("pool cannot fill the whole committee")
         ids = itertools.count()
-        self.prev_committee = _committee(ids, W, config.pool)
-        self.committee = _committee(ids, W, config.pool)
+        self.prev_committee = _committee(ids, W)
+        self.committee = _committee(ids, W)
         self.leader_t = Validator(next(ids), ValidatorKind.RATIONAL)
         self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
         self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
         self.genesis_id: BlockId = 0
-        self.pools = _pools(config, self.prev_committee + self.committee)
+        self.pools = _pools(config, (self.prev_committee, self.committee))
 
     # -- players and actions ------------------------------------------------
 
     def solo_players(self) -> list[Validator]:
-        return [v for v in self.committee if v.pool is None]
+        pooled = frozenset().union(*self.pools.values())
+        return [v for v in self.committee if v.index not in pooled]
 
     def decision_points(self) -> list[DecisionPoint]:
         return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index) for v in self.committee]
@@ -506,10 +506,6 @@ class StrongSimpleGame(SimpleGame):
         for player in out:
             out[player] += bonus * len(compliant.intersection(self.pools.get(player, (player,))))
         return out
-
-
-# the expected-payoff table is the simple game's table under a strong-simple config
-strong_simple_expected_matrix = simple_payoff_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +687,11 @@ class ExtendedGame(GameModel):
         outcome = self.run(profile)
         out = self._payoffs_from(outcome)
         tree = outcome.trace.tree
-        adv_prefix = set(tree.ancestors(outcome.trace.labels["B_A"]))
-        for slot, leader in self.leaders.items():
-            on_fork = any(
-                b.id in adv_prefix
-                for b in tree.blocks.values()
-                if b.proposer.index == leader.index and b.slot == slot
-            )
-            out[leader.index] = self.config.R if on_fork else Fraction(0)
+        fork = tree.ancestors(outcome.trace.labels["B_A"])
+        # a leader proposes only in its own slot, so any fork block it proposed is its slot's
+        on_fork = {tree.blocks[bid].proposer.index for bid in fork}
+        for leader in self.leaders.values():
+            out[leader.index] = self.config.R if leader.index in on_fork else Fraction(0)
         return out
 
 
@@ -749,7 +742,7 @@ class SelfishMiningGame(GameModel):
             raise GameError("cannot place adversarial slots with this split")
         self.player_slots = [s - 1 for s in self.adv_slots]  # all >= 1
         ids = itertools.count()
-        self.committees = {slot: _committee(ids, W, config.pool) for slot in range(self.horizon)}
+        self.committees = {slot: _committee(ids, W) for slot in range(self.horizon)}
         self.leaders = {
             slot: Validator(next(ids), ValidatorKind.RATIONAL)
             for slot in range(1, self.horizon + 1)
@@ -758,8 +751,7 @@ class SelfishMiningGame(GameModel):
         self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
         self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
         # the pool's stake in the window: its members of slots 1..horizon-1
-        window = [v for slot in range(1, self.horizon) for v in self.committees[slot]]
-        self.pools = _pools(config, window)
+        self.pools = _pools(config, [self.committees[slot] for slot in range(1, self.horizon)])
 
     def decision_points(self) -> list[DecisionPoint]:
         return [

@@ -125,21 +125,20 @@ def head_vote_timely_dag(
     Only evidences sitting in chain blocks strictly after the correctness
     target count, and each signer counts once however many blocks carry its
     signature; the threshold is strict, so W even with exactly W/2 signers is
-    untimely.  Each block's signers come from its per-vote index
-    (`Block.evidence_signers`).
+    untimely.  Slots strictly increase along a chain, so the blocks after the
+    target are exactly those with a slot above the vote's.  Each block's
+    signers come from its per-vote index (`Block.evidence_signers`).
     """
-    target = correctness_target(chain, tree, vote.slot)
-    after_target = target is None
     key = (vote.voter, vote.slot, vote.target)
     signers: set[int] = set()
     for bid in chain:
         block = tree.blocks[bid]
+        if block.slot <= vote.slot:
+            continue
         if block.slot == vote.slot + 1 and vote in block.included_votes:
             return True
-        if after_target and block.included_evidences:
+        if block.included_evidences:
             signers.update(block.evidence_signers.get(key, ()))
-        if bid == target:
-            after_target = True
     return 2 * len(signers) > committee_size
 
 

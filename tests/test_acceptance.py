@@ -30,7 +30,6 @@ from reorglab.games import (
     pool_payoff_selfish,
     pool_payoff_simple,
     simple_payoff_matrix,
-    strong_simple_expected_matrix,
 )
 from reorglab.overhead import (
     OverheadParams,
@@ -87,7 +86,7 @@ def test_criterion_02_table2():
     config = GameConfig(
         GameKind.STRONG_SIMPLE, committee_size=4, boost=2, r=Fraction(1), epoch_length=32
     )
-    matrix = strong_simple_expected_matrix(config)
+    matrix = simple_payoff_matrix(config)
     assert matrix.cell("succeed", "C") == Fraction(1) + Fraction(1, 32)
     assert matrix.cell("fail", "C") == Fraction(1, 32)
     assert matrix.cell("succeed", "NC") == 0
@@ -174,7 +173,7 @@ def test_criterion_06_selfish_mining():
                     out.trace.payoffs.get(v.index, 0)
                     for slot in range(1, game.horizon)
                     for v in game.committees[slot]
-                    if v.pool == "P"
+                    if v.index in game.pools["P"]
                 ),
                 Fraction(0),
             )

@@ -190,7 +190,7 @@ def test_trace_rendered_only_when_written(monkeypatch, tmp_path, name):
 
 
 def test_seed_recorded():
-    report = run_scenario(bundled("simple-table1"), seed_override=42)
+    report = run_scenario(io.StringIO(json.dumps(_with("simple-table1", seed=42))))
     assert report["seed"] == 42
 
 
@@ -262,9 +262,22 @@ def test_cli_json_format(capsys):
 
 
 def test_cli_overhead_subcommand(capsys):
-    assert main(["overhead", "--n-agg", "16"]) == EXIT_OK
+    assert main(["run", "overhead-grid"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "33216" in out and "12544" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["overhead"], ["run", "simple-table1", "--seed", "7"], ["batch", ".", "--seed", "7"]],
+    ids=["overhead", "run-seed", "batch-seed"],
+)
+def test_removed_entry_points_exit_2(capsys, argv):
+    # an overhead table is `run overhead-grid`; a document's seed is its `seed` key
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().out == ""
 
 
 def test_batch_runs_directory(tmp_path, capsys):
@@ -429,6 +442,10 @@ BOUNDARY = {
     "rational-zero-denominator": _simple_outcome(r="1/0"),
     "committee-size-not-int": _simple_outcome(committee_size="abc"),
     "pool-members-not-int": _bundled_doc("pool-simple-table7", pool={"members_per_slot": "q"}),
+    # the pool-matrix closed form would pay 6 members per slot of a committee of 4
+    "selfish-pool-above-committee": _bundled_doc(
+        "selfish-table8", committee_size=4, boost=2, pool={"members_per_slot": 6}
+    ),
     "coalition-bound-not-int": _with(
         "simple-table1", checks=[{"type": "nash", "coalition_bound": "z"}]
     ),

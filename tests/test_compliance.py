@@ -13,12 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reorglab import compliance
-from reorglab.chain import Block, BlockTree, TieBreakPolicy, UnknownBlock, Validator, VoteRecord
+from reorglab.chain import Block, BlockTree, TieBreakPolicy, Validator, VoteRecord
 from reorglab.compliance import (
     ComplianceTracker,
     HonestMajority,
     compliant_tip,
-    prefix_noncompliance_index,
     prefix_noncompliance_indices,
     required_attack_length,
 )
@@ -289,8 +288,6 @@ def test_prefix_indices_match_walks(query):
     assert list(swept) == list(tree.blocks)
     for bid in tree.blocks:
         assert swept[bid] == oracle_prefix_index(tree, bid, marks)
-    with pytest.raises(UnknownBlock):
-        prefix_noncompliance_index(tree, len(tree.blocks), marks)
 
 
 @pytest.mark.parametrize("tie_break, expected", [(LEX, 1), (POLICIES[0], 2)], ids=["lex", "adv"])
@@ -333,9 +330,10 @@ def test_scan_restores_subtree_weights():
 def test_prefix_index():
     tree, ids = tree_be1_leader_time()
     marks = marks_for("", tree, ids, 2)
-    assert prefix_noncompliance_index(tree, ids[0], marks) is None
-    assert prefix_noncompliance_index(tree, ids[2], marks) == 0
-    assert prefix_noncompliance_index(tree, ids[3], marks) is None
+    worst = prefix_noncompliance_indices(tree, marks)
+    assert worst[ids[0]] is None
+    assert worst[ids[2]] == 0
+    assert worst[ids[3]] is None
 
 
 class TestClassification:

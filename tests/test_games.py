@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from reorglab.chain import TieBreakPolicy
+from reorglab.chain import TieBreakPolicy, Validator
 from reorglab.engine import (
     Abstain,
     DecisionPoint,
@@ -33,7 +34,6 @@ from reorglab.games import (
     pool_payoff_selfish,
     pool_payoff_simple,
     simple_payoff_matrix,
-    strong_simple_expected_matrix,
 )
 from reorglab.tendermint import AnchorGame, WithholdingGame
 
@@ -181,14 +181,14 @@ class TestStrongSimple:
         return GameConfig(**base)
 
     def test_table2(self):
-        m = strong_simple_expected_matrix(self.config())
+        m = simple_payoff_matrix(self.config())
         assert m.cell("succeed", "C") == Fraction(1) + Fraction(1, 32)
         assert m.cell("fail", "C") == Fraction(1, 32)
         assert m.cell("succeed", "NC") == 0
         assert m.cell("fail", "NC") == 0
 
     def test_fixed_attestor_certainty(self):
-        m = strong_simple_expected_matrix(self.config(epoch_length=1))
+        m = simple_payoff_matrix(self.config(epoch_length=1))
         assert m.cell("succeed", "C") == 2
         assert m.cell("fail", "C") == 1
 
@@ -407,7 +407,7 @@ class TestSelfishMining:
                         out.trace.payoffs.get(v.index, 0)
                         for slot in range(1, game.horizon)
                         for v in game.committees[slot]
-                        if v.pool == "P"
+                        if v.index in game.pools["P"]
                     ),
                     Fraction(0),
                 )
@@ -426,6 +426,19 @@ class TestSelfishMining:
         config = self.config(2, 2, pool=PoolSpec(0))
         assert pool_payoff_selfish(config, "C", "succeed") == 0
         assert pool_payoff_selfish(config, "NC", "fail") == 0
+
+    def test_pool_is_first_members_of_window_committees(self):
+        # the pool record is game.pools alone: validators carry no pool name
+        assert "pool" not in {f.name for f in dataclasses.fields(Validator)}
+        game = SelfishMiningGame(self.config(2, 2, committee_size=4, boost=2, pool=PoolSpec(2)))
+        expected = {v.index for slot in range(1, game.horizon) for v in game.committees[slot][:2]}
+        assert game.pools == {"P": frozenset(expected)}
+
+    def test_pool_larger_than_committee_rejected(self):
+        # the closed form would pay m members per slot where only W exist
+        config = self.config(2, 2, committee_size=4, boost=2, pool=PoolSpec(6))
+        with pytest.raises(GameError):
+            SelfishMiningGame(config)
 
     def test_no_equivocation_anywhere(self):
         game = SelfishMiningGame(self.config(3, 2))
