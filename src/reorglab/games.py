@@ -182,8 +182,9 @@ class GameModel:
     `payoffs`).  `candidates` is the only place a game builds actions;
     everything else names them by label (`action`, `labelled`).  The roster
     follows from those: a decision point belongs to its actor, unless the
-    actor is a member of one of `pools`, whose members move together.  Named
-    profiles follow from `PROFILES`.
+    actor is a member of one of `pools`, whose members move together; each
+    player's decision points are listed once, in `_seats`.  Named profiles
+    follow from `PROFILES`.
     """
 
     # profile name -> candidate labels; each decision point takes the first
@@ -196,19 +197,28 @@ class GameModel:
     pools: dict[PlayerId, frozenset[int]] = {}
 
     def owner(self, dp: DecisionPoint) -> PlayerId:
+        """The player moving at `dp`: its actor, or the pool the actor belongs to."""
         for name, members in self.pools.items():
             if dp.actor in members:
                 return name
         return dp.actor
 
     @cached_property
-    def _roster(self) -> tuple[PlayerId, ...]:
-        owners = dict.fromkeys(self.owner(dp) for dp in self.decision_points())
-        return tuple(p for p in owners if p not in self.pools) + tuple(self.pools)
+    def _seats(self) -> dict[PlayerId, tuple[DecisionPoint, ...]]:
+        """Each player's decision points in `decision_points()` order.
+
+        Solo players come first, in decision-point order, then every pool,
+        members or not.
+        """
+        seats: dict[PlayerId, list[DecisionPoint]] = {}
+        for dp in self.decision_points():
+            seats.setdefault(self.owner(dp), []).append(dp)
+        solo = {p: tuple(dps) for p, dps in seats.items() if p not in self.pools}
+        return solo | {name: tuple(seats.get(name, ())) for name in self.pools}
 
     def players(self) -> list[PlayerId]:
         """Solo players in decision-point order, then the pools."""
-        return list(self._roster)
+        return list(self._seats)
 
     def action(self, dp: DecisionPoint, label: str) -> object:
         """The candidate of `dp` labelled `label`."""
@@ -223,7 +233,7 @@ class GameModel:
 
     def assignments(self, player: PlayerId) -> list[tuple[str, dict[DecisionPoint, object]]]:
         """Joint candidate assignments over all decision points of `player`."""
-        dps = [dp for dp in self.decision_points() if self.owner(dp) == player]
+        dps = self._seats[player]
         if player in self.pools:
             return [
                 (label, {dp: self.action(dp, label) for dp in dps}) for label in self.POOL_LABELS
@@ -240,7 +250,7 @@ class GameModel:
     def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
         """Each solo player's settled amount, and each pool's total over its members."""
         settled, zero = outcome.trace.payoffs, Fraction(0)
-        out = {p: settled.get(p, zero) for p in self._roster if p not in self.pools}
+        out = {p: settled.get(p, zero) for p in self._seats if p not in self.pools}
         for name, members in self.pools.items():
             out[name] = sum((settled.get(v, zero) for v in members), zero)
         return out
@@ -259,6 +269,12 @@ def _pools(config: GameConfig, committees) -> dict[PlayerId, frozenset[int]]:
     if not 0 <= m <= config.committee_size:
         raise GameError(f"pool members per slot {m} outside 0..{config.committee_size}")
     return {config.pool.name: frozenset(v.index for c in committees for v in c[:m])}
+
+
+def _require(config: GameConfig, *kinds: GameKind) -> None:
+    """Reject a config of a kind other than `kinds`, the games a table plays."""
+    if config.kind not in kinds:
+        raise GameError(f"this table plays no {config.kind.value} game")
 
 
 # -- the phases every game script shares ----------------------------------------
@@ -314,11 +330,36 @@ def _close(sim: Simulation, config: GameConfig, final_slot: int, labels: dict):
 
 
 # ---------------------------------------------------------------------------
-# simple game
+# the one-committee games
 # ---------------------------------------------------------------------------
 
 
-class SimpleGame(GameModel):
+class _VictimSlotGame(GameModel):
+    """Roster shared by the games whose players are one slot-`SLOT_T` committee.
+
+    The previous committee votes for the genesis block before the game, a
+    rational leader proposes the victim block at slot `SLOT_T`, and the
+    adversary leads a neighbouring slot.
+    """
+
+    SLOT_T: int
+
+    def __init__(self, config: GameConfig):
+        self.config = config
+        W = config.committee_size
+        ids = itertools.count()
+        self.prev_committee = _committee(ids, W)
+        self.committee = _committee(ids, W)
+        self.leader_t = Validator(next(ids), ValidatorKind.RATIONAL)
+        self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
+        self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
+        self.genesis_id: BlockId = 0
+
+    def decision_points(self) -> list[DecisionPoint]:
+        return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index) for v in self.committee]
+
+
+class SimpleGame(_VictimSlotGame):
     """Slot t+1 is adversarial; slot t attestors choose whose block to back.
 
     Slots are normalized so that B_{t-1} is the genesis block at slot 0, the
@@ -335,27 +376,15 @@ class SimpleGame(GameModel):
     }
 
     def __init__(self, config: GameConfig):
-        self.config = config
-        W = config.committee_size
-        if config.pool and config.pool.members_per_slot >= W:
+        if config.pool and config.pool.members_per_slot >= config.committee_size:
             raise GameError("pool cannot fill the whole committee")
-        ids = itertools.count()
-        self.prev_committee = _committee(ids, W)
-        self.committee = _committee(ids, W)
-        self.leader_t = Validator(next(ids), ValidatorKind.RATIONAL)
-        self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
-        self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
-        self.genesis_id: BlockId = 0
+        super().__init__(config)
         self.pools = _pools(config, (self.prev_committee, self.committee))
 
     # -- players and actions ------------------------------------------------
 
     def solo_players(self) -> list[Validator]:
-        pooled = frozenset().union(*self.pools.values())
-        return [v for v in self.committee if v.index not in pooled]
-
-    def decision_points(self) -> list[DecisionPoint]:
-        return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index) for v in self.committee]
+        return [v for v in self.committee if v.index in self._seats]
 
     def candidates(self, dp: DecisionPoint) -> dict[str, object]:
         return {
@@ -392,33 +421,30 @@ class SimpleGame(GameModel):
 
     # -- conditioning ---------------------------------------------------------
 
-    def conditioned_run(
-        self, probe_actions: dict[int, object], condition: str
-    ) -> GameOutcome:
-        """Run with non-probe attestors scripted to realize `condition`.
+    def conditioned_run(self, player: PlayerId, label: str, condition: str) -> GameOutcome:
+        """Run with `player`'s attestors playing `label`, the others realizing `condition`.
 
-        succeed: every scripted attestor complies; fail: `boost` of them
-        vote for B_t so the threshold is met regardless of the probes.
+        succeed: every other attestor complies; fail: the first `boost` of
+        them vote for B_t, so the threshold is met whatever `player` plays.
         """
-        cfg = self.config
-        scripted = [v.index for v in self.committee if v.index not in probe_actions]
+        dps, seats = self.decision_points(), self._seats[player]
+        self.action(dps[0], label)  # every slot-t attestor has the same candidates
+        free = [dp.actor for dp in dps if dp not in seats]
+        boost = self.config.boost
         if condition == "succeed":
             for_b_t = set()
         elif condition == "fail":
-            if len(scripted) < cfg.boost:
+            if len(free) < boost:
                 raise ConditioningUnrealizable(
-                    f"cannot script {cfg.boost} votes for B_t with "
-                    f"{len(scripted)} free attestors"
+                    f"cannot script {boost} votes for B_t with {len(free)} free attestors"
                 )
-            for_b_t = set(scripted[: cfg.boost])
+            for_b_t = set(free[:boost])
         else:
             raise GameError(f"unknown condition {condition!r}")
-        actions = self.labelled(lambda dp: "NC" if dp.actor in for_b_t else "C").actions
-        for idx, act in probe_actions.items():
-            actions[DecisionPoint(self.SLOT_T, Role.ATTESTOR, idx)] = act
-        outcome = self.run(StrategyProfile(actions))
-        expected = condition == "succeed"
-        if outcome.success != expected:
+        outcome = self.run(self.labelled(
+            lambda dp: label if dp in seats else "NC" if dp.actor in for_b_t else "C"
+        ))
+        if outcome.success != (condition == "succeed"):
             raise ConditioningUnrealizable(
                 f"condition {condition!r} not realizable: run "
                 f"{'succeeded' if outcome.success else 'failed'}"
@@ -426,18 +452,7 @@ class SimpleGame(GameModel):
         return outcome
 
     def conditioned_payoff(self, player: PlayerId, label: str, condition: str) -> Fraction:
-        outcome = self.conditioned_run(self._probes(player, label), condition)
-        return self._payoffs_from(outcome)[player]
-
-    def _probes(self, player: PlayerId, label: str) -> dict[int, object]:
-        """The slot-t attestors of `player`, each playing the candidate `label`."""
-        action = self._action_for(player, label)
-        members = self.pools.get(player, {player})
-        return {v.index: action for v in self.committee if v.index in members}
-
-    def _action_for(self, player: PlayerId, label: str) -> object:
-        # every slot-t attestor has the same candidates
-        return self.action(self.decision_points()[0], label)
+        return self._payoffs_from(self.conditioned_run(player, label, condition))[player]
 
 
 def simple_payoff_matrix(config: GameConfig) -> PayoffMatrix:
@@ -446,8 +461,8 @@ def simple_payoff_matrix(config: GameConfig) -> PayoffMatrix:
     Every cell comes from a conditioned simulation of the full game; under a
     strong-simple config the payoffs are the expected ones of that game.
     """
-    strong = config.kind is GameKind.STRONG_SIMPLE
-    game = StrongSimpleGame(config) if strong else SimpleGame(config)
+    _require(config, GameKind.SIMPLE, GameKind.STRONG_SIMPLE)
+    game = build_game(config)
     probe = game.solo_players()[-1].index
     values = {}
     for row in ("succeed", "fail"):
@@ -465,12 +480,13 @@ def pool_payoff_simple(
     victim block is reorged; the later committee earns only inside the
     adversary's block.
     """
+    _require(config, GameKind.SIMPLE)
     if not config.pool:
         raise GameError("config carries no pool")
     if config.pool.members_per_slot >= config.boost:
         raise GameError("pool payoff table assumes fewer pool members than the boost")
     game = SimpleGame(config)
-    outcome = game.conditioned_run(game._probes(config.pool.name, pool_action), others_condition)
+    outcome = game.conditioned_run(config.pool.name, pool_action, others_condition)
     # a member votes in one slot and never proposes, so its whole payoff is that slot's
     members, settled = game.pools[config.pool.name], outcome.trace.payoffs
     return tuple(
@@ -513,7 +529,7 @@ class StrongSimpleGame(SimpleGame):
 # ---------------------------------------------------------------------------
 
 
-class NoBoostGame(GameModel):
+class NoBoostGame(_VictimSlotGame):
     """Withheld-block variant that needs no boost but two adversarial slots.
 
     Genesis B_0 sits at slot 0.  The adversary, leading slots 1 and 3,
@@ -528,20 +544,9 @@ class NoBoostGame(GameModel):
     def __init__(self, config: GameConfig):
         if config.boost != 0:
             raise GameError("the no-boost game requires boost = 0")
-        self.config = config
-        W = config.committee_size
-        ids = itertools.count()
-        self.prev_committee = _committee(ids, W)
-        self.committee = _committee(ids, W)
-        self.leader_t = Validator(next(ids), ValidatorKind.RATIONAL)
-        self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
-        self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
-        self.genesis_id: BlockId = 0
+        super().__init__(config)
         self.b_adv_id: BlockId = 1
         self.b_t_id: BlockId = 2
-
-    def decision_points(self) -> list[DecisionPoint]:
-        return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index) for v in self.committee]
 
     def candidates(self, dp: DecisionPoint) -> dict[str, object]:
         return {
@@ -738,8 +743,6 @@ class SelfishMiningGame(GameModel):
             self.adv_slots: list[int] = []
         else:
             self.adv_slots = sorted({self.horizon} | set(range(2, n_a + 1)))
-        if len(self.adv_slots) != n_a:
-            raise GameError("cannot place adversarial slots with this split")
         self.player_slots = [s - 1 for s in self.adv_slots]  # all >= 1
         ids = itertools.count()
         self.committees = {slot: _committee(ids, W) for slot in range(self.horizon)}
@@ -828,11 +831,6 @@ class SelfishMiningGame(GameModel):
         s_na = [s for s in range(1, self.horizon) if s + 1 not in self.adv_slots]
         return s_a, s_na
 
-    def conditioned_profile(self, pool_action: str, fork_result: str) -> StrategyProfile:
-        """Solo attestors comply exactly when the fork should win."""
-        solo = "C" if fork_result == "succeed" else "NC"
-        return self.labelled(lambda dp: pool_action if self.owner(dp) in self.pools else solo)
-
 
 def pool_payoff_selfish(
     config: GameConfig, pool_action: str, fork_result: str
@@ -842,6 +840,7 @@ def pool_payoff_selfish(
     succeed+C pays the slots preceding adversarial slots; any failure pays
     the slots preceding non-adversarial slots; succeed+NC pays nothing.
     """
+    _require(config, GameKind.SELFISH_MINING)
     if not config.pool:
         raise GameError("config carries no pool")
     game = SelfishMiningGame(config)

@@ -73,9 +73,7 @@ def test_criterion_01_table1():
     probe = game.solo_players()[-1].index
     for row in ("succeed", "fail"):
         for col in ("C", "NC"):
-            outcome = game.conditioned_run(
-                {probe: game._action_for(probe, col)}, row
-            )
+            outcome = game.conditioned_run(probe, col, row)
             assert outcome.trace.payoffs.get(probe, 0) == matrix.cell(row, col)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
@@ -167,7 +165,9 @@ def test_criterion_06_selfish_mining():
                 assert formula == len(s_na) * config.r
             else:
                 assert formula == 0
-            out = game.run(game.conditioned_profile(col, row))
+            # solo attestors comply exactly when the fork should win
+            solo = "C" if row == "succeed" else "NC"
+            out = game.run(game.labelled(lambda dp: col if game.owner(dp) in game.pools else solo))
             settled = sum(
                 (
                     out.trace.payoffs.get(v.index, 0)

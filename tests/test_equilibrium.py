@@ -9,6 +9,7 @@ from reorglab.games import (
     GameConfig,
     GameError,
     GameKind,
+    PoolSpec,
     SelfishMiningGame,
     SimpleGame,
     StrongSimpleGame,
@@ -92,6 +93,28 @@ class TestVerifyNash:
         report = verify_nash(game, game.profile("compliant-all"))
         expected = sum(len(game.assignments(p)) for p in game.players())
         assert report.checked == expected
+
+    @pytest.mark.parametrize("pool", [None, PoolSpec(2)])
+    def test_roster_listed_once(self, pool, monkeypatch):
+        # `owner` runs at most once per decision point, and the decision
+        # points are listed a number of times that does not grow with W
+        def roster_calls(W):
+            game = SimpleGame(simple_config(committee_size=W, boost=W * 2 // 5, pool=pool))
+            profile = game.profile("compliant-all")
+            calls = {"owner": 0, "decision_points": 0}
+            for name in calls:
+                def counted(self, *args, _name=name, _fn=getattr(SimpleGame, name)):
+                    calls[_name] += 1
+                    return _fn(self, *args)
+
+                monkeypatch.setattr(SimpleGame, name, counted)
+            verify_nash(game, profile)
+            monkeypatch.undo()
+            return calls
+
+        small, large = roster_calls(8), roster_calls(32)
+        assert large["owner"] <= 32
+        assert large["decision_points"] == small["decision_points"]
 
     def test_explosion_guard(self):
         game = SimpleGame(simple_config())

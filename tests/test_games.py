@@ -173,6 +173,28 @@ class TestPoolSimple:
             for col in ("C", "NC"):
                 assert pool_payoff_simple(config, col, row) == (0, 0)
 
+    def test_unknown_label_rejected_without_attestors(self):
+        with pytest.raises(GameError, match="unknown action"):
+            pool_payoff_simple(simple_config(pool=PoolSpec(0)), "X", "succeed")
+
+
+def test_tables_reject_games_they_do_not_play():
+    # each table plays only its own games, never a simple game in their place
+    for kind in GameKind:
+        config = GameConfig(
+            kind, committee_size=4, boost=2, pool=PoolSpec(1),
+            n_adversarial_slots=2, n_non_adversarial_slots=2,
+        )
+        if kind not in (GameKind.SIMPLE, GameKind.STRONG_SIMPLE):
+            with pytest.raises(GameError, match="plays no"):
+                simple_payoff_matrix(config)
+        if kind is not GameKind.SIMPLE:
+            with pytest.raises(GameError, match="plays no"):
+                pool_payoff_simple(config, "C", "succeed")
+        if kind is not GameKind.SELFISH_MINING:
+            with pytest.raises(GameError, match="plays no"):
+                pool_payoff_selfish(config, "C", "succeed")
+
 
 class TestStrongSimple:
     def config(self, **kw):
@@ -400,7 +422,11 @@ class TestSelfishMining:
         for row in ("succeed", "fail"):
             for col in ("C", "NC"):
                 formula = pool_payoff_selfish(config, col, row)
-                out = game.run(game.conditioned_profile(col, row))
+                # solo attestors comply exactly when the fork should win
+                solo = "C" if row == "succeed" else "NC"
+                out = game.run(
+                    game.labelled(lambda dp: col if game.owner(dp) in game.pools else solo)
+                )
                 assert out.success == (row == "succeed")
                 sim_total = sum(
                     (
@@ -426,6 +452,14 @@ class TestSelfishMining:
         config = self.config(2, 2, pool=PoolSpec(0))
         assert pool_payoff_selfish(config, "C", "succeed") == 0
         assert pool_payoff_selfish(config, "NC", "fail") == 0
+
+    def test_adversarial_slots_fill_the_window(self):
+        # slots 2..n_a below the window's end, plus the end itself
+        for na in range(9):
+            for nna in range(1, 9):
+                game = SelfishMiningGame(self.config(na, nna, committee_size=2, boost=1))
+                assert len(set(game.adv_slots)) == na
+                assert all(2 <= s <= game.horizon for s in game.adv_slots)
 
     def test_pool_is_first_members_of_window_committees(self):
         # the pool record is game.pools alone: validators carry no pool name

@@ -5,7 +5,8 @@ sha256 of its `render_report(..., "json")` text (without the run-specific
 `trace_path` key) and of its trace file must match the recorded digests.
 The documents are the bundled scenarios plus one per game kind and option
 that no bundled scenario reaches.  A digest may change only together with a
-deliberate change to what a run produces; print fresh ones with
+deliberate change to what a run produces.  To print fresh ones, and name
+each document whose digests differ from `GOLDEN` (exit status 1 if any), run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -264,7 +265,14 @@ if __name__ == "__main__":
     import tempfile
     from pathlib import Path
 
-    for name, doc in sorted(documents().items()):
+    docs = documents()
+    differ = sorted(set(GOLDEN) - set(docs))
+    for name, doc in sorted(docs.items()):
         with tempfile.TemporaryDirectory() as tmp:
             report, trace = digests(doc, Path(tmp) / "trace.jsonl")
         sys.stdout.write(f"{name} {report} {trace}\n")
+        if GOLDEN.get(name) != (report, trace):
+            differ.append(name)
+    for name in differ:
+        sys.stderr.write(f"differs from GOLDEN: {name}\n")
+    sys.exit(1 if differ else 0)
