@@ -38,7 +38,6 @@ from .games import (
     DagVotesGame,
     ExtendedGame,
     GameConfig,
-    GameKind,
     GameOutcome,
     NoBoostGame,
     PayoffMatrix,
@@ -46,7 +45,6 @@ from .games import (
     SelfishMiningGame,
     SimpleGame,
     StrongSimpleGame,
-    build_game,
     pool_payoff_selfish,
     pool_payoff_simple,
     simple_payoff_matrix,

@@ -30,11 +30,16 @@ from .chain import TieBreakPolicy
 from .engine import Role, RunTrace
 from .equilibrium import ExplosionGuard, dag_security_scenario, verify_nash, verify_spne
 from .games import (
+    DagVotesGame,
+    ExtendedGame,
     GameConfig,
     GameError,
-    GameKind,
+    GameModel,
+    NoBoostGame,
     PoolSpec,
-    build_game,
+    SelfishMiningGame,
+    SimpleGame,
+    StrongSimpleGame,
     pool_payoff_selfish,
     pool_payoff_simple,
     simple_payoff_matrix,
@@ -401,47 +406,47 @@ def _grid(value, where) -> OverheadParams:
 
 # -- checks ---------------------------------------------------------------------
 #
-# Each check takes the game, its config and the explosion-guard bound, plus
-# the keys it reads, and returns its report fields and the trace of the run
+# Each check takes the game and the explosion-guard bound, plus the keys it
+# reads, and returns its report fields and the trace of the run
 # it reports (None if it plays no single run).  The checks call the search
 # functions through this module's globals, so a wrapper installed on them
 # later sees every call.
 
 
-def _check_matrix(game, config, guard):
-    return {"matrix": _matrix_json(simple_payoff_matrix(config))}, None
+def _check_matrix(game, guard):
+    return {"matrix": _matrix_json(simple_payoff_matrix(game))}, None
 
 
-def _check_pool_matrix(game, config, guard):
+def _check_pool_matrix(game, guard):
     cells = {}
     for row in ("succeed", "fail"):
         for col in ("C", "NC"):
-            if config.kind is GameKind.SELFISH_MINING:
-                cells[f"{row}/{col}"] = str(pool_payoff_selfish(config, col, row))
+            if isinstance(game, SelfishMiningGame):
+                cells[f"{row}/{col}"] = str(pool_payoff_selfish(game, col, row))
             else:
-                prev, cur = pool_payoff_simple(config, col, row)
+                prev, cur = pool_payoff_simple(game, col, row)
                 cells[f"{row}/{col}"] = f"{prev}+{cur}"
     return {"matrix": {"rows": ["succeed", "fail"], "cols": ["C", "NC"], "cells": cells}}, None
 
 
-def _check_outcome(game, config, guard, profile: ProfileSpec):
+def _check_outcome(game, guard, profile: ProfileSpec):
     outcome = game.run(_resolve_profile(game, profile))
     return {"profile": profile.label, "outcome": _outcome_json(outcome)}, outcome.trace
 
 
-def _check_nash(game, config, guard, profile: ProfileSpec, **options):
+def _check_nash(game, guard, profile: ProfileSpec, **options):
     result = verify_nash(
         game, _resolve_profile(game, profile), max_joint_actions=guard, **options
     )
     return {"profile": profile.label, "equilibrium": _report_equilibrium(result)}, None
 
 
-def _check_spne(game, config, guard, profile: ProfileSpec):
+def _check_spne(game, guard, profile: ProfileSpec):
     result = verify_spne(game, _resolve_profile(game, profile), guard)
     return {"profile": profile.label, "equilibrium": _report_equilibrium(result)}, None
 
 
-def _check_dominance(game, config, guard, action, candidates, player=None, **options):
+def _check_dominance(game, guard, action, candidates, player=None, **options):
     from .equilibrium import dominance_check
 
     players = game.players()
@@ -453,8 +458,8 @@ def _check_dominance(game, config, guard, action, candidates, player=None, **opt
     return {"dominance": verdict.value}, None
 
 
-def _check_dag(game, config, guard, **options):
-    result = dag_security_scenario(config, max_joint_actions=guard, **options)
+def _check_dag(game, guard, **options):
+    result = dag_security_scenario(game.config, max_joint_actions=guard, **options)
     fields = {
         "equilibrium": _report_equilibrium(result.report),
         "outcome": _outcome_json(result.outcome),
@@ -496,13 +501,14 @@ CHECKS: dict[str, Check] = {
 class Kind(NamedTuple):
     """A game kind: the keys its game object reads and what a scenario runs.
 
-    An engine game fills a GameConfig of `game` from its keys and runs the
-    `checks` it supports; any other kind yields the one result `run` makes
-    from the explosion-guard bound and its keys, and takes no checks.
+    An engine game fills a GameConfig from its keys, plays it as the class
+    `game` and runs the `checks` it supports; any other kind yields the one
+    result `run` makes from the explosion-guard bound and its keys, and
+    takes no checks.
     """
 
     keys: dict[str, Key]
-    game: Optional[GameKind] = None
+    game: Optional[type[GameModel]] = None
     checks: tuple[str, ...] = ()
     run: Optional[Callable[..., dict]] = None
 
@@ -523,25 +529,25 @@ _TM_R = Key(_rational(), arg="r_unit")
 
 # kind -> Kind, or -> {variant -> Kind} for a kind whose variants read different keys
 KINDS: dict[str, Kind | dict[str, Kind]] = {
-    "simple": Kind(_SIMPLE, GameKind.SIMPLE, ("matrix", "pool-matrix", *_PLAY, "dominance")),
+    "simple": Kind(_SIMPLE, SimpleGame, ("matrix", "pool-matrix", *_PLAY, "dominance")),
     "strong-simple": Kind(
         {**_SIMPLE, "epoch_length": Key(_int(1))},
-        GameKind.STRONG_SIMPLE, ("matrix", *_PLAY, "dominance"),
+        StrongSimpleGame, ("matrix", *_PLAY, "dominance"),
     ),
-    "simple-no-boost": Kind(_ENGINE, GameKind.SIMPLE_NO_BOOST, _PLAY),
+    "simple-no-boost": Kind(_ENGINE, NoBoostGame, _PLAY),
     "extended": Kind(
         {**_ENGINE, "horizon": Key(_int(1)), "honest_per_slot": Key(_int(0))},
-        GameKind.EXTENDED, _PLAY,
+        ExtendedGame, _PLAY,
     ),
     "selfish-mining": Kind(
         {**_ENGINE, "pool": _POOL, "n_adversarial_slots": Key(_int(0)),
          "n_non_adversarial_slots": Key(_int(1), REQUIRED),
          "allow_condition_violation": Key(_bool)},
-        GameKind.SELFISH_MINING, ("pool-matrix", *_PLAY),
+        SelfishMiningGame, ("pool-matrix", *_PLAY),
     ),
     "dag-votes": Kind(
         {**_ENGINE, "adversary_on_tip": Key(_bool)},
-        GameKind.DAG_VOTES, ("dag-scenario", *_PLAY),
+        DagVotesGame, ("dag-scenario", *_PLAY),
     ),
     "tendermint": {
         "withholding": Kind(
@@ -654,10 +660,9 @@ def run_scenario(
     if kind.run is not None:
         report["results"].append(kind.run(max_joint_actions, **scenario.params))
     else:
-        config = GameConfig(kind=kind.game, **scenario.params)
-        game = build_game(config)
+        game = kind.game(GameConfig(**scenario.params))
         for ctype, options in scenario.checks:
-            fields, run_trace = CHECKS[ctype].run(game, config, max_joint_actions, **options)
+            fields, run_trace = CHECKS[ctype].run(game, max_joint_actions, **options)
             report["results"].append({"check": ctype, **fields})
             if run_trace is not None:
                 trace = run_trace

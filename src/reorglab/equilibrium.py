@@ -22,7 +22,6 @@ from .games import (
     DagVotesGame,
     GameConfig,
     GameError,
-    GameKind,
     GameModel,
     GameOutcome,
     PlayerId,
@@ -176,19 +175,18 @@ def verify_spne(
     game: GameModel,
     profile: StrategyProfile,
     max_joint_actions: int = 10**6,
+    base: Optional[dict[PlayerId, Fraction]] = None,
 ) -> EquilibriumReport:
-    """Backward-induction check over the game's ordered decision points.
+    """One-shot deviation check at each decision point of the profile's own history.
 
     For each decision point, taken from the last to the first, every
-    alternative action is played against the profile-fixed remainder; the
-    owner's prescribed action must be a best response in that subgame.  The
-    emitted subgame table records each owner's payoff per action label.
+    alternative action is played once with the profile fixed everywhere
+    else; the owner's prescribed action must be a best response there.  The
+    histories that an earlier deviation reaches are not examined, so this
+    is not backward induction over every subgame.  The emitted subgame
+    table records each owner's payoff per action label.  `base` is the
+    profile's own payoffs, when the caller has already played it.
     """
-    return _spne(game, profile, max_joint_actions)
-
-
-def _spne(game: GameModel, profile: StrategyProfile, max_joint_actions: int, base=None):
-    """`verify_spne`, with `base` the profile's payoffs if the caller has already played it."""
     dps = sorted(game.decision_points(), key=lambda d: (d.tick, d.actor))
     if not dps:
         raise GameError("the game has no decision points, so an SPNE check would check nothing")
@@ -236,6 +234,14 @@ def dominance_check(
     """
     if not conditions:
         raise GameError("a dominance check needs at least one condition")
+    played: dict[tuple[str, str], Fraction] = {}
+
+    def payoff(label: str, cond: str) -> Fraction:
+        """`player`'s payoff in one cell, each cell played once."""
+        if (label, cond) not in played:
+            played[label, cond] = game.conditioned_payoff(player, label, cond)
+        return played[label, cond]
+
     others = [c for c in candidate_labels if c != action_label]
     strict_all = True
     weak_all = True
@@ -243,8 +249,8 @@ def dominance_check(
         better_somewhere = False
         strict_everywhere = True
         for cond in conditions:
-            mine = game.conditioned_payoff(player, action_label, cond)
-            theirs = game.conditioned_payoff(player, alt, cond)
+            mine = payoff(action_label, cond)
+            theirs = payoff(alt, cond)
             if mine < theirs:
                 return Dominance.NEITHER
             if mine > theirs:
@@ -310,12 +316,12 @@ def dag_security_scenario(
         raise AssumptionViolated(
             f"rational blocks reorged: {outcome.extras['rational_blocks_reorged']}"
         )
-    report = _spne(game, profile, max_joint_actions, game._payoffs_from(outcome))
+    report = verify_spne(game, profile, max_joint_actions, game._payoffs_from(outcome))
 
     ethereum_report = None
     if check_ethereum_flip:
         boost = max(1, round(0.4 * config.committee_size))
-        eth_game = SimpleGame(replace(config, kind=GameKind.SIMPLE, boost=boost))
+        eth_game = SimpleGame(replace(config, boost=boost))
         # the commitment is credible, so the other attestors best-respond by
         # complying; the honest hold-out is the profile under test
         probe = eth_game.solo_players()[-1].index

@@ -27,7 +27,6 @@ Games implemented:
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,7 +64,6 @@ from .engine import (
 from .rewards import Mechanism, RewardParams, settle_payoffs
 
 __all__ = [
-    "GameKind",
     "GameConfig",
     "GameOutcome",
     "PayoffMatrix",
@@ -83,7 +81,6 @@ __all__ = [
     "pool_payoff_simple",
     "pool_payoff_selfish",
     "required_attack_length",
-    "build_game",
 ]
 
 
@@ -103,15 +100,6 @@ class ConditioningUnrealizable(GameError):
     """The requested matrix cell cannot occur under the given parameters."""
 
 
-class GameKind(enum.Enum):
-    SIMPLE = "simple"
-    STRONG_SIMPLE = "strong-simple"
-    SIMPLE_NO_BOOST = "simple-no-boost"
-    EXTENDED = "extended"
-    SELFISH_MINING = "selfish-mining"
-    DAG_VOTES = "dag-votes"
-
-
 @dataclass(frozen=True)
 class PoolSpec:
     """A staking pool controlling `members_per_slot` attestors in each slot."""
@@ -122,7 +110,8 @@ class PoolSpec:
 
 @dataclass(frozen=True)
 class GameConfig:
-    kind: GameKind
+    """The parameters of a game; the game class it is passed to is the kind."""
+
     committee_size: int  # W
     boost: int = 0  # W_p
     horizon: int = 1  # p, the number of blocks the extended game reorgs
@@ -137,16 +126,6 @@ class GameConfig:
     tie_break: TieBreakPolicy = TieBreakPolicy.ADVERSARY_FAVORING
     adversary_on_tip: bool = False  # dag-votes variant
     allow_condition_violation: bool = False
-
-    def reward_params(self) -> RewardParams:
-        """DAG-votes timeliness for the dag-votes game, Ethereum's for every other kind."""
-        dag = self.kind is GameKind.DAG_VOTES
-        return RewardParams(
-            r=self.r,
-            R=self.R,
-            mechanism=Mechanism.DAG_VOTES if dag else Mechanism.ETHEREUM,
-            committee_size=self.committee_size,
-        )
 
 
 @dataclass
@@ -271,10 +250,10 @@ def _pools(config: GameConfig, committees) -> dict[PlayerId, frozenset[int]]:
     return {config.pool.name: frozenset(v.index for c in committees for v in c[:m])}
 
 
-def _require(config: GameConfig, *kinds: GameKind) -> None:
-    """Reject a config of a kind other than `kinds`, the games a table plays."""
-    if config.kind not in kinds:
-        raise GameError(f"this table plays no {config.kind.value} game")
+def _require(game: GameModel, *games: type) -> None:
+    """Reject a game of a class other than `games`, the games a table plays."""
+    if type(game) not in games:
+        raise GameError(f"this table plays no {type(game).__name__}")
 
 
 # -- the phases every game script shares ----------------------------------------
@@ -316,15 +295,24 @@ def _attest(sim: Simulation, profile, slot: int, voters, compliant_tip=None):
             sim.emit_vote(slot, v.index, sim.resolve(act.target, compliant_tip))
 
 
-def _close(sim: Simulation, config: GameConfig, final_slot: int, labels: dict):
+def _close(
+    sim: Simulation,
+    config: GameConfig,
+    final_slot: int,
+    labels: dict,
+    mechanism: Mechanism = Mechanism.ETHEREUM,
+):
     """Finish a run: finalize, settle payoffs onto the trace, label its blocks.
 
-    Returns the trace and the blocks of the canonical chain in view at the
-    last tick (the chain to that tick's head) that the final chain dropped.
+    Head votes are paid under `mechanism`: next-slot inclusion unless the
+    game's script asks for another.  Returns the trace and the blocks of the
+    canonical chain in view at the last tick (the chain to that tick's head)
+    that the final chain dropped.
     """
     before = sim.tree.ancestors(sim.tip())
     trace = sim.finalize(final_slot)
-    trace.payoffs = settle_payoffs(trace, config.reward_params())
+    params = RewardParams(config.r, config.R, mechanism, config.committee_size)
+    trace.payoffs = settle_payoffs(trace, params)
     trace.labels = labels
     return trace, detect_reorg(before, trace.final_chain)
 
@@ -455,14 +443,13 @@ class SimpleGame(_VictimSlotGame):
         return self._payoffs_from(self.conditioned_run(player, label, condition))[player]
 
 
-def simple_payoff_matrix(config: GameConfig) -> PayoffMatrix:
+def simple_payoff_matrix(game: SimpleGame) -> PayoffMatrix:
     """Table of a solo slot-t attestor's payoff by attack outcome and action.
 
-    Every cell comes from a conditioned simulation of the full game; under a
-    strong-simple config the payoffs are the expected ones of that game.
+    Every cell comes from a conditioned simulation of the full game; in the
+    strong simple game the payoffs are the expected ones of that game.
     """
-    _require(config, GameKind.SIMPLE, GameKind.STRONG_SIMPLE)
-    game = build_game(config)
+    _require(game, SimpleGame, StrongSimpleGame)
     probe = game.solo_players()[-1].index
     values = {}
     for row in ("succeed", "fail"):
@@ -472,7 +459,7 @@ def simple_payoff_matrix(config: GameConfig) -> PayoffMatrix:
 
 
 def pool_payoff_simple(
-    config: GameConfig, pool_action: str, others_condition: str
+    game: SimpleGame, pool_action: str, others_condition: str
 ) -> tuple[Fraction, Fraction]:
     """Pool payoff under the simple game, split into (slot t-1, slot t) parts.
 
@@ -480,12 +467,12 @@ def pool_payoff_simple(
     victim block is reorged; the later committee earns only inside the
     adversary's block.
     """
-    _require(config, GameKind.SIMPLE)
+    _require(game, SimpleGame)
+    config = game.config
     if not config.pool:
         raise GameError("config carries no pool")
     if config.pool.members_per_slot >= config.boost:
         raise GameError("pool payoff table assumes fewer pool members than the boost")
-    game = SimpleGame(config)
     outcome = game.conditioned_run(config.pool.name, pool_action, others_condition)
     # a member votes in one slot and never proposes, so its whole payoff is that slot's
     members, settled = game.pools[config.pool.name], outcome.trace.payoffs
@@ -688,9 +675,11 @@ class ExtendedGame(GameModel):
         )
 
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
+        return self._payoffs_from(self.run(profile))
+
+    def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
         """Settled attestor payoffs; each leader earns R exactly when its block is on the fork."""
-        outcome = self.run(profile)
-        out = self._payoffs_from(outcome)
+        out = super()._payoffs_from(outcome)
         tree = outcome.trace.tree
         fork = tree.ancestors(outcome.trace.labels["B_A"])
         # a leader proposes only in its own slot, so any fork block it proposed is its slot's
@@ -833,17 +822,17 @@ class SelfishMiningGame(GameModel):
 
 
 def pool_payoff_selfish(
-    config: GameConfig, pool_action: str, fork_result: str
+    game: SelfishMiningGame, pool_action: str, fork_result: str
 ) -> Fraction:
     """Closed-form pool payoff: sum of m_s * r over the slot set that pays.
 
     succeed+C pays the slots preceding adversarial slots; any failure pays
     the slots preceding non-adversarial slots; succeed+NC pays nothing.
     """
-    _require(config, GameKind.SELFISH_MINING)
+    _require(game, SelfishMiningGame)
+    config = game.config
     if not config.pool:
         raise GameError("config carries no pool")
-    game = SelfishMiningGame(config)
     s_a, s_na = game.pool_slot_sets()
     m = config.pool.members_per_slot
     r = config.r
@@ -951,7 +940,7 @@ class DagVotesGame(GameModel):
                 if seen:
                     for signer in self.committees[slot + 1]:
                         sim.emit_evidence(EvidenceRecord(signer.index, seen))
-        trace, _ = _close(sim, cfg, self.n_slots, {})
+        trace, _ = _close(sim, cfg, self.n_slots, {}, Mechanism.DAG_VOTES)
         chain = set(trace.final_chain)
         rational_blocks = [
             b.id
@@ -972,18 +961,3 @@ class DagVotesGame(GameModel):
     def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile))
 
-
-# ---------------------------------------------------------------------------
-
-_GAMES = {
-    GameKind.SIMPLE: SimpleGame,
-    GameKind.STRONG_SIMPLE: StrongSimpleGame,
-    GameKind.SIMPLE_NO_BOOST: NoBoostGame,
-    GameKind.EXTENDED: ExtendedGame,
-    GameKind.SELFISH_MINING: SelfishMiningGame,
-    GameKind.DAG_VOTES: DagVotesGame,
-}
-
-
-def build_game(config: GameConfig) -> GameModel:
-    return _GAMES[config.kind](config)

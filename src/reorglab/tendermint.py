@@ -89,21 +89,19 @@ def tm_step(
     view: Sequence[TendermintMsg],
     phase: MsgKind,
     me: int,
-    is_leader: bool,
     f: int,
     fresh_value: Optional[int] = None,
-) -> Optional[TendermintMsg]:
+) -> TendermintMsg:
     """One honest step of the round state machine; returns the emitted message.
 
-    Proposal: a leader re-proposes its validValue when it has one, else the
-    fresh block.  Prevote: back the proposal if unlocked, locked on the same
-    value, or shown a lock proof at least as recent as our own; otherwise
-    nil.  Precommit: on a 2f+1 prevote quorum for the proposal, else nil.
+    Proposal: the leader `me` re-proposes its validValue when it has one,
+    else the fresh block.  Prevote: back the proposal if unlocked, locked on
+    the same value, or shown a lock proof at least as recent as our own;
+    otherwise nil.  Precommit: on a 2f+1 prevote quorum for the proposal,
+    else nil.
     """
     h, rho = state.height, state.rho
     if phase is MsgKind.PROPOSAL:
-        if not is_leader:
-            return None
         value = state.valid_value if state.valid_round > -1 else fresh_value
         return TendermintMsg(MsgKind.PROPOSAL, h, rho, value, me, vr=state.valid_round)
     proposal = next(
@@ -172,11 +170,11 @@ def evidence_counts(
 
 
 def _honest_votes(states: dict[int, RoundState], view: list[TendermintMsg], phase: MsgKind,
-                  leader: int, f: int) -> dict[int, Optional[int]]:
+                  f: int) -> dict[int, Optional[int]]:
     """Each honest validator's `phase` vote value; the votes join `view`."""
     values = {}
     for v, state in states.items():
-        msg = tm_step(state, view, phase, v, v == leader, f)
+        msg = tm_step(state, view, phase, v, f)
         values[v] = msg.value
         view.append(msg)
     return values
@@ -285,14 +283,14 @@ class WithholdingGame(_TendermintGame):
             for state in states.values():
                 state.rho = rho
             proposal = tm_step(
-                states[leader], view, MsgKind.PROPOSAL, leader, True, f, fresh_value=100 + rho
+                states[leader], view, MsgKind.PROPOSAL, leader, f, fresh_value=100 + rho
             )
             view.append(proposal)
             block = proposal.value
             # honest validators follow the state machine, round-1 deviators
             # back the proposal openly, the rest of the pack nil-votes in
             # private
-            prevotes = _honest_votes(states, view, MsgKind.PREVOTE, leader, f)
+            prevotes = _honest_votes(states, view, MsgKind.PREVOTE, f)
             backers = deviators if rho == 1 else set()
             for v in self.pack:
                 prevotes[v] = block if v in backers else NIL
@@ -300,7 +298,7 @@ class WithholdingGame(_TendermintGame):
             public = set(self.honest) | backers
             if sum(value == block for value in prevotes.values()) >= 2 * f + 1:
                 raise AssumptionViolated("withheld round unexpectedly reached quorum")
-            honest_precommits = _honest_votes(states, view, MsgKind.PRECOMMIT, leader, f)
+            honest_precommits = _honest_votes(states, view, MsgKind.PRECOMMIT, f)
             if any(value is not NIL for value in honest_precommits.values()):
                 raise AssumptionViolated("honest precommit without a quorum")
             # the pack also sees its private prevotes; precommits are all nil (no
@@ -357,12 +355,12 @@ class AnchorGame(_TendermintGame):
         backers = self._playing("prevote-b", profile)
         states = {v: RoundState(height=height) for v in self.honest}
         view: list[TendermintMsg] = []  # every message is public
-        view.append(tm_step(states[leader], view, MsgKind.PROPOSAL, leader, True, f, block))
-        prevotes = _honest_votes(states, view, MsgKind.PREVOTE, leader, f)
+        view.append(tm_step(states[leader], view, MsgKind.PROPOSAL, leader, f, block))
+        prevotes = _honest_votes(states, view, MsgKind.PREVOTE, f)
         for v in self.rational:
             prevotes[v] = block if v in backers else NIL
             view.append(TendermintMsg(MsgKind.PREVOTE, height, rho, prevotes[v], v))
-        precommits = _honest_votes(states, view, MsgKind.PRECOMMIT, leader, f)
+        precommits = _honest_votes(states, view, MsgKind.PRECOMMIT, f)
         quorum_b = _quorum(view, MsgKind.PREVOTE, height, rho, block, f)
         for v in self.rational:
             precommits[v] = block if quorum_b else NIL

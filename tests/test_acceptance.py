@@ -23,10 +23,10 @@ from reorglab.equilibrium import (
 from reorglab.games import (
     ExtendedGame,
     GameConfig,
-    GameKind,
     PoolSpec,
     SelfishMiningGame,
     SimpleGame,
+    StrongSimpleGame,
     pool_payoff_selfish,
     pool_payoff_simple,
     simple_payoff_matrix,
@@ -62,14 +62,13 @@ def report(n: int, text: str) -> None:
 
 def test_criterion_01_table1():
     start = time.monotonic()
-    config = GameConfig(GameKind.SIMPLE, committee_size=4, boost=2, r=Fraction(1))
-    matrix = simple_payoff_matrix(config)
+    game = SimpleGame(GameConfig(committee_size=4, boost=2, r=Fraction(1)))
+    matrix = simple_payoff_matrix(game)
     assert matrix.cell("succeed", "C") == 1
     assert matrix.cell("succeed", "NC") == 0
     assert matrix.cell("fail", "C") == 0
     assert matrix.cell("fail", "NC") == 0
     # each cell equals settle_payoffs on the conditioned simulation
-    game = SimpleGame(config)
     probe = game.solo_players()[-1].index
     for row in ("succeed", "fail"):
         for col in ("C", "NC"):
@@ -82,9 +81,9 @@ def test_criterion_01_table1():
 
 def test_criterion_02_table2():
     config = GameConfig(
-        GameKind.STRONG_SIMPLE, committee_size=4, boost=2, r=Fraction(1), epoch_length=32
+        committee_size=4, boost=2, r=Fraction(1), epoch_length=32
     )
-    matrix = simple_payoff_matrix(config)
+    matrix = simple_payoff_matrix(StrongSimpleGame(config))
     assert matrix.cell("succeed", "C") == Fraction(1) + Fraction(1, 32)
     assert matrix.cell("fail", "C") == Fraction(1, 32)
     assert matrix.cell("succeed", "NC") == 0
@@ -94,7 +93,7 @@ def test_criterion_02_table2():
 
 def test_criterion_03_nash_both_profiles():
     start = time.monotonic()
-    config = GameConfig(GameKind.SIMPLE, committee_size=4, boost=2)
+    config = GameConfig(committee_size=4, boost=2)
     game = SimpleGame(config)
     compliant = verify_nash(game, game.profile("compliant-all"))
     failing = verify_nash(game, game.profile("vote-bt-all"))
@@ -110,7 +109,7 @@ def test_criterion_03_nash_both_profiles():
 
 def test_criterion_04_extended_spne_tables():
     for p in (1, 2, 3):
-        config = GameConfig(GameKind.EXTENDED, committee_size=4, boost=2, horizon=p)
+        config = GameConfig(committee_size=4, boost=2, horizon=p)
         game = ExtendedGame(config)
         rep = verify_spne(game, game.profile("compliant-all"))
         assert rep.verdict is Verdict.SPNE
@@ -138,7 +137,7 @@ def test_criterion_06_selfish_mining():
     expectations = {(2, 2): True, (3, 2): True, (2, 3): False}
     for (na, nna), wins in expectations.items():
         config = GameConfig(
-            GameKind.SELFISH_MINING, committee_size=100, boost=40,
+            committee_size=100, boost=40,
             n_adversarial_slots=na, n_non_adversarial_slots=nna,
             allow_condition_violation=True,
         )
@@ -151,14 +150,14 @@ def test_criterion_06_selfish_mining():
         assert out.success == wins == (adv > nonadv)
     # Table 8 closed forms cross-checked against full-trace settlement
     config = GameConfig(
-        GameKind.SELFISH_MINING, committee_size=100, boost=40,
+        committee_size=100, boost=40,
         n_adversarial_slots=2, n_non_adversarial_slots=2, pool=PoolSpec(1),
     )
     game = SelfishMiningGame(config)
     s_a, s_na = game.pool_slot_sets()
     for row in ("succeed", "fail"):
         for col in ("C", "NC"):
-            formula = pool_payoff_selfish(config, col, row)
+            formula = pool_payoff_selfish(game, col, row)
             if row == "succeed" and col == "C":
                 assert formula == len(s_a) * config.r
             elif row == "fail":
@@ -183,18 +182,16 @@ def test_criterion_06_selfish_mining():
 
 def test_criterion_07_pool_matrix():
     for m in (1,):
-        config = GameConfig(
-            GameKind.SIMPLE, committee_size=4, boost=2, pool=PoolSpec(m)
-        )
-        assert pool_payoff_simple(config, "C", "succeed") == (0, m)
-        assert pool_payoff_simple(config, "NC", "succeed") == (0, 0)
-        assert pool_payoff_simple(config, "C", "fail") == (m, 0)
-        assert pool_payoff_simple(config, "NC", "fail") == (m, 0)
+        game = SimpleGame(GameConfig(committee_size=4, boost=2, pool=PoolSpec(m)))
+        assert pool_payoff_simple(game, "C", "succeed") == (0, m)
+        assert pool_payoff_simple(game, "NC", "succeed") == (0, 0)
+        assert pool_payoff_simple(game, "C", "fail") == (m, 0)
+        assert pool_payoff_simple(game, "NC", "fail") == (m, 0)
     report(7, "pool payoff matrix pattern (0+mr, 0+0, mr+0, mr+0) exact")
 
 
 def test_criterion_08_dag_votes():
-    config = GameConfig(GameKind.DAG_VOTES, committee_size=5, boost=0)
+    config = GameConfig(committee_size=5, boost=0)
     result = dag_security_scenario(config, check_ethereum_flip=True)
     assert result.report.verdict is Verdict.SPNE
     assert result.outcome.extras["adversary_votes"] == 0

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reorglab import cli
+from reorglab import cli, games
 from reorglab.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -42,6 +42,19 @@ BUNDLED = [
 
 def bundled(name: str) -> io.StringIO:
     return io.StringIO(bundled_scenarios()[name])
+
+
+def test_every_game_class_has_one_kinds_row():
+    # the class a KINDS row names is the only statement of which game it plays
+    rows = [row for kind in cli.KINDS.values()
+            for row in (kind.values() if isinstance(kind, dict) else [kind])]
+    named = [row.game for row in rows if row.game is not None]
+    concrete = {
+        cls for cls in vars(games).values()
+        if isinstance(cls, type) and issubclass(cls, games.GameModel) and hasattr(cls, "run")
+    }
+    assert len(named) == len(set(named))
+    assert set(named) == concrete
 
 
 def test_bundled_set_complete():

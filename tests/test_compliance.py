@@ -21,7 +21,7 @@ from reorglab.compliance import (
     prefix_noncompliance_indices,
     required_attack_length,
 )
-from reorglab.games import GameConfig, GameKind, build_game
+from reorglab.games import ExtendedGame, GameConfig
 
 from conftest import ADVERSARIAL, RATIONAL, make_tree, oracle_fork_choice, vote
 
@@ -310,7 +310,7 @@ def test_one_fork_choice_per_tip_query(monkeypatch, profile):
         BlockTree, "fork_choice", lambda tree, *a, **k: fork_choices.append(a) or fork_choice(tree, *a, **k)
     )
     monkeypatch.setattr(compliance, "compliant_tip", lambda *a: tips.append(a) or tip(*a))
-    game = build_game(GameConfig(GameKind.EXTENDED, 4, boost=2, horizon=7))
+    game = ExtendedGame(GameConfig(4, boost=2, horizon=7))
     trace = game.run(game.profile(profile)).trace
     # one head per tick, the final chain, and one hypothetical chain per
     # query: the best-ranked block survives on every path of both profiles

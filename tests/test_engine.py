@@ -12,7 +12,7 @@ from reorglab.engine import (
     slot_of,
     vote_tick,
 )
-from reorglab.games import GameConfig, GameKind, build_game
+from reorglab.games import DagVotesGame, GameConfig, SimpleGame
 
 from committees import InsufficientValidators, assign_committees
 
@@ -235,17 +235,17 @@ def test_tip_is_the_head_of_the_tick_in_progress():
 
 
 @pytest.mark.parametrize(
-    "kind, size, boost, profile, fork_choices",
-    [(GameKind.SIMPLE, 8, 4, "vote-bt-all", 8), (GameKind.DAG_VOTES, 5, 0, "prescribed", 16)],
+    "game_class, size, boost, profile, fork_choices",
+    [(SimpleGame, 8, 4, "vote-bt-all", 8), (DagVotesGame, 5, 0, "prescribed", 16)],
     ids=["simple", "dag-votes"],
 )
-def test_one_fork_choice_per_tick(monkeypatch, kind, size, boost, profile, fork_choices):
+def test_one_fork_choice_per_tick(monkeypatch, game_class, size, boost, profile, fork_choices):
     calls = []
     fork_choice = BlockTree.fork_choice
     monkeypatch.setattr(
         BlockTree, "fork_choice", lambda tree, *a, **k: calls.append(a) or fork_choice(tree, *a, **k)
     )
-    game = build_game(GameConfig(kind, size, boost=boost))
+    game = game_class(GameConfig(size, boost=boost))
     trace = game.run(game.profile(profile)).trace
     # one head per tick, plus the final chain
     assert len(calls) == len(trace.tips) + 1 == fork_choices

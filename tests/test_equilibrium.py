@@ -8,7 +8,6 @@ from reorglab.games import (
     ExtendedGame,
     GameConfig,
     GameError,
-    GameKind,
     PoolSpec,
     SelfishMiningGame,
     SimpleGame,
@@ -28,7 +27,7 @@ from reorglab.tendermint import AnchorGame
 
 
 def simple_config(**kw):
-    base = dict(kind=GameKind.SIMPLE, committee_size=4, boost=2)
+    base = dict(committee_size=4, boost=2)
     base.update(kw)
     return GameConfig(**base)
 
@@ -136,7 +135,7 @@ class TestVerifyNash:
 
 class TestStrongNash:
     def test_strong_simple_all_compliant(self):
-        config = GameConfig(GameKind.STRONG_SIMPLE, committee_size=4, boost=2)
+        config = GameConfig(committee_size=4, boost=2)
         game = StrongSimpleGame(config)
         report = verify_nash(game, game.profile("compliant-all"), coalition_bound=4)
         assert report.verdict is Verdict.STRONG_NASH
@@ -144,7 +143,7 @@ class TestStrongNash:
     def test_strong_simple_failing_profile_not_nash(self):
         # the later-epoch hook makes compliance strictly dominant, so the
         # all-defect profile stops being an equilibrium
-        config = GameConfig(GameKind.STRONG_SIMPLE, committee_size=4, boost=2)
+        config = GameConfig(committee_size=4, boost=2)
         game = StrongSimpleGame(config)
         report = verify_nash(game, game.profile("vote-bt-all"))
         assert report.verdict is Verdict.NOT_EQUILIBRIUM
@@ -165,7 +164,7 @@ class TestStrongNash:
 class TestVerifySpne:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_extended_compliant_spne_with_exact_tables(self, p):
-        config = GameConfig(GameKind.EXTENDED, committee_size=4, boost=2, horizon=p)
+        config = GameConfig(committee_size=4, boost=2, horizon=p)
         game = ExtendedGame(config)
         report = verify_spne(game, game.profile("compliant-all"))
         assert report.verdict is Verdict.SPNE
@@ -177,13 +176,13 @@ class TestVerifySpne:
                     assert value == 0
 
     def test_extended_failing_profile_spne(self):
-        config = GameConfig(GameKind.EXTENDED, committee_size=4, boost=2, horizon=2)
+        config = GameConfig(committee_size=4, boost=2, horizon=2)
         game = ExtendedGame(config)
         report = verify_spne(game, game.profile("extend-original-all"))
         assert report.verdict is Verdict.SPNE
 
     def test_defecting_last_leader_not_equilibrium(self):
-        config = GameConfig(GameKind.EXTENDED, committee_size=4, boost=2, horizon=2)
+        config = GameConfig(committee_size=4, boost=2, horizon=2)
         game = ExtendedGame(config)
         profile = game.profile("compliant-all")
         dp = DecisionPoint(2, Role.LEADER, game.leaders[2].index)
@@ -195,7 +194,7 @@ class TestVerifySpne:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_spne_implies_nash(self, p):
-        config = GameConfig(GameKind.EXTENDED, committee_size=4, boost=2, horizon=p)
+        config = GameConfig(committee_size=4, boost=2, horizon=p)
         game = ExtendedGame(config)
         for name in ("compliant-all", "extend-original-all"):
             profile = game.profile(name)
@@ -211,7 +210,7 @@ class TestDominance:
         assert verdict is Dominance.WEAKLY_DOMINANT
 
     def test_strong_simple_strict(self):
-        config = GameConfig(GameKind.STRONG_SIMPLE, committee_size=4, boost=2)
+        config = GameConfig(committee_size=4, boost=2)
         game = StrongSimpleGame(config)
         player = game.players()[-1]
         verdict = dominance_check(game, player, "C", ["C", "NC"])
@@ -223,6 +222,16 @@ class TestDominance:
         verdict = dominance_check(game, player, "C", ["C", "C"])
         assert verdict is Dominance.NEITHER
 
+    def test_each_cell_played_once(self, monkeypatch):
+        # the player's own action is played once per condition, not once per alternative
+        runs = []
+        run = SimpleGame.run
+        monkeypatch.setattr(SimpleGame, "run", lambda game, profile: runs.append(1) or run(game, profile))
+        game = SimpleGame(simple_config())
+        verdict = dominance_check(game, game.players()[-1], "C", ["C", "NC", "abstain"])
+        assert verdict is Dominance.WEAKLY_DOMINANT
+        assert len(runs) == 6
+
     def test_no_condition_rejected(self):
         # an empty partition compares nothing, so it cannot certify dominance
         game = SimpleGame(simple_config())
@@ -232,7 +241,7 @@ class TestDominance:
 
 class TestDagScenario:
     def config(self, **kw):
-        base = dict(kind=GameKind.DAG_VOTES, committee_size=5, boost=0)
+        base = dict(committee_size=5, boost=0)
         base.update(kw)
         return GameConfig(**base)
 
@@ -242,6 +251,16 @@ class TestDagScenario:
         assert result.outcome.extras["adversary_votes"] == 0
         assert result.outcome.extras["adversary_reorged"]
         assert result.outcome.extras["rational_blocks_reorged"] == []
+
+    def test_dag_game_settles_under_dag_votes(self):
+        # the config carries no kind, so the game class alone picks the
+        # settlement: under DAG votes the evidence credits 23 validators and
+        # pays the slot-4 leader 10 (next-slot inclusion: 18 and 5)
+        game = DagVotesGame(self.config())
+        payoffs = game.run(game.profile("prescribed")).trace.payoffs
+        assert len(payoffs) == 23
+        assert payoffs[game.leaders[4].index] == payoffs[28] == 10
+        assert dag_security_scenario(self.config()).outcome.trace.payoffs == payoffs
 
     def test_attestor_rewards_survive_hostile_leader(self):
         # the committee voting right before the adversarial slot still earns
@@ -291,14 +310,14 @@ class TestNothingToCheck:
 
     def test_selfish_without_adversarial_slots_nash(self):
         game = SelfishMiningGame(GameConfig(
-            GameKind.SELFISH_MINING, committee_size=4, boost=2, n_adversarial_slots=0,
+            committee_size=4, boost=2, n_adversarial_slots=0,
             n_non_adversarial_slots=1, allow_condition_violation=True,
         ))
         with pytest.raises(GameError):
             verify_nash(game, game.profile("compliant-all"))
 
     def test_extended_horizon_zero_spne(self):
-        game = ExtendedGame(GameConfig(GameKind.EXTENDED, committee_size=4, boost=2, horizon=0))
+        game = ExtendedGame(GameConfig(committee_size=4, boost=2, horizon=0))
         with pytest.raises(GameError):
             verify_spne(game, game.profile("compliant-all"))
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from reorglab.games import (
     ExtendedGame,
     GameConfig,
     GameError,
-    GameKind,
     NoBoostGame,
     PoolSpec,
     SelfishMiningGame,
@@ -41,7 +41,7 @@ from committees import assign_committees
 
 
 def simple_config(**kw):
-    base = dict(kind=GameKind.SIMPLE, committee_size=4, boost=2)
+    base = dict(committee_size=4, boost=2)
     base.update(kw)
     return GameConfig(**base)
 
@@ -78,14 +78,14 @@ class TestSimpleGame:
         assert not out.success
 
     def test_matrix_table1(self):
-        m = simple_payoff_matrix(simple_config(r=Fraction(1)))
+        m = simple_payoff_matrix(SimpleGame(simple_config(r=Fraction(1))))
         assert m.cell("succeed", "C") == 1
         assert m.cell("succeed", "NC") == 0
         assert m.cell("fail", "C") == 0
         assert m.cell("fail", "NC") == 0
 
     def test_matrix_degenerate_reward(self):
-        m = simple_payoff_matrix(simple_config(r=Fraction(0)))
+        m = simple_payoff_matrix(SimpleGame(simple_config(r=Fraction(0))))
         assert all(v == 0 for v in m.values.values())
 
     def test_matrix_against_exhaustive_joint_actions(self):
@@ -93,7 +93,7 @@ class TestSimpleGame:
         # for the realized outcome
         config = simple_config()
         game = SimpleGame(config)
-        matrix = simple_payoff_matrix(config)
+        matrix = simple_payoff_matrix(game)
         dps = game.decision_points()
         for joint in itertools.product("CN", repeat=4):
             actions = {}
@@ -152,65 +152,70 @@ class TestSimpleGame:
 
 class TestPoolSimple:
     def test_appendix_pattern(self):
-        config = simple_config(pool=PoolSpec(1))
-        assert pool_payoff_simple(config, "C", "succeed") == (0, 1)
-        assert pool_payoff_simple(config, "NC", "succeed") == (0, 0)
-        assert pool_payoff_simple(config, "C", "fail") == (1, 0)
-        assert pool_payoff_simple(config, "NC", "fail") == (1, 0)
+        game = SimpleGame(simple_config(pool=PoolSpec(1)))
+        assert pool_payoff_simple(game, "C", "succeed") == (0, 1)
+        assert pool_payoff_simple(game, "NC", "succeed") == (0, 0)
+        assert pool_payoff_simple(game, "C", "fail") == (1, 0)
+        assert pool_payoff_simple(game, "NC", "fail") == (1, 0)
 
     def test_scales_with_members(self):
-        config = simple_config(committee_size=6, boost=3, pool=PoolSpec(2))
-        assert pool_payoff_simple(config, "C", "succeed") == (0, 2)
-        assert pool_payoff_simple(config, "C", "fail") == (2, 0)
+        game = SimpleGame(simple_config(committee_size=6, boost=3, pool=PoolSpec(2)))
+        assert pool_payoff_simple(game, "C", "succeed") == (0, 2)
+        assert pool_payoff_simple(game, "C", "fail") == (2, 0)
 
     def test_no_pool_raises(self):
         with pytest.raises(Exception):
-            pool_payoff_simple(simple_config(), "C", "succeed")
+            pool_payoff_simple(SimpleGame(simple_config()), "C", "succeed")
 
     def test_empty_pool(self):
-        config = simple_config(pool=PoolSpec(0))
+        game = SimpleGame(simple_config(pool=PoolSpec(0)))
         for row in ("succeed", "fail"):
             for col in ("C", "NC"):
-                assert pool_payoff_simple(config, col, row) == (0, 0)
+                assert pool_payoff_simple(game, col, row) == (0, 0)
 
     def test_unknown_label_rejected_without_attestors(self):
         with pytest.raises(GameError, match="unknown action"):
-            pool_payoff_simple(simple_config(pool=PoolSpec(0)), "X", "succeed")
+            pool_payoff_simple(SimpleGame(simple_config(pool=PoolSpec(0))), "X", "succeed")
 
 
 def test_tables_reject_games_they_do_not_play():
     # each table plays only its own games, never a simple game in their place
-    for kind in GameKind:
-        config = GameConfig(
-            kind, committee_size=4, boost=2, pool=PoolSpec(1),
-            n_adversarial_slots=2, n_non_adversarial_slots=2,
-        )
-        if kind not in (GameKind.SIMPLE, GameKind.STRONG_SIMPLE):
+    config = GameConfig(
+        committee_size=4, boost=2, pool=PoolSpec(1),
+        n_adversarial_slots=2, n_non_adversarial_slots=2,
+    )
+    games = [
+        SimpleGame(config), StrongSimpleGame(config), NoBoostGame(replace(config, boost=0)),
+        ExtendedGame(config), SelfishMiningGame(config), DagVotesGame(config),
+    ]
+    for game in games:
+        game_class = type(game)
+        if game_class not in (SimpleGame, StrongSimpleGame):
             with pytest.raises(GameError, match="plays no"):
-                simple_payoff_matrix(config)
-        if kind is not GameKind.SIMPLE:
+                simple_payoff_matrix(game)
+        if game_class is not SimpleGame:
             with pytest.raises(GameError, match="plays no"):
-                pool_payoff_simple(config, "C", "succeed")
-        if kind is not GameKind.SELFISH_MINING:
+                pool_payoff_simple(game, "C", "succeed")
+        if game_class is not SelfishMiningGame:
             with pytest.raises(GameError, match="plays no"):
-                pool_payoff_selfish(config, "C", "succeed")
+                pool_payoff_selfish(game, "C", "succeed")
 
 
 class TestStrongSimple:
     def config(self, **kw):
-        base = dict(kind=GameKind.STRONG_SIMPLE, committee_size=4, boost=2)
+        base = dict(committee_size=4, boost=2)
         base.update(kw)
         return GameConfig(**base)
 
     def test_table2(self):
-        m = simple_payoff_matrix(self.config())
+        m = simple_payoff_matrix(StrongSimpleGame(self.config()))
         assert m.cell("succeed", "C") == Fraction(1) + Fraction(1, 32)
         assert m.cell("fail", "C") == Fraction(1, 32)
         assert m.cell("succeed", "NC") == 0
         assert m.cell("fail", "NC") == 0
 
     def test_fixed_attestor_certainty(self):
-        m = simple_payoff_matrix(self.config(epoch_length=1))
+        m = simple_payoff_matrix(StrongSimpleGame(self.config(epoch_length=1)))
         assert m.cell("succeed", "C") == 2
         assert m.cell("fail", "C") == 1
 
@@ -238,7 +243,7 @@ class TestStrongSimple:
 
 class TestNoBoost:
     def config(self, W=5):
-        return GameConfig(GameKind.SIMPLE_NO_BOOST, committee_size=W, boost=0)
+        return GameConfig(committee_size=W, boost=0)
 
     def _run_split(self, game, n_compliant):
         actions = {}
@@ -264,7 +269,7 @@ class TestNoBoost:
 
     def test_tie_lexicographic_fails(self):
         config = GameConfig(
-            GameKind.SIMPLE_NO_BOOST, committee_size=4, boost=0,
+            committee_size=4, boost=0,
             tie_break=TieBreakPolicy.LEXICOGRAPHIC,
         )
         game = NoBoostGame(config)
@@ -279,7 +284,7 @@ class TestNoBoost:
 
 
 def extended_config(p, **kw):
-    base = dict(kind=GameKind.EXTENDED, committee_size=4, boost=2, horizon=p)
+    base = dict(committee_size=4, boost=2, horizon=p)
     base.update(kw)
     return GameConfig(**base)
 
@@ -357,7 +362,7 @@ class TestExtendedGame:
 class TestSelfishMining:
     def config(self, na, nna, **kw):
         base = dict(
-            kind=GameKind.SELFISH_MINING, committee_size=100, boost=40,
+            committee_size=100, boost=40,
             n_adversarial_slots=na, n_non_adversarial_slots=nna,
             allow_condition_violation=True,
         )
@@ -391,7 +396,7 @@ class TestSelfishMining:
         with pytest.raises(ConditionViolated):
             SelfishMiningGame(
                 GameConfig(
-                    GameKind.SELFISH_MINING, committee_size=10, boost=4,
+                    committee_size=10, boost=4,
                     n_adversarial_slots=1, n_non_adversarial_slots=2,
                 )
             )
@@ -421,7 +426,7 @@ class TestSelfishMining:
         assert len(s_a) == 2 and len(s_na) == 1
         for row in ("succeed", "fail"):
             for col in ("C", "NC"):
-                formula = pool_payoff_selfish(config, col, row)
+                formula = pool_payoff_selfish(game, col, row)
                 # solo attestors comply exactly when the fork should win
                 solo = "C" if row == "succeed" else "NC"
                 out = game.run(
@@ -443,15 +448,15 @@ class TestSelfishMining:
         config = self.config(3, 2, pool=PoolSpec(2))
         game = SelfishMiningGame(config)
         s_a, s_na = game.pool_slot_sets()
-        assert pool_payoff_selfish(config, "C", "succeed") == 2 * len(s_a)
-        assert pool_payoff_selfish(config, "NC", "succeed") == 0
-        assert pool_payoff_selfish(config, "C", "fail") == 2 * len(s_na)
-        assert pool_payoff_selfish(config, "NC", "fail") == 2 * len(s_na)
+        assert pool_payoff_selfish(game, "C", "succeed") == 2 * len(s_a)
+        assert pool_payoff_selfish(game, "NC", "succeed") == 0
+        assert pool_payoff_selfish(game, "C", "fail") == 2 * len(s_na)
+        assert pool_payoff_selfish(game, "NC", "fail") == 2 * len(s_na)
 
     def test_empty_pool(self):
-        config = self.config(2, 2, pool=PoolSpec(0))
-        assert pool_payoff_selfish(config, "C", "succeed") == 0
-        assert pool_payoff_selfish(config, "NC", "fail") == 0
+        game = SelfishMiningGame(self.config(2, 2, pool=PoolSpec(0)))
+        assert pool_payoff_selfish(game, "C", "succeed") == 0
+        assert pool_payoff_selfish(game, "NC", "fail") == 0
 
     def test_adversarial_slots_fill_the_window(self):
         # slots 2..n_a below the window's end, plus the end itself
@@ -492,14 +497,14 @@ class TestSelfishMining:
 LABELLED_GAMES = {
     "simple": lambda: SimpleGame(simple_config()),
     "simple-pool": lambda: SimpleGame(simple_config(pool=PoolSpec(1))),
-    "strong-simple": lambda: StrongSimpleGame(simple_config(kind=GameKind.STRONG_SIMPLE)),
-    "simple-no-boost": lambda: NoBoostGame(simple_config(kind=GameKind.SIMPLE_NO_BOOST, boost=0)),
+    "strong-simple": lambda: StrongSimpleGame(simple_config()),
+    "simple-no-boost": lambda: NoBoostGame(simple_config(boost=0)),
     "extended": lambda: ExtendedGame(extended_config(2)),
     "selfish-mining": lambda: SelfishMiningGame(
-        simple_config(kind=GameKind.SELFISH_MINING, n_adversarial_slots=2,
+        simple_config(n_adversarial_slots=2,
                       n_non_adversarial_slots=1, pool=PoolSpec(1))
     ),
-    "dag-votes": lambda: DagVotesGame(simple_config(kind=GameKind.DAG_VOTES, committee_size=5, boost=0)),
+    "dag-votes": lambda: DagVotesGame(simple_config(committee_size=5, boost=0)),
     "tendermint-withholding": lambda: WithholdingGame(2, 1, Fraction(1)),
     "tendermint-anchor": lambda: AnchorGame(2),
 }
@@ -520,6 +525,23 @@ def test_labelled_agrees_with_named_profile(kind, name):
     assert game.labelled(labels.__getitem__) == profile
     with pytest.raises(GameError, match="unknown action 'Z' for slot"):
         game.action(game.decision_points()[0], "Z")
+
+
+@pytest.mark.parametrize(
+    "kind,name",
+    [(kind, name) for kind, make in LABELLED_GAMES.items() if not kind.startswith("tendermint")
+     for name in make().PROFILES],
+)
+def test_one_payoff_hook(kind, name):
+    # a game's payoffs are its payoff hook applied to the run, whoever calls it
+    game = LABELLED_GAMES[kind]()
+    profile = game.profile(name)
+    assert game._payoffs_from(game.run(profile)) == game.payoffs(profile)
+
+
+def test_config_names_no_kind():
+    # the game class is the kind: no config field can name another game
+    assert "kind" not in {f.name for f in dataclasses.fields(GameConfig)}
 
 
 # -- a DAG-votes proposal carries what its parent's chain lacks ------------------
@@ -558,7 +580,7 @@ def test_dag_proposals_carry_what_the_parent_chain_lacks(committee_size, monkeyp
     configs = list(itertools.product([0, 1], TieBreakPolicy, [False, True]))
     for boost, tie_break, adversary_on_tip in configs:
         game = DagVotesGame(simple_config(
-            kind=GameKind.DAG_VOTES, committee_size=committee_size, boost=boost,
+            committee_size=committee_size, boost=boost,
             tie_break=tie_break, adversary_on_tip=adversary_on_tip,
         ))
         for _ in range(12):
@@ -588,7 +610,7 @@ def test_dag_one_evidence_per_attestor(committee_size, monkeypatch):
     sizes = set()
     for boost, tie_break, adversary_on_tip in itertools.product([0, 1], TieBreakPolicy, [False, True]):
         game = DagVotesGame(simple_config(
-            kind=GameKind.DAG_VOTES, committee_size=committee_size, boost=boost,
+            committee_size=committee_size, boost=boost,
             tie_break=tie_break, adversary_on_tip=adversary_on_tip,
         ))
         pickers = [lambda dp: rng.choice(list(game.candidates(dp)))] * 6

@@ -11,7 +11,14 @@ from hypothesis import given, settings, strategies as st
 from reorglab.chain import Block, BlockTree, EvidenceRecord, TieBreakPolicy, Validator, VoteRecord
 from reorglab.cli import run_scenario
 from reorglab.engine import RunTrace
-from reorglab.games import GameConfig, GameKind, GameOutcome, build_game
+from reorglab.games import (
+    DagVotesGame,
+    ExtendedGame,
+    GameConfig,
+    GameOutcome,
+    SelfishMiningGame,
+    SimpleGame,
+)
 from reorglab.rewards import (
     InclusionRewardBreakdown,
     PayoffLedger,
@@ -235,11 +242,11 @@ class TestSettle:
 # -- settled ledgers against a per-vote Fraction oracle ---------------------------
 
 LEDGER_GAMES = {
-    "simple": dict(kind=GameKind.SIMPLE, committee_size=4, boost=2),
-    "selfish-mining": dict(kind=GameKind.SELFISH_MINING, committee_size=4, boost=2,
-                           n_adversarial_slots=2, n_non_adversarial_slots=1),
-    "extended": dict(kind=GameKind.EXTENDED, committee_size=4, boost=2, horizon=2),
-    "dag-votes": dict(kind=GameKind.DAG_VOTES, committee_size=5, boost=0),
+    "simple": (SimpleGame, dict(committee_size=4, boost=2)),
+    "selfish-mining": (SelfishMiningGame, dict(committee_size=4, boost=2,
+                                               n_adversarial_slots=2, n_non_adversarial_slots=1)),
+    "extended": (ExtendedGame, dict(committee_size=4, boost=2, horizon=2)),
+    "dag-votes": (DagVotesGame, dict(committee_size=5, boost=0)),
 }
 UNITS = (Fraction(0), Fraction(1), Fraction(3, 7), Fraction(5, 11), Fraction(7, 2))
 
@@ -296,14 +303,15 @@ def oracle_payoffs(trace, r, R, dag: bool, committee_size: int) -> dict:
     st.data(),
 )
 def test_settled_ledger_matches_oracle(kind, r, R, tie_break, data):
-    config = GameConfig(r=r, R=R, tie_break=tie_break, **LEDGER_GAMES[kind])
-    game = build_game(config)
+    game_class, params = LEDGER_GAMES[kind]
+    config = GameConfig(r=r, R=R, tie_break=tie_break, **params)
+    game = game_class(config)
     labels = {
         dp: data.draw(st.sampled_from(sorted(game.candidates(dp))))
         for dp in game.decision_points()
     }
     trace = game.run(game.labelled(labels.__getitem__)).trace
-    dag = config.kind is GameKind.DAG_VOTES
+    dag = game_class is DagVotesGame
     want = oracle_payoffs(trace, r, R, dag, config.committee_size)
     assert trace.payoffs == want
     assert {v: str(a) for v, a in trace.payoffs.items()} == {v: str(a) for v, a in want.items()}
@@ -343,7 +351,7 @@ def test_settlement_has_one_home(monkeypatch):
     assert report["results"][0]["outcome"]["payoffs"] == {
         "4": "1", "5": "1", "6": "1", "7": "1", "9": "4"
     }
-    game = build_game(GameConfig(GameKind.SIMPLE, committee_size=4, boost=2))
+    game = SimpleGame(GameConfig(committee_size=4, boost=2))
     trace = game.run(game.profile("compliant-all")).trace
     assert type(settle_payoffs(trace, RewardParams())) is dict
 

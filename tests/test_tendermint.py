@@ -52,14 +52,14 @@ class TestTmStep:
     def test_unlocked_prevotes_fresh_proposal(self):
         state = RoundState()
         view = [proposal()]
-        msg = tm_step(state, view, MsgKind.PREVOTE, me=3, is_leader=False, f=1)
+        msg = tm_step(state, view, MsgKind.PREVOTE, me=3, f=1)
         assert msg.value == 100
 
     def test_locked_on_other_value_prevotes_nil(self):
         state = RoundState(rho=2, locked_round=1, locked_value=200,
                            valid_round=1, valid_value=200)
         view = [proposal(rho=2, value=100, vr=-1)]
-        msg = tm_step(state, view, MsgKind.PREVOTE, me=3, is_leader=False, f=1)
+        msg = tm_step(state, view, MsgKind.PREVOTE, me=3, f=1)
         assert msg.value is NIL
 
     def test_lock_proof_unlocks(self):
@@ -67,13 +67,13 @@ class TestTmStep:
                            valid_round=1, valid_value=200)
         view = [proposal(rho=3, value=100, vr=2)]
         view += [prevote(rho=2, value=100, sender=s) for s in range(3)]
-        msg = tm_step(state, view, MsgKind.PREVOTE, me=3, is_leader=False, f=1)
+        msg = tm_step(state, view, MsgKind.PREVOTE, me=3, f=1)
         assert msg.value == 100
 
     def test_quorum_precommits_and_locks(self):
         state = RoundState()
         view = [proposal()] + [prevote(sender=s) for s in range(3)]
-        msg = tm_step(state, view, MsgKind.PRECOMMIT, me=3, is_leader=False, f=1)
+        msg = tm_step(state, view, MsgKind.PRECOMMIT, me=3, f=1)
         assert msg.value == 100
         assert state.locked_round == 1 and state.locked_value == 100
         state.check_invariant()
@@ -81,12 +81,12 @@ class TestTmStep:
     def test_no_quorum_precommits_nil(self):
         state = RoundState()
         view = [proposal()] + [prevote(sender=s) for s in range(2)]
-        msg = tm_step(state, view, MsgKind.PRECOMMIT, me=3, is_leader=False, f=1)
+        msg = tm_step(state, view, MsgKind.PRECOMMIT, me=3, f=1)
         assert msg.value is NIL
 
     def test_leader_reproposes_valid_value(self):
         state = RoundState(rho=4, valid_round=2, valid_value=777)
-        msg = tm_step(state, [], MsgKind.PROPOSAL, me=0, is_leader=True, f=1,
+        msg = tm_step(state, [], MsgKind.PROPOSAL, me=0, f=1,
                       fresh_value=111)
         assert msg.value == 777 and msg.vr == 2
 
@@ -255,7 +255,7 @@ class TestAnchor:
     def test_state_invariant_held(self):
         state = RoundState()
         view = [proposal()] + [prevote(sender=s) for s in range(3)]
-        tm_step(state, view, MsgKind.PRECOMMIT, me=9, is_leader=False, f=1)
+        tm_step(state, view, MsgKind.PRECOMMIT, me=9, f=1)
         state.check_invariant()
 
 
