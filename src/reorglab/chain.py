@@ -7,6 +7,14 @@ from the *delivered* votes known to the tree, independent of inclusion: a
 vote influences the fork choice as soon as it is in view, and earns rewards
 only once included (see rewards.py).
 
+The fork choice weighs what changed, not the whole tree.  `votes` is
+append-only (a caller replaces it by assigning a new list), and the latest
+vote per voter lives in a map that folds in only the votes appended since
+it was last read.  The LMD subtree weights and the adversary tie-break keys
+are rebuilt once per tree state, at O(blocks + voters), and shared by every
+query on that state; a query adds its own virtual votes and boost along
+their blocks' ancestor paths, at O(depth).
+
 Block ids are plain increasing integers rather than hashes: the simulations
 need determinism, not collision resistance.
 """
@@ -143,14 +151,31 @@ class TieBreakPolicy(enum.Enum):
 
 @dataclass
 class BlockTree:
-    """A tree of blocks plus the multiset of delivered votes."""
+    """A tree of blocks plus the multiset of delivered votes.
+
+    The fork choice reads three private caches, each one field replaced
+    whole when the tree state it was built for changes: the latest-message
+    map (`latest_votes`), the LMD subtree weights (`_weights`) and the
+    adversary tie-break keys (`fork_choice`).
+    """
 
     blocks: dict[BlockId, Block] = field(default_factory=dict)
     children: dict[BlockId, list[BlockId]] = field(default_factory=dict)
     by_slot: dict[int, list[BlockId]] = field(default_factory=dict)  # ids in insertion order
+    # append-only (`add_vote`); a caller that wants other votes assigns a new list
     votes: list[VoteRecord] = field(default_factory=list)
     genesis: Optional[BlockId] = None
     _next_id: int = 0
+    # the latest vote per voter, folded from the first `_latest_seen` of `_latest_list`
+    _latest: dict[int, VoteRecord] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _latest_list: Optional[list[VoteRecord]] = field(default=None, init=False, repr=False, compare=False)
+    _latest_seen: int = field(default=0, init=False, repr=False, compare=False)
+    # LMD subtree weights, for the (block count, votes list, vote count) in `_base_state`
+    _base: dict[BlockId, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _base_state: tuple = field(default=(-1, None, 0), init=False, repr=False, compare=False)
+    # latest adversarial slot per subtree, for the block count in `_adv_blocks`
+    _adv: dict[BlockId, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _adv_blocks: int = field(default=-1, init=False, repr=False, compare=False)
 
     def new_id(self) -> BlockId:
         bid = self._next_id
@@ -211,10 +236,18 @@ class BlockTree:
     def latest_votes(self) -> list[VoteRecord]:
         """One vote per voter, keeping only the latest-slot message (LMD).
 
-        Voters come in the order of their first vote; `_weights` only sums them.
+        The latest of two votes is the larger `(slot, broadcast_time,
+        -target)`.  Only the votes appended since the last call are folded
+        into the per-voter map, as the spec's `store.latest_messages` is
+        updated per attestation; a `votes` list that was replaced, or that
+        got shorter, is folded again from its start.  Voters come in the
+        order of their first vote; `_weights` only sums them.
         """
-        best: dict[int, VoteRecord] = {}
-        for v in self.votes:
+        votes = self.votes
+        if votes is not self._latest_list or len(votes) < self._latest_seen:
+            self._latest, self._latest_list, self._latest_seen = {}, votes, 0
+        best = self._latest
+        for v in votes[self._latest_seen:]:
             cur = best.get(v.voter)
             if cur is None or (v.slot, v.broadcast_time, -v.target) > (
                 cur.slot,
@@ -222,6 +255,7 @@ class BlockTree:
                 -cur.target,
             ):
                 best[v.voter] = v
+        self._latest_seen = len(votes)
         return list(best.values())
 
     def _weights(
@@ -230,35 +264,52 @@ class BlockTree:
         boosted: Optional[BlockId],
         boost: int,
         virtual_votes: Optional[Mapping[BlockId, int]],
-    ) -> dict[BlockId, int]:
-        """Subtree weight of every block under the LMD rule plus boost.
+    ) -> tuple[dict[BlockId, int], dict[BlockId, int]]:
+        """Subtree weights under the LMD rule plus boost, as (base, overlay).
 
-        Each latest vote, each virtual vote and the boost is added once, at
-        its own block.  One sweep over the blocks in reverse insertion order
-        then adds every block's total to its parent's.  `insert_block` accepts
-        a block only once its parent is in the tree, so every child comes
-        before its parent in that sweep: a block's total is complete when it
-        is passed up.  The cost is O(blocks + votes).
+        A block's weight is `base[b] + overlay.get(b, 0)`.  `base` holds the
+        latest votes alone and is shared by every query on one tree state
+        (block count, `votes` list and its length); it is rebuilt when that
+        state changes, in one sweep over the blocks in reverse insertion
+        order that adds every block's total to its parent's.  `insert_block`
+        accepts a block only once its parent is in the tree, so every child
+        comes before its parent in that sweep.  `overlay` is this query's
+        own: each virtual vote, and the boost, is added along the ancestor
+        path of its block.  So a rebuild costs O(blocks + votes) once per
+        tree state, and a query O(depth) per virtual vote.
         """
-        weight = dict.fromkeys(self.blocks, 0)
-        for vote in self.latest_votes():
-            weight[vote.target] += 1
-        if virtual_votes:
-            for bid, amount in virtual_votes.items():
-                if bid not in weight:
-                    raise UnknownBlock(f"virtual weight target {bid} not in tree")
-                weight[bid] += amount
+        state = self._base_state
+        if not (
+            state[0] == len(self.blocks)
+            and state[1] is self.votes
+            and state[2] == len(self.votes)
+        ):
+            base = dict.fromkeys(self.blocks, 0)
+            for vote in self.latest_votes():
+                base[vote.target] += 1
+            for block in reversed(self.blocks.values()):
+                if block.parent is not None:
+                    base[block.parent] += base[block.id]
+            self._base = base
+            self._base_state = (len(self.blocks), self.votes, len(self.votes))
+        extra = list(virtual_votes.items()) if virtual_votes else []
+        for bid, _ in extra:
+            if bid not in self.blocks:
+                raise UnknownBlock(f"virtual weight target {bid} not in tree")
         if (
             boosted is not None
             and boost > 0
             and boosted in self.blocks
             and self.blocks[boosted].slot == current_slot
         ):
-            weight[boosted] += boost
-        for block in reversed(self.blocks.values()):
-            if block.parent is not None:
-                weight[block.parent] += weight[block.id]
-        return weight
+            extra.append((boosted, boost))
+        overlay: dict[BlockId, int] = {}
+        for bid, amount in extra:
+            cur: Optional[BlockId] = bid
+            while cur is not None:
+                overlay[cur] = overlay.get(cur, 0) + amount
+                cur = self.blocks[cur].parent
+        return self._base, overlay
 
     def subtree_weight(
         self,
@@ -270,7 +321,21 @@ class BlockTree:
     ) -> int:
         if root not in self.blocks:
             raise UnknownBlock(f"block {root} not in tree")
-        return self._weights(current_slot, boosted, boost, virtual_votes)[root]
+        base, overlay = self._weights(current_slot, boosted, boost, virtual_votes)
+        return base[root] + overlay.get(root, 0)
+
+    def _adversary_slots(self) -> dict[BlockId, int]:
+        """The latest slot of an adversarial block in each subtree, per block count."""
+        if self._adv_blocks != len(self.blocks):
+            adv = {
+                bid: b.slot if b.proposer.kind is ValidatorKind.ADVERSARIAL else -(10**9)
+                for bid, b in self.blocks.items()
+            }
+            for block in reversed(self.blocks.values()):
+                if block.parent is not None and adv[block.id] > adv[block.parent]:
+                    adv[block.parent] = adv[block.id]
+            self._adv, self._adv_blocks = adv, len(self.blocks)
+        return self._adv
 
     def fork_choice(
         self,
@@ -289,28 +354,24 @@ class BlockTree:
         procedure); it participates in every subtree containing that block,
         exactly as real votes would.
 
-        Under ADVERSARY_FAVORING the tie-break key of a subtree, the latest
-        slot of an adversarial block in it, comes from the same kind of
-        reverse-insertion-order sweep as the weights, so the whole call is
-        O(blocks + votes) and needs no recursion, however deep the tree.
+        Under ADVERSARY_FAVORING the tie-break key of a subtree is the latest
+        slot of an adversarial block in it.  The vote weights and the
+        tie-break keys are swept once per tree state and shared by every
+        query on it (see `_weights`), so a query costs O(depth) for its
+        virtual votes and boost plus the descent, and needs no recursion,
+        however deep the tree.
         """
         if self.genesis is None:
             raise ChainError("empty tree")
-        weight = self._weights(current_slot, boosted, boost, virtual_votes)
+        base, overlay = self._weights(current_slot, boosted, boost, virtual_votes)
         if tie_break is TieBreakPolicy.ADVERSARY_FAVORING:
-            adv = {
-                bid: b.slot if b.proposer.kind is ValidatorKind.ADVERSARIAL else -(10**9)
-                for bid, b in self.blocks.items()
-            }
-            for block in reversed(self.blocks.values()):
-                if block.parent is not None and adv[block.id] > adv[block.parent]:
-                    adv[block.parent] = adv[block.id]
-            key = lambda c: (weight[c], adv[c], -c)
+            adv = self._adversary_slots()
+            key = lambda c: (base[c] + overlay.get(c, 0), adv[c], -c)
         else:
-            key = lambda c: (weight[c], -c)
+            key = lambda c: (base[c] + overlay.get(c, 0), -c)
         cur = self.genesis
         while kids := self.children[cur]:
-            cur = max(kids, key=key)
+            cur = kids[0] if len(kids) == 1 else max(kids, key=key)
         return cur
 
     def canonical_chain(

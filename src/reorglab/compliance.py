@@ -16,9 +16,11 @@ previous slot's compliant block once all earlier slots have complied, which
 the whole backward-induction argument rests on.  Ranks end in the id, so
 they are unique and the first survivor is the best-ranked one.
 
-The hypothetical weights are applied as virtual votes, so the scan never
-mutates the tree: subtree weights after the scan trivially equal those
-before.
+The hypothetical weights are applied as virtual votes, so the scan fills
+only the tree's private fork-choice caches and changes none of its blocks
+or votes: subtree weights after the scan equal those before.  The queries
+of one scan differ only in their virtual votes, so they share one sweep of
+the tree's vote weights.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@ import pytest
 
 from reorglab.chain import (
     Block,
+    BlockTree,
+    ChainError,
     DuplicateId,
     EquivocationRejected,
     TieBreakPolicy,
@@ -12,7 +14,7 @@ from reorglab.chain import (
     detect_reorg,
 )
 
-from conftest import ADVERSARIAL, RATIONAL, make_tree, oracle_fork_choice, vote
+from conftest import ADVERSARIAL, RATIONAL, make_tree, oracle_fork_choice, oracle_weight, vote
 
 LEX = TieBreakPolicy.LEXICOGRAPHIC
 ADV = TieBreakPolicy.ADVERSARY_FAVORING
@@ -156,6 +158,57 @@ class TestForkChoice:
         vote(tree, 0, n // 2)
         for policy in (ADV, LEX):
             assert tree.fork_choice(current_slot=n - 1, tie_break=policy) == n - 1
+
+
+class TestWarmCaches:
+    """Errors and answers once queries have filled the tree's caches."""
+
+    @staticmethod
+    def warm_tree():
+        tree = make_tree([None, 0, 0, 1], [RATIONAL, RATIONAL, ADVERSARIAL, RATIONAL])
+        vote(tree, 0, 1)
+        vote(tree, 1, 2)
+        vote(tree, 0, 3)
+        for policy in (ADV, LEX):
+            tree.fork_choice(3, boosted=3, boost=2, tie_break=policy, virtual_votes={2: 1})
+        tree.subtree_weight(1, 3)
+        return tree
+
+    @staticmethod
+    def assert_matches_oracle(tree):
+        for policy in (ADV, LEX):
+            for virtual in ({}, {2: 2}):
+                assert tree.fork_choice(3, 3, 1, policy, virtual) == oracle_fork_choice(
+                    tree, 3, 3, 1, policy, virtual)
+        for bid in tree.blocks:
+            assert tree.subtree_weight(bid, 3, 3, 1, {2: 2}) == oracle_weight(
+                tree, bid, 3, 3, 1, {2: 2})
+
+    def test_empty_tree(self):
+        with pytest.raises(ChainError):
+            BlockTree().fork_choice(current_slot=0)
+
+    def test_unknown_virtual_target_or_root_still_raises(self):
+        tree = self.warm_tree()
+        with pytest.raises(UnknownBlock):
+            tree.fork_choice(3, virtual_votes={99: 1})
+        with pytest.raises(UnknownBlock):
+            tree.subtree_weight(99, 3)
+        with pytest.raises(UnknownBlock):
+            tree.subtree_weight(1, 3, virtual_votes={99: 1})
+        self.assert_matches_oracle(tree)
+
+    def test_rejected_vote_leaves_votes_unchanged(self):
+        tree = self.warm_tree()
+        before = list(tree.votes)
+        with pytest.raises(UnknownBlock):
+            tree.add_vote(VoteRecord(5, 7, 99))
+        with pytest.raises(ChainError):
+            tree.add_vote(VoteRecord(0, 7, 3))  # slot-0 vote for a slot-3 block
+        assert tree.votes == before
+        self.assert_matches_oracle(tree)
+        vote(tree, 1, 3, slot=4)  # voter 1 moves from block 2 to block 3
+        self.assert_matches_oracle(tree)
 
 
 class TestCanonicalChain:

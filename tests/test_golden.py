@@ -62,6 +62,19 @@ EXTRA = {
                    {"type": "outcome", "profile": "compliant-all"},
                    {"type": "spne", "profile": "compliant-all"}],
     },
+    # beyond the toy horizons: p=8 reorgs eight blocks, so the compliant-tip
+    # scan runs many fork choices per slot over deep, branchy trees
+    "golden-extended-w4-p8": {
+        "game": {"kind": "extended", "committee_size": 4, "boost": 2, "horizon": 8,
+                 "tie_break": "lexicographic"},
+        "profile": {"base": "compliant-all",
+                    "overrides": [{"slot": 3, "role": "leader", "action": "NC"},
+                                  {"slot": 5, "role": "attestor", "actor": 53,
+                                   "action": "abstain"}]},
+        "checks": [{"type": "spne", "profile": "compliant-all"},
+                   {"type": "spne", "profile": "extend-original-all"},
+                   {"type": "outcome"}],
+    },
     "golden-selfish-three-adversarial": {
         "game": {"kind": "selfish-mining", "committee_size": 6, "boost": 2,
                  "n_adversarial_slots": 3, "n_non_adversarial_slots": 2},
@@ -146,6 +159,10 @@ GOLDEN = {
     "golden-extended-honest-leader-override": (
         "509432b71f24461231d0754cc788ea9f6fa79bf3c7f2b9310fe5d1596121eabe",
         "7a173124bb5313dff27da4176d359af83d2180428396a3187762ea3769c8111f",
+    ),
+    "golden-extended-w4-p8": (
+        "b2b1925dc562e3059421c5fab469f682413de534ef375a1082f44b55d6a44c17",
+        "22117f9db04199d219283eae75474cccd20d6e3ae6d778fdc1bae02b7a2a618d",
     ),
     "golden-nb-compliant": (
         "8fffd851e2fb4108ecdfa6629a0e75db061465f724a9c590cee7a6aed6b56d89",

@@ -191,6 +191,54 @@ def test_fork_choice_oracle_with_shuffled_ids(case):
             tree, current_slot, boosted, boost, policy, virtual)
 
 
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fork_choice_oracle_after_every_interleaved_write(data):
+    # the tree caches its latest votes, subtree weights and tie-break keys
+    # per tree state; queries between writes fill those caches, so every
+    # later write (a block, a vote, or a wholesale `votes` reassignment as
+    # `set_votes` does, shorter, longer or of equal length) must be seen
+    n = data.draw(st.integers(1, 8), label="blocks")
+    ids = data.draw(st.permutations(range(n)), label="ids")
+    tree = BlockTree()
+    inserted: list[int] = []
+    for _ in range(data.draw(st.integers(1, 16), label="writes")):
+        op = data.draw(st.sampled_from(("block", "vote", "vote", "assign")))
+        if not inserted or (op == "block" and len(inserted) < n):
+            parent = data.draw(st.sampled_from(inserted)) if inserted else None
+            slot = 0 if parent is None else tree.blocks[parent].slot + data.draw(st.integers(1, 3))
+            kind = data.draw(st.sampled_from([RATIONAL, ADVERSARIAL]))
+            bid = ids[len(inserted)]
+            tree.insert_block(Block(bid, slot, parent, Validator(1000 + bid, kind)))
+            inserted.append(bid)
+        elif op == "assign":
+            tree.votes = [
+                VoteRecord(tree.blocks[target].slot + late, voter, target, time)
+                for voter, target, late, time in data.draw(st.lists(
+                    st.tuples(st.integers(0, 4), st.sampled_from(inserted),
+                              st.integers(0, 2), st.integers(0, 2)),
+                    max_size=len(tree.votes) + 2))
+            ]
+        else:
+            # one voter at several slots, and stale votes for old blocks
+            voter = data.draw(st.integers(0, 4))
+            target = data.draw(st.sampled_from(inserted))
+            late, time = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+            tree.add_vote(VoteRecord(tree.blocks[target].slot + late, voter, target, time))
+        current_slot = data.draw(st.sampled_from(sorted({b.slot for b in tree.blocks.values()})))
+        boosted = data.draw(st.none() | st.sampled_from(inserted))
+        boost = data.draw(st.integers(0, 4))
+        virtual = data.draw(st.dictionaries(st.sampled_from(inserted), st.integers(0, 3), max_size=2))
+        for bid in inserted:
+            assert tree.subtree_weight(bid, current_slot, boosted, boost, virtual) == oracle_weight(
+                tree, bid, current_slot, boosted, boost, virtual)
+        for policy in POLICIES:
+            assert tree.fork_choice(current_slot, boosted, boost, policy, virtual) == oracle_fork_choice(
+                tree, current_slot, boosted, boost, policy, virtual)
+            assert tree.fork_choice(current_slot, tie_break=policy) == oracle_fork_choice(
+                tree, current_slot, tie_break=policy)
+
+
 @given(
     shape_pick=st.integers(min_value=0, max_value=10**9),
     votes=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10),
