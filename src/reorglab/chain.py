@@ -156,7 +156,8 @@ class BlockTree:
     The fork choice reads three private caches, each one field replaced
     whole when the tree state it was built for changes: the latest-message
     map (`latest_votes`), the LMD subtree weights (`_weights`) and the
-    adversary tie-break keys (`fork_choice`).
+    adversary tie-break keys (`fork_choice`).  `fork` copies a tree with
+    its caches.
     """
 
     blocks: dict[BlockId, Block] = field(default_factory=dict)
@@ -181,6 +182,33 @@ class BlockTree:
         bid = self._next_id
         self._next_id += 1
         return bid
+
+    def fork(self) -> BlockTree:
+        """A copy to write to independently of this tree.
+
+        The containers are copied and the blocks and votes, which nothing
+        writes to, are shared.  The fork-choice caches carry over: the
+        latest-vote map is copied and keyed to the copy's `votes` list, and
+        the subtree weights and tie-break keys, which a rebuild replaces
+        whole rather than edits, are shared while they still fit.
+        """
+        votes = list(self.votes)
+        tree = BlockTree(
+            dict(self.blocks),
+            {bid: list(kids) for bid, kids in self.children.items()},
+            {slot: list(ids) for slot, ids in self.by_slot.items()},
+            votes,
+            self.genesis,
+            self._next_id,
+        )
+        if self._latest_list is self.votes:
+            tree._latest, tree._latest_list = dict(self._latest), votes
+            tree._latest_seen = self._latest_seen
+        blocks, listed, count = self._base_state
+        if listed is self.votes:
+            tree._base, tree._base_state = self._base, (blocks, votes, count)
+        tree._adv, tree._adv_blocks = self._adv, self._adv_blocks
+        return tree
 
     def insert_block(self, block: Block) -> None:
         if block.id in self.blocks:

@@ -85,15 +85,14 @@ def compliant_tip(
         # None (fully compliant prefix) sorts before every slot number
         return ((0, 0) if worst is None else (1, worst), -tree.blocks[bid].slot, bid)
 
-    for bid in sorted(tree.blocks, key=rank):
-        chain = tree.canonical_chain(
-            current_slot=slot_i,
-            boosted=None,
-            boost=0,
-            tie_break=tie_break,
-            virtual_votes={bid: hypothetical},
-        )
-        if bid in chain:
+    blocks = tree.blocks
+    for bid in sorted(blocks, key=rank):
+        cur = tree.fork_choice(slot_i, None, 0, tie_break, {bid: hypothetical})
+        # slots grow along a chain: walk up from the head to the candidate's slot
+        slot = blocks[bid].slot
+        while blocks[cur].slot > slot:
+            cur = blocks[cur].parent
+        if cur == bid:
             return bid
     raise EmptyCandidateSet("no candidate lies on its own hypothetical chain")
 
@@ -119,6 +118,16 @@ class ComplianceTracker:
     # how many of the tree's blocks and votes `observe` has already seen
     seen_blocks: int = field(default=0, init=False)
     seen_votes: int = field(default=0, init=False)
+
+    def fork(self) -> ComplianceTracker:
+        """A copy to classify on independently: the marks, tips and seen counts."""
+        tracker = ComplianceTracker(
+            self.p, self.committee_size, self.boost, self.tie_break,
+            dict(self.block_marks), dict(self.vote_marks),
+            dict(self.leader_tips), dict(self.vote_tips),
+        )
+        tracker.seen_blocks, tracker.seen_votes = self.seen_blocks, self.seen_votes
+        return tracker
 
     def seed(self, genesis: BlockId, originals: list[BlockId]) -> None:
         self.block_marks[genesis] = True

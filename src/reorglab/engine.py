@@ -20,6 +20,13 @@ point.  A game is a straight-line script over one Simulation: it advances
 the clock to the tick of its next action (`Simulation.advance`), then acts
 (`propose`, `emit_vote`, `emit_evidence`).  Its scripted adversary counts
 votes, withholds blocks and releases them later the same way.
+
+A script reads a decision point's action only at or after the point's tick
+(the read-tick rule).  So a run's state as tick t starts depends only on the
+actions of the decision points before t, and every profile that agrees
+with the run's there shares that state.  `Simulation.fork` copies a run so
+far, which makes that state a checkpoint (`games.Checkpoint`): a deviation
+plays on from a fork of it instead of replaying the ticks before t.
 """
 
 from __future__ import annotations
@@ -245,6 +252,26 @@ class Simulation:
         self._head: Optional[BlockId] = None  # the tick's head; None when no tick is in progress
         self._voted: dict[tuple[int, int], BlockId] = {}
         self._proposed: dict[tuple[int, int], BlockId] = {}
+
+    def fork(self) -> Simulation:
+        """A copy of the run so far, to play on independently of this one.
+
+        Every container is copied: the tree (`BlockTree.fork`), the pending
+        queue, the delivered evidences, the trace's events and tips, and the
+        emission guards.  The messages, which nothing writes to, are shared.
+        """
+        sim = Simulation(self.boost, self.tie_break)
+        sim.tree = self.tree.fork()
+        sim.pending = list(self.pending)
+        sim.delivered_evidences = list(self.delivered_evidences)
+        t = self.trace
+        sim.trace = RunTrace(
+            list(t.events), list(t.tips), sim.tree, list(t.final_chain), t.final_slot,
+            dict(t.labels), dict(t.payoffs),
+        )
+        sim.tick, sim._head = self.tick, self._head
+        sim._voted, sim._proposed = dict(self._voted), dict(self._proposed)
+        return sim
 
     # -- message emission ------------------------------------------------
 

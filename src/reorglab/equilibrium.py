@@ -2,8 +2,11 @@
 
 The lab verifies *given* profiles, mirroring proof-by-exhibit: it never
 solves for equilibria.  Each candidate deviation is evaluated by a complete
-fresh simulation of the game with everyone else held fixed, so a reported
-deviation always reproduces its claimed gain when replayed.  A candidate
+simulation of the game with everyone else held fixed, so a reported
+deviation always reproduces its claimed gain when replayed.  A deviation
+leaves every tick before its earliest decision point as the profile's own
+run played it, so it resumes from that run's checkpoint at that tick; a run
+from the opening plays the same script from its first tick.  A candidate
 the profile already plays is not simulated again: it reads the profile's
 own payoffs, though the Nash checks still count it as checked.
 """
@@ -19,6 +22,7 @@ from typing import Optional, Sequence
 from .engine import DecisionPoint, StrategyProfile
 from .games import (
     AssumptionViolated,
+    Checkpoint,
     DagVotesGame,
     GameConfig,
     GameError,
@@ -84,17 +88,26 @@ def _apply(profile: StrategyProfile, assignment: dict) -> StrategyProfile:
     return StrategyProfile({**profile.actions, **assignment})
 
 
+Played = tuple[dict[PlayerId, Fraction], dict[int, Checkpoint]]  # as `GameModel.play` returns
+
+
 def _deviate(
-    game: GameModel, profile: StrategyProfile, base: dict, assignment: dict
+    game: GameModel, profile: StrategyProfile, played: Played, assignment: dict
 ) -> tuple[dict[PlayerId, Fraction], bool]:
     """Payoffs once `assignment` is played against `profile`, and whether that deviates.
 
-    An assignment the profile already plays is not simulated again: its
-    payoffs are `base`, the profile's own.
+    `played` is the profile's own payoffs and checkpoints.  An assignment
+    the profile already plays is not simulated again: its payoffs are the
+    profile's.  Any other resumes from the profile's checkpoint at its
+    earliest decision point, when the run recorded one: a pool or a
+    coalition moves at several ticks, and the profile holds before the
+    earliest of them only.
     """
+    base, checkpoints = played
     if all(profile.get(dp) == action for dp, action in assignment.items()):
         return base, False
-    return game.payoffs(_apply(profile, assignment)), True
+    start = checkpoints.get(min(dp.tick for dp in assignment))
+    return game.payoffs(_apply(profile, assignment), start), True
 
 
 def best_response(
@@ -105,10 +118,11 @@ def best_response(
 ) -> set[str]:
     """Labels of the candidate assignments maximizing `player`'s payoff."""
     candidates = list(candidates if candidates is not None else game.assignments(player))
+    played = game.play(profile)
     best: Optional[Fraction] = None
     winners: set[str] = set()
     for label, assignment in candidates:
-        value = game.payoffs(_apply(profile, assignment))[player]
+        value = _deviate(game, profile, played, assignment)[0][player]
         if best is None or value > best:
             best = value
             winners = {label}
@@ -132,7 +146,8 @@ def verify_nash(
     players = game.players()
     if not players:
         raise GameError("the game has no decision points, so a Nash check would check nothing")
-    base = game.payoffs(profile)
+    played = game.play(profile)
+    base = played[0]
     assignments = {p: game.assignments(p) for p in players}
     count = sum(len(a) for a in assignments.values())
     _estimate(count, max_joint_actions)
@@ -142,7 +157,7 @@ def verify_nash(
     for player in players:
         for label, assignment in assignments[player]:
             checked += 1
-            value = _deviate(game, profile, base, assignment)[0][player]
+            value = _deviate(game, profile, played, assignment)[0][player]
             if value > base[player]:
                 deviations.append(Deviation(player, label, base[player], value))
     if deviations:
@@ -161,7 +176,7 @@ def verify_nash(
             for combo in itertools.product(*joint):
                 assignment = {dp: act for _, a in combo for dp, act in a.items()}
                 checked += 1
-                payoffs = _deviate(game, profile, base, assignment)[0]
+                payoffs = _deviate(game, profile, played, assignment)[0]
                 if all(payoffs[p] > base[p] for p in coalition):
                     for p, (label, _) in zip(coalition, combo):
                         deviations.append(Deviation(p, f"coalition:{label}", base[p], payoffs[p]))
@@ -175,7 +190,7 @@ def verify_spne(
     game: GameModel,
     profile: StrategyProfile,
     max_joint_actions: int = 10**6,
-    base: Optional[dict[PlayerId, Fraction]] = None,
+    played: Optional[Played] = None,
 ) -> EquilibriumReport:
     """One-shot deviation check at each decision point of the profile's own history.
 
@@ -184,16 +199,18 @@ def verify_spne(
     else; the owner's prescribed action must be a best response there.  The
     histories that an earlier deviation reaches are not examined, so this
     is not backward induction over every subgame.  The emitted subgame
-    table records each owner's payoff per action label.  `base` is the
-    profile's own payoffs, when the caller has already played it.
+    table records each owner's payoff per action label.  `played` is the
+    profile's own payoffs and checkpoints (`GameModel.play`), when the
+    caller has already played it.
     """
     dps = sorted(game.decision_points(), key=lambda d: (d.tick, d.actor))
     if not dps:
         raise GameError("the game has no decision points, so an SPNE check would check nothing")
     count = sum(len(game.candidates(dp)) for dp in dps)
     _estimate(count, max_joint_actions)
-    if base is None:
-        base = game.payoffs(profile)
+    if played is None:
+        played = game.play(profile)
+    base = played[0]
 
     deviations: list[Deviation] = []
     table: list[SubgameEntry] = []
@@ -202,8 +219,8 @@ def verify_spne(
         owner = game.owner(dp)
         payoffs: dict[str, Fraction] = {}
         for label, action in game.candidates(dp).items():
-            played, deviates = _deviate(game, profile, base, {dp: action})
-            value = payoffs[label] = played[owner]
+            deviated, deviates = _deviate(game, profile, played, {dp: action})
+            value = payoffs[label] = deviated[owner]
             if not deviates:
                 continue
             checked += 1
@@ -316,7 +333,8 @@ def dag_security_scenario(
         raise AssumptionViolated(
             f"rational blocks reorged: {outcome.extras['rational_blocks_reorged']}"
         )
-    report = verify_spne(game, profile, max_joint_actions, game._payoffs_from(outcome))
+    played = (game._payoffs_from(outcome), outcome.checkpoints)
+    report = verify_spne(game, profile, max_joint_actions, played)
 
     ethereum_report = None
     if check_ethereum_flip:

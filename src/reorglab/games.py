@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from .chain import (
     Block,
@@ -64,6 +64,7 @@ from .engine import (
 from .rewards import Mechanism, RewardParams, settle_payoffs
 
 __all__ = [
+    "Checkpoint",
     "GameConfig",
     "GameOutcome",
     "PayoffMatrix",
@@ -128,12 +129,37 @@ class GameConfig:
     allow_condition_violation: bool = False
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """A run's state as tick `tick` starts, before the script reads any action of it.
+
+    A script reads a decision point's action only at or after the point's
+    tick, so the state at `tick` depends only on the actions of the decision
+    points before it: the checkpoint is valid for every profile that agrees
+    there with the profile it was recorded under.  It holds the simulation,
+    the blocks the script's opening made, and the extended game's compliance
+    tracker.  Nothing writes to a checkpoint: each resume plays on a fork.
+    """
+
+    tick: int
+    sim: Simulation
+    blocks: tuple[Block, ...]
+    tracker: Optional[ComplianceTracker] = None
+
+    def fork(self) -> Checkpoint:
+        """A copy to play on: the simulation and the tracker forked, the blocks shared."""
+        tracker = self.tracker.fork() if self.tracker is not None else None
+        return Checkpoint(self.tick, self.sim.fork(), self.blocks, tracker)
+
+
 @dataclass
 class GameOutcome:
     success: bool
     reorged: list[BlockId]
     trace: RunTrace  # its `payoffs` are the run's settlement
     extras: dict = field(default_factory=dict)
+    # by tick, one per decision tick of a run from the opening; none for a resumed run
+    checkpoints: dict[int, Checkpoint] = field(default_factory=dict)
 
     @property
     def final_chain(self) -> list[BlockId]:
@@ -158,7 +184,9 @@ class GameModel:
 
     A game lists its decision points (`decision_points`), the labelled
     candidate actions of each (`candidates`), and plays a profile (`run`,
-    `payoffs`).  `candidates` is the only place a game builds actions;
+    `payoffs`): from its opening, or from a checkpoint (`start`) recorded by
+    an earlier run (`play`) of a profile that agrees with it before the
+    checkpoint's tick.  `candidates` is the only place a game builds actions;
     everything else names them by label (`action`, `labelled`).  The roster
     follows from those: a decision point belongs to its actor, unless the
     actor is a member of one of `pools`, whose members move together; each
@@ -198,6 +226,15 @@ class GameModel:
     def players(self) -> list[PlayerId]:
         """Solo players in decision-point order, then the pools."""
         return list(self._seats)
+
+    @cached_property
+    def _decision_ticks(self) -> frozenset[int]:
+        return frozenset(dp.tick for dp in self.decision_points())
+
+    def play(self, profile: StrategyProfile) -> tuple[dict[PlayerId, Fraction], dict[int, Checkpoint]]:
+        """The profile's payoffs, and the checkpoints its run recorded."""
+        outcome = self.run(profile)
+        return self._payoffs_from(outcome), outcome.checkpoints
 
     def action(self, dp: DecisionPoint, label: str) -> object:
         """The candidate of `dp` labelled `label`."""
@@ -259,12 +296,42 @@ def _require(game: GameModel, *games: type) -> None:
 # -- the phases every game script shares ----------------------------------------
 
 
-def _open_chain(config: GameConfig, seeded: dict, start: int = 0):
+class _Script:
+    """One play of a game script, from its opening or resumed from a checkpoint.
+
+    The script passes the tick of each phase that a checkpoint can lie past
+    to `at` first.  A phase before the tick the play started at is already
+    in the state it started from, so `at` skips it; otherwise it runs the
+    clock to the tick.  A play from the opening records a checkpoint as each
+    decision tick starts, before the phase reads any action of that tick.
+    """
+
+    def __init__(self, game: GameModel, start: Optional[Checkpoint],
+                 opening: Callable[[], Checkpoint]):
+        if start is None:
+            state, self._record = opening(), game._decision_ticks
+        else:
+            state, self._record = start.fork(), frozenset()
+        self.sim, self.blocks, self.tracker = state.sim, state.blocks, state.tracker
+        self._first_tick = state.tick
+        self.checkpoints: dict[int, Checkpoint] = {}
+
+    def at(self, tick: int) -> bool:
+        """Whether the phase at `tick` is played; if so, the clock is at `tick`."""
+        if tick < self._first_tick:
+            return False
+        self.sim.advance(tick)
+        if tick in self._record:
+            self.checkpoints[tick] = Checkpoint(tick, self.sim, self.blocks, self.tracker).fork()
+        return True
+
+
+def _open_chain(config: GameConfig, seeded: dict, start: int = 0) -> Checkpoint:
     """Start a run on a chain voted for before the game.
 
     `seeded` maps each slot, ascending, to its proposer and the voters of
-    its block; the first block is an empty genesis.  Returns the simulation,
-    with its clock started at tick `start`, and the chain's blocks.
+    its block; the first block is an empty genesis.  Returns the run's
+    opening: its clock started at tick `start`, holding the chain's blocks.
     """
     sim = Simulation(config.boost, config.tie_break)
     blocks: list[Block] = []
@@ -276,7 +343,7 @@ def _open_chain(config: GameConfig, seeded: dict, start: int = 0):
             sim.tree.add_vote(VoteRecord(slot, v.index, block.id, vote_tick(slot)))
         blocks.append(block)
     sim.advance(start)
-    return sim, blocks
+    return Checkpoint(start, sim, tuple(blocks))
 
 
 def _attest(sim: Simulation, profile, slot: int, voters, compliant_tip=None):
@@ -383,13 +450,20 @@ class SimpleGame(_VictimSlotGame):
 
     # -- simulation -----------------------------------------------------------
 
-    def run(self, profile: StrategyProfile) -> GameOutcome:
-        cfg = self.config
-        sim, (genesis,) = _open_chain(cfg, {0: (self.genesis_proposer, self.prev_committee)})
+    def _opening(self) -> Checkpoint:
+        """The run up to the slot-t vote: the seeded genesis and the victim block B_t."""
+        opening = _open_chain(self.config, {0: (self.genesis_proposer, self.prev_committee)})
+        sim, (genesis,) = opening.sim, opening.blocks
         sim.advance(propose_tick(self.SLOT_T))
         # the seeded slot-0 votes are all the tree holds yet
         b_t = sim.propose(self.SLOT_T, genesis.id, self.leader_t, votes=sim.tree.votes)
-        sim.advance(vote_tick(self.SLOT_T))
+        return Checkpoint(sim.tick, sim, (genesis, b_t))
+
+    def run(self, profile: StrategyProfile, start: Optional[Checkpoint] = None) -> GameOutcome:
+        cfg = self.config
+        script = _Script(self, start, self._opening)
+        sim, (genesis, b_t) = script.sim, script.blocks
+        script.at(vote_tick(self.SLOT_T))  # the one decision tick
         _attest(sim, profile, self.SLOT_T, self.committee)
         sim.advance(propose_tick(self.SLOT_ADV))
         reorg = sim.visible_votes_for(b_t.id, slot=self.SLOT_T) < cfg.boost
@@ -402,10 +476,11 @@ class SimpleGame(_VictimSlotGame):
         labels = {"B_prev": genesis.id, "B_t": b_t.id, "B_A": b_a.id}
         trace, reorged = _close(sim, cfg, self.SLOT_ADV, labels)
         success = trace.final_chain == [genesis.id, b_a.id]
-        return GameOutcome(success, reorged, trace)
+        return GameOutcome(success, reorged, trace, checkpoints=script.checkpoints)
 
-    def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        return self._payoffs_from(self.run(profile))
+    def payoffs(self, profile: StrategyProfile,
+                start: Optional[Checkpoint] = None) -> dict[PlayerId, Fraction]:
+        return self._payoffs_from(self.run(profile, start))
 
     # -- conditioning ---------------------------------------------------------
 
@@ -542,9 +617,10 @@ class NoBoostGame(_VictimSlotGame):
             "abstain": Abstain(),
         }
 
-    def run(self, profile: StrategyProfile) -> GameOutcome:
-        cfg = self.config
-        sim, (genesis,) = _open_chain(cfg, {0: (self.genesis_proposer, self.prev_committee)})
+    def _opening(self) -> Checkpoint:
+        """The run up to the slot-2 vote: genesis, the withheld B_adv and the honest B_t."""
+        opening = _open_chain(self.config, {0: (self.genesis_proposer, self.prev_committee)})
+        sim, (genesis,) = opening.sim, opening.blocks
         sim.advance(propose_tick(self.SLOT_WITHHELD))
         # dual release together with the honest slot-2 proposal
         b_adv = sim.propose(
@@ -552,7 +628,13 @@ class NoBoostGame(_VictimSlotGame):
         )
         sim.advance(propose_tick(self.SLOT_T))
         b_t = sim.propose(self.SLOT_T, sim.tip(), self.leader_t)
-        sim.advance(vote_tick(self.SLOT_T))
+        return Checkpoint(sim.tick, sim, (genesis, b_adv, b_t))
+
+    def run(self, profile: StrategyProfile, start: Optional[Checkpoint] = None) -> GameOutcome:
+        cfg = self.config
+        script = _Script(self, start, self._opening)
+        sim, (genesis, b_adv, b_t) = script.sim, script.blocks
+        script.at(vote_tick(self.SLOT_T))  # the one decision tick
         _attest(sim, profile, self.SLOT_T, self.committee)
         sim.advance(propose_tick(self.SLOT_NEXT))
         k_adv = sim.visible_votes_for(b_adv.id, slot=self.SLOT_T)
@@ -569,10 +651,11 @@ class NoBoostGame(_VictimSlotGame):
         labels = {"B_0": genesis.id, "B_adv": b_adv.id, "B_t": b_t.id, "B_next": b_next.id}
         trace, reorged = _close(sim, cfg, self.SLOT_NEXT, labels)
         success = trace.final_chain == [genesis.id, b_adv.id, b_next.id]
-        return GameOutcome(success, reorged, trace)
+        return GameOutcome(success, reorged, trace, checkpoints=script.checkpoints)
 
-    def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        return self._payoffs_from(self.run(profile))
+    def payoffs(self, profile: StrategyProfile,
+                start: Optional[Checkpoint] = None) -> dict[PlayerId, Fraction]:
+        return self._payoffs_from(self.run(profile, start))
 
 
 # ---------------------------------------------------------------------------
@@ -633,31 +716,37 @@ class ExtendedGame(GameModel):
             return {"C": Propose(CompliantTip(), empty=True), "NC": Propose(Tip(), empty=False)}
         return {"C": VoteFor(CompliantTip()), "NC": VoteFor(Tip()), "abstain": Abstain()}
 
-    def run(self, profile: StrategyProfile) -> GameOutcome:
-        cfg = self.config
-        W, p = cfg.committee_size, self.p
-        # original chain B_{-p}..B_0, W votes per block
+    def _opening(self) -> Checkpoint:
+        """The original chain B_{-p}..B_0, W votes per block, and the seeded tracker."""
+        cfg, p = self.config, self.p
         seeded = {s: (self.pre_leaders[s], self.pre_committees[s]) for s in range(-p, 1)}
-        sim, originals = _open_chain(cfg, seeded, start=propose_tick(1))
-        genesis = originals[0]
-        tracker = ComplianceTracker(p, W, cfg.boost, cfg.tie_break)
-        tracker.seed(genesis.id, [b.id for b in originals[1:]])
+        opening = _open_chain(cfg, seeded, start=propose_tick(1))
+        genesis, *originals = opening.blocks
+        tracker = ComplianceTracker(p, cfg.committee_size, cfg.boost, cfg.tie_break)
+        tracker.seed(genesis.id, [b.id for b in originals])
+        return Checkpoint(opening.tick, opening.sim, (genesis,), tracker)
 
+    def run(self, profile: StrategyProfile, start: Optional[Checkpoint] = None) -> GameOutcome:
+        cfg = self.config
+        p = self.p
+        script = _Script(self, start, self._opening)
+        sim, (genesis,), tracker = script.sim, script.blocks, script.tracker
         for slot in range(1, p + 1):
-            sim.advance(propose_tick(slot))
-            ct = tracker.tip_at_leader_time(sim.tree, slot)
-            act = profile.get(DecisionPoint(slot, Role.LEADER, self.leaders[slot].index))
-            if act is not None:
-                parent = sim.resolve(act.parent, ct)
-                included = [v for v in sim.tree.votes if v.slot == slot - 1]
-                if act.empty:  # the compliant leader's block: compliant votes for its parent
-                    included = [
-                        v for v in included if v.target == parent and tracker.is_vote_compliant(v)
-                    ]
-                sim.propose(slot, parent, self.leaders[slot], votes=included, empty=act.empty)
-            sim.advance(vote_tick(slot))
-            ct = tracker.tip_at_vote_time(sim.tree, slot)
-            _attest(sim, profile, slot, self.committees[slot], ct)
+            if script.at(propose_tick(slot)):
+                ct = tracker.tip_at_leader_time(sim.tree, slot)
+                act = profile.get(DecisionPoint(slot, Role.LEADER, self.leaders[slot].index))
+                if act is not None:
+                    parent = sim.resolve(act.parent, ct)
+                    included = [v for v in sim.tree.votes if v.slot == slot - 1]
+                    if act.empty:  # the compliant leader's block: compliant votes for its parent
+                        included = [
+                            v for v in included
+                            if v.target == parent and tracker.is_vote_compliant(v)
+                        ]
+                    sim.propose(slot, parent, self.leaders[slot], votes=included, empty=act.empty)
+            if script.at(vote_tick(slot)):
+                ct = tracker.tip_at_vote_time(sim.tree, slot)
+                _attest(sim, profile, slot, self.committees[slot], ct)
         sim.advance(propose_tick(p + 1))
         ct = tracker.tip_at_leader_time(sim.tree, p + 1)
         included = (v for v in sim.tree.votes if v.slot == p and tracker.is_vote_compliant(v))
@@ -672,10 +761,12 @@ class ExtendedGame(GameModel):
             reorged,
             trace,
             extras={"tracker": tracker, "compliant_chain": compliant_chain},
+            checkpoints=script.checkpoints,
         )
 
-    def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        return self._payoffs_from(self.run(profile))
+    def payoffs(self, profile: StrategyProfile,
+                start: Optional[Checkpoint] = None) -> dict[PlayerId, Fraction]:
+        return self._payoffs_from(self.run(profile, start))
 
     def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
         """Settled attestor payoffs; each leader earns R exactly when its block is on the fork."""
@@ -755,19 +846,23 @@ class SelfishMiningGame(GameModel):
     def candidates(self, dp: DecisionPoint) -> dict[str, object]:
         return {"C": FollowRule(), "NC": VoteFor(Tip()), "abstain": Abstain()}
 
-    def run(self, profile: StrategyProfile) -> GameOutcome:
+    def run(self, profile: StrategyProfile, start: Optional[Checkpoint] = None) -> GameOutcome:
         cfg = self.config
         W = cfg.committee_size
-        sim, (genesis,) = _open_chain(cfg, {0: (self.genesis_proposer, self.committees[0])})
+        script = _Script(self, start, lambda: _open_chain(
+            cfg, {0: (self.genesis_proposer, self.committees[0])}))
+        sim, (genesis,) = script.sim, script.blocks
         for slot in range(1, self.horizon):
-            self._lead(sim, slot)
-            sim.advance(vote_tick(slot))
-            slot_profile = profile if slot in self.player_slots else None
-            _attest(sim, slot_profile, slot, self.committees[slot])
+            if script.at(propose_tick(slot)):
+                self._lead(sim, slot)
+            if script.at(vote_tick(slot)):
+                slot_profile = profile if slot in self.player_slots else None
+                _attest(sim, slot_profile, slot, self.committees[slot])
         # private exchange runs over slot p, after the last recruited
         # committee's nominal voting tick
         sim.advance(vote_tick(self.horizon - 1))
         fork_ids, compliant_votes = self._stage_fork(sim, genesis, profile)
+        sim.advance(propose_tick(self.horizon))
         self._lead(sim, self.horizon)
         trace, reorged = _close(sim, cfg, self.horizon, {"B_0": genesis.id})
         success = trace.final_chain == [genesis.id] + fork_ids
@@ -776,11 +871,10 @@ class SelfishMiningGame(GameModel):
             "fork_weight_non_adversarial": self.horizon * W - compliant_votes,
             "compliant_votes": compliant_votes,
         }
-        return GameOutcome(success, reorged, trace, extras)
+        return GameOutcome(success, reorged, trace, extras, script.checkpoints)
 
     def _lead(self, sim: Simulation, slot: int) -> None:
-        """Slot `slot`'s proposal time: a rational leader builds on the tip."""
-        sim.advance(propose_tick(slot))
+        """Slot `slot`'s proposal, at its tick: a rational leader builds on the tip."""
         if slot in self.adv_slots:
             return
         included = (v for v in sim.tree.votes if v.slot == slot - 1)
@@ -809,8 +903,9 @@ class SelfishMiningGame(GameModel):
             fork_ids.append(parent)
         return fork_ids, compliant_votes
 
-    def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        return self._payoffs_from(self.run(profile))
+    def payoffs(self, profile: StrategyProfile,
+                start: Optional[Checkpoint] = None) -> dict[PlayerId, Fraction]:
+        return self._payoffs_from(self.run(profile, start))
 
     # -- pool payoff table ----------------------------------------------------
 
@@ -864,9 +959,8 @@ class DagVotesGame(GameModel):
 
     Each proposal carries every delivered vote and evidence its chain lacks.
     Every vote and every evidence is sent once, so by induction a chain's
-    inclusions are exactly a prefix of each delivered log: a block's mark is
-    the two log lengths when it was proposed (genesis marks (0, 0)), and a
-    child carries both logs past its parent's mark.
+    inclusions are exactly a prefix of each delivered log: a child carries
+    both logs past the counts its parent's chain includes (`_carried`).
     """
 
     PROFILES = {"prescribed": ("on-tip", "tip")}
@@ -906,35 +1000,29 @@ class DagVotesGame(GameModel):
             "abstain": Abstain(),
         }
 
-    def run(self, profile: StrategyProfile) -> GameOutcome:
+    def run(self, profile: StrategyProfile, start: Optional[Checkpoint] = None) -> GameOutcome:
         cfg = self.config
-        sim, (genesis,) = _open_chain(cfg, {0: (self.genesis_proposer, self.committees[0])})
+        script = _Script(self, start, lambda: _open_chain(
+            cfg, {0: (self.genesis_proposer, self.committees[0])}))
+        sim = script.sim
         votes, evidences = sim.tree.votes, sim.delivered_evidences
-        marks = {genesis.id: (0, 0)}  # each block's (len(votes), len(evidences)) when proposed
-        adv_block = None
         for slot in range(self.n_slots + 1):
             if slot >= 1:
-                sim.advance(propose_tick(slot))
-                leader = self.leaders[slot]
-                if slot == self.adv_slot:
-                    parent = sim.tip() if cfg.adversary_on_tip else sim.resolve(ParentOfTip())
-                else:
-                    act = profile.get(DecisionPoint(slot, Role.LEADER, leader.index))
-                    parent = None if act is None else sim.resolve(act.parent)
-                if parent is not None:
-                    n, k = marks[parent]
-                    block = sim.propose(
-                        slot, parent, leader, votes=votes[n:], evidences=evidences[k:]
-                    )
-                    marks[block.id] = (len(votes), len(evidences))
+                if script.at(propose_tick(slot)):
+                    leader = self.leaders[slot]
                     if slot == self.adv_slot:
-                        adv_block = block
-                sim.advance(vote_tick(slot))
-                # the horizon committee is scripted to vote the tip
-                slot_profile = profile if slot < self.n_slots else None
-                _attest(sim, slot_profile, slot, self.committees[slot])
-            sim.advance(aggregate_tick(slot))
-            if slot < self.n_slots:
+                        parent = sim.tip() if cfg.adversary_on_tip else sim.resolve(ParentOfTip())
+                    else:
+                        act = profile.get(DecisionPoint(slot, Role.LEADER, leader.index))
+                        parent = None if act is None else sim.resolve(act.parent)
+                    if parent is not None:
+                        n, k = _carried(sim.tree, parent)
+                        sim.propose(slot, parent, leader, votes=votes[n:], evidences=evidences[k:])
+                if script.at(vote_tick(slot)):
+                    # the horizon committee is scripted to vote the tip
+                    slot_profile = profile if slot < self.n_slots else None
+                    _attest(sim, slot_profile, slot, self.committees[slot])
+            if script.at(aggregate_tick(slot)) and slot < self.n_slots:
                 # each slot s+1 attestor signs the slot-s votes it saw on time, in one message
                 seen = tuple(vote for vote in votes if vote.slot == slot)
                 if seen:
@@ -942,22 +1030,35 @@ class DagVotesGame(GameModel):
                         sim.emit_evidence(EvidenceRecord(signer.index, seen))
         trace, _ = _close(sim, cfg, self.n_slots, {}, Mechanism.DAG_VOTES)
         chain = set(trace.final_chain)
+        # the adversary alone leads its slot, and every block is delivered by now
+        adv_block = next(iter(trace.tree.by_slot.get(self.adv_slot, ())), None)
         rational_blocks = [
             b.id
             for b in trace.tree.blocks.values()
             if b.proposer.kind is not ValidatorKind.ADVERSARIAL
         ]
         extras = {
-            "adversary_block": adv_block.id if adv_block else None,
-            "adversary_votes": (
-                sim.visible_votes_for(adv_block.id) if adv_block else 0
-            ),
-            "adversary_reorged": bool(adv_block) and adv_block.id not in chain,
+            "adversary_block": adv_block,
+            "adversary_votes": sim.visible_votes_for(adv_block) if adv_block is not None else 0,
+            "adversary_reorged": adv_block is not None and adv_block not in chain,
             "rational_blocks_reorged": [b for b in rational_blocks if b not in chain],
         }
         success = not extras["adversary_reorged"]
-        return GameOutcome(success, [], trace, extras)
+        return GameOutcome(success, [], trace, extras, script.checkpoints)
 
-    def payoffs(self, profile: StrategyProfile) -> dict[PlayerId, Fraction]:
-        return self._payoffs_from(self.run(profile))
+    def payoffs(self, profile: StrategyProfile,
+                start: Optional[Checkpoint] = None) -> dict[PlayerId, Fraction]:
+        return self._payoffs_from(self.run(profile, start))
+
+
+def _carried(tree, bid: BlockId) -> tuple[int, int]:
+    """How many votes and evidences the chain ending at `bid` includes."""
+    votes = evidences = 0
+    cur: Optional[BlockId] = bid
+    while cur is not None:
+        block = tree.blocks[cur]
+        votes += len(block.included_votes)
+        evidences += len(block.included_evidences)
+        cur = block.parent
+    return votes, evidences
 

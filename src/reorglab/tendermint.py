@@ -217,9 +217,13 @@ class _TendermintGame(GameModel):
             self._runs[key] = self._play(profile)
         return self._runs[key]
 
-    def payoffs(self, profile: StrategyProfile) -> dict[int, Fraction]:
+    def payoffs(self, profile: StrategyProfile, start=None) -> dict[int, Fraction]:
+        """Each rational validator's payoff; `start` is always None, as `play` records no checkpoint."""
         run = self.simulate(profile)
         return {v: run.payoffs[v] for v in self.rational}
+
+    def play(self, profile: StrategyProfile):
+        return self.payoffs(profile), {}
 
     def _playing(self, label: str, profile: StrategyProfile) -> set[int]:
         return {dp.actor for dp in self.decision_points() if profile.get(dp) == label}

@@ -1,0 +1,127 @@
+"""Checkpointed runs: a deviation resumed from the profile's own run equals a fresh run.
+
+A checkpoint is the run's state as a decision tick starts.  It is valid for
+every profile that agrees with the recorded one before that tick, which
+rests on the read-tick rule: a game script reads a decision point's action
+only at or after the point's tick.  Both are checked here over random
+configurations and labelled profiles of every engine game.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reorglab.chain import TieBreakPolicy
+from reorglab.engine import Simulation, StrategyProfile
+from reorglab.equilibrium import _deviate
+from reorglab.games import (
+    DagVotesGame,
+    ExtendedGame,
+    GameConfig,
+    NoBoostGame,
+    PoolSpec,
+    SelfishMiningGame,
+    SimpleGame,
+    StrongSimpleGame,
+)
+
+POLICIES = (TieBreakPolicy.ADVERSARY_FAVORING, TieBreakPolicy.LEXICOGRAPHIC)
+
+
+@st.composite
+def games(draw):
+    """A small game of any engine class, pools and tie-break policy included."""
+    W = draw(st.integers(2, 4), label="W")
+    tie_break = draw(st.sampled_from(POLICIES), label="tie_break")
+    cls = draw(st.sampled_from((SimpleGame, StrongSimpleGame, NoBoostGame, ExtendedGame,
+                                SelfishMiningGame, DagVotesGame)), label="game")
+    if cls is NoBoostGame:
+        return cls(GameConfig(W, boost=0, tie_break=tie_break))
+    boost = draw(st.integers(0, W), label="boost")
+    if cls is ExtendedGame:
+        return cls(GameConfig(W, boost=boost, horizon=draw(st.integers(1, 3)),
+                              honest_per_slot=draw(st.integers(0, W - 1)), tie_break=tie_break))
+    if cls is DagVotesGame:
+        return cls(GameConfig(W, boost=boost, adversary_on_tip=draw(st.booleans()),
+                              tie_break=tie_break))
+    if cls is SelfishMiningGame:
+        pool = draw(st.none() | st.builds(PoolSpec, st.integers(0, W)))
+        return cls(GameConfig(W, boost=boost, n_adversarial_slots=draw(st.integers(0, 3)),
+                              n_non_adversarial_slots=draw(st.integers(1, 3)), pool=pool,
+                              allow_condition_violation=True, tie_break=tie_break))
+    pool = draw(st.none() | st.builds(PoolSpec, st.integers(0, W - 1)))
+    return cls(GameConfig(W, boost=boost, pool=pool, credibility_assumed=draw(st.booleans()),
+                          tie_break=tie_break))
+
+
+def labelled_profile(game, rnd) -> StrategyProfile:
+    return game.labelled(lambda dp: rnd.choice(sorted(game.candidates(dp))))
+
+
+def summary(game, outcome) -> tuple:
+    """What a run must reproduce: its exported trace, verdict, reorged blocks and payoffs."""
+    return (
+        outcome.trace.export_lines(),
+        outcome.success,
+        outcome.reorged,
+        game._payoffs_from(outcome),
+        outcome.extras.get("compliant_chain"),
+    )
+
+
+@given(game=games(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_resumed_deviation_equals_a_run_from_the_opening(game, rnd):
+    profile = labelled_profile(game, rnd)
+    base = game.run(profile)
+    assert sorted(base.checkpoints) == sorted({dp.tick for dp in game.decision_points()})
+    # every player's joint assignments, pools spanning several ticks
+    # included, and one two-player coalition
+    assignments = [a for player in game.players() for _, a in game.assignments(player)]
+    if len(assignments) >= 2:
+        first, second = rnd.sample(assignments, 2)
+        assignments.append({**first, **second})
+    played = (game._payoffs_from(base), base.checkpoints)
+    for assignment in assignments:
+        if not assignment:
+            continue
+        deviated = StrategyProfile({**profile.actions, **assignment})
+        start = base.checkpoints[min(dp.tick for dp in assignment)]
+        fresh = summary(game, game.run(deviated))
+        assert summary(game, game.run(deviated, start)) == fresh
+        # the first resume wrote nothing back into the checkpoint
+        assert summary(game, game.run(deviated, start)) == fresh
+        # the equilibrium checks pick the same checkpoint
+        assert _deviate(game, profile, played, assignment)[0] == fresh[3]
+    assert summary(game, game.run(profile)) == summary(game, base)
+
+
+class ReadLog(StrategyProfile):
+    """A profile that records the tick of the simulation in progress at each read."""
+
+    def __init__(self, actions, clock):
+        super().__init__(actions)
+        self.clock, self.reads = clock, []
+
+    def get(self, dp):
+        self.reads.append((dp, self.clock[0].tick))
+        return super().get(dp)
+
+
+@given(game=games(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_actions_are_read_at_or_after_their_tick(game, rnd):
+    clock = [None]
+    advance = Simulation.advance
+
+    def tracked(sim, tick):
+        clock[0] = sim
+        advance(sim, tick)
+
+    profile = ReadLog(labelled_profile(game, rnd).actions, clock)
+    with mock.patch.object(Simulation, "advance", tracked):
+        game.run(profile)
+    assert {dp for dp, _ in profile.reads} == set(game.decision_points())
+    for dp, tick in profile.reads:
+        assert tick >= dp.tick, (dp, tick)

@@ -127,7 +127,9 @@ class TestVerifyNash:
         game = SimpleGame(simple_config())
         played = []
         run = game.run
-        monkeypatch.setattr(game, "run", lambda profile: played.append(profile) or run(profile))
+        monkeypatch.setattr(
+            game, "run", lambda profile, *start: played.append(profile) or run(profile, *start)
+        )
         report = verify_nash(game, game.profile("compliant-all"), coalition_bound=coalition_bound)
         assert len(played) == runs
         assert report.checked == 4 * 3 + (6 * 9 if coalition_bound == 2 else 0)
@@ -293,7 +295,9 @@ class TestDagScenario:
         # the outcome's run is the SPNE base: 33 deviations plus that one run
         runs = []
         run = DagVotesGame.run
-        monkeypatch.setattr(DagVotesGame, "run", lambda game, prof: runs.append(prof) or run(game, prof))
+        monkeypatch.setattr(
+            DagVotesGame, "run", lambda game, prof, *start: runs.append(prof) or run(game, prof, *start)
+        )
         result = dag_security_scenario(self.config())
         assert result.report.checked == 33
         assert len(runs) == 34

@@ -89,6 +89,16 @@ EXTRA = {
                    {"type": "nash", "profile": "honest-all"},
                    {"type": "pool-matrix"}],
     },
+    # the benchmark's selfish-mining size: a hold-out in each player slot, so
+    # deviations at slot 3 play on from a history that slot 1 shaped
+    "golden-selfish-w32-two-holdouts": {
+        "game": {"kind": "selfish-mining", "committee_size": 32, "boost": 13,
+                 "n_adversarial_slots": 2, "n_non_adversarial_slots": 2},
+        "profile": {"base": "compliant-all",
+                    "overrides": [{"slot": 1, "role": "attestor", "actor": 33, "action": "NC"},
+                                  {"slot": 3, "role": "attestor", "actor": 97, "action": "NC"}]},
+        "checks": [{"type": "nash"}, {"type": "outcome"}],
+    },
     # with no adversarial slot there is no player: a run is fine, a Nash
     # check is rejected (see test_selfish_no_adversarial_nash_rejected)
     "golden-selfish-no-adversarial": {
@@ -183,6 +193,10 @@ GOLDEN = {
     "golden-selfish-violation-pool": (
         "a901ddafcd3d5932bd6234dadff13f6de6e4bf6ba669ddc5a417d6da8f58b28d",
         "7e9783409d1b4b502a5492b377d8454b4f90a48cbe4eaa858008e9dd674469a5",
+    ),
+    "golden-selfish-w32-two-holdouts": (
+        "d6999a03cbf74e42d4ba51751a68bf14a9c0bf9c67c7bb083ac0c3e1044e669c",
+        "c95cbd89405d8f56bbf0eefb15c0c94e55cbe2e30a8ff5f0e60d999ba52b99cb",
     ),
     "golden-simple-no-credibility-abstain": (
         "9c6a6a1ad8a086235b8a2f1d80ce4e0fbce10e3cf89f515ce3888f307dec3e23",

@@ -197,13 +197,15 @@ def test_fork_choice_oracle_after_every_interleaved_write(data):
     # the tree caches its latest votes, subtree weights and tie-break keys
     # per tree state; queries between writes fill those caches, so every
     # later write (a block, a vote, or a wholesale `votes` reassignment as
-    # `set_votes` does, shorter, longer or of equal length) must be seen
+    # `set_votes` does, shorter, longer or of equal length) must be seen.
+    # A fork carries the caches over, and it and its original are then
+    # written to independently: each must see its own writes only
     n = data.draw(st.integers(1, 8), label="blocks")
     ids = data.draw(st.permutations(range(n)), label="ids")
-    tree = BlockTree()
-    inserted: list[int] = []
+    trees: list[tuple[BlockTree, list[int]]] = [(BlockTree(), [])]
     for _ in range(data.draw(st.integers(1, 16), label="writes")):
         op = data.draw(st.sampled_from(("block", "vote", "vote", "assign")))
+        tree, inserted = trees[data.draw(st.integers(0, len(trees) - 1), label="tree")]
         if not inserted or (op == "block" and len(inserted) < n):
             parent = data.draw(st.sampled_from(inserted)) if inserted else None
             slot = 0 if parent is None else tree.blocks[parent].slot + data.draw(st.integers(1, 3))
@@ -225,18 +227,22 @@ def test_fork_choice_oracle_after_every_interleaved_write(data):
             target = data.draw(st.sampled_from(inserted))
             late, time = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
             tree.add_vote(VoteRecord(tree.blocks[target].slot + late, voter, target, time))
-        current_slot = data.draw(st.sampled_from(sorted({b.slot for b in tree.blocks.values()})))
-        boosted = data.draw(st.none() | st.sampled_from(inserted))
-        boost = data.draw(st.integers(0, 4))
-        virtual = data.draw(st.dictionaries(st.sampled_from(inserted), st.integers(0, 3), max_size=2))
-        for bid in inserted:
-            assert tree.subtree_weight(bid, current_slot, boosted, boost, virtual) == oracle_weight(
-                tree, bid, current_slot, boosted, boost, virtual)
-        for policy in POLICIES:
-            assert tree.fork_choice(current_slot, boosted, boost, policy, virtual) == oracle_fork_choice(
-                tree, current_slot, boosted, boost, policy, virtual)
-            assert tree.fork_choice(current_slot, tie_break=policy) == oracle_fork_choice(
-                tree, current_slot, tie_break=policy)
+        # a fork taken before the queries that would refresh the caches
+        if len(trees) < 3 and data.draw(st.booleans(), label="fork"):
+            trees.append((tree.fork(), list(inserted)))
+        for tree, inserted in trees:
+            current_slot = data.draw(st.sampled_from(sorted({b.slot for b in tree.blocks.values()})))
+            boosted = data.draw(st.none() | st.sampled_from(inserted))
+            boost = data.draw(st.integers(0, 4))
+            virtual = data.draw(st.dictionaries(st.sampled_from(inserted), st.integers(0, 3), max_size=2))
+            for bid in inserted:
+                assert tree.subtree_weight(bid, current_slot, boosted, boost, virtual) == oracle_weight(
+                    tree, bid, current_slot, boosted, boost, virtual)
+            for policy in POLICIES:
+                assert tree.fork_choice(current_slot, boosted, boost, policy, virtual) == oracle_fork_choice(
+                    tree, current_slot, boosted, boost, policy, virtual)
+                assert tree.fork_choice(current_slot, tie_break=policy) == oracle_fork_choice(
+                    tree, current_slot, tie_break=policy)
 
 
 @given(
