@@ -2,13 +2,17 @@
 
 The lab verifies *given* profiles, mirroring proof-by-exhibit: it never
 solves for equilibria.  Each candidate deviation is evaluated by a complete
-simulation of the game with everyone else held fixed, so a reported
-deviation always reproduces its claimed gain when replayed.  A deviation
-leaves every tick before its earliest decision point as the profile's own
-run played it, so it resumes from that run's checkpoint at that tick; a run
-from the opening plays the same script from its first tick.  A candidate
-the profile already plays is not simulated again: it reads the profile's
-own payoffs, though the Nash checks still count it as checked.
+simulation of the game with everyone else held fixed, once per class: the
+players of one symmetry class (`GameModel.symmetry_classes`) are
+interchangeable, so the unilateral checks play a candidate for the first
+member of its class and give that payoff to every other member, each of
+which still counts it as checked.  A reported deviation always reproduces
+its claimed gain when replayed.  A deviation leaves every tick before its
+earliest decision point as the profile's own run played it, so it resumes
+from that run's checkpoint at that tick; a run from the opening plays the
+same script from its first tick.  A candidate the profile already plays is
+not simulated again: it reads the profile's own payoffs, though the Nash
+checks still count it as checked.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .games import (
     GameOutcome,
     PlayerId,
     SimpleGame,
+    _RECORD,
 )
 
 
@@ -152,12 +157,17 @@ def verify_nash(
     count = sum(len(a) for a in assignments.values())
     _estimate(count, max_joint_actions)
 
+    classes = game.symmetry_classes(profile)
+    memo: dict[tuple, Fraction] = {}  # (class, assignment index, label) -> the deviator's payoff
     deviations: list[Deviation] = []
     checked = 0
     for player in players:
-        for label, assignment in assignments[player]:
+        for i, (label, assignment) in enumerate(assignments[player]):
             checked += 1
-            value = _deviate(game, profile, played, assignment)[0][player]
+            key = (classes[player], i, label)
+            if key not in memo:
+                memo[key] = _deviate(game, profile, played, assignment)[0][player]
+            value = memo[key]
             if value > base[player]:
                 deviations.append(Deviation(player, label, base[player], value))
     if deviations:
@@ -196,7 +206,8 @@ def verify_spne(
 
     For each decision point, taken from the last to the first, every
     alternative action is played once with the profile fixed everywhere
-    else; the owner's prescribed action must be a best response there.  The
+    else (once per symmetry class: interchangeable owners share the run);
+    the owner's prescribed action must be a best response there.  The
     histories that an earlier deviation reaches are not examined, so this
     is not backward induction over every subgame.  The emitted subgame
     table records each owner's payoff per action label.  `played` is the
@@ -212,15 +223,25 @@ def verify_spne(
         played = game.play(profile)
     base = played[0]
 
+    classes = game.symmetry_classes(profile)
+    # a decision point up to symmetry: its owner, the owner's class, its place among the owner's
+    place = {dp: (player, classes[player], i)
+             for player, seats in game._seats.items() for i, dp in enumerate(seats)}
+    memo: dict[tuple, tuple[Fraction, bool]] = {}  # (class, place, label) -> payoff, deviates
+
     deviations: list[Deviation] = []
     table: list[SubgameEntry] = []
     checked = 0
     for dp in reversed(dps):
-        owner = game.owner(dp)
+        owner, cls, i = place[dp]
         payoffs: dict[str, Fraction] = {}
         for label, action in game.candidates(dp).items():
-            deviated, deviates = _deviate(game, profile, played, {dp: action})
-            value = payoffs[label] = deviated[owner]
+            key = (cls, i, label)
+            if key not in memo:
+                deviated, deviates = _deviate(game, profile, played, {dp: action})
+                memo[key] = deviated[owner], deviates
+            value, deviates = memo[key]
+            payoffs[label] = value
             if not deviates:
                 continue
             checked += 1
@@ -323,7 +344,7 @@ def dag_security_scenario(
         )
     game = DagVotesGame(config)
     profile = game.profile("prescribed")
-    outcome = game.run(profile)
+    outcome = game.run(profile, _RECORD)  # the SPNE check's base run
     if not config.adversary_on_tip:
         if outcome.extras["adversary_votes"] != 0:
             raise AssumptionViolated("off-tip adversarial block gathered votes")

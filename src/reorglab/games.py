@@ -158,7 +158,7 @@ class GameOutcome:
     reorged: list[BlockId]
     trace: RunTrace  # its `payoffs` are the run's settlement
     extras: dict = field(default_factory=dict)
-    # by tick, one per decision tick of a run from the opening; none for a resumed run
+    # by tick, one per decision tick of a run that records them (`play`); none otherwise
     checkpoints: dict[int, Checkpoint] = field(default_factory=dict)
 
     @property
@@ -185,13 +185,14 @@ class GameModel:
     A game lists its decision points (`decision_points`), the labelled
     candidate actions of each (`candidates`), and plays a profile (`run`,
     `payoffs`): from its opening, or from a checkpoint (`start`) recorded by
-    an earlier run (`play`) of a profile that agrees with it before the
-    checkpoint's tick.  `candidates` is the only place a game builds actions;
-    everything else names them by label (`action`, `labelled`).  The roster
-    follows from those: a decision point belongs to its actor, unless the
-    actor is a member of one of `pools`, whose members move together; each
-    player's decision points are listed once, in `_seats`.  Named profiles
-    follow from `PROFILES`.
+    an earlier run (`play`, which starts from `_RECORD`) of a profile that
+    agrees with it before the checkpoint's tick.  `candidates` is the only
+    place a game builds actions; everything else names them by label
+    (`action`, `labelled`).  The roster follows from those: a decision point
+    belongs to its actor, unless the actor is a member of one of `pools`,
+    whose members move together; each player's decision points are listed
+    once, in `_seats`.  Under a profile the players fall into symmetry
+    classes (`symmetry_classes`).  Named profiles follow from `PROFILES`.
     """
 
     # profile name -> candidate labels; each decision point takes the first
@@ -233,8 +234,33 @@ class GameModel:
 
     def play(self, profile: StrategyProfile) -> tuple[dict[PlayerId, Fraction], dict[int, Checkpoint]]:
         """The profile's payoffs, and the checkpoints its run recorded."""
-        outcome = self.run(profile)
+        outcome = self.run(profile, _RECORD)
         return self._payoffs_from(outcome), outcome.checkpoints
+
+    def symmetry_classes(self, profile: StrategyProfile) -> dict[PlayerId, object]:
+        """Each player's symmetry class under `profile`.
+
+        Players of one class are interchangeable: the permutation of
+        validator indices that swaps two of them maps the roster, `pools`,
+        the committees and `profile` onto themselves, so a candidate
+        deviation pays either one the same as the other's matching one.  A
+        solo player's key is the slot, role and candidate label of its
+        action at each of its decision points, since a game's committee
+        members of one slot and role differ in nothing but their index.  A
+        pool, and a solo player whose action somewhere is no candidate, is
+        its own class.  A game whose players differ in more than that
+        declares its own classes.
+        """
+        classes: dict[PlayerId, object] = {}
+        for player, dps in self._seats.items():
+            key = tuple((dp.slot, dp.role, self._label(dp, profile.get(dp))) for dp in dps)
+            shared = player not in self.pools and all(label is not None for *_, label in key)
+            classes[player] = key if shared else player
+        return classes
+
+    def _label(self, dp: DecisionPoint, action: object) -> Optional[str]:
+        """The label of the candidate of `dp` that `action` is, if any."""
+        return next((label for label, act in self.candidates(dp).items() if act == action), None)
 
     def action(self, dp: DecisionPoint, label: str) -> object:
         """The candidate of `dp` labelled `label`."""
@@ -296,22 +322,24 @@ def _require(game: GameModel, *games: type) -> None:
 # -- the phases every game script shares ----------------------------------------
 
 
+# `run`'s `start` for a play from the opening that records its checkpoints
+_RECORD = object()
+
+
 class _Script:
     """One play of a game script, from its opening or resumed from a checkpoint.
 
     The script passes the tick of each phase that a checkpoint can lie past
     to `at` first.  A phase before the tick the play started at is already
     in the state it started from, so `at` skips it; otherwise it runs the
-    clock to the tick.  A play from the opening records a checkpoint as each
-    decision tick starts, before the phase reads any action of that tick.
+    clock to the tick.  A play from the opening that was started with
+    `_RECORD` records a checkpoint as each decision tick starts, before the
+    phase reads any action of that tick.
     """
 
-    def __init__(self, game: GameModel, start: Optional[Checkpoint],
-                 opening: Callable[[], Checkpoint]):
-        if start is None:
-            state, self._record = opening(), game._decision_ticks
-        else:
-            state, self._record = start.fork(), frozenset()
+    def __init__(self, game: GameModel, start, opening: Callable[[], Checkpoint]):
+        state = opening() if start is None or start is _RECORD else start.fork()
+        self._record = game._decision_ticks if start is _RECORD else frozenset()
         self.sim, self.blocks, self.tracker = state.sim, state.blocks, state.tracker
         self._first_tick = state.tick
         self.checkpoints: dict[int, Checkpoint] = {}

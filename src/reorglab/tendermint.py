@@ -225,6 +225,10 @@ class _TendermintGame(GameModel):
     def play(self, profile: StrategyProfile):
         return self.payoffs(profile), {}
 
+    def symmetry_classes(self, profile: StrategyProfile) -> dict[int, object]:
+        """One class per player: the slot, role and label key does not cover the pack's structure."""
+        return {player: player for player in self.players()}
+
     def _playing(self, label: str, profile: StrategyProfile) -> set[int]:
         return {dp.actor for dp in self.decision_points() if profile.get(dp) == label}
 

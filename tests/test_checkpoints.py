@@ -4,59 +4,23 @@ A checkpoint is the run's state as a decision tick starts.  It is valid for
 every profile that agrees with the recorded one before that tick, which
 rests on the read-tick rule: a game script reads a decision point's action
 only at or after the point's tick.  Both are checked here over random
-configurations and labelled profiles of every engine game.
+configurations and labelled profiles of every engine game.  Only a check's
+base run (`GameModel.play`) records checkpoints.
 """
 
+import io
+import json
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reorglab.chain import TieBreakPolicy
-from reorglab.engine import Simulation, StrategyProfile
+from reorglab.cli import run_scenario
+from reorglab.engine import Simulation, StrategyProfile, vote_tick
 from reorglab.equilibrium import _deviate
-from reorglab.games import (
-    DagVotesGame,
-    ExtendedGame,
-    GameConfig,
-    NoBoostGame,
-    PoolSpec,
-    SelfishMiningGame,
-    SimpleGame,
-    StrongSimpleGame,
-)
+from reorglab.games import GameConfig, SimpleGame, _RECORD, simple_payoff_matrix
 
-POLICIES = (TieBreakPolicy.ADVERSARY_FAVORING, TieBreakPolicy.LEXICOGRAPHIC)
-
-
-@st.composite
-def games(draw):
-    """A small game of any engine class, pools and tie-break policy included."""
-    W = draw(st.integers(2, 4), label="W")
-    tie_break = draw(st.sampled_from(POLICIES), label="tie_break")
-    cls = draw(st.sampled_from((SimpleGame, StrongSimpleGame, NoBoostGame, ExtendedGame,
-                                SelfishMiningGame, DagVotesGame)), label="game")
-    if cls is NoBoostGame:
-        return cls(GameConfig(W, boost=0, tie_break=tie_break))
-    boost = draw(st.integers(0, W), label="boost")
-    if cls is ExtendedGame:
-        return cls(GameConfig(W, boost=boost, horizon=draw(st.integers(1, 3)),
-                              honest_per_slot=draw(st.integers(0, W - 1)), tie_break=tie_break))
-    if cls is DagVotesGame:
-        return cls(GameConfig(W, boost=boost, adversary_on_tip=draw(st.booleans()),
-                              tie_break=tie_break))
-    if cls is SelfishMiningGame:
-        pool = draw(st.none() | st.builds(PoolSpec, st.integers(0, W)))
-        return cls(GameConfig(W, boost=boost, n_adversarial_slots=draw(st.integers(0, 3)),
-                              n_non_adversarial_slots=draw(st.integers(1, 3)), pool=pool,
-                              allow_condition_violation=True, tie_break=tie_break))
-    pool = draw(st.none() | st.builds(PoolSpec, st.integers(0, W - 1)))
-    return cls(GameConfig(W, boost=boost, pool=pool, credibility_assumed=draw(st.booleans()),
-                          tie_break=tie_break))
-
-
-def labelled_profile(game, rnd) -> StrategyProfile:
-    return game.labelled(lambda dp: rnd.choice(sorted(game.candidates(dp))))
+from engine_games import games, labelled_profile
 
 
 def summary(game, outcome) -> tuple:
@@ -74,7 +38,7 @@ def summary(game, outcome) -> tuple:
 @settings(max_examples=60, deadline=None)
 def test_resumed_deviation_equals_a_run_from_the_opening(game, rnd):
     profile = labelled_profile(game, rnd)
-    base = game.run(profile)
+    base = game.run(profile, _RECORD)
     assert sorted(base.checkpoints) == sorted({dp.tick for dp in game.decision_points()})
     # every player's joint assignments, pools spanning several ticks
     # included, and one two-player coalition
@@ -125,3 +89,24 @@ def test_actions_are_read_at_or_after_their_tick(game, rnd):
     assert {dp for dp, _ in profile.reads} == set(game.decision_points())
     for dp, tick in profile.reads:
         assert tick >= dp.tick, (dp, tick)
+
+
+
+def test_only_a_checks_base_run_records_checkpoints():
+    # each recorded checkpoint forks the run; an outcome check and the payoff
+    # table's conditioned runs resume from none of them, so they record none
+    forks = []
+    fork = Simulation.fork
+    outcome_check = {
+        "scenario": "outcome-only",
+        "game": {"kind": "extended", "committee_size": 4, "boost": 2, "horizon": 3},
+        "checks": [{"type": "outcome", "profile": "compliant-all"}],
+    }
+    with mock.patch.object(Simulation, "fork", lambda sim: forks.append(sim) or fork(sim)):
+        run_scenario(io.StringIO(json.dumps(outcome_check)))
+        simple_payoff_matrix(SimpleGame(GameConfig(4, boost=2)))
+        assert forks == []
+        game = SimpleGame(GameConfig(4, boost=2))
+        _, checkpoints = game.play(game.profile("compliant-all"))
+    assert sorted(checkpoints) == [vote_tick(SimpleGame.SLOT_T)]
+    assert len(forks) == 1

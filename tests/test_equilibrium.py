@@ -120,10 +120,11 @@ class TestVerifyNash:
         with pytest.raises(ExplosionGuard):
             verify_nash(game, game.profile("compliant-all"), max_joint_actions=3)
 
-    @pytest.mark.parametrize("coalition_bound,runs", [(1, 1 + 4 * 2), (2, 1 + 4 * 2 + 6 * 8)])
+    @pytest.mark.parametrize("coalition_bound,runs", [(1, 1 + 2), (2, 1 + 2 + 6 * 8)])
     def test_profile_played_once(self, monkeypatch, coalition_bound, runs):
         # the base run, then every candidate the profile does not already
-        # play: 2 of 3 per player, 8 of 9 per pair
+        # play: 2 of 3 for the one class the four compliant players form,
+        # 8 of 9 per pair
         game = SimpleGame(simple_config())
         played = []
         run = game.run
@@ -292,7 +293,8 @@ class TestDagScenario:
         assert result.outcome.extras["adversary_reorged"]
 
     def test_prescribed_profile_played_once(self, monkeypatch):
-        # the outcome's run is the SPNE base: 33 deviations plus that one run
+        # the outcome's run is the SPNE base; of the 33 deviations, one per
+        # rational leader and two per attestor class (one class per slot) run
         runs = []
         run = DagVotesGame.run
         monkeypatch.setattr(
@@ -300,7 +302,7 @@ class TestDagScenario:
         )
         result = dag_security_scenario(self.config())
         assert result.report.checked == 33
-        assert len(runs) == 34
+        assert len(runs) == 1 + 3 + 3 * 2
 
     def test_boost_too_large_rejected(self):
         from reorglab.equilibrium import AssumptionViolated

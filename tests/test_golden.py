@@ -123,12 +123,27 @@ EXTRA = {
                                    "action": "abstain"}]},
         "checks": [{"type": "spne"}, {"type": "nash"}, {"type": "outcome"}],
     },
-    # beyond the golden sizes: W^2 evidence keys per slot at W=33, the
-    # largest committee the DAG-votes rule is certified at in tier-1
+    # beyond the toy sizes: W evidences per slot at W=33
     "golden-dag-w33-flip": {
         "game": {"kind": "dag-votes", "committee_size": 33, "boost": 0},
         "checks": [{"type": "dag-scenario", "ethereum_flip": True},
                    {"type": "outcome", "profile": "prescribed"}],
+    },
+    # the frontier the symmetry classes open: DAG W=65 with the flip, and a
+    # simple W=512 committee whose three hold-outs form two classes of their own
+    "golden-dag-w65-flip": {
+        "game": {"kind": "dag-votes", "committee_size": 65, "boost": 0},
+        "checks": [{"type": "dag-scenario", "ethereum_flip": True},
+                   {"type": "outcome", "profile": "prescribed"}],
+    },
+    "golden-simple-w512-holdouts": {
+        "game": {"kind": "simple", "committee_size": 512, "boost": 205},
+        "profile": {"base": "compliant-all",
+                    "overrides": [{"slot": 1, "role": "attestor", "actor": 519, "action": "NC"},
+                                  {"slot": 1, "role": "attestor", "actor": 812,
+                                   "action": "abstain"},
+                                  {"slot": 1, "role": "attestor", "actor": 1023, "action": "NC"}]},
+        "checks": [{"type": "nash"}, {"type": "outcome"}],
     },
     "golden-tendermint-withholding-m0": {
         "game": {"kind": "tendermint", "variant": "withholding", "f": 2, "m": 0, "r": "1"},
@@ -165,6 +180,10 @@ GOLDEN = {
     "golden-dag-w33-flip": (
         "f5ad91c1193756b13b434c562ebe7c5e670c8d96144095f960ea1d361422f117",
         "ad04026f1da2125b88d2ec118d6c7ba616c8b0b5f8e154faf7df5747c7be8209",
+    ),
+    "golden-dag-w65-flip": (
+        "f1c86d81463d3b0fbef7590ccb1073f888ccea9a22f78fe22f6baca3a350e613",
+        "842e00e4f0d663ecfa0b5c21309ef6b455603e01751ce868e5ce1fa48e6d23ec",
     ),
     "golden-extended-honest-leader-override": (
         "509432b71f24461231d0754cc788ea9f6fa79bf3c7f2b9310fe5d1596121eabe",
@@ -205,6 +224,10 @@ GOLDEN = {
     "golden-simple-pool2-coalition": (
         "5267962510c826878dc9eb3d22b339681c1117e2be8a0765cd04b02df05702cf",
         "0a4235e65125d420a45684e7e33a3ecd1530e38f3d3e23dd06a270319530a069",
+    ),
+    "golden-simple-w512-holdouts": (
+        "3439cdeb404c22fa9684935b984286f4b53dcaaa575880d1fcd2b9a289541c46",
+        "e1c9dce2200983620932a4300d0379d8d0a9ebc9b7558b0cb75dd6230e7e1493",
     ),
     "golden-strong-simple-epoch4": (
         "1c3f7f3a886a1e9bdb6f4dd5731729698a8f10aa12a8554207cb81508b3fbc62",
