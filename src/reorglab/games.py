@@ -248,8 +248,9 @@ class GameModel:
         action at each of its decision points, since a game's committee
         members of one slot and role differ in nothing but their index.  A
         pool, and a solo player whose action somewhere is no candidate, is
-        its own class.  A game whose players differ in more than that
-        declares its own classes.
+        its own class.  Every game takes this key, the Tendermint games
+        included: their runs read the rational validators only as sets, so
+        no game tells two players of one key apart by index.
         """
         classes: dict[PlayerId, object] = {}
         for player, dps in self._seats.items():

@@ -27,6 +27,7 @@ reward unit r.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -155,18 +156,28 @@ def tm_vote_reward(
 
 
 def evidence_counts(
-    values: Mapping[int, Optional[int]], sees: Callable[[int, int], bool]
+    values: Mapping[int, Optional[int]], audience: Callable[[int], frozenset[int]]
 ) -> dict[int, int]:
     """Clause (i) signatures on each sender's message of one round and kind.
 
-    `values` maps each sender to the value of its message.  A signer signs a
-    sender's message, its own included, when it sees it (`sees(signer,
-    sender)`) and its own message carries the same value.
+    `values` maps each sender to the value of its message, and
+    `audience(sender)` is the set of validators that see that message.  A
+    signer signs a sender's message, its own included, when it is in the
+    message's audience and its own message carries the same value; a
+    validator that sent no message signs nothing.  The count is per audience:
+    the values of each distinct audience are tallied once, and every sender
+    whose message reaches it reads its count off that tally.  A round with a
+    few audiences thus costs O(senders) rather than one check per (signer,
+    sender) pair.
     """
-    return {
-        sender: sum(1 for signer, mine in values.items() if mine == value and sees(signer, sender))
-        for sender, value in values.items()
-    }
+    tallies: dict[frozenset[int], Counter] = {}
+    counts = {}
+    for sender, value in values.items():
+        seen_by = audience(sender)
+        if seen_by not in tallies:
+            tallies[seen_by] = Counter(values[s] for s in seen_by if s in values)
+        counts[sender] = tallies[seen_by][value]
+    return counts
 
 
 def _honest_votes(states: dict[int, RoundState], view: list[TendermintMsg], phase: MsgKind,
@@ -194,7 +205,13 @@ class _TendermintGame(GameModel):
     Each label in `LABELS` is a candidate action of every rational validator;
     `PROFILES` names the playable profiles in which all of them take the same
     one.  Each distinct profile is played once per game object (`simulate`
-    keeps the run).
+    keeps the run).  The players take `GameModel.symmetry_classes`' shared
+    key: every rational validator has one decision point, at slot 1 as an
+    attestor, so two of them share a class when they take the same label.
+    That is sound because a run reads its rational validators only as sets
+    (`_playing`, the audiences of `evidence_counts`, `sorted(backers)` into a
+    view whose order no quorum reads): swapping two of one label changes no
+    set, so each one's deviation pays it what the other's pays the other.
     """
 
     LABELS: tuple[str, ...] = ()
@@ -224,10 +241,6 @@ class _TendermintGame(GameModel):
 
     def play(self, profile: StrategyProfile):
         return self.payoffs(profile), {}
-
-    def symmetry_classes(self, profile: StrategyProfile) -> dict[int, object]:
-        """One class per player: the slot, role and label key does not cover the pack's structure."""
-        return {player: player for player in self.players()}
 
     def _playing(self, label: str, profile: StrategyProfile) -> set[int]:
         return {dp.actor for dp in self.decision_points() if profile.get(dp) == label}
@@ -282,7 +295,8 @@ class WithholdingGame(_TendermintGame):
     def _play(self, profile: StrategyProfile) -> RoundRun:
         f, m, height = self.f, self.m, 1
         deviators = self._playing("honest-r1", profile)
-        pack = set(self.pack)
+        everyone, pack = frozenset(range(self.n)), frozenset(self.pack)
+        outside = everyone - pack
         states = {v: RoundState(height=height) for v in self.honest}
         view: list[TendermintMsg] = []  # the public messages
         payoffs = {v: Fraction(0) for v in range(self.n)}
@@ -309,11 +323,13 @@ class WithholdingGame(_TendermintGame):
             honest_precommits = _honest_votes(states, view, MsgKind.PRECOMMIT, f)
             if any(value is not NIL for value in honest_precommits.values()):
                 raise AssumptionViolated("honest precommit without a quorum")
-            # the pack also sees its private prevotes; precommits are all nil (no
-            # quorum), and each side signs its own side's with the next prevotes
+            # everyone sees the public prevotes, and only the pack its private
+            # ones (every sender outside `public` is in the pack); precommits are
+            # all nil (no quorum), and each side signs its own side's with the
+            # next prevotes
             precommits = dict.fromkeys(prevotes, NIL)
-            pv = evidence_counts(prevotes, lambda s, v: v in public or (s in pack and v in pack))
-            pc = evidence_counts(precommits, lambda s, v: (s in pack) == (v in pack))
+            pv = evidence_counts(prevotes, lambda v: everyone if v in public else pack)
+            pc = evidence_counts(precommits, lambda v: pack if v in pack else outside)
             # included in round m+1, where everything surfaces and finalizes
             for v, paid in self._pays(pv, pc, (rho, height), (m + 1, height)).items():
                 payoffs[v] += paid
@@ -374,8 +390,9 @@ class AnchorGame(_TendermintGame):
             precommits[v] = block if quorum_b else NIL
             view.append(TendermintMsg(MsgKind.PRECOMMIT, height, rho, precommits[v], v))
         finalized = _quorum(view, MsgKind.PRECOMMIT, height, rho, block, f)
-        everyone = lambda signer, sender: True
-        pv, pc = evidence_counts(prevotes, everyone), evidence_counts(precommits, everyone)
+        everyone = frozenset(range(self.n))
+        pv = evidence_counts(prevotes, lambda v: everyone)
+        pc = evidence_counts(precommits, lambda v: everyone)
         payoffs = self._pays(pv, pc, (rho, height), (1, height + 1))
         return RoundRun(rho if finalized else -1, MappingProxyType(payoffs))
 
@@ -390,10 +407,14 @@ def honest_anchor_scenario(
     run = game.simulate(profile)
     if run.finalized_round != 1:
         raise AssumptionViolated("honest-led round failed to finalize")
-    # a nil-prevote deviation earns no honest evidence and forfeits the round
+    # a nil-prevote deviation earns no honest evidence and forfeits the round;
+    # it is read once per symmetry class, for the class's first member, whose
+    # deviation `verify_nash` has just played, so `simulate` returns that run
+    classes = game.symmetry_classes(profile)
+    first: dict[object, DecisionPoint] = {}
+    for dp in game.decision_points():
+        first.setdefault(classes[dp.actor], dp)
     nil = lambda dp: profile.with_action(dp, game.action(dp, "prevote-nil"))
-    forfeits = all(
-        game.payoffs(nil(dp))[dp.actor] < run.payoffs[dp.actor] for dp in game.decision_points()
-    )
+    forfeits = all(game.payoffs(nil(dp))[dp.actor] < run.payoffs[dp.actor] for dp in first.values())
     return AnchorResult(run.finalized_round, reorg_resilient=True, payoffs=run.payoffs,
                         deviation_forfeits=forfeits, report=report)

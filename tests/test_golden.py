@@ -154,6 +154,14 @@ EXTRA = {
     "golden-tendermint-anchor-f4": {
         "game": {"kind": "tendermint", "variant": "anchor", "f": 4, "r": "2"},
     },
+    # beyond the toy sizes: 118 and 60 rational validators, each game's pack
+    # one symmetry class, and each round's evidence counted per audience
+    "golden-tendermint-withholding-f60-m3": {
+        "game": {"kind": "tendermint", "variant": "withholding", "f": 60, "m": 3, "r": "1"},
+    },
+    "golden-tendermint-anchor-f60": {
+        "game": {"kind": "tendermint", "variant": "anchor", "f": 60, "r": "1"},
+    },
 }
 for _name, _doc in EXTRA.items():
     _doc["scenario"] = _name
@@ -237,8 +245,16 @@ GOLDEN = {
         "f74edffccc239dce4fd4fb914b89574f9bfa0859b9f75e837119bcab14c65207",
         None,
     ),
+    "golden-tendermint-anchor-f60": (
+        "153352b6951e0591ba5ad46275d33dbca17a39855236c954f8979263c088868c",
+        None,
+    ),
     "golden-tendermint-withholding-m0": (
         "8dea863b18f3d3d296107e4992a9bf198cf028afb3f4b51f8c9ae5f4080eb913",
+        None,
+    ),
+    "golden-tendermint-withholding-f60-m3": (
+        "54a15bd4b53bd9e69b0304e657ae5f9754ac6a2cbeaca6b4e57d12ec352b31be",
         None,
     ),
     "golden-tendermint-withholding-m4": (

@@ -8,12 +8,14 @@ deviation's payoffs onto the matching deviation's.  That is what lets
 `verify_nash` and `verify_spne` play one member's candidates for its whole
 class; their reports must equal a plain loop that plays every candidate
 from the opening.  Both are checked over random configurations and labelled
-profiles of every engine game, pools and both tie-break policies included.
+profiles of every engine game, pools and both tie-break policies included,
+and of both Tendermint games, whose rational validators take the same key.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +29,8 @@ from reorglab.equilibrium import (
     verify_nash,
     verify_spne,
 )
-from reorglab.games import GameConfig, PoolSpec, SimpleGame
-from reorglab.tendermint import WithholdingGame
+from reorglab.games import AssumptionViolated, GameConfig, PoolSpec, SimpleGame
+from reorglab.tendermint import AnchorGame, WithholdingGame
 
 from engine_games import games
 
@@ -150,7 +152,84 @@ class TestClassKey:
         del profile.actions[stray]
         assert game.symmetry_classes(profile)[stray.actor] == stray.actor
 
-    def test_tendermint_players_stand_alone(self):
+    def test_tendermint_pack_is_one_class_per_label(self):
         game = WithholdingGame(f=2, m=1, r_unit=Fraction(1))
-        classes = game.symmetry_classes(game.profile("script"))
-        assert classes == {p: p for p in game.players()}
+        script = (1, Role.ATTESTOR, "script")
+        assert set(game.symmetry_classes(game.profile("script")).values()) == {(script,)}
+        deviator = game.rational[0]
+        mixed = game.labelled(lambda dp: "honest-r1" if dp.actor == deviator else "script")
+        classes = game.symmetry_classes(mixed)
+        assert classes[deviator] == ((1, Role.ATTESTOR, "honest-r1"),)
+        assert {classes[p] for p in game.rational[1:]} == {(script,)}
+
+
+# -- the Tendermint games --------------------------------------------------
+
+
+@st.composite
+def tendermint_games(draw):
+    """A constructor of a Tendermint game: withholding with f <= 4 and m <= 3, or the anchor."""
+    f = draw(st.integers(1, 4))
+    r_unit = Fraction(draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 3))
+        return lambda: WithholdingGame(f, m, r_unit)
+    return lambda: AnchorGame(f, r_unit)
+
+
+def mixed_profile(game, rnd):
+    """A labelled profile with each rational validator's label drawn at random."""
+    return game.labelled(lambda dp: rnd.choice(game.LABELS))
+
+
+def settled(call):
+    """What `call()` returns, or the message of the `AssumptionViolated` it raises."""
+    try:
+        return call()
+    except AssumptionViolated as exc:
+        return f"AssumptionViolated: {exc}"
+
+
+@given(make=tendermint_games(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_swapping_two_tendermint_class_members_carries_payoffs_over(make, rnd):
+    game = make()
+    profile = mixed_profile(game, rnd)
+    groups = shared_classes(game, profile)
+    assume(groups)
+    p, q = rnd.sample(rnd.choice(groups), 2)
+
+    def sigma(v):
+        return q if v == p else p if v == q else v
+
+    def played(profile, relabel):
+        run = game.simulate(profile)
+        return run.finalized_round, {relabel(v): amount for v, amount in run.payoffs.items()}
+
+    # every candidate of p against the same candidate of q; a profile that
+    # raises must raise for both
+    for label, assignment in game.assignments(p):
+        (dp,) = assignment
+        image = replace(dp, actor=q)
+        ran = settled(lambda: played(_apply(profile, assignment), sigma))
+        swapped = settled(lambda: played(_apply(profile, {image: game.action(image, label)}),
+                                          lambda v: v))
+        assert ran == swapped, (p, q, label)
+
+
+@given(make=tendermint_games(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_tendermint_class_quotient_equals_full_enumeration(make, rnd):
+    # each side on its own game object, so neither reads the other's cached runs
+    profile = mixed_profile(make(), rnd)
+    quotient = settled(lambda: fields(verify_nash(make(), profile)))
+    full = settled(lambda: fields(full_nash(make(), profile)))
+    assert quotient == full
+
+
+def test_withholding_with_every_rational_validator_open_raises_on_both_sides():
+    profile = WithholdingGame(2, 1, Fraction(1)).labelled(lambda dp: "honest-r1")
+    with pytest.raises(AssumptionViolated, match="quorum"):
+        verify_nash(WithholdingGame(2, 1, Fraction(1)), profile)
+    with pytest.raises(AssumptionViolated, match="quorum"):
+        full_nash(WithholdingGame(2, 1, Fraction(1)), profile)

@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reorglab import tendermint
 from reorglab.engine import DecisionPoint, Role
 from reorglab.equilibrium import Verdict
 from reorglab.games import AssumptionViolated
@@ -146,6 +145,42 @@ class TestPrecommitEvidence:
 
 
 VALUES = st.sampled_from([NIL, 100, 200])
+SENDERS = range(7)
+VALIDATORS = st.integers(0, 9)  # 7-9 never send, so they must never sign
+
+
+def pairwise_evidence_counts(values, audience) -> dict[int, int]:
+    """The clause-(i) count as one check per (signer, sender) pair: the reference."""
+    return {
+        sender: sum(1 for signer, mine in values.items()
+                    if mine == value and signer in audience(sender))
+        for sender, value in values.items()
+    }
+
+
+@st.composite
+def audiences(draw, senders):
+    """Each sender's audience: one of a few shared sets, a set of its own, or itself alone."""
+    shared = draw(st.lists(st.frozensets(VALIDATORS), min_size=1, max_size=3))
+    audience = {}
+    for sender in senders:
+        kind = draw(st.sampled_from(["shared", "own", "alone"]))
+        if kind == "shared":
+            audience[sender] = draw(st.sampled_from(shared))
+        elif kind == "own":
+            audience[sender] = draw(st.frozensets(VALIDATORS))
+        else:
+            audience[sender] = frozenset({sender})
+    return audience
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), values=st.dictionaries(st.sampled_from(SENDERS), VALUES, min_size=1))
+def test_evidence_counts_match_the_pairwise_count(data, values):
+    audience = data.draw(audiences(sorted(values)))
+    assert evidence_counts(values, audience.__getitem__) == pairwise_evidence_counts(
+        values, audience.__getitem__
+    )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -153,7 +188,8 @@ VALUES = st.sampled_from([NIL, 100, 200])
 def test_evidence_counts_match_clause_i(values, proposed):
     # with every message visible, the scenarios' signature count is the number
     # of signers whose unjustified evidence the spec predicates accept
-    counts = evidence_counts(values, lambda signer, sender: True)
+    everyone = frozenset(values)
+    counts = evidence_counts(values, lambda sender: everyone)
     for sender, value in values.items():
         pv, pc = prevote(value=value, sender=sender), precommit(value=value, sender=sender)
         prevote_signers = sum(
@@ -173,9 +209,10 @@ def test_evidence_counts_sign_only_what_the_signer_sees():
     # no payoff in either scenario turns on visibility (the withheld
     # prevotes are nil, and only the pack votes nil), so pin it here
     values = {0: 100, 1: 100, 2: NIL, 3: NIL}
-    alone = evidence_counts(values, lambda signer, sender: signer == sender)
+    alone = evidence_counts(values, lambda sender: frozenset({sender}))
     assert alone == {0: 1, 1: 1, 2: 1, 3: 1}
-    hidden_3 = evidence_counts(values, lambda signer, sender: sender != 3 or signer == 3)
+    everyone = frozenset(range(6))  # 4 and 5 sent nothing, so they sign nothing
+    hidden_3 = evidence_counts(values, lambda sender: frozenset({3}) if sender == 3 else everyone)
     assert hidden_3 == {0: 2, 1: 2, 2: 2, 3: 1}
 
 
@@ -306,32 +343,36 @@ def test_payoff_table_unchanged():
     assert table_digest() == PAYOFF_TABLE_SHA256
 
 
-def _count_round_simulations(monkeypatch) -> list[int]:
-    """Counts the proposals played: one per round simulated."""
-    proposals = [0]
-    step = tendermint.tm_step
+def _count_plays(monkeypatch, game_class) -> list[int]:
+    """Counts the profiles `game_class` plays: `simulate` plays each distinct one once."""
+    plays = [0]
+    play = game_class._play
 
-    def counting(state, view, phase, *args, **kwargs):
-        if phase is MsgKind.PROPOSAL:
-            proposals[0] += 1
-        return step(state, view, phase, *args, **kwargs)
+    def counting(self, profile):
+        plays[0] += 1
+        return play(self, profile)
 
-    monkeypatch.setattr(tendermint, "tm_step", counting)
-    return proposals
-
-
-def test_anchor_plays_each_profile_once(monkeypatch):
-    # the base profile and 3 nil-prevote deviations; one round each
-    proposals = _count_round_simulations(monkeypatch)
-    honest_anchor_scenario(3)
-    assert proposals[0] == 4
+    monkeypatch.setattr(game_class, "_play", counting)
+    return plays
 
 
-def test_withholding_plays_each_profile_once(monkeypatch):
-    # the script and 2 single deviations; m = 2 rounds each
-    proposals = _count_round_simulations(monkeypatch)
-    withholding_attack_scenario(1, 2)
-    assert proposals[0] == 3 * 2
+@pytest.mark.parametrize("f", [1, 3, 14, 120])
+def test_anchor_plays_two_profiles_at_any_f(monkeypatch, f):
+    # the base profile and one nil-prevote deviation for the whole class of
+    # rational validators, which the forfeit check reads again from the cache
+    plays = _count_plays(monkeypatch, AnchorGame)
+    res = honest_anchor_scenario(f)
+    assert plays[0] == 2
+    assert res.report.checked == 2 * f and res.deviation_forfeits
+
+
+@pytest.mark.parametrize("f", [1, 3, 14, 120])
+def test_withholding_plays_two_profiles_at_any_f(monkeypatch, f):
+    # the script and one honest-r1 deviation for the whole pack
+    plays = _count_plays(monkeypatch, WithholdingGame)
+    res = withholding_attack_scenario(f, 3)
+    assert plays[0] == 2
+    assert res.report.checked == 2 * len(WithholdingGame(f, 3, Fraction(1)).rational)
 
 
 def test_withholding_without_honest_leader_rejected():
