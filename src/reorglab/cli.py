@@ -718,13 +718,17 @@ def _describe(doc: dict) -> str:
 def list_scenarios(user_dir: Optional[str] = None) -> list[tuple[str, str]]:
     """(id, one-line description) pairs, bundled plus user files, sorted.
 
-    A user file that is not a JSON object is skipped and named on stderr.
+    A user file that is not a JSON object is skipped and named on stderr; a
+    `user_dir` that is not a directory is a `ParseError`, as for `batch`.
     """
     docs: dict[str, dict] = {}
     for name, text in bundled_scenarios().items():
         docs[name] = json.loads(text)
     if user_dir:
-        for path in sorted(Path(user_dir).glob("*.json")):
+        directory = Path(user_dir)
+        if not directory.is_dir():
+            raise ParseError(f"{directory} is not a directory")
+        for path in sorted(directory.glob("*.json")):
             try:
                 docs[path.stem] = load_scenario(path)
             except ParseError as exc:

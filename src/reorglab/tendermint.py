@@ -180,15 +180,19 @@ def evidence_counts(
     return counts
 
 
-def _honest_votes(states: dict[int, RoundState], view: list[TendermintMsg], phase: MsgKind,
-                  f: int) -> dict[int, Optional[int]]:
-    """Each honest validator's `phase` vote value; the votes join `view`."""
-    values = {}
-    for v, state in states.items():
-        msg = tm_step(state, view, phase, v, f)
-        values[v] = msg.value
-        view.append(msg)
-    return values
+def _honest_votes(state: RoundState, honest: Sequence[int], view: list[TendermintMsg],
+                  phase: MsgKind, f: int) -> dict[int, Optional[int]]:
+    """Each honest validator's `phase` vote; one message per sender joins `view`.
+
+    `state` stands for every validator in `honest` and is stepped once.  That is exact
+    while they share one state and one view: `tm_step` reads no message of the phase it
+    steps (a prevote reads the proposal and the prevotes of round vr < rho, a precommit
+    the round-rho prevotes), so each would emit the same value and make the same lock
+    update.  Honest validators with different states or views must each be stepped.
+    """
+    msg = tm_step(state, view, phase, honest[0], f)
+    view += [TendermintMsg(msg.kind, msg.height, msg.rho, msg.value, v) for v in honest]
+    return dict.fromkeys(honest, msg.value)
 
 
 @dataclass(frozen=True)
@@ -297,22 +301,19 @@ class WithholdingGame(_TendermintGame):
         deviators = self._playing("honest-r1", profile)
         everyone, pack = frozenset(range(self.n)), frozenset(self.pack)
         outside = everyone - pack
-        states = {v: RoundState(height=height) for v in self.honest}
+        state = RoundState(height=height)  # every honest validator's
         view: list[TendermintMsg] = []  # the public messages
         payoffs = {v: Fraction(0) for v in range(self.n)}
         for rho in range(1, m + 1):
             leader = self.honest[(rho - 1) % len(self.honest)]
-            for state in states.values():
-                state.rho = rho
-            proposal = tm_step(
-                states[leader], view, MsgKind.PROPOSAL, leader, f, fresh_value=100 + rho
-            )
+            state.rho = rho
+            proposal = tm_step(state, view, MsgKind.PROPOSAL, leader, f, fresh_value=100 + rho)
             view.append(proposal)
             block = proposal.value
             # honest validators follow the state machine, round-1 deviators
             # back the proposal openly, the rest of the pack nil-votes in
             # private
-            prevotes = _honest_votes(states, view, MsgKind.PREVOTE, f)
+            prevotes = _honest_votes(state, self.honest, view, MsgKind.PREVOTE, f)
             backers = deviators if rho == 1 else set()
             for v in self.pack:
                 prevotes[v] = block if v in backers else NIL
@@ -320,7 +321,7 @@ class WithholdingGame(_TendermintGame):
             public = set(self.honest) | backers
             if sum(value == block for value in prevotes.values()) >= 2 * f + 1:
                 raise AssumptionViolated("withheld round unexpectedly reached quorum")
-            honest_precommits = _honest_votes(states, view, MsgKind.PRECOMMIT, f)
+            honest_precommits = _honest_votes(state, self.honest, view, MsgKind.PRECOMMIT, f)
             if any(value is not NIL for value in honest_precommits.values()):
                 raise AssumptionViolated("honest precommit without a quorum")
             # everyone sees the public prevotes, and only the pack its private
@@ -377,19 +378,18 @@ class AnchorGame(_TendermintGame):
         f, height, rho, block = self.f, 1, 1, 100
         leader = self.honest[0]
         backers = self._playing("prevote-b", profile)
-        states = {v: RoundState(height=height) for v in self.honest}
+        state = RoundState(height=height)  # every honest validator's
         view: list[TendermintMsg] = []  # every message is public
-        view.append(tm_step(states[leader], view, MsgKind.PROPOSAL, leader, f, block))
-        prevotes = _honest_votes(states, view, MsgKind.PREVOTE, f)
+        view.append(tm_step(state, view, MsgKind.PROPOSAL, leader, f, block))
+        prevotes = _honest_votes(state, self.honest, view, MsgKind.PREVOTE, f)
         for v in self.rational:
             prevotes[v] = block if v in backers else NIL
             view.append(TendermintMsg(MsgKind.PREVOTE, height, rho, prevotes[v], v))
-        precommits = _honest_votes(states, view, MsgKind.PRECOMMIT, f)
-        quorum_b = _quorum(view, MsgKind.PREVOTE, height, rho, block, f)
-        for v in self.rational:
-            precommits[v] = block if quorum_b else NIL
-            view.append(TendermintMsg(MsgKind.PRECOMMIT, height, rho, precommits[v], v))
-        finalized = _quorum(view, MsgKind.PRECOMMIT, height, rho, block, f)
+        precommits = _honest_votes(state, self.honest, view, MsgKind.PRECOMMIT, f)
+        # each map holds one vote per sender, so a count of its values is a quorum
+        quorum_b = sum(value == block for value in prevotes.values()) >= 2 * f + 1
+        precommits.update(dict.fromkeys(self.rational, block if quorum_b else NIL))
+        finalized = sum(value == block for value in precommits.values()) >= 2 * f + 1
         everyone = frozenset(range(self.n))
         pv = evidence_counts(prevotes, lambda v: everyone)
         pc = evidence_counts(precommits, lambda v: everyone)

@@ -549,6 +549,20 @@ def test_batch_reports_every_file(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("make", [False, True], ids=["missing", "file"])
+def test_list_with_user_dir_that_is_no_directory_exit_2(tmp_path, capsys, make):
+    # rejected as `batch` rejects it, not listed as if no user file existed
+    path = tmp_path / "scenarios"
+    if make:
+        path.write_text("not a directory")
+    assert main(["list", "--user-dir", str(path)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"parse error: {path} is not a directory\n"
+    assert main(["batch", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == err
+
+
 def test_list_skips_a_file_that_is_no_object(tmp_path, capsys):
     (tmp_path / "array.json").write_text("[1]")
     (tmp_path / "mine.json").write_text(json.dumps({"scenario": "mine", "game": []}))

@@ -162,6 +162,14 @@ EXTRA = {
     "golden-tendermint-anchor-f60": {
         "game": {"kind": "tendermint", "variant": "anchor", "f": 60, "r": "1"},
     },
+    # the frontier: 1,001 honest validators stepped as one replica in the
+    # anchor, 1,998 rational validators in the withholding pack
+    "golden-tendermint-anchor-f1000": {
+        "game": {"kind": "tendermint", "variant": "anchor", "f": 1000, "r": "1"},
+    },
+    "golden-tendermint-withholding-f1000-m3": {
+        "game": {"kind": "tendermint", "variant": "withholding", "f": 1000, "m": 3, "r": "1"},
+    },
 }
 for _name, _doc in EXTRA.items():
     _doc["scenario"] = _name
@@ -249,12 +257,20 @@ GOLDEN = {
         "153352b6951e0591ba5ad46275d33dbca17a39855236c954f8979263c088868c",
         None,
     ),
+    "golden-tendermint-anchor-f1000": (
+        "dfbaa0f75b9dee9a64a595d7d999cdf833ecbb563ead080b924812661ff2430e",
+        None,
+    ),
     "golden-tendermint-withholding-m0": (
         "8dea863b18f3d3d296107e4992a9bf198cf028afb3f4b51f8c9ae5f4080eb913",
         None,
     ),
     "golden-tendermint-withholding-f60-m3": (
         "54a15bd4b53bd9e69b0304e657ae5f9754ac6a2cbeaca6b4e57d12ec352b31be",
+        None,
+    ),
+    "golden-tendermint-withholding-f1000-m3": (
+        "65d308e7cd2b9a0b9649da1259d73ee12ae7a597882dda3810ace051c453c17e",
         None,
     ),
     "golden-tendermint-withholding-m4": (

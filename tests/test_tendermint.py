@@ -10,11 +10,13 @@ import hashlib
 import itertools
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reorglab import tendermint
 from reorglab.engine import DecisionPoint, Role
 from reorglab.equilibrium import Verdict
 from reorglab.games import AssumptionViolated
@@ -32,6 +34,7 @@ from reorglab.tendermint import (
     withholding_attack_scenario,
 )
 
+import tendermint_rounds
 from tendermint_evidence import TmEvidence, precommit_evidence_valid, prevote_evidence_valid
 
 
@@ -343,35 +346,78 @@ def test_payoff_table_unchanged():
     assert table_digest() == PAYOFF_TABLE_SHA256
 
 
-def _count_plays(monkeypatch, game_class) -> list[int]:
-    """Counts the profiles `game_class` plays: `simulate` plays each distinct one once."""
-    plays = [0]
-    play = game_class._play
+@st.composite
+def tendermint_plays(draw):
+    """A Tendermint game with f <= 40, at f > 5 in about one example of ten, and a
+    profile: every rational validator takes one label, or each a random one."""
+    f = draw(st.integers(6, 40) if draw(st.integers(0, 9)) == 0 else st.integers(1, 5))
+    r_unit = Fraction(draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        game = WithholdingGame(f, draw(st.integers(0, 4)), r_unit)
+    else:
+        game = AnchorGame(f, r_unit)
+    dps = game.decision_points()
+    if draw(st.booleans()):
+        labels = [draw(st.sampled_from(game.LABELS))] * len(dps)
+    else:
+        labels = draw(st.lists(st.sampled_from(game.LABELS), min_size=len(dps), max_size=len(dps)))
+    return game, game.labelled(dict(zip(dps, labels)).__getitem__)
 
-    def counting(self, profile):
-        plays[0] += 1
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(played=tendermint_plays())
+def test_games_match_the_per_validator_reference(played):
+    # the games step one replica for all honest validators; the reference
+    # steps each validator's own state and appends each message as it is sent
+    game, profile = played
+
+    def outcome(play):
+        try:
+            run = play(game, profile)
+        except AssumptionViolated as exc:
+            return f"AssumptionViolated: {exc}"
+        return run.finalized_round, dict(run.payoffs)
+
+    assert outcome(type(game).simulate) == outcome(tendermint_rounds.play)
+
+
+def _count_calls(monkeypatch, game_class) -> Counter:
+    """Counts the profiles `game_class` plays (`simulate` plays each distinct one
+    once) and the `tm_step` calls they make."""
+    calls = Counter()
+    play, step = game_class._play, tendermint.tm_step
+
+    def playing(self, profile):
+        calls["plays"] += 1
         return play(self, profile)
 
-    monkeypatch.setattr(game_class, "_play", counting)
-    return plays
+    def stepping(*args, **kwargs):
+        calls["steps"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(game_class, "_play", playing)
+    monkeypatch.setattr(tendermint, "tm_step", stepping)
+    return calls
 
 
 @pytest.mark.parametrize("f", [1, 3, 14, 120])
 def test_anchor_plays_two_profiles_at_any_f(monkeypatch, f):
     # the base profile and one nil-prevote deviation for the whole class of
-    # rational validators, which the forfeit check reads again from the cache
-    plays = _count_plays(monkeypatch, AnchorGame)
+    # rational validators, which the forfeit check reads again from the cache;
+    # each play steps the honest replica once per phase
+    calls = _count_calls(monkeypatch, AnchorGame)
     res = honest_anchor_scenario(f)
-    assert plays[0] == 2
+    assert calls == {"plays": 2, "steps": 2 * 3}
     assert res.report.checked == 2 * f and res.deviation_forfeits
 
 
 @pytest.mark.parametrize("f", [1, 3, 14, 120])
 def test_withholding_plays_two_profiles_at_any_f(monkeypatch, f):
-    # the script and one honest-r1 deviation for the whole pack
-    plays = _count_plays(monkeypatch, WithholdingGame)
+    # the script and one honest-r1 deviation for the whole pack, each stepping
+    # the honest replica once per phase of each of the m = 3 withheld rounds
+    calls = _count_calls(monkeypatch, WithholdingGame)
     res = withholding_attack_scenario(f, 3)
-    assert plays[0] == 2
+    assert calls == {"plays": 2, "steps": 2 * 3 * 3}
     assert res.report.checked == 2 * len(WithholdingGame(f, 3, Fraction(1)).rational)
 
 
