@@ -1,11 +1,11 @@
 """Block tree and the LMD GHOST fork-choice rule with proposer boost.
 
 Blocks form a tree rooted at a genesis block; each block carries the votes
-and evidences it includes on-chain, and indexes the signers of its evidences
-per vote when first asked.  Fork-choice weight, however, is computed
-from the *delivered* votes known to the tree, independent of inclusion: a
-vote influences the fork choice as soon as it is in view, and earns rewards
-only once included (see rewards.py).
+and evidences it includes on-chain, and when first asked builds a set of its
+votes and an index of its evidences' signers per vote.  Fork-choice weight,
+however, is computed from the *delivered* votes known to the tree,
+independent of inclusion: a vote influences the fork choice as soon as it is
+in view, and earns rewards only once included (see rewards.py).
 
 The fork choice weighs what changed, not the whole tree.  `votes` is
 append-only (a caller replaces it by assigning a new list), and the latest
@@ -104,6 +104,15 @@ class EvidenceRecord:
 
 @dataclass
 class Block:
+    """A proposed block and what it includes on-chain.
+
+    A block is never changed once inserted, and every fork of a run shares
+    it, so the lookups that settlement asks of it are built on first read
+    and kept: `included_vote_set` answers "is this vote included here?" in
+    O(1), and `evidence_signers` gives each signed vote's distinct signers
+    as one ready frozenset.
+    """
+
     id: BlockId
     slot: int
     parent: Optional[BlockId]
@@ -111,6 +120,11 @@ class Block:
     is_empty: bool = False
     included_votes: tuple[VoteRecord, ...] = ()
     included_evidences: tuple[EvidenceRecord, ...] = ()
+
+    @cached_property
+    def included_vote_set(self) -> frozenset[VoteRecord]:
+        """`included_votes` as a set, built on first read; membership is full `VoteRecord` equality."""
+        return frozenset(self.included_votes)
 
     @cached_property
     def evidence_signers(self) -> dict[tuple[int, int, BlockId], frozenset[int]]:

@@ -14,6 +14,11 @@ mechanisms differ on timeliness:
   signs all the votes it saw in one evidence record, and a block indexes
   its evidences' signers per vote.
 
+DAG settlement is O(1) per vote in W: the next-slot test asks the block's
+vote set (`Block.included_vote_set`), and the signer count reads the one
+signer set a single block holds for the vote, taking a union only when
+several chain blocks carry signatures over it.
+
 The module also carries the gwei-level quantification of what a one-block
 reorg is worth to the attacking proposer, using the standard Altair reward
 constants (increment 1e9 gwei, base factor 64, vote weights 14/26/14 and
@@ -126,20 +131,28 @@ def head_vote_timely_dag(
     target count, and each signer counts once however many blocks carry its
     signature; the threshold is strict, so W even with exactly W/2 signers is
     untimely.  Slots strictly increase along a chain, so the blocks after the
-    target are exactly those with a slot above the vote's.  Each block's
-    signers come from its per-vote index (`Block.evidence_signers`).
+    target are exactly those with a slot above the vote's.  The next-slot
+    test asks the block's vote set (`Block.included_vote_set`).  Each block's
+    signers are one frozenset of its per-vote index
+    (`Block.evidence_signers`): a single contributing block's set is counted
+    as it stands, and only several are united, so no W-size set is copied in
+    the common case.
     """
-    key = (vote.voter, vote.slot, vote.target)
-    signers: set[int] = set()
+    next_slot = vote.slot + 1
+    key = signed = None
     for bid in chain:
         block = tree.blocks[bid]
         if block.slot <= vote.slot:
             continue
-        if block.slot == vote.slot + 1 and vote in block.included_votes:
+        if block.slot == next_slot and vote in block.included_vote_set:
             return True
         if block.included_evidences:
-            signers.update(block.evidence_signers.get(key, ()))
-    return 2 * len(signers) > committee_size
+            if key is None:
+                key = (vote.voter, vote.slot, vote.target)
+            signers = block.evidence_signers.get(key)
+            if signers:
+                signed = signers if signed is None else signed | signers
+    return signed is not None and 2 * len(signed) > committee_size
 
 
 def _slot_targets(chain: list[BlockId], tree: BlockTree) -> Callable[[int], Optional[BlockId]]:
@@ -162,28 +175,32 @@ def settle_payoffs(trace: RunTrace, params: RewardParams) -> dict[int, Fraction]
     one pass over the chain rather than one walk per vote.
     """
     ledger = PayoffLedger(params.r, params.R)
+    credit = ledger.credit
     tree = trace.tree
     chain = trace.final_chain
     target_of = _slot_targets(chain, tree)
+    ethereum = params.mechanism is Mechanism.ETHEREUM
     credited: set[tuple[int, int]] = set()
     for bid in chain:
         block = tree.blocks[bid]
+        includer = block.proposer.index
         for vote in block.included_votes:
-            if vote.key() in credited:
+            key = (vote.voter, vote.slot)
+            if key in credited:
                 continue
             if vote.target not in tree.blocks:
                 raise TargetNotOnChainQueryable(f"vote target {vote.target} unknown")
             if target_of(vote.slot) != vote.target:
                 continue
-            if params.mechanism is Mechanism.ETHEREUM:
+            if ethereum:
                 timely = head_vote_timely_ethereum(vote, block)
             else:
                 timely = head_vote_timely_dag(vote, chain, tree, params.committee_size)
             if not timely:
                 continue
-            credited.add(vote.key())
-            ledger.credit(vote.voter, ATTESTATION)
-            ledger.credit(block.proposer.index, INCLUSION)
+            credited.add(key)
+            credit(vote.voter, ATTESTATION)
+            credit(includer, INCLUSION)
     return ledger.payoffs
 
 

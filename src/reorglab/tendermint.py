@@ -249,13 +249,11 @@ class _TendermintGame(GameModel):
     def _playing(self, label: str, profile: StrategyProfile) -> set[int]:
         return {dp.actor for dp in self.decision_points() if profile.get(dp) == label}
 
-    def _pays(self, prevote_counts: dict[int, int], precommit_counts: dict[int, int],
-              vote: tuple[int, int], inclusion: tuple[int, int]) -> dict[int, Fraction]:
-        """r to each sender whose (rho, height) votes both pay when included, else 0."""
-        paid = lambda count: tm_vote_reward(*vote, *inclusion, count, self.f)
-        r, zero = self.r_unit, Fraction(0)
-        return {v: r if paid(prevote_counts[v]) and paid(precommit_counts[v]) else zero
-                for v in prevote_counts}
+    def _paid(self, prevote_counts: dict[int, int], precommit_counts: dict[int, int],
+              vote: tuple[int, int], inclusion: tuple[int, int]) -> set[int]:
+        """The senders whose (rho, height) votes both pay r when included."""
+        pays = lambda count: tm_vote_reward(*vote, *inclusion, count, self.f)
+        return {v for v in prevote_counts if pays(prevote_counts[v]) and pays(precommit_counts[v])}
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +301,7 @@ class WithholdingGame(_TendermintGame):
         outside = everyone - pack
         state = RoundState(height=height)  # every honest validator's
         view: list[TendermintMsg] = []  # the public messages
-        payoffs = {v: Fraction(0) for v in range(self.n)}
+        paid_rounds = dict.fromkeys(range(self.n), 0)
         for rho in range(1, m + 1):
             leader = self.honest[(rho - 1) % len(self.honest)]
             state.rho = rho
@@ -332,9 +330,11 @@ class WithholdingGame(_TendermintGame):
             pv = evidence_counts(prevotes, lambda v: everyone if v in public else pack)
             pc = evidence_counts(precommits, lambda v: pack if v in pack else outside)
             # included in round m+1, where everything surfaces and finalizes
-            for v, paid in self._pays(pv, pc, (rho, height), (m + 1, height)).items():
-                payoffs[v] += paid
-        return RoundRun(m + 1, MappingProxyType(payoffs))
+            for v in self._paid(pv, pc, (rho, height), (m + 1, height)):
+                paid_rounds[v] += 1
+        # a validator earns r per paid round: one product per distinct count
+        amounts = {k: self.r_unit * k for k in set(paid_rounds.values())}
+        return RoundRun(m + 1, MappingProxyType({v: amounts[k] for v, k in paid_rounds.items()}))
 
 
 def withholding_attack_scenario(
@@ -393,7 +393,9 @@ class AnchorGame(_TendermintGame):
         everyone = frozenset(range(self.n))
         pv = evidence_counts(prevotes, lambda v: everyone)
         pc = evidence_counts(precommits, lambda v: everyone)
-        payoffs = self._pays(pv, pc, (rho, height), (1, height + 1))
+        paid = self._paid(pv, pc, (rho, height), (1, height + 1))
+        r, zero = self.r_unit, Fraction(0)
+        payoffs = {v: r if v in paid else zero for v in pv}
         return RoundRun(rho if finalized else -1, MappingProxyType(payoffs))
 
 

@@ -25,6 +25,7 @@ from reorglab.tendermint import (
     WithholdingGame,
     evidence_counts,
     tm_step,
+    tm_vote_reward,
 )
 
 
@@ -35,6 +36,14 @@ def quorum(view, kind: MsgKind, height: int, rho: int, value, f: int) -> bool:
         if m.kind is kind and m.height == height and m.rho == rho and m.value == value
     }
     return len(senders) >= 2 * f + 1
+
+
+def pays(game, prevote_counts: dict[int, int], precommit_counts: dict[int, int],
+         vote: tuple[int, int], inclusion: tuple[int, int]) -> dict[int, Fraction]:
+    """r to each sender whose (rho, height) votes both pay when included, else 0."""
+    paid = lambda count: tm_vote_reward(*vote, *inclusion, count, game.f)
+    return {v: game.r_unit if paid(prevote_counts[v]) and paid(precommit_counts[v]) else Fraction(0)
+            for v in prevote_counts}
 
 
 def honest_votes(states: dict[int, RoundState], view: list[TendermintMsg], phase: MsgKind,
@@ -77,7 +86,7 @@ def play_withholding(game: WithholdingGame, profile) -> RoundRun:
         precommits = dict.fromkeys(prevotes, NIL)
         pv = evidence_counts(prevotes, lambda v: everyone if v in public else pack)
         pc = evidence_counts(precommits, lambda v: pack if v in pack else outside)
-        for v, paid in game._pays(pv, pc, (rho, height), (m + 1, height)).items():
+        for v, paid in pays(game, pv, pc, (rho, height), (m + 1, height)).items():
             payoffs[v] += paid
     return RoundRun(m + 1, MappingProxyType(payoffs))
 
@@ -102,7 +111,7 @@ def play_anchor(game: AnchorGame, profile) -> RoundRun:
     everyone = frozenset(range(game.n))
     pv = evidence_counts(prevotes, lambda v: everyone)
     pc = evidence_counts(precommits, lambda v: everyone)
-    payoffs = game._pays(pv, pc, (rho, height), (1, height + 1))
+    payoffs = pays(game, pv, pc, (rho, height), (1, height + 1))
     return RoundRun(rho if finalized else -1, MappingProxyType(payoffs))
 
 

@@ -136,6 +136,12 @@ EXTRA = {
         "checks": [{"type": "dag-scenario", "ethereum_flip": True},
                    {"type": "outcome", "profile": "prescribed"}],
     },
+    # the frontier linear DAG settlement opens: W=257 with the flip
+    "golden-dag-w257-flip": {
+        "game": {"kind": "dag-votes", "committee_size": 257, "boost": 0},
+        "checks": [{"type": "dag-scenario", "ethereum_flip": True},
+                   {"type": "outcome", "profile": "prescribed"}],
+    },
     "golden-simple-w512-holdouts": {
         "game": {"kind": "simple", "committee_size": 512, "boost": 205},
         "profile": {"base": "compliant-all",
@@ -200,6 +206,10 @@ GOLDEN = {
     "golden-dag-w65-flip": (
         "f1c86d81463d3b0fbef7590ccb1073f888ccea9a22f78fe22f6baca3a350e613",
         "842e00e4f0d663ecfa0b5c21309ef6b455603e01751ce868e5ce1fa48e6d23ec",
+    ),
+    "golden-dag-w257-flip": (
+        "97140c71de72814d6d84803822ba3dd5a737c11d2f6655d5c0178755a53a0b19",
+        "3bdcfd432e9be20cd02e4f0cb3b7cc6a0a8d39d3656631663a33dd5039c36b1a",
     ),
     "golden-extended-honest-leader-override": (
         "509432b71f24461231d0754cc788ea9f6fa79bf3c7f2b9310fe5d1596121eabe",

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from reorglab.chain import Block, BlockTree, EvidenceRecord, TieBreakPolicy, Validator, VoteRecord
 from reorglab.cli import run_scenario
-from reorglab.engine import RunTrace
+from reorglab.engine import Role, RunTrace
 from reorglab.games import (
     DagVotesGame,
     ExtendedGame,
@@ -21,6 +21,7 @@ from reorglab.games import (
 )
 from reorglab.rewards import (
     InclusionRewardBreakdown,
+    Mechanism,
     PayoffLedger,
     RewardParams,
     TargetNotOnChainQueryable,
@@ -200,6 +201,22 @@ def test_timely_dag_counts_distinct_signers_after_the_target(data):
     )
 
 
+def test_dag_settlement_makes_no_vote_scan(monkeypatch):
+    # next-slot membership is a set lookup, not a scan of the block's W votes:
+    # settling a prescribed W=129 run compares at most one vote per included
+    # chain vote (a scan compares tens of thousands)
+    game = DagVotesGame(GameConfig(committee_size=129, boost=0))
+    trace = game.run(game.profile("prescribed")).trace
+    included = sum(len(trace.tree.blocks[bid].included_votes) for bid in trace.final_chain)
+    compared = []
+    equal = VoteRecord.__eq__
+    monkeypatch.setattr(VoteRecord, "__eq__", lambda self, other: compared.append(1) or equal(self, other))
+    params = RewardParams(mechanism=Mechanism.DAG_VOTES, committee_size=129)
+    assert settle_payoffs(trace, params) == trace.payoffs
+    assert included > 129
+    assert len(compared) <= included
+
+
 def _trace_for(tree, chain):
     trace = RunTrace()
     trace.tree = tree
@@ -294,6 +311,17 @@ def oracle_payoffs(trace, r, R, dag: bool, committee_size: int) -> dict:
     return paid
 
 
+def assert_ledger_matches_oracle(game_class, params, r, R, tie_break, labels_of) -> None:
+    config = GameConfig(r=r, R=R, tie_break=tie_break, **params)
+    game = game_class(config)
+    labels = labels_of(game)
+    trace = game.run(game.labelled(labels.__getitem__)).trace
+    dag = game_class is DagVotesGame
+    want = oracle_payoffs(trace, r, R, dag, config.committee_size)
+    assert trace.payoffs == want
+    assert {v: str(a) for v, a in trace.payoffs.items()} == {v: str(a) for v, a in want.items()}
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from(sorted(LEDGER_GAMES)),
@@ -304,17 +332,36 @@ def oracle_payoffs(trace, r, R, dag: bool, committee_size: int) -> dict:
 )
 def test_settled_ledger_matches_oracle(kind, r, R, tie_break, data):
     game_class, params = LEDGER_GAMES[kind]
-    config = GameConfig(r=r, R=R, tie_break=tie_break, **params)
-    game = game_class(config)
-    labels = {
+    assert_ledger_matches_oracle(game_class, params, r, R, tie_break, lambda game: {
         dp: data.draw(st.sampled_from(sorted(game.candidates(dp))))
         for dp in game.decision_points()
-    }
-    trace = game.run(game.labelled(labels.__getitem__)).trace
-    dag = game_class is DagVotesGame
-    want = oracle_payoffs(trace, r, R, dag, config.committee_size)
-    assert trace.payoffs == want
-    assert {v: str(a) for v, a in trace.payoffs.items()} == {v: str(a) for v, a in want.items()}
+    })
+
+
+@settings(max_examples=3, deadline=None)
+@given(
+    st.sampled_from(UNITS),
+    st.sampled_from(UNITS),
+    st.sampled_from(list(TieBreakPolicy)),
+    st.data(),
+)
+def test_settled_ledger_matches_oracle_dag_at_scale(r, R, tie_break, data):
+    # the evidence path beyond the toy committee: DAG votes at W=65, each
+    # leader on or off the tip, and up to W attestors off the prescribed vote;
+    # an off-tip leader leaves votes that only their W next-slot signers make
+    # timely
+    def labels_of(game):
+        labels = {
+            dp: data.draw(st.sampled_from(["on-tip", "off-tip"])) if dp.role is Role.LEADER else "tip"
+            for dp in game.decision_points()
+        }
+        attestors = [dp for dp in labels if dp.role is Role.ATTESTOR]
+        overrides = st.tuples(st.sampled_from(attestors), st.sampled_from(["parent-of-tip", "abstain"]))
+        labels.update(data.draw(st.lists(overrides, max_size=65)))
+        return labels
+
+    assert_ledger_matches_oracle(DagVotesGame, dict(committee_size=65, boost=0), r, R, tie_break,
+                                 labels_of)
 
 
 def test_zero_unit_keeps_credited_voters(tmp_path):
