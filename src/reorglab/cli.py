@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .chain import TieBreakPolicy
-from .engine import Role, RunTrace
+from .engine import Role, RunTrace, StrategyProfile
 from .equilibrium import ExplosionGuard, dag_security_scenario, verify_nash, verify_spne
 from .games import (
     DagVotesGame,
@@ -250,9 +250,9 @@ def _resolve_profile(game, spec: ProfileSpec):
 
     Overrides address decision points by slot and role (and optionally a
     specific actor index) and replace the base action with another candidate
-    label, e.g. {"slot": 2, "role": "leader", "action": "NC"}.
+    label, e.g. {"slot": 2, "role": "leader", "action": "NC"}; a later one wins.
     """
-    profile = game.profile(spec.base)
+    labels = dict(game.profile(spec.base).actions)
     for override in spec.overrides:
         slot, role, label = override["slot"], override["role"], override["action"]
         actor = override.get("actor")
@@ -262,14 +262,15 @@ def _resolve_profile(game, spec: ProfileSpec):
                 continue
             if actor is not None and dp.actor != actor:
                 continue
-            profile = profile.with_action(dp, game.action(dp, label))
+            game.action(dp, label)  # rejects a label that `dp` does not offer
+            labels[dp] = label
             matched = True
         if not matched:
             raise ValidationError(
                 f"override matches no decision point: slot {slot} {role.value}"
                 + (f" actor {actor}" if actor is not None else "")
             )
-    return profile
+    return StrategyProfile(labels)
 
 
 # -- report fragments ---------------------------------------------------------
@@ -812,6 +813,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_batch.add_argument("--max-joint-actions", type=int, default=10**6)
 
     args = parser.parse_args(argv)
+    if getattr(args, "max_joint_actions", 0) < 0:
+        parser.error(f"--max-joint-actions must be at least 0, got {args.max_joint_actions}")
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         if args.command == "run":
             source = args.scenario
@@ -844,7 +849,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             # the fork start method launches every worker at the first submit
-            with ProcessPoolExecutor(max_workers=min(max(1, args.jobs), len(paths))) as pool:
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
                 for code, text in pool.map(_run_one, jobs):
                     (sys.stderr if code else sys.stdout).write(text)
                     worst = max(worst, code)

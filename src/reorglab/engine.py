@@ -15,11 +15,12 @@ delivered are the pending queue.  A block or a vote is one message; an
 evidence is one signer's message over many votes, and the exported trace
 renders it as one line per vote it signs.
 
-Agents act through a StrategyProfile that supplies one action per decision
-point.  A game is a straight-line script over one Simulation: it advances
-the clock to the tick of its next action (`Simulation.advance`), then acts
-(`propose`, `emit_vote`, `emit_evidence`).  Its scripted adversary counts
-votes, withholds blocks and releases them later the same way.
+Agents act through a StrategyProfile that names one candidate action per
+decision point by its label.  A game is a straight-line script over one
+Simulation: it advances the clock to the tick of its next action
+(`Simulation.advance`), then acts (`propose`, `emit_vote`, `emit_evidence`).
+Its scripted adversary counts votes, withholds blocks and releases them
+later the same way.
 
 A script reads a decision point's action only at or after the point's tick
 (the read-tick rule).  So a run's state as tick t starts depends only on the
@@ -134,21 +135,18 @@ class Abstain:
     pass
 
 
-PlayerAction = object  # Propose | VoteFor | Abstain
-
-
 @dataclass
 class StrategyProfile:
-    """One action per decision point."""
+    """One candidate label per decision point; the game's table names each label's action."""
 
-    actions: dict[DecisionPoint, PlayerAction] = field(default_factory=dict)
+    actions: dict[DecisionPoint, str] = field(default_factory=dict)
 
-    def get(self, dp: DecisionPoint) -> Optional[PlayerAction]:
+    def get(self, dp: DecisionPoint) -> Optional[str]:
         return self.actions.get(dp)
 
-    def with_action(self, dp: DecisionPoint, action: PlayerAction) -> "StrategyProfile":
+    def with_action(self, dp: DecisionPoint, label: str) -> "StrategyProfile":
         actions = dict(self.actions)
-        actions[dp] = action
+        actions[dp] = label
         return StrategyProfile(actions)
 
 

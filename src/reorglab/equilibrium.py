@@ -89,7 +89,7 @@ def _estimate(count: int, bound: int) -> None:
 
 
 def _apply(profile: StrategyProfile, assignment: dict) -> StrategyProfile:
-    """`profile` with each decision point of `assignment` playing its action there."""
+    """`profile` with each decision point of `assignment` playing its label there."""
     return StrategyProfile({**profile.actions, **assignment})
 
 
@@ -109,7 +109,7 @@ def _deviate(
     earliest of them only.
     """
     base, checkpoints = played
-    if all(profile.get(dp) == action for dp, action in assignment.items()):
+    if all(profile.get(dp) == label for dp, label in assignment.items()):
         return base, False
     start = checkpoints.get(min(dp.tick for dp in assignment))
     return game.payoffs(_apply(profile, assignment), start), True
@@ -235,10 +235,10 @@ def verify_spne(
     for dp in reversed(dps):
         owner, cls, i = place[dp]
         payoffs: dict[str, Fraction] = {}
-        for label, action in game.candidates(dp).items():
+        for label in game.candidates(dp):
             key = (cls, i, label)
             if key not in memo:
-                deviated, deviates = _deviate(game, profile, played, {dp: action})
+                deviated, deviates = _deviate(game, profile, played, {dp: label})
                 memo[key] = deviated[owner], deviates
             value, deviates = memo[key]
             payoffs[label] = value

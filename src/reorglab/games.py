@@ -4,7 +4,8 @@ Each game couples a scripted adversary (the committed strategy it announces
 to the validators) with a set of rational players whose actions come from a
 StrategyProfile.  Running a profile yields a full lock-step trace; payoffs
 are settled from that trace, so every payoff matrix in this module is a
-summary of simulation, never an independent table of constants.
+summary of simulation, except `pool_payoff_selfish`: the paper's closed form,
+which only the tests check against settlement.
 
 Games implemented:
 
@@ -182,19 +183,22 @@ PlayerId = object  # int for solo validators, str for pools
 class GameModel:
     """Roster and named profiles of a game driven by the equilibrium lab.
 
-    A game lists its decision points (`decision_points`), the labelled
-    candidate actions of each (`candidates`), and plays a profile (`run`,
-    `payoffs`): from its opening, or from a checkpoint (`start`) recorded by
-    an earlier run (`play`, which starts from `_RECORD`) of a profile that
-    agrees with it before the checkpoint's tick.  `candidates` is the only
-    place a game builds actions; everything else names them by label
-    (`action`, `labelled`).  The roster follows from those: a decision point
-    belongs to its actor, unless the actor is a member of one of `pools`,
-    whose members move together; each player's decision points are listed
-    once, in `_seats`.  Under a profile the players fall into symmetry
-    classes (`symmetry_classes`).  Named profiles follow from `PROFILES`.
+    A game lists its decision points (`decision_points`), declares the
+    labelled candidate actions of each role once (`CANDIDATES`, read through
+    `candidates`), and plays a profile (`run`, `payoffs`) from its opening
+    or from a checkpoint (`start`) recorded by an earlier run (`play`, which
+    starts from `_RECORD`) of a profile that agrees with it before the
+    checkpoint's tick.  A profile holds labels; a script reads each action in
+    the table (`_acted`).  The roster follows: a decision point belongs to
+    its actor, unless the actor is a member of one of `pools`, whose members
+    move together; each player's decision points are listed once, in
+    `_seats`.  Under a profile the players fall into symmetry classes
+    (`symmetry_classes`).  Named profiles follow from `PROFILES`.
     """
 
+    # role -> label -> action, built once per class and shared by every
+    # decision point of the role, so no caller may mutate it
+    CANDIDATES: dict[Role, dict[str, object]] = {}
     # profile name -> candidate labels; each decision point takes the first
     # of them that it offers
     PROFILES: dict[str, tuple[str, ...]] = {}
@@ -244,24 +248,29 @@ class GameModel:
         validator indices that swaps two of them maps the roster, `pools`,
         the committees and `profile` onto themselves, so a candidate
         deviation pays either one the same as the other's matching one.  A
-        solo player's key is the slot, role and candidate label of its
-        action at each of its decision points, since a game's committee
-        members of one slot and role differ in nothing but their index.  A
-        pool, and a solo player whose action somewhere is no candidate, is
-        its own class.  Every game takes this key, the Tendermint games
-        included: their runs read the rational validators only as sets, so
-        no game tells two players of one key apart by index.
+        solo player's key is the slot, role and label of its action at each
+        of its decision points, as `profile` holds them, since a game's
+        committee members of one slot and role differ in nothing but their
+        index.  A pool, and a solo player whose label somewhere is missing or
+        no candidate, is its own class.  Every game takes this key, the
+        Tendermint games included: their runs read the rational validators
+        only as sets, so no game tells two players of one key apart by index.
         """
         classes: dict[PlayerId, object] = {}
         for player, dps in self._seats.items():
-            key = tuple((dp.slot, dp.role, self._label(dp, profile.get(dp))) for dp in dps)
-            shared = player not in self.pools and all(label is not None for *_, label in key)
+            key = tuple((dp.slot, dp.role, profile.get(dp)) for dp in dps)
+            shared = player not in self.pools and all(
+                label in self.candidates(dp) for dp, (_, _, label) in zip(dps, key))
             classes[player] = key if shared else player
         return classes
 
-    def _label(self, dp: DecisionPoint, action: object) -> Optional[str]:
-        """The label of the candidate of `dp` that `action` is, if any."""
-        return next((label for label, act in self.candidates(dp).items() if act == action), None)
+    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
+        """The labelled candidate actions of `dp`: its role's shared table."""
+        return self.CANDIDATES[dp.role]
+
+    def _acted(self, profile: StrategyProfile, dp: DecisionPoint) -> object:
+        """The action `profile` names at `dp`; None where its label is missing or not offered."""
+        return self.candidates(dp).get(profile.get(dp))
 
     def action(self, dp: DecisionPoint, label: str) -> object:
         """The candidate of `dp` labelled `label`."""
@@ -272,16 +281,17 @@ class GameModel:
 
     def labelled(self, label_of) -> StrategyProfile:
         """Profile in which each decision point plays its candidate `label_of(dp)`."""
-        return StrategyProfile({dp: self.action(dp, label_of(dp)) for dp in self.decision_points()})
+        profile = StrategyProfile({dp: label_of(dp) for dp in self.decision_points()})
+        for dp, label in profile.actions.items():
+            self.action(dp, label)  # rejects a label that `dp` does not offer
+        return profile
 
-    def assignments(self, player: PlayerId) -> list[tuple[str, dict[DecisionPoint, object]]]:
-        """Joint candidate assignments over all decision points of `player`."""
+    def assignments(self, player: PlayerId) -> list[tuple[str, dict[DecisionPoint, str]]]:
+        """Joint candidate assignments over all decision points of `player`, as labels."""
         dps = self._seats[player]
         if player in self.pools:
-            return [
-                (label, {dp: self.action(dp, label) for dp in dps}) for label in self.POOL_LABELS
-            ]
-        return [(label, {dp: act}) for dp in dps for label, act in self.candidates(dp).items()]
+            return [(label, dict.fromkeys(dps, label)) for label in self.POOL_LABELS]
+        return [(label, {dp: label}) for dp in dps for label in self.candidates(dp)]
 
     def profile(self, name: str) -> StrategyProfile:
         """Named profile: each decision point takes its candidate `PROFILES[name]` picks."""
@@ -375,18 +385,19 @@ def _open_chain(config: GameConfig, seeded: dict, start: int = 0) -> Checkpoint:
     return Checkpoint(start, sim, tuple(blocks))
 
 
-def _attest(sim: Simulation, profile, slot: int, voters, compliant_tip=None):
+def _attest(game: GameModel, sim: Simulation, profile, slot: int, voters, compliant_tip=None):
     """Attestor phase of `slot` at the tick in progress.
 
-    Each voter plays its profile action; honest voters, and every voter when
-    `profile` is None, vote the tip.  Actions other than votes cast nothing.
+    Each voter plays the action its profile label names; honest voters, and
+    every voter when `profile` is None, vote the tip.  Actions other than
+    votes, and a missing label, cast nothing.
     """
     vote_tip = VoteFor(Tip())
     for v in voters:
         if profile is None or v.kind is ValidatorKind.HONEST:
             act = vote_tip
         else:
-            act = profile.get(DecisionPoint(slot, Role.ATTESTOR, v.index))
+            act = game._acted(profile, DecisionPoint(slot, Role.ATTESTOR, v.index))
         if isinstance(act, VoteFor):
             sim.emit_vote(slot, v.index, sim.resolve(act.target, compliant_tip))
 
@@ -437,7 +448,6 @@ class _VictimSlotGame(GameModel):
         self.leader_t = Validator(next(ids), ValidatorKind.RATIONAL)
         self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
         self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
-        self.genesis_id: BlockId = 0
 
     def decision_points(self) -> list[DecisionPoint]:
         return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index) for v in self.committee]
@@ -453,6 +463,10 @@ class SimpleGame(_VictimSlotGame):
     """
 
     SLOT_PREV, SLOT_T, SLOT_ADV = 0, 1, 2
+    genesis_id: BlockId = 0  # the first block `_opening` makes
+    CANDIDATES = {Role.ATTESTOR: {
+        "C": VoteFor(FixedBlock(genesis_id)), "NC": VoteFor(Tip()), "abstain": Abstain(),
+    }}
     PROFILES = {
         "compliant-all": ("C",),
         "vote-bt-all": ("NC",),
@@ -470,13 +484,6 @@ class SimpleGame(_VictimSlotGame):
     def solo_players(self) -> list[Validator]:
         return [v for v in self.committee if v.index in self._seats]
 
-    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
-        return {
-            "C": VoteFor(FixedBlock(self.genesis_id)),
-            "NC": VoteFor(Tip()),
-            "abstain": Abstain(),
-        }
-
     # -- simulation -----------------------------------------------------------
 
     def _opening(self) -> Checkpoint:
@@ -493,7 +500,7 @@ class SimpleGame(_VictimSlotGame):
         script = _Script(self, start, self._opening)
         sim, (genesis, b_t) = script.sim, script.blocks
         script.at(vote_tick(self.SLOT_T))  # the one decision tick
-        _attest(sim, profile, self.SLOT_T, self.committee)
+        _attest(self, sim, profile, self.SLOT_T, self.committee)
         sim.advance(propose_tick(self.SLOT_ADV))
         reorg = sim.visible_votes_for(b_t.id, slot=self.SLOT_T) < cfg.boost
         included = [v for v in sim.tree.votes if v.slot == self.SLOT_T]
@@ -630,21 +637,16 @@ class NoBoostGame(_VictimSlotGame):
     """
 
     SLOT_GENESIS, SLOT_WITHHELD, SLOT_T, SLOT_NEXT = 0, 1, 2, 3
+    b_adv_id, b_t_id = 1, 2  # `_opening` makes the genesis block, then B_adv, then B_t
+    CANDIDATES = {Role.ATTESTOR: {
+        "C": VoteFor(FixedBlock(b_adv_id)), "NC": VoteFor(FixedBlock(b_t_id)), "abstain": Abstain(),
+    }}
     PROFILES = {"compliant-all": ("C",), "vote-bt-all": ("NC",)}
 
     def __init__(self, config: GameConfig):
         if config.boost != 0:
             raise GameError("the no-boost game requires boost = 0")
         super().__init__(config)
-        self.b_adv_id: BlockId = 1
-        self.b_t_id: BlockId = 2
-
-    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
-        return {
-            "C": VoteFor(FixedBlock(self.b_adv_id)),
-            "NC": VoteFor(FixedBlock(self.b_t_id)),
-            "abstain": Abstain(),
-        }
 
     def _opening(self) -> Checkpoint:
         """The run up to the slot-2 vote: genesis, the withheld B_adv and the honest B_t."""
@@ -664,7 +666,7 @@ class NoBoostGame(_VictimSlotGame):
         script = _Script(self, start, self._opening)
         sim, (genesis, b_adv, b_t) = script.sim, script.blocks
         script.at(vote_tick(self.SLOT_T))  # the one decision tick
-        _attest(sim, profile, self.SLOT_T, self.committee)
+        _attest(self, sim, profile, self.SLOT_T, self.committee)
         sim.advance(propose_tick(self.SLOT_NEXT))
         k_adv = sim.visible_votes_for(b_adv.id, slot=self.SLOT_T)
         k_t = sim.visible_votes_for(b_t.id, slot=self.SLOT_T)
@@ -710,6 +712,10 @@ class ExtendedGame(GameModel):
     trace's settled payoffs.
     """
 
+    CANDIDATES = {
+        Role.LEADER: {"C": Propose(CompliantTip(), empty=True), "NC": Propose(Tip(), empty=False)},
+        Role.ATTESTOR: {"C": VoteFor(CompliantTip()), "NC": VoteFor(Tip()), "abstain": Abstain()},
+    }
     PROFILES = {"compliant-all": ("C",), "extend-original-all": ("NC",)}
 
     def __init__(self, config: GameConfig):
@@ -740,11 +746,6 @@ class ExtendedGame(GameModel):
                     dps.append(DecisionPoint(slot, Role.ATTESTOR, v.index))
         return dps
 
-    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
-        if dp.role is Role.LEADER:
-            return {"C": Propose(CompliantTip(), empty=True), "NC": Propose(Tip(), empty=False)}
-        return {"C": VoteFor(CompliantTip()), "NC": VoteFor(Tip()), "abstain": Abstain()}
-
     def _opening(self) -> Checkpoint:
         """The original chain B_{-p}..B_0, W votes per block, and the seeded tracker."""
         cfg, p = self.config, self.p
@@ -763,7 +764,8 @@ class ExtendedGame(GameModel):
         for slot in range(1, p + 1):
             if script.at(propose_tick(slot)):
                 ct = tracker.tip_at_leader_time(sim.tree, slot)
-                act = profile.get(DecisionPoint(slot, Role.LEADER, self.leaders[slot].index))
+                leader = DecisionPoint(slot, Role.LEADER, self.leaders[slot].index)
+                act = self._acted(profile, leader)
                 if act is not None:
                     parent = sim.resolve(act.parent, ct)
                     included = [v for v in sim.tree.votes if v.slot == slot - 1]
@@ -775,7 +777,7 @@ class ExtendedGame(GameModel):
                     sim.propose(slot, parent, self.leaders[slot], votes=included, empty=act.empty)
             if script.at(vote_tick(slot)):
                 ct = tracker.tip_at_vote_time(sim.tree, slot)
-                _attest(sim, profile, slot, self.committees[slot], ct)
+                _attest(self, sim, profile, slot, self.committees[slot], ct)
         sim.advance(propose_tick(p + 1))
         ct = tracker.tip_at_leader_time(sim.tree, p + 1)
         included = (v for v in sim.tree.votes if v.slot == p and tracker.is_vote_compliant(v))
@@ -835,6 +837,7 @@ class SelfishMiningGame(GameModel):
     decides the actual outcome.
     """
 
+    CANDIDATES = {Role.ATTESTOR: {"C": FollowRule(), "NC": VoteFor(Tip()), "abstain": Abstain()}}
     PROFILES = {"compliant-all": ("C",), "honest-all": ("NC",)}
 
     def __init__(self, config: GameConfig):
@@ -872,9 +875,6 @@ class SelfishMiningGame(GameModel):
             for v in self.committees[slot]
         ]
 
-    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
-        return {"C": FollowRule(), "NC": VoteFor(Tip()), "abstain": Abstain()}
-
     def run(self, profile: StrategyProfile, start: Optional[Checkpoint] = None) -> GameOutcome:
         cfg = self.config
         W = cfg.committee_size
@@ -886,7 +886,7 @@ class SelfishMiningGame(GameModel):
                 self._lead(sim, slot)
             if script.at(vote_tick(slot)):
                 slot_profile = profile if slot in self.player_slots else None
-                _attest(sim, slot_profile, slot, self.committees[slot])
+                _attest(self, sim, slot_profile, slot, self.committees[slot])
         # private exchange runs over slot p, after the last recruited
         # committee's nominal voting tick
         sim.advance(vote_tick(self.horizon - 1))
@@ -912,7 +912,7 @@ class SelfishMiningGame(GameModel):
     def _stage_fork(self, sim, genesis, profile) -> tuple[list[BlockId], int]:
         """Slot-p exchange: show each staged block, collect votes, pack the next.
 
-        The attestors whose profile action is FollowRule withheld their
+        The attestors whose profile label names FollowRule withheld their
         votes; each now votes the staged block before its adversarial slot.
         Everything surfaces together before 3(p+1)+1.  Returns the fork's
         block ids and the number of compliant votes it carries.
@@ -925,7 +925,8 @@ class SelfishMiningGame(GameModel):
             votes = [
                 sim.emit_vote(s_i - 1, v.index, parent, publish)
                 for v in self.committees[s_i - 1]
-                if profile.get(DecisionPoint(s_i - 1, Role.ATTESTOR, v.index)) == FollowRule()
+                if isinstance(self._acted(profile, DecisionPoint(s_i - 1, Role.ATTESTOR, v.index)),
+                              FollowRule)
             ]
             compliant_votes += len(votes)
             parent = sim.propose(s_i, parent, self.adversary, votes=votes, release=publish).id
@@ -992,6 +993,12 @@ class DagVotesGame(GameModel):
     both logs past the counts its parent's chain includes (`_carried`).
     """
 
+    CANDIDATES = {
+        Role.LEADER: {"on-tip": Propose(Tip()), "off-tip": Propose(ParentOfTip())},
+        Role.ATTESTOR: {
+            "tip": VoteFor(Tip()), "parent-of-tip": VoteFor(ParentOfTip()), "abstain": Abstain(),
+        },
+    }
     PROFILES = {"prescribed": ("on-tip", "tip")}
     n_slots = 4
     adv_slot = 3
@@ -1020,15 +1027,6 @@ class DagVotesGame(GameModel):
             dps.extend(DecisionPoint(slot, Role.ATTESTOR, v.index) for v in self.committees[slot])
         return dps
 
-    def candidates(self, dp: DecisionPoint) -> dict[str, object]:
-        if dp.role is Role.LEADER:
-            return {"on-tip": Propose(Tip()), "off-tip": Propose(ParentOfTip())}
-        return {
-            "tip": VoteFor(Tip()),
-            "parent-of-tip": VoteFor(ParentOfTip()),
-            "abstain": Abstain(),
-        }
-
     def run(self, profile: StrategyProfile, start: Optional[Checkpoint] = None) -> GameOutcome:
         cfg = self.config
         script = _Script(self, start, lambda: _open_chain(
@@ -1042,7 +1040,7 @@ class DagVotesGame(GameModel):
                     if slot == self.adv_slot:
                         parent = sim.tip() if cfg.adversary_on_tip else sim.resolve(ParentOfTip())
                     else:
-                        act = profile.get(DecisionPoint(slot, Role.LEADER, leader.index))
+                        act = self._acted(profile, DecisionPoint(slot, Role.LEADER, leader.index))
                         parent = None if act is None else sim.resolve(act.parent)
                     if parent is not None:
                         n, k = _carried(sim.tree, parent)
@@ -1050,7 +1048,7 @@ class DagVotesGame(GameModel):
                 if script.at(vote_tick(slot)):
                     # the horizon committee is scripted to vote the tip
                     slot_profile = profile if slot < self.n_slots else None
-                    _attest(sim, slot_profile, slot, self.committees[slot])
+                    _attest(self, sim, slot_profile, slot, self.committees[slot])
             if script.at(aggregate_tick(slot)) and slot < self.n_slots:
                 # each slot s+1 attestor signs the slot-s votes it saw on time, in one message
                 seen = tuple(vote for vote in votes if vote.slot == slot)

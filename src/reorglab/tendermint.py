@@ -206,19 +206,18 @@ class RoundRun:
 class _TendermintGame(GameModel):
     """Nash-game adapter: one round-1 choice per rational validator.
 
-    Each label in `LABELS` is a candidate action of every rational validator;
-    `PROFILES` names the playable profiles in which all of them take the same
-    one.  Each distinct profile is played once per game object (`simulate`
-    keeps the run).  The players take `GameModel.symmetry_classes`' shared
-    key: every rational validator has one decision point, at slot 1 as an
-    attestor, so two of them share a class when they take the same label.
-    That is sound because a run reads its rational validators only as sets
-    (`_playing`, the audiences of `evidence_counts`, `sorted(backers)` into a
-    view whose order no quorum reads): swapping two of one label changes no
-    set, so each one's deviation pays it what the other's pays the other.
+    Each label of the attestor table in `CANDIDATES` is its own action, and a
+    candidate of every rational validator; `PROFILES` names the playable
+    profiles in which all of them take the same one.  Each distinct profile
+    is played once per game object (`simulate` keeps the run).  The players
+    take `GameModel.symmetry_classes`' shared key: every rational validator
+    has one decision point, at slot 1 as an attestor, so two of them share a
+    class when they take the same label.  That is sound because a run reads
+    its rational validators only as sets (`_playing`, the audiences of
+    `evidence_counts`, `sorted(backers)` into a view whose order no quorum
+    reads): swapping two of one label changes no set, so each one's
+    deviation pays it what the other's pays the other.
     """
-
-    LABELS: tuple[str, ...] = ()
 
     def __init__(self, f: int, r_unit: Fraction):
         self.f = f
@@ -228,9 +227,6 @@ class _TendermintGame(GameModel):
 
     def decision_points(self):
         return [DecisionPoint(1, Role.ATTESTOR, v) for v in self.rational]
-
-    def candidates(self, dp):
-        return {label: label for label in self.LABELS}
 
     def simulate(self, profile: StrategyProfile) -> RoundRun:
         key = frozenset(profile.actions.items())
@@ -280,7 +276,7 @@ class WithholdingGame(_TendermintGame):
     as with the honest ones they would reach a quorum.
     """
 
-    LABELS = ("script", "honest-r1")
+    CANDIDATES = {Role.ATTESTOR: {"script": "script", "honest-r1": "honest-r1"}}
     PROFILES = {"script": ("script",)}
 
     def __init__(self, f: int, m: int, r_unit: Fraction):
@@ -365,7 +361,7 @@ class AnchorResult:
 class AnchorGame(_TendermintGame):
     """Round led by an honest leader with f+1 honest validators present."""
 
-    LABELS = ("prevote-b", "prevote-nil")
+    CANDIDATES = {Role.ATTESTOR: {"prevote-b": "prevote-b", "prevote-nil": "prevote-nil"}}
     PROFILES = {"prevote-b": ("prevote-b",), "prevote-nil": ("prevote-nil",)}
 
     def __init__(self, f: int, r_unit: Fraction = Fraction(1)):
@@ -416,7 +412,7 @@ def honest_anchor_scenario(
     first: dict[object, DecisionPoint] = {}
     for dp in game.decision_points():
         first.setdefault(classes[dp.actor], dp)
-    nil = lambda dp: profile.with_action(dp, game.action(dp, "prevote-nil"))
+    nil = lambda dp: profile.with_action(dp, "prevote-nil")
     forfeits = all(game.payoffs(nil(dp))[dp.actor] < run.payoffs[dp.actor] for dp in first.values())
     return AnchorResult(run.finalized_round, reorg_resilient=True, payoffs=run.payoffs,
                         deviation_forfeits=forfeits, report=report)

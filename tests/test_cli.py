@@ -24,7 +24,7 @@ from reorglab.cli import (
     render_report,
     run_scenario,
 )
-from reorglab.engine import RunTrace
+from reorglab.engine import RunTrace, StrategyProfile
 
 BUNDLED = [
     "dag-thm81",
@@ -251,6 +251,29 @@ def test_profile_override_validation(tmp_path):
     assert main(["run", str(path)]) == EXIT_VALIDATION
 
 
+def test_slot_wide_override_builds_one_profile(monkeypatch):
+    # every override's labels are gathered first: the base profile, then one more
+    game = games.SimpleGame(games.GameConfig(256, boost=102))
+    hold_out = game.committee[7].index
+    spec = cli._profile({"base": "compliant-all", "overrides": [
+        {"slot": 1, "action": "NC"}, {"slot": 1, "actor": hold_out, "action": "abstain"},
+    ]}, "profile")
+    built = []
+    init = StrategyProfile.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StrategyProfile, "__init__", counted)
+    profile = cli._resolve_profile(game, spec)
+    assert len(built) == 2
+    # a later override wins
+    assert profile.actions == {
+        dp: "abstain" if dp.actor == hold_out else "NC" for dp in game.decision_points()
+    }
+
+
 def test_output_key_writes_report(tmp_path):
     out_path = tmp_path / "report.json"
     doc = json.loads(bundled_scenarios()["overhead-grid"])
@@ -290,6 +313,26 @@ def test_removed_entry_points_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "simple-table1", "--max-joint-actions", "-1"],
+     ["batch", ".", "--max-joint-actions", "-1"],
+     ["batch", ".", "--jobs", "0"]],
+    ids=["run-negative-guard", "batch-negative-guard", "batch-no-jobs"],
+)
+def test_out_of_range_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and "must be at least" in err
+
+
+def test_zero_guard_allows_no_simulation(capsys):
+    assert main(["run", "simple-table1", "--max-joint-actions", "0"]) == EXIT_GUARD
     assert capsys.readouterr().out == ""
 
 

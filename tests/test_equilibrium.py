@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from reorglab.engine import DecisionPoint, FixedBlock, Role, Tip, VoteFor
+from reorglab.engine import DecisionPoint, Role, VoteFor
 from reorglab.games import (
     DagVotesGame,
     ExtendedGame,
@@ -51,7 +51,7 @@ class TestBestResponse:
         profile = game.profile("compliant-all")
         player = game.players()[0]
         dp = DecisionPoint(SimpleGame.SLOT_T, Role.ATTESTOR, player)
-        only = [("C", {dp: VoteFor(FixedBlock(game.genesis_id))})]
+        only = [("C", {dp: "C"})]
         assert best_response(game, profile, player, only) == {"C"}
 
 
@@ -73,12 +73,12 @@ class TestVerifyNash:
         profile = game.profile("compliant-all")
         hold_out = game.players()[-1]
         dp = DecisionPoint(SimpleGame.SLOT_T, Role.ATTESTOR, hold_out)
-        profile = profile.with_action(dp, VoteFor(Tip()))
+        profile = profile.with_action(dp, "NC")
         report = verify_nash(game, profile)
         assert report.verdict is Verdict.NOT_EQUILIBRIUM
         dev = next(d for d in report.deviations if d.player == hold_out)
         assert dev.label == "C"
-        replayed = game.payoffs(profile.with_action(dp, VoteFor(FixedBlock(game.genesis_id))))
+        replayed = game.payoffs(profile.with_action(dp, "C"))
         assert replayed[hold_out] == dev.deviated
         assert dev.gain == Fraction(1)
 
@@ -114,6 +114,25 @@ class TestVerifyNash:
         small, large = roster_calls(8), roster_calls(32)
         assert large["owner"] <= 32
         assert large["decision_points"] == small["decision_points"]
+
+    def test_vote_actions_built_do_not_grow_with_w(self, monkeypatch):
+        # a profile names its actions by label, so a check reads each game's
+        # table and builds only the votes its runs cast for honest voters
+        built = []
+        init = VoteFor.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(VoteFor, "__init__", counted)
+        counts = []
+        for W in (128, 512):
+            game = SimpleGame(simple_config(committee_size=W, boost=W * 2 // 5))
+            built.clear()
+            assert verify_nash(game, game.profile("compliant-all")).verdict is Verdict.NASH
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     def test_explosion_guard(self):
         game = SimpleGame(simple_config())
@@ -189,7 +208,7 @@ class TestVerifySpne:
         game = ExtendedGame(config)
         profile = game.profile("compliant-all")
         dp = DecisionPoint(2, Role.LEADER, game.leaders[2].index)
-        profile = profile.with_action(dp, game.candidates(dp)["NC"])
+        profile = profile.with_action(dp, "NC")
         report = verify_spne(game, profile)
         assert report.verdict is Verdict.NOT_EQUILIBRIUM
         dev = next(d for d in report.deviations if d.player == game.leaders[2].index)

@@ -6,19 +6,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from reorglab.chain import TieBreakPolicy, Validator
-from reorglab.engine import (
-    Abstain,
-    DecisionPoint,
-    FixedBlock,
-    Role,
-    Simulation,
-    StrategyProfile,
-    Tip,
-    VoteFor,
-    aggregate_tick,
-)
+from reorglab.engine import DecisionPoint, Role, Simulation, StrategyProfile, aggregate_tick
 from reorglab.games import (
     ConditionViolated,
     ConditioningUnrealizable,
@@ -26,6 +17,7 @@ from reorglab.games import (
     ExtendedGame,
     GameConfig,
     GameError,
+    GameModel,
     NoBoostGame,
     PoolSpec,
     SelfishMiningGame,
@@ -38,6 +30,7 @@ from reorglab.games import (
 from reorglab.tendermint import AnchorGame, WithholdingGame
 
 from committees import assign_committees
+from engine_games import games
 
 
 def simple_config(**kw):
@@ -59,11 +52,7 @@ class TestSimpleGame:
     def test_boost_threshold_blocks_reorg(self):
         # exactly W_p defectors: the adversary backs down and extends B_t
         game = SimpleGame(simple_config(committee_size=5, boost=2))
-        actions = {}
-        for n, dp in enumerate(game.decision_points()):
-            actions[dp] = (
-                VoteFor(Tip()) if n < 2 else VoteFor(FixedBlock(game.genesis_id))
-            )
+        actions = {dp: "NC" if n < 2 else "C" for n, dp in enumerate(game.decision_points())}
         out = game.run(StrategyProfile(actions))
         assert not out.success
         b_t = out.trace.labels["B_t"]
@@ -96,13 +85,7 @@ class TestSimpleGame:
         matrix = simple_payoff_matrix(game)
         dps = game.decision_points()
         for joint in itertools.product("CN", repeat=4):
-            actions = {}
-            for dp, choice in zip(dps, joint):
-                actions[dp] = (
-                    VoteFor(FixedBlock(game.genesis_id))
-                    if choice == "C"
-                    else VoteFor(Tip())
-                )
+            actions = {dp: "C" if choice == "C" else "NC" for dp, choice in zip(dps, joint)}
             out = game.run(StrategyProfile(actions))
             row = "succeed" if out.success else "fail"
             votes_for_bt = joint.count("N")
@@ -119,15 +102,9 @@ class TestSimpleGame:
         config = simple_config(committee_size=W, boost=boost)
         game = SimpleGame(config)
         dps = game.decision_points()
+        label = {"C": "C", "N": "NC", "A": "abstain"}
         for joint in itertools.product("CNA", repeat=W):
-            actions = {}
-            for dp, choice in zip(dps, joint):
-                if choice == "C":
-                    actions[dp] = VoteFor(FixedBlock(game.genesis_id))
-                elif choice == "N":
-                    actions[dp] = VoteFor(Tip())
-                else:
-                    actions[dp] = Abstain()
+            actions = {dp: label[choice] for dp, choice in zip(dps, joint)}
             out = game.run(StrategyProfile(actions))
             assert out.success == (joint.count("N") < boost)
 
@@ -246,14 +223,9 @@ class TestNoBoost:
         return GameConfig(committee_size=W, boost=0)
 
     def _run_split(self, game, n_compliant):
-        actions = {}
-        for n, dp in enumerate(game.decision_points()):
-            actions[dp] = (
-                VoteFor(FixedBlock(game.b_adv_id))
-                if n < n_compliant
-                else VoteFor(FixedBlock(game.b_t_id))
-            )
-        return game.run(StrategyProfile(actions))
+        dps = game.decision_points()
+        return game.run(StrategyProfile({dp: "NC" if n >= n_compliant else "C"
+                                         for n, dp in enumerate(dps)}))
 
     def test_majority_wins(self):
         game = NoBoostGame(self.config(5))
@@ -341,7 +313,7 @@ class TestExtendedGame:
         game = ExtendedGame(extended_config(3))
         profile = game.profile("compliant-all")
         leader_dp = DecisionPoint(2, Role.LEADER, game.leaders[2].index)
-        deviated = profile.with_action(leader_dp, game.candidates(leader_dp)["NC"])
+        deviated = profile.with_action(leader_dp, "NC")
         out = game.run(deviated)
         payoffs = game.payoffs(deviated)
         assert payoffs[game.leaders[2].index] == 0
@@ -386,7 +358,7 @@ class TestSelfishMining:
         profile = game.profile("compliant-all")
         for dp in game.decision_points():
             if dp.slot == game.player_slots[0]:
-                profile = profile.with_action(dp, VoteFor(Tip()))
+                profile = profile.with_action(dp, "NC")
         out = game.run(profile)
         assert out.extras["fork_weight_adversarial"] == 140
         assert out.extras["fork_weight_non_adversarial"] == 300
@@ -519,9 +491,8 @@ def test_labelled_agrees_with_named_profile(kind, name):
     profile = game.profile(name)
     labels = {}
     for dp in game.decision_points():
-        candidates = game.candidates(dp)
-        labels[dp] = next(label for label in candidates if candidates[label] == profile.get(dp))
-        assert labels[dp] in game.PROFILES[name]
+        labels[dp] = profile.get(dp)
+        assert labels[dp] in game.candidates(dp) and labels[dp] in game.PROFILES[name]
     assert game.labelled(labels.__getitem__) == profile
     with pytest.raises(GameError, match="unknown action 'Z' for slot"):
         game.action(game.decision_points()[0], "Z")
@@ -642,3 +613,30 @@ def test_dag_one_evidence_per_attestor(committee_size, monkeypatch):
             lines = [json.loads(line) for line in trace.export_lines()]
             assert [line for line in lines if line["kind"] == "evidence"] == want_lines
     assert 0 in sizes and max(sizes) > 1
+
+
+def assert_candidate_tables_hold(game):
+    """Each decision point offers its role's declared table, whose actions are distinct."""
+    assert all("candidates" not in vars(cls) for cls in type(game).__mro__ if cls is not GameModel)
+    for dp in game.decision_points():
+        table = game.candidates(dp)
+        assert table is type(game).CANDIDATES[dp.role]
+        # one action per label, so equal labels are equal actions and back
+        actions = list(table.values())
+        assert all(a != b for a, b in itertools.combinations(actions, 2)), table
+        for picks in game.PROFILES.values():
+            assert any(label in table for label in picks), (dp, picks)
+        if game.owner(dp) in game.pools:
+            assert set(game.POOL_LABELS) <= set(table)
+
+
+@given(game=games())
+@settings(max_examples=100, deadline=None)
+def test_engine_candidate_tables(game):
+    assert_candidate_tables_hold(game)
+
+
+@pytest.mark.parametrize("make", [lambda: WithholdingGame(2, 1, Fraction(1)), lambda: AnchorGame(2)],
+                         ids=["withholding", "anchor"])
+def test_tendermint_candidate_tables(make):
+    assert_candidate_tables_hold(make())

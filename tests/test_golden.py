@@ -151,6 +151,16 @@ EXTRA = {
                                   {"slot": 1, "role": "attestor", "actor": 1023, "action": "NC"}]},
         "checks": [{"type": "nash"}, {"type": "outcome"}],
     },
+    # a slot-wide override on a W=2048 committee, then a later one that wins
+    # for a single actor
+    "golden-simple-w2048-slot-override": {
+        "game": {"kind": "simple", "committee_size": 2048, "boost": 819},
+        "profile": {"base": "compliant-all",
+                    "overrides": [{"slot": 1, "action": "NC"},
+                                  {"slot": 1, "role": "attestor", "actor": 3000,
+                                   "action": "abstain"}]},
+        "checks": [{"type": "outcome"}, {"type": "nash"}],
+    },
     "golden-tendermint-withholding-m0": {
         "game": {"kind": "tendermint", "variant": "withholding", "f": 2, "m": 0, "r": "1"},
     },
@@ -254,6 +264,10 @@ GOLDEN = {
     "golden-simple-w512-holdouts": (
         "3439cdeb404c22fa9684935b984286f4b53dcaaa575880d1fcd2b9a289541c46",
         "e1c9dce2200983620932a4300d0379d8d0a9ebc9b7558b0cb75dd6230e7e1493",
+    ),
+    "golden-simple-w2048-slot-override": (
+        "6dad08632311ab06f5e9ebbf7c30c1b2fa8f8de2cbc4a074cc9ded35a7f511cd",
+        "2e207e27a9395c22a694118e68e2191a207774791ae3c0f0b1a96b76589815f8",
     ),
     "golden-strong-simple-epoch4": (
         "1c3f7f3a886a1e9bdb6f4dd5731729698a8f10aa12a8554207cb81508b3fbc62",

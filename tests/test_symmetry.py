@@ -69,7 +69,7 @@ def test_swapping_two_class_members_carries_payoffs_over(game, rnd):
         (dp,) = assignment
         image = replace(dp, actor=q)
         ran = game.run(_apply(profile, assignment))
-        swapped = game.run(_apply(profile, {image: game.action(image, label)}))
+        swapped = game.run(_apply(profile, {image: label}))
         assert mapped(ran.trace.payoffs) == swapped.trace.payoffs, (p, q, label)
         assert mapped(game._payoffs_from(ran)) == game._payoffs_from(swapped), (p, q, label)
         assert (ran.success, ran.final_chain) == (swapped.success, swapped.final_chain)
@@ -96,9 +96,9 @@ def full_spne(game, profile) -> EquilibriumReport:
     for dp in reversed(sorted(game.decision_points(), key=lambda d: (d.tick, d.actor))):
         owner = game.owner(dp)
         payoffs = {}
-        for label, action in game.candidates(dp).items():
-            value = payoffs[label] = game.payoffs(_apply(profile, {dp: action}))[owner]
-            if profile.get(dp) == action:
+        for label in game.candidates(dp):
+            value = payoffs[label] = game.payoffs(_apply(profile, {dp: label}))[owner]
+            if profile.get(dp) == label:
                 continue
             checked += 1
             if value > base[owner]:
@@ -179,7 +179,7 @@ def tendermint_games(draw):
 
 def mixed_profile(game, rnd):
     """A labelled profile with each rational validator's label drawn at random."""
-    return game.labelled(lambda dp: rnd.choice(game.LABELS))
+    return game.labelled(lambda dp: rnd.choice(list(game.candidates(dp))))
 
 
 def settled(call):
@@ -212,8 +212,7 @@ def test_swapping_two_tendermint_class_members_carries_payoffs_over(make, rnd):
         (dp,) = assignment
         image = replace(dp, actor=q)
         ran = settled(lambda: played(_apply(profile, assignment), sigma))
-        swapped = settled(lambda: played(_apply(profile, {image: game.action(image, label)}),
-                                          lambda v: v))
+        swapped = settled(lambda: played(_apply(profile, {image: label}), lambda v: v))
         assert ran == swapped, (p, q, label)
 
 

@@ -317,11 +317,10 @@ def payoff_table() -> dict[str, object]:
         profiles = {"script": script}
         dps = game.decision_points()
         for dp in dps:
-            profiles[f"dev-{dp.actor}"] = script.with_action(dp, game.action(dp, "honest-r1"))
+            profiles[f"dev-{dp.actor}"] = script.with_action(dp, "honest-r1")
         a, b = dps[:2]
-        profiles[f"dev-{a.actor}-{b.actor}"] = script.with_action(
-            a, game.action(a, "honest-r1")
-        ).with_action(b, game.action(b, "honest-r1"))
+        profiles[f"dev-{a.actor}-{b.actor}"] = script.with_action(a, "honest-r1").with_action(
+            b, "honest-r1")
         for name, profile in profiles.items():
             table[f"withholding f={f} m={m} {name}"] = _played(game, profile)
     for f in range(1, 5):
@@ -357,10 +356,11 @@ def tendermint_plays(draw):
     else:
         game = AnchorGame(f, r_unit)
     dps = game.decision_points()
+    offered = list(game.candidates(dps[0]))
     if draw(st.booleans()):
-        labels = [draw(st.sampled_from(game.LABELS))] * len(dps)
+        labels = [draw(st.sampled_from(offered))] * len(dps)
     else:
-        labels = draw(st.lists(st.sampled_from(game.LABELS), min_size=len(dps), max_size=len(dps)))
+        labels = draw(st.lists(st.sampled_from(offered), min_size=len(dps), max_size=len(dps)))
     return game, game.labelled(dict(zip(dps, labels)).__getitem__)
 
 
