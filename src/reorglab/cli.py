@@ -455,6 +455,11 @@ def _check_dominance(game, guard, action, candidates, player=None, **options):
         player = players[-1]
     elif player not in players:
         raise ValidationError(f"dominance player {player!r} is not a player of this game")
+    # every slot-t attestor has the same candidates; a label that is not one of
+    # them is rejected even when no alternative would be played against it
+    dp = game.decision_points()[0]
+    for label in (action, *candidates):
+        game.action(dp, label)
     verdict = dominance_check(game, player, action, candidates, **options)
     return {"dominance": verdict.value}, None
 

@@ -1,4 +1,4 @@
-"""Compliant-tip identification and iterative compliance classification.
+"""Compliant-tip identification and compliance marks judged from the recorded tips.
 
 The extended attack coordinates leaders and attestors of slots 1..p onto a
 fork of empty blocks built from B_{-p}.  Everyone locates the block to build
@@ -99,12 +99,11 @@ def compliant_tip(
 
 @dataclass
 class ComplianceTracker:
-    """Iteratively judged compliance marks for blocks and votes.
+    """Compliance marks judged from each slot's two recorded compliant tips.
 
-    Seeded with B_{-p} compliant and the original chain B_{-p+1}..B_0
-    non-compliant.  Each compliant-tip query (`tip_at_leader_time`,
-    `tip_at_vote_time`) first classifies what the tree gained since the last
-    one (`observe`), so the extended-game script only asks for tips.
+    `tip_at_leader_time` and `tip_at_vote_time` record a slot's tips before
+    any of its blocks or votes exist, and they never change; so each block
+    is judged once, and `block_marks` keeps the judgment.
     """
 
     p: int
@@ -112,38 +111,15 @@ class ComplianceTracker:
     boost: int
     tie_break: TieBreakPolicy = TieBreakPolicy.ADVERSARY_FAVORING
     block_marks: dict[BlockId, bool] = field(default_factory=dict)
-    vote_marks: dict[tuple[int, int, BlockId], bool] = field(default_factory=dict)
     leader_tips: dict[int, BlockId] = field(default_factory=dict)
     vote_tips: dict[int, BlockId] = field(default_factory=dict)
-    # how many of the tree's blocks and votes `observe` has already seen
-    seen_blocks: int = field(default=0, init=False)
-    seen_votes: int = field(default=0, init=False)
 
     def fork(self) -> ComplianceTracker:
-        """A copy to classify on independently: the marks, tips and seen counts."""
-        tracker = ComplianceTracker(
+        """A copy to play on independently: the marks and the tips."""
+        return ComplianceTracker(
             self.p, self.committee_size, self.boost, self.tie_break,
-            dict(self.block_marks), dict(self.vote_marks),
-            dict(self.leader_tips), dict(self.vote_tips),
+            dict(self.block_marks), dict(self.leader_tips), dict(self.vote_tips),
         )
-        tracker.seen_blocks, tracker.seen_votes = self.seen_blocks, self.seen_votes
-        return tracker
-
-    def seed(self, genesis: BlockId, originals: list[BlockId]) -> None:
-        self.block_marks[genesis] = True
-        for bid in originals:
-            self.block_marks[bid] = False
-
-    def observe(self, tree: BlockTree) -> None:
-        """Classify the slot-1..p blocks and votes delivered since the last call."""
-        blocks = list(tree.blocks.values())
-        for block in blocks[self.seen_blocks:]:
-            if 1 <= block.slot <= self.p:
-                self.classify_block(block)
-        for vote in tree.votes[self.seen_votes:]:
-            if 1 <= vote.slot <= self.p:
-                self.classify_vote(vote)
-        self.seen_blocks, self.seen_votes = len(blocks), len(tree.votes)
 
     def tip_at_leader_time(self, tree: BlockTree, slot_i: int) -> BlockId:
         return self._tip(tree, slot_i, self.leader_tips)
@@ -152,51 +128,42 @@ class ComplianceTracker:
         return self._tip(tree, slot_i, self.vote_tips)
 
     def _tip(self, tree: BlockTree, slot_i: int, tips: dict[int, BlockId]) -> BlockId:
-        """Observe `tree`, then record in `tips` the compliant tip of `slot_i`."""
-        self.observe(tree)
+        """Judge the blocks not judged yet, then record in `tips` the compliant tip of `slot_i`."""
+        marks = self.block_marks
+        for bid, block in tree.blocks.items():
+            if bid not in marks:
+                marks[bid] = self.is_block_compliant(block)
         tips[slot_i] = tip = compliant_tip(
-            tree, slot_i, self.p, self.committee_size, self.boost,
-            self.block_marks, self.tie_break,
+            tree, slot_i, self.p, self.committee_size, self.boost, marks, self.tie_break,
         )
         return tip
 
-    def classify_block(self, block: Block) -> bool:
-        """Judge a slot-i block against the compliant tip of its leader tick.
+    def is_block_compliant(self, block: Block) -> bool:
+        """Whether `block` is the root B_{-p} or a compliant slot-1..p block.
 
-        Compliant means: empty, proposed on the compliant tip, and (for
-        slots past the first) carrying only the compliant previous-slot
-        votes for its parent.
+        A slot-i block is compliant when it is empty, builds on the compliant
+        tip of its leader tick and, for slots past the first, carries only
+        compliant previous-slot votes for its parent.
         """
+        if block.parent is None:
+            return True
         slot_i = block.slot
-        expected_parent = self.leader_tips.get(slot_i)
-        ok = (
-            block.is_empty
-            and expected_parent is not None
-            and block.parent == expected_parent
+        if not 1 <= slot_i <= self.p:
+            return False
+        if not block.is_empty or block.parent != self.leader_tips.get(slot_i):
+            return False
+        return slot_i == 1 or all(
+            v.slot == slot_i - 1 and v.target == block.parent and self.is_vote_compliant(v)
+            for v in block.included_votes
         )
-        if ok and slot_i >= 2:
-            for vote in block.included_votes:
-                if vote.slot != slot_i - 1 or vote.target != block.parent:
-                    ok = False
-                    break
-                if not self.vote_marks.get((vote.slot, vote.voter, vote.target), False):
-                    ok = False
-                    break
-        self.block_marks[block.id] = ok
-        return ok
-
-    def classify_vote(self, vote: VoteRecord) -> bool:
-        """A slot-i vote is compliant iff it names the vote-time compliant tip."""
-        ok = self.vote_tips.get(vote.slot) == vote.target
-        self.vote_marks[(vote.slot, vote.voter, vote.target)] = ok
-        return ok
 
     def is_vote_compliant(self, vote: VoteRecord) -> bool:
-        return self.vote_marks.get((vote.slot, vote.voter, vote.target), False)
+        """A slot-i vote is compliant iff it names the vote-time compliant tip."""
+        return 1 <= vote.slot <= self.p and self.vote_tips.get(vote.slot) == vote.target
 
     def compliant_block_of_slot(self, tree: BlockTree, slot_i: int) -> Optional[BlockId]:
-        for bid in sorted(tree.blocks):
-            if tree.blocks[bid].slot == slot_i and self.block_marks.get(bid, False):
+        for bid in tree.by_slot.get(slot_i, ()):
+            if self.block_marks.get(bid, False):
                 return bid
         return None
 

@@ -186,7 +186,11 @@ class TraceEvent:
 
 @dataclass
 class RunTrace:
-    """Append-only record of a run; replaying it reproduces identical payoffs."""
+    """Append-only record of a run, which `export_lines` renders.
+
+    It holds the run's message log, the tip of each tick, the final chain
+    and the settled payoffs.
+    """
 
     events: list[TraceEvent] = field(default_factory=list)
     tips: list[tuple[int, BlockId]] = field(default_factory=list)

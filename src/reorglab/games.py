@@ -747,14 +747,12 @@ class ExtendedGame(GameModel):
         return dps
 
     def _opening(self) -> Checkpoint:
-        """The original chain B_{-p}..B_0, W votes per block, and the seeded tracker."""
+        """The original chain B_{-p}..B_0, W votes per block, and a tracker with no tips yet."""
         cfg, p = self.config, self.p
         seeded = {s: (self.pre_leaders[s], self.pre_committees[s]) for s in range(-p, 1)}
         opening = _open_chain(cfg, seeded, start=propose_tick(1))
-        genesis, *originals = opening.blocks
         tracker = ComplianceTracker(p, cfg.committee_size, cfg.boost, cfg.tie_break)
-        tracker.seed(genesis.id, [b.id for b in originals])
-        return Checkpoint(opening.tick, opening.sim, (genesis,), tracker)
+        return Checkpoint(opening.tick, opening.sim, opening.blocks[:1], tracker)
 
     def run(self, profile: StrategyProfile, start: Optional[Checkpoint] = None) -> GameOutcome:
         cfg = self.config

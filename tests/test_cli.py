@@ -456,6 +456,18 @@ def test_dominance_without_conditions_exit_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("action, candidates", [("zzz", ["zzz"]), ("zzz", ["C"]), ("C", ["C", "zzz"])])
+def test_dominance_unknown_label_exit_3(tmp_path, capsys, action, candidates):
+    # an unknown action is rejected whether or not an alternative remains
+    # to play against it, and so is an unknown candidate
+    game = {"kind": "simple", "committee_size": 4, "boost": 2}
+    check = {"type": "dominance", "action": action, "candidates": candidates}
+    assert _run_doc(tmp_path, game, [check]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unknown action 'zzz' for slot 1 attestor" in err
+
+
 @pytest.mark.parametrize("key", ["n_slots", "adv_slot"])
 def test_unread_dag_keys_exit_3(tmp_path, key):
     # the DAG-votes game always runs 4 slots with slot 3 adversarial

@@ -4,15 +4,18 @@ The oracle rebuilds the full candidate scan from scratch: a fork choice for
 every block by brute-force vote counting and greedy chain descent, explicit
 prefix walks, and the best rank among the survivors.  The scripted trees
 cover attack lengths up to 3, defections, membership pruning and ties; a
-property test compares random trees under both tie-break policies.
+property test compares random trees under both tie-break policies.  The
+tracker's marks are checked against the observing tracker kept in
+`compliance_reference.py`.
 """
 
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reorglab import compliance
+from reorglab import compliance, games
 from reorglab.chain import Block, BlockTree, TieBreakPolicy, Validator, VoteRecord
 from reorglab.compliance import (
     ComplianceTracker,
@@ -23,10 +26,11 @@ from reorglab.compliance import (
 )
 from reorglab.games import ExtendedGame, GameConfig
 
+import compliance_reference
 from conftest import ADVERSARIAL, RATIONAL, make_tree, oracle_fork_choice, vote
+from engine_games import POLICIES, labelled_profile
 
 LEX = TieBreakPolicy.LEXICOGRAPHIC
-POLICIES = (TieBreakPolicy.ADVERSARY_FAVORING, LEX)
 
 
 def build(blocks, votes=()):
@@ -337,52 +341,122 @@ def test_prefix_index():
 
 
 class TestClassification:
-    def _tracker(self, tree, ids, p=2):
-        tracker = ComplianceTracker(p, W, WP, LEX)
-        tracker.seed(ids[0], ids[1 : p + 1])
-        return tracker
+    def _tracker(self):
+        return ComplianceTracker(2, W, WP, LEX)
 
     def test_empty_block_on_root_compliant(self):
         tree, ids = build([(-2, None), (-1, 0), (0, 1)])
-        tracker = self._tracker(tree, ids)
+        tracker = self._tracker()
         tracker.tip_at_leader_time(tree, 1)
         block = Block(tree.new_id(), 1, ids[0], Validator(9, RATIONAL), is_empty=True)
         tree.insert_block(block)
-        assert tracker.classify_block(block)
+        assert tracker.is_block_compliant(block)
 
     def test_non_empty_block_not_compliant(self):
         tree, ids = build([(-2, None), (-1, 0), (0, 1)])
-        tracker = self._tracker(tree, ids)
+        tracker = self._tracker()
         tracker.tip_at_leader_time(tree, 1)
         block = Block(tree.new_id(), 1, ids[0], Validator(9, RATIONAL), is_empty=False)
         tree.insert_block(block)
-        assert not tracker.classify_block(block)
+        assert not tracker.is_block_compliant(block)
 
     def test_block_with_noncompliant_vote_not_compliant(self):
         blocks, votes, voter = original_chain(2, W)
         tree, ids = build(blocks, votes)
-        tracker = self._tracker(tree, ids)
+        tracker = self._tracker()
         tracker.tip_at_leader_time(tree, 1)
         be1 = Block(tree.new_id(), 1, ids[0], Validator(9, RATIONAL), is_empty=True)
         tree.insert_block(be1)
-        assert tracker.classify_block(be1)
+        assert tracker.is_block_compliant(be1)
         tracker.tip_at_vote_time(tree, 1)
         good_votes = [VoteRecord(1, voter + k, be1.id) for k in range(3)]
         bad = VoteRecord(1, voter + 3, ids[0])  # not for the vote-time tip
         for v in good_votes:
             tree.add_vote(v)
-            assert tracker.classify_vote(v)
+            assert tracker.is_vote_compliant(v)
         tree.add_vote(bad)
-        assert not tracker.classify_vote(bad)
+        assert not tracker.is_vote_compliant(bad)
         assert tracker.tip_at_leader_time(tree, 2) == be1.id
         be2 = Block(tree.new_id(), 2, be1.id, Validator(10, RATIONAL), is_empty=True,
                     included_votes=(*good_votes, bad))
         tree.insert_block(be2)
-        assert not tracker.classify_block(be2)
+        assert not tracker.is_block_compliant(be2)
         clean = Block(tree.new_id(), 2, be1.id, Validator(11, RATIONAL), is_empty=True,
                       included_votes=tuple(good_votes))
         tree.insert_block(clean)
-        assert tracker.classify_block(clean)
+        assert tracker.is_block_compliant(clean)
+
+
+@st.composite
+def extended_plays(draw):
+    """An extended game, W 2-5 and p 1-5 (p=5 in about one example of ten), and
+    a random labelled profile."""
+    W = draw(st.integers(2, 5), label="W")
+    p = 5 if draw(st.integers(0, 9)) == 0 else draw(st.integers(1, 4), label="p")
+    game = ExtendedGame(GameConfig(
+        W, boost=draw(st.integers(0, W), label="boost"), horizon=p,
+        honest_per_slot=draw(st.integers(0, W - 1), label="honest_per_slot"),
+        tie_break=draw(st.sampled_from(POLICIES), label="tie_break"),
+    ))
+    return game, labelled_profile(game, draw(st.randoms(use_true_random=False)))
+
+
+def probe_blocks(tree, tracker, p):
+    """Blocks each slot's leader could propose on its leader-time tip besides
+    the scripted one: empty with every delivered previous-slot vote, and
+    non-empty with none."""
+    for slot in range(1, p + 1):
+        parent = tracker.leader_tips[slot]
+        votes = tuple(v for v in tree.votes if v.slot == slot - 1)
+        leader = Validator(-1, RATIONAL)
+        yield Block(-slot, slot, parent, leader, is_empty=True, included_votes=votes)
+        yield Block(-slot, slot, parent, leader, is_empty=False)
+
+
+def played_marks(game, profile, judge) -> tuple:
+    """A run's trace, verdict, payoffs, tips, the marks of its blocks and
+    votes, and `judge`'s verdict on the probe blocks."""
+    out = game.run(profile)
+    tracker, tree = out.extras["tracker"], out.trace.tree
+    return (
+        out.trace.export_lines(),
+        out.success,
+        out.extras["compliant_chain"],
+        game._payoffs_from(out),
+        tracker.leader_tips,
+        tracker.vote_tips,
+        {bid: tracker.block_marks.get(bid, False) for bid in tree.blocks},
+        [tracker.is_vote_compliant(v) for v in tree.votes],
+        [judge(tracker, block) for block in probe_blocks(tree, tracker, game.p)],
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(played=extended_plays())
+def test_tracker_matches_the_observing_reference(played):
+    # the reference classifies what the tree gained at each tip query and
+    # keeps a mark per vote; the package judges every mark from the tips.
+    # A scripted leader's block is empty exactly when it builds on the
+    # compliant tip with compliant votes only, so the scripted blocks alone
+    # would pass with the emptiness or the vote rule dropped; the probes
+    # would not.
+    game, profile = played
+    reference_tracker = compliance_reference.ComplianceTracker
+    with mock.patch.object(games, "ComplianceTracker", reference_tracker):
+        reference = played_marks(game, profile, reference_tracker.classify_block)
+    assert played_marks(game, profile, ComplianceTracker.is_block_compliant) == reference
+
+
+def test_each_block_judged_once(monkeypatch):
+    # the tip queries judge only the blocks not judged yet: without the memo
+    # each of the 17 queries would judge the whole tree again
+    judged = []
+    judge = ComplianceTracker.is_block_compliant
+    monkeypatch.setattr(ComplianceTracker, "is_block_compliant",
+                        lambda self, block: judged.append(block.id) or judge(self, block))
+    game = ExtendedGame(GameConfig(4, boost=2, horizon=8))
+    tree = game.run(game.profile("compliant-all")).trace.tree
+    assert judged and len(judged) <= len(tree.blocks)
 
 
 class TestRequiredAttackLength:

@@ -300,11 +300,7 @@ class TestExtendedGame:
                     bid = tracker.compliant_block_of_slot(tree, slot)
                     assert tree.blocks[bid].slot == slot
                     assert tracker.vote_tips[slot] == bid
-                    marks = [
-                        ok
-                        for (s, _, _), ok in tracker.vote_marks.items()
-                        if s == slot
-                    ]
+                    marks = [tracker.is_vote_compliant(v) for v in tree.votes if v.slot == slot]
                     assert marks and all(marks)
 
     def test_defecting_leader_keeps_attack_alive(self):

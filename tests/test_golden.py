@@ -75,6 +75,16 @@ EXTRA = {
                    {"type": "spne", "profile": "extend-original-all"},
                    {"type": "outcome"}],
     },
+    # the ladder's scale: p=24 with an honest attestor per slot, a defecting
+    # leader and an abstaining attestor; the tracker judges a 50-block tree
+    "golden-extended-w4-p24-honest": {
+        "game": {"kind": "extended", "committee_size": 4, "boost": 2, "horizon": 24,
+                 "honest_per_slot": 1},
+        "profile": {"base": "compliant-all",
+                    "overrides": [{"slot": 7, "role": "leader", "action": "NC"},
+                                  {"slot": 16, "role": "attestor", "action": "abstain"}]},
+        "checks": [{"type": "spne"}, {"type": "outcome"}],
+    },
     "golden-selfish-three-adversarial": {
         "game": {"kind": "selfish-mining", "committee_size": 6, "boost": 2,
                  "n_adversarial_slots": 3, "n_non_adversarial_slots": 2},
@@ -224,6 +234,10 @@ GOLDEN = {
     "golden-extended-honest-leader-override": (
         "509432b71f24461231d0754cc788ea9f6fa79bf3c7f2b9310fe5d1596121eabe",
         "7a173124bb5313dff27da4176d359af83d2180428396a3187762ea3769c8111f",
+    ),
+    "golden-extended-w4-p24-honest": (
+        "3a8525a60511dc262fa89b2ab50f82e4c5c40a7b02b4b4592bbbaa5e0c5b8035",
+        "ba74835374e43ca90a3bfe864232d412d68b55c0e5c4089baf44386114afb3a9",
     ),
     "golden-extended-w4-p8": (
         "b2b1925dc562e3059421c5fab469f682413de534ef375a1082f44b55d6a44c17",
