@@ -60,7 +60,7 @@ class ValidatorKind(enum.Enum):
     ADVERSARIAL = "adversarial"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Validator:
     index: int
     kind: ValidatorKind
@@ -69,7 +69,7 @@ class Validator:
         return f"V{self.index}({self.kind.value[0]})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoteRecord:
     """A head vote: attestor `voter` saw `target` as the chain tip at `slot`."""
 
@@ -82,7 +82,7 @@ class VoteRecord:
         return (self.voter, self.slot)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceRecord:
     """One next-slot attestor's signature over the earlier votes it saw on time.
 

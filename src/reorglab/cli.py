@@ -256,15 +256,11 @@ def _resolve_profile(game, spec: ProfileSpec):
     for override in spec.overrides:
         slot, role, label = override["slot"], override["role"], override["action"]
         actor = override.get("actor")
-        matched = False
-        for dp in game.decision_points():
-            if dp.slot != slot or dp.role is not role:
-                continue
-            if actor is not None and dp.actor != actor:
-                continue
+        matched = tuple(dp for dp in game.points if dp.slot == slot and dp.role is role
+                        and (actor is None or dp.actor == actor))
+        for dp in matched:
             game.action(dp, label)  # rejects a label that `dp` does not offer
             labels[dp] = label
-            matched = True
         if not matched:
             raise ValidationError(
                 f"override matches no decision point: slot {slot} {role.value}"
@@ -457,7 +453,7 @@ def _check_dominance(game, guard, action, candidates, player=None, **options):
         raise ValidationError(f"dominance player {player!r} is not a player of this game")
     # every slot-t attestor has the same candidates; a label that is not one of
     # them is rejected even when no alternative would be played against it
-    dp = game.decision_points()[0]
+    dp = game.points[0]
     for label in (action, *candidates):
         game.action(dp, label)
     verdict = dominance_check(game, player, action, candidates, **options)

@@ -16,7 +16,12 @@ evidence is one signer's message over many votes, and the exported trace
 renders it as one line per vote it signs.
 
 Agents act through a StrategyProfile that names one candidate action per
-decision point by its label.  A game is a straight-line script over one
+decision point by its label.  A game builds its decision points once
+(`games.GameModel.points`), and a script reads each label through
+`StrategyProfile.get` on the game's own point, so a run builds none.  The
+records built per voter or per message (`DecisionPoint`, `TraceEvent`, and
+chain.py's `VoteRecord`, `EvidenceRecord`, `Validator`) are frozen and
+slotted.  A game is a straight-line script over one
 Simulation: it advances the clock to the tick of its next action
 (`Simulation.advance`), then acts (`propose`, `emit_vote`, `emit_evidence`).
 Its scripted adversary counts votes, withholds blocks and releases them
@@ -78,8 +83,12 @@ class Role(enum.Enum):
     LEADER = "leader"
     ATTESTOR = "attestor"
 
+    # each member is a singleton and compares by identity, so the C-level
+    # identity hash agrees with equality; Enum's own hashes the name in Python
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class DecisionPoint:
     slot: int
     role: Role
@@ -150,7 +159,7 @@ class StrategyProfile:
         return StrategyProfile(actions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One message sent: its creation tick, kind, release tick and the message itself."""
 

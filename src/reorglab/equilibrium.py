@@ -214,7 +214,7 @@ def verify_spne(
     profile's own payoffs and checkpoints (`GameModel.play`), when the
     caller has already played it.
     """
-    dps = sorted(game.decision_points(), key=lambda d: (d.tick, d.actor))
+    dps = sorted(game.points, key=lambda d: (d.tick, d.actor))
     if not dps:
         raise GameError("the game has no decision points, so an SPNE check would check nothing")
     count = sum(len(game.candidates(dp)) for dp in dps)

@@ -183,17 +183,22 @@ PlayerId = object  # int for solo validators, str for pools
 class GameModel:
     """Roster and named profiles of a game driven by the equilibrium lab.
 
-    A game lists its decision points (`decision_points`), declares the
-    labelled candidate actions of each role once (`CANDIDATES`, read through
-    `candidates`), and plays a profile (`run`, `payoffs`) from its opening
-    or from a checkpoint (`start`) recorded by an earlier run (`play`, which
-    starts from `_RECORD`) of a profile that agrees with it before the
-    checkpoint's tick.  A profile holds labels; a script reads each action in
-    the table (`_acted`).  The roster follows: a decision point belongs to
-    its actor, unless the actor is a member of one of `pools`, whose members
-    move together; each player's decision points are listed once, in
-    `_seats`.  Under a profile the players fall into symmetry classes
-    (`symmetry_classes`).  Named profiles follow from `PROFILES`.
+    A game builds its decision points once (`_decision_points`, called only
+    by `points`): every reader shares those objects (`points`, and
+    `point_index` by slot, role and actor), so a run builds none.  It
+    declares the labelled candidate actions of each role once (`CANDIDATES`,
+    read through `candidates`), and plays a profile (`run`, `payoffs`) from
+    its opening or from a checkpoint (`start`) recorded by an earlier run
+    (`play`, which starts from `_RECORD`) of a profile that agrees with it
+    before the checkpoint's tick.  A profile holds labels; a script reads
+    each label through `StrategyProfile.get` on the game's own point, and
+    its action in the table (`_acted`; `_attest` reads the table once per
+    phase and resolves each distinct action's target once per phase).  The
+    roster follows: a decision point belongs to its actor, unless the actor
+    is a member of one of `pools`, whose members move together; each
+    player's decision points are listed once, in `_seats`.  Under a profile
+    the players fall into symmetry classes (`symmetry_classes`).  Named
+    profiles follow from `PROFILES`.
     """
 
     # role -> label -> action, built once per class and shared by every
@@ -216,14 +221,24 @@ class GameModel:
         return dp.actor
 
     @cached_property
+    def points(self) -> tuple[DecisionPoint, ...]:
+        """The game's decision points, built once: every reader shares these objects."""
+        return tuple(self._decision_points())
+
+    @cached_property
+    def point_index(self) -> dict[tuple[int, Role, int], DecisionPoint]:
+        """Each of `points` by its (slot, role, actor)."""
+        return {(dp.slot, dp.role, dp.actor): dp for dp in self.points}
+
+    @cached_property
     def _seats(self) -> dict[PlayerId, tuple[DecisionPoint, ...]]:
-        """Each player's decision points in `decision_points()` order.
+        """Each player's decision points in `points` order.
 
         Solo players come first, in decision-point order, then every pool,
         members or not.
         """
         seats: dict[PlayerId, list[DecisionPoint]] = {}
-        for dp in self.decision_points():
+        for dp in self.points:
             seats.setdefault(self.owner(dp), []).append(dp)
         solo = {p: tuple(dps) for p, dps in seats.items() if p not in self.pools}
         return solo | {name: tuple(seats.get(name, ())) for name in self.pools}
@@ -234,7 +249,7 @@ class GameModel:
 
     @cached_property
     def _decision_ticks(self) -> frozenset[int]:
-        return frozenset(dp.tick for dp in self.decision_points())
+        return frozenset(dp.tick for dp in self.points)
 
     def play(self, profile: StrategyProfile) -> tuple[dict[PlayerId, Fraction], dict[int, Checkpoint]]:
         """The profile's payoffs, and the checkpoints its run recorded."""
@@ -281,7 +296,7 @@ class GameModel:
 
     def labelled(self, label_of) -> StrategyProfile:
         """Profile in which each decision point plays its candidate `label_of(dp)`."""
-        profile = StrategyProfile({dp: label_of(dp) for dp in self.decision_points()})
+        profile = StrategyProfile({dp: label_of(dp) for dp in self.points})
         for dp, label in profile.actions.items():
             self.action(dp, label)  # rejects a label that `dp` does not offer
         return profile
@@ -385,21 +400,34 @@ def _open_chain(config: GameConfig, seeded: dict, start: int = 0) -> Checkpoint:
     return Checkpoint(start, sim, tuple(blocks))
 
 
+# `_attest`'s key for the action of a voter that the profile does not move
+_SCRIPTED = object()
+
+
 def _attest(game: GameModel, sim: Simulation, profile, slot: int, voters, compliant_tip=None):
     """Attestor phase of `slot` at the tick in progress.
 
-    Each voter plays the action its profile label names; honest voters, and
-    every voter when `profile` is None, vote the tip.  Actions other than
-    votes, and a missing label, cast nothing.
+    Each voter plays the action its profile label names at its decision
+    point (`GameModel.point_index`); honest voters, and every voter when
+    `profile` is None, vote the tip.  Actions other than votes, and a missing
+    label, cast nothing.  The tick's head is fixed while the tick runs, so
+    each distinct action's target is resolved once per phase.
     """
-    vote_tip = VoteFor(Tip())
+    table, index = game.CANDIDATES[Role.ATTESTOR], game.point_index
+    targets: dict = {}  # label (or _SCRIPTED) -> its vote's target; None when it casts none
     for v in voters:
         if profile is None or v.kind is ValidatorKind.HONEST:
-            act = vote_tip
+            label = _SCRIPTED
         else:
-            act = game._acted(profile, DecisionPoint(slot, Role.ATTESTOR, v.index))
-        if isinstance(act, VoteFor):
-            sim.emit_vote(slot, v.index, sim.resolve(act.target, compliant_tip))
+            label = profile.get(index[slot, Role.ATTESTOR, v.index])
+        if label in targets:
+            target = targets[label]
+        else:
+            act = VoteFor(Tip()) if label is _SCRIPTED else table.get(label)
+            target = sim.resolve(act.target, compliant_tip) if isinstance(act, VoteFor) else None
+            targets[label] = target
+        if target is not None:
+            sim.emit_vote(slot, v.index, target)
 
 
 def _close(
@@ -449,7 +477,7 @@ class _VictimSlotGame(GameModel):
         self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
         self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
 
-    def decision_points(self) -> list[DecisionPoint]:
+    def _decision_points(self) -> list[DecisionPoint]:
         return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index) for v in self.committee]
 
 
@@ -526,7 +554,7 @@ class SimpleGame(_VictimSlotGame):
         succeed: every other attestor complies; fail: the first `boost` of
         them vote for B_t, so the threshold is met whatever `player` plays.
         """
-        dps, seats = self.decision_points(), self._seats[player]
+        dps, seats = self.points, self._seats[player]
         self.action(dps[0], label)  # every slot-t attestor has the same candidates
         free = [dp.actor for dp in dps if dp not in seats]
         boost = self.config.boost
@@ -737,7 +765,7 @@ class ExtendedGame(GameModel):
         self.pre_leaders = dict(zip(range(-p, 1), _committee(ids, p + 1)))
         self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
 
-    def decision_points(self) -> list[DecisionPoint]:
+    def _decision_points(self) -> list[DecisionPoint]:
         dps = []
         for slot in range(1, self.p + 1):
             dps.append(DecisionPoint(slot, Role.LEADER, self.leaders[slot].index))
@@ -762,7 +790,7 @@ class ExtendedGame(GameModel):
         for slot in range(1, p + 1):
             if script.at(propose_tick(slot)):
                 ct = tracker.tip_at_leader_time(sim.tree, slot)
-                leader = DecisionPoint(slot, Role.LEADER, self.leaders[slot].index)
+                leader = self.point_index[slot, Role.LEADER, self.leaders[slot].index]
                 act = self._acted(profile, leader)
                 if act is not None:
                     parent = sim.resolve(act.parent, ct)
@@ -866,7 +894,7 @@ class SelfishMiningGame(GameModel):
         # the pool's stake in the window: its members of slots 1..horizon-1
         self.pools = _pools(config, [self.committees[slot] for slot in range(1, self.horizon)])
 
-    def decision_points(self) -> list[DecisionPoint]:
+    def _decision_points(self) -> list[DecisionPoint]:
         return [
             DecisionPoint(slot, Role.ATTESTOR, v.index)
             for slot in self.player_slots
@@ -916,6 +944,7 @@ class SelfishMiningGame(GameModel):
         block ids and the number of compliant votes it carries.
         """
         publish = propose_tick(self.horizon)
+        table, index = self.CANDIDATES[Role.ATTESTOR], self.point_index
         fork_ids: list[BlockId] = []
         parent = genesis.id
         compliant_votes = 0
@@ -923,7 +952,7 @@ class SelfishMiningGame(GameModel):
             votes = [
                 sim.emit_vote(s_i - 1, v.index, parent, publish)
                 for v in self.committees[s_i - 1]
-                if isinstance(self._acted(profile, DecisionPoint(s_i - 1, Role.ATTESTOR, v.index)),
+                if isinstance(table.get(profile.get(index[s_i - 1, Role.ATTESTOR, v.index])),
                               FollowRule)
             ]
             compliant_votes += len(votes)
@@ -1014,7 +1043,7 @@ class DagVotesGame(GameModel):
         }
         self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
 
-    def decision_points(self) -> list[DecisionPoint]:
+    def _decision_points(self) -> list[DecisionPoint]:
         """Rational leaders first, then the attestors of slots 1..n_slots-1."""
         dps = [
             DecisionPoint(slot, Role.LEADER, self.leaders[slot].index)
@@ -1038,7 +1067,8 @@ class DagVotesGame(GameModel):
                     if slot == self.adv_slot:
                         parent = sim.tip() if cfg.adversary_on_tip else sim.resolve(ParentOfTip())
                     else:
-                        act = self._acted(profile, DecisionPoint(slot, Role.LEADER, leader.index))
+                        point = self.point_index[slot, Role.LEADER, leader.index]
+                        act = self._acted(profile, point)
                         parent = None if act is None else sim.resolve(act.parent)
                     if parent is not None:
                         n, k = _carried(sim.tree, parent)

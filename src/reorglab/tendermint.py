@@ -225,7 +225,7 @@ class _TendermintGame(GameModel):
         self.n = 3 * f + 1
         self._runs: dict[frozenset, RoundRun] = {}
 
-    def decision_points(self):
+    def _decision_points(self):
         return [DecisionPoint(1, Role.ATTESTOR, v) for v in self.rational]
 
     def simulate(self, profile: StrategyProfile) -> RoundRun:
@@ -243,7 +243,7 @@ class _TendermintGame(GameModel):
         return self.payoffs(profile), {}
 
     def _playing(self, label: str, profile: StrategyProfile) -> set[int]:
-        return {dp.actor for dp in self.decision_points() if profile.get(dp) == label}
+        return {dp.actor for dp in self.points if profile.get(dp) == label}
 
     def _paid(self, prevote_counts: dict[int, int], precommit_counts: dict[int, int],
               vote: tuple[int, int], inclusion: tuple[int, int]) -> set[int]:
@@ -410,7 +410,7 @@ def honest_anchor_scenario(
     # deviation `verify_nash` has just played, so `simulate` returns that run
     classes = game.symmetry_classes(profile)
     first: dict[object, DecisionPoint] = {}
-    for dp in game.decision_points():
+    for dp in game.points:
         first.setdefault(classes[dp.actor], dp)
     nil = lambda dp: profile.with_action(dp, "prevote-nil")
     forfeits = all(game.payoffs(nil(dp))[dp.actor] < run.payoffs[dp.actor] for dp in first.values())

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reorglab.cli import run_scenario
-from reorglab.engine import Simulation, StrategyProfile, vote_tick
+from reorglab.engine import DecisionPoint, Simulation, StrategyProfile, vote_tick
 from reorglab.equilibrium import _deviate
 from reorglab.games import GameConfig, SimpleGame, _RECORD, simple_payoff_matrix
 
@@ -39,7 +39,7 @@ def summary(game, outcome) -> tuple:
 def test_resumed_deviation_equals_a_run_from_the_opening(game, rnd):
     profile = labelled_profile(game, rnd)
     base = game.run(profile, _RECORD)
-    assert sorted(base.checkpoints) == sorted({dp.tick for dp in game.decision_points()})
+    assert sorted(base.checkpoints) == sorted({dp.tick for dp in game.points})
     # every player's joint assignments, pools spanning several ticks
     # included, and one two-player coalition
     assignments = [a for player in game.players() for _, a in game.assignments(player)]
@@ -86,10 +86,37 @@ def test_actions_are_read_at_or_after_their_tick(game, rnd):
     profile = ReadLog(labelled_profile(game, rnd).actions, clock)
     with mock.patch.object(Simulation, "advance", tracked):
         game.run(profile)
-    assert {dp for dp, _ in profile.reads} == set(game.decision_points())
+    assert {dp for dp, _ in profile.reads} == set(game.points)
     for dp, tick in profile.reads:
         assert tick >= dp.tick, (dp, tick)
 
+
+
+@given(game=games(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_run_builds_no_decision_point(game, rnd):
+    # the game's points exist once it has a profile; a run, from the opening
+    # or resumed, reads each actor's point from the game's index
+    profile = labelled_profile(game, rnd)
+    base = game.run(profile, _RECORD)
+    assignments = [a for player in game.players() for _, a in game.assignments(player) if a]
+    resumed = None
+    if assignments:
+        assignment = rnd.choice(assignments)
+        resumed = (StrategyProfile({**profile.actions, **assignment}),
+                   base.checkpoints[min(dp.tick for dp in assignment)])
+    built = []
+    init = DecisionPoint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(DecisionPoint, "__init__", counted):
+        game.run(profile)
+        if resumed is not None:
+            game.run(*resumed)
+    assert built == []
 
 
 def test_only_a_checks_base_run_records_checkpoints():

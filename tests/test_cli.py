@@ -270,8 +270,21 @@ def test_slot_wide_override_builds_one_profile(monkeypatch):
     assert len(built) == 2
     # a later override wins
     assert profile.actions == {
-        dp: "abstain" if dp.actor == hold_out else "NC" for dp in game.decision_points()
+        dp: "abstain" if dp.actor == hold_out else "NC" for dp in game.points
     }
+
+
+def test_actor_override_matching_nothing_names_the_actor():
+    # the slot-wide exit-3 path is `test_profile_override_validation`; an
+    # override naming an actor that no point of its slot and role has says so
+    game = games.SimpleGame(games.GameConfig(16, boost=6))
+    for override, text in [({"slot": 1, "actor": 999}, "slot 1 attestor actor 999"),
+                           ({"slot": 1, "role": "leader", "actor": 3}, "slot 1 leader actor 3")]:
+        spec = cli._profile({"base": "compliant-all",
+                             "overrides": [{**override, "action": "NC"}]}, "profile")
+        with pytest.raises(ValidationError,
+                           match=f"^override matches no decision point: {text}$"):
+            cli._resolve_profile(game, spec)
 
 
 def test_output_key_writes_report(tmp_path):

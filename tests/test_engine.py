@@ -1,12 +1,16 @@
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
 from reorglab.chain import Block, BlockTree, EvidenceRecord, Validator, ValidatorKind, VoteRecord
 from reorglab.engine import (
+    DecisionPoint,
     EngineError,
     InvalidAction,
+    Role,
     Simulation,
+    TraceEvent,
     aggregate_tick,
     propose_tick,
     slot_of,
@@ -319,3 +323,30 @@ def test_same_release_delivery_order():
         evidence,
     ]
     assert sim.pending == []
+
+
+_VOTE = VoteRecord(1, 2, 3, 4)
+RECORDS = [
+    DecisionPoint(1, Role.ATTESTOR, 3),
+    TraceEvent(4, "vote", 4, _VOTE),
+    _VOTE,
+    EvidenceRecord(5, (_VOTE,)),
+    Validator(6, ValidatorKind.HONEST),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_slotted_record_pickles_and_stays_frozen(record):
+    assert not hasattr(record, "__dict__")
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and hash(copy) == hash(record)
+    for f in fields(record):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
+
+
+def test_role_hashes_by_identity_and_unpickles_to_itself():
+    for role in Role:
+        assert pickle.loads(pickle.dumps(role)) is role
+        assert hash(role) == object.__hash__(role)
+    assert pickle.loads(pickle.dumps(Role.ATTESTOR)) is Role.ATTESTOR

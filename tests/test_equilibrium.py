@@ -100,7 +100,7 @@ class TestVerifyNash:
         def roster_calls(W):
             game = SimpleGame(simple_config(committee_size=W, boost=W * 2 // 5, pool=pool))
             profile = game.profile("compliant-all")
-            calls = {"owner": 0, "decision_points": 0}
+            calls = {"owner": 0, "_decision_points": 0}
             for name in calls:
                 def counted(self, *args, _name=name, _fn=getattr(SimpleGame, name)):
                     calls[_name] += 1
@@ -113,7 +113,7 @@ class TestVerifyNash:
 
         small, large = roster_calls(8), roster_calls(32)
         assert large["owner"] <= 32
-        assert large["decision_points"] == small["decision_points"]
+        assert large["_decision_points"] == small["_decision_points"]
 
     def test_vote_actions_built_do_not_grow_with_w(self, monkeypatch):
         # a profile names its actions by label, so a check reads each game's

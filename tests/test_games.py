@@ -52,7 +52,7 @@ class TestSimpleGame:
     def test_boost_threshold_blocks_reorg(self):
         # exactly W_p defectors: the adversary backs down and extends B_t
         game = SimpleGame(simple_config(committee_size=5, boost=2))
-        actions = {dp: "NC" if n < 2 else "C" for n, dp in enumerate(game.decision_points())}
+        actions = {dp: "NC" if n < 2 else "C" for n, dp in enumerate(game.points)}
         out = game.run(StrategyProfile(actions))
         assert not out.success
         b_t = out.trace.labels["B_t"]
@@ -83,7 +83,7 @@ class TestSimpleGame:
         config = simple_config()
         game = SimpleGame(config)
         matrix = simple_payoff_matrix(game)
-        dps = game.decision_points()
+        dps = game.points
         for joint in itertools.product("CN", repeat=4):
             actions = {dp: "C" if choice == "C" else "NC" for dp, choice in zip(dps, joint)}
             out = game.run(StrategyProfile(actions))
@@ -101,7 +101,7 @@ class TestSimpleGame:
         boost = max(1, W // 2)
         config = simple_config(committee_size=W, boost=boost)
         game = SimpleGame(config)
-        dps = game.decision_points()
+        dps = game.points
         label = {"C": "C", "N": "NC", "A": "abstain"}
         for joint in itertools.product("CNA", repeat=W):
             actions = {dp: label[choice] for dp, choice in zip(dps, joint)}
@@ -223,7 +223,7 @@ class TestNoBoost:
         return GameConfig(committee_size=W, boost=0)
 
     def _run_split(self, game, n_compliant):
-        dps = game.decision_points()
+        dps = game.points
         return game.run(StrategyProfile({dp: "NC" if n >= n_compliant else "C"
                                          for n, dp in enumerate(dps)}))
 
@@ -232,7 +232,7 @@ class TestNoBoost:
         out = self._run_split(game, 3)
         assert out.success
         # compliant voters get paid on the adversarial chain
-        for n, dp in enumerate(game.decision_points()):
+        for n, dp in enumerate(game.points):
             assert out.trace.payoffs.get(dp.actor, 0) == (1 if n < 3 else 0)
 
     def test_tie_goes_to_adversary(self):
@@ -251,7 +251,7 @@ class TestNoBoost:
         game = NoBoostGame(self.config(5))
         out = game.run(game.profile("vote-bt-all"))
         assert not out.success
-        for dp in game.decision_points():
+        for dp in game.points:
             assert out.trace.payoffs.get(dp.actor, 0) == 0  # non-compliant votes excluded
 
 
@@ -352,7 +352,7 @@ class TestSelfishMining:
     def test_whole_committee_defection(self):
         game = SelfishMiningGame(self.config(2, 2))
         profile = game.profile("compliant-all")
-        for dp in game.decision_points():
+        for dp in game.points:
             if dp.slot == game.player_slots[0]:
                 profile = profile.with_action(dp, "NC")
         out = game.run(profile)
@@ -486,12 +486,12 @@ def test_labelled_agrees_with_named_profile(kind, name):
     game = LABELLED_GAMES[kind]()
     profile = game.profile(name)
     labels = {}
-    for dp in game.decision_points():
+    for dp in game.points:
         labels[dp] = profile.get(dp)
         assert labels[dp] in game.candidates(dp) and labels[dp] in game.PROFILES[name]
     assert game.labelled(labels.__getitem__) == profile
     with pytest.raises(GameError, match="unknown action 'Z' for slot"):
-        game.action(game.decision_points()[0], "Z")
+        game.action(game.points[0], "Z")
 
 
 @pytest.mark.parametrize(
@@ -614,7 +614,7 @@ def test_dag_one_evidence_per_attestor(committee_size, monkeypatch):
 def assert_candidate_tables_hold(game):
     """Each decision point offers its role's declared table, whose actions are distinct."""
     assert all("candidates" not in vars(cls) for cls in type(game).__mro__ if cls is not GameModel)
-    for dp in game.decision_points():
+    for dp in game.points:
         table = game.candidates(dp)
         assert table is type(game).CANDIDATES[dp.role]
         # one action per label, so equal labels are equal actions and back
@@ -636,3 +636,22 @@ def test_engine_candidate_tables(game):
                          ids=["withholding", "anchor"])
 def test_tendermint_candidate_tables(make):
     assert_candidate_tables_hold(make())
+
+
+@pytest.mark.parametrize("hold_outs, resolves", [({}, 1), ({3: "NC", 5: "abstain", 9: "NC"}, 2)])
+def test_attest_resolves_each_action_once_per_phase(monkeypatch, hold_outs, resolves):
+    # the tick's head is fixed while the tick runs, so one resolve serves
+    # every voter of the phase that plays the same action
+    game = SimpleGame(simple_config(committee_size=64, boost=25))
+    labels = {v.index: hold_outs.get(n, "C") for n, v in enumerate(game.committee)}
+    profile = game.labelled(lambda dp: labels[dp.actor])
+    calls = []
+    resolve = Simulation.resolve
+    monkeypatch.setattr(Simulation, "resolve", lambda sim, *a: calls.append(a) or resolve(sim, *a))
+    outcome = game.run(profile)
+    assert len(calls) == resolves
+    votes = [ev.message for ev in outcome.trace.events if ev.kind == "vote"]
+    assert len(votes) == 64 - list(hold_outs.values()).count("abstain")
+    b_t = outcome.trace.labels["B_t"]
+    assert sorted(v.voter for v in votes if v.target == b_t) == sorted(
+        game.committee[n].index for n, label in hold_outs.items() if label == "NC")

@@ -334,7 +334,7 @@ def test_settled_ledger_matches_oracle(kind, r, R, tie_break, data):
     game_class, params = LEDGER_GAMES[kind]
     assert_ledger_matches_oracle(game_class, params, r, R, tie_break, lambda game: {
         dp: data.draw(st.sampled_from(sorted(game.candidates(dp))))
-        for dp in game.decision_points()
+        for dp in game.points
     })
 
 
@@ -353,7 +353,7 @@ def test_settled_ledger_matches_oracle_dag_at_scale(r, R, tie_break, data):
     def labels_of(game):
         labels = {
             dp: data.draw(st.sampled_from(["on-tip", "off-tip"])) if dp.role is Role.LEADER else "tip"
-            for dp in game.decision_points()
+            for dp in game.points
         }
         attestors = [dp for dp in labels if dp.role is Role.ATTESTOR]
         overrides = st.tuples(st.sampled_from(attestors), st.sampled_from(["parent-of-tip", "abstain"]))

@@ -93,7 +93,7 @@ def full_spne(game, profile) -> EquilibriumReport:
     """`verify_spne`, every candidate played from the opening."""
     base = game.payoffs(profile)
     deviations, table, checked = [], [], 0
-    for dp in reversed(sorted(game.decision_points(), key=lambda d: (d.tick, d.actor))):
+    for dp in reversed(sorted(game.points, key=lambda d: (d.tick, d.actor))):
         owner = game.owner(dp)
         payoffs = {}
         for label in game.candidates(dp):
@@ -122,7 +122,7 @@ def fields(report: EquilibriumReport) -> tuple:
 @given(game=games(), rnd=st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_class_quotient_equals_full_enumeration(game, rnd):
-    assume(game.decision_points())
+    assume(game.points)
     profile = clustered_profile(game, rnd)
     assert fields(verify_nash(game, profile)) == fields(full_nash(game, profile))
     assert fields(verify_spne(game, profile)) == fields(full_spne(game, profile))

@@ -315,7 +315,7 @@ def payoff_table() -> dict[str, object]:
         game = WithholdingGame(f, m, Fraction(1))
         script = game.profile("script")
         profiles = {"script": script}
-        dps = game.decision_points()
+        dps = game.points
         for dp in dps:
             profiles[f"dev-{dp.actor}"] = script.with_action(dp, "honest-r1")
         a, b = dps[:2]
@@ -325,7 +325,7 @@ def payoff_table() -> dict[str, object]:
             table[f"withholding f={f} m={m} {name}"] = _played(game, profile)
     for f in range(1, 5):
         game = AnchorGame(f)
-        dps = game.decision_points()
+        dps = game.points
         for labels in itertools.product(("prevote-b", "prevote-nil"), repeat=len(dps)):
             chosen = dict(zip(dps, labels))
             profile = game.labelled(chosen.__getitem__)
@@ -355,7 +355,7 @@ def tendermint_plays(draw):
         game = WithholdingGame(f, draw(st.integers(0, 4)), r_unit)
     else:
         game = AnchorGame(f, r_unit)
-    dps = game.decision_points()
+    dps = game.points
     offered = list(game.candidates(dps[0]))
     if draw(st.booleans()):
         labels = [draw(st.sampled_from(offered))] * len(dps)
