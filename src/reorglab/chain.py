@@ -7,6 +7,13 @@ however, is computed from the *delivered* votes known to the tree,
 independent of inclusion: a vote influences the fork choice as soon as it is
 in view, and earns rewards only once included (see rewards.py).
 
+A vote record is counted: it stands for the votes of `span` consecutive
+validators that cast the same vote at the same time, as a phase0
+`Attestation` carries aggregation bits over its committee.  The tree weighs
+a record by its span.  Latest messages stay exact because no validator is
+covered by two records when either is counted: `latest_votes` raises on
+such an overlap, while one-validator records keep the full LMD rule.
+
 The fork choice weighs what changed, not the whole tree.  `votes` is
 append-only (a caller replaces it by assigning a new list), and the latest
 vote per voter lives in a map that folds in only the votes appended since
@@ -54,6 +61,15 @@ class EquivocationRejected(ChainError):
     """
 
 
+class OverlappingVote(ChainError):
+    """A counted vote record covers a validator that another record already covers.
+
+    The latest message of a voter inside a counted record is that record
+    whole, so a second vote by it cannot be folded exactly; no validator
+    votes twice in one game run, and the tree refuses the record that would.
+    """
+
+
 class ValidatorKind(enum.Enum):
     HONEST = "honest"
     RATIONAL = "rational"
@@ -71,14 +87,27 @@ class Validator:
 
 @dataclass(frozen=True, slots=True)
 class VoteRecord:
-    """A head vote: attestor `voter` saw `target` as the chain tip at `slot`."""
+    """Head votes: attestors `voter` .. `voter + span - 1` saw `target` as the chain tip at `slot`.
+
+    A record of span 1 is one validator's vote.  A counted record, of a
+    larger span, stands for the identical votes of that run of consecutive
+    validators, all broadcast at `broadcast_time`: the fork choice weighs it
+    `span`, settlement pays each of its voters, and the exported trace
+    renders one line per voter.
+    """
 
     slot: int
     voter: int
     target: BlockId
     broadcast_time: int = 0
+    span: int = 1
+
+    @property
+    def voters(self) -> range:
+        return range(self.voter, self.voter + self.span)
 
     def key(self) -> tuple[int, int]:
+        """The record's first voter and slot: records of one run never share a voter."""
         return (self.voter, self.slot)
 
 
@@ -87,19 +116,20 @@ class EvidenceRecord:
     """One next-slot attestor's signature over the earlier votes it saw on time.
 
     `signer` is expected to belong to the committee of slot s + 1, and
-    `votes` holds the slot-s votes delivered on time; the game drivers only
-    emit evidences from that committee, and every signer of one slot shares
-    one `votes` tuple.  A record signs each of its votes once: the key of a
-    signed vote is (signer, voter, slot, target), and duplicates collapse
-    when counted.
+    `votes` holds the slot-s vote records delivered on time, counted ones
+    included; the game drivers only emit evidences from that committee, and
+    every signer of one slot shares one `votes` tuple.  A record signs each
+    vote of its records once: the key of a signed vote is (signer, voter,
+    slot, target), and duplicates collapse when counted.
     """
 
     signer: int
     votes: tuple[VoteRecord, ...]
 
     def keys(self) -> list[tuple[int, int, int, BlockId]]:
-        """The key of each vote signed, in tuple order."""
-        return [(self.signer, v.voter, v.slot, v.target) for v in self.votes]
+        """The key of each vote signed, one per voter of each record, in tuple order."""
+        signer = self.signer
+        return [(signer, voter, v.slot, v.target) for v in self.votes for voter in v.voters]
 
 
 @dataclass
@@ -128,11 +158,13 @@ class Block:
 
     @cached_property
     def evidence_signers(self) -> dict[tuple[int, int, BlockId], frozenset[int]]:
-        """The distinct signers of each vote the block's evidences sign, keyed (voter, slot, target).
+        """The distinct signers of each vote record its evidences sign, keyed (voter, slot, target).
 
-        Built on first read.  The records are grouped by their `votes`
-        tuple, which the signers of one slot share, so each vote is visited
-        once per group rather than once per signer.
+        Built on first read.  A counted record is keyed as it stands, by its
+        first voter: its voters share one signer set, and the records of one
+        run never share a voter.  The evidences are grouped by their `votes`
+        tuple, which the signers of one slot share, so each record is
+        visited once per group rather than once per signer.
         """
         groups: dict[int, tuple[tuple[VoteRecord, ...], set[int]]] = {}
         for e in self.included_evidences:
@@ -181,8 +213,10 @@ class BlockTree:
     votes: list[VoteRecord] = field(default_factory=list)
     genesis: Optional[BlockId] = None
     _next_id: int = 0
-    # the latest vote per voter, folded from the first `_latest_seen` of `_latest_list`
+    # the latest record per first voter, folded from the first `_latest_seen` of `_latest_list`
     _latest: dict[int, VoteRecord] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # every voter of the counted records folded into `_latest`
+    _counted: set[int] = field(default_factory=set, init=False, repr=False, compare=False)
     _latest_list: Optional[list[VoteRecord]] = field(default=None, init=False, repr=False, compare=False)
     _latest_seen: int = field(default=0, init=False, repr=False, compare=False)
     # LMD subtree weights, for the (block count, votes list, vote count) in `_base_state`
@@ -217,7 +251,7 @@ class BlockTree:
         )
         if self._latest_list is self.votes:
             tree._latest, tree._latest_list = dict(self._latest), votes
-            tree._latest_seen = self._latest_seen
+            tree._counted, tree._latest_seen = set(self._counted), self._latest_seen
         blocks, listed, count = self._base_state
         if listed is self.votes:
             tree._base, tree._base_state = self._base, (blocks, votes, count)
@@ -276,27 +310,49 @@ class BlockTree:
         return path
 
     def latest_votes(self) -> list[VoteRecord]:
-        """One vote per voter, keeping only the latest-slot message (LMD).
+        """Each voter's latest vote record (LMD), each record listed once.
 
-        The latest of two votes is the larger `(slot, broadcast_time,
-        -target)`.  Only the votes appended since the last call are folded
-        into the per-voter map, as the spec's `store.latest_messages` is
+        The latest of two one-voter records is the larger `(slot,
+        broadcast_time, -target)`.  A counted record is folded whole: each of
+        its voters has that record as its only message, so a record that
+        covers a voter some other record covers, where either is counted,
+        raises `OverlappingVote` (checked with set operations over the
+        record's range, not per voter).  Only the records appended since the
+        last call are folded, as the spec's `store.latest_messages` is
         updated per attestation; a `votes` list that was replaced, or that
-        got shorter, is folded again from its start.  Voters come in the
-        order of their first vote; `_weights` only sums them.
+        got shorter, is folded again from its start.  Records come in the
+        order of their first voter's first vote; `_weights` only sums their
+        spans.
         """
         votes = self.votes
         if votes is not self._latest_list or len(votes) < self._latest_seen:
             self._latest, self._latest_list, self._latest_seen = {}, votes, 0
-        best = self._latest
-        for v in votes[self._latest_seen:]:
-            cur = best.get(v.voter)
-            if cur is None or (v.slot, v.broadcast_time, -v.target) > (
-                cur.slot,
-                cur.broadcast_time,
-                -cur.target,
-            ):
-                best[v.voter] = v
+            self._counted = set()
+        best, counted = self._latest, self._counted
+        try:
+            for v in votes[self._latest_seen:]:
+                if v.span == 1:
+                    if v.voter in counted:
+                        raise OverlappingVote(f"validator {v.voter} already has a counted vote")
+                    cur = best.get(v.voter)
+                    if cur is None or (v.slot, v.broadcast_time, -v.target) > (
+                        cur.slot,
+                        cur.broadcast_time,
+                        -cur.target,
+                    ):
+                        best[v.voter] = v
+                else:
+                    voters = v.voters
+                    if not (counted.isdisjoint(voters) and best.keys().isdisjoint(voters)):
+                        raise OverlappingVote(
+                            f"the counted vote of validators {voters.start}..{voters.stop - 1} "
+                            "covers a validator that already voted"
+                        )
+                    counted.update(voters)
+                    best[v.voter] = v
+        except OverlappingVote:
+            self._latest_list = None  # the next call folds from the start, and raises again
+            raise
         self._latest_seen = len(votes)
         return list(best.values())
 
@@ -310,12 +366,13 @@ class BlockTree:
         """Subtree weights under the LMD rule plus boost, as (base, overlay).
 
         A block's weight is `base[b] + overlay.get(b, 0)`.  `base` holds the
-        latest votes alone and is shared by every query on one tree state
-        (block count, `votes` list and its length); it is rebuilt when that
-        state changes, in one sweep over the blocks in reverse insertion
-        order that adds every block's total to its parent's.  `insert_block`
-        accepts a block only once its parent is in the tree, so every child
-        comes before its parent in that sweep.  `overlay` is this query's
+        latest votes alone, each record weighing its span, and is shared by
+        every query on one tree state (block count, `votes` list and its
+        length); it is rebuilt when that state changes, in one sweep over
+        the blocks in reverse insertion order that adds every block's total
+        to its parent's.  `insert_block` accepts a block only once its parent
+        is in the tree, so every child comes before its parent in that
+        sweep.  `overlay` is this query's
         own: each virtual vote, and the boost, is added along the ancestor
         path of its block.  So a rebuild costs O(blocks + votes) once per
         tree state, and a query O(depth) per virtual vote.
@@ -328,7 +385,7 @@ class BlockTree:
         ):
             base = dict.fromkeys(self.blocks, 0)
             for vote in self.latest_votes():
-                base[vote.target] += 1
+                base[vote.target] += vote.span
             for block in reversed(self.blocks.values()):
                 if block.parent is not None:
                     base[block.parent] += base[block.id]
@@ -389,8 +446,8 @@ class BlockTree:
     ) -> BlockId:
         """Descend from genesis into the heaviest child subtree at each step.
 
-        The weight of a subtree is the number of unique-per-voter latest
-        votes landing in it, plus `boost` if it holds the `boosted` block and
+        The weight of a subtree is the number of voters whose latest vote
+        lands in it, plus `boost` if it holds the `boosted` block and
         that block was proposed for `current_slot`.  `virtual_votes` lets
         callers add hypothetical weight at a block (used by the compliant-tip
         procedure); it participates in every subtree containing that block,

@@ -11,19 +11,25 @@ write to a running simulation's tree (`games._open_chain` writes the opening
 chain before the clock starts), so the clock weighs the head once, right after
 delivering, and every reader of the tick uses it.  Each message sent is one
 event of the run's append-only log (`RunTrace.events`); the events not yet
-delivered are the pending queue.  A block or a vote is one message; an
-evidence is one signer's message over many votes, and the exported trace
-renders it as one line per vote it signs.
+delivered are the pending queue.  A block is one message.  A vote message is
+one counted record (chain.py's `VoteRecord`): the identical votes of a run
+of consecutive validators, which the game scripts send as one message, and
+the exported trace renders as one line per voter.  An evidence is one
+signer's message over many votes, and the exported trace renders it as one
+line per vote it signs.  So the exported trace reads as if every validator
+had sent its own vote.  No validator votes twice in a run: `emit_vote`
+refuses a record that covers a validator that already voted, which is what
+keeps the counted latest-message fold exact.
 
 Agents act through a StrategyProfile that names one candidate action per
 decision point by its label.  A game builds its decision points once
 (`games.GameModel.points`), and a script reads each label through
 `StrategyProfile.get` on the game's own point, so a run builds none.  The
-records built per voter or per message (`DecisionPoint`, `TraceEvent`, and
-chain.py's `VoteRecord`, `EvidenceRecord`, `Validator`) are frozen and
-slotted.  A game is a straight-line script over one
-Simulation: it advances the clock to the tick of its next action
-(`Simulation.advance`), then acts (`propose`, `emit_vote`, `emit_evidence`).
+records built per message (`DecisionPoint`, `TraceEvent`, and chain.py's
+`VoteRecord`, `EvidenceRecord`, `Validator`) are frozen and slotted.  A game
+is a straight-line script over one Simulation: it advances the clock to the
+tick of its next action (`Simulation.advance`), then acts (`propose`,
+`emit_vote`, `emit_evidence`).
 Its scripted adversary counts votes, withholds blocks and releases them
 later the same way.
 
@@ -172,10 +178,12 @@ class TraceEvent:
     def payloads(self) -> list[dict]:
         """The message as the exported trace renders it, one payload per line.
 
-        A block or a vote is one line.  An evidence, one signer's message over
-        many votes, is one line per vote it signs, in the order of its
-        `votes`, each keyed (signer, voter, slot, target); a block lists the
-        sorted keys of every vote its evidences sign.
+        A block is one line, listing the sorted (voter, slot) key of each
+        voter of its vote records and the sorted keys of every vote its
+        evidences sign.  A vote record is one line per voter, in index order.
+        An evidence, one signer's message over many votes, is one line per
+        vote it signs, in the order of its `votes`, each keyed (signer,
+        voter, slot, target).
         """
         m = self.message
         if self.kind == "block":
@@ -185,12 +193,16 @@ class TraceEvent:
                 "parent": m.parent,
                 "proposer": m.proposer.index,
                 "empty": m.is_empty,
-                "votes": sorted(v.key() for v in m.included_votes),
+                "votes": sorted((voter, v.slot) for v in m.included_votes for voter in v.voters),
                 "evidences": sorted(key for e in m.included_evidences for key in e.keys()),
             }]
         if self.kind == "vote":
-            return [{"slot": m.slot, "voter": m.voter, "target": m.target}]
+            return [{"slot": m.slot, "voter": voter, "target": m.target} for voter in m.voters]
         return [{"key": key} for key in m.keys()]
+
+
+# `json.dumps(obj, sort_keys=True)` builds an encoder per call; one serves every line
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass
@@ -211,32 +223,23 @@ class RunTrace:
 
     def export_lines(self) -> list[str]:
         """The trace as a file holds it: the lines of each sent message, then a summary line."""
+        encode = _ENCODER.encode
         lines = []
         for ev in self.events:
             for payload in ev.payloads:
-                lines.append(
-                    json.dumps(
-                        {
-                            "tick": ev.tick,
-                            "kind": ev.kind,
-                            "release_tick": ev.release_tick,
-                            "payload": payload,
-                        },
-                        sort_keys=True,
-                    )
-                )
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "summary",
-                    "final_chain": list(self.final_chain),
-                    "final_slot": self.final_slot,
-                    "tips": self.tips,
-                    "payoffs": {v: str(amount) for v, amount in sorted(self.payoffs.items())},
-                },
-                sort_keys=True,
-            )
-        )
+                lines.append(encode({
+                    "tick": ev.tick,
+                    "kind": ev.kind,
+                    "release_tick": ev.release_tick,
+                    "payload": payload,
+                }))
+        lines.append(encode({
+            "kind": "summary",
+            "final_chain": list(self.final_chain),
+            "final_slot": self.final_slot,
+            "tips": self.tips,
+            "payoffs": {v: str(amount) for v, amount in sorted(self.payoffs.items())},
+        }))
         return lines
 
 
@@ -261,7 +264,7 @@ class Simulation:
         self.trace = RunTrace(tree=self.tree)
         self.tick = 0
         self._head: Optional[BlockId] = None  # the tick's head; None when no tick is in progress
-        self._voted: dict[tuple[int, int], BlockId] = {}
+        self._voted: dict[int, int] = {}  # each validator that voted -> the slot of its vote
         self._proposed: dict[tuple[int, int], BlockId] = {}
 
     def fork(self) -> Simulation:
@@ -295,28 +298,32 @@ class Simulation:
         self.pending.append(event)
 
     def emit_block(self, block: Block, release: Optional[int] = None) -> None:
+        """Send `block`; a refused block leaves its proposer free to propose."""
         key = (block.proposer.index, block.slot)
         if key in self._proposed and block.proposer.kind is not ValidatorKind.ADVERSARIAL:
             raise InvalidAction(
                 f"validator {block.proposer.index} already proposed for slot {block.slot}"
             )
-        self._proposed[key] = block.id
         self._send("block", block, release)
+        self._proposed[key] = block.id
 
     def emit_vote(self, slot: int, voter: int, target: BlockId,
-                  release: Optional[int] = None) -> VoteRecord:
-        """Build `voter`'s slot-`slot` vote for `target` and send it.
+                  release: Optional[int] = None, span: int = 1) -> VoteRecord:
+        """Build the slot-`slot` vote for `target` of validators `voter` .. `voter + span - 1`; send it.
 
-        The vote is built once, stamped with its release tick; it is returned
-        as sent.
+        The record is built once, stamped with its release tick; it is
+        returned as sent.  A validator votes once per run: a record covering
+        one that already voted is refused, and so is an early release, which
+        leaves its voters free to vote.
         """
-        key = (voter, slot)
-        prior = self._voted.get(key)
-        if prior is not None and prior != target:
-            raise InvalidAction(f"validator {voter} already voted at slot {slot}")
-        self._voted[key] = target
-        vote = VoteRecord(slot, voter, target, self.tick if release is None else release)
+        voters = range(voter, voter + span)
+        voted = self._voted
+        if not voted.keys().isdisjoint(voters):
+            first = next(v for v in voters if v in voted)
+            raise InvalidAction(f"validator {first} already voted at slot {voted[first]}")
+        vote = VoteRecord(slot, voter, target, self.tick if release is None else release, span)
         self._send("vote", vote, vote.broadcast_time)
+        voted.update(dict.fromkeys(voters, slot))
         return vote
 
     def emit_evidence(self, ev: EvidenceRecord, release: Optional[int] = None) -> None:
@@ -335,8 +342,9 @@ class Simulation:
     # -- view helpers ------------------------------------------------------
 
     def visible_votes_for(self, target: BlockId, slot: Optional[int] = None) -> int:
+        """How many delivered votes, counted records by their span, name `target`."""
         return sum(
-            1
+            v.span
             for v in self.tree.votes
             if v.target == target and (slot is None or v.slot == slot)
         )

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .chain import (
     Block,
@@ -393,11 +393,31 @@ def _open_chain(config: GameConfig, seeded: dict, start: int = 0) -> Checkpoint:
         parent = blocks[-1].id if blocks else None
         block = Block(sim.tree.new_id(), slot, parent, proposer, is_empty=parent is None)
         sim.tree.insert_block(block)
-        for v in voters:
-            sim.tree.add_vote(VoteRecord(slot, v.index, block.id, vote_tick(slot)))
+        for first, target, span in _runs((v.index, block.id) for v in voters):
+            sim.tree.add_vote(VoteRecord(slot, first, target, vote_tick(slot), span))
         blocks.append(block)
     sim.advance(start)
     return Checkpoint(start, sim, tuple(blocks))
+
+
+def _runs(votes: Iterable[tuple[int, BlockId]]) -> Iterator[tuple[int, BlockId, int]]:
+    """The maximal runs of consecutive validators voting for one target, as (first, target, span).
+
+    `votes` gives the index and target of each validator that votes, in
+    index order.  A committee is numbered consecutively, so sending one
+    counted record per run, in run order, sends its votes in the order one
+    record per voter would.
+    """
+    span = 0
+    for index, voted in votes:
+        if span and voted == target and index == first + span:
+            span += 1
+            continue
+        if span:
+            yield first, target, span
+        first, target, span = index, voted, 1
+    if span:
+        yield first, target, span
 
 
 # `_attest`'s key for the action of a voter that the profile does not move
@@ -411,23 +431,22 @@ def _attest(game: GameModel, sim: Simulation, profile, slot: int, voters, compli
     point (`GameModel.point_index`); honest voters, and every voter when
     `profile` is None, vote the tip.  Actions other than votes, and a missing
     label, cast nothing.  The tick's head is fixed while the tick runs, so
-    each distinct action's target is resolved once per phase.
+    each distinct action's target is resolved once per phase, and each run
+    of consecutive voters with one target sends one counted vote (`_runs`).
     """
     table, index = game.CANDIDATES[Role.ATTESTOR], game.point_index
+    labels = [
+        _SCRIPTED if profile is None or v.kind is ValidatorKind.HONEST
+        else profile.get(index[slot, Role.ATTESTOR, v.index])
+        for v in voters
+    ]
     targets: dict = {}  # label (or _SCRIPTED) -> its vote's target; None when it casts none
-    for v in voters:
-        if profile is None or v.kind is ValidatorKind.HONEST:
-            label = _SCRIPTED
-        else:
-            label = profile.get(index[slot, Role.ATTESTOR, v.index])
-        if label in targets:
-            target = targets[label]
-        else:
-            act = VoteFor(Tip()) if label is _SCRIPTED else table.get(label)
-            target = sim.resolve(act.target, compliant_tip) if isinstance(act, VoteFor) else None
-            targets[label] = target
-        if target is not None:
-            sim.emit_vote(slot, v.index, target)
+    for label in dict.fromkeys(labels):
+        act = VoteFor(Tip()) if label is _SCRIPTED else table.get(label)
+        targets[label] = sim.resolve(act.target, compliant_tip) if isinstance(act, VoteFor) else None
+    cast = zip([v.index for v in voters], map(targets.get, labels))
+    for first, target, span in _runs((i, t) for i, t in cast if t is not None):
+        sim.emit_vote(slot, first, target, span=span)
 
 
 def _close(
@@ -640,11 +659,10 @@ class StrongSimpleGame(SimpleGame):
         """Settled payoffs plus r/epoch_length for each slot-t attestor that complied."""
         out = super()._payoffs_from(outcome)
         bonus = Fraction(self.config.r, self.config.epoch_length)
-        compliant = {
-            v.voter
-            for v in outcome.trace.tree.votes
-            if v.slot == self.SLOT_T and v.target == self.genesis_id
-        }
+        compliant: set[int] = set()
+        for v in outcome.trace.tree.votes:
+            if v.slot == self.SLOT_T and v.target == self.genesis_id:
+                compliant.update(v.voters)
         for player in out:
             out[player] += bonus * len(compliant.intersection(self.pools.get(player, (player,))))
         return out
@@ -939,7 +957,8 @@ class SelfishMiningGame(GameModel):
         """Slot-p exchange: show each staged block, collect votes, pack the next.
 
         The attestors whose profile label names FollowRule withheld their
-        votes; each now votes the staged block before its adversarial slot.
+        votes; each now votes the staged block before its adversarial slot,
+        one counted vote per run of consecutive followers (`_runs`).
         Everything surfaces together before 3(p+1)+1.  Returns the fork's
         block ids and the number of compliant votes it carries.
         """
@@ -949,13 +968,17 @@ class SelfishMiningGame(GameModel):
         parent = genesis.id
         compliant_votes = 0
         for s_i in self.adv_slots:
-            votes = [
-                sim.emit_vote(s_i - 1, v.index, parent, publish)
+            follows = (
+                (v.index, parent)
                 for v in self.committees[s_i - 1]
                 if isinstance(table.get(profile.get(index[s_i - 1, Role.ATTESTOR, v.index])),
                               FollowRule)
+            )
+            votes = [
+                sim.emit_vote(s_i - 1, first, target, publish, span)
+                for first, target, span in _runs(follows)
             ]
-            compliant_votes += len(votes)
+            compliant_votes += sum(v.span for v in votes)
             parent = sim.propose(s_i, parent, self.adversary, votes=votes, release=publish).id
             fork_ids.append(parent)
         return fork_ids, compliant_votes

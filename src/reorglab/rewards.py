@@ -12,7 +12,11 @@ mechanisms differ on timeliness:
   so does a strict majority (> W/2) of unique next-slot attestor signatures
   over the vote appearing anywhere later on the chain.  Each such attestor
   signs all the votes it saw in one evidence record, and a block indexes
-  its evidences' signers per vote.
+  its evidences' signers per vote record.
+
+A counted vote record (chain.py) is judged as it stands: its voters share
+its slot, target, inclusions and signers, so every test here answers for
+all of them at once, and settlement pays each of them.
 
 DAG settlement is O(1) per vote in W: the next-slot test asks the block's
 vote set (`Block.included_vote_set`), and the signer count reads the one
@@ -31,7 +35,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .chain import Block, BlockId, BlockTree, VoteRecord
 from .engine import RunTrace
@@ -75,30 +79,38 @@ ATTESTATION, INCLUSION = 0, 1
 class PayoffLedger:
     """Head-vote credits being settled: integer counts per unit, amounts made once.
 
-    Every credit is exactly one r (a correct, timely vote) or one R (its
-    inclusion), so the ledger counts them per validator and multiplies by
-    the units once, in `payoffs`.  A validator counted only in units of 0
-    keeps its key, with amount 0.
+    Every credit is a whole number of r (correct, timely votes) or of R
+    (their inclusion), so the ledger counts them per validator and
+    multiplies by the units once, in `payoffs`.  A validator counted only in
+    units of 0 keeps its key, with amount 0.
     """
 
     r: Fraction
     R: Fraction
-    # validator -> [r count, R count], in order of first credit
-    counts: dict[int, list[int]] = field(default_factory=dict)
+    # validator -> (r count, R count), in order of first credit
+    counts: dict[int, tuple[int, int]] = field(default_factory=dict)
 
-    def credit(self, validator: int, unit: int) -> None:
-        """Count one `unit` (ATTESTATION: r, INCLUSION: R) for `validator`."""
-        count = self.counts.get(validator)
-        if count is None:
-            self.counts[validator] = count = [0, 0]
-        count[unit] += 1
+    def credit(self, validators: Sequence[int], unit: int, times: int = 1) -> None:
+        """Count `times` of `unit` (ATTESTATION: r, INCLUSION: R) for each of `validators`.
+
+        Validators credited for the first time, as a counted vote's voters
+        are, are entered in one `dict.fromkeys`, with no loop per validator.
+        """
+        counts = self.counts
+        if counts.keys().isdisjoint(validators):
+            fresh = (times, 0) if unit == ATTESTATION else (0, times)
+            counts.update(dict.fromkeys(validators, fresh))
+            return
+        for v in validators:
+            r, R = counts.get(v, (0, 0))
+            counts[v] = (r + times, R) if unit == ATTESTATION else (r, R + times)
 
     @property
     def payoffs(self) -> dict[int, Fraction]:
         """Every credited validator's amount; each distinct count pair is multiplied out once."""
-        pairs = {v: tuple(count) for v, count in self.counts.items()}
-        amounts = {pair: self.r * pair[0] + self.R * pair[1] for pair in set(pairs.values())}
-        return {v: amounts[pair] for v, pair in pairs.items()}
+        counts = self.counts
+        amounts = {pair: self.r * pair[0] + self.R * pair[1] for pair in set(counts.values())}
+        return {v: amounts[pair] for v, pair in counts.items()}
 
 
 def correctness_target(chain: list[BlockId], tree: BlockTree, slot: int) -> Optional[BlockId]:
@@ -169,10 +181,14 @@ def _slot_targets(chain: list[BlockId], tree: BlockTree) -> Callable[[int], Opti
 def settle_payoffs(trace: RunTrace, params: RewardParams) -> dict[int, Fraction]:
     """Credit r per correct+timely included head vote, R to its includer.
 
-    Returns every credited validator's amount, in order of first credit.
-    A vote included in several chain blocks is credited at most once.  All
-    votes of one slot share one correctness target, so the targets come from
-    one pass over the chain rather than one walk per vote.
+    A counted record is judged once for all its voters, which share its
+    slot, target and inclusions: it credits r to each voter and R times its
+    span to the includer.  Returns every credited validator's amount, in
+    order of first credit.  A record included in several chain blocks is
+    credited at most once; it is known by its first voter and slot, since
+    the records of one run never share a voter.  All votes of one slot share
+    one correctness target, so the targets come from one pass over the
+    chain rather than one walk per vote.
     """
     ledger = PayoffLedger(params.r, params.R)
     credit = ledger.credit
@@ -199,8 +215,8 @@ def settle_payoffs(trace: RunTrace, params: RewardParams) -> dict[int, Fraction]
             if not timely:
                 continue
             credited.add(key)
-            credit(vote.voter, ATTESTATION)
-            credit(includer, INCLUSION)
+            credit(vote.voters, ATTESTATION)
+            credit((includer,), INCLUSION, vote.span)
     return ledger.payoffs
 
 

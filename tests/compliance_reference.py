@@ -7,7 +7,8 @@ tracker as it stood in the package: `observe` seeds B_{-p} compliant and
 the original chain B_{-p+1}..B_0 non-compliant on its first call, as the
 extended game's opening used to.  The package's tracker keeps only the
 recorded tips and judges every mark from them; the tests check that both
-give the same run.
+give the same run.  The reference reads every vote record through
+`expansion`, one record per voter, and so marks each voter's vote.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from typing import Optional
 
 from reorglab.chain import Block, BlockId, BlockTree, TieBreakPolicy, VoteRecord
 from reorglab.compliance import compliant_tip
+
+from expansion import expand_vote, expand_votes
 
 
 @dataclass
@@ -65,10 +68,11 @@ class ComplianceTracker:
         for block in blocks[self.seen_blocks:]:
             if 1 <= block.slot <= self.p:
                 self.classify_block(block)
-        for vote in tree.votes[self.seen_votes:]:
+        votes = expand_votes(tree.votes)
+        for vote in votes[self.seen_votes:]:
             if 1 <= vote.slot <= self.p:
                 self.classify_vote(vote)
-        self.seen_blocks, self.seen_votes = len(blocks), len(tree.votes)
+        self.seen_blocks, self.seen_votes = len(blocks), len(votes)
 
     def tip_at_leader_time(self, tree: BlockTree, slot_i: int) -> BlockId:
         return self._tip(tree, slot_i, self.leader_tips)
@@ -100,7 +104,7 @@ class ComplianceTracker:
             and block.parent == expected_parent
         )
         if ok and slot_i >= 2:
-            for vote in block.included_votes:
+            for vote in expand_votes(block.included_votes):
                 if vote.slot != slot_i - 1 or vote.target != block.parent:
                     ok = False
                     break
@@ -117,7 +121,8 @@ class ComplianceTracker:
         return ok
 
     def is_vote_compliant(self, vote: VoteRecord) -> bool:
-        return self.vote_marks.get((vote.slot, vote.voter, vote.target), False)
+        """Whether every voter's vote of the record is marked compliant."""
+        return all(self.vote_marks.get((v.slot, v.voter, v.target), False) for v in expand_vote(vote))
 
     def compliant_block_of_slot(self, tree: BlockTree, slot_i: int) -> Optional[BlockId]:
         for bid in sorted(tree.blocks):

@@ -19,6 +19,8 @@ from reorglab.chain import (
     VoteRecord,
 )
 
+from expansion import expand_votes
+
 RATIONAL = ValidatorKind.RATIONAL
 ADVERSARIAL = ValidatorKind.ADVERSARIAL
 
@@ -42,10 +44,10 @@ def vote(tree: BlockTree, voter: int, target: BlockId, slot: Optional[int] = Non
 
 
 def oracle_latest_votes(votes) -> dict[int, VoteRecord]:
-    """Independent LMD filter: latest slot wins, then broadcast time, then
-    lowest target id."""
+    """Independent LMD filter over the per-voter votes: latest slot wins, then
+    broadcast time, then lowest target id."""
     best: dict[int, VoteRecord] = {}
-    for v in votes:
+    for v in expand_votes(votes):
         cur = best.get(v.voter)
         if cur is None:
             best[v.voter] = v

@@ -95,6 +95,25 @@ class TestDelivery:
         with pytest.raises(InvalidAction):
             sim.propose(1, 0, Validator(3, RATIONAL), release=4)
 
+    def test_refused_vote_leaves_its_voter_free(self):
+        # an early release is refused before the guard records the vote
+        sim = self._sim()
+        sim.tree.insert_block(Block(sim.tree.new_id(), 1, 0, Validator(3, RATIONAL)))
+        sim.advance(5)
+        with pytest.raises(InvalidAction, match="before creating"):
+            sim.emit_vote(1, 1, 0, release=4)
+        sent = sim.emit_vote(1, 1, 1)
+        assert [ev.message for ev in sim.trace.events] == [sent]
+
+    def test_refused_block_leaves_its_proposer_free(self):
+        sim = self._sim()
+        sim.advance(5)
+        leader = Validator(3, RATIONAL)
+        with pytest.raises(InvalidAction, match="before creating"):
+            sim.propose(1, 0, leader, release=4)
+        sent = sim.propose(1, 0, leader)
+        assert [ev.message for ev in sim.trace.events] == [sent]
+
     def test_double_vote_rejected(self):
         sim = self._sim()
         sim.tree.insert_block(Block(sim.tree.new_id(), 1, 0, Validator(3, RATIONAL)))

@@ -31,6 +31,7 @@ from reorglab.tendermint import AnchorGame, WithholdingGame
 
 from committees import assign_committees
 from engine_games import games
+from expansion import Expander, expand_trace
 
 
 def simple_config(**kw):
@@ -451,7 +452,7 @@ class TestSelfishMining:
         game = SelfishMiningGame(self.config(3, 2))
         out = game.run(game.profile("compliant-all"))
         seen = {}
-        for ev in out.trace.events:
+        for ev in expand_trace(out.trace).events:
             if ev.kind != "vote":
                 continue
             (payload,) = ev.payloads
@@ -585,18 +586,20 @@ def test_dag_one_evidence_per_attestor(committee_size, monkeypatch):
         for pick in pickers:
             sent.clear()
             trace = game.run(game.labelled(pick)).trace
+            expander = Expander()
+            votes = expander.tree(trace.tree).votes
             want_calls, want_lines = [], []
             for slot in range(DagVotesGame.n_slots):
                 tick = aggregate_tick(slot)
                 # the slot's votes in view at its aggregation tick, in delivery order
-                seen = [v for v in trace.tree.votes if v.slot == slot and v.broadcast_time < tick]
+                seen = [v for v in votes if v.slot == slot and v.broadcast_time < tick]
                 sizes.add(len(seen))
                 calls = [(t, ev) for t, ev in sent if t == tick]
                 assert [ev.signer for _, ev in calls] == (
                     [v.index for v in game.committees[slot + 1]] if seen else []
                 )
                 for _, ev in calls:
-                    assert list(ev.votes) == seen
+                    assert list(expander.evidence(ev).votes) == seen
                     assert ev.votes is calls[0][1].votes
                 want_calls += calls
                 want_lines += [
@@ -650,7 +653,7 @@ def test_attest_resolves_each_action_once_per_phase(monkeypatch, hold_outs, reso
     monkeypatch.setattr(Simulation, "resolve", lambda sim, *a: calls.append(a) or resolve(sim, *a))
     outcome = game.run(profile)
     assert len(calls) == resolves
-    votes = [ev.message for ev in outcome.trace.events if ev.kind == "vote"]
+    votes = [ev.message for ev in expand_trace(outcome.trace).events if ev.kind == "vote"]
     assert len(votes) == 64 - list(hold_outs.values()).count("abstain")
     b_t = outcome.trace.labels["B_t"]
     assert sorted(v.voter for v in votes if v.target == b_t) == sorted(

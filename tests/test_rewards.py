@@ -37,6 +37,7 @@ from reorglab.rewards import (
 )
 
 from conftest import ADVERSARIAL, RATIONAL, make_tree
+from expansion import expand_trace, expand_votes
 
 
 class TestCorrectness:
@@ -207,7 +208,8 @@ def test_dag_settlement_makes_no_vote_scan(monkeypatch):
     # chain vote (a scan compares tens of thousands)
     game = DagVotesGame(GameConfig(committee_size=129, boost=0))
     trace = game.run(game.profile("prescribed")).trace
-    included = sum(len(trace.tree.blocks[bid].included_votes) for bid in trace.final_chain)
+    included = sum(len(expand_votes(trace.tree.blocks[bid].included_votes))
+                   for bid in trace.final_chain)
     compared = []
     equal = VoteRecord.__eq__
     monkeypatch.setattr(VoteRecord, "__eq__", lambda self, other: compared.append(1) or equal(self, other))
@@ -271,12 +273,14 @@ UNITS = (Fraction(0), Fraction(1), Fraction(3, 7), Fraction(5, 11), Fraction(7, 
 def oracle_payoffs(trace, r, R, dag: bool, committee_size: int) -> dict:
     """Walk the final chain and add r (voter) and R (includer) per credited vote.
 
-    A vote is credited once, at its first chain inclusion, when it names the
+    The trace is read with one vote record per voter (`expand_trace`).  A
+    vote is credited once, at its first chain inclusion, when it names the
     last chain block at or before its slot and is timely: included in the
     next slot's block, or (DAG votes) included in a next-slot chain block
     anywhere, or signed by more than W/2 distinct signers in chain blocks
     after its target.
     """
+    trace = expand_trace(trace)
     blocks = [trace.tree.blocks[bid] for bid in trace.final_chain]
     paid: dict = {}
     seen = set()
