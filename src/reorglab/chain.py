@@ -7,10 +7,10 @@ however, is computed from the *delivered* votes known to the tree,
 independent of inclusion: a vote influences the fork choice as soon as it is
 in view, and earns rewards only once included (see rewards.py).
 
-A vote record is counted: it stands for the votes of `span` consecutive
-validators that cast the same vote at the same time, as a phase0
-`Attestation` carries aggregation bits over its committee.  The tree weighs
-a record by its span.  Latest messages stay exact because no validator is
+Vote and evidence records are counted: each stands for the identical
+messages of `span` consecutive validators, as a phase0 `Attestation`
+carries aggregation bits over its committee.  The tree weighs a vote record
+by its span.  Latest messages stay exact because no validator is
 covered by two records when either is counted: `latest_votes` raises on
 such an overlap, while one-validator records keep the full LMD rule.
 
@@ -113,23 +113,25 @@ class VoteRecord:
 
 @dataclass(frozen=True, slots=True)
 class EvidenceRecord:
-    """One next-slot attestor's signature over the earlier votes it saw on time.
+    """Next-slot attestors `signer` .. `signer + span - 1` sign the votes they saw on time.
 
-    `signer` is expected to belong to the committee of slot s + 1, and
     `votes` holds the slot-s vote records delivered on time, counted ones
-    included; the game drivers only emit evidences from that committee, and
-    every signer of one slot shares one `votes` tuple.  A record signs each
-    vote of its records once: the key of a signed vote is (signer, voter,
-    slot, target), and duplicates collapse when counted.
+    included.  The key of a signed vote is (signer, voter, slot, target),
+    and duplicates collapse when counted.
     """
 
     signer: int
     votes: tuple[VoteRecord, ...]
+    span: int = 1
+
+    @property
+    def signers(self) -> range:
+        return range(self.signer, self.signer + self.span)
 
     def keys(self) -> list[tuple[int, int, int, BlockId]]:
-        """The key of each vote signed, one per voter of each record, in tuple order."""
-        signer = self.signer
-        return [(signer, voter, v.slot, v.target) for v in self.votes for voter in v.voters]
+        """The key of each vote signed: signer-major, then one per voter of each record, in tuple order."""
+        return [(signer, voter, v.slot, v.target)
+                for signer in self.signers for v in self.votes for voter in v.voters]
 
 
 @dataclass
@@ -160,22 +162,15 @@ class Block:
     def evidence_signers(self) -> dict[tuple[int, int, BlockId], frozenset[int]]:
         """The distinct signers of each vote record its evidences sign, keyed (voter, slot, target).
 
-        Built on first read.  A counted record is keyed as it stands, by its
-        first voter: its voters share one signer set, and the records of one
-        run never share a voter.  The evidences are grouped by their `votes`
-        tuple, which the signers of one slot share, so each record is
-        visited once per group rather than once per signer.
+        Built on first read.  A counted vote record is keyed by its first
+        voter, as the records of one run never share a voter.  Each
+        evidence's signers are taken as they stand, united only where several
+        evidences sign one record.
         """
-        groups: dict[int, tuple[tuple[VoteRecord, ...], set[int]]] = {}
-        for e in self.included_evidences:
-            group = groups.get(id(e.votes))
-            if group is None:
-                groups[id(e.votes)] = group = (e.votes, set())
-            group[1].add(e.signer)
         index: dict[tuple[int, int, BlockId], frozenset[int]] = {}
-        for votes, signers in groups.values():
-            signed = frozenset(signers)
-            for v in votes:
+        for e in self.included_evidences:
+            signed = frozenset(e.signers)
+            for v in e.votes:
                 key = (v.voter, v.slot, v.target)
                 have = index.get(key)
                 index[key] = signed if have is None else have | signed
@@ -288,6 +283,8 @@ class BlockTree:
             self.children.setdefault(block.parent, []).append(block.id)
 
     def add_vote(self, vote: VoteRecord) -> None:
+        if vote.span < 1:
+            raise ChainError(f"a vote record of span {vote.span} covers no validator")
         if vote.target not in self.blocks:
             raise UnknownBlock(f"vote target {vote.target} not in tree")
         if self.blocks[vote.target].slot > vote.slot:

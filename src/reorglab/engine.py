@@ -14,12 +14,12 @@ event of the run's append-only log (`RunTrace.events`); the events not yet
 delivered are the pending queue.  A block is one message.  A vote message is
 one counted record (chain.py's `VoteRecord`): the identical votes of a run
 of consecutive validators, which the game scripts send as one message, and
-the exported trace renders as one line per voter.  An evidence is one
-signer's message over many votes, and the exported trace renders it as one
-line per vote it signs.  So the exported trace reads as if every validator
-had sent its own vote.  No validator votes twice in a run: `emit_vote`
-refuses a record that covers a validator that already voted, which is what
-keeps the counted latest-message fold exact.
+the exported trace renders as one line per voter.  An evidence message is
+one counted record too, rendered as one line per signer per vote it signs.
+So the exported trace reads as if every validator had sent its own
+messages.  No validator votes twice in a run: `emit_vote` refuses a record
+that covers a validator that already voted, which is what keeps the counted
+latest-message fold exact.
 
 Agents act through a StrategyProfile that names one candidate action per
 decision point by its label.  A game builds its decision points once
@@ -181,9 +181,9 @@ class TraceEvent:
         A block is one line, listing the sorted (voter, slot) key of each
         voter of its vote records and the sorted keys of every vote its
         evidences sign.  A vote record is one line per voter, in index order.
-        An evidence, one signer's message over many votes, is one line per
-        vote it signs, in the order of its `votes`, each keyed (signer,
-        voter, slot, target).
+        An evidence is one line per signer per vote it signs, signer-major
+        and then in the order of its `votes`, each keyed (signer, voter,
+        slot, target).
         """
         m = self.message
         if self.kind == "block":
@@ -293,6 +293,8 @@ class Simulation:
         release = self.tick if release is None else release
         if release < self.tick:
             raise InvalidAction("cannot release a message before creating it")
+        if kind != "block" and message.span < 1:
+            raise InvalidAction(f"a {kind} record of span {message.span} covers no validator")
         event = TraceEvent(self.tick, kind, release, message)
         self.trace.events.append(event)
         self.pending.append(event)
@@ -313,8 +315,8 @@ class Simulation:
 
         The record is built once, stamped with its release tick; it is
         returned as sent.  A validator votes once per run: a record covering
-        one that already voted is refused, and so is an early release, which
-        leaves its voters free to vote.
+        one that already voted is refused, and so are a span below 1 and an
+        early release, which leave its voters free to vote.
         """
         voters = range(voter, voter + span)
         voted = self._voted
@@ -331,12 +333,13 @@ class Simulation:
 
     def propose(self, slot: int, parent: Optional[BlockId], proposer: Validator, votes=(),
                 evidences=(), empty: bool = False, release: Optional[int] = None) -> Block:
-        """Build the tree's next block, carrying `votes` and `evidences`, and send it."""
+        """Build the tree's next block, carrying `votes` and `evidences`; send it, taking no id if refused."""
         block = Block(
-            self.tree.new_id(), slot, parent, proposer, is_empty=empty,
+            self.tree._next_id, slot, parent, proposer, is_empty=empty,
             included_votes=tuple(votes), included_evidences=tuple(evidences),
         )
         self.emit_block(block, release)
+        self.tree.new_id()
         return block
 
     # -- view helpers ------------------------------------------------------

@@ -449,6 +449,14 @@ def _attest(game: GameModel, sim: Simulation, profile, slot: int, voters, compli
         sim.emit_vote(slot, first, target, span=span)
 
 
+def _aggregate(sim: Simulation, slot: int, signers) -> None:
+    """`signers` sign the slot-`slot` votes in view, if any: one counted evidence per run (`_runs`)."""
+    seen = tuple(vote for vote in sim.tree.votes if vote.slot == slot)
+    if seen:
+        for first, _, span in _runs((v.index, slot) for v in signers):
+            sim.emit_evidence(EvidenceRecord(first, seen, span))
+
+
 def _close(
     sim: Simulation,
     config: GameConfig,
@@ -1033,11 +1041,9 @@ class DagVotesGame(GameModel):
     outvote it (the security argument then needs W > 2 + boost solo
     attestors, with the evidence threshold left at W/2).
 
-    At slot s's aggregation tick, each slot s+1 attestor sends one evidence:
-    its signature over the slot-s votes delivered on time, one tuple shared
-    by every signer (no evidence when the slot has no votes).
-
-    Each proposal carries every delivered vote and evidence its chain lacks.
+    At slot s's aggregation tick the slot s+1 committee signs the slot-s
+    votes delivered on time (`_aggregate`).  Each proposal carries every
+    delivered vote and evidence its chain lacks.
     Every vote and every evidence is sent once, so by induction a chain's
     inclusions are exactly a prefix of each delivered log: a child carries
     both logs past the counts its parent's chain includes (`_carried`).
@@ -1101,11 +1107,7 @@ class DagVotesGame(GameModel):
                     slot_profile = profile if slot < self.n_slots else None
                     _attest(self, sim, slot_profile, slot, self.committees[slot])
             if script.at(aggregate_tick(slot)) and slot < self.n_slots:
-                # each slot s+1 attestor signs the slot-s votes it saw on time, in one message
-                seen = tuple(vote for vote in votes if vote.slot == slot)
-                if seen:
-                    for signer in self.committees[slot + 1]:
-                        sim.emit_evidence(EvidenceRecord(signer.index, seen))
+                _aggregate(sim, slot, self.committees[slot + 1])
         trace, _ = _close(sim, cfg, self.n_slots, {}, Mechanism.DAG_VOTES)
         chain = set(trace.final_chain)
         # the adversary alone leads its slot, and every block is delivered by now

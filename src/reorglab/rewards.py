@@ -10,9 +10,8 @@ mechanisms differ on timeliness:
   following slot - the lever every commitment attack pulls on;
 * DAG votes: inclusion in the following slot's block still qualifies, but
   so does a strict majority (> W/2) of unique next-slot attestor signatures
-  over the vote appearing anywhere later on the chain.  Each such attestor
-  signs all the votes it saw in one evidence record, and a block indexes
-  its evidences' signers per vote record.
+  over the vote appearing anywhere later on the chain.  The committee's
+  signatures travel as counted evidence records, indexed per vote record.
 
 A counted vote record (chain.py) is judged as it stands: its voters share
 its slot, target, inclusions and signers, so every test here answers for
@@ -144,11 +143,10 @@ def head_vote_timely_dag(
     signature; the threshold is strict, so W even with exactly W/2 signers is
     untimely.  Slots strictly increase along a chain, so the blocks after the
     target are exactly those with a slot above the vote's.  The next-slot
-    test asks the block's vote set (`Block.included_vote_set`).  Each block's
-    signers are one frozenset of its per-vote index
-    (`Block.evidence_signers`): a single contributing block's set is counted
-    as it stands, and only several are united, so no W-size set is copied in
-    the common case.
+    test asks the block's vote set (`Block.included_vote_set`).  A block's
+    signers are one frozenset of `Block.evidence_signers`: a single
+    contributing block's set is counted as it stands, and only several are
+    united, so no W-size set is copied in the common case.
     """
     next_slot = vote.slot + 1
     key = signed = None

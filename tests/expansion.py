@@ -1,12 +1,13 @@
-"""Per-voter forms of counted vote records, for the independent oracles.
+"""Per-validator forms of counted vote and evidence records, for the independent oracles.
 
 A counted `VoteRecord` stands for the identical votes of `span` consecutive
-validators.  The oracles under `tests/` never read that form: each reads a
-record, block, tree or trace through the functions here, which rewrite every
-counted record into one span-1 record per voter, in index order, with the
-record's slot, target and broadcast time.  Evidences and blocks are rebuilt
-over the expanded records, each shared `votes` tuple once, so the expanded
-evidences of one slot still share one tuple.
+validators, and a counted `EvidenceRecord` for the identical signatures of
+`span` consecutive signers.  The oracles under `tests/` never read that
+form: each reads a record, block, tree or trace through the functions here,
+which rewrite every counted vote into one span-1 record per voter, in index
+order, with the record's slot, target and broadcast time, and every counted
+evidence into one span-1 record per signer, in index order, over the
+expanded votes.  Blocks are rebuilt over the expanded records.
 """
 
 from __future__ import annotations
@@ -25,21 +26,21 @@ def expand_votes(votes) -> list[VoteRecord]:
     return [one for vote in votes for one in expand_vote(vote)]
 
 
+def expand_evidence(ev: EvidenceRecord) -> list[EvidenceRecord]:
+    """One span-1 record per signer of `ev`, each over `ev`'s votes expanded."""
+    votes = tuple(expand_votes(ev.votes))
+    return [EvidenceRecord(signer, votes) for signer in ev.signers]
+
+
+def expand_evidences(evidences) -> list[EvidenceRecord]:
+    return [one for ev in evidences for one in expand_evidence(ev)]
+
+
 class Expander:
-    """Expands the records of one run, giving each block and shared vote tuple one expanded copy."""
+    """Expands the records of one run, giving each block one expanded copy."""
 
     def __init__(self) -> None:
         self._blocks: dict[int, Block] = {}
-        self._tuples: dict[int, tuple[tuple[VoteRecord, ...], tuple[VoteRecord, ...]]] = {}
-
-    def votes(self, votes: tuple[VoteRecord, ...]) -> tuple[VoteRecord, ...]:
-        kept = self._tuples.get(id(votes))
-        if kept is None or kept[0] is not votes:
-            kept = self._tuples[id(votes)] = (votes, tuple(expand_votes(votes)))
-        return kept[1]
-
-    def evidence(self, ev: EvidenceRecord) -> EvidenceRecord:
-        return EvidenceRecord(ev.signer, self.votes(ev.votes))
 
     def block(self, block: Block) -> Block:
         kept = self._blocks.get(block.id)
@@ -47,7 +48,7 @@ class Expander:
             kept = self._blocks[block.id] = Block(
                 block.id, block.slot, block.parent, block.proposer, block.is_empty,
                 tuple(expand_votes(block.included_votes)),
-                tuple(self.evidence(e) for e in block.included_evidences),
+                tuple(expand_evidences(block.included_evidences)),
             )
         return kept
 
@@ -67,7 +68,8 @@ class Expander:
         if ev.kind == "vote":
             return [TraceEvent(ev.tick, ev.kind, ev.release_tick, one)
                     for one in expand_vote(ev.message)]
-        return [TraceEvent(ev.tick, ev.kind, ev.release_tick, self.evidence(ev.message))]
+        return [TraceEvent(ev.tick, ev.kind, ev.release_tick, one)
+                for one in expand_evidence(ev.message)]
 
     def trace(self, trace: RunTrace) -> RunTrace:
         return RunTrace(

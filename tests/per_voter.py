@@ -1,12 +1,12 @@
-"""The committee phases with one vote record per voter: the reference for counted votes.
+"""The committee phases with one record per validator: the reference for counted records.
 
-These are the game scripts' three vote-writing phases as they stood before
-votes were counted: `_open_chain` seeds one record per pre-game voter,
-`_attest` sends one per attestor, and `SelfishMiningGame._stage_fork` one
-per follower.  `per_voter_phases` swaps them into `reorglab.games`, so a run
-of any engine game sends exactly the votes a counted run sends, one record
-each; the tests check that both runs export the same trace and settle the
-same payoffs.
+These are the game scripts' committee phases as they stood before votes and
+evidences were counted: `_open_chain` seeds one vote record per pre-game
+voter, `_attest` sends one per attestor, `SelfishMiningGame._stage_fork` one
+per follower, and `_aggregate` one evidence per signer.  `per_voter_phases`
+swaps them into `reorglab.games`, so a run of any engine game sends exactly
+the votes and signatures a counted run sends, one record each; the tests
+check that both runs export the same trace and settle the same payoffs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import contextlib
 from unittest import mock
 
 from reorglab import games
-from reorglab.chain import Block, BlockId, ValidatorKind, VoteRecord
+from reorglab.chain import Block, BlockId, EvidenceRecord, ValidatorKind, VoteRecord
 from reorglab.engine import Role, Simulation, Tip, VoteFor, propose_tick, vote_tick
 
 
@@ -54,6 +54,13 @@ def attest(game, sim: Simulation, profile, slot: int, voters, compliant_tip=None
             sim.emit_vote(slot, v.index, target)
 
 
+def aggregate(sim: Simulation, slot: int, signers) -> None:
+    seen = tuple(vote for vote in sim.tree.votes if vote.slot == slot)
+    if seen:
+        for signer in signers:
+            sim.emit_evidence(EvidenceRecord(signer.index, seen))
+
+
 def stage_fork(game, sim, genesis, profile) -> tuple[list[BlockId], int]:
     publish = propose_tick(game.horizon)
     table, index = game.CANDIDATES[Role.ATTESTOR], game.point_index
@@ -75,8 +82,9 @@ def stage_fork(game, sim, genesis, profile) -> tuple[list[BlockId], int]:
 
 @contextlib.contextmanager
 def per_voter_phases():
-    """Within the block, every game script sends one vote record per voter."""
+    """Within the block, every game script sends one record per voter and per signer."""
     with mock.patch.object(games, "_open_chain", open_chain), \
             mock.patch.object(games, "_attest", attest), \
+            mock.patch.object(games, "_aggregate", aggregate), \
             mock.patch.object(games.SelfishMiningGame, "_stage_fork", stage_fork):
         yield

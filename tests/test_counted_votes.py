@@ -1,10 +1,11 @@
-"""Counted vote records: one record per run of consecutive voters casting the same vote.
+"""Counted records: one record per run of consecutive validators sending the same message.
 
 The game scripts send one `VoteRecord` per maximal run of consecutive
-committee members with one target, and the tree, settlement and the trace
-count its voters.  Exactness rests on one invariant, that no validator votes
-twice in a run; the engine asserts it, and the tests here check it over
-random profiles of every engine game.  The per-voter scripts of
+committee members with one target, and one `EvidenceRecord` per run of
+consecutive signers of a slot's votes; the tree, settlement and the trace
+count their voters and signers.  Exactness rests on one invariant, that no
+validator votes twice in a run; the engine asserts it, and the tests here
+check it over random profiles of every engine game.  The per-voter scripts of
 `per_voter.py` are the reference: a counted run must export the per-voter
 run's trace and settle its payoffs.
 """
@@ -13,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reorglab.chain import Block, BlockTree, EvidenceRecord, OverlappingVote, Validator, VoteRecord
+from reorglab.chain import (
+    Block,
+    BlockTree,
+    ChainError,
+    EvidenceRecord,
+    OverlappingVote,
+    Validator,
+    VoteRecord,
+)
 from reorglab.engine import InvalidAction, Simulation, StrategyProfile
 from reorglab.games import (
     DagVotesGame,
@@ -23,6 +32,7 @@ from reorglab.games import (
     SelfishMiningGame,
     SimpleGame,
     _RECORD,
+    _aggregate,
 )
 
 from conftest import ADVERSARIAL, RATIONAL, oracle_fork_choice, oracle_weight
@@ -126,6 +136,37 @@ def test_emit_vote_refuses_a_record_over_a_voter_that_voted():
     sim.emit_vote(1, 14, 0, span=2)
     sim.emit_vote(1, 9, 0)
     assert [ev.message.voters for ev in sim.trace.events] == [range(10, 14), range(14, 16), range(9, 10)]
+
+
+def test_a_record_covers_at_least_one_validator():
+    # a span-0 record would replace voter 5's latest vote and weigh nothing
+    tree = BlockTree()
+    tree.insert_block(Block(tree.new_id(), 0, None, Validator(0, RATIONAL), True))
+    tree.insert_block(Block(tree.new_id(), 1, 0, Validator(1, RATIONAL)))
+    tree.add_vote(VoteRecord(1, 5, 1))
+    with pytest.raises(ChainError, match="covers no validator"):
+        tree.add_vote(VoteRecord(1, 5, 1, span=0))
+    assert tree.subtree_weight(1, 1) == 1
+    sim = sim_at(4)
+    for span in (0, -2):
+        with pytest.raises(InvalidAction, match="covers no validator"):
+            sim.emit_vote(1, 7, 0, span=span)
+        with pytest.raises(InvalidAction, match="covers no validator"):
+            sim.emit_evidence(EvidenceRecord(20, (VoteRecord(1, 7, 0),), span))
+    assert sim.trace.events == [] and sim.pending == []
+    # the refused records left their validators free
+    assert sim.emit_vote(1, 7, 0, span=2).voters == range(7, 9)
+
+
+def test_aggregate_sends_one_evidence_per_run_of_signers():
+    sim = sim_at(4)
+    vote = sim.emit_vote(1, 7, 0, span=3)
+    sim.advance(5)
+    signers = [Validator(i, RATIONAL) for i in (20, 21, 22, 30, 31, 40)]
+    _aggregate(sim, 1, signers)
+    _aggregate(sim, 2, signers)  # no slot-2 votes in view: no evidence
+    assert [ev.message for ev in sim.trace.events[1:]] == [
+        EvidenceRecord(20, (vote,), 3), EvidenceRecord(30, (vote,), 2), EvidenceRecord(40, (vote,))]
 
 
 def test_latest_votes_refuses_an_overlapping_counted_record():

@@ -114,6 +114,18 @@ class TestDelivery:
         sent = sim.propose(1, 0, leader)
         assert [ev.message for ev in sim.trace.events] == [sent]
 
+    def test_refused_block_takes_no_id(self):
+        sim = self._sim()
+        sim.advance(5)
+        leader = Validator(3, RATIONAL)
+        with pytest.raises(InvalidAction, match="before creating"):
+            sim.propose(1, 0, leader, release=4)
+        assert sim.propose(1, 0, leader).id == 1
+        # nor does a second proposal for one slot, refused for its rational proposer
+        with pytest.raises(InvalidAction, match="already proposed"):
+            sim.propose(1, 0, leader)
+        assert sim.propose(1, 0, Validator(4, RATIONAL)).id == 2
+
     def test_double_vote_rejected(self):
         sim = self._sim()
         sim.tree.insert_block(Block(sim.tree.new_id(), 1, 0, Validator(3, RATIONAL)))

@@ -139,6 +139,19 @@ EXTRA = {
         "checks": [{"type": "dag-scenario", "ethereum_flip": True},
                    {"type": "outcome", "profile": "prescribed"}],
     },
+    # hold-outs split the slot-1 committee's votes into runs, slot 2 sends no
+    # evidence, and its leader forks off the tip
+    "golden-dag-w33-holdouts": {
+        "game": {"kind": "dag-votes", "committee_size": 33, "boost": 0},
+        "profile": {"base": "prescribed",
+                    "overrides": [{"slot": 1, "role": "attestor", "actor": 40,
+                                   "action": "parent-of-tip"},
+                                  {"slot": 1, "role": "attestor", "actor": 50,
+                                   "action": "abstain"},
+                                  {"slot": 2, "role": "attestor", "action": "abstain"},
+                                  {"slot": 2, "role": "leader", "action": "off-tip"}]},
+        "checks": [{"type": "spne"}, {"type": "outcome"}],
+    },
     # the frontier the symmetry classes open: DAG W=65 with the flip, and a
     # simple W=512 committee whose three hold-outs form two classes of their own
     "golden-dag-w65-flip": {
@@ -222,6 +235,10 @@ GOLDEN = {
     "golden-dag-w33-flip": (
         "f5ad91c1193756b13b434c562ebe7c5e670c8d96144095f960ea1d361422f117",
         "ad04026f1da2125b88d2ec118d6c7ba616c8b0b5f8e154faf7df5747c7be8209",
+    ),
+    "golden-dag-w33-holdouts": (
+        "0312a44d031ddc1dfec4b6d7484d00472e1bb5442cc668309a06fb9d1e988044",
+        "16d44b0cf04c695c957cf5f2a5e1d33ae3339f961b107cf9a0ac5c519b9f2c37",
     ),
     "golden-dag-w65-flip": (
         "f1c86d81463d3b0fbef7590ccb1073f888ccea9a22f78fe22f6baca3a350e613",

@@ -37,7 +37,7 @@ from reorglab.rewards import (
 )
 
 from conftest import ADVERSARIAL, RATIONAL, make_tree
-from expansion import expand_trace, expand_votes
+from expansion import expand_evidences, expand_trace, expand_votes
 
 
 class TestCorrectness:
@@ -137,12 +137,15 @@ class TestTimelyDag:
 
 
 def signers_after_target(vote, blocks) -> set:
-    """Distinct signers of the vote's key in chain blocks after the last one at or before its slot."""
+    """Distinct signers of the vote's key in chain blocks after the last one at or before its slot.
+
+    The evidences are read one record per signer (`expand_evidences`).
+    """
     key = (vote.voter, vote.slot, vote.target)
     return {
         e.signer
         for b in blocks if b.slot > vote.slot
-        for e in b.included_evidences
+        for e in expand_evidences(b.included_evidences)
         for signed in e.votes
         if (signed.voter, signed.slot, signed.target) == key
     }
@@ -156,11 +159,11 @@ def brute_timely_dag(vote, blocks, committee_size) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_timely_dag_counts_distinct_signers_after_the_target(data):
-    # a chain whose blocks carry per-signer evidences over overlapping vote
-    # tuples: signers repeat within and across blocks, blocks at or before
-    # the vote's correctness target (and an off-chain block) carry evidence
-    # too, and W is drawn around twice the distinct-signer count so that the
-    # exactly-W/2 case comes up
+    # a chain whose blocks carry per-signer and counted evidences over
+    # overlapping vote tuples: signer ranges overlap within and across
+    # blocks, blocks at or before the vote's correctness target (and an
+    # off-chain block) carry evidence too, and W is drawn around twice the
+    # distinct-signer count so that the exactly-W/2 case comes up
     slots = [0, *itertools.accumulate(data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=5)))]
     vote = VoteRecord(data.draw(st.integers(0, slots[-1])), 7,
                       data.draw(st.integers(0, len(slots) - 1)), data.draw(st.integers(0, 3)))
@@ -176,10 +179,11 @@ def test_timely_dag_counts_distinct_signers_after_the_target(data):
 
     def evidences():
         drawn = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, len(tuples) - 1),
-                                             st.booleans()), max_size=6))
+                                             st.booleans(), st.integers(1, 4) | st.just(1)),
+                                   max_size=6))
         # a copied tuple is equal to, but not the same object as, the shared one
-        return tuple(EvidenceRecord(100 + signer, tuple(list(tuples[i])) if copy else tuples[i])
-                     for signer, i, copy in drawn)
+        return tuple(EvidenceRecord(100 + signer, tuple(list(tuples[i])) if copy else tuples[i], span)
+                     for signer, i, copy, span in drawn)
 
     tree = BlockTree()
     chain = []
