@@ -6,13 +6,16 @@ simulation of the game with everyone else held fixed, once per class: the
 players of one symmetry class (`GameModel.symmetry_classes`) are
 interchangeable, so the unilateral checks play a candidate for the first
 member of its class and give that payoff to every other member, each of
-which still counts it as checked.  A reported deviation always reproduces
-its claimed gain when replayed.  A deviation leaves every tick before its
-earliest decision point as the profile's own run played it, so it resumes
-from that run's checkpoint at that tick; a run from the opening plays the
-same script from its first tick.  A candidate the profile already plays is
-not simulated again: it reads the profile's own payoffs, though the Nash
-checks still count it as checked.
+which still counts it as checked.  The swap of two members also gives them
+equal payoffs under the profile itself, so `verify_nash` compares once per
+class and candidate, and counts its candidates before it plays any run.  A
+reported deviation always reproduces its claimed gain when replayed.  A
+deviation leaves every tick before its earliest decision point as the
+profile's own run played it, so it resumes from that run's checkpoint at
+that tick; a run from the opening plays the same script from its first
+tick.  A candidate the profile already plays is not simulated again: it
+reads the profile's own payoffs, though the Nash checks still count it as
+checked.
 """
 
 from __future__ import annotations
@@ -144,38 +147,44 @@ def verify_nash(
 ) -> EquilibriumReport:
     """Exhaustive unilateral (and optionally coalition) deviation search.
 
-    Nash: no single player can strictly improve.  With coalition_bound > 1
-    the verdict upgrades to strong Nash when additionally no coalition up to
-    that size can strictly improve the payoff of every member at once.
+    Nash: no single player can strictly improve.  The unilateral pass plays
+    each candidate once per symmetry class, for its first member, and
+    compares once: swapping two members gives them equal base and deviation
+    payoffs, so that decides for every member, which counts each candidate
+    as checked and reports its own gains, in roster order.  The count is
+    guarded before any run.  With coalition_bound > 1 the verdict upgrades
+    to strong Nash when additionally no coalition up to that size can
+    strictly improve the payoff of every member at once.
     """
     players = game.players()
     if not players:
         raise GameError("the game has no decision points, so a Nash check would check nothing")
+    classes = game.symmetry_classes(profile)
+    members: dict[object, list[PlayerId]] = {}
+    for player, cls in classes.items():
+        members.setdefault(cls, []).append(player)
+    moves = {cls: game.assignments(group[0]) for cls, group in members.items()}
+    checked = sum(len(group) * len(moves[cls]) for cls, group in members.items())
+    _estimate(checked, max_joint_actions)
     played = game.play(profile)
     base = played[0]
-    assignments = {p: game.assignments(p) for p in players}
-    count = sum(len(a) for a in assignments.values())
-    _estimate(count, max_joint_actions)
 
-    classes = game.symmetry_classes(profile)
-    memo: dict[tuple, Fraction] = {}  # (class, assignment index, label) -> the deviator's payoff
-    deviations: list[Deviation] = []
-    checked = 0
-    for player in players:
-        for i, (label, assignment) in enumerate(assignments[player]):
-            checked += 1
-            key = (classes[player], i, label)
-            if key not in memo:
-                memo[key] = _deviate(game, profile, played, assignment)[0][player]
-            value = memo[key]
-            if value > base[player]:
-                deviations.append(Deviation(player, label, base[player], value))
-    if deviations:
+    gains: dict[object, list[tuple[str, Fraction]]] = {}  # class -> (label, payoff) that gain
+    for cls, group in members.items():
+        rep = group[0]
+        for label, assignment in moves[cls]:
+            value = _deviate(game, profile, played, assignment)[0][rep]
+            if value > base[rep]:
+                gains.setdefault(cls, []).append((label, value))
+    if gains:
+        deviations = [Deviation(p, label, base[p], value)
+                      for p, cls in classes.items() if cls in gains for label, value in gains[cls]]
         return EquilibriumReport(Verdict.NOT_EQUILIBRIUM, deviations, checked=checked)
     if coalition_bound <= 1:
         return EquilibriumReport(Verdict.NASH, checked=checked)
 
     # coalition pass: every member must strictly gain
+    assignments = {p: game.assignments(p) for p in players}
     for size in range(2, min(coalition_bound, len(players)) + 1):
         for coalition in itertools.combinations(players, size):
             joint = [assignments[p] for p in coalition]
@@ -188,8 +197,8 @@ def verify_nash(
                 checked += 1
                 payoffs = _deviate(game, profile, played, assignment)[0]
                 if all(payoffs[p] > base[p] for p in coalition):
-                    for p, (label, _) in zip(coalition, combo):
-                        deviations.append(Deviation(p, f"coalition:{label}", base[p], payoffs[p]))
+                    deviations = [Deviation(p, f"coalition:{label}", base[p], payoffs[p])
+                                  for p, (label, _) in zip(coalition, combo)]
                     return EquilibriumReport(
                         Verdict.NOT_EQUILIBRIUM, deviations, checked=checked
                     )

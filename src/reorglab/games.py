@@ -309,11 +309,17 @@ class GameModel:
         return [(label, {dp: label}) for dp in dps for label in self.candidates(dp)]
 
     def profile(self, name: str) -> StrategyProfile:
-        """Named profile: each decision point takes its candidate `PROFILES[name]` picks."""
+        """Named profile: each decision point takes its role's pick from `PROFILES[name]`."""
         if name not in self.PROFILES:
             raise GameError(f"unknown profile {name!r}")
         picks = self.PROFILES[name]
-        return self.labelled(lambda dp: next(x for x in picks if x in self.candidates(dp)))
+        pick = {role: next(x for x in picks if x in table)
+                for role, table in self.CANDIDATES.items() if not table.keys().isdisjoint(picks)}
+        points = self.points
+        try:
+            return StrategyProfile({dp: pick[dp.role] for dp in points})
+        except KeyError as missing:
+            raise GameError(f"profile {name!r} picks no {missing.args[0].value} action") from None
 
     def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
         """Each solo player's settled amount, and each pool's total over its members."""

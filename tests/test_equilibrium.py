@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from reorglab import equilibrium
 from reorglab.engine import DecisionPoint, Role, VoteFor
 from reorglab.games import (
     DagVotesGame,
@@ -138,6 +139,41 @@ class TestVerifyNash:
         game = SimpleGame(simple_config())
         with pytest.raises(ExplosionGuard):
             verify_nash(game, game.profile("compliant-all"), max_joint_actions=3)
+
+    def test_guard_counts_before_any_run(self, monkeypatch):
+        # the count is 3 candidates per attestor, fixed before the base run
+        W = 2048
+        game = SimpleGame(simple_config(committee_size=W, boost=W * 2 // 5))
+        profile = game.profile("compliant-all")
+
+        def refuse(*args):
+            raise AssertionError("a run was played before the guard")
+
+        with monkeypatch.context() as patched:
+            for name in ("play", "run", "payoffs"):
+                patched.setattr(game, name, refuse)
+            with pytest.raises(ExplosionGuard, match=f"{3 * W} deviation simulations"):
+                verify_nash(game, profile, max_joint_actions=3 * W - 1)
+        assert verify_nash(game, profile, max_joint_actions=3 * W).checked == 3 * W
+
+    @pytest.mark.parametrize("hold_outs,n_classes", [(("NC", "NC"), 2), (("NC", "abstain"), 3)])
+    def test_one_assignment_list_and_one_run_per_class(self, monkeypatch, hold_outs, n_classes):
+        W = 512
+        game = SimpleGame(simple_config(committee_size=W, boost=W * 2 // 5))
+        players = game.players()
+        label = dict(zip((players[1], players[W // 2]), hold_outs))
+        profile = game.labelled(lambda dp: label.get(dp.actor, "C"))
+        assert len(set(game.symmetry_classes(profile).values())) == n_classes
+        listed, deviated = [], []
+        assignments, deviate = game.assignments, equilibrium._deviate
+        monkeypatch.setattr(game, "assignments", lambda p: listed.append(p) or assignments(p))
+        monkeypatch.setattr(equilibrium, "_deviate",
+                            lambda *args: deviated.append(args[3]) or deviate(*args))
+        report = verify_nash(game, profile)
+        assert report.verdict is Verdict.NOT_EQUILIBRIUM
+        assert listed == [players[0], players[1], players[W // 2]][:n_classes]
+        assert len(deviated) == 3 * n_classes <= 9
+        assert report.checked == 3 * W
 
     @pytest.mark.parametrize("coalition_bound,runs", [(1, 1 + 2), (2, 1 + 2 + 6 * 8)])
     def test_profile_played_once(self, monkeypatch, coalition_bound, runs):

@@ -490,9 +490,21 @@ def test_labelled_agrees_with_named_profile(kind, name):
     for dp in game.points:
         labels[dp] = profile.get(dp)
         assert labels[dp] in game.candidates(dp) and labels[dp] in game.PROFILES[name]
+        assert labels[dp] == next(x for x in game.PROFILES[name] if x in game.candidates(dp))
     assert game.labelled(labels.__getitem__) == profile
     with pytest.raises(GameError, match="unknown action 'Z' for slot"):
         game.action(game.points[0], "Z")
+
+
+@pytest.mark.parametrize("kind", list(LABELLED_GAMES))
+def test_named_profile_without_a_pick_rejected(kind):
+    game = LABELLED_GAMES[kind]()
+    with pytest.raises(GameError, match="unknown profile 'Z'"):
+        game.profile("Z")
+    # a profile whose labels no table offers picks nothing for any role
+    game.PROFILES = {"odd": ("Z",)}
+    with pytest.raises(GameError, match=f"profile 'odd' picks no {game.points[0].role.value} action"):
+        game.profile("odd")
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,24 @@ def test_class_quotient_equals_full_enumeration(game, rnd):
     assert fields(verify_spne(game, profile)) == fields(full_spne(game, profile))
 
 
+@pytest.mark.parametrize("W", [64, 512])
+@pytest.mark.parametrize("abstainers", [0, 2])
+def test_gaining_classes_report_every_member_in_roster_order(W, abstainers):
+    # three NC hold-outs gain by complying, one class of several members;
+    # abstaining hold-outs between them form a second gaining class, so the
+    # report interleaves the two classes player by player
+    game = SimpleGame(GameConfig(W, boost=W * 2 // 5))
+    players = game.players()
+    label = dict.fromkeys((players[1], players[W // 2], players[-1]), "NC")
+    label |= dict.fromkeys((players[2], players[W // 2 + 1])[:abstainers], "abstain")
+    profile = game.labelled(lambda dp: label.get(dp.actor, "C"))
+    report = verify_nash(game, profile)
+    assert report.verdict is Verdict.NOT_EQUILIBRIUM
+    assert [(d.player, d.label) for d in report.deviations] == [
+        (p, "C") for p in players if p in label]
+    assert fields(report) == fields(full_nash(game, profile))
+
+
 class TestClassKey:
     def test_compliant_committee_is_one_class(self):
         game = SimpleGame(GameConfig(4, boost=2))
