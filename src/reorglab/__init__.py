@@ -45,7 +45,6 @@ from .games import (
     SelfishMiningGame,
     SimpleGame,
     StrongSimpleGame,
-    pool_payoff_selfish,
     pool_payoff_simple,
     simple_payoff_matrix,
 )

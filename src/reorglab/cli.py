@@ -40,7 +40,6 @@ from .games import (
     SelfishMiningGame,
     SimpleGame,
     StrongSimpleGame,
-    pool_payoff_selfish,
     pool_payoff_simple,
     simple_payoff_matrix,
 )
@@ -415,11 +414,15 @@ def _check_matrix(game, guard):
 
 
 def _check_pool_matrix(game, guard):
+    # every cell is one conditioned run; a selfish-mining cell is the pool's settled total
+    pool = game.config.pool
+    if not pool:
+        raise GameError("config carries no pool")
     cells = {}
     for row in ("succeed", "fail"):
         for col in ("C", "NC"):
             if isinstance(game, SelfishMiningGame):
-                cells[f"{row}/{col}"] = str(pool_payoff_selfish(game, col, row))
+                cells[f"{row}/{col}"] = str(game.conditioned_payoff(pool.name, col, row))
             else:
                 prev, cur = pool_payoff_simple(game, col, row)
                 cells[f"{row}/{col}"] = f"{prev}+{cur}"

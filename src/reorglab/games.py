@@ -4,8 +4,9 @@ Each game couples a scripted adversary (the committed strategy it announces
 to the validators) with a set of rational players whose actions come from a
 StrategyProfile.  Running a profile yields a full lock-step trace; payoffs
 are settled from that trace, so every payoff matrix in this module is a
-summary of simulation, except `pool_payoff_selfish`: the paper's closed form,
-which only the tests check against settlement.
+summary of simulation: each cell of a table is the settlement of one run
+conditioned on the attack's outcome (`_ConditionedGame.conditioned_run`).
+The paper's closed forms live only in the tests, as oracles.
 
 Games implemented:
 
@@ -44,7 +45,7 @@ from .chain import (
     VoteRecord,
     detect_reorg,
 )
-from .compliance import ComplianceTracker, required_attack_length
+from .compliance import ComplianceTracker
 from .engine import (
     Abstain,
     CompliantTip,
@@ -63,27 +64,6 @@ from .engine import (
     vote_tick,
 )
 from .rewards import Mechanism, RewardParams, settle_payoffs
-
-__all__ = [
-    "Checkpoint",
-    "GameConfig",
-    "GameOutcome",
-    "PayoffMatrix",
-    "GameError",
-    "AssumptionViolated",
-    "ConditionViolated",
-    "ConditioningUnrealizable",
-    "SimpleGame",
-    "StrongSimpleGame",
-    "NoBoostGame",
-    "ExtendedGame",
-    "SelfishMiningGame",
-    "DagVotesGame",
-    "simple_payoff_matrix",
-    "pool_payoff_simple",
-    "pool_payoff_selfish",
-    "required_attack_length",
-]
 
 
 class GameError(Exception):
@@ -486,6 +466,51 @@ def _close(
 
 
 # ---------------------------------------------------------------------------
+# the conditioning every payoff table reads
+# ---------------------------------------------------------------------------
+
+
+class _ConditionedGame(GameModel):
+    """A game whose payoff tables condition on the attack's outcome.
+
+    A cell of a table is one run, `conditioned_run`: an ordinary labelled
+    profile in which the player plays the cell's label and every other
+    attestor complies (`C`), except under `fail`, where those of the free
+    attestors (all but the player's, in `points` order) that the game's
+    `_failing(free)` picks vote `NC` instead.  The picks are all a game
+    declares.
+    """
+
+    def conditioned_run(self, player: PlayerId, label: str, condition: str) -> GameOutcome:
+        """Run with `player`'s attestors playing `label`, the others realizing `condition`.
+
+        Raises ConditioningUnrealizable when the run does not reach `condition`.
+        """
+        if label not in self.CANDIDATES[Role.ATTESTOR]:
+            raise GameError(f"unknown action {label!r} for an attestor")
+        seats = self._seats[player]
+        if condition == "succeed":
+            against = set()
+        elif condition == "fail":
+            against = set(self._failing([dp.actor for dp in self.points if dp not in seats]))
+        else:
+            raise GameError(f"unknown condition {condition!r}")
+        outcome = self.run(self.labelled(
+            lambda dp: label if dp in seats else "NC" if dp.actor in against else "C"
+        ))
+        if outcome.success != (condition == "succeed"):
+            raise ConditioningUnrealizable(
+                f"condition {condition!r} not realizable: run "
+                f"{'succeeded' if outcome.success else 'failed'}"
+            )
+        return outcome
+
+    def conditioned_payoff(self, player: PlayerId, label: str, condition: str) -> Fraction:
+        """`player`'s payoff in `conditioned_run`: a pool's is its members' settled total."""
+        return self._payoffs_from(self.conditioned_run(player, label, condition))[player]
+
+
+# ---------------------------------------------------------------------------
 # the one-committee games
 # ---------------------------------------------------------------------------
 
@@ -514,7 +539,7 @@ class _VictimSlotGame(GameModel):
         return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index) for v in self.committee]
 
 
-class SimpleGame(_VictimSlotGame):
+class SimpleGame(_VictimSlotGame, _ConditionedGame):
     """Slot t+1 is adversarial; slot t attestors choose whose block to back.
 
     Slots are normalized so that B_{t-1} is the genesis block at slot 0, the
@@ -579,40 +604,14 @@ class SimpleGame(_VictimSlotGame):
                 start: Optional[Checkpoint] = None) -> dict[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile, start))
 
-    # -- conditioning ---------------------------------------------------------
-
-    def conditioned_run(self, player: PlayerId, label: str, condition: str) -> GameOutcome:
-        """Run with `player`'s attestors playing `label`, the others realizing `condition`.
-
-        succeed: every other attestor complies; fail: the first `boost` of
-        them vote for B_t, so the threshold is met whatever `player` plays.
-        """
-        dps, seats = self.points, self._seats[player]
-        self.action(dps[0], label)  # every slot-t attestor has the same candidates
-        free = [dp.actor for dp in dps if dp not in seats]
+    def _failing(self, free: list[int]) -> list[int]:
+        """The first `boost`, whose votes for B_t meet the threshold whatever the player plays."""
         boost = self.config.boost
-        if condition == "succeed":
-            for_b_t = set()
-        elif condition == "fail":
-            if len(free) < boost:
-                raise ConditioningUnrealizable(
-                    f"cannot script {boost} votes for B_t with {len(free)} free attestors"
-                )
-            for_b_t = set(free[:boost])
-        else:
-            raise GameError(f"unknown condition {condition!r}")
-        outcome = self.run(self.labelled(
-            lambda dp: label if dp in seats else "NC" if dp.actor in for_b_t else "C"
-        ))
-        if outcome.success != (condition == "succeed"):
+        if len(free) < boost:
             raise ConditioningUnrealizable(
-                f"condition {condition!r} not realizable: run "
-                f"{'succeeded' if outcome.success else 'failed'}"
+                f"cannot script {boost} votes for B_t with {len(free)} free attestors"
             )
-        return outcome
-
-    def conditioned_payoff(self, player: PlayerId, label: str, condition: str) -> Fraction:
-        return self._payoffs_from(self.conditioned_run(player, label, condition))[player]
+        return free[:boost]
 
 
 def simple_payoff_matrix(game: SimpleGame) -> PayoffMatrix:
@@ -879,7 +878,7 @@ class FollowRule:
     """Withhold, then vote for the adversary's staged fork block."""
 
 
-class SelfishMiningGame(GameModel):
+class SelfishMiningGame(_ConditionedGame):
     """Withheld adversarial fork over slots 1..horizon, slot `horizon` adversarial.
 
     Committees of the slots directly preceding adversarial slots are the
@@ -1001,33 +1000,9 @@ class SelfishMiningGame(GameModel):
                 start: Optional[Checkpoint] = None) -> dict[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile, start))
 
-    # -- pool payoff table ----------------------------------------------------
-
-    def pool_slot_sets(self) -> tuple[list[int], list[int]]:
-        """S_A: slots whose next slot is adversarial; S_NA: the rest of [p]."""
-        s_a = [s for s in range(1, self.horizon) if s + 1 in self.adv_slots]
-        s_na = [s for s in range(1, self.horizon) if s + 1 not in self.adv_slots]
-        return s_a, s_na
-
-
-def pool_payoff_selfish(
-    game: SelfishMiningGame, pool_action: str, fork_result: str
-) -> Fraction:
-    """Closed-form pool payoff: sum of m_s * r over the slot set that pays.
-
-    succeed+C pays the slots preceding adversarial slots; any failure pays
-    the slots preceding non-adversarial slots; succeed+NC pays nothing.
-    """
-    _require(game, SelfishMiningGame)
-    config = game.config
-    if not config.pool:
-        raise GameError("config carries no pool")
-    s_a, s_na = game.pool_slot_sets()
-    m = config.pool.members_per_slot
-    r = config.r
-    if fork_result == "succeed":
-        return sum((m * r for _ in s_a), Fraction(0)) if pool_action == "C" else Fraction(0)
-    return sum((m * r for _ in s_na), Fraction(0))
+    def _failing(self, free: list[int]) -> list[int]:
+        """Every free attestor votes the tip: only the player's votes can back the fork."""
+        return free
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,51 @@
+"""The paper's pool payoff tables in closed form: oracles for the conditioned runs.
+
+The package computes every cell of a payoff table from the settlement of
+one conditioned run (`conditioned_run`).  The closed forms here restate the
+paper's Tables 7 and 8 symbolically, so the tests can check the runs
+against them on every cell the run can realize.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from reorglab.games import GameConfig, SelfishMiningGame
+
+
+def pool_payoff_simple(config: GameConfig, pool_action: str,
+                       condition: str) -> tuple[Fraction, Fraction]:
+    """Table 7: a pool's (slot t-1, slot t) payoff in the simple game.
+
+    The pool's earlier committee keeps its votes' reward m*r only when the
+    victim block survives (fail).  Its later committee earns m*r inside the
+    adversary's block when it complied and the attack succeeded, and inside
+    B_t's successor when it voted B_t, the attack failed and the adversary
+    includes every vote (no credible exclusion threat).
+    """
+    paid = config.pool.members_per_slot * config.r
+    prev = paid if condition == "fail" else Fraction(0)
+    cur = paid if (condition, pool_action) == ("succeed", "C") or (
+        (condition, pool_action) == ("fail", "NC") and not config.credibility_assumed
+    ) else Fraction(0)
+    return prev, cur
+
+
+def pool_slot_sets(game: SelfishMiningGame) -> tuple[list[int], list[int]]:
+    """S_A: slots of the window whose next slot is adversarial; S_NA: the rest of 1..p-1."""
+    s_a = [s for s in range(1, game.horizon) if s + 1 in game.adv_slots]
+    s_na = [s for s in range(1, game.horizon) if s + 1 not in game.adv_slots]
+    return s_a, s_na
+
+
+def pool_payoff_selfish(game: SelfishMiningGame, pool_action: str, fork_result: str) -> Fraction:
+    """Table 8: sum of m*r over the slot set that pays.
+
+    succeed+C pays the slots preceding adversarial slots; any failure pays
+    the slots preceding non-adversarial slots; succeed+NC pays nothing.
+    """
+    s_a, s_na = pool_slot_sets(game)
+    paid = game.config.pool.members_per_slot * game.config.r
+    if fork_result == "succeed":
+        return paid * len(s_a) if pool_action == "C" else Fraction(0)
+    return paid * len(s_na)

@@ -27,7 +27,6 @@ from reorglab.games import (
     SelfishMiningGame,
     SimpleGame,
     StrongSimpleGame,
-    pool_payoff_selfish,
     pool_payoff_simple,
     simple_payoff_matrix,
 )
@@ -49,6 +48,7 @@ from reorglab.rewards import (
 )
 from reorglab.tendermint import honest_anchor_scenario, withholding_attack_scenario
 
+from closed_forms import pool_payoff_selfish, pool_slot_sets
 from test_compliance import CASES, LEX, W, WP, marks_for, oracle_tip
 from test_properties import (
     test_fork_choice_oracle_exhaustive_shapes_to_six_blocks,
@@ -154,7 +154,7 @@ def test_criterion_06_selfish_mining():
         n_adversarial_slots=2, n_non_adversarial_slots=2, pool=PoolSpec(1),
     )
     game = SelfishMiningGame(config)
-    s_a, s_na = game.pool_slot_sets()
+    s_a, s_na = pool_slot_sets(game)
     for row in ("succeed", "fail"):
         for col in ("C", "NC"):
             formula = pool_payoff_selfish(game, col, row)

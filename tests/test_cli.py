@@ -202,6 +202,20 @@ def test_trace_rendered_only_when_written(monkeypatch, tmp_path, name):
     assert len(rendered) == 1
 
 
+def test_selfish_pool_matrix_plays_one_run_per_cell(monkeypatch):
+    # every cell of the selfish-mining pool table is the settlement of one run
+    doc = _with("selfish-table8", checks=[{"type": "pool-matrix"}])
+    played = []
+    run = games.SelfishMiningGame.run
+    monkeypatch.setattr(games.SelfishMiningGame, "run",
+                        lambda self, *args: played.append(args) or run(self, *args))
+    report = run_scenario(io.StringIO(json.dumps(doc)))
+    assert len(played) == 4
+    assert report["results"][0]["matrix"]["cells"] == {
+        "succeed/C": "2", "succeed/NC": "0", "fail/C": "1", "fail/NC": "1",
+    }
+
+
 def test_seed_recorded():
     report = run_scenario(io.StringIO(json.dumps(_with("simple-table1", seed=42))))
     assert report["seed"] == 42
@@ -523,9 +537,27 @@ BOUNDARY = {
     "rational-zero-denominator": _simple_outcome(r="1/0"),
     "committee-size-not-int": _simple_outcome(committee_size="abc"),
     "pool-members-not-int": _bundled_doc("pool-simple-table7", pool={"members_per_slot": "q"}),
-    # the pool-matrix closed form would pay 6 members per slot of a committee of 4
+    # a pool of 6 members per slot in a committee of 4
     "selfish-pool-above-committee": _bundled_doc(
         "selfish-table8", committee_size=4, boost=2, pool={"members_per_slot": 6}
+    ),
+    # pool-matrix cells whose condition the run cannot realize: a pool that
+    # fills every committee wins the fork whenever it follows (fail/C) and
+    # loses it whenever it does not (succeed/NC); with no adversarial slot
+    # there is no fork to win
+    "selfish-pool-fills-committees": _with(
+        "selfish-table8",
+        game={"kind": "selfish-mining", "committee_size": 4, "boost": 2,
+              "n_adversarial_slots": 2, "n_non_adversarial_slots": 2,
+              "pool": {"members_per_slot": 4}},
+        checks=[{"type": "pool-matrix"}],
+    ),
+    "selfish-pool-no-adversarial": _with(
+        "selfish-table8",
+        game={"kind": "selfish-mining", "committee_size": 4, "boost": 2,
+              "n_adversarial_slots": 0, "n_non_adversarial_slots": 1,
+              "allow_condition_violation": True, "pool": {"members_per_slot": 1}},
+        checks=[{"type": "pool-matrix"}],
     ),
     "coalition-bound-not-int": _with(
         "simple-table1", checks=[{"type": "nash", "coalition_bound": "z"}]

@@ -23,12 +23,13 @@ from reorglab.games import (
     SelfishMiningGame,
     SimpleGame,
     StrongSimpleGame,
-    pool_payoff_selfish,
     pool_payoff_simple,
     simple_payoff_matrix,
 )
 from reorglab.tendermint import AnchorGame, WithholdingGame
 
+import closed_forms
+from closed_forms import pool_payoff_selfish, pool_slot_sets
 from committees import assign_committees
 from engine_games import games
 from expansion import expand_trace, expand_votes
@@ -155,6 +156,25 @@ class TestPoolSimple:
         with pytest.raises(GameError, match="unknown action"):
             pool_payoff_simple(SimpleGame(simple_config(pool=PoolSpec(0))), "X", "succeed")
 
+    def test_table7_closed_form(self):
+        # each cell the run realizes pays Table 7's closed form; every other raises
+        realized = unrealizable = 0
+        for W, cred, r in itertools.product(range(2, 9), (True, False), (1, Fraction(3, 2))):
+            for boost in range(W + 2):
+                for m in range(1, min(boost, W)):  # the table needs m < boost
+                    config = simple_config(committee_size=W, boost=boost, pool=PoolSpec(m),
+                                           credibility_assumed=cred, r=Fraction(r))
+                    game = SimpleGame(config)
+                    for row, col in itertools.product(("succeed", "fail"), ("C", "NC")):
+                        try:
+                            cell = pool_payoff_simple(game, col, row)
+                        except ConditioningUnrealizable:
+                            unrealizable += 1
+                            continue
+                        assert cell == closed_forms.pool_payoff_simple(config, col, row)
+                        realized += 1
+        assert (realized, unrealizable) == (1168, 624)
+
 
 def test_tables_reject_games_they_do_not_play():
     # each table plays only its own games, never a simple game in their place
@@ -174,9 +194,6 @@ def test_tables_reject_games_they_do_not_play():
         if game_class is not SimpleGame:
             with pytest.raises(GameError, match="plays no"):
                 pool_payoff_simple(game, "C", "succeed")
-        if game_class is not SelfishMiningGame:
-            with pytest.raises(GameError, match="plays no"):
-                pool_payoff_selfish(game, "C", "succeed")
 
 
 class TestStrongSimple:
@@ -391,7 +408,7 @@ class TestSelfishMining:
     def test_table8_and_trace_agree(self):
         config = self.config(2, 2, pool=PoolSpec(1))
         game = SelfishMiningGame(config)
-        s_a, s_na = game.pool_slot_sets()
+        s_a, s_na = pool_slot_sets(game)
         assert len(s_a) == 2 and len(s_na) == 1
         for row in ("succeed", "fail"):
             for col in ("C", "NC"):
@@ -416,7 +433,7 @@ class TestSelfishMining:
     def test_table8_shape(self):
         config = self.config(3, 2, pool=PoolSpec(2))
         game = SelfishMiningGame(config)
-        s_a, s_na = game.pool_slot_sets()
+        s_a, s_na = pool_slot_sets(game)
         assert pool_payoff_selfish(game, "C", "succeed") == 2 * len(s_a)
         assert pool_payoff_selfish(game, "NC", "succeed") == 0
         assert pool_payoff_selfish(game, "C", "fail") == 2 * len(s_na)
@@ -426,6 +443,33 @@ class TestSelfishMining:
         game = SelfishMiningGame(self.config(2, 2, pool=PoolSpec(0)))
         assert pool_payoff_selfish(game, "C", "succeed") == 0
         assert pool_payoff_selfish(game, "NC", "fail") == 0
+
+    def test_table8_sweep(self):
+        # each cell the run realizes pays Table 8's closed form; every other raises
+        realized = unrealizable = 0
+        grid = itertools.product((4, 10), (0, .2, .4, .6), range(5), range(1, 5), range(1, 4))
+        for W, x, na, nna, m in grid:
+            config = self.config(na, nna, committee_size=W, boost=round(x * W), pool=PoolSpec(m))
+            game = SelfishMiningGame(config)
+            for row, col in itertools.product(("succeed", "fail"), ("C", "NC")):
+                try:
+                    cell = game.conditioned_payoff("P", col, row)
+                except ConditioningUnrealizable:
+                    unrealizable += 1
+                    continue
+                assert cell == pool_payoff_selfish(game, col, row)
+                realized += 1
+        assert (realized, unrealizable) == (1274, 646)
+
+    def test_conditioning_without_decision_points(self):
+        # the label is checked against the attestor candidates, not a decision point
+        game = SelfishMiningGame(self.config(0, 1, committee_size=4, boost=2, pool=PoolSpec(1)))
+        assert game.points == ()
+        with pytest.raises(GameError, match="unknown action 'X'"):
+            game.conditioned_payoff("P", "X", "fail")
+        with pytest.raises(ConditioningUnrealizable):
+            game.conditioned_payoff("P", "C", "succeed")
+        assert game.conditioned_payoff("P", "C", "fail") == 0
 
     def test_adversarial_slots_fill_the_window(self):
         # slots 2..n_a below the window's end, plus the end itself

@@ -91,13 +91,14 @@ EXTRA = {
         "checks": [{"type": "outcome", "profile": "compliant-all"},
                    {"type": "nash", "profile": "compliant-all"}],
     },
+    # with 1 adversarial slot against 2 rival slots the fork never wins, so a
+    # pool-matrix check is rejected (see test_selfish_violation_pool_matrix_rejected)
     "golden-selfish-violation-pool": {
         "game": {"kind": "selfish-mining", "committee_size": 5, "boost": 2,
                  "n_adversarial_slots": 1, "n_non_adversarial_slots": 2,
                  "allow_condition_violation": True, "pool": {"members_per_slot": 1}},
         "checks": [{"type": "outcome", "profile": "compliant-all"},
-                   {"type": "nash", "profile": "honest-all"},
-                   {"type": "pool-matrix"}],
+                   {"type": "nash", "profile": "honest-all"}],
     },
     # the benchmark's selfish-mining size: a hold-out in each player slot, so
     # deviations at slot 3 play on from a history that slot 1 shaped
@@ -277,7 +278,7 @@ GOLDEN = {
         "78a06078ed63d21927e2e8b446decaefd5648513b62d0666f9a60c620a5c8b74",
     ),
     "golden-selfish-violation-pool": (
-        "a901ddafcd3d5932bd6234dadff13f6de6e4bf6ba669ddc5a417d6da8f58b28d",
+        "ce16be4d5bc0ce1702cd8e9c1cea9ae09978fbc88b5bf184ae7bb9a160db1a2d",
         "7e9783409d1b4b502a5492b377d8454b4f90a48cbe4eaa858008e9dd674469a5",
     ),
     "golden-selfish-w32-two-holdouts": (
@@ -396,6 +397,16 @@ def test_golden_report_and_trace(name, tmp_path):
 def test_selfish_no_adversarial_nash_rejected(tmp_path, capsys):
     doc = dict(EXTRA["golden-selfish-no-adversarial"])
     doc["checks"] = [{"type": "nash", "profile": "compliant-all"}]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+
+
+def test_selfish_violation_pool_matrix_rejected(tmp_path, capsys):
+    # the succeed row names an outcome the run cannot reach
+    doc = dict(EXTRA["golden-selfish-violation-pool"])
+    doc["checks"] = [*doc["checks"], {"type": "pool-matrix"}]
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     assert main(["run", str(path)]) == EXIT_VALIDATION
