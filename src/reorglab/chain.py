@@ -71,7 +71,6 @@ class OverlappingVote(ChainError):
 
 
 class ValidatorKind(enum.Enum):
-    HONEST = "honest"
     RATIONAL = "rational"
     ADVERSARIAL = "adversarial"
 

@@ -22,10 +22,11 @@ that covers a validator that already voted, which is what keeps the counted
 latest-message fold exact.
 
 Agents act through a StrategyProfile that names one candidate action per
-decision point by its label.  A game builds its decision points once
-(`games.GameModel.points`), and a script reads each label through
-`StrategyProfile.get` on the game's own point, so a run builds none.  The
-records built per message (`DecisionPoint`, `TraceEvent`, and chain.py's
+decision point by its label.  A decision point is its (slot, role, actor)
+key: a `DecisionPoint` equals and hashes as that plain tuple, so a script
+reads each label with `StrategyProfile.get((slot, role, actor))` and a run
+builds none.  A validator is its index; only a block's proposer is a
+`Validator`.  The records built per message (`TraceEvent`, and chain.py's
 `VoteRecord`, `EvidenceRecord`, `Validator`) are frozen and slotted.  A game
 is a straight-line script over one Simulation: it advances the clock to the
 tick of its next action (`Simulation.advance`), then acts (`propose`,
@@ -47,7 +48,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .chain import (
     Block,
@@ -94,8 +95,9 @@ class Role(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionPoint:
+class DecisionPoint(NamedTuple):
+    """A decision point as its (slot, role, actor) key; it equals and hashes as that tuple."""
+
     slot: int
     role: Role
     actor: int  # validator index
@@ -156,13 +158,12 @@ class StrategyProfile:
 
     actions: dict[DecisionPoint, str] = field(default_factory=dict)
 
-    def get(self, dp: DecisionPoint) -> Optional[str]:
+    def get(self, dp: tuple[int, Role, int]) -> Optional[str]:
         return self.actions.get(dp)
 
-    def with_action(self, dp: DecisionPoint, label: str) -> "StrategyProfile":
-        actions = dict(self.actions)
-        actions[dp] = label
-        return StrategyProfile(actions)
+    def with_actions(self, assignment: dict) -> StrategyProfile:
+        """This profile with each decision point of `assignment` playing its label there."""
+        return StrategyProfile({**self.actions, **assignment})
 
 
 @dataclass(frozen=True, slots=True)

@@ -91,11 +91,6 @@ def _estimate(count: int, bound: int) -> None:
         raise ExplosionGuard(f"{count} deviation simulations exceed bound {bound}")
 
 
-def _apply(profile: StrategyProfile, assignment: dict) -> StrategyProfile:
-    """`profile` with each decision point of `assignment` playing its label there."""
-    return StrategyProfile({**profile.actions, **assignment})
-
-
 Played = tuple[dict[PlayerId, Fraction], dict[int, Checkpoint]]  # as `GameModel.play` returns
 
 
@@ -115,7 +110,7 @@ def _deviate(
     if all(profile.get(dp) == label for dp, label in assignment.items()):
         return base, False
     start = checkpoints.get(min(dp.tick for dp in assignment))
-    return game.payoffs(_apply(profile, assignment), start), True
+    return game.payoffs(profile.with_actions(assignment), start), True
 
 
 def best_response(
@@ -372,7 +367,7 @@ def dag_security_scenario(
         eth_game = SimpleGame(replace(config, boost=boost))
         # the commitment is credible, so the other attestors best-respond by
         # complying; the honest hold-out is the profile under test
-        probe = eth_game.solo_players()[-1].index
+        probe = eth_game.solo_players()[-1]
         eth_profile = eth_game.labelled(lambda dp: "NC" if dp.actor == probe else "C")
         ethereum_report = verify_nash(eth_game, eth_profile, max_joint_actions=max_joint_actions)
     return DagScenarioResult(report, outcome, ethereum_report)

@@ -163,22 +163,23 @@ PlayerId = object  # int for solo validators, str for pools
 class GameModel:
     """Roster and named profiles of a game driven by the equilibrium lab.
 
-    A game builds its decision points once (`_decision_points`, called only
-    by `points`): every reader shares those objects (`points`, and
-    `point_index` by slot, role and actor), so a run builds none.  It
-    declares the labelled candidate actions of each role once (`CANDIDATES`,
-    read through `candidates`), and plays a profile (`run`, `payoffs`) from
-    its opening or from a checkpoint (`start`) recorded by an earlier run
+    A validator is its index: each committee is a `range` of consecutive
+    indices (`_committees`), and only a proposer is a `Validator`, because
+    a block carries it.  A game lists its decision points once
+    (`_decision_points`, called only by `points`).  It declares the
+    labelled candidate actions of each role once (`CANDIDATES`, read
+    through `candidates`), and plays a profile (`run`, `payoffs`) from its
+    opening or from a checkpoint (`start`) recorded by an earlier run
     (`play`, which starts from `_RECORD`) of a profile that agrees with it
     before the checkpoint's tick.  A profile holds labels; a script reads
-    each label through `StrategyProfile.get` on the game's own point, and
-    its action in the table (`_acted`; `_attest` reads the table once per
-    phase and resolves each distinct action's target once per phase).  The
-    roster follows: a decision point belongs to its actor, unless the actor
-    is a member of one of `pools`, whose members move together; each
-    player's decision points are listed once, in `_seats`.  Under a profile
-    the players fall into symmetry classes (`symmetry_classes`).  Named
-    profiles follow from `PROFILES`.
+    each with `profile.get((slot, role, index))`, since a decision point
+    equals its key, and looks its action up in the role's table (`_attest`
+    reads the table once per phase and resolves each distinct action's
+    target once per phase).  The roster follows: a decision point belongs
+    to its actor, unless the actor is a member of one of `pools`, whose
+    members move together; each player's decision points are listed once,
+    in `_seats`.  Under a profile the players fall into symmetry classes
+    (`symmetry_classes`).  Named profiles follow from `PROFILES`.
     """
 
     # role -> label -> action, built once per class and shared by every
@@ -204,11 +205,6 @@ class GameModel:
     def points(self) -> tuple[DecisionPoint, ...]:
         """The game's decision points, built once: every reader shares these objects."""
         return tuple(self._decision_points())
-
-    @cached_property
-    def point_index(self) -> dict[tuple[int, Role, int], DecisionPoint]:
-        """Each of `points` by its (slot, role, actor)."""
-        return {(dp.slot, dp.role, dp.actor): dp for dp in self.points}
 
     @cached_property
     def _seats(self) -> dict[PlayerId, tuple[DecisionPoint, ...]]:
@@ -263,10 +259,6 @@ class GameModel:
         """The labelled candidate actions of `dp`: its role's shared table."""
         return self.CANDIDATES[dp.role]
 
-    def _acted(self, profile: StrategyProfile, dp: DecisionPoint) -> object:
-        """The action `profile` names at `dp`; None where its label is missing or not offered."""
-        return self.candidates(dp).get(profile.get(dp))
-
     def action(self, dp: DecisionPoint, label: str) -> object:
         """The candidate of `dp` labelled `label`."""
         candidates = self.candidates(dp)
@@ -310,19 +302,24 @@ class GameModel:
         return out
 
 
-def _committee(ids, size: int, kind=ValidatorKind.RATIONAL) -> list[Validator]:
-    """`size` validators of `kind`, numbered by `ids`."""
-    return [Validator(next(ids), kind) for _ in range(size)]
+def _committees(slots: Iterable[int], size: int) -> tuple[dict[int, range], Iterator[int]]:
+    """One committee of `size` consecutive indices per slot of `slots`, in order from index 0.
+
+    Returns them by slot, and the indices after them, for the game's single
+    validators.
+    """
+    committees = {slot: range(n * size, (n + 1) * size) for n, slot in enumerate(slots)}
+    return committees, itertools.count(len(committees) * size)
 
 
-def _pools(config: GameConfig, committees) -> dict[PlayerId, frozenset[int]]:
+def _pools(config: GameConfig, committees: Iterable[range]) -> dict[PlayerId, frozenset[int]]:
     """The config's pool: the first `members_per_slot` validators of each of `committees`."""
     if not config.pool:
         return {}
     m = config.pool.members_per_slot
     if not 0 <= m <= config.committee_size:
         raise GameError(f"pool members per slot {m} outside 0..{config.committee_size}")
-    return {config.pool.name: frozenset(v.index for c in committees for v in c[:m])}
+    return {config.pool.name: frozenset(v for c in committees for v in c[:m])}
 
 
 def _require(game: GameModel, *games: type) -> None:
@@ -369,9 +366,10 @@ class _Script:
 def _open_chain(config: GameConfig, seeded: dict, start: int = 0) -> Checkpoint:
     """Start a run on a chain voted for before the game.
 
-    `seeded` maps each slot, ascending, to its proposer and the voters of
-    its block; the first block is an empty genesis.  Returns the run's
-    opening: its clock started at tick `start`, holding the chain's blocks.
+    `seeded` maps each slot, ascending, to its proposer and the committee
+    voting for its block, which sends one counted vote; the first block is
+    an empty genesis.  Returns the run's opening: its clock started at tick
+    `start`, holding the chain's blocks.
     """
     sim = Simulation(config.boost, config.tie_break)
     blocks: list[Block] = []
@@ -379,8 +377,7 @@ def _open_chain(config: GameConfig, seeded: dict, start: int = 0) -> Checkpoint:
         parent = blocks[-1].id if blocks else None
         block = Block(sim.tree.new_id(), slot, parent, proposer, is_empty=parent is None)
         sim.tree.insert_block(block)
-        for first, target, span in _runs((v.index, block.id) for v in voters):
-            sim.tree.add_vote(VoteRecord(slot, first, target, vote_tick(slot), span))
+        sim.tree.add_vote(VoteRecord(slot, voters.start, block.id, vote_tick(slot), len(voters)))
         blocks.append(block)
     sim.advance(start)
     return Checkpoint(start, sim, tuple(blocks))
@@ -390,9 +387,9 @@ def _runs(votes: Iterable[tuple[int, BlockId]]) -> Iterator[tuple[int, BlockId, 
     """The maximal runs of consecutive validators voting for one target, as (first, target, span).
 
     `votes` gives the index and target of each validator that votes, in
-    index order.  A committee is numbered consecutively, so sending one
-    counted record per run, in run order, sends its votes in the order one
-    record per voter would.
+    index order.  A committee is a range of consecutive indices, so sending
+    one counted record per run, in run order, sends its votes in the order
+    one record per voter would.
     """
     span = 0
     for index, voted in votes:
@@ -406,41 +403,39 @@ def _runs(votes: Iterable[tuple[int, BlockId]]) -> Iterator[tuple[int, BlockId, 
         yield first, target, span
 
 
-# `_attest`'s key for the action of a voter that the profile does not move
+# `_attest`'s label for a scripted voter, which votes the tip
 _SCRIPTED = object()
 
 
-def _attest(game: GameModel, sim: Simulation, profile, slot: int, voters, compliant_tip=None):
+def _attest(game: GameModel, sim: Simulation, profile, slot: int, voters: range,
+            compliant_tip=None):
     """Attestor phase of `slot` at the tick in progress.
 
     Each voter plays the action its profile label names at its decision
-    point (`GameModel.point_index`); honest voters, and every voter when
-    `profile` is None, vote the tip.  Actions other than votes, and a missing
-    label, cast nothing.  The tick's head is fixed while the tick runs, so
-    each distinct action's target is resolved once per phase, and each run
-    of consecutive voters with one target sends one counted vote (`_runs`).
+    point, read by its (slot, role, index) key.  Scripted voters, passed
+    with `profile` None, vote the tip.  Actions other than votes, and a
+    missing label, cast nothing.  The tick's head is fixed while the tick
+    runs, so each distinct action's target is resolved once per phase, and
+    each run of consecutive voters with one target sends one counted vote
+    (`_runs`).
     """
-    table, index = game.CANDIDATES[Role.ATTESTOR], game.point_index
-    labels = [
-        _SCRIPTED if profile is None or v.kind is ValidatorKind.HONEST
-        else profile.get(index[slot, Role.ATTESTOR, v.index])
-        for v in voters
-    ]
+    table, role = game.CANDIDATES[Role.ATTESTOR], Role.ATTESTOR
+    labels = ([_SCRIPTED] * len(voters) if profile is None
+              else [profile.get((slot, role, v)) for v in voters])
     targets: dict = {}  # label (or _SCRIPTED) -> its vote's target; None when it casts none
     for label in dict.fromkeys(labels):
         act = VoteFor(Tip()) if label is _SCRIPTED else table.get(label)
         targets[label] = sim.resolve(act.target, compliant_tip) if isinstance(act, VoteFor) else None
-    cast = zip([v.index for v in voters], map(targets.get, labels))
+    cast = zip(voters, map(targets.get, labels))
     for first, target, span in _runs((i, t) for i, t in cast if t is not None):
         sim.emit_vote(slot, first, target, span=span)
 
 
-def _aggregate(sim: Simulation, slot: int, signers) -> None:
-    """`signers` sign the slot-`slot` votes in view, if any: one counted evidence per run (`_runs`)."""
+def _aggregate(sim: Simulation, slot: int, signers: range) -> None:
+    """`signers` sign the slot-`slot` votes in view, if any, in one counted evidence."""
     seen = tuple(vote for vote in sim.tree.votes if vote.slot == slot)
     if seen:
-        for first, _, span in _runs((v.index, slot) for v in signers):
-            sim.emit_evidence(EvidenceRecord(first, seen, span))
+        sim.emit_evidence(EvidenceRecord(signers.start, seen, len(signers)))
 
 
 def _close(
@@ -527,16 +522,14 @@ class _VictimSlotGame(GameModel):
 
     def __init__(self, config: GameConfig):
         self.config = config
-        W = config.committee_size
-        ids = itertools.count()
-        self.prev_committee = _committee(ids, W)
-        self.committee = _committee(ids, W)
+        committees, ids = _committees((0, self.SLOT_T), config.committee_size)
+        self.prev_committee, self.committee = committees.values()
         self.leader_t = Validator(next(ids), ValidatorKind.RATIONAL)
         self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
         self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
 
     def _decision_points(self) -> list[DecisionPoint]:
-        return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v.index) for v in self.committee]
+        return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v) for v in self.committee]
 
 
 class SimpleGame(_VictimSlotGame, _ConditionedGame):
@@ -567,8 +560,8 @@ class SimpleGame(_VictimSlotGame, _ConditionedGame):
 
     # -- players and actions ------------------------------------------------
 
-    def solo_players(self) -> list[Validator]:
-        return [v for v in self.committee if v.index in self._seats]
+    def solo_players(self) -> list[int]:
+        return [v for v in self.committee if v in self._seats]
 
     # -- simulation -----------------------------------------------------------
 
@@ -621,7 +614,7 @@ def simple_payoff_matrix(game: SimpleGame) -> PayoffMatrix:
     strong simple game the payoffs are the expected ones of that game.
     """
     _require(game, SimpleGame, StrongSimpleGame)
-    probe = game.solo_players()[-1].index
+    probe = game.solo_players()[-1]
     values = {}
     for row in ("succeed", "fail"):
         for col in ("C", "NC"):
@@ -648,7 +641,7 @@ def pool_payoff_simple(
     # a member votes in one slot and never proposes, so its whole payoff is that slot's
     members, settled = game.pools[config.pool.name], outcome.trace.payoffs
     return tuple(
-        sum((settled.get(v.index, 0) for v in committee if v.index in members), Fraction(0))
+        sum((settled.get(v, 0) for v in committee if v in members), Fraction(0))
         for committee in (game.prev_committee, game.committee)
     )
 
@@ -784,45 +777,39 @@ class ExtendedGame(GameModel):
         if config.honest_per_slot >= W:
             raise GameError("honest attestors cannot fill the whole committee")
         self.p = p
-        h = config.honest_per_slot
-        ids = itertools.count()
-        # committees for slots -p..0 are pre-game voters
-        self.pre_committees = {slot: _committee(ids, W) for slot in range(-p, 1)}
-        self.committees = {
-            slot: _committee(ids, h, kind=ValidatorKind.HONEST) + _committee(ids, W - h)
-            for slot in range(1, p + 1)
-        }
-        self.leaders = dict(zip(range(1, p + 1), _committee(ids, p)))
-        self.pre_leaders = dict(zip(range(-p, 1), _committee(ids, p + 1)))
+        # slots -p..0 vote before the game; the first honest_per_slot of each later one are honest
+        self.committees, ids = _committees(range(-p, p + 1), W)
+        kind = ValidatorKind.RATIONAL
+        self.leaders = {slot: Validator(next(ids), kind) for slot in range(1, p + 1)}
+        self.pre_leaders = {slot: Validator(next(ids), kind) for slot in range(-p, 1)}
         self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
 
     def _decision_points(self) -> list[DecisionPoint]:
         dps = []
         for slot in range(1, self.p + 1):
             dps.append(DecisionPoint(slot, Role.LEADER, self.leaders[slot].index))
-            for v in self.committees[slot]:
-                if v.kind is ValidatorKind.RATIONAL:
-                    dps.append(DecisionPoint(slot, Role.ATTESTOR, v.index))
+            committee = self.committees[slot][self.config.honest_per_slot:]
+            dps.extend(DecisionPoint(slot, Role.ATTESTOR, v) for v in committee)
         return dps
 
     def _opening(self) -> Checkpoint:
         """The original chain B_{-p}..B_0, W votes per block, and a tracker with no tips yet."""
         cfg, p = self.config, self.p
-        seeded = {s: (self.pre_leaders[s], self.pre_committees[s]) for s in range(-p, 1)}
+        seeded = {s: (self.pre_leaders[s], self.committees[s]) for s in range(-p, 1)}
         opening = _open_chain(cfg, seeded, start=propose_tick(1))
         tracker = ComplianceTracker(p, cfg.committee_size, cfg.boost, cfg.tie_break)
         return Checkpoint(opening.tick, opening.sim, opening.blocks[:1], tracker)
 
     def run(self, profile: StrategyProfile, start: Optional[Checkpoint] = None) -> GameOutcome:
         cfg = self.config
-        p = self.p
+        p, h = self.p, cfg.honest_per_slot
         script = _Script(self, start, self._opening)
         sim, (genesis,), tracker = script.sim, script.blocks, script.tracker
+        leading = self.CANDIDATES[Role.LEADER]
         for slot in range(1, p + 1):
             if script.at(propose_tick(slot)):
                 ct = tracker.tip_at_leader_time(sim.tree, slot)
-                leader = self.point_index[slot, Role.LEADER, self.leaders[slot].index]
-                act = self._acted(profile, leader)
+                act = leading.get(profile.get((slot, Role.LEADER, self.leaders[slot].index)))
                 if act is not None:
                     parent = sim.resolve(act.parent, ct)
                     included = [v for v in sim.tree.votes if v.slot == slot - 1]
@@ -834,7 +821,8 @@ class ExtendedGame(GameModel):
                     sim.propose(slot, parent, self.leaders[slot], votes=included, empty=act.empty)
             if script.at(vote_tick(slot)):
                 ct = tracker.tip_at_vote_time(sim.tree, slot)
-                _attest(self, sim, profile, slot, self.committees[slot], ct)
+                _attest(self, sim, None, slot, self.committees[slot][:h], ct)
+                _attest(self, sim, profile, slot, self.committees[slot][h:], ct)
         sim.advance(propose_tick(p + 1))
         ct = tracker.tip_at_leader_time(sim.tree, p + 1)
         included = (v for v in sim.tree.votes if v.slot == p and tracker.is_vote_compliant(v))
@@ -913,8 +901,7 @@ class SelfishMiningGame(_ConditionedGame):
         else:
             self.adv_slots = sorted({self.horizon} | set(range(2, n_a + 1)))
         self.player_slots = [s - 1 for s in self.adv_slots]  # all >= 1
-        ids = itertools.count()
-        self.committees = {slot: _committee(ids, W) for slot in range(self.horizon)}
+        self.committees, ids = _committees(range(self.horizon), W)
         self.leaders = {
             slot: Validator(next(ids), ValidatorKind.RATIONAL)
             for slot in range(1, self.horizon + 1)
@@ -927,7 +914,7 @@ class SelfishMiningGame(_ConditionedGame):
 
     def _decision_points(self) -> list[DecisionPoint]:
         return [
-            DecisionPoint(slot, Role.ATTESTOR, v.index)
+            DecisionPoint(slot, Role.ATTESTOR, v)
             for slot in self.player_slots
             for v in self.committees[slot]
         ]
@@ -976,16 +963,15 @@ class SelfishMiningGame(_ConditionedGame):
         block ids and the number of compliant votes it carries.
         """
         publish = propose_tick(self.horizon)
-        table, index = self.CANDIDATES[Role.ATTESTOR], self.point_index
+        table = self.CANDIDATES[Role.ATTESTOR]
         fork_ids: list[BlockId] = []
         parent = genesis.id
         compliant_votes = 0
         for s_i in self.adv_slots:
             follows = (
-                (v.index, parent)
+                (v, parent)
                 for v in self.committees[s_i - 1]
-                if isinstance(table.get(profile.get(index[s_i - 1, Role.ATTESTOR, v.index])),
-                              FollowRule)
+                if isinstance(table.get(profile.get((s_i - 1, Role.ATTESTOR, v))), FollowRule)
             )
             votes = [
                 sim.emit_vote(s_i - 1, first, target, publish, span)
@@ -1042,10 +1028,7 @@ class DagVotesGame(GameModel):
 
     def __init__(self, config: GameConfig):
         self.config = config
-        ids = itertools.count()
-        self.committees = {
-            slot: _committee(ids, config.committee_size) for slot in range(self.n_slots + 1)
-        }
+        self.committees, ids = _committees(range(self.n_slots + 1), config.committee_size)
         kind = {self.adv_slot: ValidatorKind.ADVERSARIAL}
         self.leaders = {
             slot: Validator(next(ids), kind.get(slot, ValidatorKind.RATIONAL))
@@ -1061,14 +1044,14 @@ class DagVotesGame(GameModel):
             if slot != self.adv_slot
         ]
         for slot in range(1, self.n_slots):
-            dps.extend(DecisionPoint(slot, Role.ATTESTOR, v.index) for v in self.committees[slot])
+            dps.extend(DecisionPoint(slot, Role.ATTESTOR, v) for v in self.committees[slot])
         return dps
 
     def run(self, profile: StrategyProfile, start: Optional[Checkpoint] = None) -> GameOutcome:
         cfg = self.config
         script = _Script(self, start, lambda: _open_chain(
             cfg, {0: (self.genesis_proposer, self.committees[0])}))
-        sim = script.sim
+        sim, leading = script.sim, self.CANDIDATES[Role.LEADER]
         votes, evidences = sim.tree.votes, sim.delivered_evidences
         for slot in range(self.n_slots + 1):
             if slot >= 1:
@@ -1077,8 +1060,7 @@ class DagVotesGame(GameModel):
                     if slot == self.adv_slot:
                         parent = sim.tip() if cfg.adversary_on_tip else sim.resolve(ParentOfTip())
                     else:
-                        point = self.point_index[slot, Role.LEADER, leader.index]
-                        act = self._acted(profile, point)
+                        act = leading.get(profile.get((slot, Role.LEADER, leader.index)))
                         parent = None if act is None else sim.resolve(act.parent)
                     if parent is not None:
                         n, k = _carried(sim.tree, parent)

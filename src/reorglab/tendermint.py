@@ -412,7 +412,7 @@ def honest_anchor_scenario(
     first: dict[object, DecisionPoint] = {}
     for dp in game.points:
         first.setdefault(classes[dp.actor], dp)
-    nil = lambda dp: profile.with_action(dp, "prevote-nil")
+    nil = lambda dp: profile.with_actions({dp: "prevote-nil"})
     forfeits = all(game.payoffs(nil(dp))[dp.actor] < run.payoffs[dp.actor] for dp in first.values())
     return AnchorResult(run.finalized_round, reorg_resilient=True, payoffs=run.payoffs,
                         deviation_forfeits=forfeits, report=report)

@@ -59,8 +59,13 @@ def oracle_latest_votes(votes) -> dict[int, VoteRecord]:
 
 def oracle_weight(tree: BlockTree, root: BlockId, current_slot: int,
                   boosted: Optional[BlockId], boost: int,
-                  extra: Optional[dict] = None) -> int:
-    """Recount the subtree weight of `root` by scanning every vote."""
+                  extra: Optional[dict] = None,
+                  latest: Optional[dict[int, VoteRecord]] = None) -> int:
+    """Recount the subtree weight of `root` by scanning every vote.
+
+    `latest` is `oracle_latest_votes(tree.votes)` when the caller has it
+    already; it is computed here otherwise.
+    """
 
     def in_subtree(bid: BlockId) -> bool:
         cur: Optional[BlockId] = bid
@@ -71,7 +76,9 @@ def oracle_weight(tree: BlockTree, root: BlockId, current_slot: int,
         return False
 
     total = 0
-    for v in oracle_latest_votes(tree.votes).values():
+    if latest is None:
+        latest = oracle_latest_votes(tree.votes)
+    for v in latest.values():
         if in_subtree(v.target):
             total += 1
     if extra:
@@ -100,7 +107,8 @@ def oracle_fork_choice(tree: BlockTree, current_slot: int,
                        boosted: Optional[BlockId] = None, boost: int = 0,
                        tie_break: TieBreakPolicy = TieBreakPolicy.ADVERSARY_FAVORING,
                        extra: Optional[dict] = None) -> BlockId:
-    """Greedy descent recomputing every child weight from scratch."""
+    """Greedy descent recomputing every child weight from one LMD filter of the votes."""
+    latest = oracle_latest_votes(tree.votes)
     cur = tree.genesis
     while True:
         kids = tree.children.get(cur, [])
@@ -108,7 +116,7 @@ def oracle_fork_choice(tree: BlockTree, current_slot: int,
             return cur
         scored = []
         for kid in kids:
-            w = oracle_weight(tree, kid, current_slot, boosted, boost, extra)
+            w = oracle_weight(tree, kid, current_slot, boosted, boost, extra, latest)
             if tie_break is TieBreakPolicy.ADVERSARY_FAVORING:
                 scored.append((w, _oracle_adv_slot(tree, kid), -kid, kid))
             else:

@@ -3,7 +3,10 @@
 These are the game scripts' committee phases as they stood before votes and
 evidences were counted: `_open_chain` seeds one vote record per pre-game
 voter, `_attest` sends one per attestor, `SelfishMiningGame._stage_fork` one
-per follower, and `_aggregate` one evidence per signer.  `per_voter_phases`
+per follower, and `_aggregate` one evidence per signer.  They take the
+phases' inputs as the games pass them: each committee a range of validator
+indices, a scripted committee with no profile, and a label read by its
+(slot, role, actor) key.  `per_voter_phases`
 swaps them into `reorglab.games`, so a run of any engine game sends exactly
 the votes and signatures a counted run sends, one record each; the tests
 check that both runs export the same trace and settle the same payoffs.
@@ -15,7 +18,7 @@ import contextlib
 from unittest import mock
 
 from reorglab import games
-from reorglab.chain import Block, BlockId, EvidenceRecord, ValidatorKind, VoteRecord
+from reorglab.chain import Block, BlockId, EvidenceRecord, VoteRecord
 from reorglab.engine import Role, Simulation, Tip, VoteFor, propose_tick, vote_tick
 
 
@@ -27,7 +30,7 @@ def open_chain(config, seeded: dict, start: int = 0) -> games.Checkpoint:
         block = Block(sim.tree.new_id(), slot, parent, proposer, is_empty=parent is None)
         sim.tree.insert_block(block)
         for v in voters:
-            sim.tree.add_vote(VoteRecord(slot, v.index, block.id, vote_tick(slot)))
+            sim.tree.add_vote(VoteRecord(slot, v, block.id, vote_tick(slot)))
         blocks.append(block)
     sim.advance(start)
     return games.Checkpoint(start, sim, tuple(blocks))
@@ -37,13 +40,10 @@ _SCRIPTED = object()
 
 
 def attest(game, sim: Simulation, profile, slot: int, voters, compliant_tip=None):
-    table, index = game.CANDIDATES[Role.ATTESTOR], game.point_index
+    table = game.CANDIDATES[Role.ATTESTOR]
     targets: dict = {}
     for v in voters:
-        if profile is None or v.kind is ValidatorKind.HONEST:
-            label = _SCRIPTED
-        else:
-            label = profile.get(index[slot, Role.ATTESTOR, v.index])
+        label = _SCRIPTED if profile is None else profile.get((slot, Role.ATTESTOR, v))
         if label in targets:
             target = targets[label]
         else:
@@ -51,28 +51,27 @@ def attest(game, sim: Simulation, profile, slot: int, voters, compliant_tip=None
             target = sim.resolve(act.target, compliant_tip) if isinstance(act, VoteFor) else None
             targets[label] = target
         if target is not None:
-            sim.emit_vote(slot, v.index, target)
+            sim.emit_vote(slot, v, target)
 
 
 def aggregate(sim: Simulation, slot: int, signers) -> None:
     seen = tuple(vote for vote in sim.tree.votes if vote.slot == slot)
     if seen:
         for signer in signers:
-            sim.emit_evidence(EvidenceRecord(signer.index, seen))
+            sim.emit_evidence(EvidenceRecord(signer, seen))
 
 
 def stage_fork(game, sim, genesis, profile) -> tuple[list[BlockId], int]:
     publish = propose_tick(game.horizon)
-    table, index = game.CANDIDATES[Role.ATTESTOR], game.point_index
+    table = game.CANDIDATES[Role.ATTESTOR]
     fork_ids: list[BlockId] = []
     parent = genesis.id
     compliant_votes = 0
     for s_i in game.adv_slots:
         votes = [
-            sim.emit_vote(s_i - 1, v.index, parent, publish)
+            sim.emit_vote(s_i - 1, v, parent, publish)
             for v in game.committees[s_i - 1]
-            if isinstance(table.get(profile.get(index[s_i - 1, Role.ATTESTOR, v.index])),
-                          games.FollowRule)
+            if isinstance(table.get(profile.get((s_i - 1, Role.ATTESTOR, v))), games.FollowRule)
         ]
         compliant_votes += len(votes)
         parent = sim.propose(s_i, parent, game.adversary, votes=votes, release=publish).id

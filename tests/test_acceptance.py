@@ -69,7 +69,7 @@ def test_criterion_01_table1():
     assert matrix.cell("fail", "C") == 0
     assert matrix.cell("fail", "NC") == 0
     # each cell equals settle_payoffs on the conditioned simulation
-    probe = game.solo_players()[-1].index
+    probe = game.solo_players()[-1]
     for row in ("succeed", "fail"):
         for col in ("C", "NC"):
             outcome = game.conditioned_run(probe, col, row)
@@ -169,10 +169,10 @@ def test_criterion_06_selfish_mining():
             out = game.run(game.labelled(lambda dp: col if game.owner(dp) in game.pools else solo))
             settled = sum(
                 (
-                    out.trace.payoffs.get(v.index, 0)
+                    out.trace.payoffs.get(v, 0)
                     for slot in range(1, game.horizon)
                     for v in game.committees[slot]
-                    if v.index in game.pools["P"]
+                    if v in game.pools["P"]
                 ),
                 Fraction(0),
             )

@@ -68,9 +68,10 @@ class ReadLog(StrategyProfile):
         super().__init__(actions)
         self.clock, self.reads = clock, []
 
-    def get(self, dp):
-        self.reads.append((dp, self.clock[0].tick))
-        return super().get(dp)
+    def get(self, key):
+        # a script reads by the plain (slot, role, actor) key
+        self.reads.append((DecisionPoint(*key), self.clock[0].tick))
+        return super().get(key)
 
 
 @given(game=games(), rnd=st.randoms(use_true_random=False))
@@ -96,7 +97,7 @@ def test_actions_are_read_at_or_after_their_tick(game, rnd):
 @settings(max_examples=40, deadline=None)
 def test_run_builds_no_decision_point(game, rnd):
     # the game's points exist once it has a profile; a run, from the opening
-    # or resumed, reads each actor's point from the game's index
+    # or resumed, reads each label by its plain (slot, role, actor) key
     profile = labelled_profile(game, rnd)
     base = game.run(profile, _RECORD)
     assignments = [a for player in game.players() for _, a in game.assignments(player) if a]
@@ -106,13 +107,13 @@ def test_run_builds_no_decision_point(game, rnd):
         resumed = (StrategyProfile({**profile.actions, **assignment}),
                    base.checkpoints[min(dp.tick for dp in assignment)])
     built = []
-    init = DecisionPoint.__init__
+    new = DecisionPoint.__new__
 
-    def counted(self, *args, **kwargs):
+    def counted(cls, *args, **kwargs):
         built.append(args)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    with mock.patch.object(DecisionPoint, "__init__", counted):
+    with mock.patch.object(DecisionPoint, "__new__", counted):
         game.run(profile)
         if resumed is not None:
             game.run(*resumed)

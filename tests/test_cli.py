@@ -268,7 +268,7 @@ def test_profile_override_validation(tmp_path):
 def test_slot_wide_override_builds_one_profile(monkeypatch):
     # every override's labels are gathered first: the base profile, then one more
     game = games.SimpleGame(games.GameConfig(256, boost=102))
-    hold_out = game.committee[7].index
+    hold_out = game.committee[7]
     spec = cli._profile({"base": "compliant-all", "overrides": [
         {"slot": 1, "action": "NC"}, {"slot": 1, "actor": hold_out, "action": "abstain"},
     ]}, "profile")

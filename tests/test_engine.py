@@ -358,11 +358,10 @@ def test_same_release_delivery_order():
 
 _VOTE = VoteRecord(1, 2, 3, 4)
 RECORDS = [
-    DecisionPoint(1, Role.ATTESTOR, 3),
     TraceEvent(4, "vote", 4, _VOTE),
     _VOTE,
     EvidenceRecord(5, (_VOTE,)),
-    Validator(6, ValidatorKind.HONEST),
+    Validator(6, ValidatorKind.RATIONAL),
 ]
 
 
@@ -374,6 +373,22 @@ def test_slotted_record_pickles_and_stays_frozen(record):
     for f in fields(record):
         with pytest.raises(FrozenInstanceError):
             setattr(record, f.name, getattr(record, f.name))
+
+
+def test_decision_point_is_its_key():
+    # a script reads a label by the plain (slot, role, actor) tuple
+    dp = DecisionPoint(1, Role.ATTESTOR, 3)
+    key = (1, Role.ATTESTOR, 3)
+    assert dp == key and hash(dp) == hash(key)
+    assert {dp: "C"}.get(key) == "C" and {key: "C"}.get(dp) == "C"
+    assert not hasattr(dp, "__dict__")
+    copy = pickle.loads(pickle.dumps(dp))
+    assert copy == dp and type(copy) is DecisionPoint and copy.tick == vote_tick(1)
+    for name in DecisionPoint._fields:
+        with pytest.raises(AttributeError):
+            setattr(dp, name, getattr(dp, name))
+    with pytest.raises(AttributeError):
+        dp.label = "C"
 
 
 def test_role_hashes_by_identity_and_unpickles_to_itself():

@@ -74,12 +74,12 @@ class TestVerifyNash:
         profile = game.profile("compliant-all")
         hold_out = game.players()[-1]
         dp = DecisionPoint(SimpleGame.SLOT_T, Role.ATTESTOR, hold_out)
-        profile = profile.with_action(dp, "NC")
+        profile = profile.with_actions({dp: "NC"})
         report = verify_nash(game, profile)
         assert report.verdict is Verdict.NOT_EQUILIBRIUM
         dev = next(d for d in report.deviations if d.player == hold_out)
         assert dev.label == "C"
-        replayed = game.payoffs(profile.with_action(dp, "C"))
+        replayed = game.payoffs(profile.with_actions({dp: "C"}))
         assert replayed[hold_out] == dev.deviated
         assert dev.gain == Fraction(1)
 
@@ -244,7 +244,7 @@ class TestVerifySpne:
         game = ExtendedGame(config)
         profile = game.profile("compliant-all")
         dp = DecisionPoint(2, Role.LEADER, game.leaders[2].index)
-        profile = profile.with_action(dp, "NC")
+        profile = profile.with_actions({dp: "NC"})
         report = verify_spne(game, profile)
         assert report.verdict is Verdict.NOT_EQUILIBRIUM
         dev = next(d for d in report.deviations if d.player == game.leaders[2].index)
@@ -327,7 +327,7 @@ class TestDagScenario:
         game = DagVotesGame(self.config())
         pre_committee = game.committees[game.adv_slot - 1]
         for v in pre_committee:
-            assert result.outcome.trace.payoffs.get(v.index, 0) == 1
+            assert result.outcome.trace.payoffs.get(v, 0) == 1
 
     def test_on_tip_adversary_block_survives(self):
         result = dag_security_scenario(self.config(adversary_on_tip=True))

@@ -49,7 +49,7 @@ class TestSimpleGame:
         assert out.final_chain == [out.trace.labels["B_prev"], out.trace.labels["B_A"]]
         assert out.reorged == [out.trace.labels["B_t"]]
         for v in game.committee:
-            assert out.trace.payoffs.get(v.index, 0) == 1
+            assert out.trace.payoffs.get(v, 0) == 1
 
     def test_boost_threshold_blocks_reorg(self):
         # exactly W_p defectors: the adversary backs down and extends B_t
@@ -61,7 +61,7 @@ class TestSimpleGame:
         assert out.trace.tree.blocks[out.trace.labels["B_A"]].parent == b_t
         # zero compliant head rewards in the failure branch
         for v in game.committee:
-            assert out.trace.payoffs.get(v.index, 0) == 0
+            assert out.trace.payoffs.get(v, 0) == 0
 
     def test_zero_boost_never_succeeds(self):
         game = SimpleGame(simple_config(boost=0))
@@ -114,7 +114,7 @@ class TestSimpleGame:
         # with W_p = 1 a lone non-compliant probe forces failure, so the
         # (succeed, NC) cell cannot be realized
         game = SimpleGame(simple_config(boost=1))
-        probe = game.solo_players()[-1].index
+        probe = game.solo_players()[-1]
         with pytest.raises(ConditioningUnrealizable):
             game.conditioned_payoff(probe, "NC", "succeed")
 
@@ -123,7 +123,7 @@ class TestSimpleGame:
         # the attack fails, so the threat loses its teeth
         naive = simple_config(credibility_assumed=False)
         game = SimpleGame(naive)
-        probe = game.solo_players()[-1].index
+        probe = game.solo_players()[-1]
         assert game.conditioned_payoff(probe, "NC", "fail") == 1
         credible = SimpleGame(simple_config())
         assert credible.conditioned_payoff(probe, "NC", "fail") == 0
@@ -327,7 +327,7 @@ class TestExtendedGame:
         game = ExtendedGame(extended_config(3))
         profile = game.profile("compliant-all")
         leader_dp = DecisionPoint(2, Role.LEADER, game.leaders[2].index)
-        deviated = profile.with_action(leader_dp, "NC")
+        deviated = profile.with_actions({leader_dp: "NC"})
         out = game.run(deviated)
         payoffs = game.payoffs(deviated)
         assert payoffs[game.leaders[2].index] == 0
@@ -372,7 +372,7 @@ class TestSelfishMining:
         profile = game.profile("compliant-all")
         for dp in game.points:
             if dp.slot == game.player_slots[0]:
-                profile = profile.with_action(dp, "NC")
+                profile = profile.with_actions({dp: "NC"})
         out = game.run(profile)
         assert out.extras["fork_weight_adversarial"] == 140
         assert out.extras["fork_weight_non_adversarial"] == 300
@@ -421,10 +421,10 @@ class TestSelfishMining:
                 assert out.success == (row == "succeed")
                 sim_total = sum(
                     (
-                        out.trace.payoffs.get(v.index, 0)
+                        out.trace.payoffs.get(v, 0)
                         for slot in range(1, game.horizon)
                         for v in game.committees[slot]
-                        if v.index in game.pools["P"]
+                        if v in game.pools["P"]
                     ),
                     Fraction(0),
                 )
@@ -483,7 +483,7 @@ class TestSelfishMining:
         # the pool record is game.pools alone: validators carry no pool name
         assert "pool" not in {f.name for f in dataclasses.fields(Validator)}
         game = SelfishMiningGame(self.config(2, 2, committee_size=4, boost=2, pool=PoolSpec(2)))
-        expected = {v.index for slot in range(1, game.horizon) for v in game.committees[slot][:2]}
+        expected = {v for slot in range(1, game.horizon) for v in game.committees[slot][:2]}
         assert game.pools == {"P": frozenset(expected)}
 
     def test_pool_larger_than_committee_rejected(self):
@@ -652,14 +652,14 @@ def test_dag_one_counted_evidence_per_slot(committee_size, monkeypatch):
                 calls = [(t, ev) for t, ev in sent if t == tick]
                 # one record over the whole next committee, none for a slot without votes
                 assert [list(ev.signers) for _, ev in calls] == (
-                    [[v.index for v in game.committees[slot + 1]]] if seen else []
+                    [list(game.committees[slot + 1])] if seen else []
                 )
                 for _, ev in calls:
                     assert expand_votes(ev.votes) == seen
                 want_calls += calls
                 want_lines += [
                     {"tick": tick, "kind": "evidence", "release_tick": tick,
-                     "payload": {"key": [v.index, vote.voter, vote.slot, vote.target]}}
+                     "payload": {"key": [v, vote.voter, vote.slot, vote.target]}}
                     for v in (game.committees[slot + 1] if seen else ())
                     for vote in seen
                 ]
@@ -701,7 +701,7 @@ def test_attest_resolves_each_action_once_per_phase(monkeypatch, hold_outs, reso
     # the tick's head is fixed while the tick runs, so one resolve serves
     # every voter of the phase that plays the same action
     game = SimpleGame(simple_config(committee_size=64, boost=25))
-    labels = {v.index: hold_outs.get(n, "C") for n, v in enumerate(game.committee)}
+    labels = {v: hold_outs.get(n, "C") for n, v in enumerate(game.committee)}
     profile = game.labelled(lambda dp: labels[dp.actor])
     calls = []
     resolve = Simulation.resolve
@@ -712,4 +712,58 @@ def test_attest_resolves_each_action_once_per_phase(monkeypatch, hold_outs, reso
     assert len(votes) == 64 - list(hold_outs.values()).count("abstain")
     b_t = outcome.trace.labels["B_t"]
     assert sorted(v.voter for v in votes if v.target == b_t) == sorted(
-        game.committee[n].index for n, label in hold_outs.items() if label == "NC")
+        game.committee[n] for n, label in hold_outs.items() if label == "NC")
+
+
+# -- a validator is its index: committees are ranges, proposers are Validators ----
+
+WIDE_ROSTERS = {
+    "simple": (lambda W: SimpleGame(simple_config(committee_size=W, boost=W // 2)), 3),
+    "strong-simple": (lambda W: StrongSimpleGame(simple_config(committee_size=W, boost=W // 2)), 3),
+    "simple-no-boost": (lambda W: NoBoostGame(simple_config(committee_size=W, boost=0)), 3),
+    # p leaders, p+1 pre-game leaders and the adversary
+    "extended": (lambda W: ExtendedGame(extended_config(2, committee_size=W, honest_per_slot=3)), 6),
+    # the leaders of the non-adversarial slots 1 and 3, the adversary, the genesis proposer
+    "selfish-mining": (lambda W: SelfishMiningGame(simple_config(
+        committee_size=W, n_adversarial_slots=2, n_non_adversarial_slots=2, pool=PoolSpec(3))), 4),
+    "dag-votes": (lambda W: DagVotesGame(simple_config(committee_size=W, boost=0)), 5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE_ROSTERS))
+def test_building_a_game_constructs_a_validator_per_proposer_only(kind, monkeypatch):
+    make, proposers = WIDE_ROSTERS[kind]
+    built = []
+    init = Validator.__init__
+    monkeypatch.setattr(Validator, "__init__", lambda v, *a: init(v, *a) or built.append(v))
+    game = make(1024)
+    attestors = {dp.actor for dp in game.points if dp.role is Role.ATTESTOR}
+    assert len(game.players()) >= 1024
+    assert len(built) == proposers
+    assert attestors.isdisjoint(v.index for v in built)
+
+
+def test_roster_numbering():
+    # committees from index 0 in slot order, then each game's single validators
+    # in a fixed order; scenario overrides name validators by these indices
+    W, p = 5, 3
+    simple = SimpleGame(simple_config(committee_size=W))
+    assert (simple.prev_committee, simple.committee) == (range(0, 5), range(5, 10))
+    assert [simple.leader_t.index, simple.adversary.index, simple.genesis_proposer.index] == [
+        10, 11, 12]
+    extended = ExtendedGame(extended_config(p, committee_size=W, honest_per_slot=1))
+    assert extended.committees == {
+        slot: range((slot + p) * W, (slot + p + 1) * W) for slot in range(-p, p + 1)}
+    base = (2 * p + 1) * W  # the pre-game voters, then the slot 1..p committees
+    assert {s: v.index for s, v in extended.leaders.items()} == {1: base, 2: base + 1, 3: base + 2}
+    assert [extended.pre_leaders[s].index for s in range(-p, 1)] == list(range(base + 3, base + 7))
+    assert extended.adversary.index == base + 7
+    selfish = SelfishMiningGame(simple_config(
+        committee_size=W, n_adversarial_slots=2, n_non_adversarial_slots=2))
+    assert selfish.committees == {slot: range(slot * W, (slot + 1) * W) for slot in range(4)}
+    assert {s: v.index for s, v in selfish.leaders.items()} == {1: 20, 3: 21}
+    assert [selfish.adversary.index, selfish.genesis_proposer.index] == [22, 23]
+    dag = DagVotesGame(simple_config(committee_size=W, boost=0))
+    assert dag.committees == {slot: range(slot * W, (slot + 1) * W) for slot in range(5)}
+    assert {s: v.index for s, v in dag.leaders.items()} == {1: 25, 2: 26, 3: 27, 4: 28}
+    assert dag.genesis_proposer.index == 29

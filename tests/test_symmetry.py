@@ -12,7 +12,6 @@ profiles of every engine game, pools and both tie-break policies included,
 and of both Tendermint games, whose rational validators take the same key.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,7 +24,6 @@ from reorglab.equilibrium import (
     EquilibriumReport,
     SubgameEntry,
     Verdict,
-    _apply,
     verify_nash,
     verify_spne,
 )
@@ -67,9 +65,9 @@ def test_swapping_two_class_members_carries_payoffs_over(game, rnd):
     # same candidate of q at the matching decision point
     for label, assignment in game.assignments(p):
         (dp,) = assignment
-        image = replace(dp, actor=q)
-        ran = game.run(_apply(profile, assignment))
-        swapped = game.run(_apply(profile, {image: label}))
+        image = dp._replace(actor=q)
+        ran = game.run(profile.with_actions(assignment))
+        swapped = game.run(profile.with_actions({image: label}))
         assert mapped(ran.trace.payoffs) == swapped.trace.payoffs, (p, q, label)
         assert mapped(game._payoffs_from(ran)) == game._payoffs_from(swapped), (p, q, label)
         assert (ran.success, ran.final_chain) == (swapped.success, swapped.final_chain)
@@ -82,7 +80,7 @@ def full_nash(game, profile) -> EquilibriumReport:
     for player in game.players():
         for label, assignment in game.assignments(player):
             checked += 1
-            value = game.payoffs(_apply(profile, assignment))[player]
+            value = game.payoffs(profile.with_actions(assignment))[player]
             if value > base[player]:
                 deviations.append(Deviation(player, label, base[player], value))
     verdict = Verdict.NOT_EQUILIBRIUM if deviations else Verdict.NASH
@@ -97,7 +95,7 @@ def full_spne(game, profile) -> EquilibriumReport:
         owner = game.owner(dp)
         payoffs = {}
         for label in game.candidates(dp):
-            value = payoffs[label] = game.payoffs(_apply(profile, {dp: label}))[owner]
+            value = payoffs[label] = game.payoffs(profile.with_actions({dp: label}))[owner]
             if profile.get(dp) == label:
                 continue
             checked += 1
@@ -228,9 +226,9 @@ def test_swapping_two_tendermint_class_members_carries_payoffs_over(make, rnd):
     # raises must raise for both
     for label, assignment in game.assignments(p):
         (dp,) = assignment
-        image = replace(dp, actor=q)
-        ran = settled(lambda: played(_apply(profile, assignment), sigma))
-        swapped = settled(lambda: played(_apply(profile, {image: label}), lambda v: v))
+        image = dp._replace(actor=q)
+        ran = settled(lambda: played(profile.with_actions(assignment), sigma))
+        swapped = settled(lambda: played(profile.with_actions({image: label}), lambda v: v))
         assert ran == swapped, (p, q, label)
 
 

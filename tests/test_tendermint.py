@@ -261,7 +261,7 @@ class TestWithholding:
         profile = game.profile("script")
         deviator = game.rational[0]
         dp = DecisionPoint(1, Role.ATTESTOR, deviator)
-        deviated = profile.with_action(dp, "honest-r1")
+        deviated = profile.with_actions({dp: "honest-r1"})
         assert game.payoffs(deviated)[deviator] == 1
         assert game.payoffs(profile)[deviator] == 2
 
@@ -317,10 +317,10 @@ def payoff_table() -> dict[str, object]:
         profiles = {"script": script}
         dps = game.points
         for dp in dps:
-            profiles[f"dev-{dp.actor}"] = script.with_action(dp, "honest-r1")
+            profiles[f"dev-{dp.actor}"] = script.with_actions({dp: "honest-r1"})
         a, b = dps[:2]
-        profiles[f"dev-{a.actor}-{b.actor}"] = script.with_action(a, "honest-r1").with_action(
-            b, "honest-r1")
+        profiles[f"dev-{a.actor}-{b.actor}"] = script.with_actions(
+            {a: "honest-r1", b: "honest-r1"})
         for name, profile in profiles.items():
             table[f"withholding f={f} m={m} {name}"] = _played(game, profile)
     for f in range(1, 5):
