@@ -14,7 +14,6 @@ from .chain import (
 from .compliance import (
     ComplianceTracker,
     compliant_tip,
-    required_attack_length,
 )
 from .engine import (
     DecisionPoint,

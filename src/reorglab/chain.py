@@ -14,13 +14,17 @@ by its span.  Latest messages stay exact because no validator is
 covered by two records when either is counted: `latest_votes` raises on
 such an overlap, while one-validator records keep the full LMD rule.
 
-The fork choice weighs what changed, not the whole tree.  `votes` is
-append-only (a caller replaces it by assigning a new list), and the latest
-vote per voter lives in a map that folds in only the votes appended since
-it was last read.  The LMD subtree weights and the adversary tie-break keys
-are rebuilt once per tree state, at O(blocks + voters), and shared by every
-query on that state; a query adds its own virtual votes and boost along
-their blocks' ancestor paths, at O(depth).
+The fork choice keeps a store that is folded per write, as the spec's
+`store.latest_messages` is updated per attestation and proto-array moves
+subtree weights by per-vote deltas.  `votes` is append-only (a caller
+replaces it by assigning a new list), and the next read folds in the blocks
+and vote records written since the last one: a new block enters with weight
+0 and pushes its adversarial slot up its ancestors, and a record that
+becomes a voter's latest adds its span along its target's ancestor path
+while the record it replaces subtracts its own.  So the LMD subtree weights
+and the adversary tie-break keys are shared by every query on one tree
+state, and a query adds only its own virtual votes and boost along their
+blocks' ancestor paths, at O(depth).
 
 Block ids are plain increasing integers rather than hashes: the simulations
 need determinism, not collision resistance.
@@ -31,9 +35,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Mapping, Optional
 
 BlockId = int
+
+# the tie-break key of a subtree that holds no adversarial block
+NO_ADVERSARY = -(10**9)
 
 
 class ChainError(Exception):
@@ -193,11 +201,10 @@ class TieBreakPolicy(enum.Enum):
 class BlockTree:
     """A tree of blocks plus the multiset of delivered votes.
 
-    The fork choice reads three private caches, each one field replaced
-    whole when the tree state it was built for changes: the latest-message
-    map (`latest_votes`), the LMD subtree weights (`_weights`) and the
-    adversary tie-break keys (`fork_choice`).  `fork` copies a tree with
-    its caches.
+    The fork choice reads a store of three private maps, which
+    `latest_votes` folds from what was written since the last read: the
+    latest-message map, the LMD subtree weights and the adversary
+    tie-break keys.  The fold edits them in place, so `fork` copies them.
     """
 
     blocks: dict[BlockId, Block] = field(default_factory=dict)
@@ -207,18 +214,17 @@ class BlockTree:
     votes: list[VoteRecord] = field(default_factory=list)
     genesis: Optional[BlockId] = None
     _next_id: int = 0
-    # the latest record per first voter, folded from the first `_latest_seen` of `_latest_list`
+    # the latest record per first voter, and every voter of the counted
+    # ones, folded from the first `_folded_votes` records of `_folded_list`
     _latest: dict[int, VoteRecord] = field(default_factory=dict, init=False, repr=False, compare=False)
-    # every voter of the counted records folded into `_latest`
     _counted: set[int] = field(default_factory=set, init=False, repr=False, compare=False)
-    _latest_list: Optional[list[VoteRecord]] = field(default=None, init=False, repr=False, compare=False)
-    _latest_seen: int = field(default=0, init=False, repr=False, compare=False)
-    # LMD subtree weights, for the (block count, votes list, vote count) in `_base_state`
-    _base: dict[BlockId, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _base_state: tuple = field(default=(-1, None, 0), init=False, repr=False, compare=False)
-    # latest adversarial slot per subtree, for the block count in `_adv_blocks`
+    _folded_list: Optional[list[VoteRecord]] = field(default=None, init=False, repr=False, compare=False)
+    _folded_votes: int = field(default=0, init=False, repr=False, compare=False)
+    # the LMD subtree weights of those records, and the latest adversarial
+    # slot per subtree, over the first `_folded_blocks` blocks
+    _lmd: dict[BlockId, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     _adv: dict[BlockId, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _adv_blocks: int = field(default=-1, init=False, repr=False, compare=False)
+    _folded_blocks: int = field(default=0, init=False, repr=False, compare=False)
 
     def new_id(self) -> BlockId:
         bid = self._next_id
@@ -229,10 +235,12 @@ class BlockTree:
         """A copy to write to independently of this tree.
 
         The containers are copied and the blocks and votes, which nothing
-        writes to, are shared.  The fork-choice caches carry over: the
-        latest-vote map is copied and keyed to the copy's `votes` list, and
-        the subtree weights and tie-break keys, which a rebuild replaces
-        whole rather than edits, are shared while they still fit.
+        writes to, are shared.  The fold edits the store's maps in place, so
+        they are copied too: the tie-break keys always, and the latest
+        messages and subtree weights, keyed to the copy's `votes` list, when
+        they were folded from this tree's list.  Otherwise (the list was
+        replaced, or its fold raised) the copy folds its votes from the
+        start, as this tree would.
         """
         votes = list(self.votes)
         tree = BlockTree(
@@ -243,13 +251,10 @@ class BlockTree:
             self.genesis,
             self._next_id,
         )
-        if self._latest_list is self.votes:
-            tree._latest, tree._latest_list = dict(self._latest), votes
-            tree._counted, tree._latest_seen = set(self._counted), self._latest_seen
-        blocks, listed, count = self._base_state
-        if listed is self.votes:
-            tree._base, tree._base_state = self._base, (blocks, votes, count)
-        tree._adv, tree._adv_blocks = self._adv, self._adv_blocks
+        tree._adv, tree._folded_blocks = dict(self._adv), self._folded_blocks
+        if self._folded_list is self.votes:
+            tree._latest, tree._counted = dict(self._latest), set(self._counted)
+            tree._lmd, tree._folded_list, tree._folded_votes = dict(self._lmd), votes, self._folded_votes
         return tree
 
     def insert_block(self, block: Block) -> None:
@@ -306,37 +311,67 @@ class BlockTree:
         return path
 
     def latest_votes(self) -> list[VoteRecord]:
-        """Each voter's latest vote record (LMD), each record listed once.
+        """Each voter's latest vote record (LMD), each record listed once, after folding the store.
 
         The latest of two one-voter records is the larger `(slot,
         broadcast_time, -target)`.  A counted record is folded whole: each of
         its voters has that record as its only message, so a record that
         covers a voter some other record covers, where either is counted,
         raises `OverlappingVote` (checked with set operations over the
-        record's range, not per voter).  Only the records appended since the
-        last call are folded, as the spec's `store.latest_messages` is
-        updated per attestation; a `votes` list that was replaced, or that
-        got shorter, is folded again from its start.  Records come in the
-        order of their first voter's first vote; `_weights` only sums their
-        spans.
+        record's range, not per voter).
+
+        Only what was written since the last fold is folded.  A new block
+        enters with weight 0 and pushes its adversarial slot up its
+        ancestors, stopping at the first that holds a later one already.  A
+        record that becomes a voter's latest adds its span along its
+        target's ancestor path, and the record it replaces subtracts its
+        own.  A fresh tree, a `votes` list that was replaced and one that
+        got shorter fold their votes from the start; so does the call after
+        one that raised, which raises again.  Records come in the order of
+        their first voter's first vote.
         """
-        votes = self.votes
-        if votes is not self._latest_list or len(votes) < self._latest_seen:
-            self._latest, self._latest_list, self._latest_seen = {}, votes, 0
-            self._counted = set()
+        blocks, votes = self.blocks, self.votes
+        if votes is not self._folded_list or len(votes) < self._folded_votes:
+            self._latest, self._counted, self._lmd = {}, set(), dict.fromkeys(blocks, 0)
+            self._folded_list, self._folded_votes = votes, 0
+        lmd, adv = self._lmd, self._adv
+        # insertion order puts every parent before its children
+        for block in reversed(list(islice(reversed(blocks.values()), len(blocks) - self._folded_blocks))):
+            lmd[block.id] = 0
+            if block.proposer.kind is ValidatorKind.ADVERSARIAL:
+                adv[block.id] = slot = block.slot
+                cur = block.parent
+                while cur is not None and adv[cur] < slot:
+                    adv[cur] = slot
+                    cur = blocks[cur].parent
+            else:
+                adv[block.id] = NO_ADVERSARY
+        self._folded_blocks = len(blocks)
+
+        def lift(bid: Optional[BlockId], amount: int) -> None:
+            while bid is not None:
+                lmd[bid] += amount
+                bid = blocks[bid].parent
+
         best, counted = self._latest, self._counted
         try:
-            for v in votes[self._latest_seen:]:
+            for v in votes[self._folded_votes:]:
                 if v.span == 1:
                     if v.voter in counted:
                         raise OverlappingVote(f"validator {v.voter} already has a counted vote")
                     cur = best.get(v.voter)
-                    if cur is None or (v.slot, v.broadcast_time, -v.target) > (
+                    if cur is None:
+                        lift(v.target, 1)
+                    elif (v.slot, v.broadcast_time, -v.target) <= (
                         cur.slot,
                         cur.broadcast_time,
                         -cur.target,
                     ):
-                        best[v.voter] = v
+                        continue
+                    elif v.target != cur.target:
+                        lift(cur.target, -1)
+                        lift(v.target, 1)
+                    best[v.voter] = v
                 else:
                     voters = v.voters
                     if not (counted.isdisjoint(voters) and best.keys().isdisjoint(voters)):
@@ -346,11 +381,28 @@ class BlockTree:
                         )
                     counted.update(voters)
                     best[v.voter] = v
+                    lift(v.target, v.span)
         except OverlappingVote:
-            self._latest_list = None  # the next call folds from the start, and raises again
+            self._folded_list = None  # the next call folds from the start, and raises again
             raise
-        self._latest_seen = len(votes)
+        self._folded_votes = len(votes)
         return list(best.values())
+
+    def store(self) -> tuple[dict[BlockId, int], dict[BlockId, int]]:
+        """The LMD subtree weights and the adversary tie-break keys of this tree state.
+
+        Folds what was written since the last read first (`latest_votes`).
+        The maps are the store's own, edited in place by later folds:
+        callers only read them.  A block's tie-break key is the latest slot
+        of an adversarial block in its subtree, `NO_ADVERSARY` if none.
+        """
+        if not (
+            self._folded_blocks == len(self.blocks)
+            and self._folded_list is self.votes
+            and self._folded_votes == len(self.votes)
+        ):
+            self.latest_votes()
+        return self._lmd, self._adv
 
     def _weights(
         self,
@@ -361,50 +413,27 @@ class BlockTree:
     ) -> tuple[dict[BlockId, int], dict[BlockId, int]]:
         """Subtree weights under the LMD rule plus boost, as (base, overlay).
 
-        A block's weight is `base[b] + overlay.get(b, 0)`.  `base` holds the
-        latest votes alone, each record weighing its span, and is shared by
-        every query on one tree state (block count, `votes` list and its
-        length); it is rebuilt when that state changes, in one sweep over
-        the blocks in reverse insertion order that adds every block's total
-        to its parent's.  `insert_block` accepts a block only once its parent
-        is in the tree, so every child comes before its parent in that
-        sweep.  `overlay` is this query's
-        own: each virtual vote, and the boost, is added along the ancestor
-        path of its block.  So a rebuild costs O(blocks + votes) once per
-        tree state, and a query O(depth) per virtual vote.
+        A block's weight is `base[b] + overlay.get(b, 0)`.  `base` is the
+        store's LMD weights (`store`), each latest record weighing its span,
+        folded per write and shared by every query on one tree state.
+        `overlay` is this query's own: each virtual vote, and the boost, is
+        added along the ancestor path of its block, at O(depth).
         """
-        state = self._base_state
-        if not (
-            state[0] == len(self.blocks)
-            and state[1] is self.votes
-            and state[2] == len(self.votes)
-        ):
-            base = dict.fromkeys(self.blocks, 0)
-            for vote in self.latest_votes():
-                base[vote.target] += vote.span
-            for block in reversed(self.blocks.values()):
-                if block.parent is not None:
-                    base[block.parent] += base[block.id]
-            self._base = base
-            self._base_state = (len(self.blocks), self.votes, len(self.votes))
+        base, _ = self.store()
+        blocks = self.blocks
         extra = list(virtual_votes.items()) if virtual_votes else []
         for bid, _ in extra:
-            if bid not in self.blocks:
+            if bid not in blocks:
                 raise UnknownBlock(f"virtual weight target {bid} not in tree")
-        if (
-            boosted is not None
-            and boost > 0
-            and boosted in self.blocks
-            and self.blocks[boosted].slot == current_slot
-        ):
+        if boosted is not None and boost > 0 and boosted in blocks and blocks[boosted].slot == current_slot:
             extra.append((boosted, boost))
         overlay: dict[BlockId, int] = {}
         for bid, amount in extra:
             cur: Optional[BlockId] = bid
             while cur is not None:
                 overlay[cur] = overlay.get(cur, 0) + amount
-                cur = self.blocks[cur].parent
-        return self._base, overlay
+                cur = blocks[cur].parent
+        return base, overlay
 
     def subtree_weight(
         self,
@@ -418,19 +447,6 @@ class BlockTree:
             raise UnknownBlock(f"block {root} not in tree")
         base, overlay = self._weights(current_slot, boosted, boost, virtual_votes)
         return base[root] + overlay.get(root, 0)
-
-    def _adversary_slots(self) -> dict[BlockId, int]:
-        """The latest slot of an adversarial block in each subtree, per block count."""
-        if self._adv_blocks != len(self.blocks):
-            adv = {
-                bid: b.slot if b.proposer.kind is ValidatorKind.ADVERSARIAL else -(10**9)
-                for bid, b in self.blocks.items()
-            }
-            for block in reversed(self.blocks.values()):
-                if block.parent is not None and adv[block.id] > adv[block.parent]:
-                    adv[block.parent] = adv[block.id]
-            self._adv, self._adv_blocks = adv, len(self.blocks)
-        return self._adv
 
     def fork_choice(
         self,
@@ -451,16 +467,16 @@ class BlockTree:
 
         Under ADVERSARY_FAVORING the tie-break key of a subtree is the latest
         slot of an adversarial block in it.  The vote weights and the
-        tie-break keys are swept once per tree state and shared by every
-        query on it (see `_weights`), so a query costs O(depth) for its
-        virtual votes and boost plus the descent, and needs no recursion,
-        however deep the tree.
+        tie-break keys are the store's, folded per write and shared by every
+        query on one tree state (see `latest_votes`), so a query costs
+        O(depth) for its virtual votes and boost plus the descent, and needs
+        no recursion, however deep the tree.
         """
         if self.genesis is None:
             raise ChainError("empty tree")
         base, overlay = self._weights(current_slot, boosted, boost, virtual_votes)
         if tie_break is TieBreakPolicy.ADVERSARY_FAVORING:
-            adv = self._adversary_slots()
+            adv = self._adv
             key = lambda c: (base[c] + overlay.get(c, 0), adv[c], -c)
         else:
             key = lambda c: (base[c] + overlay.get(c, 0), -c)

@@ -2,11 +2,11 @@
 
 The extended attack coordinates leaders and attestors of slots 1..p onto a
 fork of empty blocks built from B_{-p}.  Everyone locates the block to build
-on (the *compliant tip*) with the same procedure: rank the tree's blocks,
-then take the first one that lies on its own hypothetical chain.  A block's
-hypothetical chain is the fork choice once the block's subtree gains the
-weight (p - i + 1) * W + W_p it would get if all remaining committees voted
-below it and the adversary's boosted block extended that chain.
+on (the *compliant tip*) with the same procedure: the best-ranked block that
+lies on its own hypothetical chain.  A block's hypothetical chain is the
+fork choice once the block's subtree gains the weight (p - i + 1) * W + W_p
+it would get if all remaining committees voted below it and the
+adversary's boosted block extended that chain.
 
 The rank prefers the block whose prefix contains the fewest-recent
 non-compliant block (a fully compliant prefix beats any non-compliant one),
@@ -14,25 +14,26 @@ then the largest slot (the deepest block of the compliant chain), then the
 lowest id.  The depth preference is what makes the procedure return the
 previous slot's compliant block once all earlier slots have complied, which
 the whole backward-induction argument rests on.  Ranks end in the id, so
-they are unique and the first survivor is the best-ranked one.
+they are unique and the best one is a single block.
 
-The hypothetical weights are applied as virtual votes, so the scan fills
-only the tree's private fork-choice caches and changes none of its blocks
-or votes: subtree weights after the scan equal those before.  The queries
-of one scan differ only in their virtual votes, so they share one sweep of
-the tree's vote weights.
+The hypothetical weight of a block is added along its own ancestor path
+only.  So a block lies on its hypothetical chain exactly when, at each edge
+on the path from the root to it, the child's fork-choice key with that
+weight added beats every sibling's key as it stands.  One top-down pass over
+the tree's store, which the fork choice folds per write and shares with
+every query, decides this for every block at once, and the answer is the
+least rank among the survivors: nothing is sorted, and no block or vote of
+the tree changes.  One fork choice with the answer's hypothetical weight
+then confirms it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping, Optional
 
 from .chain import Block, BlockId, BlockTree, TieBreakPolicy, VoteRecord
-
-
-class HonestMajority(Exception):
-    pass
 
 
 class EmptyCandidateSet(Exception):
@@ -41,6 +42,14 @@ class EmptyCandidateSet(Exception):
     Cannot happen on trees rooted at B_{-p}: the root is on every chain the
     fork choice can return, so it always qualifies.  Raised as a defect
     assertion.
+    """
+
+
+class UnconfirmedTip(Exception):
+    """The fork choice with the answer's hypothetical weight does not pass through it.
+
+    Cannot happen: the one-pass membership test reads the same weights and
+    tie-break keys as the fork choice.  Raised as a defect assertion.
     """
 
 
@@ -73,28 +82,49 @@ def compliant_tip(
 ) -> BlockId:
     """The block a compliant slot-`slot_i` proposal or vote must build on.
 
-    Rank, then the first block on its own hypothetical chain.  `slot_i` may
-    be p+1 (the adversary's own run: no committees remain, the hypothetical
-    weight degenerates to the proposer boost alone).
+    The best-ranked block on its own hypothetical chain.  A block survives
+    when its parent does and, among its siblings, it is the heaviest child
+    or its key `(weight + hypothetical, adversarial slot, -id)` beats the
+    heaviest child's; LEXICOGRAPHIC drops the adversarial slot, and the
+    query has no boost.  `slot_i` may be p+1 (the adversary's own run: no
+    committees remain, the hypothetical weight degenerates to the proposer
+    boost alone).
     """
     hypothetical = (p - slot_i + 1) * committee_size + boost
+    weight, adv = tree.store()
+    blocks, children = tree.blocks, tree.children
+    if tie_break is TieBreakPolicy.ADVERSARY_FAVORING:
+        key = lambda c, lift=0: (weight[c] + lift, adv[c], -c)
+    else:
+        key = lambda c, lift=0: (weight[c] + lift, -c)
+    # top-down, so a block is reached only when its parent survived: at a
+    # fork the heaviest child survives, and every sibling the lift carries past it
+    survivors = [] if tree.genesis is None else [tree.genesis]
+    for parent in survivors:
+        kids = children[parent]
+        if len(kids) > 1:
+            top = max(kids, key=key)
+            bar = key(top)
+            kids = [c for c in kids if c == top or key(c, hypothetical) > bar]
+        survivors.extend(kids)
+    if not survivors:
+        raise EmptyCandidateSet("no candidate lies on its own hypothetical chain")
     prefix_worst = prefix_noncompliance_indices(tree, compliance_marks)
 
     def rank(bid: BlockId) -> tuple:
         worst = prefix_worst[bid]
         # None (fully compliant prefix) sorts before every slot number
-        return ((0, 0) if worst is None else (1, worst), -tree.blocks[bid].slot, bid)
+        return (worst is not None, worst or 0, -blocks[bid].slot, bid)
 
-    blocks = tree.blocks
-    for bid in sorted(blocks, key=rank):
-        cur = tree.fork_choice(slot_i, None, 0, tie_break, {bid: hypothetical})
-        # slots grow along a chain: walk up from the head to the candidate's slot
-        slot = blocks[bid].slot
-        while blocks[cur].slot > slot:
-            cur = blocks[cur].parent
-        if cur == bid:
-            return bid
-    raise EmptyCandidateSet("no candidate lies on its own hypothetical chain")
+    best = min(survivors, key=rank)
+    cur = tree.fork_choice(slot_i, None, 0, tie_break, {best: hypothetical})
+    # slots grow along a chain: walk up from the head to the answer's slot
+    slot = blocks[best].slot
+    while blocks[cur].slot > slot:
+        cur = blocks[cur].parent
+    if cur != best:
+        raise UnconfirmedTip(f"block {best} is not on its own hypothetical chain")
+    return best
 
 
 @dataclass
@@ -128,11 +158,15 @@ class ComplianceTracker:
         return self._tip(tree, slot_i, self.vote_tips)
 
     def _tip(self, tree: BlockTree, slot_i: int, tips: dict[int, BlockId]) -> BlockId:
-        """Judge the blocks not judged yet, then record in `tips` the compliant tip of `slot_i`."""
-        marks = self.block_marks
-        for bid, block in tree.blocks.items():
-            if bid not in marks:
-                marks[bid] = self.is_block_compliant(block)
+        """Judge the blocks inserted since the last query, then record in `tips` the compliant tip of `slot_i`.
+
+        Each query judges the tree's blocks in insertion order, so the
+        judged ones are its first `len(block_marks)`.
+        """
+        marks, blocks = self.block_marks, tree.blocks
+        new = islice(reversed(blocks.values()), len(blocks) - len(marks))
+        for block in reversed(list(new)):
+            marks[block.id] = self.is_block_compliant(block)
         tips[slot_i] = tip = compliant_tip(
             tree, slot_i, self.p, self.committee_size, self.boost, marks, self.tie_break,
         )
@@ -166,19 +200,3 @@ class ComplianceTracker:
             if self.block_marks.get(bid, False):
                 return bid
         return None
-
-
-def required_attack_length(p: int, committee_size: int, honest_per_slot: int) -> int:
-    """Slots the extended attack must run against W_h honest attestors per slot.
-
-    ceil(p * W / (W - 2 * W_h)); an honest majority per committee makes the
-    attack impossible.
-    """
-    if 2 * honest_per_slot >= committee_size:
-        raise HonestMajority(
-            f"{honest_per_slot} honest attestors out of {committee_size} "
-            "cannot be outvoted"
-        )
-    num = p * committee_size
-    den = committee_size - 2 * honest_per_slot
-    return -(-num // den)

@@ -3,7 +3,8 @@
 The package computes every cell of a payoff table from the settlement of
 one conditioned run (`conditioned_run`).  The closed forms here restate the
 paper's Tables 7 and 8 symbolically, so the tests can check the runs
-against them on every cell the run can realize.
+against them on every cell the run can realize.  The extended attack's
+required length, which no game reads, is kept here too.
 """
 
 from __future__ import annotations
@@ -49,3 +50,23 @@ def pool_payoff_selfish(game: SelfishMiningGame, pool_action: str, fork_result: 
     if fork_result == "succeed":
         return paid * len(s_a) if pool_action == "C" else Fraction(0)
     return paid * len(s_na)
+
+
+class HonestMajority(Exception):
+    pass
+
+
+def required_attack_length(p: int, committee_size: int, honest_per_slot: int) -> int:
+    """Slots the extended attack must run against W_h honest attestors per slot.
+
+    ceil(p * W / (W - 2 * W_h)); an honest majority per committee makes the
+    attack impossible.
+    """
+    if 2 * honest_per_slot >= committee_size:
+        raise HonestMajority(
+            f"{honest_per_slot} honest attestors out of {committee_size} "
+            "cannot be outvoted"
+        )
+    num = p * committee_size
+    den = committee_size - 2 * honest_per_slot
+    return -(-num // den)

@@ -9,6 +9,8 @@ tracker's marks are checked against the observing tracker kept in
 `compliance_reference.py`.
 """
 
+import io
+import json
 from typing import Optional
 from unittest import mock
 
@@ -17,16 +19,16 @@ from hypothesis import given, settings, strategies as st
 
 from reorglab import compliance, games
 from reorglab.chain import Block, BlockTree, TieBreakPolicy, Validator, VoteRecord
+from reorglab.cli import run_scenario
 from reorglab.compliance import (
     ComplianceTracker,
-    HonestMajority,
     compliant_tip,
     prefix_noncompliance_indices,
-    required_attack_length,
 )
 from reorglab.games import ExtendedGame, GameConfig
 
 import compliance_reference
+from closed_forms import HonestMajority, required_attack_length
 from conftest import ADVERSARIAL, RATIONAL, make_tree, oracle_fork_choice, vote
 from engine_games import POLICIES, labelled_profile
 
@@ -320,6 +322,66 @@ def test_one_fork_choice_per_tip_query(monkeypatch, profile):
     # query: the best-ranked block survives on every path of both profiles
     assert (len(trace.tips), len(tips)) == (22, 15)
     assert len(fork_choices) == len(trace.tips) + 1 + len(tips) == 38
+
+
+def test_fork_choices_of_an_extended_spne_check(monkeypatch):
+    # a deterministic cost guard, in calls rather than time: the SPNE check
+    # of extended W=4 p=16 makes 2,155 fork choices (5,251 when each tip
+    # query ranked the blocks and ran a fork choice per candidate), and each
+    # tip query makes exactly one
+    fork_choices, per_tip = [0], []
+    fork_choice, tip = BlockTree.fork_choice, compliance.compliant_tip
+
+    def counted_fork_choice(tree, *a, **k):
+        fork_choices[0] += 1
+        return fork_choice(tree, *a, **k)
+
+    def counted_tip(*a):
+        before = fork_choices[0]
+        try:
+            return tip(*a)
+        finally:
+            per_tip.append(fork_choices[0] - before)
+
+    monkeypatch.setattr(BlockTree, "fork_choice", counted_fork_choice)
+    monkeypatch.setattr(compliance, "compliant_tip", counted_tip)
+    doc = {
+        "scenario": "extended-w4-p16", "seed": 1,
+        "game": {"kind": "extended", "committee_size": 4, "horizon": 16, "boost": 2,
+                 "tie_break": "adversary-favoring", "r": "1", "R": "1"},
+        "checks": [{"type": "spne", "profile": {"base": "compliant-all"}}],
+    }
+    report = run_scenario(io.StringIO(json.dumps(doc)))
+    assert report["results"][0]["equilibrium"]["verdict"] == "spne"
+    assert (fork_choices[0], len(per_tip)) == (2155, 865)
+    assert set(per_tip) == {1}
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(boost=st.integers(0, 3), honest=st.integers(0, 2),
+       tie_break=st.sampled_from(POLICIES), rnd=st.randoms(use_true_random=False))
+def test_compliant_tip_of_real_runs_matches_full_scan(p, boost, honest, tie_break, rnd):
+    # every tip query an extended run makes, on the tree and marks of that
+    # moment, answers as the full scan does under both tie-breaks.  Real
+    # trees hold counted committee votes and the branches that defections
+    # make; they hold no adversarial block before the last query, so the
+    # adversary tie-break key is left to the random trees above
+    queries = []
+    tip = compliance.compliant_tip
+
+    def checked_tip(tree, slot_i, p, committee_size, boost, marks, tie_break):
+        for policy in POLICIES:
+            assert tip(tree, slot_i, p, committee_size, boost, marks, policy) == oracle_tip(
+                tree, slot_i, p, committee_size, boost, marks, policy)
+        queries.append(slot_i)
+        return tip(tree, slot_i, p, committee_size, boost, marks, tie_break)
+
+    game = ExtendedGame(GameConfig(3, boost=boost, horizon=p, honest_per_slot=honest,
+                                   tie_break=tie_break))
+    with mock.patch.object(compliance, "compliant_tip", checked_tip):
+        game.run(labelled_profile(game, rnd))
+    assert len(queries) == 2 * p + 1
 
 
 def test_scan_restores_subtree_weights():

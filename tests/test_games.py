@@ -340,7 +340,7 @@ class TestExtendedGame:
         game = ExtendedGame(extended_config(2, committee_size=4, honest_per_slot=1))
         out = game.run(game.profile("compliant-all"))
         assert not out.success
-        from reorglab.compliance import required_attack_length
+        from closed_forms import required_attack_length
 
         assert required_attack_length(2, 4, 1) == 4
 

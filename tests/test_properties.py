@@ -13,6 +13,7 @@ import itertools
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from reorglab.chain import (
     Block,
     BlockTree,
     EvidenceRecord,
+    OverlappingVote,
     TieBreakPolicy,
     Validator,
     VoteRecord,
@@ -28,7 +30,14 @@ from reorglab.chain import (
 from reorglab.cli import bundled_scenarios, render_report, run_scenario
 from reorglab.rewards import head_vote_timely_dag
 
-from conftest import ADVERSARIAL, RATIONAL, make_tree, oracle_fork_choice, oracle_weight
+from conftest import (
+    ADVERSARIAL,
+    RATIONAL,
+    make_tree,
+    oracle_fork_choice,
+    oracle_latest_votes,
+    oracle_weight,
+)
 
 POLICIES = (TieBreakPolicy.ADVERSARY_FAVORING, TieBreakPolicy.LEXICOGRAPHIC)
 
@@ -191,20 +200,41 @@ def test_fork_choice_oracle_with_shuffled_ids(case):
             tree, current_slot, boosted, boost, policy, virtual)
 
 
+def overlapping(votes) -> bool:
+    """Whether some validator is covered by two records, one of them counted."""
+    records: dict[int, int] = {}
+    counted: set[int] = set()
+    for v in votes:
+        for voter in v.voters:
+            records[voter] = records.get(voter, 0) + 1
+            if v.span > 1:
+                counted.add(voter)
+    return any(records[voter] > 1 for voter in counted)
+
+
+def counted_records():
+    """(voter, span) of a counted record over validators 4..26: it may overlap
+    voter 4's one-voter votes, or another counted record."""
+    return st.tuples(st.integers(4, 24), st.integers(2, 3))
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_fork_choice_oracle_after_every_interleaved_write(data):
-    # the tree caches its latest votes, subtree weights and tie-break keys
-    # per tree state; queries between writes fill those caches, so every
-    # later write (a block, a vote, or a wholesale `votes` reassignment as
-    # `set_votes` does, shorter, longer or of equal length) must be seen.
-    # A fork carries the caches over, and it and its original are then
-    # written to independently: each must see its own writes only
+    # the tree folds its latest votes, subtree weights and tie-break keys
+    # per write on the next read; queries between writes fold, so every
+    # later write (a block, a one-voter or counted vote record, or a
+    # wholesale `votes` reassignment as `set_votes` does, shorter, longer or
+    # of equal length) must be seen.  A fork copies the store, and it and
+    # its original are then written to independently: each must see its own
+    # writes only.  A counted record that overlaps another makes every read
+    # raise, of the tree and of a fork taken after it, until `votes` is
+    # replaced
     n = data.draw(st.integers(1, 8), label="blocks")
     ids = data.draw(st.permutations(range(n)), label="ids")
     trees: list[tuple[BlockTree, list[int]]] = [(BlockTree(), [])]
     for _ in range(data.draw(st.integers(1, 16), label="writes")):
-        op = data.draw(st.sampled_from(("block", "vote", "vote", "assign")))
+        op = data.draw(st.sampled_from(("block", "vote", "vote", "counted", "assign")))
         tree, inserted = trees[data.draw(st.integers(0, len(trees) - 1), label="tree")]
         if not inserted or (op == "block" and len(inserted) < n):
             parent = data.draw(st.sampled_from(inserted)) if inserted else None
@@ -214,20 +244,22 @@ def test_fork_choice_oracle_after_every_interleaved_write(data):
             tree.insert_block(Block(bid, slot, parent, Validator(1000 + bid, kind)))
             inserted.append(bid)
         elif op == "assign":
+            records = st.tuples(st.integers(0, 4), st.just(1)) | counted_records()
             tree.votes = [
-                VoteRecord(tree.blocks[target].slot + late, voter, target, time)
-                for voter, target, late, time in data.draw(st.lists(
-                    st.tuples(st.integers(0, 4), st.sampled_from(inserted),
+                VoteRecord(tree.blocks[target].slot + late, voter, target, time, span)
+                for (voter, span), target, late, time in data.draw(st.lists(
+                    st.tuples(records, st.sampled_from(inserted),
                               st.integers(0, 2), st.integers(0, 2)),
                     max_size=len(tree.votes) + 2))
             ]
         else:
             # one voter at several slots, and stale votes for old blocks
-            voter = data.draw(st.integers(0, 4))
+            voter, span = data.draw(counted_records() if op == "counted"
+                                    else st.tuples(st.integers(0, 4), st.just(1)))
             target = data.draw(st.sampled_from(inserted))
             late, time = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
-            tree.add_vote(VoteRecord(tree.blocks[target].slot + late, voter, target, time))
-        # a fork taken before the queries that would refresh the caches
+            tree.add_vote(VoteRecord(tree.blocks[target].slot + late, voter, target, time, span))
+        # a fork taken before the queries that would fold the writes
         if len(trees) < 3 and data.draw(st.booleans(), label="fork"):
             trees.append((tree.fork(), list(inserted)))
         for tree, inserted in trees:
@@ -235,9 +267,16 @@ def test_fork_choice_oracle_after_every_interleaved_write(data):
             boosted = data.draw(st.none() | st.sampled_from(inserted))
             boost = data.draw(st.integers(0, 4))
             virtual = data.draw(st.dictionaries(st.sampled_from(inserted), st.integers(0, 3), max_size=2))
+            if overlapping(tree.votes):
+                for read in (tree.latest_votes, lambda: tree.fork_choice(current_slot),
+                             lambda: tree.subtree_weight(inserted[0], current_slot)):
+                    with pytest.raises(OverlappingVote):
+                        read()
+                continue
+            latest = oracle_latest_votes(tree.votes)
             for bid in inserted:
                 assert tree.subtree_weight(bid, current_slot, boosted, boost, virtual) == oracle_weight(
-                    tree, bid, current_slot, boosted, boost, virtual)
+                    tree, bid, current_slot, boosted, boost, virtual, latest)
             for policy in POLICIES:
                 assert tree.fork_choice(current_slot, boosted, boost, policy, virtual) == oracle_fork_choice(
                     tree, current_slot, boosted, boost, policy, virtual)
