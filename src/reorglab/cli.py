@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .chain import TieBreakPolicy
-from .engine import Role, RunTrace, StrategyProfile
+from .engine import DecisionPoint, Role, RunTrace
 from .equilibrium import ExplosionGuard, dag_security_scenario, verify_nash, verify_spne
 from .games import (
     DagVotesGame,
@@ -250,22 +250,27 @@ def _resolve_profile(game, spec: ProfileSpec):
     Overrides address decision points by slot and role (and optionally a
     specific actor index) and replace the base action with another candidate
     label, e.g. {"slot": 2, "role": "leader", "action": "NC"}; a later one wins.
+    Each matches the runs of its slot and role's groups (`game.groups`), or
+    its one actor, and the base profile takes every override in one
+    `with_actions`.
     """
-    labels = dict(game.profile(spec.base).actions)
+    assignment: dict = {}  # (slot, role, actors) -> label, in override order
     for override in spec.overrides:
         slot, role, label = override["slot"], override["role"], override["action"]
         actor = override.get("actor")
-        matched = tuple(dp for dp in game.points if dp.slot == slot and dp.role is role
-                        and (actor is None or dp.actor == actor))
-        for dp in matched:
-            game.action(dp, label)  # rejects a label that `dp` does not offer
-            labels[dp] = label
+        matched = [actors if actor is None else range(actor, actor + 1)
+                   for s, r, actors in game.groups
+                   if s == slot and r is role and actors and (actor is None or actor in actors)]
         if not matched:
             raise ValidationError(
                 f"override matches no decision point: slot {slot} {role.value}"
                 + (f" actor {actor}" if actor is not None else "")
             )
-    return StrategyProfile(labels)
+        game.action(DecisionPoint(slot, role, matched[0].start), label)  # rejects a label it does not offer
+        for actors in matched:
+            assignment.pop((slot, role, actors), None)  # a later override wins
+            assignment[slot, role, actors] = label
+    return game.profile(spec.base).with_actions(assignment)
 
 
 # -- report fragments ---------------------------------------------------------

@@ -23,9 +23,12 @@ latest-message fold exact.
 
 Agents act through a StrategyProfile that names one candidate action per
 decision point by its label.  A decision point is its (slot, role, actor)
-key: a `DecisionPoint` equals and hashes as that plain tuple, so a script
-reads each label with `StrategyProfile.get((slot, role, actor))` and a run
-builds none.  A validator is its index; only a block's proposer is a
+key: a `DecisionPoint` equals and hashes as that plain tuple.  A profile
+holds its labels as runs: for each (slot, role), the maximal runs of
+consecutive validators that play one label.  A script reads a committee's
+labels run by run (`StrategyProfile.over`) and a single actor's by its key
+(`StrategyProfile.get`), so a run builds no `DecisionPoint` and reads no
+label per voter.  A validator is its index; only a block's proposer is a
 `Validator`.  The records built per message (`TraceEvent`, and chain.py's
 `VoteRecord`, `EvidenceRecord`, `Validator`) are frozen and slotted.  A game
 is a straight-line script over one Simulation: it advances the clock to the
@@ -46,9 +49,12 @@ from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .chain import (
     Block,
@@ -95,6 +101,11 @@ class Role(enum.Enum):
     __hash__ = object.__hash__
 
 
+def decision_tick(slot: int, role: Role) -> int:
+    """The tick at which a `role` decision point of `slot` acts."""
+    return propose_tick(slot) if role is Role.LEADER else vote_tick(slot)
+
+
 class DecisionPoint(NamedTuple):
     """A decision point as its (slot, role, actor) key; it equals and hashes as that tuple."""
 
@@ -104,7 +115,7 @@ class DecisionPoint(NamedTuple):
 
     @property
     def tick(self) -> int:
-        return propose_tick(self.slot) if self.role is Role.LEADER else vote_tick(self.slot)
+        return decision_tick(self.slot, self.role)
 
 
 # -- target selectors --------------------------------------------------------
@@ -152,18 +163,152 @@ class Abstain:
     pass
 
 
-@dataclass
-class StrategyProfile:
-    """One candidate label per decision point; the game's table names each label's action."""
+Run = tuple[int, int, str]  # (first, span, label): validators first .. first + span - 1 play label
+_FIRST = itemgetter(0)
 
-    actions: dict[DecisionPoint, str] = field(default_factory=dict)
+
+def _fold(pieces) -> tuple[Run, ...]:
+    """Sorted, disjoint pieces as maximal runs: two that meet with one label become one."""
+    runs: list[Run] = []
+    for first, span, label in pieces:
+        if runs:
+            last_first, last_span, last_label = runs[-1]
+            if last_label == label and last_first + last_span == first:
+                runs[-1] = (last_first, last_span + span, label)
+                continue
+        runs.append((first, span, label))
+    return tuple(runs)
+
+
+def _overlay(old: tuple[Run, ...], new: tuple[Run, ...]) -> tuple[Run, ...]:
+    """The runs `old` with the sorted, disjoint runs `new` played over them."""
+    stops = [first + span for first, span, _ in new]
+    kept: list[Run] = []
+    for first, span, label in old:
+        start, stop = first, first + span
+        k = bisect_right(stops, start)
+        while k < len(new) and new[k][0] < stop:
+            if start < new[k][0]:
+                kept.append((start, new[k][0] - start, label))
+            start = max(start, stops[k])
+            k += 1
+        if start < stop:
+            kept.append((start, stop - start, label))
+    return _fold(sorted(kept + list(new), key=_FIRST))
+
+
+def _runs_of(assignment: Mapping) -> dict[tuple[int, Role], tuple[Run, ...]]:
+    """The runs of `assignment`, by (slot, role); a later key wins where two overlap.
+
+    A key is a decision point, or a (slot, role, range) group of them.
+    """
+    pieces: dict[tuple[int, Role], list[Run]] = {}
+    for (slot, role, who), label in assignment.items():
+        first, span = (who.start, len(who)) if isinstance(who, range) else (who, 1)
+        if span:
+            pieces.setdefault((slot, role), []).append((first, span, label))
+    out = {}
+    for seat, seq in pieces.items():
+        ordered = sorted(seq, key=_FIRST)
+        if all(a[0] + a[1] <= b[0] for a, b in zip(ordered, ordered[1:])):
+            out[seat] = _fold(ordered)
+        else:  # overlapping keys: each plays over the ones before it
+            runs: tuple[Run, ...] = ()
+            for piece in seq:
+                runs = _overlay(runs, (piece,))
+            out[seat] = runs
+    return out
+
+
+class StrategyProfile:
+    """One candidate label per decision point, held as runs of equal labels.
+
+    `runs` maps each (slot, role) to a sorted tuple of maximal runs
+    `(first, span, label)`: validators `first` .. `first + span - 1` play
+    `label` there.  Runs do not overlap, and two that meet have different
+    labels, so two profiles that give every decision point the same label
+    hold equal runs.  A decision point no run covers has no label.  Nothing
+    writes to a profile: an override builds a new one (`with_actions`).
+    `actions`, the per-point mapping, is derived from the runs on first
+    read, for the readers that list points.
+    """
+
+    __slots__ = ("runs", "_actions")
+
+    def __init__(self, actions: Optional[Mapping] = None, *, runs: Optional[Mapping] = None):
+        """A profile of `actions` (see `with_actions` for its keys), or of ready `runs`.
+
+        Ready runs are a fresh dict, each seat's runs sorted, maximal and
+        not empty, as `with_actions` builds them.
+        """
+        self.runs: Mapping[tuple[int, Role], tuple[Run, ...]] = MappingProxyType(
+            _runs_of(actions or {}) if runs is None else runs)
+        self._actions: Optional[Mapping[DecisionPoint, str]] = None
 
     def get(self, dp: tuple[int, Role, int]) -> Optional[str]:
-        return self.actions.get(dp)
+        """The label of one decision point, by its (slot, role, actor) key: a bisect over its runs."""
+        slot, role, actor = dp
+        runs = self.runs.get((slot, role))
+        if runs:
+            i = bisect_right(runs, actor, key=_FIRST) - 1  # the last run starting at or before `actor`
+            if i >= 0 and actor < runs[i][0] + runs[i][1]:
+                return runs[i][2]
+        return None
 
-    def with_actions(self, assignment: dict) -> StrategyProfile:
-        """This profile with each decision point of `assignment` playing its label there."""
-        return StrategyProfile({**self.actions, **assignment})
+    def over(self, slot: int, role: Role, voters: range) -> Iterator[tuple[int, int, Optional[str]]]:
+        """The runs of (slot, role) across `voters`, clipped to it, in index order.
+
+        They cover `voters` exactly: a stretch no run covers comes as a run
+        labelled None.
+        """
+        runs = self.runs.get((slot, role), ())
+        pos, stop = voters.start, voters.stop
+        after = bisect_right(runs, pos, key=_FIRST)  # the runs from `after` on start past `pos`
+        for first, span, label in runs[after - 1 if after else 0:]:
+            if first >= stop:
+                break
+            end = first + span if first + span < stop else stop
+            if end <= pos:
+                continue
+            if first > pos:
+                yield pos, first - pos, None
+                pos = first
+            yield pos, end - pos, label
+            pos = end
+        if pos < stop:
+            yield pos, stop - pos, None
+
+    @property
+    def actions(self) -> Mapping[DecisionPoint, str]:
+        """The label of each decision point a run covers, read-only, built on first read."""
+        if self._actions is None:
+            self._actions = MappingProxyType({
+                DecisionPoint(slot, role, v): label
+                for (slot, role), runs in self.runs.items()
+                for first, span, label in runs
+                for v in range(first, first + span)
+            })
+        return self._actions
+
+    def with_actions(self, assignment: Mapping) -> StrategyProfile:
+        """This profile with each key of `assignment` playing its label there.
+
+        A key is a decision point, or a (slot, role, range) group of them;
+        a later key wins where two overlap.  The work is in the runs of the
+        profile and of `assignment`, not in the validators they cover.
+        """
+        runs = dict(self.runs)
+        for seat, new in _runs_of(assignment).items():
+            runs[seat] = _overlay(runs.get(seat, ()), new)
+        return StrategyProfile(runs=runs)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, StrategyProfile) and self.runs == other.runs
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"StrategyProfile(runs={dict(self.runs)!r})"
 
 
 @dataclass(frozen=True, slots=True)

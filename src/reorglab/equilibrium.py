@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .engine import DecisionPoint, StrategyProfile
+from .engine import DecisionPoint, Role, StrategyProfile
 from .games import (
     AssumptionViolated,
     Checkpoint,
@@ -146,39 +146,51 @@ def verify_nash(
     each candidate once per symmetry class, for its first member, and
     compares once: swapping two members gives them equal base and deviation
     payoffs, so that decides for every member, which counts each candidate
-    as checked and reports its own gains, in roster order.  The count is
-    guarded before any run.  With coalition_bound > 1 the verdict upgrades
-    to strong Nash when additionally no coalition up to that size can
-    strictly improve the payoff of every member at once.
+    as checked and reports its own gains, in roster order.  A class's first
+    member and size come from its runs of players, and the count is guarded
+    before any run and before any per-player list is built.  With
+    coalition_bound > 1 the verdict upgrades to strong Nash when
+    additionally no coalition up to that size can strictly improve the
+    payoff of every member at once.
     """
-    players = game.players()
-    if not players:
-        raise GameError("the game has no decision points, so a Nash check would check nothing")
     classes = game.symmetry_classes(profile)
-    members: dict[object, list[PlayerId]] = {}
-    for player, cls in classes.items():
-        members.setdefault(cls, []).append(player)
-    moves = {cls: game.assignments(group[0]) for cls, group in members.items()}
-    checked = sum(len(group) * len(moves[cls]) for cls, group in members.items())
+    if not classes:
+        raise GameError("the game has no decision points, so a Nash check would check nothing")
+    members: dict[object, list] = {}  # class -> [first member, size]
+    for cls, run in classes:
+        if cls in members:
+            members[cls][1] += len(run)
+        else:
+            members[cls] = [run[0], len(run)]
+
+    def moves(cls, rep) -> int:
+        """How many candidates each member of the class plays, counted before any is built."""
+        if rep in game.pools:
+            return len(game.POOL_LABELS)
+        if isinstance(cls, tuple):
+            return sum(len(game.CANDIDATES[role]) for _, role, _ in cls)
+        return len(game.assignments(rep))
+
+    checked = sum(size * moves(cls, rep) for cls, (rep, size) in members.items())
     _estimate(checked, max_joint_actions)
     played = game.play(profile)
     base = played[0]
 
     gains: dict[object, list[tuple[str, Fraction]]] = {}  # class -> (label, payoff) that gain
-    for cls, group in members.items():
-        rep = group[0]
-        for label, assignment in moves[cls]:
+    for cls, (rep, _) in members.items():
+        for label, assignment in game.assignments(rep):
             value = _deviate(game, profile, played, assignment)[0][rep]
             if value > base[rep]:
                 gains.setdefault(cls, []).append((label, value))
     if gains:
-        deviations = [Deviation(p, label, base[p], value)
-                      for p, cls in classes.items() if cls in gains for label, value in gains[cls]]
+        deviations = [Deviation(p, label, base[p], value) for cls, run in classes
+                      if cls in gains for p in run for label, value in gains[cls]]
         return EquilibriumReport(Verdict.NOT_EQUILIBRIUM, deviations, checked=checked)
     if coalition_bound <= 1:
         return EquilibriumReport(Verdict.NASH, checked=checked)
 
     # coalition pass: every member must strictly gain
+    players = game.players()
     assignments = {p: game.assignments(p) for p in players}
     for size in range(2, min(coalition_bound, len(players)) + 1):
         for coalition in itertools.combinations(players, size):
@@ -227,10 +239,14 @@ def verify_spne(
         played = game.play(profile)
     base = played[0]
 
-    classes = game.symmetry_classes(profile)
+    classes = {p: cls for cls, run in game.symmetry_classes(profile) for p in run}
     # a decision point up to symmetry: its owner, the owner's class, its place among the owner's
-    place = {dp: (player, classes[player], i)
-             for player, seats in game._seats.items() for i, dp in enumerate(seats)}
+    place: dict[DecisionPoint, tuple] = {}
+    placed: dict[PlayerId, int] = {}  # owner -> how many of its decision points are placed
+    for dp in game.points:
+        owner = game.owner(dp)
+        placed[owner] = i = placed.get(owner, -1) + 1
+        place[dp] = (owner, classes[owner], i)
     memo: dict[tuple, tuple[Fraction, bool]] = {}  # (class, place, label) -> payoff, deviates
 
     deviations: list[Deviation] = []
@@ -368,6 +384,7 @@ def dag_security_scenario(
         # the commitment is credible, so the other attestors best-respond by
         # complying; the honest hold-out is the profile under test
         probe = eth_game.solo_players()[-1]
-        eth_profile = eth_game.labelled(lambda dp: "NC" if dp.actor == probe else "C")
+        eth_profile = eth_game.profile("compliant-all").with_actions(
+            {DecisionPoint(eth_game.SLOT_T, Role.ATTESTOR, probe): "NC"})
         ethereum_report = verify_nash(eth_game, eth_profile, max_joint_actions=max_joint_actions)
     return DagScenarioResult(report, outcome, ethereum_report)

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .chain import (
     Block,
@@ -60,6 +60,7 @@ from .engine import (
     Tip,
     VoteFor,
     aggregate_tick,
+    decision_tick,
     propose_tick,
     vote_tick,
 )
@@ -165,21 +166,21 @@ class GameModel:
 
     A validator is its index: each committee is a `range` of consecutive
     indices (`_committees`), and only a proposer is a `Validator`, because
-    a block carries it.  A game lists its decision points once
-    (`_decision_points`, called only by `points`).  It declares the
+    a block carries it.  A game lists its decision points once, as
+    `(slot, role, range)` groups (`_decision_points`, read by `groups`);
+    `points` is the per-member view, built on first read.  It declares the
     labelled candidate actions of each role once (`CANDIDATES`, read
     through `candidates`), and plays a profile (`run`, `payoffs`) from its
     opening or from a checkpoint (`start`) recorded by an earlier run
     (`play`, which starts from `_RECORD`) of a profile that agrees with it
-    before the checkpoint's tick.  A profile holds labels; a script reads
-    each with `profile.get((slot, role, index))`, since a decision point
-    equals its key, and looks its action up in the role's table (`_attest`
-    reads the table once per phase and resolves each distinct action's
-    target once per phase).  The roster follows: a decision point belongs
-    to its actor, unless the actor is a member of one of `pools`, whose
-    members move together; each player's decision points are listed once,
-    in `_seats`.  Under a profile the players fall into symmetry classes
-    (`symmetry_classes`).  Named profiles follow from `PROFILES`.
+    before the checkpoint's tick.  A script reads a committee's labels run
+    by run (`profile.over`) and one actor's by its key (`profile.get`).
+    The roster follows: a decision point belongs to its actor, unless the
+    actor is a member of one of `pools`, whose members move together;
+    `_roster` holds the solo players as runs of a group's actors.  Under a
+    profile the players fall into symmetry classes (`symmetry_classes`),
+    read off the roster and the profile's runs.  Named profiles follow
+    from `PROFILES`.
     """
 
     # role -> label -> action, built once per class and shared by every
@@ -202,58 +203,89 @@ class GameModel:
         return dp.actor
 
     @cached_property
-    def points(self) -> tuple[DecisionPoint, ...]:
-        """The game's decision points, built once: every reader shares these objects."""
+    def groups(self) -> tuple[tuple[int, Role, range], ...]:
+        """The decision points as (slot, role, actors) groups, in `points` order, listed once."""
         return tuple(self._decision_points())
 
     @cached_property
-    def _seats(self) -> dict[PlayerId, tuple[DecisionPoint, ...]]:
-        """Each player's decision points in `points` order.
+    def points(self) -> tuple[DecisionPoint, ...]:
+        """Every decision point, group by group: every reader shares these objects."""
+        return tuple(DecisionPoint(slot, role, v) for slot, role, actors in self.groups for v in actors)
 
-        Solo players come first, in decision-point order, then every pool,
-        members or not.
+    @cached_property
+    def _roster(self) -> tuple[tuple[Optional[int], Optional[Role], Sequence[PlayerId]], ...]:
+        """The solo players in decision-point order, as (slot, role, members) pieces.
+
+        Runs of a group's actors stop at pool members and at players seated
+        more than once; each of the latter is a piece `(None, None, (player,))`.
         """
-        seats: dict[PlayerId, list[DecisionPoint]] = {}
-        for dp in self.points:
-            seats.setdefault(self.owner(dp), []).append(dp)
-        solo = {p: tuple(dps) for p, dps in seats.items() if p not in self.pools}
-        return solo | {name: tuple(seats.get(name, ())) for name in self.pools}
+        pooled = frozenset().union(*self.pools.values())
+        several = {v for (*_, a), (*_, b) in itertools.combinations(self.groups, 2)
+                   if a.start < b.stop and b.start < a.stop
+                   for v in range(max(a.start, b.start), min(a.stop, b.stop))} - pooled
+        pieces: list = []
+        for slot, role, actors in self.groups:
+            start = actors.start
+            for v in sorted(v for v in pooled | several if v in actors):
+                if start < v:
+                    pieces.append((slot, role, range(start, v)))
+                if v in several and all(v not in members for *_, members in pieces):
+                    pieces.append((None, None, (v,)))
+                start = v + 1
+            if start < actors.stop:
+                pieces.append((slot, role, range(start, actors.stop)))
+        return tuple(pieces)
+
+    def solo_players(self) -> list[PlayerId]:
+        """The players that are no pool, in decision-point order."""
+        return [p for *_, members in self._roster for p in members]
 
     def players(self) -> list[PlayerId]:
         """Solo players in decision-point order, then the pools."""
-        return list(self._seats)
+        return [*self.solo_players(), *self.pools]
+
+    def seats(self, player: PlayerId) -> tuple[DecisionPoint, ...]:
+        """`player`'s decision points in `points` order: a pool's are its members'."""
+        members = sorted(self.pools[player]) if player in self.pools else (player,)
+        return tuple(DecisionPoint(slot, role, v)
+                     for slot, role, actors in self.groups for v in members if v in actors)
 
     @cached_property
     def _decision_ticks(self) -> frozenset[int]:
-        return frozenset(dp.tick for dp in self.points)
+        return frozenset(decision_tick(slot, role) for slot, role, actors in self.groups if actors)
 
     def play(self, profile: StrategyProfile) -> tuple[dict[PlayerId, Fraction], dict[int, Checkpoint]]:
         """The profile's payoffs, and the checkpoints its run recorded."""
         outcome = self.run(profile, _RECORD)
         return self._payoffs_from(outcome), outcome.checkpoints
 
-    def symmetry_classes(self, profile: StrategyProfile) -> dict[PlayerId, object]:
-        """Each player's symmetry class under `profile`.
+    def symmetry_classes(self, profile: StrategyProfile) -> list[tuple[object, Sequence[PlayerId]]]:
+        """The players' symmetry classes under `profile`, as `(key, members)` runs in roster order.
 
         Players of one class are interchangeable: the permutation of
         validator indices that swaps two of them maps the roster, `pools`,
-        the committees and `profile` onto themselves, so a candidate
-        deviation pays either one the same as the other's matching one.  A
-        solo player's key is the slot, role and label of its action at each
-        of its decision points, as `profile` holds them, since a game's
-        committee members of one slot and role differ in nothing but their
-        index.  A pool, and a solo player whose label somewhere is missing or
-        no candidate, is its own class.  Every game takes this key, the
-        Tendermint games included: their runs read the rational validators
-        only as sets, so no game tells two players of one key apart by index.
+        the committees and `profile` onto themselves.  A game's committee
+        members of one slot and role differ in nothing but their index, so
+        each run of `profile` over the roster's solo players that plays a
+        candidate label is a range of members of the class
+        `((slot, role, label),)`.  Any other player (a pool; a solo player
+        seated more than once, or whose label is missing or no candidate) is
+        its own class.  The Tendermint games read their rational validators
+        only as sets, so they take this key too.
         """
-        classes: dict[PlayerId, object] = {}
-        for player, dps in self._seats.items():
-            key = tuple((dp.slot, dp.role, profile.get(dp)) for dp in dps)
-            shared = player not in self.pools and all(
-                label in self.candidates(dp) for dp, (_, _, label) in zip(dps, key))
-            classes[player] = key if shared else player
-        return classes
+        runs: list[tuple[object, Sequence[PlayerId]]] = []
+        for slot, role, members in self._roster:
+            if slot is None:
+                runs.append((members[0], members))
+                continue
+            table = self.CANDIDATES[role]
+            for first, span, label in profile.over(slot, role, members):
+                if label in table:
+                    runs.append((((slot, role, label),), range(first, first + span)))
+                else:
+                    runs.extend((v, (v,)) for v in range(first, first + span))
+        runs.extend((name, (name,)) for name in self.pools)
+        return runs
 
     def candidates(self, dp: DecisionPoint) -> dict[str, object]:
         """The labelled candidate actions of `dp`: its role's shared table."""
@@ -268,35 +300,35 @@ class GameModel:
 
     def labelled(self, label_of) -> StrategyProfile:
         """Profile in which each decision point plays its candidate `label_of(dp)`."""
-        profile = StrategyProfile({dp: label_of(dp) for dp in self.points})
-        for dp, label in profile.actions.items():
+        labels = {dp: label_of(dp) for dp in self.points}
+        for dp, label in labels.items():
             self.action(dp, label)  # rejects a label that `dp` does not offer
-        return profile
+        return StrategyProfile(labels)
 
     def assignments(self, player: PlayerId) -> list[tuple[str, dict[DecisionPoint, str]]]:
         """Joint candidate assignments over all decision points of `player`, as labels."""
-        dps = self._seats[player]
+        dps = self.seats(player)
         if player in self.pools:
             return [(label, dict.fromkeys(dps, label)) for label in self.POOL_LABELS]
         return [(label, {dp: label}) for dp in dps for label in self.candidates(dp)]
 
     def profile(self, name: str) -> StrategyProfile:
-        """Named profile: each decision point takes its role's pick from `PROFILES[name]`."""
+        """Named profile: each group takes its role's pick from `PROFILES[name]`, as one run."""
         if name not in self.PROFILES:
             raise GameError(f"unknown profile {name!r}")
         picks = self.PROFILES[name]
         pick = {role: next(x for x in picks if x in table)
                 for role, table in self.CANDIDATES.items() if not table.keys().isdisjoint(picks)}
-        points = self.points
         try:
-            return StrategyProfile({dp: pick[dp.role] for dp in points})
+            return StrategyProfile({(slot, role, actors): pick[role]
+                                    for slot, role, actors in self.groups})
         except KeyError as missing:
             raise GameError(f"profile {name!r} picks no {missing.args[0].value} action") from None
 
     def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
         """Each solo player's settled amount, and each pool's total over its members."""
         settled, zero = outcome.trace.payoffs, Fraction(0)
-        out = {p: settled.get(p, zero) for p in self._seats if p not in self.pools}
+        out = {p: settled.get(p, zero) for *_, members in self._roster for p in members}
         for name, members in self.pools.items():
             out[name] = sum((settled.get(v, zero) for v in members), zero)
         return out
@@ -383,22 +415,24 @@ def _open_chain(config: GameConfig, seeded: dict, start: int = 0) -> Checkpoint:
     return Checkpoint(start, sim, tuple(blocks))
 
 
-def _runs(votes: Iterable[tuple[int, BlockId]]) -> Iterator[tuple[int, BlockId, int]]:
+def _runs(cast: Iterable[tuple[int, int, Optional[BlockId]]]) -> Iterator[tuple[int, BlockId, int]]:
     """The maximal runs of consecutive validators voting for one target, as (first, target, span).
 
-    `votes` gives the index and target of each validator that votes, in
-    index order.  A committee is a range of consecutive indices, so sending
-    one counted record per run, in run order, sends its votes in the order
-    one record per voter would.
+    `cast` gives runs `(first, span, target)` in index order, a None target
+    casting nothing.  A committee is a range of consecutive indices, so
+    sending one counted record per run, in run order, sends its votes in
+    the order one record per voter would.
     """
     span = 0
-    for index, voted in votes:
+    for index, length, voted in cast:
+        if voted is None:
+            continue
         if span and voted == target and index == first + span:
-            span += 1
+            span += length
             continue
         if span:
             yield first, target, span
-        first, target, span = index, voted, 1
+        first, target, span = index, voted, length
     if span:
         yield first, target, span
 
@@ -412,22 +446,24 @@ def _attest(game: GameModel, sim: Simulation, profile, slot: int, voters: range,
     """Attestor phase of `slot` at the tick in progress.
 
     Each voter plays the action its profile label names at its decision
-    point, read by its (slot, role, index) key.  Scripted voters, passed
-    with `profile` None, vote the tip.  Actions other than votes, and a
-    missing label, cast nothing.  The tick's head is fixed while the tick
-    runs, so each distinct action's target is resolved once per phase, and
-    each run of consecutive voters with one target sends one counted vote
-    (`_runs`).
+    point; the labels are read run by run (`profile.over`), none per voter.
+    Scripted voters, passed with `profile` None, vote the tip.  Actions
+    other than votes, and a missing label, cast nothing.  The tick's head is
+    fixed while the tick runs, so each distinct action's target is resolved
+    once per phase, and each run of consecutive voters with one target
+    sends one counted vote (`_runs`).
     """
-    table, role = game.CANDIDATES[Role.ATTESTOR], Role.ATTESTOR
-    labels = ([_SCRIPTED] * len(voters) if profile is None
-              else [profile.get((slot, role, v)) for v in voters])
+    table = game.CANDIDATES[Role.ATTESTOR]
+    labelled = (profile.over(slot, Role.ATTESTOR, voters) if profile is not None
+                else [(voters.start, len(voters), _SCRIPTED)] if voters else [])
     targets: dict = {}  # label (or _SCRIPTED) -> its vote's target; None when it casts none
-    for label in dict.fromkeys(labels):
-        act = VoteFor(Tip()) if label is _SCRIPTED else table.get(label)
-        targets[label] = sim.resolve(act.target, compliant_tip) if isinstance(act, VoteFor) else None
-    cast = zip(voters, map(targets.get, labels))
-    for first, target, span in _runs((i, t) for i, t in cast if t is not None):
+    cast = []
+    for first, span, label in labelled:
+        if label not in targets:
+            act = VoteFor(Tip()) if label is _SCRIPTED else table.get(label)
+            targets[label] = sim.resolve(act.target, compliant_tip) if isinstance(act, VoteFor) else None
+        cast.append((first, span, targets[label]))
+    for first, target, span in _runs(cast):
         sim.emit_vote(slot, first, target, span=span)
 
 
@@ -483,7 +519,7 @@ class _ConditionedGame(GameModel):
         """
         if label not in self.CANDIDATES[Role.ATTESTOR]:
             raise GameError(f"unknown action {label!r} for an attestor")
-        seats = self._seats[player]
+        seats = set(self.seats(player))
         if condition == "succeed":
             against = set()
         elif condition == "fail":
@@ -528,8 +564,8 @@ class _VictimSlotGame(GameModel):
         self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
         self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
 
-    def _decision_points(self) -> list[DecisionPoint]:
-        return [DecisionPoint(self.SLOT_T, Role.ATTESTOR, v) for v in self.committee]
+    def _decision_points(self) -> list[tuple[int, Role, range]]:
+        return [(self.SLOT_T, Role.ATTESTOR, self.committee)]
 
 
 class SimpleGame(_VictimSlotGame, _ConditionedGame):
@@ -557,11 +593,6 @@ class SimpleGame(_VictimSlotGame, _ConditionedGame):
             raise GameError("pool cannot fill the whole committee")
         super().__init__(config)
         self.pools = _pools(config, (self.prev_committee, self.committee))
-
-    # -- players and actions ------------------------------------------------
-
-    def solo_players(self) -> list[int]:
-        return [v for v in self.committee if v in self._seats]
 
     # -- simulation -----------------------------------------------------------
 
@@ -784,13 +815,11 @@ class ExtendedGame(GameModel):
         self.pre_leaders = {slot: Validator(next(ids), kind) for slot in range(-p, 1)}
         self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
 
-    def _decision_points(self) -> list[DecisionPoint]:
-        dps = []
-        for slot in range(1, self.p + 1):
-            dps.append(DecisionPoint(slot, Role.LEADER, self.leaders[slot].index))
-            committee = self.committees[slot][self.config.honest_per_slot:]
-            dps.extend(DecisionPoint(slot, Role.ATTESTOR, v) for v in committee)
-        return dps
+    def _decision_points(self) -> list[tuple[int, Role, range]]:
+        h = self.config.honest_per_slot
+        return [group for slot, leader in self.leaders.items() for group in (
+            (slot, Role.LEADER, range(leader.index, leader.index + 1)),
+            (slot, Role.ATTESTOR, self.committees[slot][h:]))]
 
     def _opening(self) -> Checkpoint:
         """The original chain B_{-p}..B_0, W votes per block, and a tracker with no tips yet."""
@@ -912,12 +941,8 @@ class SelfishMiningGame(_ConditionedGame):
         # the pool's stake in the window: its members of slots 1..horizon-1
         self.pools = _pools(config, [self.committees[slot] for slot in range(1, self.horizon)])
 
-    def _decision_points(self) -> list[DecisionPoint]:
-        return [
-            DecisionPoint(slot, Role.ATTESTOR, v)
-            for slot in self.player_slots
-            for v in self.committees[slot]
-        ]
+    def _decision_points(self) -> list[tuple[int, Role, range]]:
+        return [(slot, Role.ATTESTOR, self.committees[slot]) for slot in self.player_slots]
 
     def run(self, profile: StrategyProfile, start: Optional[Checkpoint] = None) -> GameOutcome:
         cfg = self.config
@@ -968,11 +993,9 @@ class SelfishMiningGame(_ConditionedGame):
         parent = genesis.id
         compliant_votes = 0
         for s_i in self.adv_slots:
-            follows = (
-                (v, parent)
-                for v in self.committees[s_i - 1]
-                if isinstance(table.get(profile.get((s_i - 1, Role.ATTESTOR, v))), FollowRule)
-            )
+            voters = self.committees[s_i - 1]
+            follows = ((first, span, parent if isinstance(table.get(label), FollowRule) else None)
+                       for first, span, label in profile.over(s_i - 1, Role.ATTESTOR, voters))
             votes = [
                 sim.emit_vote(s_i - 1, first, target, publish, span)
                 for first, target, span in _runs(follows)
@@ -1036,16 +1059,11 @@ class DagVotesGame(GameModel):
         }
         self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
 
-    def _decision_points(self) -> list[DecisionPoint]:
+    def _decision_points(self) -> list[tuple[int, Role, range]]:
         """Rational leaders first, then the attestors of slots 1..n_slots-1."""
-        dps = [
-            DecisionPoint(slot, Role.LEADER, self.leaders[slot].index)
-            for slot in range(1, self.n_slots + 1)
-            if slot != self.adv_slot
-        ]
-        for slot in range(1, self.n_slots):
-            dps.extend(DecisionPoint(slot, Role.ATTESTOR, v) for v in self.committees[slot])
-        return dps
+        leaders = [(slot, Role.LEADER, range(leader.index, leader.index + 1))
+                   for slot, leader in self.leaders.items() if slot != self.adv_slot]
+        return leaders + [(slot, Role.ATTESTOR, self.committees[slot]) for slot in range(1, self.n_slots)]
 
     def run(self, profile: StrategyProfile, start: Optional[Checkpoint] = None) -> GameOutcome:
         cfg = self.config

@@ -209,7 +209,8 @@ class _TendermintGame(GameModel):
     Each label of the attestor table in `CANDIDATES` is its own action, and a
     candidate of every rational validator; `PROFILES` names the playable
     profiles in which all of them take the same one.  Each distinct profile
-    is played once per game object (`simulate` keeps the run).  The players
+    is played once per game object: `simulate` keeps the run, keyed by the
+    profile's runs, which equal for equal profiles.  The players
     take `GameModel.symmetry_classes`' shared key: every rational validator
     has one decision point, at slot 1 as an attestor, so two of them share a
     class when they take the same label.  That is sound because a run reads
@@ -226,10 +227,10 @@ class _TendermintGame(GameModel):
         self._runs: dict[frozenset, RoundRun] = {}
 
     def _decision_points(self):
-        return [DecisionPoint(1, Role.ATTESTOR, v) for v in self.rational]
+        return [(1, Role.ATTESTOR, self.rational)]
 
     def simulate(self, profile: StrategyProfile) -> RoundRun:
-        key = frozenset(profile.actions.items())
+        key = frozenset(profile.runs.items())
         if key not in self._runs:
             self._runs[key] = self._play(profile)
         return self._runs[key]
@@ -243,7 +244,10 @@ class _TendermintGame(GameModel):
         return self.payoffs(profile), {}
 
     def _playing(self, label: str, profile: StrategyProfile) -> set[int]:
-        return {dp.actor for dp in self.points if profile.get(dp) == label}
+        """The rational validators playing `label`, read off the profile's runs."""
+        (slot, role, actors), = self.groups
+        return {v for first, span, played in profile.over(slot, role, actors) if played == label
+                for v in range(first, first + span)}
 
     def _paid(self, prevote_counts: dict[int, int], precommit_counts: dict[int, int],
               vote: tuple[int, int], inclusion: tuple[int, int]) -> set[int]:
@@ -287,8 +291,8 @@ class WithholdingGame(_TendermintGame):
             raise AssumptionViolated("no honest validator to lead the withheld rounds")
         self.honest = list(range(n_honest))
         self.adversarial = list(range(n_honest, n_honest + f))
-        self.rational = list(range(n_honest + f, self.n))
-        self.pack = self.adversarial + self.rational
+        self.rational = range(n_honest + f, self.n)
+        self.pack = [*self.adversarial, *self.rational]
 
     def _play(self, profile: StrategyProfile) -> RoundRun:
         f, m, height = self.f, self.m, 1
@@ -367,7 +371,7 @@ class AnchorGame(_TendermintGame):
     def __init__(self, f: int, r_unit: Fraction = Fraction(1)):
         super().__init__(f, r_unit)
         self.honest = list(range(f + 1))
-        self.rational = list(range(f + 1, 2 * f + 1))
+        self.rational = range(f + 1, 2 * f + 1)
         self.adversarial = list(range(2 * f + 1, self.n))  # silent, worst case
 
     def _play(self, profile: StrategyProfile) -> RoundRun:
@@ -408,11 +412,10 @@ def honest_anchor_scenario(
     # a nil-prevote deviation earns no honest evidence and forfeits the round;
     # it is read once per symmetry class, for the class's first member, whose
     # deviation `verify_nash` has just played, so `simulate` returns that run
-    classes = game.symmetry_classes(profile)
-    first: dict[object, DecisionPoint] = {}
-    for dp in game.points:
-        first.setdefault(classes[dp.actor], dp)
-    nil = lambda dp: profile.with_actions({dp: "prevote-nil"})
-    forfeits = all(game.payoffs(nil(dp))[dp.actor] < run.payoffs[dp.actor] for dp in first.values())
+    first = {}  # class -> its first member
+    for cls, members in game.symmetry_classes(profile):
+        first.setdefault(cls, members[0])
+    nil = lambda v: profile.with_actions({DecisionPoint(1, Role.ATTESTOR, v): "prevote-nil"})
+    forfeits = all(game.payoffs(nil(v))[v] < run.payoffs[v] for v in first.values())
     return AnchorResult(run.finalized_round, reorg_resilient=True, payoffs=run.payoffs,
                         deviation_forfeits=forfeits, report=report)

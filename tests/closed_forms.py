@@ -3,7 +3,9 @@
 The package computes every cell of a payoff table from the settlement of
 one conditioned run (`conditioned_run`).  The closed forms here restate the
 paper's Tables 7 and 8 symbolically, so the tests can check the runs
-against them on every cell the run can realize.  The extended attack's
+against them on every cell the run can realize.  Table 1, the solo
+attestor's payoffs in the simple game, is restated per uniform profile, so
+the Nash check's played payoffs can be checked against it at any W.  The extended attack's
 required length, which no game reads, is kept here too.
 """
 
@@ -30,6 +32,34 @@ def pool_payoff_simple(config: GameConfig, pool_action: str,
         (condition, pool_action) == ("fail", "NC") and not config.credibility_assumed
     ) else Fraction(0)
     return prev, cur
+
+
+SIMPLE_UNIFORM = {"compliant-all": "C", "vote-bt-all": "NC", "abstain-all": "abstain"}
+
+
+def simple_attestor_payoff(config: GameConfig, label: str, votes_for_b_t: int) -> Fraction:
+    """Table 1: a solo slot-t attestor's payoff, given its label and the slot-t votes for B_t.
+
+    The attack succeeds when fewer than `boost` attestors vote B_t (NC): the
+    adversary then builds on B_{t-1} and outweighs B_t with the boost.  C
+    pays r only on success, inside the adversary's block.  NC pays r only on
+    failure, and only when the adversary includes every vote (no credible
+    exclusion threat).  Abstaining pays nothing.
+    """
+    success = votes_for_b_t < config.boost
+    if label == "C":
+        return config.r if success else Fraction(0)
+    if label == "NC" and not success and not config.credibility_assumed:
+        return config.r
+    return Fraction(0)
+
+
+def simple_table1(config: GameConfig, profile: str) -> tuple[Fraction, dict[str, Fraction]]:
+    """A uniform profile's one class: each member's base payoff, and its payoff deviating to each label."""
+    played = SIMPLE_UNIFORM[profile]
+    others = config.committee_size - 1 if played == "NC" else 0  # the other members' votes for B_t
+    pay = lambda label: simple_attestor_payoff(config, label, others + (label == "NC"))
+    return pay(played), {label: pay(label) for label in ("C", "NC", "abstain")}
 
 
 def pool_slot_sets(game: SelfishMiningGame) -> tuple[list[int], list[int]]:

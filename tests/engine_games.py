@@ -46,3 +46,8 @@ def games(draw):
 
 def labelled_profile(game, rnd) -> StrategyProfile:
     return game.labelled(lambda dp: rnd.choice(sorted(game.candidates(dp))))
+
+
+def classes_of(game, profile) -> dict:
+    """Each player's symmetry class key, in roster order, from the runs `symmetry_classes` yields."""
+    return {player: cls for cls, run in game.symmetry_classes(profile) for player in run}

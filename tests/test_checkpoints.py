@@ -62,16 +62,25 @@ def test_resumed_deviation_equals_a_run_from_the_opening(game, rnd):
 
 
 class ReadLog(StrategyProfile):
-    """A profile that records the tick of the simulation in progress at each read."""
+    """A profile that records the tick of the simulation in progress at each read.
+
+    A single label is read by its plain (slot, role, actor) key; a run read
+    logs every point the run covers, at the tick it is read.
+    """
 
     def __init__(self, actions, clock):
         super().__init__(actions)
         self.clock, self.reads = clock, []
 
     def get(self, key):
-        # a script reads by the plain (slot, role, actor) key
         self.reads.append((DecisionPoint(*key), self.clock[0].tick))
         return super().get(key)
+
+    def over(self, slot, role, voters):
+        for first, span, label in super().over(slot, role, voters):
+            tick = self.clock[0].tick
+            self.reads += [(DecisionPoint(slot, role, v), tick) for v in range(first, first + span)]
+            yield first, span, label
 
 
 @given(game=games(), rnd=st.randoms(use_true_random=False))

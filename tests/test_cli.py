@@ -24,7 +24,7 @@ from reorglab.cli import (
     render_report,
     run_scenario,
 )
-from reorglab.engine import RunTrace, StrategyProfile
+from reorglab.engine import DecisionPoint, RunTrace, StrategyProfile
 
 BUNDLED = [
     "dag-thm81",
@@ -167,6 +167,28 @@ def test_explosion_guard_exit_4(tmp_path):
     assert main(["run", str(path), "--max-joint-actions", "2"]) == EXIT_GUARD
 
 
+def test_explosion_guard_exits_before_any_set_up(tmp_path, monkeypatch):
+    # 3 W candidates at W=524288 exceed the default bound; the count comes
+    # from the class runs, so the check exits 4 having built no decision point
+    W = 524288
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "scenario": "wide",
+        "game": {"kind": "simple", "committee_size": W, "boost": W * 2 // 5},
+        "checks": [{"type": "nash", "profile": "compliant-all"}],
+    }))
+    built = []
+    new = DecisionPoint.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(DecisionPoint, "__new__", counted)
+    assert main(["run", str(path)]) == EXIT_GUARD
+    assert built == []
+
+
 @pytest.mark.parametrize("name", ["tendermint-withholding", "tendermint-anchor"])
 def test_explosion_guard_bounds_tendermint(capsys, name):
     assert main(["run", name, "--max-joint-actions", "1"]) == EXIT_GUARD
@@ -298,6 +320,24 @@ def test_actor_override_matching_nothing_names_the_actor():
                              "overrides": [{**override, "action": "NC"}]}, "profile")
         with pytest.raises(ValidationError,
                            match=f"^override matches no decision point: {text}$"):
+            cli._resolve_profile(game, spec)
+
+
+@pytest.mark.parametrize("offset,inside", [(-1, False), (0, True), (15, True), (16, False)])
+def test_actor_override_at_the_edges_of_its_committee(offset, inside):
+    # an override reads its slot and role's groups, not a scan of every
+    # point: the committee's first and last index match, the indices just
+    # outside it (a pre-game voter, the slot-t leader) do not
+    game = games.SimpleGame(games.GameConfig(16, boost=6))
+    actor = game.committee.start + offset
+    spec = cli._profile({"base": "compliant-all",
+                         "overrides": [{"slot": 1, "actor": actor, "action": "NC"}]}, "profile")
+    if inside:
+        profile = cli._resolve_profile(game, spec)
+        assert {dp.actor for dp, label in profile.actions.items() if label == "NC"} == {actor}
+    else:
+        with pytest.raises(ValidationError,
+                           match=f"^override matches no decision point: slot 1 attestor actor {actor}$"):
             cli._resolve_profile(game, spec)
 
 

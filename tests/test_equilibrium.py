@@ -1,9 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reorglab import equilibrium
-from reorglab.engine import DecisionPoint, Role, VoteFor
+from reorglab.engine import DecisionPoint, Role, StrategyProfile, VoteFor
 from reorglab.games import (
     DagVotesGame,
     ExtendedGame,
@@ -25,6 +28,8 @@ from reorglab.equilibrium import (
     verify_spne,
 )
 from reorglab.tendermint import AnchorGame
+
+import closed_forms
 
 
 def simple_config(**kw):
@@ -156,6 +161,29 @@ class TestVerifyNash:
                 verify_nash(game, profile, max_joint_actions=3 * W - 1)
         assert verify_nash(game, profile, max_joint_actions=3 * W).checked == 3 * W
 
+    @pytest.mark.parametrize("hold_outs", [(), ("NC", "abstain")])
+    def test_label_reads_count_runs_not_voters(self, monkeypatch, hold_outs):
+        # a check reads labels run by run: a few dozen reads at W=4096, where
+        # one read per voter per run would make about 16k
+        W = 4096
+        game = SimpleGame(simple_config(committee_size=W, boost=W * 2 // 5))
+        (slot, role, actors), = game.groups
+        profile = game.profile("compliant-all").with_actions(
+            {DecisionPoint(slot, role, v): label for v, label in zip((actors[1], actors[W // 2]), hold_outs)})
+        reads = []
+        get, over = StrategyProfile.get, StrategyProfile.over
+
+        def counted_over(self, *args):
+            for run in over(self, *args):
+                reads.append(run)
+                yield run
+
+        monkeypatch.setattr(StrategyProfile, "get", lambda self, dp: reads.append(dp) or get(self, dp))
+        monkeypatch.setattr(StrategyProfile, "over", counted_over)
+        report = verify_nash(game, profile)
+        assert report.checked == 3 * W
+        assert 0 < len(reads) <= 64
+
     @pytest.mark.parametrize("hold_outs,n_classes", [(("NC", "NC"), 2), (("NC", "abstain"), 3)])
     def test_one_assignment_list_and_one_run_per_class(self, monkeypatch, hold_outs, n_classes):
         W = 512
@@ -163,7 +191,7 @@ class TestVerifyNash:
         players = game.players()
         label = dict(zip((players[1], players[W // 2]), hold_outs))
         profile = game.labelled(lambda dp: label.get(dp.actor, "C"))
-        assert len(set(game.symmetry_classes(profile).values())) == n_classes
+        assert len({cls for cls, _ in game.symmetry_classes(profile)}) == n_classes
         listed, deviated = [], []
         assignments, deviate = game.assignments, equilibrium._deviate
         monkeypatch.setattr(game, "assignments", lambda p: listed.append(p) or assignments(p))
@@ -394,3 +422,57 @@ def test_one_assumption_violated():
 
     assert AssumptionViolated is TendermintAssumption
     assert issubclass(AssumptionViolated, GameError)
+
+
+# -- Table 1 at scale -------------------------------------------------------
+
+
+def check_table1(W: int, boost: int, credibility_assumed: bool, r: Fraction, name: str) -> None:
+    """The payoffs `verify_nash` plays for a uniform simple profile are Table 1's closed form.
+
+    The one class's first member plays each candidate; its base payoff and
+    each deviation's payoff must be the closed form's, and the report must
+    list every member's gaining labels with the closed form's amounts.
+    """
+    config = GameConfig(W, boost=boost, r=r, credibility_assumed=credibility_assumed)
+    game = SimpleGame(config)
+    played = []
+    deviate = equilibrium._deviate
+
+    def recorded(game_, profile, base_played, assignment):
+        result = deviate(game_, profile, base_played, assignment)
+        (dp, label), = assignment.items()
+        played.append((dp.actor, label, base_played[0][dp.actor], result[0][dp.actor]))
+        return result
+
+    with mock.patch.object(equilibrium, "_deviate", recorded):
+        report = verify_nash(game, game.profile(name))
+    base, deviated = closed_forms.simple_table1(config, name)
+    first = game.committee.start
+    assert played == [(first, label, base, deviated[label]) for label in ("C", "NC", "abstain")]
+    gaining = [label for label in ("C", "NC", "abstain") if deviated[label] > base]
+    assert [(d.player, d.label, d.baseline, d.deviated) for d in report.deviations] == [
+        (p, label, base, deviated[label]) for p in game.committee for label in gaining]
+    assert report.verdict is (Verdict.NOT_EQUILIBRIUM if gaining else Verdict.NASH)
+    assert report.checked == 3 * W
+
+
+UNIFORM = st.sampled_from(sorted(closed_forms.SIMPLE_UNIFORM))
+REWARD = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8)
+
+
+@given(data=st.data(), W=st.integers(1, 64), cred=st.booleans(), r=REWARD, name=UNIFORM)
+@settings(max_examples=120, deadline=None)
+def test_nash_payoffs_follow_table1(data, W, cred, r, name):
+    boost = data.draw(st.integers(0, W + 1), label="boost")
+    check_table1(W, boost, cred, r, name)
+
+
+@given(data=st.data(), W=st.sampled_from([512, 1024, 4096]), cred=st.booleans(), r=REWARD,
+       name=UNIFORM)
+@settings(max_examples=10, deadline=None)
+def test_nash_payoffs_follow_table1_at_scale(data, W, cred, r, name):
+    # the verdicts flip at the boundaries of boost: 0, W - 1, W and W + 1
+    boost = data.draw(st.sampled_from([0, 1, W * 2 // 5, W - 1, W, W + 1]) | st.integers(0, W + 1),
+                      label="boost")
+    check_table1(W, boost, cred, r, name)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reorglab.engine import DecisionPoint, Role
+from reorglab.engine import DecisionPoint, Role, StrategyProfile
 from reorglab.equilibrium import (
     Deviation,
     EquilibriumReport,
@@ -30,7 +30,7 @@ from reorglab.equilibrium import (
 from reorglab.games import AssumptionViolated, GameConfig, PoolSpec, SimpleGame
 from reorglab.tendermint import AnchorGame, WithholdingGame
 
-from engine_games import games
+from engine_games import classes_of, games
 
 
 def clustered_profile(game, rnd):
@@ -42,7 +42,7 @@ def clustered_profile(game, rnd):
 def shared_classes(game, profile) -> list[list]:
     """The classes of two or more players, in roster order."""
     members: dict[object, list] = {}
-    for player, cls in game.symmetry_classes(profile).items():
+    for player, cls in classes_of(game, profile).items():
         members.setdefault(cls, []).append(player)
     return [group for group in members.values() if len(group) > 1]
 
@@ -147,14 +147,14 @@ def test_gaining_classes_report_every_member_in_roster_order(W, abstainers):
 class TestClassKey:
     def test_compliant_committee_is_one_class(self):
         game = SimpleGame(GameConfig(4, boost=2))
-        classes = game.symmetry_classes(game.profile("compliant-all"))
+        classes = classes_of(game, game.profile("compliant-all"))
         assert set(classes.values()) == {((SimpleGame.SLOT_T, Role.ATTESTOR, "C"),)}
 
     def test_label_splits_and_pool_stands_alone(self):
         game = SimpleGame(GameConfig(5, boost=3, pool=PoolSpec(2)))
         hold_out = game.players()[0]
         profile = game.labelled(lambda dp: "NC" if dp.actor == hold_out else "C")
-        classes = game.symmetry_classes(profile)
+        classes = classes_of(game, profile)
         assert classes["P"] == "P"
         assert classes[hold_out] == ((SimpleGame.SLOT_T, Role.ATTESTOR, "NC"),)
         assert len({classes[p] for p in game.players()[1:-1]}) == 1
@@ -162,19 +162,18 @@ class TestClassKey:
     def test_stray_or_missing_action_stands_alone(self):
         game = SimpleGame(GameConfig(4, boost=2))
         stray = DecisionPoint(SimpleGame.SLOT_T, Role.ATTESTOR, game.players()[0])
-        profile = game.profile("compliant-all")
-        profile.actions[stray] = "not a candidate"
-        assert game.symmetry_classes(profile)[stray.actor] == stray.actor
-        del profile.actions[stray]
-        assert game.symmetry_classes(profile)[stray.actor] == stray.actor
+        profile = game.profile("compliant-all").with_actions({stray: "not a candidate"})
+        assert classes_of(game, profile)[stray.actor] == stray.actor
+        profile = StrategyProfile({dp: "C" for dp in game.points if dp != stray})
+        assert classes_of(game, profile)[stray.actor] == stray.actor
 
     def test_tendermint_pack_is_one_class_per_label(self):
         game = WithholdingGame(f=2, m=1, r_unit=Fraction(1))
         script = (1, Role.ATTESTOR, "script")
-        assert set(game.symmetry_classes(game.profile("script")).values()) == {(script,)}
+        assert set(classes_of(game, game.profile("script")).values()) == {(script,)}
         deviator = game.rational[0]
         mixed = game.labelled(lambda dp: "honest-r1" if dp.actor == deviator else "script")
-        classes = game.symmetry_classes(mixed)
+        classes = classes_of(game, mixed)
         assert classes[deviator] == ((1, Role.ATTESTOR, "honest-r1"),)
         assert {classes[p] for p in game.rational[1:]} == {(script,)}
 
