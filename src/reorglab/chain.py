@@ -12,7 +12,10 @@ messages of `span` consecutive validators, as a phase0 `Attestation`
 carries aggregation bits over its committee.  The tree weighs a vote record
 by its span.  Latest messages stay exact because no validator is
 covered by two records when either is counted: `latest_votes` raises on
-such an overlap, while one-validator records keep the full LMD rule.
+such an overlap, while one-validator records keep the full LMD rule.  The
+fold holds every voter it has seen as sorted, disjoint runs (`VoterRuns`),
+which each record's range bisects, so the tree keeps no per-validator
+container and `fork` copies its store in O(records).
 
 The fork choice keeps a store that is folded per write, as the spec's
 `store.latest_messages` is updated per attestation and proto-array moves
@@ -33,6 +36,7 @@ need determinism, not collision resistance.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -184,6 +188,53 @@ class Block:
         return index
 
 
+class VoterRuns:
+    """Validators as sorted, disjoint runs `first` .. `stop - 1`, each holding one value.
+
+    Two runs that meet with one value are merged.  A query bisects the runs
+    and an insertion shifts them, so neither touches a validator one by one,
+    and `copy` is O(runs).
+    """
+
+    __slots__ = ("starts", "stops", "values")
+
+    def __init__(self, starts=(), stops=(), values=()):
+        self.starts, self.stops, self.values = list(starts), list(stops), list(values)
+
+    def copy(self) -> VoterRuns:
+        return VoterRuns(self.starts, self.stops, self.values)
+
+    def find(self, first: int, stop: int) -> Optional[tuple[int, object]]:
+        """The smallest of validators `first` .. `stop - 1` that a run covers, and that run's value.
+
+        None when no run covers any of them, or they are none.
+        """
+        if first >= stop:
+            return None
+        starts = self.starts
+        i = bisect_right(starts, first)  # the runs from `i` on start past `first`
+        if i and self.stops[i - 1] > first:
+            return first, self.values[i - 1]
+        if i < len(starts) and starts[i] < stop:
+            return starts[i], self.values[i]
+        return None
+
+    def add(self, first: int, stop: int, value: object = None) -> None:
+        """Cover validators `first` .. `stop - 1`, which no run covers yet, with `value`."""
+        starts, stops, values = self.starts, self.stops, self.values
+        i = bisect_right(starts, first)
+        if i and stops[i - 1] == first and values[i - 1] == value:
+            i -= 1
+            stops[i] = stop
+        else:
+            starts.insert(i, first)
+            stops.insert(i, stop)
+            values.insert(i, value)
+        if i + 1 < len(starts) and starts[i + 1] == stop and values[i + 1] == value:
+            stops[i] = stops.pop(i + 1)
+            del starts[i + 1], values[i + 1]
+
+
 class TieBreakPolicy(enum.Enum):
     """How equal-weight sibling subtrees are resolved.
 
@@ -214,10 +265,10 @@ class BlockTree:
     votes: list[VoteRecord] = field(default_factory=list)
     genesis: Optional[BlockId] = None
     _next_id: int = 0
-    # the latest record per first voter, and every voter of the counted
-    # ones, folded from the first `_folded_votes` records of `_folded_list`
+    # the latest record per first voter, and every voter of any record as
+    # runs, folded from the first `_folded_votes` records of `_folded_list`
     _latest: dict[int, VoteRecord] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _counted: set[int] = field(default_factory=set, init=False, repr=False, compare=False)
+    _covered: VoterRuns = field(default_factory=VoterRuns, init=False, repr=False, compare=False)
     _folded_list: Optional[list[VoteRecord]] = field(default=None, init=False, repr=False, compare=False)
     _folded_votes: int = field(default=0, init=False, repr=False, compare=False)
     # the LMD subtree weights of those records, and the latest adversarial
@@ -253,7 +304,7 @@ class BlockTree:
         )
         tree._adv, tree._folded_blocks = dict(self._adv), self._folded_blocks
         if self._folded_list is self.votes:
-            tree._latest, tree._counted = dict(self._latest), set(self._counted)
+            tree._latest, tree._covered = dict(self._latest), self._covered.copy()
             tree._lmd, tree._folded_list, tree._folded_votes = dict(self._lmd), votes, self._folded_votes
         return tree
 
@@ -317,8 +368,8 @@ class BlockTree:
         broadcast_time, -target)`.  A counted record is folded whole: each of
         its voters has that record as its only message, so a record that
         covers a voter some other record covers, where either is counted,
-        raises `OverlappingVote` (checked with set operations over the
-        record's range, not per voter).
+        raises `OverlappingVote`: every voter folded so far is held as runs
+        (`VoterRuns`), which a record's range bisects, not per voter.
 
         Only what was written since the last fold is folded.  A new block
         enters with weight 0 and pushes its adversarial slot up its
@@ -332,7 +383,7 @@ class BlockTree:
         """
         blocks, votes = self.blocks, self.votes
         if votes is not self._folded_list or len(votes) < self._folded_votes:
-            self._latest, self._counted, self._lmd = {}, set(), dict.fromkeys(blocks, 0)
+            self._latest, self._covered, self._lmd = {}, VoterRuns(), dict.fromkeys(blocks, 0)
             self._folded_list, self._folded_votes = votes, 0
         lmd, adv = self._lmd, self._adv
         # insertion order puts every parent before its children
@@ -353,15 +404,16 @@ class BlockTree:
                 lmd[bid] += amount
                 bid = blocks[bid].parent
 
-        best, counted = self._latest, self._counted
+        best, covered = self._latest, self._covered
         try:
             for v in votes[self._folded_votes:]:
                 if v.span == 1:
-                    if v.voter in counted:
-                        raise OverlappingVote(f"validator {v.voter} already has a counted vote")
                     cur = best.get(v.voter)
-                    if cur is None:
+                    if cur is None and covered.find(v.voter, v.voter + 1) is None:
+                        covered.add(v.voter, v.voter + 1)
                         lift(v.target, 1)
+                    elif cur is None or cur.span > 1:
+                        raise OverlappingVote(f"validator {v.voter} already has a counted vote")
                     elif (v.slot, v.broadcast_time, -v.target) <= (
                         cur.slot,
                         cur.broadcast_time,
@@ -373,13 +425,12 @@ class BlockTree:
                         lift(v.target, 1)
                     best[v.voter] = v
                 else:
-                    voters = v.voters
-                    if not (counted.isdisjoint(voters) and best.keys().isdisjoint(voters)):
+                    if covered.find(v.voter, v.voter + v.span) is not None:
                         raise OverlappingVote(
-                            f"the counted vote of validators {voters.start}..{voters.stop - 1} "
+                            f"the counted vote of validators {v.voter}..{v.voter + v.span - 1} "
                             "covers a validator that already voted"
                         )
-                    counted.update(voters)
+                    covered.add(v.voter, v.voter + v.span)
                     best[v.voter] = v
                     lift(v.target, v.span)
         except OverlappingVote:

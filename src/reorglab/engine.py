@@ -19,7 +19,10 @@ one counted record too, rendered as one line per signer per vote it signs.
 So the exported trace reads as if every validator had sent its own
 messages.  No validator votes twice in a run: `emit_vote` refuses a record
 that covers a validator that already voted, which is what keeps the counted
-latest-message fold exact.
+latest-message fold exact.  The validators that voted are held as sorted,
+disjoint runs (chain.py's `VoterRuns`), checked by bisect and copied per
+`fork` in O(runs), and the settled payoffs are a read-only mapping over runs
+(rewards.py's `SettledPayoffs`), so a run holds no per-validator container.
 
 Agents act through a StrategyProfile that names one candidate action per
 decision point by its label.  A decision point is its (slot, role, actor)
@@ -65,6 +68,7 @@ from .chain import (
     Validator,
     ValidatorKind,
     VoteRecord,
+    VoterRuns,
 )
 
 
@@ -365,7 +369,8 @@ class RunTrace:
     final_chain: list[BlockId] = field(default_factory=list)
     final_slot: int = 0
     labels: dict[str, BlockId] = field(default_factory=dict)
-    payoffs: dict[int, Fraction] = field(default_factory=dict)  # settled, by validator
+    # settled, by validator: a read-only mapping (`rewards.SettledPayoffs` once settled)
+    payoffs: Mapping[int, Fraction] = field(default_factory=dict)
 
     def export_lines(self) -> list[str]:
         """The trace as a file holds it: the lines of each sent message, then a summary line."""
@@ -410,7 +415,7 @@ class Simulation:
         self.trace = RunTrace(tree=self.tree)
         self.tick = 0
         self._head: Optional[BlockId] = None  # the tick's head; None when no tick is in progress
-        self._voted: dict[int, int] = {}  # each validator that voted -> the slot of its vote
+        self._voted = VoterRuns()  # the validators that voted, as runs holding their vote's slot
         self._proposed: dict[tuple[int, int], BlockId] = {}
 
     def fork(self) -> Simulation:
@@ -418,7 +423,8 @@ class Simulation:
 
         Every container is copied: the tree (`BlockTree.fork`), the pending
         queue, the delivered evidences, the trace's events and tips, and the
-        emission guards.  The messages, which nothing writes to, are shared.
+        emission guards, the voted runs in O(runs).  The messages and the
+        settled payoffs, which nothing writes to, are shared.
         """
         sim = Simulation(self.boost, self.tie_break)
         sim.tree = self.tree.fork()
@@ -427,10 +433,10 @@ class Simulation:
         t = self.trace
         sim.trace = RunTrace(
             list(t.events), list(t.tips), sim.tree, list(t.final_chain), t.final_slot,
-            dict(t.labels), dict(t.payoffs),
+            dict(t.labels), t.payoffs,
         )
         sim.tick, sim._head = self.tick, self._head
-        sim._voted, sim._proposed = dict(self._voted), dict(self._proposed)
+        sim._voted, sim._proposed = self._voted.copy(), dict(self._proposed)
         return sim
 
     # -- message emission ------------------------------------------------
@@ -462,16 +468,15 @@ class Simulation:
         The record is built once, stamped with its release tick; it is
         returned as sent.  A validator votes once per run: a record covering
         one that already voted is refused, and so are a span below 1 and an
-        early release, which leave its voters free to vote.
+        early release, which leave its voters free to vote.  The voters are
+        checked and marked as one range against the runs of those that voted.
         """
-        voters = range(voter, voter + span)
-        voted = self._voted
-        if not voted.keys().isdisjoint(voters):
-            first = next(v for v in voters if v in voted)
-            raise InvalidAction(f"validator {first} already voted at slot {voted[first]}")
+        hit = self._voted.find(voter, voter + span)
+        if hit is not None:
+            raise InvalidAction(f"validator {hit[0]} already voted at slot {hit[1]}")
         vote = VoteRecord(slot, voter, target, self.tick if release is None else release, span)
         self._send("vote", vote, vote.broadcast_time)
-        voted.update(dict.fromkeys(voters, slot))
+        self._voted.add(voter, voter + span, slot)
         return vote
 
     def emit_evidence(self, ev: EvidenceRecord, release: Optional[int] = None) -> None:

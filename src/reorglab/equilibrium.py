@@ -24,7 +24,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .engine import DecisionPoint, Role, StrategyProfile
 from .games import (
@@ -91,12 +91,12 @@ def _estimate(count: int, bound: int) -> None:
         raise ExplosionGuard(f"{count} deviation simulations exceed bound {bound}")
 
 
-Played = tuple[dict[PlayerId, Fraction], dict[int, Checkpoint]]  # as `GameModel.play` returns
+Played = tuple[Mapping[PlayerId, Fraction], dict[int, Checkpoint]]  # as `GameModel.play` returns
 
 
 def _deviate(
     game: GameModel, profile: StrategyProfile, played: Played, assignment: dict
-) -> tuple[dict[PlayerId, Fraction], bool]:
+) -> tuple[Mapping[PlayerId, Fraction], bool]:
     """Payoffs once `assignment` is played against `profile`, and whether that deviates.
 
     `played` is the profile's own payoffs and checkpoints.  An assignment
@@ -146,7 +146,8 @@ def verify_nash(
     each candidate once per symmetry class, for its first member, and
     compares once: swapping two members gives them equal base and deviation
     payoffs, so that decides for every member, which counts each candidate
-    as checked and reports its own gains, in roster order.  A class's first
+    as checked and reports the class's gains, read once for the first
+    member, in roster order.  A class's first
     member and size come from its runs of players, and the count is guarded
     before any run and before any per-player list is built.  With
     coalition_bound > 1 the verdict upgrades to strong Nash when
@@ -176,15 +177,15 @@ def verify_nash(
     played = game.play(profile)
     base = played[0]
 
-    gains: dict[object, list[tuple[str, Fraction]]] = {}  # class -> (label, payoff) that gain
+    gains: dict[object, list[tuple[str, Fraction, Fraction]]] = {}  # class -> gaining (label, base, payoff)
     for cls, (rep, _) in members.items():
         for label, assignment in game.assignments(rep):
             value = _deviate(game, profile, played, assignment)[0][rep]
             if value > base[rep]:
-                gains.setdefault(cls, []).append((label, value))
+                gains.setdefault(cls, []).append((label, base[rep], value))
     if gains:
-        deviations = [Deviation(p, label, base[p], value) for cls, run in classes
-                      if cls in gains for p in run for label, value in gains[cls]]
+        deviations = [Deviation(p, label, baseline, value) for cls, run in classes
+                      if cls in gains for p in run for label, baseline, value in gains[cls]]
         return EquilibriumReport(Verdict.NOT_EQUILIBRIUM, deviations, checked=checked)
     if coalition_bound <= 1:
         return EquilibriumReport(Verdict.NASH, checked=checked)

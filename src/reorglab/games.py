@@ -30,6 +30,7 @@ Games implemented:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -161,6 +162,34 @@ class PayoffMatrix:
 PlayerId = object  # int for solo validators, str for pools
 
 
+class _Payoffs(Mapping):
+    """A run's payoffs by player, read-only: `amount(player)` reads one from the run on demand.
+
+    The keys are the game's `players()`, in that order, looked up in `pools`
+    and the roster's pieces (`_roster`), so no view or read works per player.
+    """
+
+    __slots__ = ("_game", "_amount", "_read")
+
+    def __init__(self, game: GameModel, amount: Callable[[PlayerId], Fraction]):
+        self._game, self._amount, self._read = game, amount, {}  # player -> amount, once read
+
+    def __getitem__(self, player: PlayerId) -> Fraction:
+        read = self._read
+        if player not in read:
+            if player not in self._game.pools and not (isinstance(player, int) and any(
+                    player in members for *_, members in self._game._roster)):
+                raise KeyError(player)
+            read[player] = self._amount(player)
+        return read[player]
+
+    def __iter__(self) -> Iterator[PlayerId]:
+        return iter(self._game.players())
+
+    def __len__(self) -> int:
+        return sum(len(members) for *_, members in self._game._roster) + len(self._game.pools)
+
+
 class GameModel:
     """Roster and named profiles of a game driven by the equilibrium lab.
 
@@ -254,7 +283,7 @@ class GameModel:
     def _decision_ticks(self) -> frozenset[int]:
         return frozenset(decision_tick(slot, role) for slot, role, actors in self.groups if actors)
 
-    def play(self, profile: StrategyProfile) -> tuple[dict[PlayerId, Fraction], dict[int, Checkpoint]]:
+    def play(self, profile: StrategyProfile) -> tuple[Mapping[PlayerId, Fraction], dict[int, Checkpoint]]:
         """The profile's payoffs, and the checkpoints its run recorded."""
         outcome = self.run(profile, _RECORD)
         return self._payoffs_from(outcome), outcome.checkpoints
@@ -325,13 +354,11 @@ class GameModel:
         except KeyError as missing:
             raise GameError(f"profile {name!r} picks no {missing.args[0].value} action") from None
 
-    def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
-        """Each solo player's settled amount, and each pool's total over its members."""
+    def _payoffs_from(self, outcome: GameOutcome) -> Mapping[PlayerId, Fraction]:
+        """A view of each solo player's settled amount, and each pool's total over its members."""
         settled, zero = outcome.trace.payoffs, Fraction(0)
-        out = {p: settled.get(p, zero) for *_, members in self._roster for p in members}
-        for name, members in self.pools.items():
-            out[name] = sum((settled.get(v, zero) for v in members), zero)
-        return out
+        return _Payoffs(self, lambda p: sum((settled.get(v, zero) for v in self.pools[p]), zero)
+                        if p in self.pools else settled.get(p, zero))
 
 
 def _committees(slots: Iterable[int], size: int) -> tuple[dict[int, range], Iterator[int]]:
@@ -504,31 +531,31 @@ def _close(
 class _ConditionedGame(GameModel):
     """A game whose payoff tables condition on the attack's outcome.
 
-    A cell of a table is one run, `conditioned_run`: an ordinary labelled
-    profile in which the player plays the cell's label and every other
-    attestor complies (`C`), except under `fail`, where those of the free
-    attestors (all but the player's, in `points` order) that the game's
-    `_failing(free)` picks vote `NC` instead.  The picks are all a game
-    declares.
+    A cell of a table is one run, `conditioned_run`: a profile in which the
+    player plays the cell's label and every other attestor complies (`C`),
+    except under `fail`, where those of the free attestors (all but the
+    player's, as `(slot, role, range)` runs in `points` order) that the
+    game's `_failing(free)` picks vote `NC` instead.  The picks are all a
+    game declares; every decision point of these games is an attestor's.
     """
 
     def conditioned_run(self, player: PlayerId, label: str, condition: str) -> GameOutcome:
         """Run with `player`'s attestors playing `label`, the others realizing `condition`.
 
+        The profile is built from `groups` with one `with_actions`, in runs.
         Raises ConditioningUnrealizable when the run does not reach `condition`.
         """
         if label not in self.CANDIDATES[Role.ATTESTOR]:
             raise GameError(f"unknown action {label!r} for an attestor")
-        seats = set(self.seats(player))
-        if condition == "succeed":
-            against = set()
-        elif condition == "fail":
-            against = set(self._failing([dp.actor for dp in self.points if dp not in seats]))
-        else:
+        if condition not in ("succeed", "fail"):
             raise GameError(f"unknown condition {condition!r}")
-        outcome = self.run(self.labelled(
-            lambda dp: label if dp in seats else "NC" if dp.actor in against else "C"
-        ))
+        seats = dict.fromkeys(self.seats(player), label)
+        seated = StrategyProfile(seats)
+        free = [(slot, role, range(first, first + span)) for slot, role, actors in self.groups
+                for first, span, mark in seated.over(slot, role, actors) if mark is None]
+        against = self._failing(free) if condition == "fail" else ()
+        outcome = self.run(StrategyProfile({group: "C" for group in self.groups}).with_actions(
+            {**dict.fromkeys(against, "NC"), **seats}))
         if outcome.success != (condition == "succeed"):
             raise ConditioningUnrealizable(
                 f"condition {condition!r} not realizable: run "
@@ -616,26 +643,25 @@ class SimpleGame(_VictimSlotGame, _ConditionedGame):
         included = [v for v in sim.tree.votes if v.slot == self.SLOT_T]
         if cfg.credibility_assumed:
             included = [v for v in included if v.target == genesis.id]
-        b_a = sim.propose(
-            self.SLOT_ADV, genesis.id if reorg else b_t.id, self.adversary, votes=included
-        )
+        b_a = sim.propose(self.SLOT_ADV, genesis.id if reorg else b_t.id, self.adversary,
+                          votes=included)
         labels = {"B_prev": genesis.id, "B_t": b_t.id, "B_A": b_a.id}
         trace, reorged = _close(sim, cfg, self.SLOT_ADV, labels)
         success = trace.final_chain == [genesis.id, b_a.id]
         return GameOutcome(success, reorged, trace, checkpoints=script.checkpoints)
 
-    def payoffs(self, profile: StrategyProfile,
-                start: Optional[Checkpoint] = None) -> dict[PlayerId, Fraction]:
+    def payoffs(self, profile: StrategyProfile, start=None) -> Mapping[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile, start))
 
-    def _failing(self, free: list[int]) -> list[int]:
+    def _failing(self, free: list[tuple[int, Role, range]]) -> list[tuple[int, Role, range]]:
         """The first `boost`, whose votes for B_t meet the threshold whatever the player plays."""
-        boost = self.config.boost
-        if len(free) < boost:
-            raise ConditioningUnrealizable(
-                f"cannot script {boost} votes for B_t with {len(free)} free attestors"
-            )
-        return free[:boost]
+        boost, count = self.config.boost, sum(len(actors) for *_, actors in free)
+        if count < boost:
+            raise ConditioningUnrealizable(f"cannot script {boost} votes for B_t with {count} free attestors")
+        picked = []
+        for slot, role, actors in free:  # the first `boost` of the runs, in order
+            picked.append((slot, role, actors[:boost - sum(len(a) for *_, a in picked)]))
+        return picked
 
 
 def simple_payoff_matrix(game: SimpleGame) -> PayoffMatrix:
@@ -645,7 +671,7 @@ def simple_payoff_matrix(game: SimpleGame) -> PayoffMatrix:
     strong simple game the payoffs are the expected ones of that game.
     """
     _require(game, SimpleGame, StrongSimpleGame)
-    probe = game.solo_players()[-1]
+    probe = game._roster[-1][-1][-1]  # the last solo player
     values = {}
     for row in ("succeed", "fail"):
         for col in ("C", "NC"):
@@ -672,7 +698,7 @@ def pool_payoff_simple(
     # a member votes in one slot and never proposes, so its whole payoff is that slot's
     members, settled = game.pools[config.pool.name], outcome.trace.payoffs
     return tuple(
-        sum((settled.get(v, 0) for v in committee if v in members), Fraction(0))
+        sum((settled.get(v, 0) for v in members if v in committee), Fraction(0))
         for committee in (game.prev_committee, game.committee)
     )
 
@@ -692,17 +718,14 @@ class StrongSimpleGame(SimpleGame):
     only as a cross-check in the tests.
     """
 
-    def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
+    def _payoffs_from(self, outcome: GameOutcome) -> Mapping[PlayerId, Fraction]:
         """Settled payoffs plus r/epoch_length for each slot-t attestor that complied."""
-        out = super()._payoffs_from(outcome)
+        settled = super()._payoffs_from(outcome)
         bonus = Fraction(self.config.r, self.config.epoch_length)
-        compliant: set[int] = set()
-        for v in outcome.trace.tree.votes:
-            if v.slot == self.SLOT_T and v.target == self.genesis_id:
-                compliant.update(v.voters)
-        for player in out:
-            out[player] += bonus * len(compliant.intersection(self.pools.get(player, (player,))))
-        return out
+        compliant = [v.voters for v in outcome.trace.tree.votes
+                     if v.slot == self.SLOT_T and v.target == self.genesis_id]
+        return _Payoffs(self, lambda p: settled[p] + bonus * sum(
+            v in voters for v in self.pools.get(p, (p,)) for voters in compliant))
 
 
 # ---------------------------------------------------------------------------
@@ -737,9 +760,8 @@ class NoBoostGame(_VictimSlotGame):
         sim, (genesis,) = opening.sim, opening.blocks
         sim.advance(propose_tick(self.SLOT_WITHHELD))
         # dual release together with the honest slot-2 proposal
-        b_adv = sim.propose(
-            self.SLOT_WITHHELD, genesis.id, self.adversary, release=propose_tick(self.SLOT_T)
-        )
+        b_adv = sim.propose(self.SLOT_WITHHELD, genesis.id, self.adversary,
+                            release=propose_tick(self.SLOT_T))
         sim.advance(propose_tick(self.SLOT_T))
         b_t = sim.propose(self.SLOT_T, sim.tip(), self.leader_t)
         return Checkpoint(sim.tick, sim, (genesis, b_adv, b_t))
@@ -753,22 +775,16 @@ class NoBoostGame(_VictimSlotGame):
         sim.advance(propose_tick(self.SLOT_NEXT))
         k_adv = sim.visible_votes_for(b_adv.id, slot=self.SLOT_T)
         k_t = sim.visible_votes_for(b_t.id, slot=self.SLOT_T)
-        takes_fork = k_adv > k_t or (
-            k_adv == k_t and cfg.tie_break is TieBreakPolicy.ADVERSARY_FAVORING
-        )
-        included = tuple(
-            v for v in sim.tree.votes if v.slot == self.SLOT_T and v.target == b_adv.id
-        )
-        b_next = sim.propose(
-            self.SLOT_NEXT, b_adv.id if takes_fork else b_t.id, self.adversary, votes=included
-        )
+        takes_fork = k_adv > k_t or (k_adv == k_t and cfg.tie_break is TieBreakPolicy.ADVERSARY_FAVORING)
+        included = tuple(v for v in sim.tree.votes if v.slot == self.SLOT_T and v.target == b_adv.id)
+        b_next = sim.propose(self.SLOT_NEXT, b_adv.id if takes_fork else b_t.id, self.adversary,
+                             votes=included)
         labels = {"B_0": genesis.id, "B_adv": b_adv.id, "B_t": b_t.id, "B_next": b_next.id}
         trace, reorged = _close(sim, cfg, self.SLOT_NEXT, labels)
         success = trace.final_chain == [genesis.id, b_adv.id, b_next.id]
         return GameOutcome(success, reorged, trace, checkpoints=script.checkpoints)
 
-    def payoffs(self, profile: StrategyProfile,
-                start: Optional[Checkpoint] = None) -> dict[PlayerId, Fraction]:
+    def payoffs(self, profile: StrategyProfile, start=None) -> Mapping[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile, start))
 
 
@@ -861,28 +877,22 @@ class ExtendedGame(GameModel):
         compliant_chain = [genesis.id] + [bid for bid in marked if bid is not None]
         expected = compliant_chain + [b_a.id]
         success = len(compliant_chain) == p + 1 and trace.final_chain == expected
-        return GameOutcome(
-            success,
-            reorged,
-            trace,
-            extras={"tracker": tracker, "compliant_chain": compliant_chain},
-            checkpoints=script.checkpoints,
-        )
+        extras = {"tracker": tracker, "compliant_chain": compliant_chain}
+        return GameOutcome(success, reorged, trace, extras, script.checkpoints)
 
-    def payoffs(self, profile: StrategyProfile,
-                start: Optional[Checkpoint] = None) -> dict[PlayerId, Fraction]:
+    def payoffs(self, profile: StrategyProfile, start=None) -> Mapping[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile, start))
 
-    def _payoffs_from(self, outcome: GameOutcome) -> dict[PlayerId, Fraction]:
+    def _payoffs_from(self, outcome: GameOutcome) -> Mapping[PlayerId, Fraction]:
         """Settled attestor payoffs; each leader earns R exactly when its block is on the fork."""
-        out = super()._payoffs_from(outcome)
+        settled = super()._payoffs_from(outcome)
         tree = outcome.trace.tree
         fork = tree.ancestors(outcome.trace.labels["B_A"])
         # a leader proposes only in its own slot, so any fork block it proposed is its slot's
         on_fork = {tree.blocks[bid].proposer.index for bid in fork}
-        for leader in self.leaders.values():
-            out[leader.index] = self.config.R if leader.index in on_fork else Fraction(0)
-        return out
+        leaders = {leader.index for leader in self.leaders.values()}
+        return _Payoffs(self, lambda p: settled[p] if p not in leaders
+                        else self.config.R if p in on_fork else Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -917,9 +927,7 @@ class SelfishMiningGame(_ConditionedGame):
     def __init__(self, config: GameConfig):
         n_a, n_na = config.n_adversarial_slots, config.n_non_adversarial_slots
         if n_a < n_na and not config.allow_condition_violation:
-            raise ConditionViolated(
-                f"{n_a} adversarial < {n_na} non-adversarial slots"
-            )
+            raise ConditionViolated(f"{n_a} adversarial < {n_na} non-adversarial slots")
         if n_na < 1:
             raise GameError("need at least one non-adversarial slot in the window")
         self.config = config
@@ -931,11 +939,8 @@ class SelfishMiningGame(_ConditionedGame):
             self.adv_slots = sorted({self.horizon} | set(range(2, n_a + 1)))
         self.player_slots = [s - 1 for s in self.adv_slots]  # all >= 1
         self.committees, ids = _committees(range(self.horizon), W)
-        self.leaders = {
-            slot: Validator(next(ids), ValidatorKind.RATIONAL)
-            for slot in range(1, self.horizon + 1)
-            if slot not in self.adv_slots
-        }
+        self.leaders = {slot: Validator(next(ids), ValidatorKind.RATIONAL)
+                        for slot in range(1, self.horizon + 1) if slot not in self.adv_slots}
         self.adversary = Validator(next(ids), ValidatorKind.ADVERSARIAL)
         self.genesis_proposer = Validator(next(ids), ValidatorKind.RATIONAL)
         # the pool's stake in the window: its members of slots 1..horizon-1
@@ -1005,11 +1010,10 @@ class SelfishMiningGame(_ConditionedGame):
             fork_ids.append(parent)
         return fork_ids, compliant_votes
 
-    def payoffs(self, profile: StrategyProfile,
-                start: Optional[Checkpoint] = None) -> dict[PlayerId, Fraction]:
+    def payoffs(self, profile: StrategyProfile, start=None) -> Mapping[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile, start))
 
-    def _failing(self, free: list[int]) -> list[int]:
+    def _failing(self, free: list[tuple[int, Role, range]]) -> list[tuple[int, Role, range]]:
         """Every free attestor votes the tip: only the player's votes can back the fork."""
         return free
 
@@ -1093,11 +1097,8 @@ class DagVotesGame(GameModel):
         chain = set(trace.final_chain)
         # the adversary alone leads its slot, and every block is delivered by now
         adv_block = next(iter(trace.tree.by_slot.get(self.adv_slot, ())), None)
-        rational_blocks = [
-            b.id
-            for b in trace.tree.blocks.values()
-            if b.proposer.kind is not ValidatorKind.ADVERSARIAL
-        ]
+        rational_blocks = [b.id for b in trace.tree.blocks.values()
+                           if b.proposer.kind is not ValidatorKind.ADVERSARIAL]
         extras = {
             "adversary_block": adv_block,
             "adversary_votes": sim.visible_votes_for(adv_block) if adv_block is not None else 0,
@@ -1107,8 +1108,7 @@ class DagVotesGame(GameModel):
         success = not extras["adversary_reorged"]
         return GameOutcome(success, [], trace, extras, script.checkpoints)
 
-    def payoffs(self, profile: StrategyProfile,
-                start: Optional[Checkpoint] = None) -> dict[PlayerId, Fraction]:
+    def payoffs(self, profile: StrategyProfile, start=None) -> Mapping[PlayerId, Fraction]:
         return self._payoffs_from(self.run(profile, start))
 
 

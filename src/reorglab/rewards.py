@@ -15,7 +15,12 @@ mechanisms differ on timeliness:
 
 A counted vote record (chain.py) is judged as it stands: its voters share
 its slot, target, inclusions and signers, so every test here answers for
-all of them at once, and settlement pays each of them.
+all of them at once, and settlement pays each of them.  Settlement holds no
+per-validator container either: the ledger appends one run of validators
+per credited record (`PayoffLedger`), and `settle_payoffs` returns the
+amounts as a read-only mapping over runs of validators with one count pair
+(`SettledPayoffs`), which multiplies each distinct pair out once, on first
+read.  So settling a run costs O(records), whatever the committee size.
 
 DAG settlement is O(1) per vote in W: the next-slot test asks the block's
 vote set (`Block.included_vote_set`), and the signer count reads the one
@@ -32,11 +37,12 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
-from .chain import Block, BlockId, BlockTree, VoteRecord
+from .chain import Block, BlockId, BlockTree, VoteRecord, VoterRuns
 from .engine import RunTrace
 
 
@@ -74,42 +80,87 @@ class RewardParams:
 ATTESTATION, INCLUSION = 0, 1
 
 
+class SettledPayoffs(Mapping):
+    """A run's settled amounts by validator: read-only, held as runs of validators.
+
+    Each run of consecutive validators credited one (r count, R count) pair
+    is one run of a `VoterRuns`, so the mapping holds no entry per
+    validator.  An amount is `r * (r count) + R * (R count)`, multiplied out
+    once per distinct pair, when first read.  The keys are every credited
+    validator, in ascending index order; one counted only in units of 0
+    keeps its key, with amount 0.  Nothing writes to it.
+    """
+
+    __slots__ = ("_runs", "_r", "_R", "_amounts", "_len")
+
+    def __init__(self, runs: VoterRuns, r: Fraction, R: Fraction):
+        self._runs, self._r, self._R = runs, r, R
+        self._amounts: dict[tuple[int, int], Fraction] = {}
+        self._len = sum(stop - first for first, stop in zip(runs.starts, runs.stops))
+
+    def __getitem__(self, validator: int) -> Fraction:
+        hit = self._runs.find(validator, validator + 1) if isinstance(validator, int) else None
+        if hit is None:
+            raise KeyError(validator)
+        pair = hit[1]
+        amount = self._amounts.get(pair)
+        if amount is None:
+            amount = self._amounts[pair] = self._r * pair[0] + self._R * pair[1]
+        return amount
+
+    def __iter__(self) -> Iterator[int]:
+        for first, stop in zip(self._runs.starts, self._runs.stops):
+            yield from range(first, stop)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __repr__(self) -> str:
+        return f"SettledPayoffs({dict(self)!r})"
+
+
 @dataclass
 class PayoffLedger:
-    """Head-vote credits being settled: integer counts per unit, amounts made once.
+    """Head-vote credits being settled: one run of validators per credited record.
 
     Every credit is a whole number of r (correct, timely votes) or of R
-    (their inclusion), so the ledger counts them per validator and
-    multiplies by the units once, in `payoffs`.  A validator counted only in
-    units of 0 keeps its key, with amount 0.
+    (their inclusion) for each validator of a range, so the ledger appends
+    one `(first, stop, unit, times)` run per credit and adds the counts up,
+    run against run, once, in `payoffs`.
     """
 
     r: Fraction
     R: Fraction
-    # validator -> (r count, R count), in order of first credit
-    counts: dict[int, tuple[int, int]] = field(default_factory=dict)
+    # (first, stop, unit, times): `times` of `unit` for validators first .. stop - 1
+    runs: list[tuple[int, int, int, int]] = field(default_factory=list)
 
-    def credit(self, validators: Sequence[int], unit: int, times: int = 1) -> None:
-        """Count `times` of `unit` (ATTESTATION: r, INCLUSION: R) for each of `validators`.
-
-        Validators credited for the first time, as a counted vote's voters
-        are, are entered in one `dict.fromkeys`, with no loop per validator.
-        """
-        counts = self.counts
-        if counts.keys().isdisjoint(validators):
-            fresh = (times, 0) if unit == ATTESTATION else (0, times)
-            counts.update(dict.fromkeys(validators, fresh))
-            return
-        for v in validators:
-            r, R = counts.get(v, (0, 0))
-            counts[v] = (r + times, R) if unit == ATTESTATION else (r, R + times)
+    def credit(self, validators: range, unit: int, times: int = 1) -> None:
+        """Count `times` of `unit` (ATTESTATION: r, INCLUSION: R) for each of `validators`."""
+        self.runs.append((validators.start, validators.stop, unit, times))
 
     @property
-    def payoffs(self) -> dict[int, Fraction]:
-        """Every credited validator's amount; each distinct count pair is multiplied out once."""
-        counts = self.counts
-        amounts = {pair: self.r * pair[0] + self.R * pair[1] for pair in set(counts.values())}
-        return {v: amounts[pair] for v, pair in counts.items()}
+    def payoffs(self) -> SettledPayoffs:
+        """Every credited validator's amount, as runs of validators with one count pair.
+
+        One sweep over the credits' edges adds up the (r, R) counts of each
+        stretch between two edges, so overlapping credits add and the work
+        is O(credits log credits), not O(validators).
+        """
+        deltas: dict[int, list[int]] = {}  # edge -> the change there of (cover, r count, R count)
+        for first, stop, unit, times in self.runs:
+            for edge, sign in ((first, 1), (stop, -1)):
+                delta = deltas.setdefault(edge, [0, 0, 0])
+                delta[0] += sign
+                delta[1 + unit] += sign * times
+        runs = VoterRuns()
+        cover = r = R = 0
+        edges = sorted(deltas)
+        for edge, after in zip(edges, edges[1:]):
+            d_cover, d_r, d_R = deltas[edge]
+            cover, r, R = cover + d_cover, r + d_r, R + d_R
+            if cover:
+                runs.add(edge, after, (r, R))
+        return SettledPayoffs(runs, self.r, self.R)
 
 
 def correctness_target(chain: list[BlockId], tree: BlockTree, slot: int) -> Optional[BlockId]:
@@ -176,15 +227,17 @@ def _slot_targets(chain: list[BlockId], tree: BlockTree) -> Callable[[int], Opti
     return lambda slot: last if slot >= last_slot else targets.get(slot)
 
 
-def settle_payoffs(trace: RunTrace, params: RewardParams) -> dict[int, Fraction]:
+def settle_payoffs(trace: RunTrace, params: RewardParams) -> SettledPayoffs:
     """Credit r per correct+timely included head vote, R to its includer.
 
     A counted record is judged once for all its voters, which share its
-    slot, target and inclusions: it credits r to each voter and R times its
-    span to the includer.  Returns every credited validator's amount, in
-    order of first credit.  A record included in several chain blocks is
-    credited at most once; it is known by its first voter and slot, since
-    the records of one run never share a voter.  All votes of one slot share
+    slot, target and inclusions: it credits r to its voters as one range and
+    R times its span to the includer.  Returns every credited validator's
+    amount as a read-only `SettledPayoffs`, in ascending index order, so a
+    run's settlement holds no per-validator container.  A record included
+    in several chain blocks is credited at most once; it is known by its
+    first voter and slot, since the records of one run never share a
+    voter.  All votes of one slot share
     one correctness target, so the targets come from one pass over the
     chain rather than one walk per vote.
     """
@@ -214,7 +267,7 @@ def settle_payoffs(trace: RunTrace, params: RewardParams) -> dict[int, Fraction]
                 continue
             credited.add(key)
             credit(vote.voters, ATTESTATION)
-            credit((includer,), INCLUSION, vote.span)
+            credit(range(includer, includer + 1), INCLUSION, vote.span)
     return ledger.payoffs
 
 

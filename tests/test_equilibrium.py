@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -427,7 +429,8 @@ def test_one_assumption_violated():
 # -- Table 1 at scale -------------------------------------------------------
 
 
-def check_table1(W: int, boost: int, credibility_assumed: bool, r: Fraction, name: str) -> None:
+def check_table1(W: int, boost: int, credibility_assumed: bool, r: Fraction, name: str,
+                 max_joint_actions: int = 10**6) -> None:
     """The payoffs `verify_nash` plays for a uniform simple profile are Table 1's closed form.
 
     The one class's first member plays each candidate; its base payoff and
@@ -446,13 +449,15 @@ def check_table1(W: int, boost: int, credibility_assumed: bool, r: Fraction, nam
         return result
 
     with mock.patch.object(equilibrium, "_deviate", recorded):
-        report = verify_nash(game, game.profile(name))
+        report = verify_nash(game, game.profile(name), max_joint_actions=max_joint_actions)
     base, deviated = closed_forms.simple_table1(config, name)
     first = game.committee.start
     assert played == [(first, label, base, deviated[label]) for label in ("C", "NC", "abstain")]
     gaining = [label for label in ("C", "NC", "abstain") if deviated[label] > base]
-    assert [(d.player, d.label, d.baseline, d.deviated) for d in report.deviations] == [
-        (p, label, base, deviated[label]) for p in game.committee for label in gaining]
+    # compared one by one, so a wide committee's report is not copied
+    assert len(report.deviations) == W * len(gaining)
+    assert all((d.player, d.label, d.baseline, d.deviated) == (p, label, base, deviated[label])
+               for d, (p, label) in zip(report.deviations, itertools.product(game.committee, gaining)))
     assert report.verdict is (Verdict.NOT_EQUILIBRIUM if gaining else Verdict.NASH)
     assert report.checked == 3 * W
 
@@ -468,11 +473,29 @@ def test_nash_payoffs_follow_table1(data, W, cred, r, name):
     check_table1(W, boost, cred, r, name)
 
 
-@given(data=st.data(), W=st.sampled_from([512, 1024, 4096]), cred=st.booleans(), r=REWARD,
-       name=UNIFORM)
+@given(data=st.data(), W=st.sampled_from([512, 1024, 4096, 2**16, 2**20]), cred=st.booleans(),
+       r=REWARD, name=UNIFORM)
 @settings(max_examples=10, deadline=None)
 def test_nash_payoffs_follow_table1_at_scale(data, W, cred, r, name):
-    # the verdicts flip at the boundaries of boost: 0, W - 1, W and W + 1
+    # the verdicts flip at the boundaries of boost: 0, W - 1, W and W + 1; the
+    # guard is raised to the 3 W candidates the check counts
     boost = data.draw(st.sampled_from([0, 1, W * 2 // 5, W - 1, W, W + 1]) | st.integers(0, W + 1),
                       label="boost")
-    check_table1(W, boost, cred, r, name)
+    check_table1(W, boost, cred, r, name, max_joint_actions=3 * W)
+
+
+def test_nash_at_scale_keeps_no_per_validator_state():
+    # the roster, the profile, each run's votes, emission guard, fork-choice
+    # store and settlement, and the players' payoffs are all runs of
+    # validators, so a check at W = 2^20 allocates a few kB, where one entry
+    # per validator would take hundreds of MB
+    W = 2**20
+    tracemalloc.start()
+    try:
+        game = SimpleGame(GameConfig(W, boost=W * 2 // 5))
+        report = verify_nash(game, game.profile("compliant-all"), max_joint_actions=3 * W)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is Verdict.NASH and report.checked == 3 * W
+    assert peak < 2 * 2**20

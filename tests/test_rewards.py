@@ -24,6 +24,7 @@ from reorglab.rewards import (
     Mechanism,
     PayoffLedger,
     RewardParams,
+    SettledPayoffs,
     TargetNotOnChainQueryable,
     ZeroStake,
     _slot_targets,
@@ -408,7 +409,46 @@ def test_settlement_has_one_home(monkeypatch):
     }
     game = SimpleGame(GameConfig(committee_size=4, boost=2))
     trace = game.run(game.profile("compliant-all")).trace
-    assert type(settle_payoffs(trace, RewardParams())) is dict
+    assert type(settle_payoffs(trace, RewardParams())) is SettledPayoffs
+
+
+class CountingUnit(Fraction):
+    """A reward unit that records each product taken of it."""
+
+    products: list = []
+
+    def __mul__(self, other):
+        CountingUnit.products.append(other)
+        return Fraction(self) * other
+
+
+def test_settled_payoffs_are_read_only_and_multiply_each_pair_once(monkeypatch):
+    # proposer 50 also votes, so the runs hold the pairs (1, 0), (1, 4), (0, 4) and (0, 2)
+    tree = make_tree([None])
+    chain = [0]
+    for slot, proposer, votes in [
+        (1, 50, [VoteRecord(0, 0, 0, span=4)]),
+        (2, 51, [VoteRecord(1, 10, 1, span=3), VoteRecord(1, 50, 1)]),
+        (3, 52, [VoteRecord(2, 20, 2, span=2)]),
+    ]:
+        block = Block(tree.new_id(), slot, chain[-1], Validator(proposer, RATIONAL),
+                      included_votes=tuple(votes))
+        tree.insert_block(block)
+        chain.append(block.id)
+    monkeypatch.setattr(CountingUnit, "products", [])
+    # with R = 1000 r, an amount tells its (r count, R count) pair apart
+    settled = settle_payoffs(_trace_for(tree, chain), RewardParams(CountingUnit(1), CountingUnit(1000)))
+    voter = next(iter(settled))
+    with pytest.raises(TypeError):
+        settled[voter] = Fraction(0)
+    with pytest.raises(TypeError):
+        del settled[voter]
+    assert not hasattr(settled, "update")
+    amounts = [settled[v] for v in settled] + [amount for _, amount in settled.items()]
+    pairs = len(set(amounts))
+    assert pairs == 4 and len(settled) == 12
+    # r and R each multiplied once per distinct pair, on its first read
+    assert len(CountingUnit.products) == 2 * pairs
 
 
 class TestAltairQuantification:

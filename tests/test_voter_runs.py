@@ -1,0 +1,185 @@
+"""The vote guards as runs of validators, against per-voter references.
+
+`Simulation.emit_vote` keeps the validators that voted, and
+`BlockTree.latest_votes` every voter it folded, as sorted, disjoint runs
+(`chain.VoterRuns`) that a record's range bisects.  The references here keep
+the same state one entry per voter, a dict and sets, and decide each record
+voter by voter.  Random records, and forks taken between them, must meet the
+same accept or refuse decision with the same message on both sides; the
+examples pin records that abut, straddle two earlier runs, fall inside a
+counted record or cover an earlier single voter, and that follow a fork.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from reorglab.chain import Block, BlockTree, OverlappingVote, Validator, VoterRuns, VoteRecord
+from reorglab.engine import InvalidAction, Simulation
+
+from conftest import RATIONAL, oracle_weight
+
+# a vote: ("vote", slot, first, span, branch); a fork: ("fork", branch), which
+# forks that branch into a new one; a branch is picked modulo their number
+SPANS = st.sampled_from([1, 1, 1, 2, 3, 4, 7, 12])
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("vote"), st.integers(0, 3), st.integers(0, 40), SPANS, st.integers(0, 7)),
+    st.tuples(st.just("fork"), st.integers(0, 7)),
+), min_size=1, max_size=30)
+
+ABUT = [("vote", 1, 10, 4, 0), ("vote", 1, 14, 2, 0), ("vote", 1, 8, 2, 0), ("vote", 2, 7, 1, 0),
+        ("vote", 1, 16, 1, 0)]
+STRADDLE = [("vote", 1, 10, 4, 0), ("vote", 2, 20, 4, 0), ("vote", 1, 12, 10, 0),
+            ("vote", 3, 14, 6, 0), ("vote", 3, 5, 30, 0)]
+INSIDE = [("vote", 1, 10, 4, 0), ("vote", 2, 12, 1, 0), ("vote", 2, 30, 1, 0),
+          ("vote", 3, 28, 4, 0), ("vote", 3, 30, 1, 0)]
+FORKED = [("vote", 1, 10, 4, 0), ("fork", 0), ("vote", 2, 14, 3, 1), ("vote", 2, 14, 3, 0),
+          ("vote", 1, 9, 2, 1), ("fork", 1), ("vote", 3, 16, 1, 2), ("vote", 3, 16, 1, 1)]
+
+
+class VotedReference:
+    """`Simulation`'s emission guard, one dict entry per voter that voted."""
+
+    def __init__(self, voted: Optional[dict[int, int]] = None):
+        self.voted = dict(voted or {})
+
+    def fork(self) -> VotedReference:
+        return VotedReference(self.voted)
+
+    def emit(self, slot: int, first: int, span: int) -> Optional[str]:
+        """The refusal message, or None after marking the record's voters."""
+        for v in range(first, first + span):
+            if v in self.voted:
+                return f"validator {v} already voted at slot {self.voted[v]}"
+        self.voted.update((v, slot) for v in range(first, first + span))
+        return None
+
+
+@given(ops=OPS)
+@example(ops=ABUT)
+@example(ops=STRADDLE)
+@example(ops=INSIDE)
+@example(ops=FORKED)
+@settings(max_examples=300, deadline=None)
+def test_emit_vote_guard_matches_the_per_voter_reference(ops):
+    branches = [(Simulation(boost=0), VotedReference())]
+    for op in ops:
+        if op[0] == "fork":
+            sim, ref = branches[op[1] % len(branches)]
+            branches.append((sim.fork(), ref.fork()))
+            continue
+        _, slot, first, span, pick = op
+        sim, ref = branches[pick % len(branches)]
+        want = ref.emit(slot, first, span)
+        try:
+            sim.emit_vote(slot, first, 0, span=span)
+            got = None
+        except InvalidAction as refused:
+            got = str(refused)
+        assert got == want
+    for sim, ref in branches:
+        # each branch sent exactly the votes its reference accepted
+        sent = {v: ev.message.slot for ev in sim.trace.events for v in ev.message.voters}
+        assert sent == ref.voted
+
+
+class LatestReference:
+    """`BlockTree.latest_votes`' fold, one entry per voter: its latest record, counted or not."""
+
+    def __init__(self):
+        self.latest: dict[int, VoteRecord] = {}
+        self.counted: set[int] = set()
+        self.error: Optional[str] = None
+
+    def fork(self) -> LatestReference:
+        copy = LatestReference()
+        copy.latest, copy.counted, copy.error = dict(self.latest), set(self.counted), self.error
+        return copy
+
+    def fold(self, v: VoteRecord) -> None:
+        if self.error is not None:
+            return
+        if v.span == 1:
+            if v.voter in self.counted:
+                self.error = f"validator {v.voter} already has a counted vote"
+                return
+            cur = self.latest.get(v.voter)
+            if cur is None or (v.slot, v.broadcast_time, -v.target) > (
+                    cur.slot, cur.broadcast_time, -cur.target):
+                self.latest[v.voter] = v
+            return
+        if any(u in self.latest for u in v.voters):
+            self.error = (f"the counted vote of validators {v.voter}..{v.voter + v.span - 1} "
+                          "covers a validator that already voted")
+            return
+        self.counted.update(v.voters)
+        self.latest.update(dict.fromkeys(v.voters, v))
+
+    def records(self) -> list[VoteRecord]:
+        """Each latest record once, in order of its first voter's first accepted record."""
+        out: list[VoteRecord] = []
+        for v in self.latest.values():
+            if not any(v is seen for seen in out):
+                out.append(v)
+        return out
+
+
+def small_tree() -> BlockTree:
+    tree = BlockTree()
+    for bid, slot, parent in [(0, 0, None), (1, 1, 0), (2, 2, 0), (3, 3, 1)]:
+        tree.insert_block(Block(bid, slot, parent, Validator(900 + bid, RATIONAL), parent is None))
+    return tree
+
+
+@given(ops=OPS, targets=st.lists(st.integers(0, 3), min_size=30, max_size=30))
+@example(ops=ABUT, targets=[1] * 30)
+@example(ops=STRADDLE, targets=[2, 3] * 15)
+@example(ops=INSIDE, targets=[3, 1, 2] * 10)
+@example(ops=FORKED, targets=[1, 2, 3] * 10)
+@settings(max_examples=300, deadline=None)
+def test_latest_votes_guard_matches_the_per_voter_reference(ops, targets):
+    branches = [(small_tree(), LatestReference())]
+    for n, op in enumerate(ops):
+        if op[0] == "fork":
+            tree, ref = branches[op[1] % len(branches)]
+            branches.append((tree.fork(), ref.fork()))
+            continue
+        _, slot, first, span, pick = op
+        tree, ref = branches[pick % len(branches)]
+        target = targets[n]
+        vote = VoteRecord(max(slot, tree.blocks[target].slot), first, target, n % 3, span)
+        tree.add_vote(vote)
+        ref.fold(vote)
+        try:
+            latest = tree.latest_votes()
+            got = None
+        except OverlappingVote as refused:
+            got = str(refused)
+        assert got == ref.error
+        if got is not None:
+            # a refused fold is not half kept: the next read raises the same
+            with pytest.raises(OverlappingVote) as again:
+                tree.latest_votes()
+            assert str(again.value) == got
+            continue
+        assert latest == ref.records()
+        for bid in tree.blocks:
+            assert tree.subtree_weight(bid, 3) == oracle_weight(tree, bid, 3, None, 0)
+
+
+def test_voter_runs_merge_and_find_the_smallest_covered():
+    runs = VoterRuns()
+    for first, stop, value in [(10, 14, 1), (20, 22, 2), (14, 16, 1), (8, 10, 1), (16, 20, 2)]:
+        runs.add(first, stop, value)
+    assert (runs.starts, runs.stops, runs.values) == ([8, 16], [16, 22], [1, 2])
+    assert runs.find(0, 8) is None and runs.find(22, 30) is None
+    assert runs.find(5, 9) == (8, 1)
+    assert runs.find(15, 40) == (15, 1)
+    assert runs.find(9, 9) is None  # no validator
+    copy = runs.copy()
+    copy.add(30, 31, 3)
+    assert runs.find(30, 31) is None and copy.find(29, 40) == (30, 3)
