@@ -13,9 +13,14 @@ carries aggregation bits over its committee.  The tree weighs a vote record
 by its span.  Latest messages stay exact because no validator is
 covered by two records when either is counted: `latest_votes` raises on
 such an overlap, while one-validator records keep the full LMD rule.  The
-fold holds every voter it has seen as sorted, disjoint runs (`VoterRuns`),
-which each record's range bisects, so the tree keeps no per-validator
-container and `fork` copies its store in O(records).
+fold holds every voter it has seen as runs, which each record's range
+bisects, so the tree keeps no per-validator container and `fork` copies its
+store in O(records).
+
+Every map over validators (a profile's labels, the vote guards, the settled
+payoffs) is one representation, defined here: a sorted tuple of disjoint,
+maximal `(first, span, value)` runs, which `fold`, `put`, `find` and `over`
+build, write, search and walk, never validator by validator.
 
 The fork choice keeps a store that is folded per write, as the spec's
 `store.latest_messages` is updated per attestation and proto-array moves
@@ -36,11 +41,12 @@ need determinism, not collision resistance.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Mapping, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Optional
 
 BlockId = int
 
@@ -188,51 +194,74 @@ class Block:
         return index
 
 
-class VoterRuns:
-    """Validators as sorted, disjoint runs `first` .. `stop - 1`, each holding one value.
+Run = tuple[int, int, object]  # (first, span, value): validators first .. first + span - 1 hold value
+_FIRST = itemgetter(0)
 
-    Two runs that meet with one value are merged.  A query bisects the runs
-    and an insertion shifts them, so neither touches a validator one by one,
-    and `copy` is O(runs).
-    """
 
-    __slots__ = ("starts", "stops", "values")
-
-    def __init__(self, starts=(), stops=(), values=()):
-        self.starts, self.stops, self.values = list(starts), list(stops), list(values)
-
-    def copy(self) -> VoterRuns:
-        return VoterRuns(self.starts, self.stops, self.values)
-
-    def find(self, first: int, stop: int) -> Optional[tuple[int, object]]:
-        """The smallest of validators `first` .. `stop - 1` that a run covers, and that run's value.
-
-        None when no run covers any of them, or they are none.
-        """
-        if first >= stop:
-            return None
-        starts = self.starts
-        i = bisect_right(starts, first)  # the runs from `i` on start past `first`
-        if i and self.stops[i - 1] > first:
-            return first, self.values[i - 1]
-        if i < len(starts) and starts[i] < stop:
-            return starts[i], self.values[i]
-        return None
-
-    def add(self, first: int, stop: int, value: object = None) -> None:
-        """Cover validators `first` .. `stop - 1`, which no run covers yet, with `value`."""
-        starts, stops, values = self.starts, self.stops, self.values
-        i = bisect_right(starts, first)
-        if i and stops[i - 1] == first and values[i - 1] == value:
-            i -= 1
-            stops[i] = stop
+def fold(pieces: Iterable[Run]) -> tuple[Run, ...]:
+    """Sorted, disjoint pieces as maximal runs: two that meet with one value become one."""
+    runs: list[Run] = []
+    for first, span, value in pieces:
+        if runs and runs[-1][2] == value and runs[-1][0] + runs[-1][1] == first:
+            runs[-1] = (runs[-1][0], runs[-1][1] + span, value)
         else:
-            starts.insert(i, first)
-            stops.insert(i, stop)
-            values.insert(i, value)
-        if i + 1 < len(starts) and starts[i + 1] == stop and values[i + 1] == value:
-            stops[i] = stops.pop(i + 1)
-            del starts[i + 1], values[i + 1]
+            runs.append((first, span, value))
+    return tuple(runs)
+
+
+def put(runs: tuple[Run, ...], first: int, span: int, value: object) -> tuple[Run, ...]:
+    """`runs` with validators `first` .. `first + span - 1` holding `value`, over whatever they held.
+
+    Only the runs the range touches or meets are cut and joined again; a
+    range past the last run, the common case, needs no bisect.
+    """
+    last_first, last_span, last_value = runs[-1] if runs else (first, 0, value)
+    if last_first + last_span <= first:
+        if last_first + last_span == first and last_value == value:
+            return (*runs[:-1], (last_first, last_span + span, value))
+        return (*runs, (first, span, value))
+    stop = first + span
+    i = bisect_left(runs, first, key=_FIRST)  # the runs from `i` on start at or past `first`
+    lo = i - 1 if i and runs[i - 1][0] + runs[i - 1][1] >= first else i
+    hi = bisect_right(runs, stop, lo=i, key=_FIRST)  # runs[lo:hi] touch or meet the range
+    pieces = [(first, span, value)]
+    if lo < hi and runs[lo][0] < first:  # the first of them may start before the range
+        pieces.insert(0, (runs[lo][0], first - runs[lo][0], runs[lo][2]))
+    if lo < hi and runs[hi - 1][0] + runs[hi - 1][1] > stop:  # and the last end past it
+        pieces.append((stop, runs[hi - 1][0] + runs[hi - 1][1] - stop, runs[hi - 1][2]))
+    return runs[:lo] + fold(pieces) + runs[hi:]
+
+
+def find(runs: tuple[Run, ...], first: int, stop: int) -> Optional[tuple[int, object]]:
+    """The smallest of validators `first` .. `stop - 1` that a run covers, and that run's value.
+
+    None when no run covers any of them, or they are none.
+    """
+    i = bisect_right(runs, first, key=_FIRST)  # the runs from `i` on start past `first`
+    if i and first < stop and runs[i - 1][0] + runs[i - 1][1] > first:
+        return first, runs[i - 1][2]
+    if i < len(runs) and runs[i][0] < stop:
+        return runs[i][0], runs[i][2]
+    return None
+
+
+def over(runs: tuple[Run, ...], first: int, stop: int) -> Iterator[Run]:
+    """The runs across validators `first` .. `stop - 1`, clipped to them, in index order.
+
+    They cover the range exactly: a stretch no run covers comes as a run
+    holding None.
+    """
+    for start, span, value in runs[bisect_right(runs, first, key=lambda run: run[0] + run[1]):]:
+        if start >= stop or first >= stop:  # past the range, or it is empty
+            break
+        if start > first:
+            yield first, start - first, None
+            first = start
+        end = start + span if start + span < stop else stop
+        yield first, end - first, value
+        first = end
+    if first < stop:
+        yield first, stop - first, None
 
 
 class TieBreakPolicy(enum.Enum):
@@ -255,7 +284,8 @@ class BlockTree:
     The fork choice reads a store of three private maps, which
     `latest_votes` folds from what was written since the last read: the
     latest-message map, the LMD subtree weights and the adversary
-    tie-break keys.  The fold edits them in place, so `fork` copies them.
+    tie-break keys.  The fold edits them in place, so `fork` copies them;
+    the runs of folded voters are a tuple, which it shares.
     """
 
     blocks: dict[BlockId, Block] = field(default_factory=dict)
@@ -268,7 +298,7 @@ class BlockTree:
     # the latest record per first voter, and every voter of any record as
     # runs, folded from the first `_folded_votes` records of `_folded_list`
     _latest: dict[int, VoteRecord] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _covered: VoterRuns = field(default_factory=VoterRuns, init=False, repr=False, compare=False)
+    _covered: tuple[Run, ...] = field(default=(), init=False, repr=False, compare=False)
     _folded_list: Optional[list[VoteRecord]] = field(default=None, init=False, repr=False, compare=False)
     _folded_votes: int = field(default=0, init=False, repr=False, compare=False)
     # the LMD subtree weights of those records, and the latest adversarial
@@ -286,12 +316,12 @@ class BlockTree:
         """A copy to write to independently of this tree.
 
         The containers are copied and the blocks and votes, which nothing
-        writes to, are shared.  The fold edits the store's maps in place, so
-        they are copied too: the tie-break keys always, and the latest
-        messages and subtree weights, keyed to the copy's `votes` list, when
-        they were folded from this tree's list.  Otherwise (the list was
-        replaced, or its fold raised) the copy folds its votes from the
-        start, as this tree would.
+        writes to, are shared, as are the runs of folded voters.  The fold
+        edits the store's maps in place, so they are copied: the tie-break
+        keys always, and the latest messages and subtree weights, keyed to
+        the copy's `votes` list, when they were folded from this tree's
+        list.  Otherwise (the list was replaced, or its fold raised) the
+        copy folds its votes from the start, as this tree would.
         """
         votes = list(self.votes)
         tree = BlockTree(
@@ -304,7 +334,7 @@ class BlockTree:
         )
         tree._adv, tree._folded_blocks = dict(self._adv), self._folded_blocks
         if self._folded_list is self.votes:
-            tree._latest, tree._covered = dict(self._latest), self._covered.copy()
+            tree._latest, tree._covered = dict(self._latest), self._covered
             tree._lmd, tree._folded_list, tree._folded_votes = dict(self._lmd), votes, self._folded_votes
         return tree
 
@@ -369,7 +399,7 @@ class BlockTree:
         its voters has that record as its only message, so a record that
         covers a voter some other record covers, where either is counted,
         raises `OverlappingVote`: every voter folded so far is held as runs
-        (`VoterRuns`), which a record's range bisects, not per voter.
+        (`put`), which a record's range bisects (`find`), not per voter.
 
         Only what was written since the last fold is folded.  A new block
         enters with weight 0 and pushes its adversarial slot up its
@@ -383,7 +413,7 @@ class BlockTree:
         """
         blocks, votes = self.blocks, self.votes
         if votes is not self._folded_list or len(votes) < self._folded_votes:
-            self._latest, self._covered, self._lmd = {}, VoterRuns(), dict.fromkeys(blocks, 0)
+            self._latest, self._covered, self._lmd = {}, (), dict.fromkeys(blocks, 0)
             self._folded_list, self._folded_votes = votes, 0
         lmd, adv = self._lmd, self._adv
         # insertion order puts every parent before its children
@@ -409,8 +439,8 @@ class BlockTree:
             for v in votes[self._folded_votes:]:
                 if v.span == 1:
                     cur = best.get(v.voter)
-                    if cur is None and covered.find(v.voter, v.voter + 1) is None:
-                        covered.add(v.voter, v.voter + 1)
+                    if cur is None and find(covered, v.voter, v.voter + 1) is None:
+                        covered = put(covered, v.voter, 1, None)
                         lift(v.target, 1)
                     elif cur is None or cur.span > 1:
                         raise OverlappingVote(f"validator {v.voter} already has a counted vote")
@@ -425,18 +455,18 @@ class BlockTree:
                         lift(v.target, 1)
                     best[v.voter] = v
                 else:
-                    if covered.find(v.voter, v.voter + v.span) is not None:
+                    if find(covered, v.voter, v.voter + v.span) is not None:
                         raise OverlappingVote(
                             f"the counted vote of validators {v.voter}..{v.voter + v.span - 1} "
                             "covers a validator that already voted"
                         )
-                    covered.add(v.voter, v.voter + v.span)
+                    covered = put(covered, v.voter, v.span, None)
                     best[v.voter] = v
                     lift(v.target, v.span)
         except OverlappingVote:
             self._folded_list = None  # the next call folds from the start, and raises again
             raise
-        self._folded_votes = len(votes)
+        self._covered, self._folded_votes = covered, len(votes)
         return list(best.values())
 
     def store(self) -> tuple[dict[BlockId, int], dict[BlockId, int]]:

@@ -19,19 +19,19 @@ one counted record too, rendered as one line per signer per vote it signs.
 So the exported trace reads as if every validator had sent its own
 messages.  No validator votes twice in a run: `emit_vote` refuses a record
 that covers a validator that already voted, which is what keeps the counted
-latest-message fold exact.  The validators that voted are held as sorted,
-disjoint runs (chain.py's `VoterRuns`), checked by bisect and copied per
-`fork` in O(runs), and the settled payoffs are a read-only mapping over runs
-(rewards.py's `SettledPayoffs`), so a run holds no per-validator container.
+latest-message fold exact.  The validators that voted are held as runs
+(chain.py's `put` and `find`), which a `fork` shares, and the settled
+payoffs are a read-only mapping over runs (rewards.py's `SettledPayoffs`),
+so a run holds no per-validator container.
 
 Agents act through a StrategyProfile that names one candidate action per
 decision point by its label.  A decision point is its (slot, role, actor)
 key: a `DecisionPoint` equals and hashes as that plain tuple.  A profile
 holds its labels as runs: for each (slot, role), the maximal runs of
-consecutive validators that play one label.  A script reads a committee's
-labels run by run (`StrategyProfile.over`) and a single actor's by its key
-(`StrategyProfile.get`), so a run builds no `DecisionPoint` and reads no
-label per voter.  A validator is its index; only a block's proposer is a
+consecutive validators that play one label (chain.py's runs).  A script
+reads a committee's labels run by run (`StrategyProfile.over`) and a single
+actor's by its key (`StrategyProfile.get`), so a run builds no
+`DecisionPoint` and reads no label per voter.  A validator is its index; only a block's proposer is a
 `Validator`.  The records built per message (`TraceEvent`, and chain.py's
 `VoteRecord`, `EvidenceRecord`, `Validator`) are frozen and slotted.  A game
 is a straight-line script over one Simulation: it advances the clock to the
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import enum
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -64,11 +63,15 @@ from .chain import (
     BlockId,
     BlockTree,
     EvidenceRecord,
+    Run,
     TieBreakPolicy,
     Validator,
     ValidatorKind,
     VoteRecord,
-    VoterRuns,
+    find,
+    fold,
+    over,
+    put,
 )
 
 
@@ -167,40 +170,6 @@ class Abstain:
     pass
 
 
-Run = tuple[int, int, str]  # (first, span, label): validators first .. first + span - 1 play label
-_FIRST = itemgetter(0)
-
-
-def _fold(pieces) -> tuple[Run, ...]:
-    """Sorted, disjoint pieces as maximal runs: two that meet with one label become one."""
-    runs: list[Run] = []
-    for first, span, label in pieces:
-        if runs:
-            last_first, last_span, last_label = runs[-1]
-            if last_label == label and last_first + last_span == first:
-                runs[-1] = (last_first, last_span + span, label)
-                continue
-        runs.append((first, span, label))
-    return tuple(runs)
-
-
-def _overlay(old: tuple[Run, ...], new: tuple[Run, ...]) -> tuple[Run, ...]:
-    """The runs `old` with the sorted, disjoint runs `new` played over them."""
-    stops = [first + span for first, span, _ in new]
-    kept: list[Run] = []
-    for first, span, label in old:
-        start, stop = first, first + span
-        k = bisect_right(stops, start)
-        while k < len(new) and new[k][0] < stop:
-            if start < new[k][0]:
-                kept.append((start, new[k][0] - start, label))
-            start = max(start, stops[k])
-            k += 1
-        if start < stop:
-            kept.append((start, stop - start, label))
-    return _fold(sorted(kept + list(new), key=_FIRST))
-
-
 def _runs_of(assignment: Mapping) -> dict[tuple[int, Role], tuple[Run, ...]]:
     """The runs of `assignment`, by (slot, role); a later key wins where two overlap.
 
@@ -213,14 +182,13 @@ def _runs_of(assignment: Mapping) -> dict[tuple[int, Role], tuple[Run, ...]]:
             pieces.setdefault((slot, role), []).append((first, span, label))
     out = {}
     for seat, seq in pieces.items():
-        ordered = sorted(seq, key=_FIRST)
+        ordered = sorted(seq, key=itemgetter(0))
         if all(a[0] + a[1] <= b[0] for a, b in zip(ordered, ordered[1:])):
-            out[seat] = _fold(ordered)
+            out[seat] = fold(ordered)
         else:  # overlapping keys: each plays over the ones before it
-            runs: tuple[Run, ...] = ()
+            out[seat] = ()
             for piece in seq:
-                runs = _overlay(runs, (piece,))
-            out[seat] = runs
+                out[seat] = put(out[seat], *piece)
     return out
 
 
@@ -252,35 +220,16 @@ class StrategyProfile:
     def get(self, dp: tuple[int, Role, int]) -> Optional[str]:
         """The label of one decision point, by its (slot, role, actor) key: a bisect over its runs."""
         slot, role, actor = dp
-        runs = self.runs.get((slot, role))
-        if runs:
-            i = bisect_right(runs, actor, key=_FIRST) - 1  # the last run starting at or before `actor`
-            if i >= 0 and actor < runs[i][0] + runs[i][1]:
-                return runs[i][2]
-        return None
+        hit = find(self.runs.get((slot, role), ()), actor, actor + 1)
+        return None if hit is None else hit[1]
 
-    def over(self, slot: int, role: Role, voters: range) -> Iterator[tuple[int, int, Optional[str]]]:
+    def over(self, slot: int, role: Role, voters: range) -> Iterator[Run]:
         """The runs of (slot, role) across `voters`, clipped to it, in index order.
 
         They cover `voters` exactly: a stretch no run covers comes as a run
         labelled None.
         """
-        runs = self.runs.get((slot, role), ())
-        pos, stop = voters.start, voters.stop
-        after = bisect_right(runs, pos, key=_FIRST)  # the runs from `after` on start past `pos`
-        for first, span, label in runs[after - 1 if after else 0:]:
-            if first >= stop:
-                break
-            end = first + span if first + span < stop else stop
-            if end <= pos:
-                continue
-            if first > pos:
-                yield pos, first - pos, None
-                pos = first
-            yield pos, end - pos, label
-            pos = end
-        if pos < stop:
-            yield pos, stop - pos, None
+        return over(self.runs.get((slot, role), ()), voters.start, voters.stop)
 
     @property
     def actions(self) -> Mapping[DecisionPoint, str]:
@@ -303,7 +252,8 @@ class StrategyProfile:
         """
         runs = dict(self.runs)
         for seat, new in _runs_of(assignment).items():
-            runs[seat] = _overlay(runs.get(seat, ()), new)
+            for piece in new:
+                runs[seat] = put(runs.get(seat, ()), *piece)
         return StrategyProfile(runs=runs)
 
     def __eq__(self, other: object) -> bool:
@@ -415,7 +365,7 @@ class Simulation:
         self.trace = RunTrace(tree=self.tree)
         self.tick = 0
         self._head: Optional[BlockId] = None  # the tick's head; None when no tick is in progress
-        self._voted = VoterRuns()  # the validators that voted, as runs holding their vote's slot
+        self._voted: tuple[Run, ...] = ()  # the validators that voted, as runs holding their vote's slot
         self._proposed: dict[tuple[int, int], BlockId] = {}
 
     def fork(self) -> Simulation:
@@ -423,8 +373,8 @@ class Simulation:
 
         Every container is copied: the tree (`BlockTree.fork`), the pending
         queue, the delivered evidences, the trace's events and tips, and the
-        emission guards, the voted runs in O(runs).  The messages and the
-        settled payoffs, which nothing writes to, are shared.
+        proposal guard.  The messages, the voted runs and the settled
+        payoffs, which nothing writes to, are shared.
         """
         sim = Simulation(self.boost, self.tie_break)
         sim.tree = self.tree.fork()
@@ -436,7 +386,7 @@ class Simulation:
             dict(t.labels), t.payoffs,
         )
         sim.tick, sim._head = self.tick, self._head
-        sim._voted, sim._proposed = self._voted.copy(), dict(self._proposed)
+        sim._voted, sim._proposed = self._voted, dict(self._proposed)
         return sim
 
     # -- message emission ------------------------------------------------
@@ -471,12 +421,12 @@ class Simulation:
         early release, which leave its voters free to vote.  The voters are
         checked and marked as one range against the runs of those that voted.
         """
-        hit = self._voted.find(voter, voter + span)
+        hit = find(self._voted, voter, voter + span)
         if hit is not None:
             raise InvalidAction(f"validator {hit[0]} already voted at slot {hit[1]}")
         vote = VoteRecord(slot, voter, target, self.tick if release is None else release, span)
         self._send("vote", vote, vote.broadcast_time)
-        self._voted.add(voter, voter + span, slot)
+        self._voted = put(self._voted, voter, span, slot)
         return vote
 
     def emit_evidence(self, ev: EvidenceRecord, release: Optional[int] = None) -> None:

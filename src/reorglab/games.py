@@ -45,6 +45,8 @@ from .chain import (
     ValidatorKind,
     VoteRecord,
     detect_reorg,
+    fold,
+    over,
 )
 from .compliance import ComplianceTracker
 from .engine import (
@@ -242,28 +244,15 @@ class GameModel:
         return tuple(DecisionPoint(slot, role, v) for slot, role, actors in self.groups for v in actors)
 
     @cached_property
-    def _roster(self) -> tuple[tuple[Optional[int], Optional[Role], Sequence[PlayerId]], ...]:
+    def _roster(self) -> tuple[tuple[int, Role, range], ...]:
         """The solo players in decision-point order, as (slot, role, members) pieces.
 
-        Runs of a group's actors stop at pool members and at players seated
-        more than once; each of the latter is a piece `(None, None, (player,))`.
+        Each group's actors cut at the runs of pool members.  No game seats
+        a validator in two groups, so each solo player is in one piece.
         """
-        pooled = frozenset().union(*self.pools.values())
-        several = {v for (*_, a), (*_, b) in itertools.combinations(self.groups, 2)
-                   if a.start < b.stop and b.start < a.stop
-                   for v in range(max(a.start, b.start), min(a.stop, b.stop))} - pooled
-        pieces: list = []
-        for slot, role, actors in self.groups:
-            start = actors.start
-            for v in sorted(v for v in pooled | several if v in actors):
-                if start < v:
-                    pieces.append((slot, role, range(start, v)))
-                if v in several and all(v not in members for *_, members in pieces):
-                    pieces.append((None, None, (v,)))
-                start = v + 1
-            if start < actors.stop:
-                pieces.append((slot, role, range(start, actors.stop)))
-        return tuple(pieces)
+        pooled = fold((v, 1, True) for v in sorted(frozenset().union(*self.pools.values())))
+        return tuple((slot, role, range(first, first + span)) for slot, role, actors in self.groups
+                     for first, span, pool in over(pooled, actors.start, actors.stop) if pool is None)
 
     def solo_players(self) -> list[PlayerId]:
         """The players that are no pool, in decision-point order."""
@@ -297,16 +286,13 @@ class GameModel:
         members of one slot and role differ in nothing but their index, so
         each run of `profile` over the roster's solo players that plays a
         candidate label is a range of members of the class
-        `((slot, role, label),)`.  Any other player (a pool; a solo player
-        seated more than once, or whose label is missing or no candidate) is
-        its own class.  The Tendermint games read their rational validators
-        only as sets, so they take this key too.
+        `((slot, role, label),)`.  Any other player (a pool, or a solo player
+        whose label is missing or no candidate) is its own class.  The
+        Tendermint games read their rational validators only as sets, so
+        they take this key too.
         """
         runs: list[tuple[object, Sequence[PlayerId]]] = []
         for slot, role, members in self._roster:
-            if slot is None:
-                runs.append((members[0], members))
-                continue
             table = self.CANDIDATES[role]
             for first, span, label in profile.over(slot, role, members):
                 if label in table:
@@ -442,28 +428,6 @@ def _open_chain(config: GameConfig, seeded: dict, start: int = 0) -> Checkpoint:
     return Checkpoint(start, sim, tuple(blocks))
 
 
-def _runs(cast: Iterable[tuple[int, int, Optional[BlockId]]]) -> Iterator[tuple[int, BlockId, int]]:
-    """The maximal runs of consecutive validators voting for one target, as (first, target, span).
-
-    `cast` gives runs `(first, span, target)` in index order, a None target
-    casting nothing.  A committee is a range of consecutive indices, so
-    sending one counted record per run, in run order, sends its votes in
-    the order one record per voter would.
-    """
-    span = 0
-    for index, length, voted in cast:
-        if voted is None:
-            continue
-        if span and voted == target and index == first + span:
-            span += length
-            continue
-        if span:
-            yield first, target, span
-        first, target, span = index, voted, length
-    if span:
-        yield first, target, span
-
-
 # `_attest`'s label for a scripted voter, which votes the tip
 _SCRIPTED = object()
 
@@ -477,8 +441,8 @@ def _attest(game: GameModel, sim: Simulation, profile, slot: int, voters: range,
     Scripted voters, passed with `profile` None, vote the tip.  Actions
     other than votes, and a missing label, cast nothing.  The tick's head is
     fixed while the tick runs, so each distinct action's target is resolved
-    once per phase, and each run of consecutive voters with one target
-    sends one counted vote (`_runs`).
+    once per phase, and each maximal run of consecutive voters with one
+    target sends one counted vote (chain.py's `fold` of the runs that cast).
     """
     table = game.CANDIDATES[Role.ATTESTOR]
     labelled = (profile.over(slot, Role.ATTESTOR, voters) if profile is not None
@@ -489,8 +453,9 @@ def _attest(game: GameModel, sim: Simulation, profile, slot: int, voters: range,
         if label not in targets:
             act = VoteFor(Tip()) if label is _SCRIPTED else table.get(label)
             targets[label] = sim.resolve(act.target, compliant_tip) if isinstance(act, VoteFor) else None
-        cast.append((first, span, targets[label]))
-    for first, target, span in _runs(cast):
+        if targets[label] is not None:
+            cast.append((first, span, targets[label]))
+    for first, span, target in fold(cast):
         sim.emit_vote(slot, first, target, span=span)
 
 
@@ -988,7 +953,7 @@ class SelfishMiningGame(_ConditionedGame):
 
         The attestors whose profile label names FollowRule withheld their
         votes; each now votes the staged block before its adversarial slot,
-        one counted vote per run of consecutive followers (`_runs`).
+        one counted vote per maximal run of consecutive followers (`fold`).
         Everything surfaces together before 3(p+1)+1.  Returns the fork's
         block ids and the number of compliant votes it carries.
         """
@@ -999,11 +964,12 @@ class SelfishMiningGame(_ConditionedGame):
         compliant_votes = 0
         for s_i in self.adv_slots:
             voters = self.committees[s_i - 1]
-            follows = ((first, span, parent if isinstance(table.get(label), FollowRule) else None)
-                       for first, span, label in profile.over(s_i - 1, Role.ATTESTOR, voters))
+            follows = fold((first, span, parent)
+                           for first, span, label in profile.over(s_i - 1, Role.ATTESTOR, voters)
+                           if isinstance(table.get(label), FollowRule))
             votes = [
                 sim.emit_vote(s_i - 1, first, target, publish, span)
-                for first, target, span in _runs(follows)
+                for first, span, target in follows
             ]
             compliant_votes += sum(v.span for v in votes)
             parent = sim.propose(s_i, parent, self.adversary, votes=votes, release=publish).id

@@ -17,10 +17,11 @@ A counted vote record (chain.py) is judged as it stands: its voters share
 its slot, target, inclusions and signers, so every test here answers for
 all of them at once, and settlement pays each of them.  Settlement holds no
 per-validator container either: the ledger appends one run of validators
-per credited record (`PayoffLedger`), and `settle_payoffs` returns the
-amounts as a read-only mapping over runs of validators with one count pair
-(`SettledPayoffs`), which multiplies each distinct pair out once, on first
-read.  So settling a run costs O(records), whatever the committee size.
+per credited record and one per block's includer (`PayoffLedger`), and
+`settle_payoffs` returns the amounts as a read-only mapping over chain.py's
+runs of validators, each holding one count pair (`SettledPayoffs`), which
+multiplies each distinct pair out once, on first read.  So settling a run
+costs O(records), whatever the committee size.
 
 DAG settlement is O(1) per vote in W: the next-slot test asks the block's
 vote set (`Block.included_vote_set`), and the signer count reads the one
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .chain import Block, BlockId, BlockTree, VoteRecord, VoterRuns
+from .chain import Block, BlockId, BlockTree, Run, VoteRecord, find, fold
 from .engine import RunTrace
 
 
@@ -84,22 +85,21 @@ class SettledPayoffs(Mapping):
     """A run's settled amounts by validator: read-only, held as runs of validators.
 
     Each run of consecutive validators credited one (r count, R count) pair
-    is one run of a `VoterRuns`, so the mapping holds no entry per
-    validator.  An amount is `r * (r count) + R * (R count)`, multiplied out
-    once per distinct pair, when first read.  The keys are every credited
-    validator, in ascending index order; one counted only in units of 0
-    keeps its key, with amount 0.  Nothing writes to it.
+    is one `(first, span, pair)` run (chain.py), so the mapping holds no
+    entry per validator.  An amount is `r * (r count) + R * (R count)`,
+    multiplied out once per distinct pair, when first read.  The keys are
+    every credited validator, in ascending index order; one counted only in
+    units of 0 keeps its key, with amount 0.  Nothing writes to it.
     """
 
-    __slots__ = ("_runs", "_r", "_R", "_amounts", "_len")
+    __slots__ = ("_runs", "_r", "_R", "_amounts")
 
-    def __init__(self, runs: VoterRuns, r: Fraction, R: Fraction):
+    def __init__(self, runs: tuple[Run, ...], r: Fraction, R: Fraction):
         self._runs, self._r, self._R = runs, r, R
         self._amounts: dict[tuple[int, int], Fraction] = {}
-        self._len = sum(stop - first for first, stop in zip(runs.starts, runs.stops))
 
     def __getitem__(self, validator: int) -> Fraction:
-        hit = self._runs.find(validator, validator + 1) if isinstance(validator, int) else None
+        hit = find(self._runs, validator, validator + 1) if isinstance(validator, int) else None
         if hit is None:
             raise KeyError(validator)
         pair = hit[1]
@@ -109,11 +109,11 @@ class SettledPayoffs(Mapping):
         return amount
 
     def __iter__(self) -> Iterator[int]:
-        for first, stop in zip(self._runs.starts, self._runs.stops):
-            yield from range(first, stop)
+        for first, span, _ in self._runs:
+            yield from range(first, first + span)
 
     def __len__(self) -> int:
-        return self._len
+        return sum(span for _, span, _ in self._runs)
 
     def __repr__(self) -> str:
         return f"SettledPayoffs({dict(self)!r})"
@@ -121,7 +121,7 @@ class SettledPayoffs(Mapping):
 
 @dataclass
 class PayoffLedger:
-    """Head-vote credits being settled: one run of validators per credited record.
+    """Head-vote credits being settled: one run of validators per credit.
 
     Every credit is a whole number of r (correct, timely votes) or of R
     (their inclusion) for each validator of a range, so the ledger appends
@@ -152,15 +152,15 @@ class PayoffLedger:
                 delta = deltas.setdefault(edge, [0, 0, 0])
                 delta[0] += sign
                 delta[1 + unit] += sign * times
-        runs = VoterRuns()
+        pieces = []
         cover = r = R = 0
         edges = sorted(deltas)
         for edge, after in zip(edges, edges[1:]):
             d_cover, d_r, d_R = deltas[edge]
             cover, r, R = cover + d_cover, r + d_r, R + d_R
             if cover:
-                runs.add(edge, after, (r, R))
-        return SettledPayoffs(runs, self.r, self.R)
+                pieces.append((edge, after - edge, (r, R)))
+        return SettledPayoffs(fold(pieces), self.r, self.R)
 
 
 def correctness_target(chain: list[BlockId], tree: BlockTree, slot: int) -> Optional[BlockId]:
@@ -231,15 +231,15 @@ def settle_payoffs(trace: RunTrace, params: RewardParams) -> SettledPayoffs:
     """Credit r per correct+timely included head vote, R to its includer.
 
     A counted record is judged once for all its voters, which share its
-    slot, target and inclusions: it credits r to its voters as one range and
-    R times its span to the includer.  Returns every credited validator's
-    amount as a read-only `SettledPayoffs`, in ascending index order, so a
-    run's settlement holds no per-validator container.  A record included
-    in several chain blocks is credited at most once; it is known by its
-    first voter and slot, since the records of one run never share a
-    voter.  All votes of one slot share
-    one correctness target, so the targets come from one pass over the
-    chain rather than one walk per vote.
+    slot, target and inclusions: it credits r to its voters as one range.
+    A block's includer is credited once, R times the summed span of the
+    block's credited records.  Returns every credited validator's amount as
+    a read-only `SettledPayoffs`, in ascending index order, so a run's
+    settlement holds no per-validator container.  A record included in
+    several chain blocks is credited at most once; it is known by its first
+    voter and slot, since the records of one run never share a voter.  All
+    votes of one slot share one correctness target, so the targets come
+    from one pass over the chain rather than one walk per vote.
     """
     ledger = PayoffLedger(params.r, params.R)
     credit = ledger.credit
@@ -250,7 +250,7 @@ def settle_payoffs(trace: RunTrace, params: RewardParams) -> SettledPayoffs:
     credited: set[tuple[int, int]] = set()
     for bid in chain:
         block = tree.blocks[bid]
-        includer = block.proposer.index
+        included = 0  # the voters of the block's credited records
         for vote in block.included_votes:
             key = (vote.voter, vote.slot)
             if key in credited:
@@ -267,7 +267,10 @@ def settle_payoffs(trace: RunTrace, params: RewardParams) -> SettledPayoffs:
                 continue
             credited.add(key)
             credit(vote.voters, ATTESTATION)
-            credit(range(includer, includer + 1), INCLUSION, vote.span)
+            included += vote.span
+        if included:
+            includer = block.proposer.index
+            credit(range(includer, includer + 1), INCLUSION, included)
     return ledger.payoffs
 
 

@@ -8,7 +8,7 @@ decision points.  `reference_nash` and `reference_spne` are the unilateral
 Nash pass and the SPNE check over that key.  `DictProfile.over` reads one
 label per voter, so a game script plays a `DictProfile` the way it played a
 per-point profile, one label read per voter and one piece per voter, which
-`_runs` folds into the same counted records.
+`chain.fold` joins into the same counted records.
 """
 
 from __future__ import annotations

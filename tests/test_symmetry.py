@@ -12,6 +12,7 @@ profiles of every engine game, pools and both tie-break policies included,
 and of both Tendermint games, whose rational validators take the same key.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -247,3 +248,19 @@ def test_withholding_with_every_rational_validator_open_raises_on_both_sides():
         verify_nash(WithholdingGame(2, 1, Fraction(1)), profile)
     with pytest.raises(AssumptionViolated, match="quorum"):
         full_nash(WithholdingGame(2, 1, Fraction(1)), profile)
+
+
+# -- the roster ---------------------------------------------------------------
+
+
+@given(game=games() | tendermint_games().map(lambda make: make()))
+@settings(max_examples=150, deadline=None)
+def test_groups_are_disjoint_and_list_each_player_once(game):
+    # `_roster` cuts each group at the pools' members alone, which is sound
+    # because no game seats a validator in two groups
+    for (*_, a), (*_, b) in itertools.combinations(game.groups, 2):
+        assert a.stop <= b.start or b.stop <= a.start
+    pooled = frozenset().union(*game.pools.values())
+    solo = [dp.actor for dp in game.points if dp.actor not in pooled]
+    assert len(set(solo)) == len(solo)
+    assert game.players() == [*solo, *game.pools]

@@ -1,24 +1,31 @@
-"""The vote guards as runs of validators, against per-voter references.
+"""Runs of validators, and the vote guards held as runs, against per-voter references.
 
+chain.py's run operations (`fold`, `put`, `find`, `over`) are checked
+against a dict with one entry per validator: random writes keep the runs
+sorted, disjoint and maximal, and every read answers as the dict does.
 `Simulation.emit_vote` keeps the validators that voted, and
-`BlockTree.latest_votes` every voter it folded, as sorted, disjoint runs
-(`chain.VoterRuns`) that a record's range bisects.  The references here keep
-the same state one entry per voter, a dict and sets, and decide each record
-voter by voter.  Random records, and forks taken between them, must meet the
-same accept or refuse decision with the same message on both sides; the
-examples pin records that abut, straddle two earlier runs, fall inside a
-counted record or cover an earlier single voter, and that follow a fork.
+`BlockTree.latest_votes` every voter it folded, as such runs, which a
+record's range bisects.  The references here keep the same state one entry
+per voter, a dict and sets, and decide each record voter by voter.  Random
+records, and forks taken between them, must meet the same accept or refuse
+decision with the same message on both sides; the examples pin records that
+abut, straddle two earlier runs, fall inside a counted record or cover an
+earlier single voter, and that follow a fork.  A fork shares the guards
+until one side writes.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
 from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reorglab.chain import Block, BlockTree, OverlappingVote, Validator, VoterRuns, VoteRecord
+import reorglab
+from reorglab.chain import Block, BlockTree, OverlappingVote, Validator, VoteRecord, find, fold, over, put
 from reorglab.engine import InvalidAction, Simulation
 
 from conftest import RATIONAL, oracle_weight
@@ -172,14 +179,93 @@ def test_latest_votes_guard_matches_the_per_voter_reference(ops, targets):
 
 
 def test_voter_runs_merge_and_find_the_smallest_covered():
-    runs = VoterRuns()
+    runs = ()
     for first, stop, value in [(10, 14, 1), (20, 22, 2), (14, 16, 1), (8, 10, 1), (16, 20, 2)]:
-        runs.add(first, stop, value)
-    assert (runs.starts, runs.stops, runs.values) == ([8, 16], [16, 22], [1, 2])
-    assert runs.find(0, 8) is None and runs.find(22, 30) is None
-    assert runs.find(5, 9) == (8, 1)
-    assert runs.find(15, 40) == (15, 1)
-    assert runs.find(9, 9) is None  # no validator
-    copy = runs.copy()
-    copy.add(30, 31, 3)
-    assert runs.find(30, 31) is None and copy.find(29, 40) == (30, 3)
+        runs = put(runs, first, stop - first, value)
+    assert runs == ((8, 8, 1), (16, 6, 2))
+    assert find(runs, 0, 8) is None and find(runs, 22, 30) is None
+    assert find(runs, 5, 9) == (8, 1)
+    assert find(runs, 15, 40) == (15, 1)
+    assert find(runs, 9, 9) is None  # no validator
+    copy = put(runs, 30, 1, 3)
+    assert find(runs, 30, 31) is None and find(copy, 29, 40) == (30, 3)
+
+
+# a write: (first, span, value) over validators 0 .. 51
+WRITES = st.lists(st.tuples(st.integers(0, 40), SPANS, st.integers(0, 3)), min_size=1, max_size=25)
+RANGES = st.lists(st.tuples(st.integers(0, 50), st.integers(0, 20)), min_size=1, max_size=8)
+
+
+def check_runs(runs, ref: dict[int, int]) -> None:
+    """`runs` are sorted, disjoint, maximal and hold exactly the reference's map."""
+    assert all(span >= 1 for _, span, _ in runs)
+    for (a, a_span, a_value), (b, _, b_value) in zip(runs, runs[1:]):
+        assert a + a_span <= b  # sorted and disjoint
+        assert a + a_span < b or a_value != b_value  # maximal
+    assert {v: value for first, span, value in runs for v in range(first, first + span)} == ref
+
+
+@given(writes=WRITES, reads=RANGES)
+# abut a run on either side; straddle several runs; land inside one; rewrite a run with its own value
+@example(writes=[(10, 4, 1), (14, 2, 1), (8, 2, 1), (20, 3, 2), (23, 1, 1)], reads=[(0, 30)])
+@example(writes=[(10, 4, 1), (16, 4, 2), (22, 3, 3), (12, 12, 0)], reads=[(9, 20), (24, 3)])
+@example(writes=[(10, 12, 1), (14, 3, 2), (15, 1, 1)], reads=[(15, 1), (16, 10)])
+@example(writes=[(10, 7, 1), (20, 3, 2), (10, 7, 1), (17, 3, 1)], reads=[(0, 40)])
+@settings(max_examples=300, deadline=None)
+def test_run_operations_match_a_per_validator_dict(writes, reads):
+    runs, ref = (), {}
+    for first, span, value in writes:
+        runs = put(runs, first, span, value)
+        ref.update(dict.fromkeys(range(first, first + span), value))
+        check_runs(runs, ref)
+    assert fold(((v, 1, ref[v]) for v in sorted(ref))) == runs
+    for first, length in reads:
+        stop = first + length
+        hits = [v for v in range(first, stop) if v in ref]
+        assert find(runs, first, stop) == ((hits[0], ref[hits[0]]) if hits else None)
+        pieces = list(over(runs, first, stop))
+        assert all(span >= 1 for _, span, _ in pieces)
+        assert [v for start, span, _ in pieces for v in range(start, start + span)] == list(range(first, stop))
+        assert all(ref.get(v) == value for start, span, value in pieces for v in range(start, start + span))
+
+
+def test_forks_share_the_guards_until_one_side_writes():
+    sim = Simulation(boost=0)
+    sim.emit_vote(1, 10, 0, span=4)
+    with pytest.raises(InvalidAction) as before:
+        sim.emit_vote(2, 12, 0, span=4)
+    copy = sim.fork()
+    assert copy._voted is sim._voted
+    voted = sim._voted
+    copy.emit_vote(2, 14, 0, span=3)
+    assert copy._voted is not voted and sim._voted is voted
+    with pytest.raises(InvalidAction) as after:
+        sim.emit_vote(2, 12, 0, span=4)
+    assert str(after.value) == str(before.value) == "validator 12 already voted at slot 1"
+    with pytest.raises(InvalidAction, match="validator 14 already voted at slot 2"):
+        copy.emit_vote(3, 14, 0)
+    sim.emit_vote(3, 14, 0)  # the fork's vote is not the parent's
+
+    tree = small_tree()
+    tree.add_vote(VoteRecord(1, 10, 1, 0, 4))
+    tree.latest_votes()
+    branch = tree.fork()
+    assert branch._covered is tree._covered
+    covered = tree._covered
+    branch.add_vote(VoteRecord(2, 14, 2, 0, 3))
+    branch.latest_votes()
+    assert branch._covered is not covered and tree._covered is covered
+    tree.add_vote(VoteRecord(2, 14, 2, 0, 3))  # the branch's voters are free on the parent
+    assert len(tree.latest_votes()) == 2
+
+
+def test_chain_is_the_only_module_that_bisects():
+    # the run representation stays behind chain.py: every other module joins,
+    # splits and searches runs through its operations
+    package = Path(reorglab.__file__).parent
+    importers = sorted(
+        path.name for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "bisect"
+        or isinstance(node, ast.Import) and any(alias.name == "bisect" for alias in node.names))
+    assert importers == ["chain.py"]
