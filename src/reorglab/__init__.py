@@ -64,7 +64,6 @@ from .rewards import (
     RewardParams,
     altair_block_inclusion_reward,
     attack_gain_summary,
-    head_vote_correct,
     head_vote_timely_dag,
     head_vote_timely_ethereum,
     settle_payoffs,

@@ -23,6 +23,7 @@ import re
 import sys
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -285,38 +286,42 @@ def _matrix_json(matrix) -> dict:
 
 
 def _report_equilibrium(report) -> dict:
-    return {
-        "verdict": report.verdict.value,
-        "deviations": [
-            {
-                "player": str(d.player),
-                "action": d.label,
-                "baseline": str(d.baseline),
-                "deviated": str(d.deviated),
-                "gain": str(d.gain),
-            }
-            for d in report.deviations
-        ],
-        "subgames": [
-            {
-                "slot": e.dp.slot,
-                "role": e.dp.role.value,
-                "actor": e.dp.actor,
-                "payoffs": {k: str(v) for k, v in sorted(e.payoffs.items())},
-            }
-            for e in report.subgame_table
-        ],
-        "checked": report.checked,
-    }
+    """The report's fields; a class's shared payoff table and gaining amounts are rendered once.
+
+    The renderings are keyed by `id`: `report` holds every object keyed
+    until this returns, so no id is reused meanwhile.
+    """
+    amounts: dict[tuple[int, int], dict] = {}  # ids of (baseline, deviated) -> their strings
+    tables: dict[int, dict] = {}  # id of a payoff table -> its rendering
+    deviations = []
+    for d in report.deviations:
+        key = id(d.baseline), id(d.deviated)
+        if key not in amounts:
+            amounts[key] = {"baseline": str(d.baseline), "deviated": str(d.deviated), "gain": str(d.gain)}
+        deviations.append({"player": str(d.player), "action": d.label, **amounts[key]})
+    subgames = []
+    for e in report.subgame_table:
+        if id(e.payoffs) not in tables:
+            tables[id(e.payoffs)] = {k: str(v) for k, v in sorted(e.payoffs.items())}
+        subgames.append({"slot": e.dp.slot, "role": e.dp.role.value, "actor": e.dp.actor,
+                         "payoffs": tables[id(e.payoffs)]})
+    return {"verdict": report.verdict.value, "deviations": deviations, "subgames": subgames,
+            "checked": report.checked}
 
 
 def _outcome_json(outcome) -> dict:
+    texts: dict[int, str] = {}  # id of an amount -> its string; the sorted pairs hold every amount
+    payoffs = {}
+    for k, v in sorted(outcome.trace.payoffs.items()):
+        if id(v) not in texts:
+            texts[id(v)] = str(v)
+        payoffs[str(k)] = texts[id(v)]
     out = {
         "success": outcome.success,
         "final_chain": list(outcome.final_chain),
         "reorged": list(outcome.reorged),
         "labels": dict(outcome.trace.labels),
-        "payoffs": {str(k): str(v) for k, v in sorted(outcome.trace.payoffs.items())},
+        "payoffs": payoffs,
     }
     extras = {
         k: v for k, v in outcome.extras.items()
@@ -656,6 +661,10 @@ def load_scenario(source) -> dict:
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario must be a JSON object")
+    try:  # a lone surrogate could be neither printed nor written as UTF-8
+        json.dumps(doc, ensure_ascii=False).encode()
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"scenario holds a lone surrogate {exc.object[exc.start:exc.end]!r}") from None
     return doc
 
 
@@ -785,9 +794,37 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_STR_KEYS = {str}
+
+
+def _json(value, pad: str) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` nested after `pad` (a newline and indent), by joins.
+
+    Strings, exact ints, bools, None, lists and dicts with `str` keys are
+    built here; anything else is `json.dumps`'s own text, re-indented.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    if not value and (kind is list or kind is dict):
+        return "[]" if kind is list else "{}"
+    inner = pad + "  "
+    if kind is list:
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
+    if kind is dict and set(map(type, value)) == _STR_KEYS:
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _json(value[k], inner) for k in sorted(value)]) + pad + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def render_report(report: dict, fmt: str = "text") -> str:
+    """The report as aligned text, or as exactly `json.dumps(report, indent=2, sort_keys=True)` and a newline."""
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json(report, "\n") + "\n"
     return _render_text(report)
 
 

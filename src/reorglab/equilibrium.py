@@ -72,7 +72,11 @@ class Deviation:
 
 @dataclass
 class SubgameEntry:
-    """Per-decision-point payoff table emitted by the SPNE check."""
+    """Per-decision-point payoff table emitted by the SPNE check.
+
+    The points of one symmetry class and place share one `payoffs` dict, so
+    no reader may mutate it.
+    """
 
     dp: DecisionPoint
     payoffs: dict[str, Fraction]
@@ -227,7 +231,10 @@ def verify_spne(
     the owner's prescribed action must be a best response there.  The
     histories that an earlier deviation reaches are not examined, so this
     is not backward induction over every subgame.  The emitted subgame
-    table records each owner's payoff per action label.  `played` is the
+    table records each owner's payoff per action label.  A point's table,
+    its deviating count and its gaining labels are built once per (class,
+    place) and shared by the class's points, and the base payoff is read
+    once per class, since its members' are equal.  `played` is the
     profile's own payoffs and checkpoints (`GameModel.play`), when the
     caller has already played it.
     """
@@ -240,7 +247,12 @@ def verify_spne(
         played = game.play(profile)
     base = played[0]
 
-    classes = {p: cls for cls, run in game.symmetry_classes(profile) for p in run}
+    classes: dict[PlayerId, object] = {}
+    baseline: dict[object, Fraction] = {}  # class -> its members' base payoff, equal by symmetry
+    for cls, run in game.symmetry_classes(profile):
+        classes.update(dict.fromkeys(run, cls))
+        if cls not in baseline:
+            baseline[cls] = base[run[0]]
     # a decision point up to symmetry: its owner, the owner's class, its place among the owner's
     place: dict[DecisionPoint, tuple] = {}
     placed: dict[PlayerId, int] = {}  # owner -> how many of its decision points are placed
@@ -248,27 +260,30 @@ def verify_spne(
         owner = game.owner(dp)
         placed[owner] = i = placed.get(owner, -1) + 1
         place[dp] = (owner, classes[owner], i)
-    memo: dict[tuple, tuple[Fraction, bool]] = {}  # (class, place, label) -> payoff, deviates
+    # (class, place) -> its payoff table, how many of its labels deviate, its gaining (action, payoff)s
+    subgames: dict[tuple, tuple[dict[str, Fraction], int, list[tuple[str, Fraction]]]] = {}
 
     deviations: list[Deviation] = []
     table: list[SubgameEntry] = []
     checked = 0
     for dp in reversed(dps):
         owner, cls, i = place[dp]
-        payoffs: dict[str, Fraction] = {}
-        for label in game.candidates(dp):
-            key = (cls, i, label)
-            if key not in memo:
+        subgame = subgames.get((cls, i))
+        if subgame is None:
+            payoffs: dict[str, Fraction] = {}
+            deviating, gaining = 0, []
+            for label in game.candidates(dp):
                 deviated, deviates = _deviate(game, profile, played, {dp: label})
-                memo[key] = deviated[owner], deviates
-            value, deviates = memo[key]
-            payoffs[label] = value
-            if not deviates:
-                continue
-            checked += 1
-            if value > base[owner]:
-                deviations.append(Deviation(owner, f"{dp.slot}/{dp.role.value}:{label}",
-                                            base[owner], value))
+                value = payoffs[label] = deviated[owner] if deviates else baseline[cls]
+                if deviates:
+                    deviating += 1
+                    if value > baseline[cls]:
+                        gaining.append((f"{dp.slot}/{dp.role.value}:{label}", value))
+            subgame = subgames[cls, i] = payoffs, deviating, gaining
+        payoffs, deviating, gaining = subgame
+        checked += deviating
+        if gaining:
+            deviations.extend(Deviation(owner, action, baseline[cls], value) for action, value in gaining)
         table.append(SubgameEntry(dp, payoffs))
     table.reverse()
     verdict = Verdict.NOT_EQUILIBRIUM if deviations else Verdict.SPNE

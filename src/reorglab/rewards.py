@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterator, Optional
 
 from .chain import Block, BlockId, BlockTree, Run, VoteRecord, find, fold
@@ -98,25 +99,37 @@ class SettledPayoffs(Mapping):
         self._runs, self._r, self._R = runs, r, R
         self._amounts: dict[tuple[int, int], Fraction] = {}
 
-    def __getitem__(self, validator: int) -> Fraction:
-        hit = find(self._runs, validator, validator + 1) if isinstance(validator, int) else None
-        if hit is None:
-            raise KeyError(validator)
-        pair = hit[1]
+    def _amount(self, pair: tuple[int, int]) -> Fraction:
         amount = self._amounts.get(pair)
         if amount is None:
             amount = self._amounts[pair] = self._r * pair[0] + self._R * pair[1]
         return amount
 
+    def __getitem__(self, validator: int) -> Fraction:
+        hit = find(self._runs, validator, validator + 1) if isinstance(validator, int) else None
+        if hit is None:
+            raise KeyError(validator)
+        return self._amount(hit[1])
+
     def __iter__(self) -> Iterator[int]:
         for first, span, _ in self._runs:
             yield from range(first, first + span)
+
+    def items(self) -> ItemsView:
+        """The (validator, amount) pairs in key order, each run's amount read once, with no `find`."""
+        return _SettledItems(self)
 
     def __len__(self) -> int:
         return sum(span for _, span, _ in self._runs)
 
     def __repr__(self) -> str:
         return f"SettledPayoffs({dict(self)!r})"
+
+
+class _SettledItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[int, Fraction]]:
+        for first, span, pair in self._mapping._runs:
+            yield from zip(range(first, first + span), repeat(self._mapping._amount(pair)))
 
 
 @dataclass
@@ -163,23 +176,6 @@ class PayoffLedger:
         return SettledPayoffs(fold(pieces), self.r, self.R)
 
 
-def correctness_target(chain: list[BlockId], tree: BlockTree, slot: int) -> Optional[BlockId]:
-    """Last block on `chain` with slot <= `slot` (the required vote target)."""
-    last = None
-    for bid in chain:
-        if tree.blocks[bid].slot <= slot:
-            last = bid
-        else:
-            break
-    return last
-
-
-def head_vote_correct(vote: VoteRecord, chain: list[BlockId], tree: BlockTree) -> bool:
-    if vote.target not in tree.blocks:
-        raise TargetNotOnChainQueryable(f"vote target {vote.target} unknown")
-    return correctness_target(chain, tree, vote.slot) == vote.target
-
-
 def head_vote_timely_ethereum(vote: VoteRecord, including_block: Block) -> bool:
     return including_block.slot == vote.slot + 1
 
@@ -217,7 +213,7 @@ def head_vote_timely_dag(
 
 
 def _slot_targets(chain: list[BlockId], tree: BlockTree) -> Callable[[int], Optional[BlockId]]:
-    """`correctness_target(chain, tree, slot)` for every slot, from one forward pass over `chain`."""
+    """The last block on `chain` at or before each slot (a vote's correctness target), from one pass."""
     if not chain:
         return lambda slot: None
     targets: dict[int, BlockId] = {}

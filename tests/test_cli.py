@@ -463,6 +463,21 @@ def test_unwritable_path_exit_3(tmp_path, capsys, flag):
     assert str(path) in err
 
 
+@pytest.mark.parametrize("command", ["run", "run-out", "batch"])
+def test_lone_surrogate_exit_2(tmp_path, capsys, command):
+    # "\ud800" is valid JSON, but no UTF-8 text can hold it: print or write it and the run dies
+    path = tmp_path / "s.json"
+    path.write_text('{"scenario": "\\ud800", "game": {"kind": "overhead"}}')
+    argv = {"run": ["run", str(path)], "run-out": ["run", str(path), "--out", str(tmp_path / "out")],
+            "batch": ["batch", str(tmp_path), "--jobs", "1"]}[command]
+    assert main(argv) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "out").exists()
+    assert "parse error: " in err and "surrogate" in err and err.count("\n") == 1
+    with pytest.raises(ParseError):
+        run_scenario(str(path))
+
+
 @pytest.mark.parametrize("name", ["overhead-grid", "strong-simple-table2"])
 def test_trace_without_a_single_run_exit_3(tmp_path, capsys, name):
     path = tmp_path / "trace.jsonl"

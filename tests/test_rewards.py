@@ -4,11 +4,12 @@ import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reorglab.chain import Block, BlockTree, EvidenceRecord, TieBreakPolicy, Validator, VoteRecord
+from reorglab.chain import Block, BlockId, BlockTree, EvidenceRecord, TieBreakPolicy, Validator, VoteRecord
 from reorglab.cli import run_scenario
 from reorglab.engine import Role, RunTrace
 from reorglab.games import (
@@ -30,8 +31,6 @@ from reorglab.rewards import (
     _slot_targets,
     altair_block_inclusion_reward,
     attack_gain_summary,
-    correctness_target,
-    head_vote_correct,
     head_vote_timely_dag,
     head_vote_timely_ethereum,
     settle_payoffs,
@@ -39,6 +38,23 @@ from reorglab.rewards import (
 
 from conftest import ADVERSARIAL, RATIONAL, make_tree
 from expansion import expand_evidences, expand_trace, expand_votes
+
+
+def correctness_target(chain: list[BlockId], tree: BlockTree, slot: int) -> Optional[BlockId]:
+    """Last block on `chain` with slot <= `slot` (the required vote target): the per-slot reference."""
+    last = None
+    for bid in chain:
+        if tree.blocks[bid].slot <= slot:
+            last = bid
+        else:
+            break
+    return last
+
+
+def head_vote_correct(vote: VoteRecord, chain: list[BlockId], tree: BlockTree) -> bool:
+    if vote.target not in tree.blocks:
+        raise TargetNotOnChainQueryable(f"vote target {vote.target} unknown")
+    return correctness_target(chain, tree, vote.slot) == vote.target
 
 
 class TestCorrectness:
@@ -90,6 +106,21 @@ def test_slot_targets_match_correctness_target(gaps, first):
     for slot in range(tree.blocks[chain[-1]].slot + 3):
         assert target_of(slot) == correctness_target(chain, tree, slot)
     assert _slot_targets([], tree)(0) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4), st.tuples(st.integers(0, 2), st.integers(0, 2))),
+                max_size=6),
+       st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(0)]))
+def test_settled_items_match_the_mapping(pieces, r):
+    # runs read in key order, each amount once: the pairs are the Mapping's own, in its order
+    runs, first = [], 0
+    for gap, span, pair in pieces:
+        runs.append((first + gap, span, pair))
+        first += gap + span
+    payoffs = SettledPayoffs(tuple(runs), r, Fraction(2))
+    assert list(payoffs.items()) == [(k, payoffs[k]) for k in payoffs]
+    assert len(payoffs.items()) == len(payoffs)
 
 
 def _dag_tree(n_evidences: int, unique_signers: int = None):
