@@ -123,10 +123,6 @@ class VoteRecord:
     def voters(self) -> range:
         return range(self.voter, self.voter + self.span)
 
-    def key(self) -> tuple[int, int]:
-        """The record's first voter and slot: records of one run never share a voter."""
-        return (self.voter, self.slot)
-
 
 @dataclass(frozen=True, slots=True)
 class EvidenceRecord:

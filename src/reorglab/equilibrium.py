@@ -2,20 +2,22 @@
 
 The lab verifies *given* profiles, mirroring proof-by-exhibit: it never
 solves for equilibria.  Each candidate deviation is evaluated by a complete
-simulation of the game with everyone else held fixed, once per class: the
-players of one symmetry class (`GameModel.symmetry_classes`) are
-interchangeable, so the unilateral checks play a candidate for the first
-member of its class and give that payoff to every other member, each of
-which still counts it as checked.  The swap of two members also gives them
-equal payoffs under the profile itself, so `verify_nash` compares once per
-class and candidate, and counts its candidates before it plays any run.  A
-reported deviation always reproduces its claimed gain when replayed.  A
-deviation leaves every tick before its earliest decision point as the
-profile's own run played it, so it resumes from that run's checkpoint at
-that tick; a run from the opening plays the same script from its first
-tick.  A candidate the profile already plays is not simulated again: it
-reads the profile's own payoffs, though the Nash checks still count it as
-checked.
+simulation of the game with everyone else held fixed.  Every unilateral
+check (`best_response`, `verify_nash`'s unilateral pass, `verify_spne`)
+reduces over one deviation loop, `_row`: one owner's labelled candidates,
+each played through `_deviate`, with the owner's payoff.  The players of
+one symmetry class (`GameModel.symmetry_classes`) are interchangeable, so
+the checks run one `_row` per class and give its payoffs to every other
+member, each of which still counts them as checked.  The swap of two
+members also gives them equal payoffs under the profile itself, so
+`verify_nash` compares once per class and candidate, and counts its
+candidates before it plays any run.  A reported deviation always
+reproduces its claimed gain when replayed.  A deviation leaves every tick
+before its earliest decision point as the profile's own run played it, so
+it resumes from that run's checkpoint at that tick; a run from the opening
+plays the same script from its first tick.  A candidate the profile
+already plays is not simulated again: it reads the profile's own payoffs,
+though the Nash checks still count it as checked.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .engine import DecisionPoint, Role, StrategyProfile
 from .games import (
@@ -74,8 +76,8 @@ class Deviation:
 class SubgameEntry:
     """Per-decision-point payoff table emitted by the SPNE check.
 
-    The points of one symmetry class and place share one `payoffs` dict, so
-    no reader may mutate it.
+    The points of one symmetry class share one `payoffs` dict, so no reader
+    may mutate it.
     """
 
     dp: DecisionPoint
@@ -117,6 +119,14 @@ def _deviate(
     return game.payoffs(profile.with_actions(assignment), start), True
 
 
+def _row(game: GameModel, profile: StrategyProfile, played: Played, owner: PlayerId,
+         candidates: Sequence[tuple[str, dict]]) -> Iterator[tuple[str, Fraction, bool]]:
+    """`(label, owner's payoff, deviates)` per labelled assignment, played through `_deviate`."""
+    for label, assignment in candidates:
+        payoffs, deviates = _deviate(game, profile, played, assignment)
+        yield label, payoffs[owner], deviates
+
+
 def best_response(
     game: GameModel,
     profile: StrategyProfile,
@@ -124,18 +134,19 @@ def best_response(
     candidates: Optional[Sequence[tuple[str, dict]]] = None,
 ) -> set[str]:
     """Labels of the candidate assignments maximizing `player`'s payoff."""
-    candidates = list(candidates if candidates is not None else game.assignments(player))
-    played = game.play(profile)
-    best: Optional[Fraction] = None
-    winners: set[str] = set()
-    for label, assignment in candidates:
-        value = _deviate(game, profile, played, assignment)[0][player]
-        if best is None or value > best:
-            best = value
-            winners = {label}
-        elif value == best:
-            winners.add(label)
-    return winners
+    candidates = candidates if candidates is not None else game.assignments(player)
+    row = list(_row(game, profile, game.play(profile), player, candidates))
+    best = max((value for _, value, _ in row), default=None)
+    return {label for label, value, _ in row if value == best}
+
+
+def _classes(classes: Sequence[tuple[object, Sequence[PlayerId]]]) -> dict[object, tuple[PlayerId, int]]:
+    """Each symmetry class's first member and size, from its runs of players."""
+    members: dict[object, tuple[PlayerId, int]] = {}
+    for cls, run in classes:
+        first, size = members.get(cls, (run[0], 0))
+        members[cls] = first, size + len(run)
+    return members
 
 
 def verify_nash(
@@ -146,14 +157,12 @@ def verify_nash(
 ) -> EquilibriumReport:
     """Exhaustive unilateral (and optionally coalition) deviation search.
 
-    Nash: no single player can strictly improve.  The unilateral pass plays
-    each candidate once per symmetry class, for its first member, and
+    Nash: no single player can strictly improve.  The unilateral pass runs
+    one `_row` per symmetry class, for its first member (`_classes`), and
     compares once: swapping two members gives them equal base and deviation
     payoffs, so that decides for every member, which counts each candidate
-    as checked and reports the class's gains, read once for the first
-    member, in roster order.  A class's first
-    member and size come from its runs of players, and the count is guarded
-    before any run and before any per-player list is built.  With
+    as checked and reports the class's gains in roster order.  The count is
+    guarded before any run and before any per-player list is built.  With
     coalition_bound > 1 the verdict upgrades to strong Nash when
     additionally no coalition up to that size can strictly improve the
     payoff of every member at once.
@@ -161,12 +170,7 @@ def verify_nash(
     classes = game.symmetry_classes(profile)
     if not classes:
         raise GameError("the game has no decision points, so a Nash check would check nothing")
-    members: dict[object, list] = {}  # class -> [first member, size]
-    for cls, run in classes:
-        if cls in members:
-            members[cls][1] += len(run)
-        else:
-            members[cls] = [run[0], len(run)]
+    members = _classes(classes)
 
     def moves(cls, rep) -> int:
         """How many candidates each member of the class plays, counted before any is built."""
@@ -183,10 +187,10 @@ def verify_nash(
 
     gains: dict[object, list[tuple[str, Fraction, Fraction]]] = {}  # class -> gaining (label, base, payoff)
     for cls, (rep, _) in members.items():
-        for label, assignment in game.assignments(rep):
-            value = _deviate(game, profile, played, assignment)[0][rep]
-            if value > base[rep]:
-                gains.setdefault(cls, []).append((label, base[rep], value))
+        row = [(label, base[rep], value) for label, value, _ in
+               _row(game, profile, played, rep, game.assignments(rep)) if value > base[rep]]
+        if row:
+            gains[cls] = row
     if gains:
         deviations = [Deviation(p, label, baseline, value) for cls, run in classes
                       if cls in gains for p in run for label, baseline, value in gains[cls]]
@@ -232,11 +236,12 @@ def verify_spne(
     histories that an earlier deviation reaches are not examined, so this
     is not backward induction over every subgame.  The emitted subgame
     table records each owner's payoff per action label.  A point's table,
-    its deviating count and its gaining labels are built once per (class,
-    place) and shared by the class's points, and the base payoff is read
-    once per class, since its members' are equal.  `played` is the
-    profile's own payoffs and checkpoints (`GameModel.play`), when the
-    caller has already played it.
+    its deviating count and its gaining labels come from one `_row` per
+    subgame up to symmetry, and the points of a class share them: a solo
+    player holds one decision point, so its class keys the subgame, while a
+    pool is its own class and each of its points is its own subgame.
+    `played` is the profile's own payoffs and checkpoints
+    (`GameModel.play`), when the caller has already played it.
     """
     dps = sorted(game.points, key=lambda d: (d.tick, d.actor))
     if not dps:
@@ -247,43 +252,25 @@ def verify_spne(
         played = game.play(profile)
     base = played[0]
 
-    classes: dict[PlayerId, object] = {}
-    baseline: dict[object, Fraction] = {}  # class -> its members' base payoff, equal by symmetry
-    for cls, run in game.symmetry_classes(profile):
-        classes.update(dict.fromkeys(run, cls))
-        if cls not in baseline:
-            baseline[cls] = base[run[0]]
-    # a decision point up to symmetry: its owner, the owner's class, its place among the owner's
-    place: dict[DecisionPoint, tuple] = {}
-    placed: dict[PlayerId, int] = {}  # owner -> how many of its decision points are placed
-    for dp in game.points:
-        owner = game.owner(dp)
-        placed[owner] = i = placed.get(owner, -1) + 1
-        place[dp] = (owner, classes[owner], i)
-    # (class, place) -> its payoff table, how many of its labels deviate, its gaining (action, payoff)s
-    subgames: dict[tuple, tuple[dict[str, Fraction], int, list[tuple[str, Fraction]]]] = {}
+    classes = {p: cls for cls, run in game.symmetry_classes(profile) for p in run}
+    # subgame key -> its payoff table, deviating count and gaining (action, payoff)s
+    subgames: dict[object, tuple[dict[str, Fraction], int, list[tuple[str, Fraction]]]] = {}
 
     deviations: list[Deviation] = []
     table: list[SubgameEntry] = []
     checked = 0
     for dp in reversed(dps):
-        owner, cls, i = place[dp]
-        subgame = subgames.get((cls, i))
-        if subgame is None:
-            payoffs: dict[str, Fraction] = {}
-            deviating, gaining = 0, []
-            for label in game.candidates(dp):
-                deviated, deviates = _deviate(game, profile, played, {dp: label})
-                value = payoffs[label] = deviated[owner] if deviates else baseline[cls]
-                if deviates:
-                    deviating += 1
-                    if value > baseline[cls]:
-                        gaining.append((f"{dp.slot}/{dp.role.value}:{label}", value))
-            subgame = subgames[cls, i] = payoffs, deviating, gaining
-        payoffs, deviating, gaining = subgame
+        owner = game.owner(dp)
+        key = dp if owner in game.pools else classes[owner]  # a solo owner holds one point
+        if key not in subgames:
+            row = list(_row(game, profile, played, owner,
+                            [(label, {dp: label}) for label in game.candidates(dp)]))
+            subgames[key] = ({label: value for label, value, _ in row}, sum(d for *_, d in row),
+                             [(f"{dp.slot}/{dp.role.value}:{label}", value)
+                              for label, value, _ in row if value > base[owner]])
+        payoffs, deviating, gaining = subgames[key]
         checked += deviating
-        if gaining:
-            deviations.extend(Deviation(owner, action, baseline[cls], value) for action, value in gaining)
+        deviations.extend(Deviation(owner, action, base[owner], value) for action, value in gaining)
         table.append(SubgameEntry(dp, payoffs))
     table.reverse()
     verdict = Verdict.NOT_EQUILIBRIUM if deviations else Verdict.SPNE

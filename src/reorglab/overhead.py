@@ -41,9 +41,6 @@ class CostVector:
     mul: int = 0
     pair: int = 0
 
-    def __sub__(self, other: "CostVector") -> "CostVector":
-        return CostVector(self.add - other.add, self.mul - other.mul, self.pair - other.pair)
-
     def __str__(self) -> str:
         return f"{self.add}*C_add + {self.mul}*C_mul + {self.pair}*C_pair"
 

@@ -33,8 +33,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
-from .engine import DecisionPoint, Role, StrategyProfile
-from .equilibrium import EquilibriumReport, verify_nash
+from .engine import Role, StrategyProfile
+from .equilibrium import EquilibriumReport, best_response, verify_nash
 from .games import AssumptionViolated, GameModel
 
 
@@ -409,13 +409,9 @@ def honest_anchor_scenario(
     run = game.simulate(profile)
     if run.finalized_round != 1:
         raise AssumptionViolated("honest-led round failed to finalize")
-    # a nil-prevote deviation earns no honest evidence and forfeits the round;
-    # it is read once per symmetry class, for the class's first member, whose
-    # deviation `verify_nash` has just played, so `simulate` returns that run
-    first = {}  # class -> its first member
-    for cls, members in game.symmetry_classes(profile):
-        first.setdefault(cls, members[0])
-    nil = lambda v: profile.with_actions({DecisionPoint(1, Role.ATTESTOR, v): "prevote-nil"})
-    forfeits = all(game.payoffs(nil(v))[v] < run.payoffs[v] for v in first.values())
+    # a nil-prevote earns no honest evidence and forfeits the round; `simulate`
+    # returns the deviations `verify_nash` has just played for each run's first member
+    forfeits = all(best_response(game, profile, members[0]) == {"prevote-b"}
+                   for _, members in game.symmetry_classes(profile))
     return AnchorResult(run.finalized_round, reorg_resilient=True, payoffs=run.payoffs,
                         deviation_forfeits=forfeits, report=report)

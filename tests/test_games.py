@@ -577,11 +577,11 @@ def lacked_by_chain(sim, parent):
     cur = parent
     while cur is not None:
         block = sim.tree.blocks[cur]
-        votes.update(v.key() for v in block.included_votes)
+        votes.update((v.voter, v.slot) for v in block.included_votes)
         evidences.update(key for e in block.included_evidences for key in e.keys())
         cur = block.parent
     return (
-        tuple(v for v in sim.tree.votes if v.key() not in votes),
+        tuple(v for v in sim.tree.votes if (v.voter, v.slot) not in votes),
         tuple(e for e in sim.delivered_evidences if not evidences.issuperset(e.keys())),
     )
 

@@ -25,6 +25,7 @@ from reorglab.equilibrium import (
     EquilibriumReport,
     SubgameEntry,
     Verdict,
+    best_response,
     verify_nash,
     verify_spne,
 )
@@ -248,6 +249,46 @@ def test_withholding_with_every_rational_validator_open_raises_on_both_sides():
         verify_nash(WithholdingGame(2, 1, Fraction(1)), profile)
     with pytest.raises(AssumptionViolated, match="quorum"):
         full_nash(WithholdingGame(2, 1, Fraction(1)), profile)
+
+
+# -- the unilateral verdict as a best response -------------------------------
+
+
+def pooled_profile(game, rnd):
+    """A clustered profile in which each pool's members all play one pool label."""
+    pick = {v: label for members in game.pools.values()
+            for label in [rnd.choice(game.POOL_LABELS)] for v in members}
+    k = rnd.randint(1, 3)
+    return game.labelled(lambda dp: pick.get(dp.actor) or rnd.choice(sorted(game.candidates(dp))[:k]))
+
+
+@given(game=games() | tendermint_games().map(lambda make: make()),
+       rnd=st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_a_class_deviates_exactly_when_its_label_is_no_best_response(game, rnd):
+    # `verify_nash` reads a class's gains off one `_row` of its first member,
+    # and `best_response` takes the maximum of that row: the first member's
+    # own label (a pool's, the one its members all play) is a best response
+    # exactly when the class reports no deviation
+    assume(game.points)
+    profile = pooled_profile(game, rnd)
+    try:
+        report = verify_nash(game, profile)
+    except AssumptionViolated:
+        assert isinstance(game, WithholdingGame)  # every rational validator open: no quorum
+        assume(False)
+    classes = classes_of(game, profile)
+    deviating = {classes[d.player] for d in report.deviations}
+    first = {}
+    for player, cls in classes.items():
+        first.setdefault(cls, player)
+    for cls, player in first.items():
+        seats = game.seats(player)
+        if not seats:  # a pool none of whose members is seated plays nothing
+            assert cls not in deviating
+            continue
+        own = profile.get(seats[0])
+        assert (cls in deviating) == (own not in best_response(game, profile, player)), (cls, own)
 
 
 # -- the roster ---------------------------------------------------------------

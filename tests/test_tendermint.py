@@ -277,6 +277,8 @@ class TestAnchor:
     def test_nil_prevote_forfeits(self):
         res = honest_anchor_scenario(1)
         assert res.deviation_forfeits
+        # at r = 0 a nil-prevote pays what prevote-b pays, so it forfeits nothing
+        assert not honest_anchor_scenario(1, Fraction(0)).deviation_forfeits
 
     def test_compliant_rational_paid(self):
         game = AnchorGame(2)

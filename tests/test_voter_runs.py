@@ -269,3 +269,25 @@ def test_chain_is_the_only_module_that_bisects():
         if isinstance(node, ast.ImportFrom) and node.module == "bisect"
         or isinstance(node, ast.Import) and any(alias.name == "bisect" for alias in node.names))
     assert importers == ["chain.py"]
+
+
+def test_one_deviation_runner():
+    # every unilateral check reduces over `_row`, so only `_row` and the
+    # coalition pass, which plays joint assignments, call `_deviate`
+    def callers(node, function=None, loop=None):
+        """(top-level function, innermost loop's iterable) of each `_deviate` call under `node`."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_deviate":
+                yield function, loop
+            if isinstance(child, ast.FunctionDef) and function is None:
+                yield from callers(child, child.name, None)
+            elif isinstance(child, ast.For):
+                yield from callers(child, function, ast.unparse(child.iter))
+            else:
+                yield from callers(child, function, loop)
+
+    package = Path(reorglab.__file__).parent
+    calls = [(path.name, *where) for path in sorted(package.glob("*.py"))
+             for where in callers(ast.parse(path.read_text()))]
+    assert calls == [("equilibrium.py", "_row", "candidates"),
+                     ("equilibrium.py", "verify_nash", "itertools.product(*joint)")]
