@@ -459,16 +459,16 @@ def _check_spne(game, guard, profile: ProfileSpec):
 def _check_dominance(game, guard, action, candidates, player=None, **options):
     from .equilibrium import dominance_check
 
-    players = game.players()
+    # read as runs, not as `players()` or `points`: the last pool, else the last solo player
     if player is None:
-        player = players[-1]
-    elif player not in players:
+        player = next(reversed(game.pools)) if game.pools else game._roster[-1][-1][-1]
+    elif not game.is_player(player):
         raise ValidationError(f"dominance player {player!r} is not a player of this game")
     # every slot-t attestor has the same candidates; a label that is not one of
     # them is rejected even when no alternative would be played against it
-    dp = game.points[0]
+    slot, role, actors = game.groups[0]
     for label in (action, *candidates):
-        game.action(dp, label)
+        game.action(DecisionPoint(slot, role, actors.start), label)
     verdict = dominance_check(game, player, action, candidates, **options)
     return {"dominance": verdict.value}, None
 

@@ -2,22 +2,19 @@
 
 The lab verifies *given* profiles, mirroring proof-by-exhibit: it never
 solves for equilibria.  Each candidate deviation is evaluated by a complete
-simulation of the game with everyone else held fixed.  Every unilateral
-check (`best_response`, `verify_nash`'s unilateral pass, `verify_spne`)
-reduces over one deviation loop, `_row`: one owner's labelled candidates,
-each played through `_deviate`, with the owner's payoff.  The players of
-one symmetry class (`GameModel.symmetry_classes`) are interchangeable, so
-the checks run one `_row` per class and give its payoffs to every other
-member, each of which still counts them as checked.  The swap of two
-members also gives them equal payoffs under the profile itself, so
-`verify_nash` compares once per class and candidate, and counts its
-candidates before it plays any run.  A reported deviation always
-reproduces its claimed gain when replayed.  A deviation leaves every tick
-before its earliest decision point as the profile's own run played it, so
-it resumes from that run's checkpoint at that tick; a run from the opening
-plays the same script from its first tick.  A candidate the profile
-already plays is not simulated again: it reads the profile's own payoffs,
-though the Nash checks still count it as checked.
+simulation of the game with everyone else held fixed.  Each check counts
+its whole plan and guards the count once, before its base run, then
+reduces over one deviation loop, `_row`: labelled assignments played
+through `_deviate`, with every player's payoffs.  The players of one
+symmetry class (`GameModel.symmetry_classes`) are interchangeable, so the
+unilateral checks run one `_row` per class and give its payoffs to every
+other member, each of which still counts them as checked; the swap of two
+members also gives them equal payoffs under the profile itself.  A reported
+deviation always reproduces its claimed gain when replayed.  A deviation
+leaves every tick before its earliest decision point as the profile's own
+run played it, so it resumes from that run's checkpoint at that tick.  A
+candidate the profile already plays is not simulated again: it reads the
+profile's own payoffs, though the Nash checks still count it as checked.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import DecisionPoint, Role, StrategyProfile
 from .games import (
@@ -119,12 +116,12 @@ def _deviate(
     return game.payoffs(profile.with_actions(assignment), start), True
 
 
-def _row(game: GameModel, profile: StrategyProfile, played: Played, owner: PlayerId,
-         candidates: Sequence[tuple[str, dict]]) -> Iterator[tuple[str, Fraction, bool]]:
-    """`(label, owner's payoff, deviates)` per labelled assignment, played through `_deviate`."""
+def _row(
+    game: GameModel, profile: StrategyProfile, played: Played, candidates: Iterable[tuple[object, dict]]
+) -> Iterator[tuple[object, Mapping[PlayerId, Fraction], bool]]:
+    """`(label, payoffs, deviates)` per labelled assignment, played through `_deviate`."""
     for label, assignment in candidates:
-        payoffs, deviates = _deviate(game, profile, played, assignment)
-        yield label, payoffs[owner], deviates
+        yield (label, *_deviate(game, profile, played, assignment))
 
 
 def best_response(
@@ -135,9 +132,10 @@ def best_response(
 ) -> set[str]:
     """Labels of the candidate assignments maximizing `player`'s payoff."""
     candidates = candidates if candidates is not None else game.assignments(player)
-    row = list(_row(game, profile, game.play(profile), player, candidates))
-    best = max((value for _, value, _ in row), default=None)
-    return {label for label, value, _ in row if value == best}
+    row = [(label, payoffs[player]) for label, payoffs, _ in
+           _row(game, profile, game.play(profile), candidates)]
+    best = max((value for _, value in row), default=None)
+    return {label for label, value in row if value == best}
 
 
 def _classes(classes: Sequence[tuple[object, Sequence[PlayerId]]]) -> dict[object, tuple[PlayerId, int]]:
@@ -147,6 +145,23 @@ def _classes(classes: Sequence[tuple[object, Sequence[PlayerId]]]) -> dict[objec
         first, size = members.get(cls, (run[0], 0))
         members[cls] = first, size + len(run)
     return members
+
+
+def _plan(moves: Sequence[tuple[int, int]], bound: int, cap: int) -> list[int]:
+    """e_1, e_2, ...: the joint assignments the coalitions of k <= `bound` players play.
+
+    `moves` holds each class's (size, members' move count m); e_k is the
+    degree-k coefficient of Π (1 + m·x)^size.  Newton's identities give it
+    from the power sums Σ size·m^i in O(classes) per degree, and the count
+    stops once it exceeds `cap` or no coalition of the next size plays.
+    """
+    e, p = [1], []
+    for k in range(1, bound + 1):
+        p.append(sum(size * m**k for size, m in moves))
+        e.append(sum((-1) ** (i - 1) * p[i - 1] * e[k - i] for i in range(1, k + 1)) // k)
+        if not e[k] or sum(e) - 1 > cap:
+            break
+    return e[1:]
 
 
 def verify_nash(
@@ -161,11 +176,12 @@ def verify_nash(
     one `_row` per symmetry class, for its first member (`_classes`), and
     compares once: swapping two members gives them equal base and deviation
     payoffs, so that decides for every member, which counts each candidate
-    as checked and reports the class's gains in roster order.  The count is
-    guarded before any run and before any per-player list is built.  With
-    coalition_bound > 1 the verdict upgrades to strong Nash when
-    additionally no coalition up to that size can strictly improve the
-    payoff of every member at once.
+    as checked and reports the class's gains in roster order.  With
+    coalition_bound > 1 the verdict upgrades to strong Nash when no
+    coalition up to that size can strictly improve every member's payoff:
+    one `_row` plays the joint assignments, and the first that can ends it.
+    The whole plan is counted from the classes (`_plan`) and guarded before
+    any run and before any per-player list is built.
     """
     classes = game.symmetry_classes(profile)
     if not classes:
@@ -180,45 +196,38 @@ def verify_nash(
             return sum(len(game.CANDIDATES[role]) for _, role, _ in cls)
         return len(game.assignments(rep))
 
-    checked = sum(size * moves(cls, rep) for cls, (rep, size) in members.items())
-    _estimate(checked, max_joint_actions)
+    plan = _plan([(size, moves(cls, rep)) for cls, (rep, size) in members.items()],
+                 max(coalition_bound, 1), max_joint_actions)
+    _estimate(sum(plan), max_joint_actions)
     played = game.play(profile)
     base = played[0]
 
     gains: dict[object, list[tuple[str, Fraction, Fraction]]] = {}  # class -> gaining (label, base, payoff)
     for cls, (rep, _) in members.items():
-        row = [(label, base[rep], value) for label, value, _ in
-               _row(game, profile, played, rep, game.assignments(rep)) if value > base[rep]]
+        row = [(label, base[rep], payoffs[rep]) for label, payoffs, _ in
+               _row(game, profile, played, game.assignments(rep)) if payoffs[rep] > base[rep]]
         if row:
             gains[cls] = row
     if gains:
         deviations = [Deviation(p, label, baseline, value) for cls, run in classes
                       if cls in gains for p in run for label, baseline, value in gains[cls]]
-        return EquilibriumReport(Verdict.NOT_EQUILIBRIUM, deviations, checked=checked)
+        return EquilibriumReport(Verdict.NOT_EQUILIBRIUM, deviations, checked=plan[0])
     if coalition_bound <= 1:
-        return EquilibriumReport(Verdict.NASH, checked=checked)
+        return EquilibriumReport(Verdict.NASH, checked=plan[0])
 
-    # coalition pass: every member must strictly gain
     players = game.players()
     assignments = {p: game.assignments(p) for p in players}
-    for size in range(2, min(coalition_bound, len(players)) + 1):
-        for coalition in itertools.combinations(players, size):
-            joint = [assignments[p] for p in coalition]
-            total = 1
-            for a in joint:
-                total *= len(a)
-            _estimate(checked + total, max_joint_actions)
-            for combo in itertools.product(*joint):
-                assignment = {dp: act for _, a in combo for dp, act in a.items()}
-                checked += 1
-                payoffs = _deviate(game, profile, played, assignment)[0]
-                if all(payoffs[p] > base[p] for p in coalition):
-                    deviations = [Deviation(p, f"coalition:{label}", base[p], payoffs[p])
-                                  for p, (label, _) in zip(coalition, combo)]
-                    return EquilibriumReport(
-                        Verdict.NOT_EQUILIBRIUM, deviations, checked=checked
-                    )
-    return EquilibriumReport(Verdict.STRONG_NASH, checked=checked)
+    joint = (((coalition, combo), {dp: act for _, a in combo for dp, act in a.items()})
+             for size in range(2, min(coalition_bound, len(players)) + 1)
+             for coalition in itertools.combinations(players, size)
+             for combo in itertools.product(*(assignments[p] for p in coalition)))
+    for checked, ((coalition, combo), payoffs, _) in enumerate(
+            _row(game, profile, played, joint), plan[0] + 1):
+        if all(payoffs[p] > base[p] for p in coalition):
+            deviations = [Deviation(p, f"coalition:{label}", base[p], payoffs[p])
+                          for p, (label, _) in zip(coalition, combo)]
+            return EquilibriumReport(Verdict.NOT_EQUILIBRIUM, deviations, checked=checked)
+    return EquilibriumReport(Verdict.STRONG_NASH, checked=sum(plan))
 
 
 def verify_spne(
@@ -243,11 +252,11 @@ def verify_spne(
     `played` is the profile's own payoffs and checkpoints
     (`GameModel.play`), when the caller has already played it.
     """
-    dps = sorted(game.points, key=lambda d: (d.tick, d.actor))
-    if not dps:
+    count = sum(len(actors) * len(game.CANDIDATES[role]) for _, role, actors in game.groups)
+    if not count:
         raise GameError("the game has no decision points, so an SPNE check would check nothing")
-    count = sum(len(game.candidates(dp)) for dp in dps)
     _estimate(count, max_joint_actions)
+    dps = sorted(game.points, key=lambda d: (d.tick, d.actor))
     if played is None:
         played = game.play(profile)
     base = played[0]
@@ -263,8 +272,8 @@ def verify_spne(
         owner = game.owner(dp)
         key = dp if owner in game.pools else classes[owner]  # a solo owner holds one point
         if key not in subgames:
-            row = list(_row(game, profile, played, owner,
-                            [(label, {dp: label}) for label in game.candidates(dp)]))
+            row = [(label, payoffs[owner], deviates) for label, payoffs, deviates in
+                   _row(game, profile, played, [(label, {dp: label}) for label in game.candidates(dp)])]
             subgames[key] = ({label: value for label, value, _ in row}, sum(d for *_, d in row),
                              [(f"{dp.slot}/{dp.role.value}:{label}", value)
                               for label, value, _ in row if value > base[owner]])
@@ -295,36 +304,21 @@ def dominance_check(
     """
     if not conditions:
         raise GameError("a dominance check needs at least one condition")
-    played: dict[tuple[str, str], Fraction] = {}
-
-    def payoff(label: str, cond: str) -> Fraction:
-        """`player`'s payoff in one cell, each cell played once."""
-        if (label, cond) not in played:
-            played[label, cond] = game.conditioned_payoff(player, label, cond)
-        return played[label, cond]
-
-    others = [c for c in candidate_labels if c != action_label]
-    strict_all = True
-    weak_all = True
+    others = list(dict.fromkeys(c for c in candidate_labels if c != action_label))
+    mine: list[Fraction] = []  # the action's payoff per condition, played beside the first alternative
+    wins: list[list[bool]] = []  # per alternative and condition: the action strictly better
     for alt in others:
-        better_somewhere = False
-        strict_everywhere = True
-        for cond in conditions:
-            mine = payoff(action_label, cond)
-            theirs = payoff(alt, cond)
-            if mine < theirs:
+        wins.append([])
+        for i, cond in enumerate(conditions):
+            if i == len(mine):
+                mine.append(game.conditioned_payoff(player, action_label, cond))
+            theirs = game.conditioned_payoff(player, alt, cond)
+            if mine[i] < theirs:
                 return Dominance.NEITHER
-            if mine > theirs:
-                better_somewhere = True
-            else:
-                strict_everywhere = False
-        if not strict_everywhere:
-            strict_all = False
-        if not better_somewhere:
-            weak_all = False
-    if strict_all and others:
+            wins[-1].append(mine[i] > theirs)
+    if others and all(map(all, wins)):
         return Dominance.STRICTLY_DOMINANT
-    if weak_all and others:
+    if others and all(map(any, wins)):
         return Dominance.WEAKLY_DOMINANT
     return Dominance.NEITHER
 

@@ -179,8 +179,7 @@ class _Payoffs(Mapping):
     def __getitem__(self, player: PlayerId) -> Fraction:
         read = self._read
         if player not in read:
-            if player not in self._game.pools and not (isinstance(player, int) and any(
-                    player in members for *_, members in self._game._roster)):
+            if not self._game.is_player(player):
                 raise KeyError(player)
             read[player] = self._amount(player)
         return read[player]
@@ -261,6 +260,11 @@ class GameModel:
     def players(self) -> list[PlayerId]:
         """Solo players in decision-point order, then the pools."""
         return [*self.solo_players(), *self.pools]
+
+    def is_player(self, player: PlayerId) -> bool:
+        """Whether `player` is one of `players()`, looked up in `pools` and the roster's pieces."""
+        return player in self.pools or isinstance(player, int) and any(
+            player in members for *_, members in self._roster)
 
     def seats(self, player: PlayerId) -> tuple[DecisionPoint, ...]:
         """`player`'s decision points in `points` order: a pool's are its members'."""

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,23 @@ def test_explosion_guard_exits_before_any_set_up(tmp_path, monkeypatch):
     monkeypatch.setattr(DecisionPoint, "__new__", counted)
     assert main(["run", str(path)]) == EXIT_GUARD
     assert built == []
+
+
+def test_coalition_plan_guarded_before_any_run(tmp_path, monkeypatch):
+    # the whole plan, 768 unilateral and C(256, 2)·9 joint candidates, is
+    # counted before the base run, so a guard below it plays no run
+    path = tmp_path / "coalitions.json"
+    path.write_text(json.dumps({
+        "scenario": "coalitions",
+        "game": {"kind": "simple", "committee_size": 256, "boost": 102},
+        "checks": [{"type": "nash", "profile": "compliant-all", "coalition_bound": 2}],
+    }))
+    runs = []
+    run = games.SimpleGame.run
+    monkeypatch.setattr(games.SimpleGame, "run", lambda *args: runs.append(args) or run(*args))
+    assert main(["run", str(path), "--max-joint-actions", "20000"]) == EXIT_GUARD
+    assert main(["run", str(path), "--max-joint-actions", "294527"]) == EXIT_GUARD
+    assert runs == []
 
 
 @pytest.mark.parametrize("name", ["tendermint-withholding", "tendermint-anchor"])
@@ -548,6 +566,33 @@ def test_dominance_unknown_label_exit_3(tmp_path, capsys, action, candidates):
     out, err = capsys.readouterr()
     assert out == ""
     assert "unknown action 'zzz' for slot 1 attestor" in err
+
+
+@pytest.mark.parametrize("player", [999, 0, "nobody"])
+def test_dominance_unknown_player_exit_3(tmp_path, capsys, player):
+    # validator 0 votes in the previous committee, so it is no player either
+    game = {"kind": "simple", "committee_size": 4, "boost": 2}
+    assert _run_doc(tmp_path, game, [{"type": "dominance", "player": player}]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"dominance player {player!r} is not a player of this game" in err
+
+
+def test_dominance_at_scale_keeps_no_per_validator_state():
+    # the check reads the roster's runs and the first group: at W = 2^20 it
+    # allocates a few kB, where a per-player list or the decision points
+    # would take over 100 MB
+    W = 2**20
+    doc = {"scenario": "wide-dominance", "game": {"kind": "simple", "committee_size": W, "boost": W * 2 // 5},
+           "checks": [{"type": "dominance"}]}
+    tracemalloc.start()
+    try:
+        report = run_scenario(io.StringIO(json.dumps(doc)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["results"] == [{"check": "dominance", "dominance": "weakly-dominant"}]
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("key", ["n_slots", "adv_slot"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reorglab import equilibrium
@@ -32,6 +32,7 @@ from reorglab.equilibrium import (
 from reorglab.tendermint import AnchorGame
 
 import closed_forms
+from engine_games import games, labelled_profile
 
 
 def simple_config(**kw):
@@ -320,6 +321,24 @@ class TestDominance:
         assert verdict is Dominance.WEAKLY_DOMINANT
         assert len(runs) == 6
 
+    def test_cells_played_in_order_up_to_the_first_loss(self, monkeypatch):
+        # the action's cell for a condition is played beside the first
+        # alternative's, each cell once, and a loss ends the check before any
+        # later cell, which might not be realizable
+        cells = []
+        payoff = SimpleGame.conditioned_payoff
+        monkeypatch.setattr(SimpleGame, "conditioned_payoff",
+                            lambda game, *cell: cells.append(cell[1:]) or payoff(game, *cell))
+        game = SimpleGame(simple_config())
+        player = game.players()[-1]
+        assert dominance_check(game, player, "C", ["NC", "C", "NC", "abstain"]) is Dominance.WEAKLY_DOMINANT
+        assert cells == [("C", "succeed"), ("NC", "succeed"), ("C", "fail"), ("NC", "fail"),
+                         ("abstain", "succeed"), ("abstain", "fail")]
+        cells.clear()
+        assert dominance_check(game, player, "abstain", ["NC", "C"]) is Dominance.NEITHER
+        assert cells == [("abstain", "succeed"), ("NC", "succeed"), ("abstain", "fail"), ("NC", "fail"),
+                         ("C", "succeed")]
+
     def test_no_condition_rejected(self):
         # an empty partition compares nothing, so it cannot certify dominance
         game = SimpleGame(simple_config())
@@ -499,3 +518,49 @@ def test_nash_at_scale_keeps_no_per_validator_state():
         tracemalloc.stop()
     assert report.verdict is Verdict.NASH and report.checked == 3 * W
     assert peak < 2 * 2**20
+
+
+def per_player_plan(game, bound: int) -> int:
+    """The joint assignments of every coalition of 1 to `bound` players, counted player by player."""
+    e = [1] + [0] * bound  # e[k]: the coalitions of k players so far, weighted by their moves
+    for player in game.players():
+        m = len(game.assignments(player))
+        for k in range(bound, 0, -1):
+            e[k] += e[k - 1] * m
+    return sum(e[1:])
+
+
+@given(game=games(), rnd=st.randoms(use_true_random=False), bound=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_nash_guards_its_whole_plan_before_any_run(game, rnd, bound):
+    # the plan, unilateral and joint, is counted from the classes: one over
+    # it exits before the base run, and a strong-Nash verdict checks all of it
+    plan = per_player_plan(game, bound)
+    assume(plan)  # a game with no player has nothing to check
+    profile = labelled_profile(game, rnd)
+    runs = []
+    run = game.run
+    with mock.patch.object(game, "run", lambda *args: runs.append(args) or run(*args)):
+        with pytest.raises(ExplosionGuard, match=f"deviation simulations exceed bound {plan - 1}"):
+            verify_nash(game, profile, coalition_bound=bound, max_joint_actions=plan - 1)
+        assert runs == []
+        if plan > 2000:  # a strong-Nash verdict plays every joint assignment
+            return
+        report = verify_nash(game, profile, coalition_bound=bound, max_joint_actions=plan)
+    assert runs
+    assert report.checked <= plan
+    if report.verdict is Verdict.STRONG_NASH or bound == 1 and report.verdict is Verdict.NASH:
+        assert report.checked == plan
+
+
+def test_spne_guards_before_any_decision_point(monkeypatch):
+    # the count comes from the groups, so a check over the bound exits before
+    # it builds the 393,219 decision points of a W=131072 DAG-votes game
+    game = DagVotesGame(GameConfig(131072, boost=0))
+    profile = game.profile("prescribed")
+    built = []
+    new = DecisionPoint.__new__
+    monkeypatch.setattr(DecisionPoint, "__new__", lambda cls, *args: built.append(args) or new(cls, *args))
+    with pytest.raises(ExplosionGuard, match="1179654 deviation simulations exceed bound 1"):
+        verify_spne(game, profile, 1)
+    assert built == []

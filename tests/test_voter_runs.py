@@ -271,23 +271,33 @@ def test_chain_is_the_only_module_that_bisects():
     assert importers == ["chain.py"]
 
 
-def test_one_deviation_runner():
-    # every unilateral check reduces over `_row`, so only `_row` and the
-    # coalition pass, which plays joint assignments, call `_deviate`
+def _calls(name: str) -> list[tuple[str, str, object]]:
+    """(module, top-level function, innermost loop's iterable or None) of each call of `name`."""
     def callers(node, function=None, loop=None):
-        """(top-level function, innermost loop's iterable) of each `_deviate` call under `node`."""
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_deviate":
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
                 yield function, loop
             if isinstance(child, ast.FunctionDef) and function is None:
                 yield from callers(child, child.name, None)
-            elif isinstance(child, ast.For):
-                yield from callers(child, function, ast.unparse(child.iter))
+            elif isinstance(child, (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                inner = child.iter if isinstance(child, ast.For) else child.generators[-1].iter
+                yield from callers(child, function, ast.unparse(inner))
             else:
                 yield from callers(child, function, loop)
 
     package = Path(reorglab.__file__).parent
-    calls = [(path.name, *where) for path in sorted(package.glob("*.py"))
-             for where in callers(ast.parse(path.read_text()))]
-    assert calls == [("equilibrium.py", "_row", "candidates"),
-                     ("equilibrium.py", "verify_nash", "itertools.product(*joint)")]
+    return [(path.name, *where) for path in sorted(package.glob("*.py"))
+            for where in callers(ast.parse(path.read_text()))]
+
+
+def test_one_deviation_runner():
+    # every check, the coalition pass included, reduces over `_row`, so only
+    # `_row` calls `_deviate`
+    assert _calls("_deviate") == [("equilibrium.py", "_row", "candidates")]
+
+
+def test_each_check_guards_its_plan_once():
+    # a check counts its whole plan and guards it with one call, before any
+    # loop plays a run
+    assert _calls("_estimate") == [("equilibrium.py", "verify_nash", None),
+                                   ("equilibrium.py", "verify_spne", None)]
