@@ -155,7 +155,7 @@ class Block:
     it, so the lookups that settlement asks of it are built on first read
     and kept: `included_vote_set` answers "is this vote included here?" in
     O(1), and `evidence_signers` gives each signed vote's distinct signers
-    as one ready frozenset.
+    as ready runs.
     """
 
     id: BlockId
@@ -172,21 +172,19 @@ class Block:
         return frozenset(self.included_votes)
 
     @cached_property
-    def evidence_signers(self) -> dict[tuple[int, int, BlockId], frozenset[int]]:
+    def evidence_signers(self) -> dict[tuple[int, int, BlockId], tuple[Run, ...]]:
         """The distinct signers of each vote record its evidences sign, keyed (voter, slot, target).
 
-        Built on first read.  A counted vote record is keyed by its first
-        voter, as the records of one run never share a voter.  Each
-        evidence's signers are taken as they stand, united only where several
-        evidences sign one record.
+        Built on first read, as runs `(first, span, True)` joined with `put`:
+        an evidence adds one run to each record it signs, whatever its span.
+        A counted vote record is keyed by its first voter, as the records of
+        one run never share a voter.
         """
-        index: dict[tuple[int, int, BlockId], frozenset[int]] = {}
+        index: dict[tuple[int, int, BlockId], tuple[Run, ...]] = {}
         for e in self.included_evidences:
-            signed = frozenset(e.signers)
             for v in e.votes:
                 key = (v.voter, v.slot, v.target)
-                have = index.get(key)
-                index[key] = signed if have is None else have | signed
+                index[key] = put(index.get(key, ()), e.signer, e.span, True)
         return index
 
 

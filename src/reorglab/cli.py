@@ -23,7 +23,9 @@ import re
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -286,36 +288,32 @@ def _matrix_json(matrix) -> dict:
 
 
 def _report_equilibrium(report) -> dict:
-    """The report's fields; a class's shared payoff table and gaining amounts are rendered once.
+    """The report's fields, one deviation and one subgame per member.
 
-    The renderings are keyed by `id`: `report` holds every object keyed
-    until this returns, so no id is reused meanwhile.
+    Each entry's strings are rendered once and repeated for its members.
+    The deviations of one run of players list player by player, then label
+    by label.
     """
-    amounts: dict[tuple[int, int], dict] = {}  # ids of (baseline, deviated) -> their strings
-    tables: dict[int, dict] = {}  # id of a payoff table -> its rendering
     deviations = []
-    for d in report.deviations:
-        key = id(d.baseline), id(d.deviated)
-        if key not in amounts:
-            amounts[key] = {"baseline": str(d.baseline), "deviated": str(d.deviated), "gain": str(d.gain)}
-        deviations.append({"player": str(d.player), "action": d.label, **amounts[key]})
+    for players, entries in groupby(report.deviations, attrgetter("players")):
+        rendered = [{"action": d.label, "baseline": str(d.baseline), "deviated": str(d.deviated),
+                     "gain": str(d.gain)} for d in entries]
+        deviations.extend({"player": str(p), **fields} for p in players for fields in rendered)
     subgames = []
     for e in report.subgame_table:
-        if id(e.payoffs) not in tables:
-            tables[id(e.payoffs)] = {k: str(v) for k, v in sorted(e.payoffs.items())}
-        subgames.append({"slot": e.dp.slot, "role": e.dp.role.value, "actor": e.dp.actor,
-                         "payoffs": tables[id(e.payoffs)]})
+        role, payoffs = e.role.value, {k: str(v) for k, v in sorted(e.payoffs.items())}
+        subgames.extend({"slot": e.slot, "role": role, "actor": actor, "payoffs": payoffs}
+                        for actor in e.actors)
     return {"verdict": report.verdict.value, "deviations": deviations, "subgames": subgames,
             "checked": report.checked}
 
 
 def _outcome_json(outcome) -> dict:
-    texts: dict[int, str] = {}  # id of an amount -> its string; the sorted pairs hold every amount
-    payoffs = {}
+    payoffs, last, text = {}, None, ""  # a run's validators share one amount, rendered once
     for k, v in sorted(outcome.trace.payoffs.items()):
-        if id(v) not in texts:
-            texts[id(v)] = str(v)
-        payoffs[str(k)] = texts[id(v)]
+        if v is not last:
+            last, text = v, str(v)
+        payoffs[str(k)] = text
     out = {
         "success": outcome.success,
         "final_chain": list(outcome.final_chain),

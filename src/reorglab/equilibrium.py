@@ -59,7 +59,9 @@ class Dominance(enum.Enum):
 
 @dataclass
 class Deviation:
-    player: PlayerId
+    """Each of `players`, a run of one class's members in report order, gains alike by `label`."""
+
+    players: Sequence[PlayerId]
     label: str
     baseline: Fraction
     deviated: Fraction
@@ -71,18 +73,18 @@ class Deviation:
 
 @dataclass
 class SubgameEntry:
-    """Per-decision-point payoff table emitted by the SPNE check.
+    """The SPNE check's payoff table, by action label, of each actor of `actors` at its (slot, role) seat."""
 
-    The points of one symmetry class share one `payoffs` dict, so no reader
-    may mutate it.
-    """
-
-    dp: DecisionPoint
+    slot: int
+    role: Role
+    actors: range
     payoffs: dict[str, Fraction]
 
 
 @dataclass
 class EquilibriumReport:
+    """A verdict, with one entry per run of a class's members, as `symmetry_classes` yields them."""
+
     verdict: Verdict
     deviations: list[Deviation] = field(default_factory=list)
     subgame_table: list[SubgameEntry] = field(default_factory=list)
@@ -176,7 +178,7 @@ def verify_nash(
     one `_row` per symmetry class, for its first member (`_classes`), and
     compares once: swapping two members gives them equal base and deviation
     payoffs, so that decides for every member, which counts each candidate
-    as checked and reports the class's gains in roster order.  With
+    as checked and reports each gain once per run of the class.  With
     coalition_bound > 1 the verdict upgrades to strong Nash when no
     coalition up to that size can strictly improve every member's payoff:
     one `_row` plays the joint assignments, and the first that can ends it.
@@ -209,8 +211,8 @@ def verify_nash(
         if row:
             gains[cls] = row
     if gains:
-        deviations = [Deviation(p, label, baseline, value) for cls, run in classes
-                      if cls in gains for p in run for label, baseline, value in gains[cls]]
+        deviations = [Deviation(run, label, baseline, value) for cls, run in classes
+                      if cls in gains for label, baseline, value in gains[cls]]
         return EquilibriumReport(Verdict.NOT_EQUILIBRIUM, deviations, checked=plan[0])
     if coalition_bound <= 1:
         return EquilibriumReport(Verdict.NASH, checked=plan[0])
@@ -224,7 +226,7 @@ def verify_nash(
     for checked, ((coalition, combo), payoffs, _) in enumerate(
             _row(game, profile, played, joint), plan[0] + 1):
         if all(payoffs[p] > base[p] for p in coalition):
-            deviations = [Deviation(p, f"coalition:{label}", base[p], payoffs[p])
+            deviations = [Deviation((p,), f"coalition:{label}", base[p], payoffs[p])
                           for p, (label, _) in zip(coalition, combo)]
             return EquilibriumReport(Verdict.NOT_EQUILIBRIUM, deviations, checked=checked)
     return EquilibriumReport(Verdict.STRONG_NASH, checked=sum(plan))
@@ -244,33 +246,41 @@ def verify_spne(
     the owner's prescribed action must be a best response there.  The
     histories that an earlier deviation reaches are not examined, so this
     is not backward induction over every subgame.  The emitted subgame
-    table records each owner's payoff per action label.  A point's table,
-    its deviating count and its gaining labels come from one `_row` per
-    subgame up to symmetry, and the points of a class share them: a solo
-    player holds one decision point, so its class keys the subgame, while a
-    pool is its own class and each of its points is its own subgame.
-    `played` is the profile's own payoffs and checkpoints
-    (`GameModel.play`), when the caller has already played it.
+    table records each owner's payoff per action label.  The check walks
+    places: a run of a solo class sits at its class's one (slot, role), and
+    a pool, or a solo player of its own class, has one place per seat.  A
+    place's table, deviating count and gaining labels come from one `_row`
+    per subgame: a solo player holds one decision point, so its class keys
+    the subgame, while each point of a pool is its own subgame.  `played`
+    is the profile's own payoffs and checkpoints (`GameModel.play`), when
+    the caller has already played it.
     """
     count = sum(len(actors) * len(game.CANDIDATES[role]) for _, role, actors in game.groups)
     if not count:
         raise GameError("the game has no decision points, so an SPNE check would check nothing")
     _estimate(count, max_joint_actions)
-    dps = sorted(game.points, key=lambda d: (d.tick, d.actor))
     if played is None:
         played = game.play(profile)
     base = played[0]
 
-    classes = {p: cls for cls, run in game.symmetry_classes(profile) for p in run}
+    # (the seat that plays the row, the place's actors, its players from the last, subgame key)
+    places: list[tuple[DecisionPoint, range, Sequence[PlayerId], object]] = []
+    for cls, run in game.symmetry_classes(profile):
+        if isinstance(cls, tuple):
+            (slot, role, _), = cls
+            places.append((DecisionPoint(slot, role, run[-1]), run, run[::-1], cls))
+        else:
+            places.extend((dp, range(dp.actor, dp.actor + 1), (cls,), dp if cls in game.pools else cls)
+                          for dp in game.seats(cls))
+    places.sort(key=lambda place: (place[0].tick, place[1][0]))
     # subgame key -> its payoff table, deviating count and gaining (action, payoff)s
     subgames: dict[object, tuple[dict[str, Fraction], int, list[tuple[str, Fraction]]]] = {}
 
     deviations: list[Deviation] = []
     table: list[SubgameEntry] = []
     checked = 0
-    for dp in reversed(dps):
-        owner = game.owner(dp)
-        key = dp if owner in game.pools else classes[owner]  # a solo owner holds one point
+    for dp, actors, players, key in reversed(places):
+        owner = players[0]  # the seat's player
         if key not in subgames:
             row = [(label, payoffs[owner], deviates) for label, payoffs, deviates in
                    _row(game, profile, played, [(label, {dp: label}) for label in game.candidates(dp)])]
@@ -278,9 +288,9 @@ def verify_spne(
                              [(f"{dp.slot}/{dp.role.value}:{label}", value)
                               for label, value, _ in row if value > base[owner]])
         payoffs, deviating, gaining = subgames[key]
-        checked += deviating
-        deviations.extend(Deviation(owner, action, base[owner], value) for action, value in gaining)
-        table.append(SubgameEntry(dp, payoffs))
+        checked += deviating * len(actors)
+        deviations.extend(Deviation(players, action, base[owner], value) for action, value in gaining)
+        table.append(SubgameEntry(dp.slot, dp.role, actors, dict(payoffs)))
     table.reverse()
     verdict = Verdict.NOT_EQUILIBRIUM if deviations else Verdict.SPNE
     return EquilibriumReport(verdict, deviations, table, checked)
@@ -380,7 +390,7 @@ def dag_security_scenario(
         eth_game = SimpleGame(replace(config, boost=boost))
         # the commitment is credible, so the other attestors best-respond by
         # complying; the honest hold-out is the profile under test
-        probe = eth_game.solo_players()[-1]
+        probe = eth_game._roster[-1][-1][-1]  # the last solo player
         eth_profile = eth_game.profile("compliant-all").with_actions(
             {DecisionPoint(eth_game.SLOT_T, Role.ATTESTOR, probe): "NC"})
         ethereum_report = verify_nash(eth_game, eth_profile, max_joint_actions=max_joint_actions)

@@ -225,13 +225,6 @@ class GameModel:
     # pool name -> indices of the member validators whose payoffs it sums
     pools: dict[PlayerId, frozenset[int]] = {}
 
-    def owner(self, dp: DecisionPoint) -> PlayerId:
-        """The player moving at `dp`: its actor, or the pool the actor belongs to."""
-        for name, members in self.pools.items():
-            if dp.actor in members:
-                return name
-        return dp.actor
-
     @cached_property
     def groups(self) -> tuple[tuple[int, Role, range], ...]:
         """The decision points as (slot, role, actors) groups, in `points` order, listed once."""
@@ -253,13 +246,9 @@ class GameModel:
         return tuple((slot, role, range(first, first + span)) for slot, role, actors in self.groups
                      for first, span, pool in over(pooled, actors.start, actors.stop) if pool is None)
 
-    def solo_players(self) -> list[PlayerId]:
-        """The players that are no pool, in decision-point order."""
-        return [p for *_, members in self._roster for p in members]
-
     def players(self) -> list[PlayerId]:
         """Solo players in decision-point order, then the pools."""
-        return [*self.solo_players(), *self.pools]
+        return [*(p for *_, members in self._roster for p in members), *self.pools]
 
     def is_player(self, player: PlayerId) -> bool:
         """Whether `player` is one of `players()`, looked up in `pools` and the roster's pieces."""

@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Iterator, Optional
 
-from .chain import Block, BlockId, BlockTree, Run, VoteRecord, find, fold
+from .chain import Block, BlockId, BlockTree, Run, VoteRecord, find, fold, put
 from .engine import RunTrace
 
 
@@ -190,13 +190,12 @@ def head_vote_timely_dag(
     signature; the threshold is strict, so W even with exactly W/2 signers is
     untimely.  Slots strictly increase along a chain, so the blocks after the
     target are exactly those with a slot above the vote's.  The next-slot
-    test asks the block's vote set (`Block.included_vote_set`).  A block's
-    signers are one frozenset of `Block.evidence_signers`: a single
-    contributing block's set is counted as it stands, and only several are
-    united, so no W-size set is copied in the common case.
+    test asks the block's vote set (`Block.included_vote_set`).  The
+    signers are the runs of each block's `Block.evidence_signers`, joined
+    with `put`, so the count is over runs, not signers.
     """
     next_slot = vote.slot + 1
-    key = signed = None
+    key, signed = None, ()
     for bid in chain:
         block = tree.blocks[bid]
         if block.slot <= vote.slot:
@@ -206,10 +205,9 @@ def head_vote_timely_dag(
         if block.included_evidences:
             if key is None:
                 key = (vote.voter, vote.slot, vote.target)
-            signers = block.evidence_signers.get(key)
-            if signers:
-                signed = signers if signed is None else signed | signers
-    return signed is not None and 2 * len(signed) > committee_size
+            for first, span, _ in block.evidence_signers.get(key, ()):
+                signed = put(signed, first, span, True)
+    return 2 * sum(span for _, span, _ in signed) > committee_size
 
 
 def _slot_targets(chain: list[BlockId], tree: BlockTree) -> Callable[[int], Optional[BlockId]]:

@@ -8,12 +8,18 @@ which rewrite every counted vote into one span-1 record per voter, in index
 order, with the record's slot, target and broadcast time, and every counted
 evidence into one span-1 record per signer, in index order, over the
 expanded votes.  Blocks are rebuilt over the expanded records.
+
+An `EquilibriumReport` likewise holds one entry per run of a symmetry
+class's members; `report_members` gives it member by member, and `owner`
+names the player that moves at one decision point.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from reorglab.chain import Block, BlockTree, EvidenceRecord, VoteRecord
-from reorglab.engine import RunTrace, TraceEvent
+from reorglab.engine import DecisionPoint, RunTrace, TraceEvent
 
 
 def expand_vote(vote: VoteRecord) -> list[VoteRecord]:
@@ -86,3 +92,26 @@ class Expander:
 def expand_trace(trace: RunTrace) -> RunTrace:
     """The run as one record per voter: events, tree and blocks alike, the rest copied."""
     return Expander().trace(trace)
+
+
+def owner(game, dp):
+    """The player moving at `dp`: its actor, or the pool the actor belongs to."""
+    for name, members in game.pools.items():
+        if dp.actor in members:
+            return name
+    return dp.actor
+
+
+def report_members(report) -> tuple[list[tuple], list[tuple]]:
+    """The report per member: `(player, label, baseline, deviated)`s and `(DecisionPoint, payoffs)`s.
+
+    The deviations of one run of players list player by player, then label
+    by label; each subgame entry lists its actors in order.
+    """
+    deviations = []
+    for players, entries in groupby(report.deviations, lambda d: d.players):
+        entries = list(entries)
+        deviations += [(p, d.label, d.baseline, d.deviated) for p in players for d in entries]
+    subgames = [(DecisionPoint(e.slot, e.role, actor), e.payoffs)
+                for e in report.subgame_table for actor in e.actors]
+    return deviations, subgames

@@ -25,6 +25,8 @@ from reorglab.equilibrium import (
     _estimate,
 )
 
+from expansion import owner
+
 
 class DictProfile:
     """One label per decision point, held in a dict keyed by the point."""
@@ -55,7 +57,7 @@ def seats(game) -> dict:
     """Each player's decision points in `points` order: solo players first, then every pool."""
     found: dict = {}
     for dp in game.points:
-        found.setdefault(game.owner(dp), []).append(dp)
+        found.setdefault(owner(game, dp), []).append(dp)
     solo = {p: tuple(dps) for p, dps in found.items() if p not in game.pools}
     return solo | {name: tuple(found.get(name, ())) for name in game.pools}
 
@@ -94,7 +96,7 @@ def reference_nash(game, profile, max_joint_actions: int = 10**6) -> Equilibrium
             if value > base[rep]:
                 gains.setdefault(cls, []).append((label, value))
     if gains:
-        deviations = [Deviation(p, label, base[p], value)
+        deviations = [Deviation((p,), label, base[p], value)
                       for p, cls in classes.items() if cls in gains for label, value in gains[cls]]
         return EquilibriumReport(Verdict.NOT_EQUILIBRIUM, deviations, checked=checked)
     return EquilibriumReport(Verdict.NASH, checked=checked)
@@ -111,22 +113,22 @@ def reference_spne(game, profile) -> EquilibriumReport:
     memo: dict[tuple, tuple[Fraction, bool]] = {}
     deviations, table, checked = [], [], 0
     for dp in reversed(dps):
-        owner, cls, i = place[dp]
+        player, cls, i = place[dp]
         payoffs = {}
         for label in game.candidates(dp):
             key = (cls, i, label)
             if key not in memo:
                 deviated, deviates = _deviate(game, profile, played, {dp: label})
-                memo[key] = deviated[owner], deviates
+                memo[key] = deviated[player], deviates
             value, deviates = memo[key]
             payoffs[label] = value
             if not deviates:
                 continue
             checked += 1
-            if value > base[owner]:
-                deviations.append(Deviation(owner, f"{dp.slot}/{dp.role.value}:{label}",
-                                            base[owner], value))
-        table.append(SubgameEntry(dp, payoffs))
+            if value > base[player]:
+                deviations.append(Deviation((player,), f"{dp.slot}/{dp.role.value}:{label}",
+                                            base[player], value))
+        table.append(SubgameEntry(dp.slot, dp.role, range(dp.actor, dp.actor + 1), payoffs))
     table.reverse()
     verdict = Verdict.NOT_EQUILIBRIUM if deviations else Verdict.SPNE
     return EquilibriumReport(verdict, deviations, table, checked)

@@ -49,6 +49,7 @@ from reorglab.rewards import (
 from reorglab.tendermint import honest_anchor_scenario, withholding_attack_scenario
 
 from closed_forms import pool_payoff_selfish, pool_slot_sets
+from expansion import owner, report_members
 from test_compliance import CASES, LEX, W, WP, marks_for, oracle_tip
 from test_properties import (
     test_fork_choice_oracle_exhaustive_shapes_to_six_blocks,
@@ -69,7 +70,7 @@ def test_criterion_01_table1():
     assert matrix.cell("fail", "C") == 0
     assert matrix.cell("fail", "NC") == 0
     # each cell equals settle_payoffs on the conditioned simulation
-    probe = game.solo_players()[-1]
+    probe = game._roster[-1][-1][-1]  # the last solo player
     for row in ("succeed", "fail"):
         for col in ("C", "NC"):
             outcome = game.conditioned_run(probe, col, row)
@@ -113,10 +114,10 @@ def test_criterion_04_extended_spne_tables():
         game = ExtendedGame(config)
         rep = verify_spne(game, game.profile("compliant-all"))
         assert rep.verdict is Verdict.SPNE
-        for entry in rep.subgame_table:
-            expected = config.r if entry.dp.role is Role.ATTESTOR else config.R
-            assert entry.payoffs["C"] == expected
-            assert all(v == 0 for k, v in entry.payoffs.items() if k != "C")
+        for dp, payoffs in report_members(rep)[1]:
+            expected = config.r if dp.role is Role.ATTESTOR else config.R
+            assert payoffs["C"] == expected
+            assert all(v == 0 for k, v in payoffs.items() if k != "C")
     report(4, "extended game SPNE for p in {1,2,3} with exact subgame tables")
 
 
@@ -166,7 +167,7 @@ def test_criterion_06_selfish_mining():
                 assert formula == 0
             # solo attestors comply exactly when the fork should win
             solo = "C" if row == "succeed" else "NC"
-            out = game.run(game.labelled(lambda dp: col if game.owner(dp) in game.pools else solo))
+            out = game.run(game.labelled(lambda dp: col if owner(game, dp) in game.pools else solo))
             settled = sum(
                 (
                     out.trace.payoffs.get(v, 0)

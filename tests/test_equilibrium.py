@@ -33,6 +33,7 @@ from reorglab.tendermint import AnchorGame
 
 import closed_forms
 from engine_games import games, labelled_profile
+from expansion import report_members
 
 
 def simple_config(**kw):
@@ -85,11 +86,11 @@ class TestVerifyNash:
         profile = profile.with_actions({dp: "NC"})
         report = verify_nash(game, profile)
         assert report.verdict is Verdict.NOT_EQUILIBRIUM
-        dev = next(d for d in report.deviations if d.player == hold_out)
-        assert dev.label == "C"
+        _, label, baseline, deviated = next(d for d in report_members(report)[0] if d[0] == hold_out)
+        assert label == "C"
         replayed = game.payoffs(profile.with_actions({dp: "C"}))
-        assert replayed[hold_out] == dev.deviated
-        assert dev.gain == Fraction(1)
+        assert replayed[hold_out] == deviated
+        assert deviated - baseline == Fraction(1)
 
     def test_constant_payoff_game_always_nash(self):
         game = SimpleGame(simple_config(r=Fraction(0), R=Fraction(0)))
@@ -104,12 +105,11 @@ class TestVerifyNash:
 
     @pytest.mark.parametrize("pool", [None, PoolSpec(2)])
     def test_roster_listed_once(self, pool, monkeypatch):
-        # `owner` runs at most once per decision point, and the decision
-        # points are listed a number of times that does not grow with W
+        # the decision points are listed a number of times that does not grow with W
         def roster_calls(W):
             game = SimpleGame(simple_config(committee_size=W, boost=W * 2 // 5, pool=pool))
             profile = game.profile("compliant-all")
-            calls = {"owner": 0, "_decision_points": 0}
+            calls = {"_decision_points": 0}
             for name in calls:
                 def counted(self, *args, _name=name, _fn=getattr(SimpleGame, name)):
                     calls[_name] += 1
@@ -121,7 +121,6 @@ class TestVerifyNash:
             return calls
 
         small, large = roster_calls(8), roster_calls(32)
-        assert large["owner"] <= 32
         assert large["_decision_points"] == small["_decision_points"]
 
     def test_vote_actions_built_do_not_grow_with_w(self, monkeypatch):
@@ -257,10 +256,10 @@ class TestVerifySpne:
         game = ExtendedGame(config)
         report = verify_spne(game, game.profile("compliant-all"))
         assert report.verdict is Verdict.SPNE
-        for entry in report.subgame_table:
-            on_path = config.r if entry.dp.role is Role.ATTESTOR else config.R
-            assert entry.payoffs["C"] == on_path
-            for label, value in entry.payoffs.items():
+        for dp, payoffs in report_members(report)[1]:
+            on_path = config.r if dp.role is Role.ATTESTOR else config.R
+            assert payoffs["C"] == on_path
+            for label, value in payoffs.items():
                 if label != "C":
                     assert value == 0
 
@@ -278,8 +277,9 @@ class TestVerifySpne:
         profile = profile.with_actions({dp: "NC"})
         report = verify_spne(game, profile)
         assert report.verdict is Verdict.NOT_EQUILIBRIUM
-        dev = next(d for d in report.deviations if d.player == game.leaders[2].index)
-        assert dev.gain == config.R
+        _, _, baseline, deviated = next(
+            d for d in report_members(report)[0] if d[0] == game.leaders[2].index)
+        assert deviated - baseline == config.R
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_spne_implies_nash(self, p):
@@ -474,9 +474,10 @@ def check_table1(W: int, boost: int, credibility_assumed: bool, r: Fraction, nam
     assert played == [(first, label, base, deviated[label]) for label in ("C", "NC", "abstain")]
     gaining = [label for label in ("C", "NC", "abstain") if deviated[label] > base]
     # compared one by one, so a wide committee's report is not copied
-    assert len(report.deviations) == W * len(gaining)
-    assert all((d.player, d.label, d.baseline, d.deviated) == (p, label, base, deviated[label])
-               for d, (p, label) in zip(report.deviations, itertools.product(game.committee, gaining)))
+    members = report_members(report)[0]
+    assert len(members) == W * len(gaining)
+    assert all(d == (p, label, base, deviated[label])
+               for d, (p, label) in zip(members, itertools.product(game.committee, gaining)))
     assert report.verdict is (Verdict.NOT_EQUILIBRIUM if gaining else Verdict.NASH)
     assert report.checked == 3 * W
 
@@ -517,6 +518,44 @@ def test_nash_at_scale_keeps_no_per_validator_state():
     finally:
         tracemalloc.stop()
     assert report.verdict is Verdict.NASH and report.checked == 3 * W
+    assert peak < 2 * 2**20
+
+
+def test_failing_check_at_scale_holds_one_deviation():
+    # with boost W every attestor of `vote-bt-all` gains r by complying; the
+    # committee is one class run, so the report holds one entry for it, and
+    # the check allocates a few kB where one entry per member would take
+    # over 100 MB
+    W = 2**20
+    tracemalloc.start()
+    try:
+        game = SimpleGame(GameConfig(W, boost=W))
+        report = verify_nash(game, game.profile("vote-bt-all"), max_joint_actions=3 * W)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is Verdict.NOT_EQUILIBRIUM and report.checked == 3 * W
+    [deviation] = report.deviations
+    assert (deviation.players, deviation.label, deviation.gain) == (game.committee, "C", game.config.r)
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("W", [65, 65537])
+def test_dag_spne_holds_one_subgame_entry_per_class_run(W):
+    # three rational leaders and three attestor committees, each one class
+    # run at one seat: six entries at any W, and a few kB for the check
+    game = DagVotesGame(GameConfig(committee_size=W, boost=0))
+    profile = game.profile("prescribed")
+    tracemalloc.start()
+    try:
+        report = verify_spne(game, profile)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is Verdict.SPNE and report.checked == 3 + 3 * 2 * W
+    assert [(e.role, len(e.actors)) for e in report.subgame_table] == [
+        (Role.LEADER, 1), (Role.ATTESTOR, W), (Role.LEADER, 1), (Role.ATTESTOR, W),
+        (Role.ATTESTOR, W), (Role.LEADER, 1)]
     assert peak < 2 * 2**20
 
 

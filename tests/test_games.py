@@ -32,7 +32,7 @@ import closed_forms
 from closed_forms import pool_payoff_selfish, pool_slot_sets
 from committees import assign_committees
 from engine_games import games
-from expansion import expand_trace, expand_votes
+from expansion import expand_trace, expand_votes, owner
 
 
 def simple_config(**kw):
@@ -114,7 +114,7 @@ class TestSimpleGame:
         # with W_p = 1 a lone non-compliant probe forces failure, so the
         # (succeed, NC) cell cannot be realized
         game = SimpleGame(simple_config(boost=1))
-        probe = game.solo_players()[-1]
+        probe = game._roster[-1][-1][-1]  # the last solo player
         with pytest.raises(ConditioningUnrealizable):
             game.conditioned_payoff(probe, "NC", "succeed")
 
@@ -123,7 +123,7 @@ class TestSimpleGame:
         # the attack fails, so the threat loses its teeth
         naive = simple_config(credibility_assumed=False)
         game = SimpleGame(naive)
-        probe = game.solo_players()[-1]
+        probe = game._roster[-1][-1][-1]  # the last solo player
         assert game.conditioned_payoff(probe, "NC", "fail") == 1
         credible = SimpleGame(simple_config())
         assert credible.conditioned_payoff(probe, "NC", "fail") == 0
@@ -416,7 +416,7 @@ class TestSelfishMining:
                 # solo attestors comply exactly when the fork should win
                 solo = "C" if row == "succeed" else "NC"
                 out = game.run(
-                    game.labelled(lambda dp: col if game.owner(dp) in game.pools else solo)
+                    game.labelled(lambda dp: col if owner(game, dp) in game.pools else solo)
                 )
                 assert out.success == (row == "succeed")
                 sim_total = sum(
@@ -680,7 +680,7 @@ def assert_candidate_tables_hold(game):
         assert all(a != b for a, b in itertools.combinations(actions, 2)), table
         for picks in game.PROFILES.values():
             assert any(label in table for label in picks), (dp, picks)
-        if game.owner(dp) in game.pools:
+        if owner(game, dp) in game.pools:
             assert set(game.POOL_LABELS) <= set(table)
 
 

@@ -22,6 +22,7 @@ from reorglab.cli import render_report, run_scenario
 from reorglab.equilibrium import dag_security_scenario, verify_spne
 from reorglab.games import DagVotesGame, GameConfig
 
+from expansion import report_members
 from test_golden import documents
 
 
@@ -107,7 +108,7 @@ def report_path_counts(W: int, monkeypatch) -> tuple[int, int]:
     cli._report_equilibrium(result.ethereum_report)
     cli._outcome_json(result.outcome)
     monkeypatch.undo()
-    assert len(result.report.subgame_table) > 3 * W  # one entry per point, each rendered
+    assert len(report_members(result.report)[1]) > 3 * W  # one subgame per point, each rendered
     return counted.reads, len(calls)
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reorglab import cli
 from reorglab.engine import DecisionPoint, Role, StrategyProfile
 from reorglab.equilibrium import (
     Deviation,
@@ -33,6 +34,7 @@ from reorglab.games import AssumptionViolated, GameConfig, PoolSpec, SimpleGame
 from reorglab.tendermint import AnchorGame, WithholdingGame
 
 from engine_games import classes_of, games
+from expansion import owner, report_members
 
 
 def clustered_profile(game, rnd):
@@ -84,7 +86,7 @@ def full_nash(game, profile) -> EquilibriumReport:
             checked += 1
             value = game.payoffs(profile.with_actions(assignment))[player]
             if value > base[player]:
-                deviations.append(Deviation(player, label, base[player], value))
+                deviations.append(Deviation((player,), label, base[player], value))
     verdict = Verdict.NOT_EQUILIBRIUM if deviations else Verdict.NASH
     return EquilibriumReport(verdict, deviations, checked=checked)
 
@@ -94,29 +96,27 @@ def full_spne(game, profile) -> EquilibriumReport:
     base = game.payoffs(profile)
     deviations, table, checked = [], [], 0
     for dp in reversed(sorted(game.points, key=lambda d: (d.tick, d.actor))):
-        owner = game.owner(dp)
+        player = owner(game, dp)
         payoffs = {}
         for label in game.candidates(dp):
-            value = payoffs[label] = game.payoffs(profile.with_actions({dp: label}))[owner]
+            value = payoffs[label] = game.payoffs(profile.with_actions({dp: label}))[player]
             if profile.get(dp) == label:
                 continue
             checked += 1
-            if value > base[owner]:
-                deviations.append(Deviation(owner, f"{dp.slot}/{dp.role.value}:{label}",
-                                            base[owner], value))
-        table.append(SubgameEntry(dp, payoffs))
+            if value > base[player]:
+                deviations.append(Deviation((player,), f"{dp.slot}/{dp.role.value}:{label}",
+                                            base[player], value))
+        table.append(SubgameEntry(dp.slot, dp.role, range(dp.actor, dp.actor + 1), payoffs))
     table.reverse()
     verdict = Verdict.NOT_EQUILIBRIUM if deviations else Verdict.SPNE
     return EquilibriumReport(verdict, deviations, table, checked)
 
 
 def fields(report: EquilibriumReport) -> tuple:
-    return (
-        report.verdict,
-        [(d.player, d.label, d.baseline, d.deviated) for d in report.deviations],
-        [(e.dp, list(e.payoffs.items())) for e in report.subgame_table],
-        report.checked,
-    )
+    """The report member by member, each subgame's payoffs in table order."""
+    deviations, subgames = report_members(report)
+    table = [(dp, list(payoffs.items())) for dp, payoffs in subgames]
+    return report.verdict, deviations, table, report.checked
 
 
 @given(game=games(), rnd=st.randoms(use_true_random=False))
@@ -141,7 +141,7 @@ def test_gaining_classes_report_every_member_in_roster_order(W, abstainers):
     profile = game.labelled(lambda dp: label.get(dp.actor, "C"))
     report = verify_nash(game, profile)
     assert report.verdict is Verdict.NOT_EQUILIBRIUM
-    assert [(d.player, d.label) for d in report.deviations] == [
+    assert [(p, action) for p, action, *_ in report_members(report)[0]] == [
         (p, "C") for p in players if p in label]
     assert fields(report) == fields(full_nash(game, profile))
 
@@ -278,7 +278,7 @@ def test_a_class_deviates_exactly_when_its_label_is_no_best_response(game, rnd):
         assert isinstance(game, WithholdingGame)  # every rational validator open: no quorum
         assume(False)
     classes = classes_of(game, profile)
-    deviating = {classes[d.player] for d in report.deviations}
+    deviating = {classes[p] for p, *_ in report_members(report)[0]}
     first = {}
     for player, cls in classes.items():
         first.setdefault(cls, player)
@@ -289,6 +289,31 @@ def test_a_class_deviates_exactly_when_its_label_is_no_best_response(game, rnd):
             continue
         own = profile.get(seats[0])
         assert (cls in deviating) == (own not in best_response(game, profile, player)), (cls, own)
+
+
+@given(game=games(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_cli_renders_each_check_as_its_full_enumeration(game, rnd):
+    # the CLI expands the checks' class-run entries member by member; the
+    # references hold one entry per member, so both render alike
+    assume(game.points)
+    profile = rnd.choice((clustered_profile, pooled_profile))(game, rnd)
+    assert (cli._report_equilibrium(verify_nash(game, profile))
+            == cli._report_equilibrium(full_nash(game, profile)))
+    assert (cli._report_equilibrium(verify_spne(game, profile))
+            == cli._report_equilibrium(full_spne(game, profile)))
+
+
+def test_cli_lists_a_gaining_run_player_by_player_then_label_by_label():
+    # with no credible threat every abstainer gains by both C and NC: one
+    # run of four members with two entries, which a loop over the players
+    # reports member-major
+    game = SimpleGame(GameConfig(4, boost=1, credibility_assumed=False))
+    profile = game.profile("abstain-all")
+    report = verify_nash(game, profile)
+    assert [(d.players, d.label) for d in report.deviations] == [
+        (game.committee, "C"), (game.committee, "NC")]
+    assert cli._report_equilibrium(report) == cli._report_equilibrium(full_nash(game, profile))
 
 
 # -- the roster ---------------------------------------------------------------

@@ -296,6 +296,14 @@ def test_one_deviation_runner():
     assert _calls("_deviate") == [("equilibrium.py", "_row", "candidates")]
 
 
+def test_checks_read_no_per_member_roster():
+    # the checks walk class runs and their seats, so the equilibrium module
+    # reads neither the per-member decision points nor a per-point owner
+    tree = ast.parse((Path(reorglab.__file__).parent / "equilibrium.py").read_text())
+    assert [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("points", "owner")] == []
+
+
 def test_each_check_guards_its_plan_once():
     # a check counts its whole plan and guards it with one call, before any
     # loop plays a run
