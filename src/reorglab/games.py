@@ -281,8 +281,8 @@ class GameModel:
         candidate label is a range of members of the class
         `((slot, role, label),)`.  Any other player (a pool, or a solo player
         whose label is missing or no candidate) is its own class.  The
-        Tendermint games read their rational validators only as sets, so
-        they take this key too.
+        Tendermint games read their rational validators only as runs of
+        one label, so they take this key too.
         """
         runs: list[tuple[object, Sequence[PlayerId]]] = []
         for slot, role, members in self._roster:

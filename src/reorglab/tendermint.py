@@ -10,7 +10,10 @@ follows Buchman, Kwon and Milosevic, "The latest gossip on BFT consensus"
 
 Two scenarios from the analysis are executable.  Both pay through clause (i)
 of the evidence rule alone (`evidence_counts`); they differ only in who sees
-which message:
+which message.  Every set of validators is held as chain.py's runs
+`(first, span, value)`: a message stands for a run of senders, and a round's
+votes, audiences, counts and pay are runs, so a round costs O(runs) at any
+f:
 
 * withholding: a 2f+1 pack of non-honest validators nil-votes privately for
   m honest-led rounds while signing each other's messages, then surfaces
@@ -30,12 +33,13 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
+from .chain import Run, fold, over, put
 from .engine import Role, StrategyProfile
 from .equilibrium import EquilibriumReport, best_response, verify_nash
-from .games import AssumptionViolated, GameModel
+from .games import AssumptionViolated, GameModel, _Payoffs
+from .rewards import SettledPayoffs
 
 
 class TendermintError(Exception):
@@ -53,12 +57,20 @@ NIL = None
 
 @dataclass(frozen=True)
 class TendermintMsg:
+    """Senders `sender` .. `sender + span - 1` each send this message.
+
+    A message of span 1 is one validator's.  A counted message, of a larger
+    span, stands for the identical messages of that run of validators, as a
+    counted `VoteRecord` does in chain.py.
+    """
+
     kind: MsgKind
     height: int
     rho: int
     value: Optional[int]  # block id, None = nil
     sender: int
     vr: int = -1  # proposals only
+    span: int = 1
 
 
 @dataclass
@@ -77,12 +89,12 @@ class RoundState:
 
 def _quorum(view: Sequence[TendermintMsg], kind: MsgKind, height: int, rho: int,
             value, f: int) -> bool:
-    senders = {
-        m.sender
-        for m in view
-        if m.kind is kind and m.height == height and m.rho == rho and m.value == value
-    }
-    return len(senders) >= 2 * f + 1
+    """Whether 2f+1 distinct senders sent the message: overlapping messages are joined with `put`."""
+    senders: tuple[Run, ...] = ()
+    for m in view:
+        if m.kind is kind and m.height == height and m.rho == rho and m.value == value:
+            senders = put(senders, m.sender, m.span, True)
+    return sum(span for _, span, _ in senders) >= 2 * f + 1
 
 
 def tm_step(
@@ -155,34 +167,42 @@ def tm_vote_reward(
     return correct and evidence_count >= 2 * f + 1
 
 
-def evidence_counts(
-    values: Mapping[int, Optional[int]], audience: Callable[[int], frozenset[int]]
-) -> dict[int, int]:
-    """Clause (i) signatures on each sender's message of one round and kind.
+def evidence_counts(values: tuple[Run, ...], audiences: tuple[Run, ...]) -> tuple[Run, ...]:
+    """Clause (i) signatures on each sender's message of one round and kind, as runs.
 
-    `values` maps each sender to the value of its message, and
-    `audience(sender)` is the set of validators that see that message.  A
-    signer signs a sender's message, its own included, when it is in the
-    message's audience and its own message carries the same value; a
-    validator that sent no message signs nothing.  The count is per audience:
-    the values of each distinct audience are tallied once, and every sender
-    whose message reaches it reads its count off that tally.  A round with a
-    few audiences thus costs O(senders) rather than one check per (signer,
-    sender) pair.
+    `values` holds runs `(first, span, value)`: senders `first` ..
+    `first + span - 1` each sent a message of that value.  `audiences`
+    holds runs that partition the same senders: each of a run's senders'
+    messages is seen by the validators of its `audience`, itself runs
+    `(first, span, True)`.  A signer signs a sender's message, its own
+    included, when it is in the message's audience and its own message
+    carries the same value; a validator that sent no message signs nothing.
+    The count is per audience: the values of each distinct audience are
+    tallied once, over the runs where value and audience are both constant,
+    and every run of senders whose messages reach it reads its count off
+    that tally.  The counts come back as runs `(first, span, count)` over
+    the senders, so a round costs O(runs), whatever the number of senders.
     """
-    tallies: dict[frozenset[int], Counter] = {}
-    counts = {}
-    for sender, value in values.items():
-        seen_by = audience(sender)
+    # the runs where both are constant, (value, audience) never None, so a
+    # stretch that `over` reports as None sent no message
+    cells = tuple((first, span, (value, seen_by)) for v_first, v_span, value in values
+                  for first, span, seen_by in over(audiences, v_first, v_first + v_span))
+    tallies: dict[tuple[Run, ...], Counter] = {}
+    counts = []
+    for first, span, (value, seen_by) in cells:
         if seen_by not in tallies:
-            tallies[seen_by] = Counter(values[s] for s in seen_by if s in values)
-        counts[sender] = tallies[seen_by][value]
-    return counts
+            tally = tallies[seen_by] = Counter()
+            for a_first, a_span, _ in seen_by:
+                for _, n, cell in over(cells, a_first, a_first + a_span):
+                    if cell is not None:
+                        tally[cell[0]] += n
+        counts.append((first, span, tallies[seen_by][value]))
+    return fold(counts)
 
 
-def _honest_votes(state: RoundState, honest: Sequence[int], view: list[TendermintMsg],
-                  phase: MsgKind, f: int) -> dict[int, Optional[int]]:
-    """Each honest validator's `phase` vote; one message per sender joins `view`.
+def _honest_votes(state: RoundState, honest: range, view: list[TendermintMsg],
+                  phase: MsgKind, f: int) -> Optional[int]:
+    """The `phase` vote every honest validator sends; one counted message for all of them joins `view`.
 
     `state` stands for every validator in `honest` and is stepped once.  That is exact
     while they share one state and one view: `tm_step` reads no message of the phase it
@@ -190,9 +210,9 @@ def _honest_votes(state: RoundState, honest: Sequence[int], view: list[Tendermin
     the round-rho prevotes), so each would emit the same value and make the same lock
     update.  Honest validators with different states or views must each be stepped.
     """
-    msg = tm_step(state, view, phase, honest[0], f)
-    view += [TendermintMsg(msg.kind, msg.height, msg.rho, msg.value, v) for v in honest]
-    return dict.fromkeys(honest, msg.value)
+    msg = tm_step(state, view, phase, honest.start, f)
+    view.append(TendermintMsg(msg.kind, msg.height, msg.rho, msg.value, msg.sender, msg.vr, len(honest)))
+    return msg.value
 
 
 @dataclass(frozen=True)
@@ -200,7 +220,15 @@ class RoundRun:
     """What one play of a Tendermint game determines."""
 
     finalized_round: int  # -1 when no round finalized
-    payoffs: Mapping[int, Fraction]  # per validator that sent votes
+    payoffs: SettledPayoffs  # per validator that sent votes: r per paid round
+
+
+def _credit(rounds: tuple[Run, ...], paid: tuple[Run, ...]) -> tuple[Run, ...]:
+    """`rounds`, runs `(first, span, paid rounds)`, with one more for each validator of `paid`'s runs."""
+    for first, span, _ in paid:
+        for piece_first, piece_span, count in over(rounds, first, first + span):
+            rounds = put(rounds, piece_first, piece_span, count + 1)
+    return rounds
 
 
 class _TendermintGame(GameModel):
@@ -210,14 +238,17 @@ class _TendermintGame(GameModel):
     candidate of every rational validator; `PROFILES` names the playable
     profiles in which all of them take the same one.  Each distinct profile
     is played once per game object: `simulate` keeps the run, keyed by the
-    profile's runs, which equal for equal profiles.  The players
-    take `GameModel.symmetry_classes`' shared key: every rational validator
-    has one decision point, at slot 1 as an attestor, so two of them share a
-    class when they take the same label.  That is sound because a run reads
-    its rational validators only as sets (`_playing`, the audiences of
-    `evidence_counts`, `sorted(backers)` into a view whose order no quorum
-    reads): swapping two of one label changes no set, so each one's
-    deviation pays it what the other's pays the other.
+    profile's runs, which equal for equal profiles.  The rosters (`honest`,
+    `adversarial`, `rational`) are ranges of indices, and a play reads the
+    rational validators only as the profile's runs, so neither `__init__`
+    nor a play works per validator.  The players take
+    `GameModel.symmetry_classes`' shared key: every rational validator has
+    one decision point, at slot 1 as an attestor, so two of them share a
+    class when they take the same label.  That is sound because a run treats
+    the validators of one label alike (`_playing`, the audiences of
+    `evidence_counts`, the counted messages into a view whose quorums count
+    distinct senders): swapping two of one label changes no run, so each
+    one's deviation pays it what the other's pays the other.
     """
 
     def __init__(self, f: int, r_unit: Fraction):
@@ -235,25 +266,33 @@ class _TendermintGame(GameModel):
             self._runs[key] = self._play(profile)
         return self._runs[key]
 
-    def payoffs(self, profile: StrategyProfile, start=None) -> dict[int, Fraction]:
-        """Each rational validator's payoff; `start` is always None, as `play` records no checkpoint."""
-        run = self.simulate(profile)
-        return {v: run.payoffs[v] for v in self.rational}
+    def payoffs(self, profile: StrategyProfile, start=None) -> Mapping[int, Fraction]:
+        """A view of each rational validator's payoff; `start` is always None, as `play` records no checkpoint."""
+        return _Payoffs(self, self.simulate(profile).payoffs.__getitem__)
 
     def play(self, profile: StrategyProfile):
         return self.payoffs(profile), {}
 
-    def _playing(self, label: str, profile: StrategyProfile) -> set[int]:
-        """The rational validators playing `label`, read off the profile's runs."""
+    def _playing(self, label: str, profile: StrategyProfile) -> tuple[Run, ...]:
+        """The runs `(first, span, label)` of rational validators playing `label`, off the profile's runs."""
         (slot, role, actors), = self.groups
-        return {v for first, span, played in profile.over(slot, role, actors) if played == label
-                for v in range(first, first + span)}
+        return tuple(run for run in profile.over(slot, role, actors) if run[2] == label)
 
-    def _paid(self, prevote_counts: dict[int, int], precommit_counts: dict[int, int],
-              vote: tuple[int, int], inclusion: tuple[int, int]) -> set[int]:
-        """The senders whose (rho, height) votes both pay r when included."""
+    def _paid(self, prevote_counts: tuple[Run, ...], precommit_counts: tuple[Run, ...],
+              vote: tuple[int, int], inclusion: tuple[int, int]) -> tuple[Run, ...]:
+        """The runs `(first, span, True)` of senders whose (rho, height) votes both pay r when included.
+
+        Both counts are `evidence_counts` runs over the same senders.
+        """
         pays = lambda count: tm_vote_reward(*vote, *inclusion, count, self.f)
-        return {v for v in prevote_counts if pays(prevote_counts[v]) and pays(precommit_counts[v])}
+        return fold((first, span, True) for pv_first, pv_span, count in prevote_counts if pays(count)
+                    for first, span, count in over(precommit_counts, pv_first, pv_first + pv_span)
+                    if pays(count))
+
+    def _settled(self, paid_rounds: tuple[Run, ...]) -> SettledPayoffs:
+        """r per paid round to each validator of the runs `(first, span, paid rounds)`."""
+        return SettledPayoffs(tuple((first, span, (count, 0)) for first, span, count in paid_rounds),
+                              self.r_unit, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -289,52 +328,50 @@ class WithholdingGame(_TendermintGame):
         n_honest = min(max(m, 1), f)
         if m > 0 and n_honest == 0:
             raise AssumptionViolated("no honest validator to lead the withheld rounds")
-        self.honest = list(range(n_honest))
-        self.adversarial = list(range(n_honest, n_honest + f))
+        self.honest = range(n_honest)
+        self.adversarial = range(n_honest, n_honest + f)
         self.rational = range(n_honest + f, self.n)
-        self.pack = [*self.adversarial, *self.rational]
+        self.pack = range(n_honest, self.n)
 
     def _play(self, profile: StrategyProfile) -> RoundRun:
-        f, m, height = self.f, self.m, 1
+        f, m, height, honest = self.f, self.m, 1, self.honest
+        n, k = self.n, len(honest)  # honest validators 0 .. k-1, the pack k .. n-1
         deviators = self._playing("honest-r1", profile)
-        everyone, pack = frozenset(range(self.n)), frozenset(self.pack)
-        outside = everyone - pack
+        # the audiences: everyone, the pack and the rest, each one run
+        everyone, pack, outside = ((0, n, True),), ((k, n - k, True),), ((0, k, True),)
+        # precommits (all nil, as no round reaches a quorum): each side signs
+        # its own side's with the next prevotes, alike in every round
+        pc = evidence_counts(((0, n, NIL),), ((0, k, outside), (k, n - k, pack)))
         state = RoundState(height=height)  # every honest validator's
         view: list[TendermintMsg] = []  # the public messages
-        paid_rounds = dict.fromkeys(range(self.n), 0)
+        paid_rounds: tuple[Run, ...] = ((0, n, 0),)
         for rho in range(1, m + 1):
-            leader = self.honest[(rho - 1) % len(self.honest)]
+            leader = honest[(rho - 1) % len(honest)]
             state.rho = rho
             proposal = tm_step(state, view, MsgKind.PROPOSAL, leader, f, fresh_value=100 + rho)
             view.append(proposal)
             block = proposal.value
             # honest validators follow the state machine, round-1 deviators
             # back the proposal openly, the rest of the pack nil-votes in
-            # private
-            prevotes = _honest_votes(state, self.honest, view, MsgKind.PREVOTE, f)
-            backers = deviators if rho == 1 else set()
-            for v in self.pack:
-                prevotes[v] = block if v in backers else NIL
-            view += [TendermintMsg(MsgKind.PREVOTE, height, rho, block, v) for v in sorted(backers)]
-            public = set(self.honest) | backers
-            if sum(value == block for value in prevotes.values()) >= 2 * f + 1:
+            # private; everyone sees the public prevotes, and only the pack
+            # its private ones
+            honest_prevote = _honest_votes(state, honest, view, MsgKind.PREVOTE, f)
+            backers = deviators if rho == 1 else ()
+            view += [TendermintMsg(MsgKind.PREVOTE, height, rho, block, first, span=span)
+                     for first, span, _ in backers]
+            prevotes = fold(((0, k, honest_prevote), (k, n - k, NIL)))
+            audiences = ((0, k, everyone), (k, n - k, pack))
+            for first, span, _ in backers:
+                prevotes = put(prevotes, first, span, block)
+                audiences = put(audiences, first, span, everyone)
+            if sum(span for _, span, value in prevotes if value == block) >= 2 * f + 1:
                 raise AssumptionViolated("withheld round unexpectedly reached quorum")
-            honest_precommits = _honest_votes(state, self.honest, view, MsgKind.PRECOMMIT, f)
-            if any(value is not NIL for value in honest_precommits.values()):
+            if _honest_votes(state, honest, view, MsgKind.PRECOMMIT, f) is not NIL:
                 raise AssumptionViolated("honest precommit without a quorum")
-            # everyone sees the public prevotes, and only the pack its private
-            # ones (every sender outside `public` is in the pack); precommits are
-            # all nil (no quorum), and each side signs its own side's with the
-            # next prevotes
-            precommits = dict.fromkeys(prevotes, NIL)
-            pv = evidence_counts(prevotes, lambda v: everyone if v in public else pack)
-            pc = evidence_counts(precommits, lambda v: pack if v in pack else outside)
+            pv = evidence_counts(prevotes, audiences)
             # included in round m+1, where everything surfaces and finalizes
-            for v in self._paid(pv, pc, (rho, height), (m + 1, height)):
-                paid_rounds[v] += 1
-        # a validator earns r per paid round: one product per distinct count
-        amounts = {k: self.r_unit * k for k in set(paid_rounds.values())}
-        return RoundRun(m + 1, MappingProxyType({v: amounts[k] for v, k in paid_rounds.items()}))
+            paid_rounds = _credit(paid_rounds, self._paid(pv, pc, (rho, height), (m + 1, height)))
+        return RoundRun(m + 1, self._settled(paid_rounds))
 
 
 def withholding_attack_scenario(
@@ -370,33 +407,33 @@ class AnchorGame(_TendermintGame):
 
     def __init__(self, f: int, r_unit: Fraction = Fraction(1)):
         super().__init__(f, r_unit)
-        self.honest = list(range(f + 1))
+        self.honest = range(f + 1)
         self.rational = range(f + 1, 2 * f + 1)
-        self.adversarial = list(range(2 * f + 1, self.n))  # silent, worst case
+        self.adversarial = range(2 * f + 1, self.n)  # silent, worst case
 
     def _play(self, profile: StrategyProfile) -> RoundRun:
         f, height, rho, block = self.f, 1, 1, 100
-        leader = self.honest[0]
-        backers = self._playing("prevote-b", profile)
+        honest, rational = self.honest, self.rational
         state = RoundState(height=height)  # every honest validator's
         view: list[TendermintMsg] = []  # every message is public
-        view.append(tm_step(state, view, MsgKind.PROPOSAL, leader, f, block))
-        prevotes = _honest_votes(state, self.honest, view, MsgKind.PREVOTE, f)
-        for v in self.rational:
-            prevotes[v] = block if v in backers else NIL
-            view.append(TendermintMsg(MsgKind.PREVOTE, height, rho, prevotes[v], v))
-        precommits = _honest_votes(state, self.honest, view, MsgKind.PRECOMMIT, f)
-        # each map holds one vote per sender, so a count of its values is a quorum
-        quorum_b = sum(value == block for value in prevotes.values()) >= 2 * f + 1
-        precommits.update(dict.fromkeys(self.rational, block if quorum_b else NIL))
-        finalized = sum(value == block for value in precommits.values()) >= 2 * f + 1
-        everyone = frozenset(range(self.n))
-        pv = evidence_counts(prevotes, lambda v: everyone)
-        pc = evidence_counts(precommits, lambda v: everyone)
+        view.append(tm_step(state, view, MsgKind.PROPOSAL, honest.start, f, block))
+        honest_prevote = _honest_votes(state, honest, view, MsgKind.PREVOTE, f)
+        rational_prevotes = ((rational.start, len(rational), NIL),)
+        for first, span, _ in self._playing("prevote-b", profile):
+            rational_prevotes = put(rational_prevotes, first, span, block)
+        view += [TendermintMsg(MsgKind.PREVOTE, height, rho, value, first, span=span)
+                 for first, span, value in rational_prevotes]
+        honest_precommit = _honest_votes(state, honest, view, MsgKind.PRECOMMIT, f)
+        # the runs hold one vote per sender, so their summed spans are a quorum
+        prevotes = fold(((honest.start, len(honest), honest_prevote), *rational_prevotes))
+        quorum_b = sum(span for _, span, value in prevotes if value == block) >= 2 * f + 1
+        precommits = fold(((honest.start, len(honest), honest_precommit),
+                           (rational.start, len(rational), block if quorum_b else NIL)))
+        finalized = sum(span for _, span, value in precommits if value == block) >= 2 * f + 1
+        audiences = ((0, rational.stop, ((0, self.n, True),)),)  # every sender's seen by everyone
+        pv, pc = evidence_counts(prevotes, audiences), evidence_counts(precommits, audiences)
         paid = self._paid(pv, pc, (rho, height), (1, height + 1))
-        r, zero = self.r_unit, Fraction(0)
-        payoffs = {v: r if v in paid else zero for v in pv}
-        return RoundRun(rho if finalized else -1, MappingProxyType(payoffs))
+        return RoundRun(rho if finalized else -1, self._settled(_credit(((0, rational.stop, 0),), paid)))
 
 
 def honest_anchor_scenario(

@@ -1,18 +1,21 @@
-"""Both Tendermint games played one honest validator at a time: the reference.
+"""Both Tendermint games played one validator at a time: the reference.
 
 Here each honest validator keeps its own `RoundState` and steps it in turn,
 and each step's message joins the view before the next validator steps.
-The anchor's `quorum_b` and `finalized` are read off the view by distinct
-senders.  The games step one replica for all honest validators and read
-those quorums off the round's vote maps; the tests check that both give the
-same run.
+Every vote, audience, evidence count and payoff is a dict or set entry per
+validator, and the anchor's `quorum_b` and `finalized` are read off the view
+by distinct senders.  The games step one replica for all honest validators,
+send one counted message per run of senders, and hold every validator set
+as runs; the tests check that both give the same run.  The reference shares
+only `tm_step`, `tm_vote_reward`, `RoundState` and `TendermintMsg` with them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Optional
+from typing import Callable, Mapping, Optional
 
 from reorglab.games import AssumptionViolated
 from reorglab.tendermint import (
@@ -23,7 +26,6 @@ from reorglab.tendermint import (
     RoundState,
     TendermintMsg,
     WithholdingGame,
-    evidence_counts,
     tm_step,
     tm_vote_reward,
 )
@@ -36,6 +38,33 @@ def quorum(view, kind: MsgKind, height: int, rho: int, value, f: int) -> bool:
         if m.kind is kind and m.height == height and m.rho == rho and m.value == value
     }
     return len(senders) >= 2 * f + 1
+
+
+def evidence_counts(
+    values: Mapping[int, Optional[int]], audience: Callable[[int], frozenset[int]]
+) -> dict[int, int]:
+    """Clause (i) signatures on each sender's message of one round and kind, sender by sender.
+
+    `values` maps each sender to the value of its message, and
+    `audience(sender)` is the set of validators that see that message.  A
+    signer signs a sender's message, its own included, when it is in the
+    message's audience and its own message carries the same value; a
+    validator that sent no message signs nothing.  The values of each
+    distinct audience are tallied once.
+    """
+    tallies: dict[frozenset[int], Counter] = {}
+    counts = {}
+    for sender, value in values.items():
+        seen_by = audience(sender)
+        if seen_by not in tallies:
+            tallies[seen_by] = Counter(values[s] for s in seen_by if s in values)
+        counts[sender] = tallies[seen_by][value]
+    return counts
+
+
+def playing(game, label: str, profile) -> set[int]:
+    """The rational validators playing `label`, one decision point at a time."""
+    return {dp.actor for dp in game.points if profile.get(dp) == label}
 
 
 def pays(game, prevote_counts: dict[int, int], precommit_counts: dict[int, int],
@@ -59,7 +88,7 @@ def honest_votes(states: dict[int, RoundState], view: list[TendermintMsg], phase
 
 def play_withholding(game: WithholdingGame, profile) -> RoundRun:
     f, m, height = game.f, game.m, 1
-    deviators = game._playing("honest-r1", profile)
+    deviators = playing(game, "honest-r1", profile)
     everyone, pack = frozenset(range(game.n)), frozenset(game.pack)
     outside = everyone - pack
     states = {v: RoundState(height=height) for v in game.honest}
@@ -94,7 +123,7 @@ def play_withholding(game: WithholdingGame, profile) -> RoundRun:
 def play_anchor(game: AnchorGame, profile) -> RoundRun:
     f, height, rho, block = game.f, 1, 1, 100
     leader = game.honest[0]
-    backers = game._playing("prevote-b", profile)
+    backers = playing(game, "prevote-b", profile)
     states = {v: RoundState(height=height) for v in game.honest}
     view: list[TendermintMsg] = []
     view.append(tm_step(states[leader], view, MsgKind.PROPOSAL, leader, f, block))

@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reorglab import tendermint
+from reorglab.chain import fold, over
 from reorglab.engine import DecisionPoint, Role
 from reorglab.equilibrium import Verdict
 from reorglab.games import AssumptionViolated
@@ -42,8 +44,8 @@ def proposal(h=1, rho=1, value=100, sender=0, vr=-1):
     return TendermintMsg(MsgKind.PROPOSAL, h, rho, value, sender, vr)
 
 
-def prevote(h=1, rho=1, value=100, sender=0):
-    return TendermintMsg(MsgKind.PREVOTE, h, rho, value, sender)
+def prevote(h=1, rho=1, value=100, sender=0, span=1):
+    return TendermintMsg(MsgKind.PREVOTE, h, rho, value, sender, span=span)
 
 
 def precommit(h=1, rho=1, value=100, sender=0):
@@ -85,6 +87,19 @@ class TestTmStep:
         view = [proposal()] + [prevote(sender=s) for s in range(2)]
         msg = tm_step(state, view, MsgKind.PRECOMMIT, me=3, f=1)
         assert msg.value is NIL
+
+    def test_counted_prevotes_make_a_quorum(self):
+        state = RoundState()
+        view = [proposal(), prevote(sender=0, span=2), prevote(sender=2)]
+        msg = tm_step(state, view, MsgKind.PRECOMMIT, me=3, f=1)
+        assert msg.value == 100 and state.locked_value == 100
+
+    def test_quorum_counts_distinct_senders_of_overlapping_messages(self):
+        # senders 0..1 and 1 again are two distinct senders, short of 2f+1 = 3;
+        # summing the spans would count three
+        view = [prevote(sender=0, span=2), prevote(sender=1)]
+        assert not tendermint._quorum(view, MsgKind.PREVOTE, 1, 1, 100, f=1)
+        assert tendermint._quorum(view + [prevote(sender=2)], MsgKind.PREVOTE, 1, 1, 100, f=1)
 
     def test_leader_reproposes_valid_value(self):
         state = RoundState(rho=4, valid_round=2, valid_value=777)
@@ -161,6 +176,23 @@ def pairwise_evidence_counts(values, audience) -> dict[int, int]:
     }
 
 
+def as_runs(validators) -> tuple:
+    """A set of validators as runs `(first, span, True)`."""
+    return fold((v, 1, True) for v in sorted(validators))
+
+
+def expanded(runs) -> dict:
+    """Runs `(first, span, value)` as one entry per validator."""
+    return {v: value for first, span, value in runs for v in range(first, first + span)}
+
+
+def counted(values, audience) -> dict[int, int]:
+    """`evidence_counts` fed one run per sender, with that sender's audience, expanded."""
+    senders = sorted(values)
+    return expanded(evidence_counts(tuple((s, 1, values[s]) for s in senders),
+                                    tuple((s, 1, as_runs(audience(s))) for s in senders)))
+
+
 @st.composite
 def audiences(draw, senders):
     """Each sender's audience: one of a few shared sets, a set of its own, or itself alone."""
@@ -181,8 +213,32 @@ def audiences(draw, senders):
 @given(data=st.data(), values=st.dictionaries(st.sampled_from(SENDERS), VALUES, min_size=1))
 def test_evidence_counts_match_the_pairwise_count(data, values):
     audience = data.draw(audiences(sorted(values)))
-    assert evidence_counts(values, audience.__getitem__) == pairwise_evidence_counts(
+    assert counted(values, audience.__getitem__) == pairwise_evidence_counts(
         values, audience.__getitem__
+    )
+
+
+@st.composite
+def cuts(draw, stop, labels):
+    """Validators 0 .. stop - 1 cut into consecutive runs of random spans, each with a drawn label."""
+    edges = sorted(draw(st.sets(st.integers(0, stop), max_size=stop)) | {0, stop})
+    return tuple((first, after - first, draw(labels)) for first, after in zip(edges, edges[1:]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), stop=st.integers(1, 24))
+def test_evidence_counts_of_runs_match_the_pairwise_count(data, stop):
+    # sender runs (a gap sends nothing) and audience runs of random spans that
+    # cut across each other, some audiences shared by several runs
+    shared = data.draw(st.lists(st.frozensets(st.integers(0, stop + 2)).map(as_runs),
+                                min_size=1, max_size=3))
+    values = tuple(run for run in data.draw(cuts(stop, st.sampled_from(["gap", NIL, 100, 200])))
+                   if run[2] != "gap")
+    cover = data.draw(cuts(stop, st.sampled_from(shared)))
+    audiences = tuple(piece for first, span, _ in values for piece in over(cover, first, first + span))
+    audience = {v: frozenset(expanded(seen_by)) for v, seen_by in expanded(audiences).items()}
+    assert expanded(evidence_counts(values, audiences)) == pairwise_evidence_counts(
+        expanded(values), audience.__getitem__
     )
 
 
@@ -192,7 +248,7 @@ def test_evidence_counts_match_clause_i(values, proposed):
     # with every message visible, the scenarios' signature count is the number
     # of signers whose unjustified evidence the spec predicates accept
     everyone = frozenset(values)
-    counts = evidence_counts(values, lambda sender: everyone)
+    counts = counted(values, lambda sender: everyone)
     for sender, value in values.items():
         pv, pc = prevote(value=value, sender=sender), precommit(value=value, sender=sender)
         prevote_signers = sum(
@@ -212,11 +268,19 @@ def test_evidence_counts_sign_only_what_the_signer_sees():
     # no payoff in either scenario turns on visibility (the withheld
     # prevotes are nil, and only the pack votes nil), so pin it here
     values = {0: 100, 1: 100, 2: NIL, 3: NIL}
-    alone = evidence_counts(values, lambda sender: frozenset({sender}))
+    alone = counted(values, lambda sender: frozenset({sender}))
     assert alone == {0: 1, 1: 1, 2: 1, 3: 1}
     everyone = frozenset(range(6))  # 4 and 5 sent nothing, so they sign nothing
-    hidden_3 = evidence_counts(values, lambda sender: frozenset({3}) if sender == 3 else everyone)
+    hidden_3 = counted(values, lambda sender: frozenset({3}) if sender == 3 else everyone)
     assert hidden_3 == {0: 2, 1: 2, 2: 2, 3: 1}
+
+
+def test_paid_needs_both_counts_across_their_cuts():
+    # no play of either game has a precommit count that decides, so pin it here:
+    # senders 0..3 prevote with 3 signatures each, but only 0 and 3 precommit with 3
+    game = AnchorGame(1)
+    paid = game._paid(((0, 4, 3),), ((0, 1, 3), (1, 2, 2), (3, 1, 3)), (1, 1), (1, 2))
+    assert paid == ((0, 1, True), (3, 1, True))
 
 
 class TestVoteReward:
@@ -402,7 +466,7 @@ def _count_calls(monkeypatch, game_class) -> Counter:
     return calls
 
 
-@pytest.mark.parametrize("f", [1, 3, 14, 120])
+@pytest.mark.parametrize("f", [1, 3, 14, 120, 10**5])
 def test_anchor_plays_two_profiles_at_any_f(monkeypatch, f):
     # the base profile and one nil-prevote deviation for the whole class of
     # rational validators, which the forfeit check reads again from the cache;
@@ -413,7 +477,7 @@ def test_anchor_plays_two_profiles_at_any_f(monkeypatch, f):
     assert res.report.checked == 2 * f and res.deviation_forfeits
 
 
-@pytest.mark.parametrize("f", [1, 3, 14, 120])
+@pytest.mark.parametrize("f", [1, 3, 14, 120, 10**5])
 def test_withholding_plays_two_profiles_at_any_f(monkeypatch, f):
     # the script and one honest-r1 deviation for the whole pack, each stepping
     # the honest replica once per phase of each of the m = 3 withheld rounds
@@ -421,6 +485,22 @@ def test_withholding_plays_two_profiles_at_any_f(monkeypatch, f):
     res = withholding_attack_scenario(f, 3)
     assert calls == {"plays": 2, "steps": 2 * 3 * 3}
     assert res.report.checked == 2 * len(WithholdingGame(f, 3, Fraction(1)).rational)
+
+
+def test_both_scenarios_at_scale_hold_no_per_validator_state():
+    # every validator set of a round is a run, so f = 10^5 costs what f = 14 does
+    f, m, r = 10**5, 3, Fraction(2)
+    tracemalloc.start()
+    try:
+        withholding = withholding_attack_scenario(f, m, r)
+        anchor = honest_anchor_scenario(f, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert withholding.payoff_per_nonhonest == r * m and withholding.report.verdict is Verdict.NASH
+    assert anchor.payoffs[f + 1] == r and anchor.deviation_forfeits
+    assert anchor.report.verdict is Verdict.NASH
 
 
 def test_withholding_without_honest_leader_rejected():
