@@ -96,6 +96,11 @@ def _estimate(count: int, bound: int) -> None:
         raise ExplosionGuard(f"{count} deviation simulations exceed bound {bound}")
 
 
+def _sign(base: Fraction, deviated: Fraction) -> int:
+    """+1, 0 or -1 as `deviated` pays more than, as much as or less than `base`: every check's one payoff test."""
+    return (deviated > base) - (deviated < base)
+
+
 Played = tuple[Mapping[PlayerId, Fraction], dict[int, Checkpoint]]  # as `GameModel.play` returns
 
 
@@ -132,12 +137,11 @@ def best_response(
     player: PlayerId,
     candidates: Optional[Sequence[tuple[str, dict]]] = None,
 ) -> set[str]:
-    """Labels of the candidate assignments maximizing `player`'s payoff."""
+    """Labels of the candidate assignments whose payoff to `player` no other candidate's beats."""
     candidates = candidates if candidates is not None else game.assignments(player)
     row = [(label, payoffs[player]) for label, payoffs, _ in
            _row(game, profile, game.play(profile), candidates)]
-    best = max((value for _, value in row), default=None)
-    return {label for label, value in row if value == best}
+    return {label for label, value in row if not any(_sign(value, other) > 0 for _, other in row)}
 
 
 def _classes(classes: Sequence[tuple[object, Sequence[PlayerId]]]) -> dict[object, tuple[PlayerId, int]]:
@@ -207,7 +211,7 @@ def verify_nash(
     gains: dict[object, list[tuple[str, Fraction, Fraction]]] = {}  # class -> gaining (label, base, payoff)
     for cls, (rep, _) in members.items():
         row = [(label, base[rep], payoffs[rep]) for label, payoffs, _ in
-               _row(game, profile, played, game.assignments(rep)) if payoffs[rep] > base[rep]]
+               _row(game, profile, played, game.assignments(rep)) if _sign(base[rep], payoffs[rep]) > 0]
         if row:
             gains[cls] = row
     if gains:
@@ -225,7 +229,7 @@ def verify_nash(
              for combo in itertools.product(*(assignments[p] for p in coalition)))
     for checked, ((coalition, combo), payoffs, _) in enumerate(
             _row(game, profile, played, joint), plan[0] + 1):
-        if all(payoffs[p] > base[p] for p in coalition):
+        if all(_sign(base[p], payoffs[p]) > 0 for p in coalition):
             deviations = [Deviation((p,), f"coalition:{label}", base[p], payoffs[p])
                           for p, (label, _) in zip(coalition, combo)]
             return EquilibriumReport(Verdict.NOT_EQUILIBRIUM, deviations, checked=checked)
@@ -286,7 +290,7 @@ def verify_spne(
                    _row(game, profile, played, [(label, {dp: label}) for label in game.candidates(dp)])]
             subgames[key] = ({label: value for label, value, _ in row}, sum(d for *_, d in row),
                              [(f"{dp.slot}/{dp.role.value}:{label}", value)
-                              for label, value, _ in row if value > base[owner]])
+                              for label, value, _ in row if _sign(base[owner], value) > 0])
         payoffs, deviating, gaining = subgames[key]
         checked += deviating * len(actors)
         deviations.extend(Deviation(players, action, base[owner], value) for action, value in gaining)
@@ -316,16 +320,15 @@ def dominance_check(
         raise GameError("a dominance check needs at least one condition")
     others = list(dict.fromkeys(c for c in candidate_labels if c != action_label))
     mine: list[Fraction] = []  # the action's payoff per condition, played beside the first alternative
-    wins: list[list[bool]] = []  # per alternative and condition: the action strictly better
+    wins: list[list[int]] = []  # per alternative and condition: the action's `_sign` against it
     for alt in others:
         wins.append([])
         for i, cond in enumerate(conditions):
             if i == len(mine):
                 mine.append(game.conditioned_payoff(player, action_label, cond))
-            theirs = game.conditioned_payoff(player, alt, cond)
-            if mine[i] < theirs:
+            if (sign := _sign(game.conditioned_payoff(player, alt, cond), mine[i])) < 0:
                 return Dominance.NEITHER
-            wins[-1].append(mine[i] > theirs)
+            wins[-1].append(sign)
     if others and all(map(all, wins)):
         return Dominance.STRICTLY_DOMINANT
     if others and all(map(any, wins)):

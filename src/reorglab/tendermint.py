@@ -21,7 +21,12 @@ f:
   failure that is nevertheless a Nash equilibrium;
 * honest anchor: with f+1 honest validators, a rational validator that
   nil-prevotes an honest proposal finds no honest evidence for it and
-  forfeits the round, so honest-led rounds finalize in all equilibria.
+  forfeits the round.  What is checked is the one profile `prevote-b`:
+  every deviation from it strictly loses, and its run finalizes.  It is
+  not the only equilibrium: at f >= 2 `prevote-nil` is a weak Nash
+  equilibrium that stalls, since a lone `prevote-b` stays short of the
+  2f+1 quorum and ties.  `reorg_resilient` is reported as a literal, not
+  computed from the equilibrium set.
 
 Round numbers are held in fields named `rho` to keep them apart from the
 reward unit r.
@@ -439,7 +444,13 @@ class AnchorGame(_TendermintGame):
 def honest_anchor_scenario(
     f: int, r_unit: Fraction = Fraction(1), max_joint_actions: int = 10**6
 ) -> AnchorResult:
-    """First honest-led round finalizes; nil-prevoting forfeits the round."""
+    """Check `prevote-b`: Nash, its first honest-led round finalizes, and nil-prevoting forfeits.
+
+    `deviation_forfeits` holds when, for each class's first member,
+    `best_response` is `prevote-b` alone: it strictly beats every other
+    label by `_sign`.  No other profile is checked, so `reorg_resilient`
+    is a literal.
+    """
     game = AnchorGame(f, r_unit)
     profile = game.profile("prevote-b")
     report = verify_nash(game, profile, max_joint_actions=max_joint_actions)

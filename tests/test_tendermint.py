@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from reorglab import tendermint
 from reorglab.chain import fold, over
 from reorglab.engine import DecisionPoint, Role
-from reorglab.equilibrium import Verdict
+from reorglab.equilibrium import Verdict, best_response, verify_nash
 from reorglab.games import AssumptionViolated
 from reorglab.tendermint import (
     AnchorGame,
@@ -343,6 +343,21 @@ class TestAnchor:
         assert res.deviation_forfeits
         # at r = 0 a nil-prevote pays what prevote-b pays, so it forfeits nothing
         assert not honest_anchor_scenario(1, Fraction(0)).deviation_forfeits
+
+    @pytest.mark.parametrize("f", [1, 2, 3, 10])
+    def test_nil_prevote_is_a_weak_equilibrium_that_stalls(self, f):
+        # a lone prevote-b joins the f+1 honest ones, short of the 2f+1 quorum
+        # once f >= 2: the round stalls, every label pays 0, and a tie is no gain
+        game = AnchorGame(f)
+        profile = game.profile("prevote-nil")
+        report = verify_nash(game, profile)
+        if f == 1:
+            assert report.verdict is Verdict.NOT_EQUILIBRIUM
+            return
+        assert report.verdict is Verdict.NASH
+        assert game.simulate(profile).finalized_round == -1
+        for _, members in game.symmetry_classes(profile):
+            assert best_response(game, profile, members[0]) == {"prevote-b", "prevote-nil"}
 
     def test_compliant_rational_paid(self):
         game = AnchorGame(2)

@@ -296,6 +296,35 @@ def test_one_deviation_runner():
     assert _calls("_deviate") == [("equilibrium.py", "_row", "candidates")]
 
 
+def test_one_gain_test():
+    # payoffs are ordered only inside `_sign`: every other ordering
+    # comparison reads a `_sign` result, or a count, tick or bound
+    tree = ast.parse((Path(reorglab.__file__).parent / "equilibrium.py").read_text())
+    orderings = sorted(
+        (getattr(top, "name", "<module>"), ast.unparse(node))
+        for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Lt, ast.Gt, ast.LtE, ast.GtE))
+                                                 for op in node.ops)
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("max", "min"))
+    assert orderings == [
+        ("_deviate", "min((dp.tick for dp in assignment))"),
+        ("_estimate", "count > bound"),
+        ("_plan", "sum(e) - 1 > cap"),
+        ("_sign", "deviated < base"),
+        ("_sign", "deviated > base"),
+        ("best_response", "_sign(value, other) > 0"),
+        ("dag_security_scenario", "2 * config.committee_size <= 2 + config.committee_size + config.boost"),
+        ("dag_security_scenario", "max(1, round(0.4 * config.committee_size))"),
+        ("dominance_check", "(sign := _sign(game.conditioned_payoff(player, alt, cond), mine[i])) < 0"),
+        ("verify_nash", "_sign(base[p], payoffs[p]) > 0"),
+        ("verify_nash", "_sign(base[rep], payoffs[rep]) > 0"),
+        ("verify_nash", "coalition_bound <= 1"),
+        ("verify_nash", "max(coalition_bound, 1)"),
+        ("verify_nash", "min(coalition_bound, len(players))"),
+        ("verify_spne", "_sign(base[owner], value) > 0"),
+    ]
+
+
 def test_checks_read_no_per_member_roster():
     # the checks walk class runs and their seats, so the equilibrium module
     # reads neither the per-member decision points nor a per-point owner
